@@ -63,7 +63,6 @@ from .runtime import (
     InterfaceState,
     SimConfig,
     SimulationResult,
-    TrajectoryRecord,
     clopper_pearson_upper,
     cosimulate,
     em_step,
@@ -87,7 +86,7 @@ __all__ = [
     "AbstractionGrid", "FiniteAbstraction", "UniformGrid",
     "build_deterministic", "build_stochastic", "delta_of", "quantize",
     "Controller", "SafetySpec", "safety_fixpoint", "safety_value_iteration",
-    "InterfaceState", "SimConfig", "SimulationResult", "TrajectoryRecord",
+    "InterfaceState", "SimConfig", "SimulationResult",
     "clopper_pearson_upper", "cosimulate", "em_step", "interface_input",
     "generate_rooms", "run_pipeline",
     "__version__",

@@ -541,8 +541,9 @@ def _stage_compose(bundle: PipelineBundle, ctx: dict) -> None:
     logger.info("compose: network LMI margin %.3e", -lmi.margin)
 
 
-def _group_key(sys_, disc, grid) -> bytes:
-    parts = [sys_.A, sys_.B, sys_.C1, sys_.C2, sys_.D, sys_.G, sys_.b,
+def _group_key(sys_, disc, grid, P) -> bytes:
+    # P enters the abstraction through its output maps C1 P and C2 P
+    parts = [P, sys_.A, sys_.B, sys_.C1, sys_.C2, sys_.D, sys_.G, sys_.b,
              sys_.state_box.lower, sys_.state_box.upper,
              sys_.input_box.lower, sys_.input_box.upper,
              sys_.internal_box.lower, sys_.internal_box.upper,
@@ -555,16 +556,17 @@ def _group_key(sys_, disc, grid) -> bytes:
     return b"".join(np.ascontiguousarray(p, dtype=float).tobytes() for p in parts)
 
 
-def _groups(bundle: PipelineBundle) -> tuple[list, dict]:
-    """Indices grouped by identical (system, discretization, grid) for reuse."""
+def _groups(bundle: PipelineBundle, certs: list) -> tuple[list, dict]:
+    """Indices grouped by identical (system, discretization, grid, P) for reuse."""
     keys = {}
     members: dict = {}
     group_of = {}
-    for i, (s, d, g) in enumerate(zip(bundle.systems, bundle.discs, bundle.grids)):
+    for i, (s, d, g, c) in enumerate(zip(bundle.systems, bundle.discs, bundle.grids,
+                                         certs)):
         if g is None:
             raise ConfigError(f"subsystem {i} has no grid; 'grid' is required "
                               "for abstraction stages")
-        key = _group_key(s, d, g)
+        key = _group_key(s, d, g, c.P)
         if key not in keys:
             keys[key] = len(keys)
             members[keys[key]] = []
@@ -574,8 +576,8 @@ def _groups(bundle: PipelineBundle) -> tuple[list, dict]:
 
 
 def _stage_abstract(bundle: PipelineBundle, ctx: dict) -> None:
-    groups, group_of = _groups(bundle)
     certs = ctx["certs"]
+    groups, group_of = _groups(bundle, certs)
     built = {}
     for g_idx, member in enumerate(groups):
         i = member[0]

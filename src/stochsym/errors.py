@@ -140,6 +140,20 @@ class ConfigError(StochsymError):
     pass
 
 
+class StaleControllerTable(ConfigError):
+    """A time-varying controller table ends before the simulation horizon."""
+
+    def __init__(self, subsystem: int, steps: int, horizon: int):
+        self.subsystem = subsystem
+        self.steps = steps
+        self.horizon = horizon
+        super().__init__(
+            f"stale-controller: subsystem {subsystem} has a controller table for "
+            f"{steps} steps but the simulation runs {horizon}; synthesize with a "
+            f"safety horizon of at least {horizon}"
+        )
+
+
 class ConvergenceError(StochsymError):
     pass
 

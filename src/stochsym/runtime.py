@@ -10,16 +10,30 @@ with all step-k quantities latched at the sampling instant.  The coupled
 SDE is integrated with Euler-Maruyama substeps while the abstraction runs
 in lockstep, and the sampled output mismatch is recorded per trial.
 
+Substituting the law into dx = (A x + B nu + D w + b) dt + G dW gives the
+closed-loop drift (A + B K) x + (D - B H) w(t) + c_k, where
+
+    c_k = B (-K P xih - Q xih + (xi(k tau) - P xih) + H (w(k tau) - wh)) + b
+
+is latched once per interval.  Each substep is therefore one fused affine
+update, x <- (I + dt (A + B K)) x + dt c_k + sqrt(dt) G z.  Condition
+Con_3 (D = B H) cancels the continuous coupling term, so the substep needs
+no coupling matvec; when the stacked residual D - B H is not exactly zero,
+dt (D - B H) M C2 x is added back per substep and the scheme stays the
+plain Euler-Maruyama step of the law above for any certificate.  Rooms that
+share one abstraction and controller are quantized and looked up together,
+one grid lookup per group and step.
+
 Trials are independent; each draws its Gaussian increments from its own
 counter-based stream split off the master seed, so results are bitwise
 reproducible regardless of chunking or worker count.  The empirical
 violation frequency is reported with an exact one-sided Clopper-Pearson
 upper confidence bound for comparison against the theoretical guarantee.
 """
-
 from __future__ import annotations
 
 import csv
+import itertools
 import logging
 import math
 import os
@@ -31,12 +45,13 @@ import scipy.linalg
 import scipy.sparse
 import scipy.stats
 
-from .abstraction import FiniteAbstraction
+from .abstraction import FiniteAbstraction, UniformGrid
 from .certificates import StorageCertificate
 from .errors import (
     AbstractStateLost,
     ConvergenceError,
     DimensionMismatch,
+    StaleControllerTable,
     StaleLatch,
 )
 from .model import AffineSystem, InterconnectionSpec, as_matrix, as_vector
@@ -145,18 +160,6 @@ class SimConfig:
         return max(1, int(env)) if env.isdigit() and env else 1
 
 
-@dataclass(eq=False)
-class TrajectoryRecord:
-    trial: int
-    step_errors: np.ndarray  # sampled output mismatch, k = 0 .. horizon
-    sup_error: float
-    violation: bool
-    output_min: float
-    output_max: float
-    outputs: np.ndarray | None = None
-    abstract_outputs: np.ndarray | None = None
-
-
 @dataclass
 class SimulationSummary:
     n_trials: int
@@ -181,39 +184,43 @@ class SimulationSummary:
 
 @dataclass(eq=False)
 class SimulationResult:
-    records: list
+    """Per-trial arrays of one Monte Carlo run; row t belongs to trial t."""
+
     summary: SimulationSummary
-    step_errors: np.ndarray  # (n_trials, horizon + 1)
+    step_errors: np.ndarray  # (n_trials, horizon + 1) sampled output mismatch
+    output_min: np.ndarray   # (n_trials,) smallest external output, substeps included
+    output_max: np.ndarray   # (n_trials,) largest external output, substeps included
+    outputs: np.ndarray | None = None           # (n_trials, horizon + 1, q1) if recorded
+    abstract_outputs: np.ndarray | None = None  # same shape, abstract side
 
 
 @dataclass(eq=False)
 class _Op:
-    """Batched linear map: rows of X are vectors, diagonal fast path when possible."""
+    """Batched block-diagonal map on the last axis; diagonal fast path when possible."""
 
-    dense_t: np.ndarray
+    dense_t: np.ndarray | None
     diag: np.ndarray | None
 
     @classmethod
     def stack(cls, mats: list) -> "_Op":
         mats = [as_matrix(m) for m in mats]
+        if mats and all(m.shape[0] == m.shape[1] and (
+                m.shape[0] == 1 or not np.any(m - np.diag(m.diagonal())))
+                for m in mats):
+            return cls(dense_t=None, diag=np.concatenate([m.diagonal() for m in mats]))
         full = scipy.linalg.block_diag(*mats) if mats else np.zeros((0, 0))
         if full.ndim != 2:  # block_diag of empties degenerates
             full = np.zeros((0, 0))
-        diag = None
-        if full.shape[0] == full.shape[1] and full.size:
-            off = full - np.diag(np.diag(full))
-            if not np.any(off):
-                diag = np.diag(full).copy()
-        return cls(dense_t=full.T.copy(), diag=diag)
+        return cls(dense_t=full.T.copy(), diag=None)
 
     @property
     def out_dim(self) -> int:
-        return self.dense_t.shape[1]
+        return self.diag.size if self.diag is not None else self.dense_t.shape[1]
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
+    def __call__(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if self.diag is not None:
-            return x * self.diag
-        return x @ self.dense_t
+            return np.multiply(x, self.diag, out=out)
+        return np.matmul(x, self.dense_t, out=out)
 
 
 class _Coupling:
@@ -232,10 +239,39 @@ class _Coupling:
         return z2 @ self.dense_t
 
 
-class _Network:
-    """Stacked operators and per-subsystem lookup data for batched simulation."""
+@dataclass(eq=False)
+class _Substep:
+    """Fused Euler-Maruyama substep operators for one substep count."""
 
-    def __init__(self, systems, ic, discs, abstractions, controllers, certs):
+    n: int
+    dt: float
+    phi: _Op                # I + dt (A + B K)
+    noise: _Op              # sqrt(dt) G
+    residual: _Op | None    # dt (D - B H); None when Con_3 cancels the coupling
+
+
+@dataclass(eq=False)
+class _Group:
+    """Subsystems sharing one abstraction and controller, looked up together."""
+
+    rooms: int
+    cols: slice | np.ndarray  # their state (= input) columns, subsystem-major
+    grid: UniformGrid
+    input_centers: np.ndarray
+    table: np.ndarray  # (steps, n_points + 1); the sink column maps to -1
+
+    def view(self, x: np.ndarray) -> np.ndarray:
+        """(C, rooms, dim) view (or gather) of the member columns of x."""
+        return x[:, self.cols].reshape(x.shape[0], self.rooms, self.grid.dim)
+
+    def actions(self, idx: np.ndarray, step: int) -> np.ndarray:
+        return self.table[step if self.table.shape[0] > 1 else 0][idx]
+
+
+class _Network:
+    """Stacked operators and per-group lookup data for batched simulation."""
+
+    def __init__(self, systems, ic, discs, abstractions, controllers, certs, horizon):
         if not (len(systems) == len(discs) == len(abstractions)
                 == len(controllers) == len(certs) == ic.n_subsystems):
             raise DimensionMismatch("network", "per-subsystem argument lists disagree")
@@ -243,23 +279,15 @@ class _Network:
         if len(taus) != 1:
             raise DimensionMismatch("tau", "all subsystems must share one sampling time")
         self.tau = discs[0].tau
-        self.n_subsystems = len(systems)
-        self.systems = systems
-        self.abstractions = abstractions
-        self.controllers = controllers
 
-        dims = [s.n for s in systems]
-        self.state_slices = []
+        state_slices = []
         off = 0
-        for n in dims:
-            self.state_slices.append(slice(off, off + n))
-            off += n
+        for s in systems:
+            state_slices.append(slice(off, off + s.n))
+            off += s.n
         self.n_total = off
 
-        self.A = _Op.stack([s.A for s in systems])
         self.B = _Op.stack([s.B for s in systems])
-        self.D = _Op.stack([s.D for s in systems])
-        self.G = _Op.stack([s.G for s in systems])
         self.C1 = _Op.stack([s.C1 for s in systems])
         self.C2 = _Op.stack([s.C2 for s in systems])
         self.K = _Op.stack([c.K for c in certs])
@@ -275,54 +303,96 @@ class _Network:
         self.coupling = _Coupling(ic.M)
         self.noise_dim = sum(s.noise_dim for s in systems)
         self.abs_noise_dim = sum(d.R_tilde.shape[1] for d in discs)
+        self._closed_loop = [s.A + s.B @ c.K for s, c in zip(systems, certs)]
+        self._noise = [s.G for s in systems]
+        residual = [s.D - s.B @ c.H for s, c in zip(systems, certs)]
+        self._residual = residual if any(np.any(r) for r in residual) else None
 
         for i, (s, a) in enumerate(zip(systems, abstractions)):
             if s.m != s.n:
                 raise DimensionMismatch("B", f"subsystem {i}: refinement needs m == n")
             if a.grid.state.dim != s.n:
                 raise DimensionMismatch("grid", f"subsystem {i}: state grid dim mismatch")
-        self.state_grids = [a.grid.state for a in abstractions]
-        self.input_centers = [a.grid.input.centers() for a in abstractions]
-        # controller tables padded so the sink index resolves to "undefined"
-        self.tables = []
-        for c in controllers:
+        members: dict = {}
+        for i, (a, c) in enumerate(zip(abstractions, controllers)):
+            members.setdefault((id(a), id(c)), []).append(i)
+        self.groups = []
+        for rooms in members.values():
+            a, c = abstractions[rooms[0]], controllers[rooms[0]]
+            cols = np.concatenate([np.arange(state_slices[i].start, state_slices[i].stop)
+                                   for i in rooms])
+            if np.array_equal(cols, np.arange(cols[0], cols[0] + cols.size)):
+                cols = slice(int(cols[0]), int(cols[0]) + cols.size)
             t = c.table if c.table.ndim == 2 else c.table[None, :]
-            self.tables.append(np.hstack([t, -np.ones((t.shape[0], 1), dtype=np.int64)]))
+            if 1 < t.shape[0] < horizon:
+                raise StaleControllerTable(rooms[0], t.shape[0], horizon)
+            self.groups.append(_Group(
+                rooms=len(rooms), cols=cols, grid=a.grid.state,
+                input_centers=a.grid.input.centers(),
+                table=np.hstack([t, -np.ones((t.shape[0], 1), dtype=np.int64)]),
+            ))
 
-    def controller_actions(self, idx: np.ndarray, i: int, step: int) -> np.ndarray:
-        table = self.tables[i]
-        return table[min(step, table.shape[0] - 1)][idx]
+    def substep(self, n_substeps: int) -> _Substep:
+        dt = self.tau / n_substeps
+        residual = None
+        if self._residual is not None:
+            residual = _Op.stack([dt * r for r in self._residual])
+        return _Substep(
+            n=n_substeps, dt=dt,
+            phi=_Op.stack([np.eye(f.shape[0]) + dt * f for f in self._closed_loop]),
+            noise=_Op.stack([math.sqrt(dt) * g for g in self._noise]),
+            residual=residual,
+        )
 
 
-def _simulate_chunk(net: _Network, horizon: int, n_substeps: int,
+def _raise_if_lost(masks, trial_offset: int, step: int) -> None:
+    """AbstractStateLost naming the lowest trial with a lost subsystem at `step`."""
+    lost = None
+    for m in masks:
+        if m.any():
+            rows = m.any(axis=1)
+            lost = rows if lost is None else lost | rows
+    if lost is not None:
+        raise AbstractStateLost(trial_offset + int(np.flatnonzero(lost)[0]), step)
+
+
+def _quantize(net: _Network, points: np.ndarray, Xhat: np.ndarray, idx: list,
+              trial_offset: int, step: int) -> None:
+    """Cell indices of `points` per group into `idx`, their centers into `Xhat`."""
+    for g, group in enumerate(net.groups):
+        idx[g] = group.grid.locate_many(group.view(points))
+    _raise_if_lost([i == group.grid.n_points for i, group in zip(idx, net.groups)],
+                   trial_offset, step)
+    for g, group in enumerate(net.groups):
+        Xhat[:, group.cols] = group.grid.centers()[idx[g]].reshape(len(Xhat), -1)
+
+
+def _simulate_chunk(net: _Network, sub: _Substep, horizon: int,
                     x0: np.ndarray, streams, trial_offset: int,
                     record_outputs: bool):
     C = len(streams)
-    gens = [np.random.Generator(np.random.Philox(s)) for s in streams]
-    noise = np.stack([g.standard_normal((horizon, n_substeps, net.noise_dim))
-                      for g in gens])
-    abs_noise = None
-    if net.stochastic:
-        abs_noise = np.stack([g.standard_normal((horizon, net.abs_noise_dim))
-                              for g in gens])
-    dt = net.tau / n_substeps
-    sqrt_dt = math.sqrt(dt)
+    noise = np.empty((C, horizon, sub.n, net.noise_dim))
+    abs_noise = np.empty((C, horizon, net.abs_noise_dim)) if net.stochastic else None
+    for c, s in enumerate(streams):
+        gen = np.random.Generator(np.random.Philox(s))
+        gen.standard_normal(out=noise[c])
+        if abs_noise is not None:
+            gen.standard_normal(out=abs_noise[c])
 
     X = np.tile(x0, (C, 1))
-    idx = np.empty((C, net.n_subsystems), dtype=np.int64)
     Xhat = np.empty_like(X)
-    for i, sl in enumerate(net.state_slices):
-        idx[:, i] = net.state_grids[i].locate_many(X[:, sl])
-        lost = np.flatnonzero(idx[:, i] == net.state_grids[i].n_points)
-        if lost.size:
-            raise AbstractStateLost(trial_offset + int(lost[0]), 0)
-        Xhat[:, sl] = net.state_grids[i].centers()[idx[:, i]]
+    V = np.empty_like(X)
+    idx = [None] * len(net.groups)
+    _quantize(net, X, Xhat, idx, trial_offset, 0)
 
     errors = np.empty((C, horizon + 1))
     out_min = np.full(C, np.inf)
     out_max = np.full(C, -np.inf)
     out_rec = np.empty((C, horizon + 1, net.C1.out_dim)) if record_outputs else None
     out_hat_rec = np.empty_like(out_rec) if record_outputs else None
+    path = np.empty((C, sub.n, net.n_total))
+    drive = np.empty_like(path)
+    path_out = np.empty((C, sub.n, net.C1.out_dim))
 
     def record(k):
         z = net.C1(X)
@@ -337,37 +407,35 @@ def _simulate_chunk(net: _Network, horizon: int, n_substeps: int,
     record(0)
     for k in range(horizon):
         w_hat = net.coupling(net.C2P(Xhat))
-        v_hat = np.empty_like(X)
-        for i, sl in enumerate(net.state_slices):
-            actions = net.controller_actions(idx[:, i], i, k)
-            lost = np.flatnonzero(actions < 0)
-            if lost.size:
-                raise AbstractStateLost(trial_offset + int(lost[0]), k)
-            v_hat[:, sl] = net.input_centers[i][actions]
+        actions = [group.actions(i, k) for group, i in zip(net.groups, idx)]
+        _raise_if_lost([a < 0 for a in actions], trial_offset, k)
+        for group, a in zip(net.groups, actions):
+            V[:, group.cols] = group.input_centers[a].reshape(C, -1)
 
-        x_latch = X.copy()
-        w_latch = net.coupling(net.C2(X))
+        # nu(t) = K x(t) - H w(t) + nu_latched; c_k = B nu_latched + b enters
+        # every substep of the interval, so dt c_k is folded into its noise
         p_xhat = net.P(Xhat)
-        q_term = net.Q(Xhat)
-        for j in range(n_substeps):
-            w_t = net.coupling(net.C2(X))
-            nu = (net.K(X - p_xhat) - q_term + (x_latch - p_xhat)
-                  + net.H(w_latch - w_hat) - net.H(w_t))
-            drift = net.A(X) + net.B(nu) + net.D(w_t) + net.b
-            X = X + dt * drift + sqrt_dt * net.G(noise[:, k, j])
-            z = net.C1(X)
-            np.minimum(out_min, z.min(axis=1), out=out_min)
-            np.maximum(out_max, z.max(axis=1), out=out_max)
+        w_latch = net.coupling(net.C2(X))
+        nu_latched = (X - p_xhat - net.K(p_xhat) - net.Q(Xhat)
+                      + net.H(w_latch - w_hat))
+        sub.noise(noise[:, k], out=drive)
+        drive += sub.dt * (net.B(nu_latched) + net.b)[:, None, :]
+        prev = X
+        for j in range(sub.n):
+            cur = sub.phi(prev, out=path[:, j])
+            cur += drive[:, j]
+            if sub.residual is not None:
+                cur += sub.residual(net.coupling(net.C2(prev)))
+            prev = cur
+        X = prev.copy()
+        net.C1(path, out=path_out)
+        np.minimum(out_min, path_out.min(axis=(1, 2)), out=out_min)
+        np.maximum(out_max, path_out.max(axis=(1, 2)), out=out_max)
 
-        target = Xhat + v_hat + net.D_tilde(w_hat)
+        target = Xhat + V + net.D_tilde(w_hat)
         if net.stochastic:
-            target = target + net.R_tilde(abs_noise[:, k])
-        for i, sl in enumerate(net.state_slices):
-            idx[:, i] = net.state_grids[i].locate_many(target[:, sl])
-            lost = np.flatnonzero(idx[:, i] == net.state_grids[i].n_points)
-            if lost.size:
-                raise AbstractStateLost(trial_offset + int(lost[0]), k + 1)
-            Xhat[:, sl] = net.state_grids[i].centers()[idx[:, i]]
+            target += net.R_tilde(abs_noise[:, k])
+        _quantize(net, target, Xhat, idx, trial_offset, k + 1)
         record(k + 1)
 
     return errors, out_min, out_max, out_rec, out_hat_rec
@@ -380,10 +448,11 @@ def _run_batch(net, config: SimConfig, x0, streams, n_substeps: int,
         stop = min(start + config.chunk_size, config.n_trials)
         chunks.append((start, streams[start:stop]))
     results = [None] * len(chunks)
+    sub = net.substep(n_substeps)
 
     def work(pos):
-        start, sub = chunks[pos]
-        return _simulate_chunk(net, config.horizon, n_substeps, x0, sub,
+        start, chunk = chunks[pos]
+        return _simulate_chunk(net, sub, config.horizon, x0, chunk,
                                start, record_outputs)
 
     workers = config.workers()
@@ -426,7 +495,8 @@ def cosimulate(
     trial subsample (fresh streams) and accepted only when the headline
     violation frequency moves by less than one percentage point.
     """
-    net = _Network(systems, ic, discs, abstractions, controllers, certs)
+    net = _Network(systems, ic, discs, abstractions, controllers, certs,
+                   config.horizon)
     x0 = as_vector(x0)
     if x0.size != net.n_total:
         raise DimensionMismatch("x0", f"expected {net.n_total} states")
@@ -476,50 +546,45 @@ def cosimulate(
         freq2 = float((sup2 >= config.epsilon).mean())
         drift = abs(freq2 - freq)
         mean2 = float(sup2.mean())
+        mean_drift = (abs(mean2 - summary.mean_sup_error)
+                      / (abs(summary.mean_sup_error) + 1e-300))
         summary.convergence = {
             "check_trials": n_check,
             "doubled_substeps": 2 * config.n_substeps,
             "violation_frequency_doubled": freq2,
             "violation_frequency_drift": drift,
             "mean_sup_error_doubled": mean2,
-            "mean_sup_error_relative_drift":
-                abs(mean2 - summary.mean_sup_error) / (abs(summary.mean_sup_error) + 1e-300),
+            "mean_sup_error_relative_drift": mean_drift,
         }
+        if mean_drift > _CONVERGENCE_TOL:
+            logger.warning("mean sup error moved by %.1f%% when substeps doubled "
+                           "(Euler-Maruyama bias at %d substeps)",
+                           100 * mean_drift, config.n_substeps)
         if drift >= _CONVERGENCE_TOL:
             raise ConvergenceError(
                 f"violation frequency moved by {drift:.4f} when substeps doubled"
             )
 
-    records = []
-    for t in range(config.n_trials):
-        records.append(TrajectoryRecord(
-            trial=t,
-            step_errors=errors[t],
-            sup_error=float(sup[t]),
-            violation=bool(violation[t]),
-            output_min=float(out_min[t]),
-            output_max=float(out_max[t]),
-            outputs=None if out_rec is None else out_rec[t],
-            abstract_outputs=None if out_hat_rec is None else out_hat_rec[t],
-        ))
-    return SimulationResult(records=records, summary=summary, step_errors=errors)
+    return SimulationResult(summary=summary, step_errors=errors,
+                            output_min=out_min, output_max=out_max,
+                            outputs=out_rec, abstract_outputs=out_hat_rec)
 
 
 def write_trajectories_csv(result: SimulationResult, path) -> None:
     """Long-format per-step rows (trial, k, err, sup_err) plus outputs when recorded."""
-    with_outputs = result.records and result.records[0].outputs is not None
+    errors = result.step_errors
+    running = np.maximum.accumulate(errors, axis=1)
+    steps = range(errors.shape[1])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         head = ["trial", "k", "err", "sup_err"]
-        if with_outputs:
-            q1 = result.records[0].outputs.shape[1]
+        if result.outputs is not None:
+            q1 = result.outputs.shape[2]
             head += [f"out_{i}" for i in range(q1)] + [f"out_hat_{i}" for i in range(q1)]
         writer.writerow(head)
-        for rec in result.records:
-            running = np.maximum.accumulate(rec.step_errors)
-            for k, err in enumerate(rec.step_errors):
-                row = [rec.trial, k, repr(float(err)), repr(float(running[k]))]
-                if with_outputs:
-                    row += [repr(float(v)) for v in rec.outputs[k]]
-                    row += [repr(float(v)) for v in rec.abstract_outputs[k]]
-                writer.writerow(row)
+        for t in range(errors.shape[0]):
+            rows = zip(itertools.repeat(t), steps, errors[t].tolist(), running[t].tolist())
+            if result.outputs is not None:
+                rows = ([*row, *out, *out_hat] for row, out, out_hat in zip(
+                    rows, result.outputs[t].tolist(), result.abstract_outputs[t].tolist()))
+            writer.writerows(rows)

@@ -205,6 +205,29 @@ class TestRunPipeline:
         assert sa["mean_sup_error"] != sb["mean_sup_error"]
 
 
+def test_rooms_with_different_p_get_their_own_abstraction(tmp_path):
+    # identical rooms whose certificates differ only in P must not share an
+    # abstraction: its output maps C1 P and C2 P depend on P
+    import dataclasses
+
+    from stochsym import cli
+
+    bundle = load_config(small_rooms(tmp_path))
+    certs = cli._resolve_certs(bundle)
+    certs[2] = dataclasses.replace(certs[2], P=0.98 * certs[2].P)
+    (tmp_path / "out").mkdir()
+    ctx = {"out": tmp_path / "out", "certs": certs}
+    cli._stage_abstract(bundle, ctx)
+    groups, _ = ctx["groups"]
+    assert groups == [[0, 1, 3], [2]]
+    fas = ctx["abstractions"]
+    assert fas[0] is fas[1] is fas[3] and fas[2] is not fas[0]
+    for s, c, fa in zip(bundle.systems, certs, fas):
+        assert np.array_equal(fa.output_map, s.C1 @ c.P)
+        assert np.array_equal(fa.internal_output_map, s.C2 @ c.P)
+    assert (tmp_path / "out" / "abstraction_1.json").exists()
+
+
 class TestMain:
     def test_demo_rooms_entry_point(self, tmp_path):
         rc = main(["demo-rooms", "--rooms", "4", "--trials", "20",

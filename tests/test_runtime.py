@@ -1,10 +1,16 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import stochsym as st
-from stochsym.errors import ConvergenceError, StaleLatch
+from stochsym.errors import (
+    AbstractStateLost,
+    ConvergenceError,
+    StaleControllerTable,
+    StaleLatch,
+)
 from stochsym.runtime import (
     InterfaceState,
     clopper_pearson_upper,
@@ -338,3 +344,183 @@ def test_trajectory_csv_layout(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0].startswith("trial,k,err,sup_err,out_0")
     assert len(lines) == 1 + 2 * 4
+
+
+def scalar_reference(systems, ic, discs, fas, ctrls, certs, cfg, x0):
+    """Trial-by-trial replay of a network of scalar rooms through
+    `interface_input` and `em_step`, on the normals of each trial's stream.
+
+    Returns (step_errors, lost): lost is None, or the (trial, step) at which
+    the first abstract state is lost, lowest trial first within a step.
+    """
+    n = len(systems)
+    dt = discs[0].tau / cfg.n_substeps
+    m = ic.M
+    stochastic = any(not d.noise_free for d in discs)
+    streams = np.random.SeedSequence(cfg.rng_seed).spawn(2)[0].spawn(cfg.n_trials)
+    grids = [fa.grid.state for fa in fas]
+    errors = np.full((cfg.n_trials, cfg.horizon + 1), np.nan)
+    lost = None
+    for t, ss in enumerate(streams):
+        gen = np.random.Generator(np.random.Philox(ss))
+        z = gen.standard_normal((cfg.horizon, cfg.n_substeps, n))
+        s_abs = gen.standard_normal((cfg.horizon, n)) if stochastic else None
+        x = np.array(x0, dtype=float)
+        idx = [grids[i].locate(x[i:i + 1]) for i in range(n)]
+
+        def quantized():
+            return np.array([grids[i].center(idx[i])[0] for i in range(n)])
+
+        def out_error(xhat):
+            zeta = np.array([(systems[i].C1 @ x[i:i + 1])[0] for i in range(n)])
+            zeta_hat = np.array([(fas[i].output_map @ xhat[i:i + 1])[0]
+                                 for i in range(n)])
+            return np.linalg.norm(zeta - zeta_hat)
+
+        xhat = quantized()
+        errors[t, 0] = out_error(xhat)
+        first_lost = None
+        for k in range(cfg.horizon):
+            w_hat = m @ np.array([(fas[i].internal_output_map @ xhat[i:i + 1])[0]
+                                  for i in range(n)])
+            actions = [ctrls[i].action(idx[i], k) for i in range(n)]
+            if min(actions) < 0:
+                first_lost = k
+                break
+            nu_hat = [fas[i].grid.input.center(actions[i])[0] for i in range(n)]
+            w_latch = m @ x
+            states = [InterfaceState(K=certs[i].K, P=certs[i].P, Q=certs[i].Q,
+                                     H=certs[i].H, tau=discs[i].tau, step=k,
+                                     xi_latch=x[i:i + 1], xi_hat=xhat[i:i + 1],
+                                     w_hat=w_hat[i:i + 1], w_latch=w_latch[i:i + 1])
+                      for i in range(n)]
+            for j in range(cfg.n_substeps):
+                w_t = m @ x
+                time_ = k * discs[0].tau + j * dt
+                nu = [interface_input(states[i], x[i:i + 1], w_t[i:i + 1], time_)
+                      for i in range(n)]
+                x = np.array([st.em_step(systems[i], x[i:i + 1], nu[i], w_t[i:i + 1],
+                                         dt, z[k, j, i:i + 1])[0] for i in range(n)])
+            target = [xhat[i] + nu_hat[i] + discs[i].D_tilde[0, 0] * w_hat[i]
+                      + (discs[i].R_tilde[0, 0] * s_abs[k, i] if stochastic else 0.0)
+                      for i in range(n)]
+            idx = [grids[i].locate([target[i]]) for i in range(n)]
+            if any(idx[i] == grids[i].n_points for i in range(n)):
+                first_lost = k + 1
+                break
+            xhat = quantized()
+            errors[t, k + 1] = out_error(xhat)
+        if first_lost is not None and (lost is None or first_lost < lost[1]):
+            lost = (t, first_lost)
+    return errors, lost
+
+
+def mixed_network(g=0.3, tracking_rate=40.0):
+    """3-room ring with H = 0 (so D - B H != 0) and two distinct
+    abstraction/controller pairs placed on rooms (0, 2) and (1,)."""
+    systems, ic, discs, _, _, certs = small_network(g=g, tracking_rate=tracking_rate)
+    cert = dataclasses.replace(certs[0], H=0.0)
+    pairs = []
+    for width in (0.005, 0.01):
+        grid = st.AbstractionGrid(
+            state=st.UniformGrid.cover(systems[0].state_box, [width]),
+            input=st.UniformGrid.cover(systems[0].input_box, [1e-4]),
+            internal=st.UniformGrid.cover(systems[0].internal_box, [2.0]))
+        fa = st.build_deterministic(systems[0], discs[0], grid)
+        pairs.append((fa, st.safety_fixpoint(
+            fa, st.SafetySpec(safe_box=st.Box([20.0], [21.0])))))
+    fas = [pairs[0][0], pairs[1][0], pairs[0][0]]
+    ctrls = [pairs[0][1], pairs[1][1], pairs[0][1]]
+    return systems, ic, discs, fas, ctrls, [cert] * 3
+
+
+class TestFusedSubstepOracle:
+    def test_noisy_run_matches_scalar_interface_law(self):
+        net = mixed_network()
+        x0 = np.array([20.4012, 20.5537, 20.6981])
+        cfg = st.SimConfig(n_trials=5, horizon=4, epsilon=9.9, n_substeps=8,
+                           rng_seed=17, chunk_size=2)
+        res = st.cosimulate(*net, cfg, x0)
+        want, lost = scalar_reference(*net, cfg, x0)
+        assert lost is None
+        assert np.all(want > 0)
+        np.testing.assert_allclose(res.step_errors, want, rtol=1e-12, atol=0)
+
+    def test_dense_operators_match_diagonal_fast_path(self, monkeypatch):
+        # every operator of the rooms is diagonal; forcing the dense matmul
+        # path must give the same errors
+        from stochsym import runtime
+
+        net = mixed_network()
+        x0 = np.array([20.4012, 20.5537, 20.6981])
+        cfg = st.SimConfig(n_trials=4, horizon=3, epsilon=9.9, n_substeps=8,
+                           rng_seed=2, chunk_size=3)
+        fast = st.cosimulate(*net, cfg, x0)
+        stack = runtime._Op.stack
+
+        def dense_stack(mats):
+            op = stack(mats)
+            if op.diag is None:
+                return op
+            return runtime._Op(dense_t=np.diag(op.diag), diag=None)
+
+        monkeypatch.setattr(runtime._Op, "stack", dense_stack)
+        dense = st.cosimulate(*net, cfg, x0)
+        np.testing.assert_allclose(dense.step_errors, fast.step_errors,
+                                   rtol=1e-12, atol=0)
+
+    def test_lost_trial_and_step_are_reported(self):
+        net = stochastic_network(sigma=0.15)
+        grid = net[3][0].grid.state
+        x0 = np.full(3, grid.center(grid.locate([20.5]))[0])
+        cfg = st.SimConfig(n_trials=8, horizon=6, epsilon=9.9, n_substeps=20,
+                           rng_seed=11, chunk_size=8)
+        # one chunk: the run stops at the first step where any trial is lost.
+        # With this seed trials 5 and 6 are lost at step 3, and trial 0 only
+        # later, at step 5.
+        _, lost = scalar_reference(*net, cfg, x0)
+        assert lost == (5, 3)
+        with pytest.raises(AbstractStateLost) as info:
+            st.cosimulate(*net, cfg, x0)
+        assert (info.value.trial, info.value.step) == lost
+
+
+class TestControllerHorizon:
+    def test_time_varying_table_shorter_than_horizon_is_rejected(self):
+        systems, ic, discs, fas, ctrls, certs = stochastic_network()
+        grid = fas[0].grid.state
+        x0 = np.full(3, grid.center(grid.locate([20.5]))[0])
+        assert ctrls[0].table.shape[0] == 6
+        cfg = st.SimConfig(n_trials=2, horizon=7, epsilon=0.6, n_substeps=20)
+        with pytest.raises(StaleControllerTable) as info:
+            st.cosimulate(systems, ic, discs, fas, ctrls, certs, cfg, x0)
+        assert (info.value.steps, info.value.horizon) == (6, 7)
+        assert isinstance(info.value, st.errors.ConfigError)
+
+    def test_one_row_table_is_stationary(self):
+        systems, ic, discs, fas, ctrls, certs = stochastic_network()
+        grid = fas[0].grid.state
+        x0 = np.full(3, grid.center(grid.locate([20.5]))[0])
+        stationary = st.Controller(kind="time-varying-map",
+                                   table=ctrls[0].table[:1].copy(),
+                                   winning_set=ctrls[0].winning_set)
+        cfg = st.SimConfig(n_trials=2, horizon=9, epsilon=0.6, n_substeps=20)
+        res = st.cosimulate(systems, ic, discs, fas, [stationary] * 3, certs, cfg, x0)
+        assert np.all(np.isfinite(res.step_errors))
+
+
+def test_trajectory_csv_rows_match_arrays(tmp_path):
+    systems, ic, discs, fas, ctrls, certs = small_network(g=0.1)
+    x0 = np.full(3, 20.5025)
+    cfg = st.SimConfig(n_trials=3, horizon=2, epsilon=0.5, n_substeps=5,
+                       rng_seed=4, chunk_size=2, record_outputs=True)
+    res = st.cosimulate(systems, ic, discs, fas, ctrls, certs, cfg, x0)
+    path = tmp_path / "traj.csv"
+    write_trajectories_csv(res, path)
+    want = ["trial,k,err,sup_err,out_0,out_1,out_2,out_hat_0,out_hat_1,out_hat_2"]
+    for t in range(3):
+        for k in range(3):
+            vals = [res.step_errors[t, k], res.step_errors[t, :k + 1].max(),
+                    *res.outputs[t, k], *res.abstract_outputs[t, k]]
+            want.append(",".join([str(t), str(k)] + [repr(float(v)) for v in vals]))
+    assert path.read_text() == "\n".join(want) + "\n"
