@@ -7,13 +7,14 @@ successor table (noise-free sampled model) or a finite Markov kernel whose
 rows are Gaussian cell masses; everything leaving the grid is collected in a
 single absorbing sink state, which synthesis treats as unsafe.
 
-Kernel rows can be built independently per (state, input, internal) triple;
-a finished abstraction is immutable and shareable.
+Stochastic kernels use a block-wise array build: the per-axis Gaussian cell
+masses of a block of (state, input, internal) rows are computed at once, and
+the CSV export is formatted and written one block of rows at a time.  A
+finished abstraction is immutable and shareable.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import warnings
@@ -35,6 +36,10 @@ from .model import AffineSystem, Box, DiscretizationSpec, as_matrix, as_vector
 _ROW_TOL = 1e-9
 #: fp dust absorbed at the outer grid edges when locating points
 _EDGE_RTOL = 1e-9
+#: dense kernel entries, rows x (S+1), computed per block in build_stochastic
+_BLOCK_ENTRIES = 1 << 16
+#: CSV rows formatted and written per block in export_abstraction
+_EXPORT_ENTRIES = 1 << 13
 
 
 def _cell_count(span: float, width: float) -> int:
@@ -278,14 +283,15 @@ def build_deterministic(
     )
 
 
-def _axis_masses(edges: np.ndarray, mean: float, sigma: float) -> np.ndarray:
+def _axis_masses(edges: np.ndarray, means: np.ndarray, sigma: float) -> np.ndarray:
+    """Gaussian interval masses of one axis for a block of means; shape (rows, cells)."""
     if sigma > 0.0:
-        cdf = ndtr((edges - mean) / sigma)
-        return np.diff(cdf)
-    masses = np.zeros(edges.size - 1)
-    j = np.searchsorted(edges, mean, side="right") - 1
-    if 0 <= j < masses.size:
-        masses[j] = 1.0
+        cdf = ndtr((edges - means[:, None]) / sigma)
+        return np.diff(cdf, axis=1)
+    masses = np.zeros((means.size, edges.size - 1))
+    j = np.searchsorted(edges, means, side="right") - 1
+    hit = np.flatnonzero((j >= 0) & (j < masses.shape[1]))
+    masses[hit, j[hit]] = 1.0
     return masses
 
 
@@ -297,7 +303,8 @@ def build_stochastic(
     Requires an axis-aligned noise covariance (R_tilde R_tilde^T diagonal).
     Each row factors into per-dimension Gaussian interval masses; whatever
     mass falls off the grid goes to the sink, and rows are renormalized only
-    when their drift from unit mass is below 1e-9.
+    when their drift from unit mass is below 1e-9.  Rows are computed in
+    blocks of about `_BLOCK_ENTRIES` dense entries.
     """
     P = np.eye(sys.n) if P is None else as_matrix(P)
     cov = disc.R_tilde @ disc.R_tilde.T
@@ -311,33 +318,35 @@ def build_stochastic(
     S, U, W = sgrid.n_points, grid.input.n_points, grid.n_internal
     edges = [sgrid.axis_edges(d) for d in range(sgrid.dim)]
     centers = sgrid.centers()
+    shifts = shifts.reshape(U * W, sgrid.dim)
 
-    data, indices, indptr = [], [], [0]
-    for s in range(S):
-        for u in range(U):
-            for w in range(W):
-                mean = centers[s] + shifts[u, w]
-                probs = _axis_masses(edges[0], mean[0], sigma[0])
-                for d in range(1, sgrid.dim):
-                    probs = np.multiply.outer(probs, _axis_masses(edges[d], mean[d], sigma[d]))
-                probs = probs.reshape(-1)
-                inside = float(probs.sum())
-                sink_mass = 1.0 - inside
-                if sink_mass < -_ROW_TOL:
-                    raise RowMassError((s, u, w), sink_mass)
-                sink_mass = max(sink_mass, 0.0)
-                nz = np.flatnonzero(probs)
-                row_total = inside + sink_mass
-                for t in nz:
-                    indices.append(int(t))
-                    data.append(probs[t] / row_total)
-                if sink_mass > 0.0:
-                    indices.append(S)
-                    data.append(sink_mass / row_total)
-                indptr.append(len(data))
+    n_rows = S * U * W
+    step = max(1, _BLOCK_ENTRIES // (S + 1))
+    data, indices, counts = [], [], []
+    for r0 in range(0, n_rows, step):
+        rows = np.arange(r0, min(r0 + step, n_rows))
+        s_idx, uw_idx = np.divmod(rows, U * W)
+        means = centers[s_idx] + shifts[uw_idx]
+        probs = _axis_masses(edges[0], means[:, 0], sigma[0])
+        for d in range(1, sgrid.dim):
+            axis = _axis_masses(edges[d], means[:, d], sigma[d])
+            probs = (probs[:, :, None] * axis[:, None, :]).reshape(rows.size, -1)
+        inside = probs.sum(axis=1)
+        sink = 1.0 - inside
+        bad = np.flatnonzero(sink < -_ROW_TOL)
+        if bad.size:
+            u, w = divmod(int(uw_idx[bad[0]]), W)
+            raise RowMassError((int(s_idx[bad[0]]), u, w), float(sink[bad[0]]))
+        sink = np.maximum(sink, 0.0)
+        full = np.concatenate([probs, sink[:, None]], axis=1)
+        nz_row, nz_col = np.nonzero(full)
+        data.append(full[nz_row, nz_col] / (inside + sink)[nz_row])
+        indices.append(nz_col.astype(np.int32))  # as the CSR stores them; half the memory
+        counts.append(np.bincount(nz_row, minlength=rows.size))
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
     kernel = scipy.sparse.csr_matrix(
-        (np.asarray(data), np.asarray(indices), np.asarray(indptr)),
-        shape=(S * U * W, S + 1),
+        (np.concatenate(data), np.concatenate(indices), indptr),
+        shape=(n_rows, S + 1),
     )
     return FiniteAbstraction(
         grid=grid, kind="stochastic", disc=disc, P_map=P,
@@ -347,7 +356,12 @@ def build_stochastic(
 
 
 def export_abstraction(abs_: FiniteAbstraction, json_path, csv_path) -> None:
-    """Write a header JSON (grid, kind, dims) and a row CSV (state,input,internal,target,prob)."""
+    """Write a header JSON (grid, kind, dims) and a row CSV (state,input,internal,target,prob).
+
+    CSV rows come in (state, input, internal, target) order, formatted and
+    written about `_EXPORT_ENTRIES` at a time; probabilities are the shortest
+    round-trip `repr` of each float.  The abstraction is not modified.
+    """
     header = {
         "kind": abs_.kind,
         "n_states": abs_.n_states,
@@ -374,21 +388,46 @@ def export_abstraction(abs_: FiniteAbstraction, json_path, csv_path) -> None:
     with open(json_path, "w", newline="\n") as fh:
         json.dump(header, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    U, W = abs_.n_inputs, abs_.n_internal
     with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["state", "input", "internal", "target", "prob"])
-        U, W = abs_.n_inputs, abs_.n_internal
+        fh.write("state,input,internal,target,prob\n")
         if abs_.kind == "deterministic":
-            succ = abs_.successors
-            for s in range(abs_.n_states):
-                for u in range(U):
-                    for w in range(W):
-                        writer.writerow([s, u, w, int(succ[s, u, w]), 1.0])
-        else:
-            kernel = abs_.kernel.tocoo()
-            order = np.lexsort((kernel.col, kernel.row))
-            for k in order:
-                flat, t, p = int(kernel.row[k]), int(kernel.col[k]), float(kernel.data[k])
-                s, rem = divmod(flat, U * W)
-                u, w = divmod(rem, W)
-                writer.writerow([s, u, w, t, repr(p)])
+            targets = abs_.successors.reshape(-1)
+            for e0 in range(0, targets.size, _EXPORT_ENTRIES):
+                rows = np.arange(e0, min(e0 + _EXPORT_ENTRIES, targets.size))
+                s, rem = np.divmod(rows, U * W)
+                u, w = np.divmod(rem, W)
+                fh.write("".join(map("%d,%d,%d,%d,1.0\n".__mod__, zip(
+                    s.tolist(), u.tolist(), w.tolist(), targets[rows].tolist()))))
+            return
+        kernel = abs_.kernel.tocsr()
+        indptr, cols = kernel.indptr, kernel.indices
+        # each distinct probability (bit pattern) is formatted once, as repr
+        bits = np.asarray(kernel.data, dtype=np.float64).view(np.int64)
+        keys = np.unique(bits)
+        texts = np.array([repr(p) + "\n" for p in keys.view(np.float64).tolist()],
+                         dtype=object)
+        in_order = kernel.has_sorted_indices
+        r0, n_rows = 0, kernel.shape[0]
+        while r0 < n_rows:
+            # a block holds whole rows, so each row can be put in target
+            # order within it, without sorting the shared kernel
+            r1 = int(np.searchsorted(indptr, indptr[r0] + _EXPORT_ENTRIES, side="right"))
+            r1 = min(max(r1 - 1, r0 + 1), n_rows)
+            counts = np.diff(indptr[r0:r1 + 1])
+            take = np.arange(indptr[r0], indptr[r1])
+            if not in_order:
+                row_of = np.repeat(np.arange(r0, r1), counts)
+                take = take[np.lexsort((cols[take], row_of))]
+            # each row label and each distinct target is formatted once
+            s, rem = np.divmod(np.arange(r0, r1), U * W)
+            u, w = np.divmod(rem, W)
+            labels = list(map("%d,%d,%d,".__mod__, zip(s.tolist(), u.tolist(), w.tolist())))
+            targets, target_of = np.unique(cols[take], return_inverse=True)
+            targets = np.array(["%d," % t for t in targets.tolist()], dtype=object)
+            parts = np.empty((take.size, 3), dtype=object)
+            parts[:, 0] = np.repeat(np.array(labels, dtype=object), counts)
+            parts[:, 1] = targets[target_of]
+            parts[:, 2] = texts[np.searchsorted(keys, bits[take])]
+            fh.write("".join(parts.reshape(-1).tolist()))
+            r0 = r1

@@ -511,8 +511,10 @@ def _stage_compose(bundle: PipelineBundle, ctx: dict) -> None:
     # The abstract network reuses the concrete coupling matrix, so the
     # equality condition holds structurally; the abstract internal outputs
     # range over the state-grid cover, checked against the internal boxes.
-    abstract_ok = True
-    if all(g is not None for g in bundle.grids):
+    # The check needs every subsystem's grid; without them it is skipped and
+    # composition.json reports null.
+    has_grids = all(g is not None for g in bundle.grids)
+    if has_grids:
         out_boxes = []
         for s, c, g in zip(bundle.systems, certs, bundle.grids):
             out_boxes.append(g.state.as_box().linear_image(s.C2 @ c.P))
@@ -533,7 +535,7 @@ def _stage_compose(bundle: PipelineBundle, ctx: dict) -> None:
     ctx["composition"] = result
     payload = result.to_dict(include_matrix=x_cmp.shape[0] <= 400)
     payload["coupling_equality"] = "identical by construction"
-    payload["abstract_well_posed"] = abstract_ok
+    payload["abstract_well_posed"] = has_grids or None
     if fast is not None:
         payload["gershgorin"] = {"ok": fast.ok, "bound": fast.bound,
                                  "row_sum": fast.row_sum}

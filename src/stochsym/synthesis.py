@@ -122,7 +122,7 @@ def safety_value_iteration(abstraction: FiniteAbstraction, spec: SafetySpec) -> 
 
     V_T = 1 on safe cells; V_k(s) = max_u min_w sum_t row(s,u,w)[t] V_{k+1}(t)
     on safe cells and 0 elsewhere (the sink contributes 0).  Values returned
-    are V_0.
+    are V_0; the winning set is the safe cells with V_0 > 0.
     """
     if abstraction.kind != "stochastic":
         raise DimensionMismatch("abstraction", "value iteration needs a stochastic kernel")
@@ -141,7 +141,7 @@ def safety_value_iteration(abstraction: FiniteAbstraction, spec: SafetySpec) -> 
         v = np.where(safe, best, 0.0)
         tables.append(np.where(safe, act, -1).astype(np.int64))
     tables.reverse()  # tables[k] is applied at step k
-    winning = np.flatnonzero(safe)
+    winning = np.flatnonzero(safe & (v > 0.0))
     return Controller(kind="time-varying-map", table=np.stack(tables),
                       winning_set=winning, values=v)
 

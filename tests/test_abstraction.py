@@ -1,14 +1,22 @@
+import csv
 import math
 
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.sparse
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import stochsym as st
-from stochsym.errors import DimensionMismatch, GridTooCoarse, NonDiagonalNoise
+from stochsym import abstraction as abst
+from stochsym.errors import (
+    DimensionMismatch,
+    GridTooCoarse,
+    NonDiagonalNoise,
+    RowMassError,
+)
 
 from conftest import room_system
 
@@ -251,3 +259,176 @@ def test_export_round_readable(tmp_path):
     lines = cp.read_text().strip().splitlines()
     assert lines[0] == "state,input,internal,target,prob"
     assert len(lines) == 1 + fa.n_states * fa.n_inputs * fa.n_internal
+
+
+# ---------------------------------------------------------------------------
+# Per-entry oracles for the block-wise kernel build and CSV export
+
+
+def _reference_axis_masses(edges, mean, sigma):
+    if sigma > 0.0:
+        return np.diff(abst.ndtr((edges - mean) / sigma))
+    masses = np.zeros(edges.size - 1)
+    j = np.searchsorted(edges, mean, side="right") - 1
+    if 0 <= j < masses.size:
+        masses[j] = 1.0
+    return masses
+
+
+def _reference_kernel(disc, grid):
+    """The kernel row by row, one (s, u, w) triple at a time."""
+    sigma = np.sqrt(np.maximum(np.diag(disc.R_tilde @ disc.R_tilde.T), 0.0))
+    sgrid = grid.state
+    S, U, W = sgrid.n_points, grid.input.n_points, grid.n_internal
+    shifts = np.asarray([[grid.input.center(u) + grid.internal_shift(disc.D_tilde, w)
+                          for w in range(W)] for u in range(U)])
+    edges = [sgrid.axis_edges(d) for d in range(sgrid.dim)]
+    centers = sgrid.centers()
+    data, indices, indptr = [], [], [0]
+    for s in range(S):
+        for u in range(U):
+            for w in range(W):
+                mean = centers[s] + shifts[u, w]
+                probs = _reference_axis_masses(edges[0], mean[0], sigma[0])
+                for d in range(1, sgrid.dim):
+                    probs = np.multiply.outer(
+                        probs, _reference_axis_masses(edges[d], mean[d], sigma[d]))
+                probs = probs.reshape(-1)
+                inside = float(probs.sum())
+                sink_mass = 1.0 - inside
+                if sink_mass < -abst._ROW_TOL:
+                    raise RowMassError((s, u, w), sink_mass)
+                sink_mass = max(sink_mass, 0.0)
+                row_total = inside + sink_mass
+                for t in np.flatnonzero(probs):
+                    indices.append(int(t))
+                    data.append(probs[t] / row_total)
+                if sink_mass > 0.0:
+                    indices.append(S)
+                    data.append(sink_mass / row_total)
+                indptr.append(len(data))
+    return np.asarray(data), np.asarray(indices), np.asarray(indptr)
+
+
+def _reference_csv(fa, path):
+    """The CSV export one csv.writer row at a time."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["state", "input", "internal", "target", "prob"])
+        U, W = fa.n_inputs, fa.n_internal
+        if fa.kind == "deterministic":
+            for s in range(fa.n_states):
+                for u in range(U):
+                    for w in range(W):
+                        writer.writerow([s, u, w, int(fa.successors[s, u, w]), 1.0])
+        else:
+            kernel = fa.kernel.tocoo()
+            for k in np.lexsort((kernel.col, kernel.row)):
+                flat, t, p = int(kernel.row[k]), int(kernel.col[k]), float(kernel.data[k])
+                s, rem = divmod(flat, U * W)
+                u, w = divmod(rem, W)
+                writer.writerow([s, u, w, t, repr(p)])
+
+
+def plane_setup(r_tilde):
+    """2-D state grid (4 x 5 cells), 2 x 2 inputs and 3 internal cells."""
+    sys_ = st.AffineSystem(
+        A=-np.eye(2), B=np.eye(2), C1=np.eye(2), C2=np.ones((1, 2)),
+        D=np.zeros((2, 1)), G=np.eye(2), b=np.zeros(2),
+        state_box=st.Box([0, 0], [1, 1]), input_box=st.Box([-.2, -.2], [.2, .2]),
+        internal_box=st.Box([-1.5], [1.5]))
+    disc = st.DiscretizationSpec(tau=0.1, D_tilde=np.array([[0.1], [0.2]]),
+                                 R_tilde=r_tilde)
+    grid = st.AbstractionGrid(
+        state=st.UniformGrid.cover(sys_.state_box, [0.25, 0.2]),
+        input=st.UniformGrid.cover(sys_.input_box, [0.2, 0.2]),
+        internal=st.UniformGrid.cover(sys_.internal_box, [1.0]))
+    return sys_, disc, grid
+
+
+class TestBlockKernel:
+    # 7 rows of S + 1 = 21 entries per block: 23 blocks for 240 rows, the
+    # last one partial
+    BLOCK = 7 * 21
+
+    # axis 1 noise-free (point masses); or both axes Gaussian, where a few
+    # rows sum to just above 1 and their sink mass is clipped to 0
+    @pytest.mark.parametrize("sigmas", [(0.08, 0.0), (0.04, 0.01)])
+    def test_matches_per_row_reference(self, monkeypatch, sigmas):
+        sys_, disc, grid = plane_setup(np.diag(sigmas))
+        monkeypatch.setattr(abst, "_BLOCK_ENTRIES", self.BLOCK)
+        fa = st.build_stochastic(sys_, disc, grid)
+        assert fa.n_internal == 3 and fa.kernel.shape == (240, 21)
+        data, indices, indptr = _reference_kernel(disc, grid)
+        assert np.array_equal(fa.kernel.data, data)
+        assert np.array_equal(fa.kernel.indices, indices)
+        assert np.array_equal(fa.kernel.indptr, indptr)
+        sink = fa.kernel[:, fa.sink].toarray().ravel()
+        assert np.count_nonzero(sink) > 10 and np.any(sink == 1.0)
+        # unblocked build agrees too
+        monkeypatch.setattr(abst, "_BLOCK_ENTRIES", 1 << 16)
+        whole = st.build_stochastic(sys_, disc, grid).kernel
+        assert (fa.kernel != whole).nnz == 0
+
+    def test_row_mass_error_names_first_row(self, monkeypatch):
+        # doubled CDFs push rows far enough inside the grid past unit mass
+        sys_, disc, grid = plane_setup(np.diag([0.08, 0.3]))
+        ndtr = abst.ndtr
+        monkeypatch.setattr(abst, "ndtr", lambda x: 2.0 * ndtr(x))
+        monkeypatch.setattr(abst, "_BLOCK_ENTRIES", self.BLOCK)
+        with pytest.raises(RowMassError) as ref:
+            _reference_kernel(disc, grid)
+        with pytest.raises(RowMassError) as got:
+            st.build_stochastic(sys_, disc, grid)
+        assert ref.value.row != (0, 0, 0)
+        assert got.value.row == ref.value.row
+        assert got.value.drift == ref.value.drift
+
+
+def _unsorted_copy(fa):
+    """fa with each kernel row stored in reverse target order."""
+    k = fa.kernel
+    perm = np.concatenate([np.arange(k.indptr[r + 1] - 1, k.indptr[r] - 1, -1)
+                           for r in range(k.shape[0])])
+    kernel = scipy.sparse.csr_matrix((k.data[perm], k.indices[perm], k.indptr.copy()),
+                                     shape=k.shape)
+    assert not kernel.has_sorted_indices
+    return st.FiniteAbstraction(
+        grid=fa.grid, kind=fa.kind, disc=fa.disc, P_map=fa.P_map,
+        output_map=fa.output_map, internal_output_map=fa.internal_output_map,
+        kernel=kernel)
+
+
+class TestBlockExport:
+    def _same_bytes(self, fa, tmp_path):
+        abst.export_abstraction(fa, tmp_path / "a.json", tmp_path / "a.csv")
+        _reference_csv(fa, tmp_path / "ref.csv")
+        got = (tmp_path / "a.csv").read_bytes()
+        assert got == (tmp_path / "ref.csv").read_bytes()
+        return got.decode()
+
+    def test_stochastic_bytes(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(abst, "_EXPORT_ENTRIES", 50)
+        sys_, disc, grid = plane_setup(np.diag([0.08, 0.05]))
+        fa = st.build_stochastic(sys_, disc, grid)
+        before = [a.copy() for a in (fa.kernel.data, fa.kernel.indices, fa.kernel.indptr)]
+        text = self._same_bytes(fa, tmp_path)
+        assert fa.kernel.nnz > 4 * 50
+        assert "e-" in text  # exponent-notation probabilities
+        for a, b in zip(before, (fa.kernel.data, fa.kernel.indices, fa.kernel.indptr)):
+            assert np.array_equal(a, b)
+
+    def test_unsorted_kernel_bytes(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(abst, "_EXPORT_ENTRIES", 50)
+        sys_, disc, grid = plane_setup(np.diag([0.08, 0.05]))
+        fa = _unsorted_copy(st.build_stochastic(sys_, disc, grid))
+        indices = fa.kernel.indices.copy()
+        self._same_bytes(fa, tmp_path)
+        assert np.array_equal(fa.kernel.indices, indices)  # not sorted in place
+
+    def test_deterministic_bytes(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(abst, "_EXPORT_ENTRIES", 7)
+        sys_, disc, grid = room_det_setup()
+        fa = st.build_deterministic(sys_, disc, grid)
+        assert np.any(fa.successors == fa.sink) and fa.successors.size > 3 * 7
+        self._same_bytes(fa, tmp_path)

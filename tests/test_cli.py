@@ -169,6 +169,16 @@ class TestRunPipeline:
         assert rc == EXIT_CONDITION
         assert "Con_1a" in capsys.readouterr().err
 
+    def test_gridless_compose_reports_skipped_abstract_check(self, tmp_path):
+        cfg = small_rooms(tmp_path)
+        assert run_pipeline(cfg, stages=["verify", "compose"]) == EXIT_OK
+        comp = json.loads((tmp_path / "out" / "composition.json").read_text())
+        assert comp["abstract_well_posed"] is True
+        del cfg["grid"]
+        assert run_pipeline(cfg, stages=["verify", "compose"]) == EXIT_OK
+        comp = json.loads((tmp_path / "out" / "composition.json").read_text())
+        assert comp["abstract_well_posed"] is None  # no grids: check skipped
+
     def test_stochastic_variant_full_pipeline(self, tmp_path):
         # noise in the abstract model: Markov kernel, value iteration, and
         # sampled abstract advance all the way through the pipeline

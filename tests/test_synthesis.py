@@ -156,6 +156,20 @@ class TestValueIteration:
             vi = st.safety_value_iteration(sto, spec_fin)
             assert np.array_equal(np.flatnonzero(vi.values == 1.0), fix.winning_set)
 
+    def test_value_zero_cell_is_not_winning(self):
+        # cell 0 is safe but every input sends it to the sink surely
+        # (noise-free rows); cell 1 is absorbing
+        rows = np.zeros((2, 2, 3))
+        rows[0, :, 2] = 1.0
+        rows[1, :, 1] = 1.0
+        fa = stoch_abstraction(rows)
+        ctrl = st.safety_value_iteration(fa, st.SafetySpec(safe_box=full_box(fa),
+                                                           horizon=3))
+        assert ctrl.values.tolist() == [0.0, 1.0]
+        assert np.array_equal(ctrl.winning_set, [1])
+        assert ctrl.winning_fraction == 0.5
+        assert np.all(ctrl.table == 0)  # the table still covers every safe cell
+
     def test_values_monotone_in_horizon(self):
         rng = np.random.default_rng(3)
         rows = rng.dirichlet(np.ones(4), size=(3, 2))
