@@ -10,12 +10,13 @@ conditions are verified numerically:
   * sampled dissipation:    a block inequality coupling B, D, C2 with the
                             supply-rate blocks Xbar^{ij}
 
-`derive_constants` then evaluates the closed-form comparison constants
-(quadratic alpha coefficient, contraction kappa, linear external gain, and
-the per-step defect psi) consumed by the composition and bound layers.
+`verify` is the one check path: it runs each check once, raises `CheckFailed`
+on the first violated condition, and evaluates the closed-form comparison
+constants (quadratic alpha coefficient, contraction kappa, linear external
+gain, and the per-step defect psi) consumed by the composition and bound layers.
 
-Everything here is a pure function of immutable inputs; batch verification
-across subsystems is safe to parallelize.
+Everything here is a pure function of immutable inputs, so subsystems with
+equal inputs share one verdict.
 """
 
 from __future__ import annotations
@@ -396,7 +397,34 @@ def gamma_slope_bound(
     return 2.0 * lam * p_norm * max_mismatch + lam * p_norm**2 * diameter
 
 
-def _run_checks(cert: StorageCertificate, sys: AffineSystem) -> None:
+@dataclass(frozen=True)
+class VerifyReport:
+    """Check results and comparison constants of one certificate that passed."""
+
+    lyapunov: PsdCheck
+    geometric: GeometricCheck
+    dissipativity: DissipativityCheck
+    constants: SstfConstants
+
+
+def verify(cert: StorageCertificate, sys: AffineSystem, disc: DiscretizationSpec,
+           w_hat_bound: float = 0.0) -> VerifyReport:
+    """Check a certificate against its subsystem and evaluate its constants.
+
+    Con_1, Con_2, Con_3 and Eq_8a (with the certificate's own invariants) are
+    checked once each, in that order, then the tau of certificate and
+    discretization; a violated condition raises `CheckFailed` with its tag.
+
+    alpha_coeff = lam_min(M_bar) / lam_max(C1^T C1) and
+    kappa = kappa_bar + e^{-kappa_tilde tau} always.  With gamma(s) = L s:
+
+      * noise-free abstract model with no internal feedthrough
+        (R_tilde = 0, D_tilde = 0): rho_ext(s) = gamma(s), psi = psi0;
+      * R_tilde = 0 only: the quantization and trace terms drop;
+      * otherwise the full expression with the eta slack factors applies,
+
+    where psi0 = e^{-kappa_tilde tau} tau (tr(G^T M G) + pi ||sqrt(M) b||^2).
+    """
     lyap = check_lyapunov(sys, cert.M_bar, cert.K, cert.kappa_tilde)
     if not lyap.ok:
         raise CheckFailed(CONDITION_LYAPUNOV,
@@ -412,29 +440,6 @@ def _run_checks(cert: StorageCertificate, sys: AffineSystem) -> None:
     if not diss.ok:
         raise CheckFailed(CONDITION_DISSIPATION,
                           f"dissipation margin {diss.margin:.3e}")
-
-
-def derive_constants(
-    cert: StorageCertificate,
-    sys: AffineSystem,
-    disc: DiscretizationSpec,
-    w_hat_bound: float = 0.0,
-) -> SstfConstants:
-    """Evaluate the comparison constants of a verified certificate.
-
-    alpha_coeff = lam_min(M_bar) / lam_max(C1^T C1) and
-    kappa = kappa_bar + e^{-kappa_tilde tau} always.  With gamma(s) = L s:
-
-      * noise-free abstract model with no internal feedthrough
-        (R_tilde = 0, D_tilde = 0): rho_ext(s) = gamma(s), psi = psi0;
-      * R_tilde = 0 only: the quantization and trace terms drop;
-      * otherwise the full expression with the eta slack factors applies,
-
-    where psi0 = e^{-kappa_tilde tau} tau (tr(G^T M G) + pi ||sqrt(M) b||^2).
-    All three verification checks are re-run first and failures propagate.
-    """
-    validate_certificate(cert)
-    _run_checks(cert, sys)
     if disc.tau != cert.tau:
         raise DimensionMismatch("tau", "certificate and discretization disagree")
 
@@ -463,5 +468,11 @@ def derive_constants(
 
     c1_quad = sys.C1.T @ sys.C1
     alpha_coeff = _min_eig(cert.M_bar) / _max_eig(c1_quad)
-    return SstfConstants(alpha_coeff=alpha_coeff, kappa=kappa,
-                         rho_ext_slope=slope, psi=psi)
+    return VerifyReport(lyap, geom, diss, SstfConstants(
+        alpha_coeff=alpha_coeff, kappa=kappa, rho_ext_slope=slope, psi=psi))
+
+
+def derive_constants(cert: StorageCertificate, sys: AffineSystem, disc: DiscretizationSpec,
+                     w_hat_bound: float = 0.0) -> SstfConstants:
+    """The constants of `verify`, whose checks run first (failures propagate)."""
+    return verify(cert, sys, disc, w_hat_bound).constants

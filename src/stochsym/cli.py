@@ -17,6 +17,7 @@ tag is printed), 3 config error, 4 runtime error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import math
@@ -429,7 +430,8 @@ def _resolve_certs(bundle: PipelineBundle) -> list:
 
 
 def _stage_verify(bundle: PipelineBundle, ctx: dict) -> None:
-    for i, s in enumerate(bundle.systems):
+    # a replicated template is one object, validated once
+    for s in {id(s): s for s in bundle.systems}.values():
         model.validate_system(s)
     try:
         model.check_well_posed(
@@ -441,54 +443,37 @@ def _stage_verify(bundle: PipelineBundle, ctx: dict) -> None:
         raise CheckFailed(model.CONDITION_WELL_POSED, str(exc)) from exc
 
     certs = _resolve_certs(bundle)
-    report = []
-    constants = []
-    for i, (s, c, d) in enumerate(zip(bundle.systems, certs, bundle.discs)):
-        lyap = cert_mod.check_lyapunov(s, c.M_bar, c.K, c.kappa_tilde)
-        if not lyap.ok:
-            raise CheckFailed(cert_mod.CONDITION_LYAPUNOV,
-                              f"subsystem {i}: margin {lyap.margin:.3e}")
-        geom = cert_mod.check_geometric(s, c.P, c.Q, c.H)
-        if not geom.ok_input_match:
-            raise CheckFailed(cert_mod.CONDITION_INPUT_MATCH,
-                              f"subsystem {i}: residual {geom.residual_q:.3e}")
-        if not geom.ok_internal_match:
-            raise CheckFailed(cert_mod.CONDITION_INTERNAL_MATCH,
-                              f"subsystem {i}: residual {geom.residual_h:.3e}")
-        diss = cert_mod.check_dissipativity_lmi(c, s)
-        if not diss.ok:
-            raise CheckFailed(cert_mod.CONDITION_DISSIPATION,
-                              f"subsystem {i}: margin {diss.margin:.3e}")
-        grid = bundle.grids[i]
+    groups, group_of = _groups(bundle, certs)
+    verdicts = []
+    for member in groups:
+        # members share every input of the verdict; the lowest one speaks for all
+        i = member[0]
+        s, c, d, grid = bundle.systems[i], certs[i], bundle.discs[i], bundle.grids[i]
+        try:
+            verdicts.append(cert_mod.verify(c, s, d, w_hat_bound=_internal_sup(bundle, i)))
+        except CheckFailed as exc:
+            raise CheckFailed(exc.condition, f"subsystem {i}: {exc.detail}") from exc
         if grid is not None and not d.noise_free:
             actual = abst.delta_of(grid.state)
             if abs(c.delta - actual) > 1e-12 * (1.0 + actual):
-                logger.warning(
-                    "subsystem %d: certificate delta %.3g differs from the "
-                    "grid's %.3g; the certified defect uses the certificate "
-                    "value", i, c.delta, actual)
-        w_bound = _internal_sup(bundle, i)
-        const = cert_mod.derive_constants(c, s, d, w_hat_bound=w_bound)
-        constants.append(const)
-        report.append({
-            "subsystem": i,
-            "lyapunov_margin": lyap.margin,
-            "geometric_residuals": [geom.residual_q, geom.residual_h],
-            "dissipation_margin": diss.margin,
-            "constants": const.to_dict(),
-            "certificate": c.to_dict(),
-        })
+                logger.warning("subsystem %d (and %d alike): certificate delta %.3g differs "
+                               "from the grid's %.3g; the certified defect uses the "
+                               "certificate value", i, len(member) - 1, c.delta, actual)
+    rows = [{"lyapunov_margin": v.lyapunov.margin,
+             "geometric_residuals": [v.geometric.residual_q, v.geometric.residual_h],
+             "dissipation_margin": v.dissipativity.margin,
+             "constants": v.constants.to_dict()} for v in verdicts]
+    report = [{**rows[g], "subsystem": i, "certificate": c.to_dict()}
+              for i, (c, g) in enumerate(zip(certs, group_of))]
     ctx["certs"] = certs
-    ctx["constants"] = constants
+    ctx["constants"] = [verdicts[g].constants for g in group_of]
     _write_json(ctx["out"] / "certificates.json", {"subsystems": report})
-    logger.info("verify: %d subsystems certified", len(certs))
+    logger.info("verify: %d subsystems certified in %d group(s)", len(certs), len(groups))
 
 
 def _internal_sup(bundle: PipelineBundle, i: int) -> float:
     """Sup norm of the abstract internal input set (for the feedthrough defect term)."""
-    box = bundle.systems[i].internal_box
-    if box.dim == 0:
-        return 0.0
+    box = bundle.systems[i].internal_box  # the norm of an empty box is 0
     return float(np.linalg.norm(np.maximum(np.abs(box.lower), np.abs(box.upper))))
 
 
@@ -532,7 +517,7 @@ def _stage_compose(bundle: PipelineBundle, ctx: dict) -> None:
     q_tilde = sum(s.q2 for s in bundle.systems)
     result = comp.CompositionResult(x_cmp=x_cmp, lmi_margin=-lmi.margin, ssf=ssf,
                                     q_tilde=q_tilde)
-    ctx["composition"] = result
+    ctx["ssf"] = ssf
     payload = result.to_dict(include_matrix=x_cmp.shape[0] <= 400)
     payload["coupling_equality"] = "identical by construction"
     payload["abstract_well_posed"] = has_grids or None
@@ -543,44 +528,46 @@ def _stage_compose(bundle: PipelineBundle, ctx: dict) -> None:
     logger.info("compose: network LMI margin %.3e", -lmi.margin)
 
 
-def _group_key(sys_, disc, grid, P) -> bytes:
-    # P enters the abstraction through its output maps C1 P and C2 P
-    parts = [P, sys_.A, sys_.B, sys_.C1, sys_.C2, sys_.D, sys_.G, sys_.b,
+def _group_key(sys_, disc, grid, cert) -> tuple:
+    # every input of a subsystem's verdict and abstraction (P also enters the
+    # output maps C1 P and C2 P); `grid` may be None
+    parts = [sys_.A, sys_.B, sys_.C1, sys_.C2, sys_.D, sys_.G, sys_.b,
              sys_.state_box.lower, sys_.state_box.upper,
              sys_.input_box.lower, sys_.input_box.upper,
              sys_.internal_box.lower, sys_.internal_box.upper,
-             np.asarray(disc.tau), disc.D_tilde, disc.R_tilde,
-             grid.state.lower, grid.state.widths, np.asarray(grid.state.cells),
-             grid.input.lower, grid.input.widths, np.asarray(grid.input.cells)]
-    if grid.internal is not None:
-        parts += [grid.internal.lower, grid.internal.widths,
-                  np.asarray(grid.internal.cells)]
-    return b"".join(np.ascontiguousarray(p, dtype=float).tobytes() for p in parts)
+             disc.tau, disc.D_tilde, disc.R_tilde]
+    parts += [getattr(cert, f.name) for f in dataclasses.fields(cert)]
+    for axis in [] if grid is None else [grid.state, grid.input, grid.internal]:
+        if axis is not None:
+            parts += [axis.lower, axis.widths, axis.cells]
+    # shapes keep parts of different sizes from running into each other
+    arrays = [np.asarray(p, dtype=float) for p in parts]
+    return tuple((a.shape, a.tobytes()) for a in arrays)
 
 
-def _groups(bundle: PipelineBundle, certs: list) -> tuple[list, dict]:
-    """Indices grouped by identical (system, discretization, grid, P) for reuse."""
-    keys = {}
-    members: dict = {}
-    group_of = {}
-    for i, (s, d, g, c) in enumerate(zip(bundle.systems, bundle.discs, bundle.grids,
-                                         certs)):
-        if g is None:
-            raise ConfigError(f"subsystem {i} has no grid; 'grid' is required "
-                              "for abstraction stages")
-        key = _group_key(s, d, g, c.P)
-        if key not in keys:
-            keys[key] = len(keys)
-            members[keys[key]] = []
-        members[keys[key]].append(i)
-        group_of[i] = keys[key]
-    return [members[g] for g in sorted(members)], group_of
+def _groups(bundle: PipelineBundle, certs: list) -> tuple[list, list]:
+    """Indices grouped by identical (system, discretization, grid, certificate).
+
+    Groups are ordered by their lowest member; `group_of[i]` is the position
+    of subsystem i's group.
+    """
+    keys: dict = {}
+    group_of = [keys.setdefault(_group_key(*parts), len(keys)) for parts in
+                zip(bundle.systems, bundle.discs, bundle.grids, certs)]
+    groups = [[] for _ in keys]
+    for i, g in enumerate(group_of):
+        groups[g].append(i)
+    return groups, group_of
 
 
 def _stage_abstract(bundle: PipelineBundle, ctx: dict) -> None:
     certs = ctx["certs"]
+    for i, g in enumerate(bundle.grids):
+        if g is None:
+            raise ConfigError(f"subsystem {i} has no grid; 'grid' is required "
+                              "for abstraction stages")
     groups, group_of = _groups(bundle, certs)
-    built = {}
+    built = []
     for g_idx, member in enumerate(groups):
         i = member[0]
         s, d, grid = bundle.systems[i], bundle.discs[i], bundle.grids[i]
@@ -588,11 +575,11 @@ def _stage_abstract(bundle: PipelineBundle, ctx: dict) -> None:
             fa = abst.build_deterministic(s, d, grid, P=certs[i].P)
         else:
             fa = abst.build_stochastic(s, d, grid, P=certs[i].P)
-        built[g_idx] = fa
+        built.append(fa)
         suffix = "" if len(groups) == 1 else f"_{g_idx}"
         abst.export_abstraction(fa, ctx["out"] / f"abstraction{suffix}.json",
                                 ctx["out"] / f"abstraction{suffix}.csv")
-    ctx["abstractions"] = [built[group_of[i]] for i in range(len(bundle.systems))]
+    ctx["abstractions"] = [built[g] for g in group_of]
     ctx["groups"] = (groups, group_of)
     logger.info("abstract: %d unique abstraction(s) for %d subsystems",
                 len(groups), len(bundle.systems))
@@ -602,7 +589,7 @@ def _stage_synthesize(bundle: PipelineBundle, ctx: dict) -> None:
     if bundle.safety is None:
         raise ConfigError("'safety' block required for the synthesize stage")
     groups, group_of = ctx["groups"]
-    controllers = {}
+    controllers = []
     for g_idx, member in enumerate(groups):
         fa = ctx["abstractions"][member[0]]
         if fa.kind == "deterministic":
@@ -616,12 +603,12 @@ def _stage_synthesize(bundle: PipelineBundle, ctx: dict) -> None:
         if ctrl.winning_set.size == 0:
             raise CheckFailed("winning-set",
                               f"abstraction group {g_idx} has an empty winning set")
-        controllers[g_idx] = ctrl
+        controllers.append(ctrl)
         suffix = "" if len(groups) == 1 else f"_{g_idx}"
         synth.write_controller(ctrl, bundle.safety,
                                ctx["out"] / f"controller{suffix}.csv",
                                ctx["out"] / f"controller{suffix}.json")
-    ctx["controllers"] = [controllers[group_of[i]] for i in range(len(bundle.systems))]
+    ctx["controllers"] = [controllers[g] for g in group_of]
     logger.info("synthesize: winning fraction %.3f",
                 controllers[0].winning_fraction)
 
@@ -645,7 +632,7 @@ def _stage_bound(bundle: PipelineBundle, ctx: dict) -> None:
     cfg = bundle.bound_config
     if not cfg:
         raise ConfigError("'bound' block required for the bound stage")
-    ssf = ctx["composition"].ssf
+    ssf = ctx["ssf"]
     epsilon = float(cfg["epsilon"])
     horizon = int(cfg["horizon"])
 

@@ -227,11 +227,10 @@ class _Coupling:
     """Batched w = (M zeta2) over rows; sparse matvec for sparse couplings."""
 
     def __init__(self, m: np.ndarray):
-        self.dense_t = m.T.copy()
-        nnz = int(np.count_nonzero(m))
-        self.sparse = None
-        if m.size >= 2500 and nnz < 0.25 * m.size:
-            self.sparse = scipy.sparse.csr_matrix(m)
+        # only the representation in use is kept
+        sparse = m.size >= 2500 and np.count_nonzero(m) < 0.25 * m.size
+        self.sparse = scipy.sparse.csr_matrix(m) if sparse else None
+        self.dense_t = None if sparse else m.T.copy()
 
     def __call__(self, z2: np.ndarray) -> np.ndarray:
         if self.sparse is not None:

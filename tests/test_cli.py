@@ -261,3 +261,85 @@ class TestMain:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["run", str(bad)]) == EXIT_CONFIG
+
+
+def _per_room_certificates(cfg, n=4):
+    # the replicated certificate written out once per room, so one can differ
+    cfg["certificates"]["values"] = [dict(cfg["certificates"]["values"][0])
+                                     for _ in range(n)]
+    return cfg["certificates"]["values"]
+
+
+class TestVerifyOncePerGroup:
+    def test_each_check_runs_once_for_identical_rooms(self, tmp_path, monkeypatch):
+        from stochsym import certificates, model
+
+        calls = {}
+
+        def counted(mod, name):
+            fn = getattr(mod, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(mod, name, wrapper)
+
+        for name in ("check_lyapunov", "check_geometric", "check_dissipativity_lmi",
+                     "validate_certificate"):
+            counted(certificates, name)
+        counted(model, "validate_system")
+        assert run_pipeline(small_rooms(tmp_path), stages=["verify"]) == EXIT_OK
+        assert calls == {"check_lyapunov": 1, "check_geometric": 1,
+                         "check_dissipativity_lmi": 1, "validate_certificate": 1,
+                         "validate_system": 1}
+
+    def test_failing_room_is_named(self, tmp_path, capsys):
+        cfg = small_rooms(tmp_path)
+        _per_room_certificates(cfg)[2]["Q"] = [[0.4]]
+        assert run_pipeline(cfg, stages=["verify"]) == EXIT_CONDITION
+        err = capsys.readouterr().err
+        assert "Con_2" in err and "subsystem 2" in err
+
+    def test_room_with_own_gain_gets_own_margins(self, tmp_path):
+        cfg = small_rooms(tmp_path)
+        assert run_pipeline(cfg, stages=["verify"],
+                            out_dir=str(tmp_path / "same")) == EXIT_OK
+        values = _per_room_certificates(cfg)
+        values[2]["K"] = [[2.0 * values[2]["K"][0][0]]]  # a stronger, still valid gain
+        assert run_pipeline(cfg, stages=["verify"],
+                            out_dir=str(tmp_path / "own")) == EXIT_OK
+        same = json.loads((tmp_path / "same" / "certificates.json").read_text())
+        own = json.loads((tmp_path / "own" / "certificates.json").read_text())
+        for i in (0, 1, 3):
+            assert own["subsystems"][i] == same["subsystems"][i]
+        row = own["subsystems"][2]
+        assert row["subsystem"] == 2
+        assert row["certificate"]["K"] == values[2]["K"]
+        bundle = load_config(cfg)
+        cert = st.StorageCertificate.from_dict(values[2])
+        lyap = st.check_lyapunov(bundle.systems[2], cert.M_bar, cert.K,
+                                 cert.kappa_tilde)
+        assert row["lyapunov_margin"] == lyap.margin
+        assert row["lyapunov_margin"] != same["subsystems"][2]["lyapunov_margin"]
+
+
+def test_rooms_with_different_k_are_grouped_apart(tmp_path):
+    import dataclasses
+
+    from stochsym import cli
+
+    bundle = load_config(small_rooms(tmp_path))
+    certs = cli._resolve_certs(bundle)
+    assert cli._groups(bundle, certs)[0] == [[0, 1, 2, 3]]
+    certs[2] = dataclasses.replace(certs[2], K=2.0 * certs[2].K)
+    groups, group_of = cli._groups(bundle, certs)
+    assert groups == [[0, 1, 3], [2]]
+    assert list(group_of) == [0, 0, 1, 0]
+
+
+def test_gridless_abstract_is_config_error(tmp_path, capsys):
+    cfg = small_rooms(tmp_path)
+    del cfg["grid"]
+    assert run_pipeline(cfg, stages=["verify", "compose", "abstract"]) == EXIT_CONFIG
+    assert "subsystem 0 has no grid" in capsys.readouterr().err

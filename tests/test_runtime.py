@@ -524,3 +524,27 @@ def test_trajectory_csv_rows_match_arrays(tmp_path):
                     *res.outputs[t, k], *res.abstract_outputs[t, k]]
             want.append(",".join([str(t), str(k)] + [repr(float(v)) for v in vals]))
     assert path.read_text() == "\n".join(want) + "\n"
+
+
+class TestCoupling:
+    def test_sparse_ring_keeps_no_dense_copy(self):
+        from stochsym import runtime
+        from stochsym.cli import circular_coupling
+
+        m = circular_coupling(1000)
+        coupling = runtime._Coupling(m)
+        assert coupling.dense_t is None and coupling.sparse is not None
+        z2 = np.random.default_rng(3).standard_normal((16, 1000))
+        want = z2 @ m.T
+        got = coupling(z2)
+        assert got.flags.c_contiguous
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_small_dense_coupling_stays_dense(self):
+        from stochsym import runtime
+
+        m = np.random.default_rng(4).uniform(0.0, 1.0, (5, 5))
+        coupling = runtime._Coupling(m)
+        assert coupling.sparse is None
+        z2 = np.random.default_rng(5).standard_normal((3, 5))
+        assert np.array_equal(coupling(z2), z2 @ m.T)
