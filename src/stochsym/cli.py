@@ -226,7 +226,6 @@ def generate_rooms(
         "epsilon": epsilon,
         "horizon": horizon,
         "x0": [x0_room] * n,
-        "check_convergence": True,
         "record_outputs": False,
         "chunk_size": 128,
     }
@@ -518,7 +517,8 @@ def _stage_compose(bundle: PipelineBundle, ctx: dict) -> None:
     result = comp.CompositionResult(x_cmp=x_cmp, lmi_margin=-lmi.margin, ssf=ssf,
                                     q_tilde=q_tilde)
     ctx["ssf"] = ssf
-    payload = result.to_dict(include_matrix=x_cmp.shape[0] <= 400)
+    # X_cmp is rebuilt from certificates.json and mu; only its shape is written
+    payload = result.to_dict(include_matrix=False)
     payload["coupling_equality"] = "identical by construction"
     payload["abstract_well_posed"] = has_grids or None
     if fast is not None:
@@ -628,15 +628,33 @@ def _initial_v0(bundle: PipelineBundle, ctx: dict, x0: np.ndarray) -> float:
     return total
 
 
+def _field(block: dict, what: str, name: str, kind, default=...):
+    """`kind(block[name])` (of `default` when absent, None kept if the default
+    is None); a missing or malformed field is a ConfigError that names it."""
+    value = block.get(name, default)
+    if value is ...:
+        raise ConfigError(f"{what}.{name} is missing")
+    if value is None and default is None:
+        return None
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what}.{name} is malformed: {exc}") from exc
+
+
+def _vector(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
 def _stage_bound(bundle: PipelineBundle, ctx: dict) -> None:
     cfg = bundle.bound_config
     if not cfg:
         raise ConfigError("'bound' block required for the bound stage")
     ssf = ctx["ssf"]
-    epsilon = float(cfg["epsilon"])
-    horizon = int(cfg["horizon"])
+    epsilon = _field(cfg, "bound", "epsilon", float)
+    horizon = _field(cfg, "bound", "horizon", int)
 
-    nu_sup = cfg.get("nu_hat_sup")
+    nu_sup = _field(cfg, "bound", "nu_hat_sup", float, None)
     if nu_sup is None:
         per_sub = []
         for g in bundle.grids:
@@ -645,14 +663,14 @@ def _stage_bound(bundle: PipelineBundle, ctx: dict) -> None:
             per_sub.append(float(np.max(np.linalg.norm(g.input.centers(), axis=1))))
         nu_sup = math.sqrt(math.fsum(v * v for v in per_sub))
     psi_hat_formula = bnd.psi_hat(ssf.rho_ext_slope, float(nu_sup), ssf.psi)
-    override = cfg.get("psi_hat_override")
-    psi_hat_used = float(override) if override is not None else psi_hat_formula
+    override = _field(cfg, "bound", "psi_hat_override", float, None)
+    psi_hat_used = override if override is not None else psi_hat_formula
 
-    x0 = np.asarray(bundle.sim_config.get("x0", []), dtype=float)
+    x0 = _field(bundle.sim_config, "simulation", "x0", _vector, [])
     if x0.size:
         v0 = _initial_v0(bundle, ctx, x0)
     else:
-        v0 = float(cfg.get("v0", 0.0))
+        v0 = _field(cfg, "bound", "v0", float, 0.0)
 
     alpha_eps = ssf.alpha(epsilon)
     bound = bnd.closeness_bound(epsilon, alpha_eps, ssf.kappa, psi_hat_used,
@@ -692,16 +710,15 @@ def _stage_simulate(bundle: PipelineBundle, ctx: dict) -> None:
     if not cfg:
         raise ConfigError("'simulation' block required for the simulate stage")
     config = rt.SimConfig(
-        n_trials=int(cfg["n_trials"]),
-        horizon=int(cfg["horizon"]),
-        epsilon=float(cfg["epsilon"]),
-        n_substeps=int(cfg.get("n_substeps", 20)),
-        rng_seed=int(cfg.get("seed", 0)),
-        chunk_size=int(cfg.get("chunk_size", 128)),
-        check_convergence=bool(cfg.get("check_convergence", False)),
+        n_trials=_field(cfg, "simulation", "n_trials", int),
+        horizon=_field(cfg, "simulation", "horizon", int),
+        epsilon=_field(cfg, "simulation", "epsilon", float),
+        n_substeps=_field(cfg, "simulation", "n_substeps", int, 20),
+        rng_seed=_field(cfg, "simulation", "seed", int, 0),
+        chunk_size=_field(cfg, "simulation", "chunk_size", int, 128),
         record_outputs=bool(cfg.get("record_outputs", False)),
     )
-    x0 = np.asarray(cfg["x0"], dtype=float)
+    x0 = _field(cfg, "simulation", "x0", _vector)
     result = rt.cosimulate(bundle.systems, bundle.ic, bundle.discs,
                            ctx["abstractions"], ctx["controllers"],
                            ctx["certs"], config, x0)

@@ -154,10 +154,6 @@ class StaleControllerTable(ConfigError):
         )
 
 
-class ConvergenceError(StochsymError):
-    pass
-
-
 class CheckFailed(StochsymError):
     """A verification condition failed; `condition` is the stable tag reported by the CLI."""
 

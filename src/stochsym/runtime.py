@@ -7,34 +7,36 @@ sampling instants the concrete input is
             + H (w(k tau) - wh(k)) - H w(t)
 
 with all step-k quantities latched at the sampling instant.  The coupled
-SDE is integrated with Euler-Maruyama substeps while the abstraction runs
-in lockstep, and the sampled output mismatch is recorded per trial.
+SDE is advanced by exact Gaussian substeps while the abstraction runs in
+lockstep, and the sampled output mismatch is recorded per trial.
 
 Substituting the law into dx = (A x + B nu + D w + b) dt + G dW gives the
-closed-loop drift (A + B K) x + (D - B H) w(t) + c_k, where
+closed-loop drift F x + (D - B H) w(t) + c_k with F = A + B K, where
 
     c_k = B (-K P xih - Q xih + (xi(k tau) - P xih) + H (w(k tau) - wh)) + b
 
-is latched once per interval.  Each substep is therefore one fused affine
-update, x <- (I + dt (A + B K)) x + dt c_k + sqrt(dt) G z.  Condition
-Con_3 (D = B H) cancels the continuous coupling term, so the substep needs
-no coupling matvec; when the stacked residual D - B H is not exactly zero,
-dt (D - B H) M C2 x is added back per substep and the scheme stays the
-plain Euler-Maruyama step of the law above for any certificate.  Rooms that
-share one abstraction and controller are quantized and looked up together,
-one grid lookup per group and step.
+is latched once per interval.  Con_3 (D = B H) cancels the coupling term,
+so inside an interval each subsystem is a linear SDE with constant input,
+and each substep is its exact transition (Van Loan, 1978)
+x <- e^{F dt} x + (int_0^dt e^{F s} ds) c_k + L z, where L L^T is the
+covariance int_0^dt e^{F s} G G^T e^{F^T s} ds.  Sampled errors therefore
+do not depend on the substep count, which sets only the resolution of the
+output envelope.  When the stacked residual D - B H is not exactly zero,
+dt (D - B H) M C2 x is added per substep (a first-order splitting).  Rooms
+that share one abstraction and controller are quantized and looked up
+together, one grid lookup per group and step.
 
-Trials are independent; each draws its Gaussian increments from its own
-counter-based stream split off the master seed, so results are bitwise
-reproducible regardless of chunking or worker count.  The empirical
-violation frequency is reported with an exact one-sided Clopper-Pearson
-upper confidence bound for comparison against the theoretical guarantee.
+Trials are independent; each draws its Gaussian increments, an interval at
+a time, from its own counter-based stream split off the master seed, so
+results are bitwise reproducible regardless of chunking or worker count.
+The empirical violation frequency is reported with an exact one-sided
+Clopper-Pearson upper confidence bound for comparison against the
+theoretical guarantee.
 """
 from __future__ import annotations
 
 import csv
 import itertools
-import logging
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -49,18 +51,13 @@ from .abstraction import FiniteAbstraction, UniformGrid
 from .certificates import StorageCertificate
 from .errors import (
     AbstractStateLost,
-    ConvergenceError,
+    ConfigError,
     DimensionMismatch,
     StaleControllerTable,
     StaleLatch,
 )
 from .model import AffineSystem, InterconnectionSpec, as_matrix, as_vector
 from .synthesis import Controller
-
-logger = logging.getLogger(__name__)
-
-#: tolerated drift of the headline violation frequency when substeps double
-_CONVERGENCE_TOL = 0.01
 
 
 @dataclass(eq=False)
@@ -145,13 +142,13 @@ class SimConfig:
     n_substeps: int = 20
     rng_seed: int = 0
     chunk_size: int = 128
-    check_convergence: bool = False
     record_outputs: bool = False
     max_workers: int | None = None
 
     def __post_init__(self):
-        if self.n_substeps < 1 or self.n_trials < 1 or self.horizon < 1:
-            raise DimensionMismatch("config", "n_substeps, n_trials, horizon must be >= 1")
+        for name in ("n_trials", "horizon", "n_substeps", "chunk_size"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"simulation.{name} must be >= 1")
 
     def workers(self) -> int:
         if self.max_workers is not None:
@@ -176,7 +173,7 @@ class SimulationSummary:
     output_max: float
     violation_free_output_min: float
     violation_free_output_max: float
-    convergence: dict | None = None
+    convergence: None = None  # always None; summary readers still look it up
 
     def to_dict(self) -> dict:
         return dict(self.__dict__)
@@ -238,14 +235,31 @@ class _Coupling:
         return z2 @ self.dense_t
 
 
+def _exact_step(f: np.ndarray, gg: np.ndarray, dt: float):
+    """(phi, gain, L) of dx = (F x + c) dt + G dW over dt, with gg = G G^T.
+
+    phi and gain come from expm([[F, I], [0, 0]] dt); L L^T is phi times the
+    upper right block of the Van Loan expm([[-F, gg], [0, F^T]] dt).  L comes
+    from `eigh` with negative eigenvalues clipped to 0 (G may be rank-deficient).
+    """
+    n = f.shape[0]
+    zero = np.zeros((n, n))
+    top = scipy.linalg.expm(np.block([[f, np.eye(n)], [zero, zero]]) * dt)
+    phi, gain = top[:n, :n], top[:n, n:]
+    van_loan = scipy.linalg.expm(np.block([[-f, gg], [zero, f.T]]) * dt)
+    cov = phi @ van_loan[:n, n:]
+    lam, vec = np.linalg.eigh(0.5 * (cov + cov.T))
+    return phi, gain, vec * np.sqrt(np.clip(lam, 0.0, None))
+
+
 @dataclass(eq=False)
 class _Substep:
-    """Fused Euler-Maruyama substep operators for one substep count."""
+    """Exact-transition substep operators for one substep count."""
 
     n: int
-    dt: float
-    phi: _Op                # I + dt (A + B K)
-    noise: _Op              # sqrt(dt) G
+    phi: _Op                # e^{F dt}
+    gain: _Op               # int_0^dt e^{F s} ds, applied to c_k
+    noise: _Op              # L, applied to n standard normals per subsystem
     residual: _Op | None    # dt (D - B H); None when Con_3 cancels the coupling
 
 
@@ -300,10 +314,9 @@ class _Network:
         self.stochastic = any(not d.noise_free for d in discs)
         self.b = np.concatenate([s.b for s in systems])
         self.coupling = _Coupling(ic.M)
-        self.noise_dim = sum(s.noise_dim for s in systems)
         self.abs_noise_dim = sum(d.R_tilde.shape[1] for d in discs)
         self._closed_loop = [s.A + s.B @ c.K for s, c in zip(systems, certs)]
-        self._noise = [s.G for s in systems]
+        self._diffusion = [s.G @ s.G.T for s in systems]
         residual = [s.D - s.B @ c.H for s, c in zip(systems, certs)]
         self._residual = residual if any(np.any(r) for r in residual) else None
 
@@ -336,12 +349,17 @@ class _Network:
         residual = None
         if self._residual is not None:
             residual = _Op.stack([dt * r for r in self._residual])
-        return _Substep(
-            n=n_substeps, dt=dt,
-            phi=_Op.stack([np.eye(f.shape[0]) + dt * f for f in self._closed_loop]),
-            noise=_Op.stack([math.sqrt(dt) * g for g in self._noise]),
-            residual=residual,
-        )
+        # keyed by value: a ring of identical rooms costs one pair of expm calls
+        exact: dict = {}
+        blocks = []
+        for f, gg in zip(self._closed_loop, self._diffusion):
+            key = (f.shape, f.tobytes(), gg.tobytes())
+            if key not in exact:
+                exact[key] = _exact_step(f, gg, dt)
+            blocks.append(exact[key])
+        phi, gain, noise = zip(*blocks)
+        return _Substep(n=n_substeps, phi=_Op.stack(phi), gain=_Op.stack(gain),
+                        noise=_Op.stack(noise), residual=residual)
 
 
 def _raise_if_lost(masks, trial_offset: int, step: int) -> None:
@@ -370,13 +388,13 @@ def _simulate_chunk(net: _Network, sub: _Substep, horizon: int,
                     x0: np.ndarray, streams, trial_offset: int,
                     record_outputs: bool):
     C = len(streams)
-    noise = np.empty((C, horizon, sub.n, net.noise_dim))
-    abs_noise = np.empty((C, horizon, net.abs_noise_dim)) if net.stochastic else None
-    for c, s in enumerate(streams):
-        gen = np.random.Generator(np.random.Philox(s))
-        gen.standard_normal(out=noise[c])
-        if abs_noise is not None:
-            gen.standard_normal(out=abs_noise[c])
+    # per trial: its abstract normals first, then n_substeps x n_total
+    # concrete normals per interval
+    gens = [np.random.Generator(np.random.Philox(s)) for s in streams]
+    abs_noise = None
+    if net.stochastic:
+        abs_noise = np.stack([g.standard_normal((horizon, net.abs_noise_dim))
+                              for g in gens])
 
     X = np.tile(x0, (C, 1))
     Xhat = np.empty_like(X)
@@ -412,13 +430,15 @@ def _simulate_chunk(net: _Network, sub: _Substep, horizon: int,
             V[:, group.cols] = group.input_centers[a].reshape(C, -1)
 
         # nu(t) = K x(t) - H w(t) + nu_latched; c_k = B nu_latched + b enters
-        # every substep of the interval, so dt c_k is folded into its noise
+        # every substep of the interval, so gain c_k is folded into its noise
         p_xhat = net.P(Xhat)
         w_latch = net.coupling(net.C2(X))
         nu_latched = (X - p_xhat - net.K(p_xhat) - net.Q(Xhat)
                       + net.H(w_latch - w_hat))
-        sub.noise(noise[:, k], out=drive)
-        drive += sub.dt * (net.B(nu_latched) + net.b)[:, None, :]
+        for c, gen in enumerate(gens):
+            gen.standard_normal(out=drive[c])
+        sub.noise(drive, out=drive)
+        drive += sub.gain(net.B(nu_latched) + net.b)[:, None, :]
         prev = X
         for j in range(sub.n):
             cur = sub.phi(prev, out=path[:, j])
@@ -440,19 +460,18 @@ def _simulate_chunk(net: _Network, sub: _Substep, horizon: int,
     return errors, out_min, out_max, out_rec, out_hat_rec
 
 
-def _run_batch(net, config: SimConfig, x0, streams, n_substeps: int,
-               record_outputs: bool):
+def _run_batch(net, config: SimConfig, x0, streams):
     chunks = []
     for start in range(0, config.n_trials, config.chunk_size):
         stop = min(start + config.chunk_size, config.n_trials)
         chunks.append((start, streams[start:stop]))
     results = [None] * len(chunks)
-    sub = net.substep(n_substeps)
+    sub = net.substep(config.n_substeps)
 
     def work(pos):
         start, chunk = chunks[pos]
         return _simulate_chunk(net, sub, config.horizon, x0, chunk,
-                               start, record_outputs)
+                               start, config.record_outputs)
 
     workers = config.workers()
     if workers > 1 and len(chunks) > 1:
@@ -466,8 +485,9 @@ def _run_batch(net, config: SimConfig, x0, streams, n_substeps: int,
     errors = np.concatenate([r[0] for r in results])
     out_min = np.concatenate([r[1] for r in results])
     out_max = np.concatenate([r[2] for r in results])
-    out_rec = (np.concatenate([r[3] for r in results]) if record_outputs else None)
-    out_hat_rec = (np.concatenate([r[4] for r in results]) if record_outputs else None)
+    out_rec = (np.concatenate([r[3] for r in results]) if config.record_outputs else None)
+    out_hat_rec = (np.concatenate([r[4] for r in results]) if config.record_outputs
+                   else None)
     return errors, out_min, out_max, out_rec, out_hat_rec
 
 
@@ -490,9 +510,10 @@ def cosimulate(
     || zeta(k tau) - zeta_hat(k) || is recorded for k = 0 .. horizon and the
     violation flag marks trials whose supremum reaches config.epsilon.
 
-    With `check_convergence`, the run is repeated at doubled substeps on a
-    trial subsample (fresh streams) and accepted only when the headline
-    violation frequency moves by less than one percentage point.
+    Each substep is the exact Gaussian transition of the latched interval
+    dynamics (plus the first-order residual term when D != B H), so the
+    sampled errors do not depend on `config.n_substeps`; the substep count
+    sets only how finely the output envelope between samples is resolved.
     """
     net = _Network(systems, ic, discs, abstractions, controllers, certs,
                    config.horizon)
@@ -500,12 +521,11 @@ def cosimulate(
     if x0.size != net.n_total:
         raise DimensionMismatch("x0", f"expected {net.n_total} states")
 
-    root = np.random.SeedSequence(config.rng_seed)
-    main_ss, check_ss = root.spawn(2)
+    # trial streams are the children of the master seed's first child; the
+    # second child is unused, and keeping the split keeps each seed's streams
+    trial_ss = np.random.SeedSequence(config.rng_seed).spawn(2)[0]
     errors, out_min, out_max, out_rec, out_hat_rec = _run_batch(
-        net, config, x0, main_ss.spawn(config.n_trials), config.n_substeps,
-        config.record_outputs,
-    )
+        net, config, x0, trial_ss.spawn(config.n_trials))
 
     sup = errors.max(axis=1)
     violation = sup >= config.epsilon
@@ -528,41 +548,6 @@ def cosimulate(
         violation_free_output_min=float(out_min[vf].min()) if vf.any() else math.nan,
         violation_free_output_max=float(out_max[vf].max()) if vf.any() else math.nan,
     )
-
-    if config.check_convergence:
-        # Subsampled rerun at doubled substeps: the gate compares the headline
-        # violation frequency, whose sampling error at the subsample size is
-        # far below the 1e-2 drift threshold.
-        n_check = min(config.n_trials, max(1000, config.n_trials // 5))
-        check_cfg = SimConfig(
-            n_trials=n_check, horizon=config.horizon, epsilon=config.epsilon,
-            n_substeps=2 * config.n_substeps, rng_seed=config.rng_seed,
-            chunk_size=config.chunk_size, max_workers=config.max_workers,
-        )
-        errors2, *_ = _run_batch(net, check_cfg, x0, check_ss.spawn(n_check),
-                                 check_cfg.n_substeps, False)
-        sup2 = errors2.max(axis=1)
-        freq2 = float((sup2 >= config.epsilon).mean())
-        drift = abs(freq2 - freq)
-        mean2 = float(sup2.mean())
-        mean_drift = (abs(mean2 - summary.mean_sup_error)
-                      / (abs(summary.mean_sup_error) + 1e-300))
-        summary.convergence = {
-            "check_trials": n_check,
-            "doubled_substeps": 2 * config.n_substeps,
-            "violation_frequency_doubled": freq2,
-            "violation_frequency_drift": drift,
-            "mean_sup_error_doubled": mean2,
-            "mean_sup_error_relative_drift": mean_drift,
-        }
-        if mean_drift > _CONVERGENCE_TOL:
-            logger.warning("mean sup error moved by %.1f%% when substeps doubled "
-                           "(Euler-Maruyama bias at %d substeps)",
-                           100 * mean_drift, config.n_substeps)
-        if drift >= _CONVERGENCE_TOL:
-            raise ConvergenceError(
-                f"violation frequency moved by {drift:.4f} when substeps doubled"
-            )
 
     return SimulationResult(summary=summary, step_errors=errors,
                             output_min=out_min, output_max=out_max,

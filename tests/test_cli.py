@@ -19,8 +19,7 @@ from stochsym.errors import TooFewRooms
 
 def small_rooms(tmp_path, n=4, trials=60, **kw):
     # >= 33 trials so a zero-violation Clopper-Pearson bound can sit below 0.09
-    # 40 substeps keeps the explicit scheme well inside its stability region
-    # for the default tracking rate (rate * dt = 0.5)
+    # 40 substeps: the demo's resolution of the output envelope
     cfg = generate_rooms(n=n, n_trials=trials, n_substeps=40, seed=11,
                          out_dir=str(tmp_path / "out"), **kw)
     cfg["simulation"]["chunk_size"] = 16
@@ -343,3 +342,23 @@ def test_gridless_abstract_is_config_error(tmp_path, capsys):
     del cfg["grid"]
     assert run_pipeline(cfg, stages=["verify", "compose", "abstract"]) == EXIT_CONFIG
     assert "subsystem 0 has no grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("block, field, value", [
+    ("simulation", "chunk_size", 0),
+    ("simulation", "chunk_size", -1),
+    ("simulation", "x0", None),
+    ("simulation", "n_trials", None),
+    ("bound", "epsilon", None),
+    ("bound", "horizon", "twelve"),
+])
+def test_late_stage_field_error_is_config_error(tmp_path, capsys, block, field, value):
+    # a missing (None) or bad field of the bound or simulation block exits 3
+    # and names the field, instead of escaping as a traceback
+    cfg = small_rooms(tmp_path)
+    if value is None:
+        del cfg[block][field]
+    else:
+        cfg[block][field] = value
+    assert run_pipeline(cfg) == EXIT_CONFIG
+    assert f"{block}.{field}" in capsys.readouterr().err
