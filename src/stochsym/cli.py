@@ -288,11 +288,24 @@ def _broadcast(value, n: int, what: str) -> list:
     return [value] * n
 
 
+def _block(raw: dict, name: str, default):
+    """The top-level block `name` (`default` when absent or null); any other
+    value than a JSON object is a ConfigError that names the block."""
+    value = raw.get(name)
+    if value is None:
+        return default
+    if not isinstance(value, dict):
+        raise ConfigError(f"'{name}' must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 def load_config(source) -> PipelineBundle:
     """Resolve a config document (dict or JSON path) into model objects.
 
     System entries may be inline dicts or `{"file": "..."}` references,
-    resolved relative to the config file's directory.
+    resolved relative to the config file's directory.  A broadcast entry
+    (one discretization or grid for all subsystems) becomes one shared
+    object, so identical subsystems are recognised by identity later on.
     """
     base_dir = Path.cwd()
     if isinstance(source, (str, Path)):
@@ -308,6 +321,11 @@ def load_config(source) -> PipelineBundle:
         raw = source
     else:
         raise ConfigError(f"unsupported config source {type(source)!r}")
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
+    blocks = {name: _block(raw, name, default) for name, default in (
+        ("interconnection", {}), ("certificates", {"mode": "solve"}),
+        ("safety", None), ("bound", {}), ("simulation", {}))}
 
     sys_spec = raw.get("systems")
     if isinstance(sys_spec, dict) and "replicate" in sys_spec:
@@ -321,7 +339,7 @@ def load_config(source) -> PipelineBundle:
     if n == 0:
         raise ConfigError("at least one subsystem required")
 
-    ic_spec = raw.get("interconnection", {})
+    ic_spec = blocks["interconnection"]
     coupling = ic_spec.get("coupling")
     if isinstance(coupling, dict) and coupling.get("kind") == "circular":
         m = circular_coupling(int(coupling["n"]))
@@ -335,34 +353,38 @@ def load_config(source) -> PipelineBundle:
     dims = [(s.n, s.m, s.p, s.q2) for s in systems]
     ic = model.InterconnectionSpec(M=m, mu=mu, subsystem_dims=dims)
 
-    disc_spec = _broadcast(raw.get("discretization"), n, "discretization")
+    # one object per distinct entry: a broadcast entry is built once
+    disc_of: dict = {}
     discs = []
-    for d in disc_spec:
+    for d in _broadcast(raw.get("discretization"), n, "discretization"):
         if d is None:
             raise ConfigError("config needs 'discretization'")
-        discs.append(model.DiscretizationSpec(
-            tau=d["tau"], D_tilde=d.get("D_tilde", [[0.0]]),
-            R_tilde=d.get("R_tilde", [[0.0]]),
-        ))
+        if id(d) not in disc_of:
+            disc_of[id(d)] = model.DiscretizationSpec(
+                tau=d["tau"], D_tilde=d.get("D_tilde", [[0.0]]),
+                R_tilde=d.get("R_tilde", [[0.0]]),
+            )
+        discs.append(disc_of[id(d)])
 
-    cert_config = raw.get("certificates", {"mode": "solve"})
-
+    grid_of: dict = {}
     grids = []
-    grid_spec = _broadcast(raw.get("grid"), n, "grid")
-    for s, gdict in zip(systems, grid_spec):
+    for s, gdict in zip(systems, _broadcast(raw.get("grid"), n, "grid")):
         if gdict is None:
             grids.append(None)
             continue
-        state = abst.UniformGrid.cover(s.state_box, gdict["state_widths"])
-        inp = abst.UniformGrid.cover(s.input_box, gdict["input_widths"])
-        internal = None
-        if s.p:
-            internal = abst.UniformGrid.cover(s.internal_box, gdict["internal_widths"])
-        grids.append(abst.AbstractionGrid(state=state, input=inp, internal=internal))
+        if (id(s), id(gdict)) not in grid_of:
+            internal = None
+            if s.p:
+                internal = abst.UniformGrid.cover(s.internal_box, gdict["internal_widths"])
+            grid_of[id(s), id(gdict)] = abst.AbstractionGrid(
+                state=abst.UniformGrid.cover(s.state_box, gdict["state_widths"]),
+                input=abst.UniformGrid.cover(s.input_box, gdict["input_widths"]),
+                internal=internal)
+        grids.append(grid_of[id(s), id(gdict)])
 
     safety = None
-    if raw.get("safety") is not None:
-        sdict = raw["safety"]
+    if blocks["safety"] is not None:
+        sdict = blocks["safety"]
         safety = synth.SafetySpec(
             safe_box=model.Box(sdict["lower"], sdict["upper"]),
             contraction=float(sdict.get("contraction", 0.0)),
@@ -380,11 +402,11 @@ def load_config(source) -> PipelineBundle:
         systems=systems,
         ic=ic,
         discs=discs,
-        cert_config=cert_config,
+        cert_config=blocks["certificates"],
         grids=grids,
         safety=safety,
-        bound_config=raw.get("bound", {}),
-        sim_config=raw.get("simulation", {}),
+        bound_config=blocks["bound"],
+        sim_config=blocks["simulation"],
         stages=list(stages),
         out_dir=Path(raw.get("output_dir", "out")),
     )
@@ -401,22 +423,30 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _resolve_certs(bundle: PipelineBundle) -> list:
+    """One certificate per subsystem; a certificate is built once per distinct
+    `values` entry (given) or (system, discretization) object pair (solve),
+    so a broadcast certificate is one object shared by every subsystem."""
     cfg = bundle.cert_config
     mode = cfg.get("mode", "given")
+    built: dict = {}
     if mode == "given":
         values = _broadcast(cfg["values"], len(bundle.systems), "certificates.values")
-        return [cert_mod.StorageCertificate.from_dict(v) for v in values]
+        for v in values:
+            if id(v) not in built:
+                built[id(v)] = cert_mod.StorageCertificate.from_dict(v)
+        return [built[id(v)] for v in values]
     if mode != "solve":
         raise ConfigError(f"unknown certificate mode {mode!r}")
-    certs = []
     for s, d in zip(bundle.systems, bundle.discs):
+        if (id(s), id(d)) in built:
+            continue
         try:
             cand = cert_mod.solve_candidates(s, float(cfg["kappa_tilde"]))
         except Infeasible as exc:
             if exc.condition is not None:
                 raise CheckFailed(exc.condition, exc.reason) from exc
             raise
-        certs.append(cert_mod.StorageCertificate(
+        built[id(s), id(d)] = cert_mod.StorageCertificate(
             M_bar=cand.M_bar, K=cand.K, P=cand.P, Q=cand.Q, H=cand.H,
             kappa_tilde=float(cfg["kappa_tilde"]), tau=d.tau,
             pi=float(cfg.get("pi", 1.0)), kappa_bar=float(cfg["kappa_bar"]),
@@ -424,8 +454,8 @@ def _resolve_certs(bundle: PipelineBundle) -> list:
             Xbar21=cfg["Xbar21"], Xbar22=cfg["Xbar22"],
             gamma_slope=float(cfg.get("gamma_slope", 0.0)),
             delta=float(cfg.get("delta", 0.0)),
-        ))
-    return certs
+        )
+    return [built[id(s), id(d)] for s, d in zip(bundle.systems, bundle.discs)]
 
 
 def _stage_verify(bundle: PipelineBundle, ctx: dict) -> None:
@@ -458,13 +488,16 @@ def _stage_verify(bundle: PipelineBundle, ctx: dict) -> None:
                 logger.warning("subsystem %d (and %d alike): certificate delta %.3g differs "
                                "from the grid's %.3g; the certified defect uses the "
                                "certificate value", i, len(member) - 1, c.delta, actual)
+    # members' certificates agree bit for bit, so one dict serves the group
     rows = [{"lyapunov_margin": v.lyapunov.margin,
              "geometric_residuals": [v.geometric.residual_q, v.geometric.residual_h],
              "dissipation_margin": v.dissipativity.margin,
-             "constants": v.constants.to_dict()} for v in verdicts]
-    report = [{**rows[g], "subsystem": i, "certificate": c.to_dict()}
-              for i, (c, g) in enumerate(zip(certs, group_of))]
+             "constants": v.constants.to_dict(),
+             "certificate": certs[member[0]].to_dict()}
+            for v, member in zip(verdicts, groups)]
+    report = [{**rows[g], "subsystem": i} for i, g in enumerate(group_of)]
     ctx["certs"] = certs
+    ctx["groups"] = (groups, group_of)
     ctx["constants"] = [verdicts[g].constants for g in group_of]
     _write_json(ctx["out"] / "certificates.json", {"subsystems": report})
     logger.info("verify: %d subsystems certified in %d group(s)", len(certs), len(groups))
@@ -549,11 +582,17 @@ def _groups(bundle: PipelineBundle, certs: list) -> tuple[list, list]:
     """Indices grouped by identical (system, discretization, grid, certificate).
 
     Groups are ordered by their lowest member; `group_of[i]` is the position
-    of subsystem i's group.
+    of subsystem i's group.  The value key is built once per distinct tuple
+    of objects, so subsystems that share all four objects cost one lookup.
     """
     keys: dict = {}
-    group_of = [keys.setdefault(_group_key(*parts), len(keys)) for parts in
-                zip(bundle.systems, bundle.discs, bundle.grids, certs)]
+    by_identity: dict = {}
+    group_of = []
+    for parts in zip(bundle.systems, bundle.discs, bundle.grids, certs):
+        ident = tuple(map(id, parts))
+        if ident not in by_identity:
+            by_identity[ident] = keys.setdefault(_group_key(*parts), len(keys))
+        group_of.append(by_identity[ident])
     groups = [[] for _ in keys]
     for i, g in enumerate(group_of):
         groups[g].append(i)
@@ -566,7 +605,9 @@ def _stage_abstract(bundle: PipelineBundle, ctx: dict) -> None:
         if g is None:
             raise ConfigError(f"subsystem {i} has no grid; 'grid' is required "
                               "for abstraction stages")
-    groups, group_of = _groups(bundle, certs)
+    if "groups" not in ctx:  # set by the verify stage for these certificates
+        ctx["groups"] = _groups(bundle, certs)
+    groups, group_of = ctx["groups"]
     built = []
     for g_idx, member in enumerate(groups):
         i = member[0]
@@ -580,7 +621,6 @@ def _stage_abstract(bundle: PipelineBundle, ctx: dict) -> None:
         abst.export_abstraction(fa, ctx["out"] / f"abstraction{suffix}.json",
                                 ctx["out"] / f"abstraction{suffix}.csv")
     ctx["abstractions"] = [built[g] for g in group_of]
-    ctx["groups"] = (groups, group_of)
     logger.info("abstract: %d unique abstraction(s) for %d subsystems",
                 len(groups), len(bundle.systems))
 
@@ -614,17 +654,26 @@ def _stage_synthesize(bundle: PipelineBundle, ctx: dict) -> None:
 
 
 def _initial_v0(bundle: PipelineBundle, ctx: dict, x0: np.ndarray) -> float:
-    """Weighted storage at the initial pair (x0, quantized x0)."""
-    total = 0.0
-    off = 0
-    for i, (s, c, g) in enumerate(zip(bundle.systems, ctx["certs"], bundle.grids)):
-        xi = x0[off:off + s.n]
-        q = abst.quantize(g.state, xi)
-        if q.outside:
+    """Weighted storage at the initial pair (x0, quantized x0).
+
+    One grid lookup per group; the per-subsystem terms are then added one
+    at a time in subsystem order, the order of a scalar per-room loop.
+    """
+    certs = ctx["certs"]
+    offsets = np.cumsum([0] + [s.n for s in bundle.systems])
+    terms = np.empty(len(bundle.systems))
+    for member in ctx["groups"][0]:
+        i = member[0]
+        grid, c = bundle.grids[i].state, certs[i]
+        xi = x0[offsets[member][:, None] + np.arange(bundle.systems[i].n)]
+        idx = grid.locate_many(xi)
+        if np.any(idx == grid.n_points):
             raise ConfigError("initial state lies outside the state grid")
-        mismatch = xi - c.P @ q.representative
-        total += float(bundle.ic.mu[i]) * float(mismatch @ c.M_bar @ mismatch)
-        off += s.n
+        mismatch = xi - grid.centers()[idx] @ c.P.T
+        terms[member] = bundle.ic.mu[member] * np.sum(mismatch @ c.M_bar * mismatch, axis=1)
+    total = 0.0
+    for t in terms:
+        total += float(t)
     return total
 
 
@@ -644,6 +693,18 @@ def _field(block: dict, what: str, name: str, kind, default=...):
 
 def _vector(value) -> np.ndarray:
     return np.asarray(value, dtype=float)
+
+
+def _initial_state(bundle: PipelineBundle, required: bool) -> np.ndarray:
+    """`simulation.x0`, one entry per stacked subsystem state; an optional
+    x0 that is absent or empty comes back empty."""
+    x0 = _field(bundle.sim_config, "simulation", "x0", _vector,
+                ... if required else [])
+    n_states = sum(s.n for s in bundle.systems)
+    if (required or x0.size) and x0.shape != (n_states,):
+        raise ConfigError(f"simulation.x0 has {x0.size} values, the network has "
+                          f"{n_states} states")
+    return x0
 
 
 def _stage_bound(bundle: PipelineBundle, ctx: dict) -> None:
@@ -666,7 +727,7 @@ def _stage_bound(bundle: PipelineBundle, ctx: dict) -> None:
     override = _field(cfg, "bound", "psi_hat_override", float, None)
     psi_hat_used = override if override is not None else psi_hat_formula
 
-    x0 = _field(bundle.sim_config, "simulation", "x0", _vector, [])
+    x0 = _initial_state(bundle, required=False)
     if x0.size:
         v0 = _initial_v0(bundle, ctx, x0)
     else:
@@ -718,7 +779,7 @@ def _stage_simulate(bundle: PipelineBundle, ctx: dict) -> None:
         chunk_size=_field(cfg, "simulation", "chunk_size", int, 128),
         record_outputs=bool(cfg.get("record_outputs", False)),
     )
-    x0 = _field(cfg, "simulation", "x0", _vector)
+    x0 = _initial_state(bundle, required=True)
     result = rt.cosimulate(bundle.systems, bundle.ic, bundle.discs,
                            ctx["abstractions"], ctx["controllers"],
                            ctx["certs"], config, x0)

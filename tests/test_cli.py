@@ -14,7 +14,7 @@ from stochsym.cli import (
     main,
     run_pipeline,
 )
-from stochsym.errors import TooFewRooms
+from stochsym.errors import ConfigError, TooFewRooms
 
 
 def small_rooms(tmp_path, n=4, trials=60, **kw):
@@ -335,6 +335,89 @@ def test_rooms_with_different_k_are_grouped_apart(tmp_path):
     groups, group_of = cli._groups(bundle, certs)
     assert groups == [[0, 1, 3], [2]]
     assert list(group_of) == [0, 0, 1, 0]
+
+
+def test_broadcast_certificate_is_one_shared_object(tmp_path):
+    from stochsym import cli
+
+    bundle = load_config(small_rooms(tmp_path))
+    certs = cli._resolve_certs(bundle)
+    assert all(c is certs[0] for c in certs)
+    assert all(d is bundle.discs[0] for d in bundle.discs)
+    assert all(g is bundle.grids[0] for g in bundle.grids)
+
+
+def test_equal_per_room_certificates_share_one_group(tmp_path):
+    # distinct objects with equal values fall back to the value key
+    from stochsym import cli
+
+    cfg = small_rooms(tmp_path)
+    _per_room_certificates(cfg)
+    bundle = load_config(cfg)
+    certs = cli._resolve_certs(bundle)
+    assert len({id(c) for c in certs}) == 4
+    assert cli._groups(bundle, certs) == ([[0, 1, 2, 3]], [0, 0, 0, 0])
+
+
+@pytest.mark.parametrize("field, value", [
+    ("gamma_slope", 3.0), ("delta", 0.01), ("Xbar22", [[-1.0]]), ("tau", 0.2),
+])
+def test_rooms_with_any_differing_certificate_field_split(tmp_path, field, value):
+    import dataclasses
+
+    from stochsym import cli
+
+    bundle = load_config(small_rooms(tmp_path))
+    certs = cli._resolve_certs(bundle)
+    certs[1] = dataclasses.replace(certs[1], **{field: value})
+    assert cli._groups(bundle, certs)[0] == [[0, 2, 3], [1]]
+
+
+def test_initial_v0_matches_per_room_quantization(tmp_path):
+    # the array-wise lookup against the scalar quantizer, term by term in
+    # room order, with rooms split over two groups
+    import dataclasses
+
+    from stochsym import cli
+
+    bundle = load_config(small_rooms(tmp_path, n=5))
+    certs = cli._resolve_certs(bundle)
+    certs[3] = dataclasses.replace(certs[3], P=0.999 * certs[3].P,
+                                   M_bar=2.0 * certs[3].M_bar)
+    ctx = {"certs": certs, "groups": cli._groups(bundle, certs)}
+    x0 = np.array([20.5, 20.013, 20.9991, 20.4, 20.0002])
+    expected = 0.0
+    for i, (c, g) in enumerate(zip(certs, bundle.grids)):
+        q = st.quantize(g.state, x0[i:i + 1])
+        m = x0[i:i + 1] - c.P @ q.representative
+        expected += float(bundle.ic.mu[i]) * float(m @ c.M_bar @ m)
+    assert cli._initial_v0(bundle, ctx, x0) == expected
+    x0[4] = 21.5
+    with pytest.raises(ConfigError, match="outside the state grid"):
+        cli._initial_v0(bundle, ctx, x0)
+
+
+def test_wrong_length_x0_is_config_error(tmp_path, capsys):
+    from stochsym import cli
+
+    cfg = small_rooms(tmp_path)
+    cfg["simulation"]["x0"] = cfg["simulation"]["x0"][:3]
+    assert run_pipeline(cfg) == EXIT_CONFIG  # stops in the bound stage
+    err = capsys.readouterr().err
+    assert "simulation.x0" in err and "3 values" in err and "4 states" in err
+    bundle = load_config(cfg)
+    with pytest.raises(ConfigError, match=r"simulation\.x0 has 3 values.*4 states"):
+        cli._stage_simulate(bundle, {})
+
+
+@pytest.mark.parametrize("block", ["simulation", "bound", "safety",
+                                   "interconnection", "certificates"])
+@pytest.mark.parametrize("value", [[1], "text", 3])
+def test_non_object_block_is_config_error(tmp_path, capsys, block, value):
+    cfg = small_rooms(tmp_path)
+    cfg[block] = value
+    assert run_pipeline(cfg) == EXIT_CONFIG
+    assert f"'{block}' must be a JSON object" in capsys.readouterr().err
 
 
 def test_gridless_abstract_is_config_error(tmp_path, capsys):

@@ -384,6 +384,17 @@ def test_clopper_pearson_closed_forms():
     assert scipy.stats.binom.cdf(k, n, p) == pytest.approx(0.05, rel=1e-9)
 
 
+def test_clopper_pearson_matches_beta_quantile_exactly():
+    # the bound is the Beta(v + 1, n - v) quantile that scipy.stats computes
+    import scipy.stats
+
+    pairs = [(v, n) for n in range(1, 121) for v in range(n)]
+    pairs += [(v, n) for n in (1000, 10000) for v in range(51)]
+    for v, n in pairs:
+        assert clopper_pearson_upper(v, n) == float(
+            scipy.stats.beta.ppf(0.95, v + 1, n - v)), (v, n)
+
+
 def test_trajectory_csv_layout(tmp_path):
     systems, ic, discs, fas, ctrls, certs = small_network(g=0.1)
     x0 = np.full(3, 20.5025)
