@@ -30,11 +30,14 @@ from .certificates import (
 from .composition import (
     CompositionResult,
     NetworkSsf,
+    SupplyBlocks,
     build_x_cmp,
     check_compositional_lmi,
     compose_ssf,
     gershgorin_fast_check,
+    network_form,
     scalar_block_params,
+    supply_blocks,
 )
 from .bounds import (
     ClosenessBound,
@@ -78,9 +81,9 @@ __all__ = [
     "SstfConstants", "StorageCertificate", "check_dissipativity_lmi",
     "check_geometric", "check_lyapunov", "derive_constants",
     "gamma_slope_bound", "kappa_tilde_from", "solve_candidates",
-    "CompositionResult", "NetworkSsf", "build_x_cmp",
+    "CompositionResult", "NetworkSsf", "SupplyBlocks", "build_x_cmp",
     "check_compositional_lmi", "compose_ssf", "gershgorin_fast_check",
-    "scalar_block_params",
+    "network_form", "scalar_block_params", "supply_blocks",
     "ClosenessBound", "closeness_bound", "epsilon_for_target",
     "horizon_for_target", "psi_hat", "violation_probability",
     "AbstractionGrid", "FiniteAbstraction", "UniformGrid",

@@ -51,7 +51,8 @@ TOL_EQ = 1e-9
 
 def psd_tolerance(x: np.ndarray) -> float:
     """Eigenvalue slack used for semidefiniteness verdicts: 1e-9 * (1 + max |entry|)."""
-    scale = float(np.max(np.abs(x))) if x.size else 0.0
+    # max |entry| without an |x|-sized temporary
+    scale = max(float(x.max()), -float(x.min())) if x.size else 0.0
     return 1e-9 * (1.0 + scale)
 
 

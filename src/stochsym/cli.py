@@ -459,13 +459,16 @@ def _resolve_certs(bundle: PipelineBundle) -> list:
 
 
 def _stage_verify(bundle: PipelineBundle, ctx: dict) -> None:
-    # a replicated template is one object, validated once
-    for s in {id(s): s for s in bundle.systems}.values():
-        model.validate_system(s)
+    # a replicated template is one object, validated and boxed once
+    out_boxes: dict = {}
+    for s in bundle.systems:
+        if id(s) not in out_boxes:
+            model.validate_system(s)
+            out_boxes[id(s)] = s.internal_output_box()
     try:
         model.check_well_posed(
             bundle.ic,
-            [s.internal_output_box() for s in bundle.systems],
+            [out_boxes[id(s)] for s in bundle.systems],
             [s.internal_box for s in bundle.systems],
         )
     except NotWellPosed as exc:
@@ -512,7 +515,7 @@ def _internal_sup(bundle: PipelineBundle, i: int) -> float:
 def _stage_compose(bundle: PipelineBundle, ctx: dict) -> None:
     certs = ctx["certs"]
     mu = bundle.ic.mu
-    x_cmp = comp.build_x_cmp(certs, mu)
+    blocks = comp.supply_blocks(certs, mu)
 
     fast = None
     try:
@@ -520,7 +523,7 @@ def _stage_compose(bundle: PipelineBundle, ctx: dict) -> None:
         fast = comp.gershgorin_fast_check(bundle.ic.M, a, d)
     except StructureMismatch:
         pass
-    lmi = comp.check_compositional_lmi(bundle.ic.M, x_cmp)
+    lmi = comp.check_compositional_lmi(bundle.ic.M, blocks)
     if not lmi.ok:
         raise CheckFailed(comp.CONDITION_NETWORK_LMI,
                           f"largest eigenvalue {lmi.margin:.3e}")
@@ -532,11 +535,14 @@ def _stage_compose(bundle: PipelineBundle, ctx: dict) -> None:
     # composition.json reports null.
     has_grids = all(g is not None for g in bundle.grids)
     if has_grids:
-        out_boxes = []
-        for s, c, g in zip(bundle.systems, certs, bundle.grids):
-            out_boxes.append(g.state.as_box().linear_image(s.C2 @ c.P))
+        # members of a group share system, certificate and grid, so one box each
+        groups, group_of = ctx["groups"]
+        boxes = []
+        for member in groups:
+            s, c, g = bundle.systems[member[0]], certs[member[0]], bundle.grids[member[0]]
+            boxes.append(g.state.as_box().linear_image(s.C2 @ c.P))
         try:
-            model.check_well_posed(bundle.ic, out_boxes,
+            model.check_well_posed(bundle.ic, [boxes[g] for g in group_of],
                                    [s.internal_box for s in bundle.systems])
         except NotWellPosed as exc:
             raise CheckFailed(comp.CONDITION_ABSTRACT_WELL_POSED, str(exc)) from exc
@@ -547,11 +553,11 @@ def _stage_compose(bundle: PipelineBundle, ctx: dict) -> None:
         output_maps=[s.C1 for s in bundle.systems] if mode == "stacked" else None,
     )
     q_tilde = sum(s.q2 for s in bundle.systems)
-    result = comp.CompositionResult(x_cmp=x_cmp, lmi_margin=-lmi.margin, ssf=ssf,
-                                    q_tilde=q_tilde)
+    result = comp.CompositionResult(x_cmp=None, lmi_margin=-lmi.margin, ssf=ssf,
+                                    q_tilde=q_tilde, x_cmp_shape=blocks.shape)
     ctx["ssf"] = ssf
     # X_cmp is rebuilt from certificates.json and mu; only its shape is written
-    payload = result.to_dict(include_matrix=False)
+    payload = result.to_dict()
     payload["coupling_equality"] = "identical by construction"
     payload["abstract_well_posed"] = has_grids or None
     if fast is not None:

@@ -1,15 +1,20 @@
 """Network-level certificate assembly.
 
-The per-subsystem supply-rate blocks are arranged, weighted by mu, into one
-symmetric matrix X_cmp; the single inequality
+The per-subsystem supply-rate blocks, weighted by mu, make up one symmetric
+matrix X_cmp; the single inequality
 
     [M; I]^T X_cmp [M; I]  <=  0
 
 then certifies that the weighted sum of subsystem storage functions is a
 simulation function for the coupled network, and the subsystem constants
-aggregate in closed form.  For networks whose blocks are identical scalar
-multiples of the identity, a Gershgorin row-sum bound certifies the
-inequality without an eigensolve, independently of the network size.
+aggregate in closed form.  The pipeline holds the four super-blocks of
+X_cmp as sparse block-diagonals (`supply_blocks`) and assembles the q x q
+form M^T X11 M + M^T X12 + X21 M + X22 from them (`network_form`); the
+dense X_cmp is built only on request (`build_x_cmp`), and a dense X_cmp
+given to `check_compositional_lmi` is split into the same blocks.  For
+networks whose blocks are identical scalar multiples of the identity, a
+Gershgorin row-sum bound certifies the inequality without an eigensolve,
+independently of the network size.
 """
 
 from __future__ import annotations
@@ -18,8 +23,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
+import scipy.sparse
 
-from .certificates import SstfConstants, StorageCertificate, psd_tolerance, _max_eig
+from .certificates import SstfConstants, StorageCertificate, psd_tolerance
 from .errors import (
     DimensionMismatch,
     NonLinearRho,
@@ -27,7 +34,7 @@ from .errors import (
     StructureMismatch,
     WeightNotPositive,
 )
-from .model import as_matrix, as_vector
+from .model import as_matrix, as_vector, sparse_coupling
 
 CONDITION_NETWORK_LMI = "Con_1a"
 CONDITION_COUPLING_EQ = "Con_2a"
@@ -73,29 +80,89 @@ class NetworkSsf:
 
 @dataclass(eq=False)
 class CompositionResult:
-    x_cmp: np.ndarray
+    x_cmp: np.ndarray | None  # the dense matrix, only when a caller built it
     lmi_margin: float  # minimum eigenvalue of -[M; I]^T X_cmp [M; I]
     ssf: NetworkSsf
     q_tilde: int
+    x_cmp_shape: tuple[int, int] | None = None  # taken from x_cmp when omitted
+
+    def __post_init__(self):
+        if self.x_cmp_shape is None:
+            if self.x_cmp is None:
+                raise DimensionMismatch("x_cmp", "give x_cmp or x_cmp_shape")
+            self.x_cmp_shape = self.x_cmp.shape
 
     def to_dict(self, include_matrix: bool = True) -> dict:
         out = {
             "lmi_margin": self.lmi_margin,
             "q_tilde": self.q_tilde,
             "ssf": self.ssf.to_dict(),
-            "x_cmp_shape": list(self.x_cmp.shape),
+            "x_cmp_shape": list(self.x_cmp_shape),
         }
-        if include_matrix:
+        if include_matrix and self.x_cmp is not None:
             out["x_cmp"] = self.x_cmp.tolist()
         return out
 
 
-def build_x_cmp(certs: list[StorageCertificate], mu) -> np.ndarray:
-    """Arrange the weighted supply-rate blocks into the network matrix.
+@dataclass(frozen=True, eq=False)
+class SupplyBlocks:
+    """The four super-blocks of X_cmp, each a sparse block-diagonal.
 
-    The (1,1) super-block is blkdiag(mu_i Xbar11_i), the (1,2) super-block
-    blkdiag(mu_i Xbar12_i), and symmetrically for the rest; total size is
-    sum(p_i) + sum(q2_i).
+    x11 = blkdiag(mu_i Xbar11_i) is p x p and x22 = blkdiag(mu_i Xbar22_i)
+    is q x q, with p = sum(p_i) internal inputs and q = sum(q2_i) internal
+    outputs; x12 (p x q) and x21 (q x p) hold the coupling blocks.
+    """
+
+    x11: scipy.sparse.csr_matrix
+    x12: scipy.sparse.csr_matrix
+    x21: scipy.sparse.csr_matrix
+    x22: scipy.sparse.csr_matrix
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        n = self.x11.shape[0] + self.x22.shape[0]
+        return n, n
+
+    @classmethod
+    def split(cls, x_cmp: np.ndarray, p: int) -> "SupplyBlocks":
+        """The blocks of a dense X_cmp whose first p rows belong to the inputs."""
+        return cls(*(scipy.sparse.csr_matrix(b) for b in (
+            x_cmp[:p, :p], x_cmp[:p, p:], x_cmp[p:, :p], x_cmp[p:, p:])))
+
+    def dense(self) -> np.ndarray:
+        return scipy.sparse.bmat([[self.x11, self.x12],
+                                  [self.x21, self.x22]]).toarray()
+
+
+def _block_diag(mats: list[np.ndarray], weights: np.ndarray) -> scipy.sparse.csr_matrix:
+    """CSR blkdiag(w_i mats_i) holding only nonzero entries.
+
+    A matrix object shared by many subsystems (a broadcast certificate) is
+    scanned once and placed at all of its offsets together.
+    """
+    r_off = np.cumsum([0] + [m.shape[0] for m in mats])
+    c_off = np.cumsum([0] + [m.shape[1] for m in mats])
+    members: dict = {}
+    for k, m in enumerate(mats):
+        members.setdefault(id(m), []).append(k)
+    rows, cols, vals = [], [], []
+    for ks in members.values():
+        m = mats[ks[0]]
+        i, j = np.nonzero(m)
+        ks = np.asarray(ks)[:, None]
+        rows.append((r_off[ks] + i).ravel())
+        cols.append((c_off[ks] + j).ravel())
+        vals.append((weights[ks] * m[i, j]).ravel())
+    return scipy.sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(r_off[-1], c_off[-1]))
+
+
+def supply_blocks(certs: list[StorageCertificate], mu) -> SupplyBlocks:
+    """The weighted supply-rate blocks of X_cmp, without building X_cmp.
+
+    Subsystem i contributes mu_i Xbar11_i to x11, mu_i Xbar12_i to x12 and
+    so on, in subsystem order; build_x_cmp arranges the same blocks densely.
     """
     mu = as_vector(mu)
     if len(certs) != mu.size or len(certs) == 0:
@@ -103,36 +170,74 @@ def build_x_cmp(certs: list[StorageCertificate], mu) -> np.ndarray:
     for i, w in enumerate(mu):
         if not w > 0:
             raise WeightNotPositive(i)
-    p_dims = [c.Xbar11.shape[0] for c in certs]
-    q_dims = [c.Xbar22.shape[0] for c in certs]
-    p_tot, q_tot = sum(p_dims), sum(q_dims)
-    x = np.zeros((p_tot + q_tot, p_tot + q_tot))
-    p_off = np.concatenate(([0], np.cumsum(p_dims)))
-    q_off = np.concatenate(([0], np.cumsum(q_dims)))
-    for i, (c, w) in enumerate(zip(certs, mu)):
-        rp = slice(p_off[i], p_off[i + 1])
-        rq = slice(p_tot + q_off[i], p_tot + q_off[i + 1])
-        x[rp, rp] = w * c.Xbar11
-        x[rp, rq] = w * c.Xbar12
-        x[rq, rp] = w * c.Xbar21
-        x[rq, rq] = w * c.Xbar22
-    return x
+    return SupplyBlocks(*(_block_diag([getattr(c, name) for c in certs], mu)
+                          for name in ("Xbar11", "Xbar12", "Xbar21", "Xbar22")))
+
+
+def build_x_cmp(certs: list[StorageCertificate], mu) -> np.ndarray:
+    """Arrange the weighted supply-rate blocks into the network matrix.
+
+    The (1,1) super-block is blkdiag(mu_i Xbar11_i), the (1,2) super-block
+    blkdiag(mu_i Xbar12_i), and symmetrically for the rest; total size is
+    sum(p_i) + sum(q2_i).  The pipeline never builds it: it assembles the
+    network form from `supply_blocks` directly.
+    """
+    return supply_blocks(certs, mu).dense()
+
+
+def network_form(M, blocks: SupplyBlocks) -> np.ndarray:
+    """Symmetric part of [M; I]^T X_cmp [M; I], assembled from the blocks.
+
+    That is M^T x11 M + M^T x12 + x21 M + x22, formed as M^T (x11 M)
+    + (x12^T + x21) M + x22 (the two coupling terms share one symmetric
+    part) and symmetrized once.  A sparse coupling (`sparse_coupling`)
+    keeps every product sparse, so the returned q x q array is the only
+    dense matrix made; otherwise one q x q temporary is.  X_cmp and [M; I]
+    are never formed.
+    """
+    M = as_matrix(M)
+    p, q = M.shape
+    if blocks.x11.shape != (p, p) or blocks.x22.shape != (q, q):
+        raise DimensionMismatch(
+            "x_cmp", f"expected {(p + q,) * 2}, got {blocks.shape}")
+    coupling = blocks.x12.T + blocks.x21
+    sparse = sparse_coupling(M)
+    if sparse is not None:
+        form = sparse.T @ (blocks.x11 @ sparse) + coupling @ sparse + blocks.x22
+        return (0.5 * (form + form.T)).toarray(order="C")
+    quad = M.T @ (blocks.x11 @ M)
+    if coupling.nnz:
+        quad += coupling @ M
+    x22 = blocks.x22.tocoo()
+    quad[x22.row, x22.col] += x22.data  # canonical CSR: no repeated entries
+    quad += quad.T
+    quad *= 0.5
+    return quad
 
 
 def check_compositional_lmi(M, x_cmp) -> LmiCheck:
-    """Verify [M; I]^T X_cmp [M; I] <= 0; the margin is its largest eigenvalue."""
+    """Verify [M; I]^T X_cmp [M; I] <= 0; the margin is its largest eigenvalue.
+
+    `x_cmp` is either the dense matrix (the oracle path: it is split into
+    its four blocks) or a `SupplyBlocks`, as the pipeline passes it.  Both
+    go through `network_form` and one dense eigensolve of the q x q form,
+    which works in place on it.
+    """
     M = as_matrix(M)
-    x_cmp = as_matrix(x_cmp)
-    q = M.shape[1]
-    if x_cmp.shape != (M.shape[0] + q, M.shape[0] + q):
-        raise DimensionMismatch(
-            "x_cmp", f"expected {(M.shape[0] + q,) * 2}, got {x_cmp.shape}"
-        )
-    stacked = np.vstack([M, np.eye(q)])
-    quad = stacked.T @ x_cmp @ stacked
-    quad = 0.5 * (quad + quad.T)
+    if not isinstance(x_cmp, SupplyBlocks):
+        x_cmp = as_matrix(x_cmp)
+        n = sum(M.shape)
+        if x_cmp.shape != (n, n):
+            raise DimensionMismatch("x_cmp", f"expected {(n, n)}, got {x_cmp.shape}")
+        x_cmp = SupplyBlocks.split(x_cmp, M.shape[0])
+    quad = network_form(M, x_cmp)
     tol = psd_tolerance(quad)
-    margin = _max_eig(quad)
+    margin = -math.inf
+    if quad.size:
+        # the LAPACK routine of numpy's eigvalsh, run in place: the form is
+        # symmetric, so its transpose is the Fortran-order array it takes
+        margin = float(scipy.linalg.eigh(quad.T, eigvals_only=True, driver="evd",
+                                         overwrite_a=True, check_finite=False)[-1])
     return LmiCheck(ok=margin <= tol, margin=margin, tol=tol)
 
 
@@ -144,8 +249,10 @@ def scalar_block_params(certs: list[StorageCertificate], mu) -> tuple[float, flo
     mu = as_vector(mu)
     if len(certs) != mu.size or not certs:
         raise DimensionMismatch("mu", "one weight per certificate")
-    a = d = None
-    for c, w in zip(certs, mu):
+    scalars: dict = {}  # per distinct certificate object, checked once
+    for c in certs:
+        if id(c) in scalars:
+            continue
         p, q = c.Xbar11.shape[0], c.Xbar22.shape[0]
         if p == 0 or q == 0:
             raise StructureMismatch("scalar fast path needs nonempty internal blocks")
@@ -154,12 +261,11 @@ def scalar_block_params(certs: list[StorageCertificate], mu) -> tuple[float, flo
         a0, d0 = c.Xbar11[0, 0], c.Xbar22[0, 0]
         if np.any(c.Xbar11 != a0 * np.eye(p)) or np.any(c.Xbar22 != d0 * np.eye(q)):
             raise StructureMismatch("blocks must be scalar multiples of the identity")
-        ai, di = w * a0, w * d0
-        if a is None:
-            a, d = ai, di
-        elif ai != a or di != d:
-            raise StructureMismatch("all subsystems must share identical weighted blocks")
-    return float(a), float(d)
+        scalars[id(c)] = (a0, d0)
+    a, d = (mu * np.array(col) for col in zip(*(scalars[id(c)] for c in certs)))
+    if np.any(a != a[0]) or np.any(d != d[0]):
+        raise StructureMismatch("all subsystems must share identical weighted blocks")
+    return float(a[0]), float(d[0])
 
 
 def gershgorin_fast_check(M, a: float, d: float) -> GershgorinCheck:
@@ -219,7 +325,11 @@ def compose_ssf(
     elif mode == "stacked":
         if output_maps is None:
             raise StructureMismatch("stacked mode needs the external output maps to validate")
+        checked = set()  # a map shared by many subsystems is rank-checked once
         for i, c1 in enumerate(output_maps):
+            if id(c1) in checked:
+                continue
+            checked.add(id(c1))
             c1 = as_matrix(c1)
             if c1.shape[0] != c1.shape[1] or np.linalg.matrix_rank(c1) < c1.shape[0]:
                 raise StructureMismatch(

@@ -26,9 +26,13 @@ dt (D - B H) M C2 x is added per substep (a first-order splitting).  Rooms
 that share one abstraction and controller are quantized and looked up
 together, one grid lookup per group and step.
 
-Trials are independent; each draws its Gaussian increments, an interval at
-a time, from its own counter-based stream split off the master seed, so
-results are bitwise reproducible regardless of chunking or worker count.
+Trials are independent; each draws its Gaussian increments from its own
+counter-based stream split off the master seed, so results are bitwise
+reproducible regardless of chunking or worker count.  The substeps of an
+interval are streamed a block at a time (at most `_SUBSTEP_BLOCK_ENTRIES`
+normals per chunk), each trial continuing its stream in order, and the
+output envelope is folded in per substep, so the simulator's memory is
+O(C x n_total) for C trials per chunk, independent of the substep count.
 The empirical violation frequency is reported with an exact one-sided
 Clopper-Pearson upper confidence bound for comparison against the
 theoretical guarantee; the bound is one Beta quantile, computed with
@@ -45,7 +49,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 import scipy.special
 
 from .abstraction import FiniteAbstraction, UniformGrid
@@ -57,8 +60,18 @@ from .errors import (
     StaleControllerTable,
     StaleLatch,
 )
-from .model import AffineSystem, InterconnectionSpec, as_matrix, as_vector
+from .model import (
+    AffineSystem,
+    InterconnectionSpec,
+    as_matrix,
+    as_vector,
+    sparse_coupling,
+)
 from .synthesis import Controller
+
+#: substeps per block are capped so that one block of normals holds at most
+#: this many entries per chunk (C x block x n_total)
+_SUBSTEP_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(eq=False)
@@ -230,9 +243,8 @@ class _Coupling:
 
     def __init__(self, m: np.ndarray):
         # only the representation in use is kept
-        sparse = m.size >= 2500 and np.count_nonzero(m) < 0.25 * m.size
-        self.sparse = scipy.sparse.csr_matrix(m) if sparse else None
-        self.dense_t = None if sparse else m.T.copy()
+        self.sparse = sparse_coupling(m)
+        self.dense_t = m.T.copy() if self.sparse is None else None
 
     def __call__(self, z2: np.ndarray) -> np.ndarray:
         if self.sparse is not None:
@@ -412,16 +424,22 @@ def _simulate_chunk(net: _Network, sub: _Substep, horizon: int,
     out_max = np.full(C, -np.inf)
     out_rec = np.empty((C, horizon + 1, net.C1.out_dim)) if record_outputs else None
     out_hat_rec = np.empty_like(out_rec) if record_outputs else None
-    path = np.empty((C, sub.n, net.n_total))
-    drive = np.empty_like(path)
-    path_out = np.empty((C, sub.n, net.C1.out_dim))
+    # the substeps of an interval are streamed `block` at a time; buffers are
+    # O(C x n_total) whatever the substep count
+    block = min(sub.n, max(1, _SUBSTEP_BLOCK_ENTRIES // (C * net.n_total)))
+    normals = np.empty((C, block, net.n_total))
+    drive = np.empty_like(X)
+    nxt = np.empty_like(X)
+
+    def extremes(z):
+        np.minimum(out_min, z.min(axis=1), out=out_min)
+        np.maximum(out_max, z.max(axis=1), out=out_max)
 
     def record(k):
         z = net.C1(X)
         zh = net.C1P(Xhat)
         errors[:, k] = np.linalg.norm(z - zh, axis=1)
-        np.minimum(out_min, z.min(axis=1), out=out_min)
-        np.maximum(out_max, z.max(axis=1), out=out_max)
+        extremes(z)
         if record_outputs:
             out_rec[:, k] = z
             out_hat_rec[:, k] = zh
@@ -435,26 +453,28 @@ def _simulate_chunk(net: _Network, sub: _Substep, horizon: int,
             V[:, group.cols] = group.input_centers[a].reshape(C, -1)
 
         # nu(t) = K x(t) - H w(t) + nu_latched; c_k = B nu_latched + b enters
-        # every substep of the interval, so gain c_k is folded into its noise
+        # every substep of the interval, so gain c_k is added to its noise
         p_xhat = net.P(Xhat)
         w_latch = net.coupling(net.C2(X))
         nu_latched = (X - p_xhat - net.K(p_xhat) - net.Q(Xhat)
                       + net.H(w_latch - w_hat))
-        for c, gen in enumerate(gens):
-            gen.standard_normal(out=drive[c])
-        sub.noise(drive, out=drive)
-        drive += sub.gain(net.B(nu_latched) + net.b)[:, None, :]
-        prev = X
-        for j in range(sub.n):
-            cur = sub.phi(prev, out=path[:, j])
-            cur += drive[:, j]
-            if sub.residual is not None:
-                cur += sub.residual(net.coupling(net.C2(prev)))
-            prev = cur
-        X = prev.copy()
-        net.C1(path, out=path_out)
-        np.minimum(out_min, path_out.min(axis=(1, 2)), out=out_min)
-        np.maximum(out_max, path_out.max(axis=(1, 2)), out=out_max)
+        offset = sub.gain(net.B(nu_latched) + net.b)
+        # the substeps alternate between two state buffers, so no operator
+        # writes onto its own input
+        for j0 in range(0, sub.n, block):
+            z = normals[:, :min(block, sub.n - j0)]
+            # each trial continues its interval's normals in stream order
+            for c, gen in enumerate(gens):
+                gen.standard_normal(out=z[c])
+            for j in range(z.shape[1]):
+                sub.noise(z[:, j], out=drive)
+                drive += offset
+                sub.phi(X, out=nxt)
+                nxt += drive
+                if sub.residual is not None:
+                    nxt += sub.residual(net.coupling(net.C2(X)))
+                X, nxt = nxt, X
+                extremes(net.C1(X))
 
         target = Xhat + V + net.D_tilde(w_hat)
         if net.stochastic:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -65,3 +66,22 @@ def noise_free_disc():
 def random_psd(rng: np.random.Generator, n: int) -> np.ndarray:
     a = rng.standard_normal((n, n))
     return a @ a.T + n * np.eye(n)
+
+
+def traced_peak(fn, *args, **kwargs):
+    """(fn's result, the most bytes it held allocated at once), by tracemalloc.
+
+    numpy reports its array buffers to tracemalloc, so the peak covers them.
+    """
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    try:
+        out = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    return out, peak

@@ -7,9 +7,10 @@ import scipy.optimize
 import stochsym as st
 from stochsym.certificates import SstfConstants, StorageCertificate
 from stochsym.cli import circular_coupling
-from stochsym.errors import StructureMismatch, WeightNotPositive
+from stochsym.errors import DimensionMismatch, StructureMismatch, WeightNotPositive
+from stochsym.model import sparse_coupling
 
-from conftest import room_certificate
+from conftest import room_certificate, traced_peak
 
 E_TERM = 1e-3  # decay factor matching the reference rooms
 A_BLOCK = E_TERM * 0.1 * 0.05**2
@@ -247,3 +248,86 @@ class TestComposeSsf:
         assert d["lmi_margin"] == -lmi.margin
         assert d["q_tilde"] == 3
         assert "x_cmp" in d
+
+
+def random_supply_cert(rng, p, q) -> StorageCertificate:
+    """Certificate with p internal inputs, q internal outputs and dense,
+    nonzero coupling blocks Xbar12 and Xbar21 (not each other's transpose)."""
+    a = rng.standard_normal((p, p))
+    d = rng.standard_normal((q, q))
+    return StorageCertificate(
+        M_bar=1.0, K=-10.0, P=1.0, Q=0.0, H=0.0, kappa_tilde=69.0, tau=0.1,
+        pi=1.0, kappa_bar=0.4, Xbar11=a @ a.T, Xbar12=rng.standard_normal((p, q)),
+        Xbar21=rng.standard_normal((q, p)), Xbar22=-(d @ d.T),
+    )
+
+
+class TestBlockNetworkForm:
+    @pytest.mark.parametrize("density", [1.0, 0.1])
+    def test_matches_dense_triple_product(self, density):
+        # 60 x 90 coupling: dense products, or sparse ones below 25% fill
+        rng = np.random.default_rng(12)
+        n, p, q = 30, 2, 3
+        certs = [random_supply_cert(rng, p, q) for _ in range(n)]
+        mu = rng.uniform(0.5, 2.0, n)
+        m = rng.standard_normal((n * p, n * q)) * (rng.uniform(size=(n * p, n * q)) < density)
+        assert (sparse_coupling(m) is None) == (density == 1.0)
+        x = st.build_x_cmp(certs, mu)
+        stacked = np.vstack([m, np.eye(n * q)])
+        dense = stacked.T @ x @ stacked
+        want = 0.5 * (dense + dense.T)
+        blocks = st.supply_blocks(certs, mu)
+        assert blocks.shape == x.shape
+        assert np.array_equal(blocks.dense(), x)
+        got = st.network_form(m, blocks)
+        assert np.array_equal(got, got.T)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+        top = np.linalg.eigvalsh(want)[-1]
+        for arg in (x, blocks):  # the dense oracle and the pipeline's blocks
+            lmi = st.check_compositional_lmi(m, arg)
+            assert lmi.margin == pytest.approx(top, rel=1e-12)
+
+    def test_ring_margin_matches_circulant_spectrum(self):
+        # a M^T M + d I with M the ring's adjacency: its eigenvalues are
+        # a (2 cos(2 pi k / n))^2 + d, largest at k = n / 2
+        n = 400
+        cert = room_certificate()
+        a, d = cert.Xbar11.item(), cert.Xbar22.item()
+        lmi = st.check_compositional_lmi(
+            circular_coupling(n), st.supply_blocks([cert] * n, np.ones(n)))
+        circulant = max(a * (2 * math.cos(2 * math.pi * k / n)) ** 2 + d
+                        for k in range(n))
+        assert lmi.ok
+        assert lmi.margin == pytest.approx(circulant, rel=1e-12)
+
+    def test_rejects_blocks_of_the_wrong_size(self):
+        blocks = st.supply_blocks([scalar_cert(1.0, -1.0)] * 3, np.ones(3))
+        with pytest.raises(DimensionMismatch):
+            st.check_compositional_lmi(np.eye(4), blocks)
+
+
+def test_result_without_matrix_keeps_shape():
+    net = st.compose_ssf([constants()], [1.0], mode="general")
+    res = st.CompositionResult(x_cmp=None, lmi_margin=1.0, ssf=net, q_tilde=3,
+                               x_cmp_shape=(6, 6))
+    d = res.to_dict()
+    assert d["x_cmp_shape"] == [6, 6] and "x_cmp" not in d
+
+
+def test_compose_stage_never_builds_x_cmp(tmp_path):
+    # 400 rooms: X_cmp would be 800 x 800 doubles (5.12 MB); the stage holds
+    # the q x q form and a temporary or two of the same size (1.28 MB each)
+    import json
+
+    from stochsym import cli
+
+    bundle = cli.load_config(cli.generate_rooms(n=400, out_dir=str(tmp_path)))
+    tmp_path.mkdir(exist_ok=True)
+    ctx = {"out": tmp_path}
+    cli._stage_verify(bundle, ctx)
+    x_cmp_bytes = 800 * 800 * 8
+    _, peak = traced_peak(cli._stage_compose, bundle, ctx)
+    assert peak < x_cmp_bytes
+    payload = json.loads((tmp_path / "composition.json").read_text())
+    assert payload["x_cmp_shape"] == [800, 800] and "x_cmp" not in payload

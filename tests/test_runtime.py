@@ -14,7 +14,7 @@ from stochsym.runtime import (
     write_trajectories_csv,
 )
 
-from conftest import ROOM, room_certificate, room_system
+from conftest import ROOM, room_certificate, room_system, traced_peak
 
 
 def room_state(**kw):
@@ -126,6 +126,41 @@ class TestEmStep:
         target = g * g * tau
         se = target * math.sqrt(2.0 / (trials - 1))
         assert abs(var - target) <= 3 * se
+
+    def test_one_interval_moments_converge_weakly_at_first_order(self):
+        # EM is affine in (x, z), so its one-interval mean and variance follow
+        # exactly from em_step itself: m <- step(m, z=0) and
+        # v <- slope^2 v + noise^2.  Against the simulator's exact step both
+        # errors halve as the substep count doubles.
+        from stochsym import runtime
+
+        f, g, tau, x0, nu = -1.7, 0.6, 0.5, 2.0, 0.4
+        sys_ = st.AffineSystem(A=f, B=1.0, C1=1.0, C2=1.0, D=np.zeros((1, 0)),
+                               G=g, b=0.3, state_box=st.Box([-9], [9]),
+                               input_box=st.Box([-1], [1]),
+                               internal_box=st.Box(np.zeros(0), np.zeros(0)))
+        phi, gain, chol = runtime._exact_step(sys_.A, sys_.G @ sys_.G.T, tau)
+        mean_exact = (phi @ [x0] + gain @ (sys_.B @ [nu] + sys_.b)).item()
+        var_exact = (chol @ chol.T).item()
+
+        def step(x, dt, z):
+            return st.em_step(sys_, [x], [nu], np.zeros(0), dt, [z]).item()
+
+        mean_errs, var_errs = [], []
+        for n_sub in (20, 40, 80, 160):
+            dt = tau / n_sub
+            slope = step(1.0, dt, 0.0) - step(0.0, dt, 0.0)
+            noise = step(0.0, dt, 1.0) - step(0.0, dt, 0.0)
+            mean, var = x0, 0.0
+            for _ in range(n_sub):
+                mean = step(mean, dt, 0.0)
+                var = slope * slope * var + noise * noise
+            mean_errs.append(abs(mean - mean_exact))
+            var_errs.append(abs(var - var_exact))
+        for errs in (mean_errs, var_errs):
+            assert errs[0] > 1e-4
+            for coarse, fine in zip(errs, errs[1:]):
+                assert coarse / fine == pytest.approx(2.0, rel=0.05)
 
 
 def exact_scalar_step(sys_, cert, x, nu_latched, w_t, dt, z):
@@ -495,6 +530,21 @@ def mixed_network(g=0.3, tracking_rate=40.0):
     return systems, ic, discs, fas, ctrls, [cert] * 3
 
 
+def _force_dense(monkeypatch):
+    """Make every stacked operator of the simulator a dense matmul."""
+    from stochsym import runtime
+
+    stack = runtime._Op.stack
+
+    def dense_stack(mats):
+        op = stack(mats)
+        if op.diag is None:
+            return op
+        return runtime._Op(dense_t=np.diag(op.diag), diag=None)
+
+    monkeypatch.setattr(runtime._Op, "stack", dense_stack)
+
+
 class TestFusedSubstepOracle:
     def test_noisy_run_matches_scalar_interface_law(self):
         net = mixed_network()
@@ -510,22 +560,12 @@ class TestFusedSubstepOracle:
     def test_dense_operators_match_diagonal_fast_path(self, monkeypatch):
         # every operator of the rooms is diagonal; forcing the dense matmul
         # path must give the same errors
-        from stochsym import runtime
-
         net = mixed_network()
         x0 = np.array([20.4012, 20.5537, 20.6981])
         cfg = st.SimConfig(n_trials=4, horizon=3, epsilon=9.9, n_substeps=8,
                            rng_seed=2, chunk_size=3)
         fast = st.cosimulate(*net, cfg, x0)
-        stack = runtime._Op.stack
-
-        def dense_stack(mats):
-            op = stack(mats)
-            if op.diag is None:
-                return op
-            return runtime._Op(dense_t=np.diag(op.diag), diag=None)
-
-        monkeypatch.setattr(runtime._Op, "stack", dense_stack)
+        _force_dense(monkeypatch)
         dense = st.cosimulate(*net, cfg, x0)
         np.testing.assert_allclose(dense.step_errors, fast.step_errors,
                                    rtol=1e-12, atol=0)
@@ -547,6 +587,51 @@ class TestFusedSubstepOracle:
         with pytest.raises(AbstractStateLost) as info:
             st.cosimulate(*net, cfg, x0)
         assert (info.value.trial, info.value.step) == (trial, step)
+
+
+class TestSubstepStreaming:
+    @pytest.mark.parametrize("dense", [False, True], ids=["diagonal", "dense"])
+    @pytest.mark.parametrize("network", ["con3", "residual"])
+    def test_blocks_match_whole_interval(self, monkeypatch, dense, network):
+        # 7 substeps in blocks of 1, of 3 (the last one partial) and in one
+        # block: the same normals in the same order, hence the same arrays
+        from stochsym import runtime
+
+        if dense:
+            _force_dense(monkeypatch)
+        if network == "residual":
+            net = mixed_network()
+            x0 = np.array([20.4012, 20.5537, 20.6981])
+        else:
+            net = small_network(n=12, g=0.3, tracking_rate=40.0)
+            x0 = np.linspace(20.3, 20.7, 12)
+        if dense:
+            assert runtime._Network(*net, 4).substep(7).phi.diag is None
+        trials, n_total = 4, x0.size
+        cfg = st.SimConfig(n_trials=trials, horizon=4, epsilon=9.9, n_substeps=7,
+                           rng_seed=23, chunk_size=trials)
+        runs = {}
+        for block in (7, 1, 3):
+            monkeypatch.setattr(runtime, "_SUBSTEP_BLOCK_ENTRIES",
+                                block * trials * n_total)
+            runs[block] = st.cosimulate(*net, cfg, x0)
+        whole = runs[7]
+        assert np.all(whole.step_errors[:, 1:] > 0)
+        for block in (1, 3):
+            for field in ("step_errors", "output_min", "output_max"):
+                assert np.array_equal(getattr(runs[block], field), getattr(whole, field))
+
+    def test_peak_memory_does_not_grow_with_substeps(self):
+        # the substep buffers are capped at _SUBSTEP_BLOCK_ENTRIES normals per
+        # chunk; whole-interval buffers at 400 substeps would be 3 x 1.2 MB
+        net = small_network(n=3)
+        x0 = np.array([20.387, 20.502, 20.731])
+        peaks = {}
+        for n_sub in (4, 400):
+            cfg = st.SimConfig(n_trials=128, horizon=2, epsilon=9.9,
+                               n_substeps=n_sub, rng_seed=1, chunk_size=128)
+            _, peaks[n_sub] = traced_peak(st.cosimulate, *net, cfg, x0)
+        assert peaks[400] - peaks[4] <= 1_000_000
 
 
 class TestControllerHorizon:
