@@ -34,7 +34,7 @@ from .errors import (
     StructureMismatch,
     WeightNotPositive,
 )
-from .model import as_matrix, as_vector, sparse_coupling
+from .model import as_matrix, as_vector
 
 CONDITION_NETWORK_LMI = "Con_1a"
 CONDITION_COUPLING_EQ = "Con_2a"
@@ -92,14 +92,14 @@ class CompositionResult:
                 raise DimensionMismatch("x_cmp", "give x_cmp or x_cmp_shape")
             self.x_cmp_shape = self.x_cmp.shape
 
-    def to_dict(self, include_matrix: bool = True) -> dict:
+    def to_dict(self) -> dict:
         out = {
             "lmi_margin": self.lmi_margin,
             "q_tilde": self.q_tilde,
             "ssf": self.ssf.to_dict(),
             "x_cmp_shape": list(self.x_cmp_shape),
         }
-        if include_matrix and self.x_cmp is not None:
+        if self.x_cmp is not None:
             out["x_cmp"] = self.x_cmp.tolist()
         return out
 
@@ -190,29 +190,18 @@ def network_form(M, blocks: SupplyBlocks) -> np.ndarray:
 
     That is M^T x11 M + M^T x12 + x21 M + x22, formed as M^T (x11 M)
     + (x12^T + x21) M + x22 (the two coupling terms share one symmetric
-    part) and symmetrized once.  A sparse coupling (`sparse_coupling`)
-    keeps every product sparse, so the returned q x q array is the only
-    dense matrix made; otherwise one q x q temporary is.  X_cmp and [M; I]
-    are never formed.
+    part) and symmetrized once.  M is taken as a sparse matrix, so every
+    product is sparse and the returned q x q array is the only dense
+    matrix made: X_cmp and [M; I] are never formed.
     """
     M = as_matrix(M)
     p, q = M.shape
     if blocks.x11.shape != (p, p) or blocks.x22.shape != (q, q):
         raise DimensionMismatch(
             "x_cmp", f"expected {(p + q,) * 2}, got {blocks.shape}")
-    coupling = blocks.x12.T + blocks.x21
-    sparse = sparse_coupling(M)
-    if sparse is not None:
-        form = sparse.T @ (blocks.x11 @ sparse) + coupling @ sparse + blocks.x22
-        return (0.5 * (form + form.T)).toarray(order="C")
-    quad = M.T @ (blocks.x11 @ M)
-    if coupling.nnz:
-        quad += coupling @ M
-    x22 = blocks.x22.tocoo()
-    quad[x22.row, x22.col] += x22.data  # canonical CSR: no repeated entries
-    quad += quad.T
-    quad *= 0.5
-    return quad
+    Ms = scipy.sparse.csr_matrix(M)
+    form = Ms.T @ (blocks.x11 @ Ms) + (blocks.x12.T + blocks.x21) @ Ms + blocks.x22
+    return (0.5 * (form + form.T)).toarray(order="C")
 
 
 def check_compositional_lmi(M, x_cmp) -> LmiCheck:
@@ -325,7 +314,10 @@ def compose_ssf(
     elif mode == "stacked":
         if output_maps is None:
             raise StructureMismatch("stacked mode needs the external output maps to validate")
-        checked = set()  # a map shared by many subsystems is rank-checked once
+        # a map shared by many subsystems is rank-checked once; the list keeps
+        # every map alive, so no two distinct maps share an id in the memo
+        output_maps = list(output_maps)
+        checked = set()
         for i, c1 in enumerate(output_maps):
             if id(c1) in checked:
                 continue

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
 from .errors import (
     DimensionMismatch,
@@ -204,17 +203,6 @@ class DiscretizationSpec:
     @property
     def internal_free(self) -> bool:
         return not np.any(self.D_tilde)
-
-
-def sparse_coupling(m: np.ndarray) -> scipy.sparse.csr_matrix | None:
-    """CSR copy of a coupling matrix that is large and mostly zero, else None.
-
-    A ring or torus of rooms qualifies; small or dense couplings stay dense,
-    where BLAS beats sparse products.
-    """
-    if m.size >= 2500 and np.count_nonzero(m) < 0.25 * m.size:
-        return scipy.sparse.csr_matrix(m)
-    return None
 
 
 @dataclass(frozen=True, eq=False)

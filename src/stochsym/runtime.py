@@ -49,6 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 import scipy.special
 
 from .abstraction import FiniteAbstraction, UniformGrid
@@ -60,13 +61,7 @@ from .errors import (
     StaleControllerTable,
     StaleLatch,
 )
-from .model import (
-    AffineSystem,
-    InterconnectionSpec,
-    as_matrix,
-    as_vector,
-    sparse_coupling,
-)
+from .model import AffineSystem, InterconnectionSpec, as_matrix, as_vector
 from .synthesis import Controller
 
 #: substeps per block are capped so that one block of normals holds at most
@@ -243,8 +238,9 @@ class _Coupling:
 
     def __init__(self, m: np.ndarray):
         # only the representation in use is kept
-        self.sparse = sparse_coupling(m)
-        self.dense_t = m.T.copy() if self.sparse is None else None
+        sparse = m.size >= 2500 and np.count_nonzero(m) < 0.25 * m.size
+        self.sparse = scipy.sparse.csr_matrix(m) if sparse else None
+        self.dense_t = None if sparse else m.T.copy()
 
     def __call__(self, z2: np.ndarray) -> np.ndarray:
         if self.sparse is not None:
