@@ -34,7 +34,7 @@ from .errors import (
     StructureMismatch,
     WeightNotPositive,
 )
-from .model import as_matrix, as_vector
+from .model import as_coupling, as_matrix, as_vector
 
 CONDITION_NETWORK_LMI = "Con_1a"
 CONDITION_COUPLING_EQ = "Con_2a"
@@ -190,17 +190,16 @@ def network_form(M, blocks: SupplyBlocks) -> np.ndarray:
 
     That is M^T x11 M + M^T x12 + x21 M + x22, formed as M^T (x11 M)
     + (x12^T + x21) M + x22 (the two coupling terms share one symmetric
-    part) and symmetrized once.  M is taken as a sparse matrix, so every
-    product is sparse and the returned q x q array is the only dense
-    matrix made: X_cmp and [M; I] are never formed.
+    part) and symmetrized once.  Every product is sparse, so the returned
+    q x q array is the only dense matrix made: X_cmp and [M; I] are never
+    formed.
     """
-    M = as_matrix(M)
+    M = as_coupling(M)
     p, q = M.shape
     if blocks.x11.shape != (p, p) or blocks.x22.shape != (q, q):
         raise DimensionMismatch(
             "x_cmp", f"expected {(p + q,) * 2}, got {blocks.shape}")
-    Ms = scipy.sparse.csr_matrix(M)
-    form = Ms.T @ (blocks.x11 @ Ms) + (blocks.x12.T + blocks.x21) @ Ms + blocks.x22
+    form = M.T @ (blocks.x11 @ M) + (blocks.x12.T + blocks.x21) @ M + blocks.x22
     return (0.5 * (form + form.T)).toarray(order="C")
 
 
@@ -212,7 +211,7 @@ def check_compositional_lmi(M, x_cmp) -> LmiCheck:
     go through `network_form` and one dense eigensolve of the q x q form,
     which works in place on it.
     """
-    M = as_matrix(M)
+    M = as_coupling(M)
     if not isinstance(x_cmp, SupplyBlocks):
         x_cmp = as_matrix(x_cmp)
         n = sum(M.shape)
@@ -263,8 +262,8 @@ def gershgorin_fast_check(M, a: float, d: float) -> GershgorinCheck:
     r = max_i sum_j |M_ij| bounds ||M||, so a r^2 + d <= 0 suffices when
     a >= 0 (for a < 0 the d term alone is binding).
     """
-    M = as_matrix(M)
-    r = float(np.max(np.sum(np.abs(M), axis=1))) if M.size else 0.0
+    M = as_coupling(M)
+    r = float(abs(M).sum(axis=1).max()) if M.shape[0] else 0.0
     bound = a * r * r + d if a >= 0 else d
     tol = 1e-12 * (1.0 + abs(a) * r * r + abs(d))
     return GershgorinCheck(ok=bound <= tol, bound=bound, row_sum=r)

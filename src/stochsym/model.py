@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from .errors import (
     DimensionMismatch,
@@ -41,6 +42,14 @@ def as_matrix(x) -> np.ndarray:
     elif a.ndim != 2:
         raise DimensionMismatch("matrix", f"expected at most 2 axes, got {a.ndim}")
     return a
+
+
+def as_coupling(m) -> scipy.sparse.csr_matrix:
+    """Coerce a coupling matrix, dense or sparse, to float64 CSR with finite entries."""
+    m = scipy.sparse.csr_matrix(m if scipy.sparse.issparse(m) else as_matrix(m), dtype=float)
+    if not np.all(np.isfinite(m.data)):
+        raise NonFiniteEntry("M")
+    return m
 
 
 def as_vector(x) -> np.ndarray:
@@ -94,12 +103,12 @@ class Box:
         return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
 
     def linear_image(self, m) -> "Box":
-        """Tightest box enclosing {M x : x in self} (interval arithmetic)."""
-        m = as_matrix(m)
+        """Tightest box enclosing {M x : x in self}; O(nnz) for a sparse M."""
+        m = m if scipy.sparse.issparse(m) else as_matrix(m)
         if m.shape[1] != self.dim:
             raise DimensionMismatch("M", f"{m.shape} applied to a {self.dim}-dim box")
         c = m @ self.center
-        r = np.abs(m) @ self.radius
+        r = abs(m) @ self.radius
         return Box(c - r, c + r)
 
     def first_outside(self, other: "Box") -> int | None:
@@ -207,14 +216,14 @@ class DiscretizationSpec:
 
 @dataclass(frozen=True, eq=False)
 class InterconnectionSpec:
-    """Static coupling w = M zeta2 over stacked internal signals, with weights mu."""
+    """Static coupling w = M zeta2 (M held as CSR) over stacked internal signals, weights mu."""
 
-    M: np.ndarray
+    M: scipy.sparse.csr_matrix
     mu: np.ndarray
     subsystem_dims: tuple  # per subsystem (n, m, p, q2)
 
     def __post_init__(self):
-        object.__setattr__(self, "M", as_matrix(self.M))
+        object.__setattr__(self, "M", as_coupling(self.M))
         object.__setattr__(self, "mu", as_vector(self.mu))
         object.__setattr__(
             self, "subsystem_dims", tuple(tuple(int(v) for v in d) for d in self.subsystem_dims)

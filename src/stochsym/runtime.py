@@ -49,7 +49,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 import scipy.special
 
 from .abstraction import FiniteAbstraction, UniformGrid
@@ -233,21 +232,6 @@ class _Op:
         return np.matmul(x, self.dense_t, out=out)
 
 
-class _Coupling:
-    """Batched w = (M zeta2) over rows; sparse matvec for sparse couplings."""
-
-    def __init__(self, m: np.ndarray):
-        # only the representation in use is kept
-        sparse = m.size >= 2500 and np.count_nonzero(m) < 0.25 * m.size
-        self.sparse = scipy.sparse.csr_matrix(m) if sparse else None
-        self.dense_t = None if sparse else m.T.copy()
-
-    def __call__(self, z2: np.ndarray) -> np.ndarray:
-        if self.sparse is not None:
-            return np.ascontiguousarray((self.sparse @ z2.T).T)
-        return z2 @ self.dense_t
-
-
 def _exact_step(f: np.ndarray, gg: np.ndarray, dt: float):
     """(phi, gain, L) of dx = (F x + c) dt + G dW over dt, with gg = G G^T.
 
@@ -326,7 +310,7 @@ class _Network:
         self.R_tilde = _Op.stack([d.R_tilde for d in discs])
         self.stochastic = any(not d.noise_free for d in discs)
         self.b = np.concatenate([s.b for s in systems])
-        self.coupling = _Coupling(ic.M)
+        self.M = ic.M
         self.abs_noise_dim = sum(d.R_tilde.shape[1] for d in discs)
         self._closed_loop = [s.A + s.B @ c.K for s, c in zip(systems, certs)]
         self._diffusion = [s.G @ s.G.T for s in systems]
@@ -356,6 +340,10 @@ class _Network:
                 input_centers=a.grid.input.centers(),
                 table=np.hstack([t, -np.ones((t.shape[0], 1), dtype=np.int64)]),
             ))
+
+    def coupling(self, z2: np.ndarray) -> np.ndarray:
+        """w = M zeta2 for each row of z2."""
+        return np.ascontiguousarray((self.M @ z2.T).T)
 
     def substep(self, n_substeps: int) -> _Substep:
         dt = self.tau / n_substeps

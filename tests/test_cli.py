@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from stochsym.cli import (
     run_pipeline,
 )
 from stochsym.errors import ConfigError, TooFewRooms
+
+from conftest import traced_peak
 
 
 def small_rooms(tmp_path, n=4, trials=60, **kw):
@@ -45,8 +48,8 @@ class TestGenerateRooms:
 
     def test_three_room_ring(self):
         m = circular_coupling(3)
-        assert np.array_equal(m, np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]],
-                                          dtype=float))
+        assert np.array_equal(m.toarray(), np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]],
+                                                    dtype=float))
         assert np.all(m.sum(axis=1) == 2)
 
     def test_coupling_row_sums_at_scale(self):
@@ -445,3 +448,38 @@ def test_late_stage_field_error_is_config_error(tmp_path, capsys, block, field, 
         cfg[block][field] = value
     assert run_pipeline(cfg) == EXIT_CONFIG
     assert f"{block}.{field}" in capsys.readouterr().err
+
+
+def test_non_finite_coupling_is_config_error(tmp_path, capsys):
+    cfg = small_rooms(tmp_path, n=3)
+    m = circular_coupling(3).toarray().tolist()
+    m[0][1] = float("nan")
+    cfg["interconnection"]["coupling"] = {"kind": "dense", "M": m}
+    assert run_pipeline(cfg) == EXIT_CONFIG
+    assert "non-finite entry in 'M'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("coupling, message", [
+    ({"kind": "ring"}, "interconnection.coupling.kind must be"),
+    ({"kind": "circular"}, "interconnection.coupling.n is missing"),
+    ({"kind": "dense"}, "interconnection.coupling.M is missing"),
+])
+def test_coupling_error_names_the_field(tmp_path, capsys, coupling, message):
+    cfg = small_rooms(tmp_path)
+    cfg["interconnection"]["coupling"] = coupling
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_config(cfg)
+    assert run_pipeline(cfg) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
+def test_ring_coupling_memory_does_not_grow_with_n_squared(tmp_path):
+    # a dense 2000-room M is 32 MB; as CSR it is 2 nonzeros per row, so
+    # neither config load nor the well-posedness check comes near it
+    from stochsym import cli
+
+    cfg = generate_rooms(n=2000, out_dir=str(tmp_path))
+    bundle, load_peak = traced_peak(load_config, cfg)
+    assert bundle.ic.M.nnz == 4000
+    _, verify_peak = traced_peak(cli._stage_verify, bundle, {"out": tmp_path})
+    assert load_peak < 2e6 and verify_peak < 2e6

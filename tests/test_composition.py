@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.optimize
+import scipy.sparse
 
 import stochsym as st
 from stochsym.certificates import SstfConstants, StorageCertificate
@@ -82,6 +83,14 @@ class TestGershgorin:
     def test_conservative_bound_inconclusive(self):
         res = st.gershgorin_fast_check(np.eye(2), 1.0, 0.0)
         assert not res.ok  # inconclusive, eigenvalue check would also refuse
+
+    def test_sparse_row_sums_match_dense_formula(self):
+        rng = np.random.default_rng(8)
+        dense = rng.standard_normal((60, 90)) * (rng.uniform(size=(60, 90)) < 0.1)
+        res = st.gershgorin_fast_check(scipy.sparse.csr_matrix(dense), 0.3, -2.0)
+        r = np.max(np.sum(np.abs(dense), axis=1))
+        assert res.row_sum == pytest.approx(r, rel=1e-12)
+        assert res.bound == pytest.approx(0.3 * r * r - 2.0, rel=1e-12)
 
     def test_scalar_params_extraction(self):
         certs = [room_certificate()] * 5

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
@@ -63,6 +64,18 @@ def test_box_linear_image_interval_arithmetic():
     # x in [-1,1], y in [2,3] -> x - 2y in [-7, -3]
     assert img.lower == pytest.approx([-7.0])
     assert img.upper == pytest.approx([-3.0])
+
+
+def test_box_linear_image_of_sparse_map_matches_dense_formula():
+    rng = np.random.default_rng(7)
+    dense = rng.standard_normal((80, 120)) * (rng.uniform(size=(80, 120)) < 0.1)
+    lower = rng.uniform(-5.0, 5.0, 120)
+    box = st.Box(lower, lower + rng.uniform(0.0, 3.0, 120))
+    img = box.linear_image(scipy.sparse.csr_matrix(dense))
+    c, r = dense @ box.center, np.abs(dense) @ box.radius
+    scale = np.max(np.abs(c) + r)
+    assert np.max(np.abs(img.lower - (c - r))) <= 1e-12 * scale
+    assert np.max(np.abs(img.upper - (c + r))) <= 1e-12 * scale
 
 
 def ring(n):
@@ -139,3 +152,25 @@ def test_interconnection_rejects_wrong_coupling_shape():
     with pytest.raises(DimensionMismatch):
         st.InterconnectionSpec(M=np.eye(3), mu=[1.0, 1.0],
                                subsystem_dims=[(1, 1, 1, 1)] * 2)
+
+
+@pytest.mark.parametrize("make", [
+    lambda m: m.tolist(), np.asarray, scipy.sparse.csr_matrix, scipy.sparse.coo_matrix,
+    lambda m: scipy.sparse.csc_matrix(m.astype(np.int64)),
+])
+def test_interconnection_stores_coupling_as_float_csr(make):
+    m = ring(4)
+    ic = _ic(make(m), [(1, 1, 1, 1)] * 4)
+    assert isinstance(ic.M, scipy.sparse.csr_matrix)
+    assert ic.M.dtype == np.float64 and ic.M.nnz == 8
+    assert np.array_equal(ic.M.toarray(), m)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("make", [np.asarray, scipy.sparse.csr_matrix])
+def test_interconnection_rejects_non_finite_coupling(bad, make):
+    m = ring(3)
+    m[0, 1] = bad
+    with pytest.raises(NonFiniteEntry) as exc:
+        _ic(make(m), [(1, 1, 1, 1)] * 3)
+    assert exc.value.field == "M"

@@ -678,22 +678,13 @@ def test_trajectory_csv_rows_match_arrays(tmp_path):
 class TestCoupling:
     def test_sparse_ring_keeps_no_dense_copy(self):
         from stochsym import runtime
-        from stochsym.cli import circular_coupling
 
-        m = circular_coupling(1000)
-        coupling = runtime._Coupling(m)
-        assert coupling.dense_t is None and coupling.sparse is not None
+        systems, ic, discs, fas, ctrls, certs = small_network(n=1000)
+        net = runtime._Network(systems, ic, discs, fas, ctrls, certs, 1)
+        # the simulator multiplies with the interconnection's own CSR matrix
+        assert net.M is ic.M and ic.M.nnz == 2000
         z2 = np.random.default_rng(3).standard_normal((16, 1000))
-        want = z2 @ m.T
-        got = coupling(z2)
+        want = z2 @ ic.M.toarray().T
+        got = net.coupling(z2)
         assert got.flags.c_contiguous
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-
-    def test_small_dense_coupling_stays_dense(self):
-        from stochsym import runtime
-
-        m = np.random.default_rng(4).uniform(0.0, 1.0, (5, 5))
-        coupling = runtime._Coupling(m)
-        assert coupling.sparse is None
-        z2 = np.random.default_rng(5).standard_normal((3, 5))
-        assert np.array_equal(coupling(z2), z2 @ m.T)
