@@ -36,7 +36,6 @@ from .composition import (
     compose_ssf,
     gershgorin_fast_check,
     network_form,
-    scalar_block_params,
     supply_blocks,
 )
 from .bounds import (
@@ -83,7 +82,7 @@ __all__ = [
     "gamma_slope_bound", "kappa_tilde_from", "solve_candidates",
     "CompositionResult", "NetworkSsf", "SupplyBlocks", "build_x_cmp",
     "check_compositional_lmi", "compose_ssf", "gershgorin_fast_check",
-    "network_form", "scalar_block_params", "supply_blocks",
+    "network_form", "supply_blocks",
     "ClosenessBound", "closeness_bound", "epsilon_for_target",
     "horizon_for_target", "psi_hat", "violation_probability",
     "AbstractionGrid", "FiniteAbstraction", "UniformGrid",

@@ -49,8 +49,12 @@ CONDITION_DISSIPATION = "Eq_8a"
 TOL_EQ = 1e-9
 
 
-def psd_tolerance(x: np.ndarray) -> float:
-    """Eigenvalue slack used for semidefiniteness verdicts: 1e-9 * (1 + max |entry|)."""
+def psd_tolerance(x) -> float:
+    """Eigenvalue slack used for semidefiniteness verdicts: 1e-9 * (1 + max |entry|).
+
+    `x` is a dense array or a scipy sparse matrix; both give the same slack
+    for the same entries (a sparse max counts the implicit zeros).
+    """
     # max |entry| without an |x|-sized temporary
     scale = max(float(x.max()), -float(x.min())) if x.size else 0.0
     return 1e-9 * (1.0 + scale)

@@ -21,6 +21,7 @@ import dataclasses
 import json
 import logging
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -41,7 +42,6 @@ from .errors import (
     Infeasible,
     NotWellPosed,
     StochsymError,
-    StructureMismatch,
     TooFewRooms,
 )
 
@@ -307,7 +307,7 @@ def _coupling_from(spec):
         raise ConfigError(f"{what} must be a JSON object, got {type(spec).__name__}")
     kind = spec.get("kind")
     if kind == "circular":
-        return circular_coupling(_field(spec, what, "n", int))
+        return circular_coupling(_field(spec, what, "n", _integer))
     if kind == "dense":
         return _field(spec, what, "M", _vector)
     raise ConfigError(f"{what}.kind must be 'circular' or 'dense', got {kind!r}")
@@ -344,7 +344,7 @@ def load_config(source) -> PipelineBundle:
     sys_spec = raw.get("systems")
     if isinstance(sys_spec, dict) and "replicate" in sys_spec:
         template = _system_from(sys_spec["template"], base_dir)
-        systems = [template] * int(sys_spec["replicate"])
+        systems = [template] * _field(sys_spec, "systems", "replicate", _integer)
     elif isinstance(sys_spec, list):
         systems = [_system_from(d, base_dir) for d in sys_spec]
     else:
@@ -397,9 +397,9 @@ def load_config(source) -> PipelineBundle:
     if blocks["safety"] is not None:
         sdict = blocks["safety"]
         safety = synth.SafetySpec(
-            safe_box=model.Box(sdict["lower"], sdict["upper"]),
-            contraction=float(sdict.get("contraction", 0.0)),
-            horizon=sdict.get("horizon"),
+            safe_box=_box_from(sdict, "safety"),
+            contraction=_field(sdict, "safety", "contraction", float, 0.0),
+            horizon=_field(sdict, "safety", "horizon", _integer, None),
         )
 
     stages = raw.get("stages", list(STAGES))
@@ -441,31 +441,36 @@ def _resolve_certs(bundle: PipelineBundle) -> list:
     mode = cfg.get("mode", "given")
     built: dict = {}
     if mode == "given":
+        if cfg.get("values") is None:
+            raise ConfigError("certificates.values is missing")
         values = _broadcast(cfg["values"], len(bundle.systems), "certificates.values")
-        for v in values:
+        for i, v in enumerate(values):
             if id(v) not in built:
-                built[id(v)] = cert_mod.StorageCertificate.from_dict(v)
+                try:
+                    built[id(v)] = cert_mod.StorageCertificate.from_dict(v)
+                except (TypeError, ValueError) as exc:
+                    raise ConfigError(f"certificates.values[{i}] is malformed: {exc}") from exc
         return [built[id(v)] for v in values]
     if mode != "solve":
         raise ConfigError(f"unknown certificate mode {mode!r}")
+    what = "certificates"
+    shared = {name: _field(cfg, what, name, float, default) for name, default in (
+        ("kappa_tilde", ...), ("pi", 1.0), ("kappa_bar", ...),
+        ("gamma_slope", 0.0), ("delta", 0.0))}
+    shared.update({name: _field(cfg, what, name, model.as_matrix)
+                   for name in ("Xbar11", "Xbar12", "Xbar21", "Xbar22")})
     for s, d in zip(bundle.systems, bundle.discs):
         if (id(s), id(d)) in built:
             continue
         try:
-            cand = cert_mod.solve_candidates(s, float(cfg["kappa_tilde"]))
+            cand = cert_mod.solve_candidates(s, shared["kappa_tilde"])
         except Infeasible as exc:
             if exc.condition is not None:
                 raise CheckFailed(exc.condition, exc.reason) from exc
             raise
         built[id(s), id(d)] = cert_mod.StorageCertificate(
             M_bar=cand.M_bar, K=cand.K, P=cand.P, Q=cand.Q, H=cand.H,
-            kappa_tilde=float(cfg["kappa_tilde"]), tau=d.tau,
-            pi=float(cfg.get("pi", 1.0)), kappa_bar=float(cfg["kappa_bar"]),
-            Xbar11=cfg["Xbar11"], Xbar12=cfg["Xbar12"],
-            Xbar21=cfg["Xbar21"], Xbar22=cfg["Xbar22"],
-            gamma_slope=float(cfg.get("gamma_slope", 0.0)),
-            delta=float(cfg.get("delta", 0.0)),
-        )
+            tau=d.tau, **shared)
     return [built[id(s), id(d)] for s, d in zip(bundle.systems, bundle.discs)]
 
 
@@ -527,13 +532,7 @@ def _stage_compose(bundle: PipelineBundle, ctx: dict) -> None:
     certs = ctx["certs"]
     mu = bundle.ic.mu
     blocks = comp.supply_blocks(certs, mu)
-
-    fast = None
-    try:
-        a, d = comp.scalar_block_params(certs, mu)
-        fast = comp.gershgorin_fast_check(bundle.ic.M, a, d)
-    except StructureMismatch:
-        pass
+    fast = comp.gershgorin_fast_check(bundle.ic.M, blocks)
     lmi = comp.check_compositional_lmi(bundle.ic.M, blocks)
     if not lmi.ok:
         raise CheckFailed(comp.CONDITION_NETWORK_LMI,
@@ -559,21 +558,21 @@ def _stage_compose(bundle: PipelineBundle, ctx: dict) -> None:
             raise CheckFailed(comp.CONDITION_ABSTRACT_WELL_POSED, str(exc)) from exc
 
     mode = bundle.bound_config.get("alpha_mode", "general")
+    if mode not in ("general", "stacked"):
+        raise ConfigError(f"bound.alpha_mode must be 'general' or 'stacked', got {mode!r}")
     ssf = comp.compose_ssf(
         ctx["constants"], mu, mode=mode,
         output_maps=[s.C1 for s in bundle.systems] if mode == "stacked" else None,
     )
     q_tilde = sum(s.q2 for s in bundle.systems)
-    result = comp.CompositionResult(x_cmp=None, lmi_margin=-lmi.margin, ssf=ssf,
+    result = comp.CompositionResult(lmi_margin=-lmi.margin, ssf=ssf,
                                     q_tilde=q_tilde, x_cmp_shape=blocks.shape)
     ctx["ssf"] = ssf
     # X_cmp is rebuilt from certificates.json and mu; only its shape is written
     payload = result.to_dict()
     payload["coupling_equality"] = "identical by construction"
     payload["abstract_well_posed"] = has_grids or None
-    if fast is not None:
-        payload["gershgorin"] = {"ok": fast.ok, "bound": fast.bound,
-                                 "row_sum": fast.row_sum}
+    payload["gershgorin"] = {"ok": fast.ok, "bound": fast.bound}
     _write_json(ctx["out"] / "composition.json", payload)
     logger.info("compose: network LMI margin %.3e", -lmi.margin)
 
@@ -712,6 +711,21 @@ def _vector(value) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
 
+def _integer(value) -> int:
+    """An integral JSON number (4 or 4.0); a bool or a fraction is malformed."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"expected an integer, got {value!r}")
+    if not float(value).is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _boolean(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
 def _initial_state(bundle: PipelineBundle, required: bool) -> np.ndarray:
     """`simulation.x0`, one entry per stacked subsystem state; an optional
     x0 that is absent or empty comes back empty."""
@@ -730,7 +744,9 @@ def _stage_bound(bundle: PipelineBundle, ctx: dict) -> None:
         raise ConfigError("'bound' block required for the bound stage")
     ssf = ctx["ssf"]
     epsilon = _field(cfg, "bound", "epsilon", float)
-    horizon = _field(cfg, "bound", "horizon", int)
+    horizon = _field(cfg, "bound", "horizon", _integer)
+    if horizon < 0:
+        raise ConfigError(f"bound.horizon must be >= 0, got {horizon}")
 
     nu_sup = _field(cfg, "bound", "nu_hat_sup", float, None)
     if nu_sup is None:
@@ -765,11 +781,13 @@ def _stage_bound(bundle: PipelineBundle, ctx: dict) -> None:
     })
     if "reported" in cfg:
         rep = cfg["reported"]
+        if not isinstance(rep, dict):
+            raise ConfigError(f"bound.reported must be a JSON object, got {type(rep).__name__}")
         payload["reported"] = rep
         if "psi_network" in rep:
-            ref = float(rep["psi_network"])
+            ref = _field(rep, "bound.reported", "psi_network", float)
         elif "psi_per_subsystem" in rep:
-            ref = float(rep["psi_per_subsystem"]) * len(bundle.systems)
+            ref = _field(rep, "bound.reported", "psi_per_subsystem", float) * len(bundle.systems)
         else:
             ref = None
         if ref is not None:
@@ -788,13 +806,13 @@ def _stage_simulate(bundle: PipelineBundle, ctx: dict) -> None:
     if not cfg:
         raise ConfigError("'simulation' block required for the simulate stage")
     config = rt.SimConfig(
-        n_trials=_field(cfg, "simulation", "n_trials", int),
-        horizon=_field(cfg, "simulation", "horizon", int),
+        n_trials=_field(cfg, "simulation", "n_trials", _integer),
+        horizon=_field(cfg, "simulation", "horizon", _integer),
         epsilon=_field(cfg, "simulation", "epsilon", float),
-        n_substeps=_field(cfg, "simulation", "n_substeps", int, 20),
-        rng_seed=_field(cfg, "simulation", "seed", int, 0),
-        chunk_size=_field(cfg, "simulation", "chunk_size", int, 128),
-        record_outputs=bool(cfg.get("record_outputs", False)),
+        n_substeps=_field(cfg, "simulation", "n_substeps", _integer, 20),
+        rng_seed=_field(cfg, "simulation", "seed", _integer, 0),
+        chunk_size=_field(cfg, "simulation", "chunk_size", _integer, 128),
+        record_outputs=_field(cfg, "simulation", "record_outputs", _boolean, False),
     )
     x0 = _initial_state(bundle, required=True)
     result = rt.cosimulate(bundle.systems, bundle.ic, bundle.discs,

@@ -7,14 +7,14 @@ matrix X_cmp; the single inequality
 
 then certifies that the weighted sum of subsystem storage functions is a
 simulation function for the coupled network, and the subsystem constants
-aggregate in closed form.  The pipeline holds the four super-blocks of
-X_cmp as sparse block-diagonals (`supply_blocks`) and assembles the q x q
-form M^T X11 M + M^T X12 + X21 M + X22 from them (`network_form`); the
-dense X_cmp is built only on request (`build_x_cmp`), and a dense X_cmp
-given to `check_compositional_lmi` is split into the same blocks.  For
-networks whose blocks are identical scalar multiples of the identity, a
-Gershgorin row-sum bound certifies the inequality without an eigensolve,
-independently of the network size.
+aggregate in closed form.  X_cmp is held only as its four super-blocks,
+sparse block-diagonals (`SupplyBlocks`, from `supply_blocks`); one sparse
+assembly turns them into the q x q form M^T X11 M + M^T X12 + X21 M + X22,
+and both network checks read it.  `check_compositional_lmi` decides with
+one dense eigensolve of the form; `gershgorin_fast_check` bounds its
+largest eigenvalue by Gershgorin's disc theorem in O(nnz), a bound that
+holds for every coupling M and every block structure.  The dense X_cmp is
+built only on request (`build_x_cmp`).
 """
 
 from __future__ import annotations
@@ -32,9 +32,8 @@ from .errors import (
     NonLinearRho,
     NonQuadraticAlpha,
     StructureMismatch,
-    WeightNotPositive,
 )
-from .model import as_coupling, as_matrix, as_vector
+from .model import as_coupling, as_matrix, positive_weights
 
 CONDITION_NETWORK_LMI = "Con_1a"
 CONDITION_COUPLING_EQ = "Con_2a"
@@ -51,8 +50,7 @@ class LmiCheck:
 @dataclass(frozen=True)
 class GershgorinCheck:
     ok: bool  # False means inconclusive, not violated
-    bound: float
-    row_sum: float
+    bound: float  # largest Gershgorin disc edge of the network form
 
 
 @dataclass(frozen=True)
@@ -80,28 +78,18 @@ class NetworkSsf:
 
 @dataclass(eq=False)
 class CompositionResult:
-    x_cmp: np.ndarray | None  # the dense matrix, only when a caller built it
     lmi_margin: float  # minimum eigenvalue of -[M; I]^T X_cmp [M; I]
     ssf: NetworkSsf
     q_tilde: int
-    x_cmp_shape: tuple[int, int] | None = None  # taken from x_cmp when omitted
-
-    def __post_init__(self):
-        if self.x_cmp_shape is None:
-            if self.x_cmp is None:
-                raise DimensionMismatch("x_cmp", "give x_cmp or x_cmp_shape")
-            self.x_cmp_shape = self.x_cmp.shape
+    x_cmp_shape: tuple[int, int]  # X_cmp is rebuilt from the certificates and mu
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "lmi_margin": self.lmi_margin,
             "q_tilde": self.q_tilde,
             "ssf": self.ssf.to_dict(),
             "x_cmp_shape": list(self.x_cmp_shape),
         }
-        if self.x_cmp is not None:
-            out["x_cmp"] = self.x_cmp.tolist()
-        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,12 +110,6 @@ class SupplyBlocks:
     def shape(self) -> tuple[int, int]:
         n = self.x11.shape[0] + self.x22.shape[0]
         return n, n
-
-    @classmethod
-    def split(cls, x_cmp: np.ndarray, p: int) -> "SupplyBlocks":
-        """The blocks of a dense X_cmp whose first p rows belong to the inputs."""
-        return cls(*(scipy.sparse.csr_matrix(b) for b in (
-            x_cmp[:p, :p], x_cmp[:p, p:], x_cmp[p:, :p], x_cmp[p:, p:])))
 
     def dense(self) -> np.ndarray:
         return scipy.sparse.bmat([[self.x11, self.x12],
@@ -164,12 +146,9 @@ def supply_blocks(certs: list[StorageCertificate], mu) -> SupplyBlocks:
     Subsystem i contributes mu_i Xbar11_i to x11, mu_i Xbar12_i to x12 and
     so on, in subsystem order; build_x_cmp arranges the same blocks densely.
     """
-    mu = as_vector(mu)
+    mu = positive_weights(mu)
     if len(certs) != mu.size or len(certs) == 0:
         raise DimensionMismatch("mu", "one positive weight per certificate")
-    for i, w in enumerate(mu):
-        if not w > 0:
-            raise WeightNotPositive(i)
     return SupplyBlocks(*(_block_diag([getattr(c, name) for c in certs], mu)
                           for name in ("Xbar11", "Xbar12", "Xbar21", "Xbar22")))
 
@@ -185,14 +164,12 @@ def build_x_cmp(certs: list[StorageCertificate], mu) -> np.ndarray:
     return supply_blocks(certs, mu).dense()
 
 
-def network_form(M, blocks: SupplyBlocks) -> np.ndarray:
-    """Symmetric part of [M; I]^T X_cmp [M; I], assembled from the blocks.
+def _form(M, blocks: SupplyBlocks) -> scipy.sparse.csr_matrix:
+    """Symmetric part of [M; I]^T X_cmp [M; I], as a sparse q x q matrix.
 
     That is M^T x11 M + M^T x12 + x21 M + x22, formed as M^T (x11 M)
     + (x12^T + x21) M + x22 (the two coupling terms share one symmetric
-    part) and symmetrized once.  Every product is sparse, so the returned
-    q x q array is the only dense matrix made: X_cmp and [M; I] are never
-    formed.
+    part) and symmetrized once.  X_cmp and [M; I] are never formed.
     """
     M = as_coupling(M)
     p, q = M.shape
@@ -200,25 +177,20 @@ def network_form(M, blocks: SupplyBlocks) -> np.ndarray:
         raise DimensionMismatch(
             "x_cmp", f"expected {(p + q,) * 2}, got {blocks.shape}")
     form = M.T @ (blocks.x11 @ M) + (blocks.x12.T + blocks.x21) @ M + blocks.x22
-    return (0.5 * (form + form.T)).toarray(order="C")
+    return (0.5 * (form + form.T)).tocsr()
 
 
-def check_compositional_lmi(M, x_cmp) -> LmiCheck:
+def network_form(M, blocks: SupplyBlocks) -> np.ndarray:
+    """The network form as a dense q x q array, the only dense matrix made."""
+    return _form(M, blocks).toarray(order="C")
+
+
+def check_compositional_lmi(M, blocks: SupplyBlocks) -> LmiCheck:
     """Verify [M; I]^T X_cmp [M; I] <= 0; the margin is its largest eigenvalue.
 
-    `x_cmp` is either the dense matrix (the oracle path: it is split into
-    its four blocks) or a `SupplyBlocks`, as the pipeline passes it.  Both
-    go through `network_form` and one dense eigensolve of the q x q form,
-    which works in place on it.
+    One dense eigensolve of the q x q network form, run in place on it.
     """
-    M = as_coupling(M)
-    if not isinstance(x_cmp, SupplyBlocks):
-        x_cmp = as_matrix(x_cmp)
-        n = sum(M.shape)
-        if x_cmp.shape != (n, n):
-            raise DimensionMismatch("x_cmp", f"expected {(n, n)}, got {x_cmp.shape}")
-        x_cmp = SupplyBlocks.split(x_cmp, M.shape[0])
-    quad = network_form(M, x_cmp)
+    quad = network_form(M, blocks)
     tol = psd_tolerance(quad)
     margin = -math.inf
     if quad.size:
@@ -229,44 +201,21 @@ def check_compositional_lmi(M, x_cmp) -> LmiCheck:
     return LmiCheck(ok=margin <= tol, margin=margin, tol=tol)
 
 
-def scalar_block_params(certs: list[StorageCertificate], mu) -> tuple[float, float]:
-    """Extract (a, d) when every weighted block pair is (a I, d I) with zero coupling.
+def gershgorin_fast_check(M, blocks: SupplyBlocks) -> GershgorinCheck:
+    """Gershgorin bound on the largest eigenvalue of the network form, in O(nnz).
 
-    Raises StructureMismatch when the blocks are not in that shared scalar form.
+    Every eigenvalue of the symmetric form F lies in a disc centred on some
+    F_ii of radius sum_{j != i} |F_ij|, so max_i (F_ii + sum_{j != i} |F_ij|)
+    bounds the LMI margin for any M and any blocks.  The check is ok when
+    that bound is within the tolerance the eigensolve's verdict uses, so an
+    ok check implies an ok LMI; False means inconclusive, not violated.
     """
-    mu = as_vector(mu)
-    if len(certs) != mu.size or not certs:
-        raise DimensionMismatch("mu", "one weight per certificate")
-    scalars: dict = {}  # per distinct certificate object, checked once
-    for c in certs:
-        if id(c) in scalars:
-            continue
-        p, q = c.Xbar11.shape[0], c.Xbar22.shape[0]
-        if p == 0 or q == 0:
-            raise StructureMismatch("scalar fast path needs nonempty internal blocks")
-        if np.any(c.Xbar12) or np.any(c.Xbar21):
-            raise StructureMismatch("off-diagonal supply-rate blocks must be zero")
-        a0, d0 = c.Xbar11[0, 0], c.Xbar22[0, 0]
-        if np.any(c.Xbar11 != a0 * np.eye(p)) or np.any(c.Xbar22 != d0 * np.eye(q)):
-            raise StructureMismatch("blocks must be scalar multiples of the identity")
-        scalars[id(c)] = (a0, d0)
-    a, d = (mu * np.array(col) for col in zip(*(scalars[id(c)] for c in certs)))
-    if np.any(a != a[0]) or np.any(d != d[0]):
-        raise StructureMismatch("all subsystems must share identical weighted blocks")
-    return float(a[0]), float(d[0])
-
-
-def gershgorin_fast_check(M, a: float, d: float) -> GershgorinCheck:
-    """Row-sum certificate for a M^T M + d I <= 0; False means inconclusive.
-
-    r = max_i sum_j |M_ij| bounds ||M||, so a r^2 + d <= 0 suffices when
-    a >= 0 (for a < 0 the d term alone is binding).
-    """
-    M = as_coupling(M)
-    r = float(abs(M).sum(axis=1).max()) if M.shape[0] else 0.0
-    bound = a * r * r + d if a >= 0 else d
-    tol = 1e-12 * (1.0 + abs(a) * r * r + abs(d))
-    return GershgorinCheck(ok=bound <= tol, bound=bound, row_sum=r)
+    form = _form(M, blocks).tocoo()
+    off = form.row != form.col
+    radius = np.bincount(form.row[off], weights=np.abs(form.data[off]),
+                         minlength=form.shape[0])
+    bound = float(np.max(form.diagonal() + radius)) if form.shape[0] else -math.inf
+    return GershgorinCheck(ok=bound <= psd_tolerance(form), bound=bound)
 
 
 def compose_ssf(
@@ -291,13 +240,10 @@ def compose_ssf(
 
     Stacked mode requires `output_maps` (the C1 matrices) for that gate.
     """
-    mu = as_vector(mu)
+    mu = positive_weights(mu)
     n = len(constants)
     if n == 0 or mu.size != n:
         raise DimensionMismatch("mu", "one weight per subsystem")
-    for i, w in enumerate(mu):
-        if not w > 0:
-            raise WeightNotPositive(i)
     for c in constants:
         if not (np.isfinite(c.rho_ext_slope) and c.rho_ext_slope >= 0):
             raise NonLinearRho(f"subsystem gain slope {c.rho_ext_slope!r} is not a valid linear gain")

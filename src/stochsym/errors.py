@@ -69,7 +69,7 @@ class Infeasible(StochsymError):
 class WeightNotPositive(StochsymError):
     def __init__(self, index: int):
         self.index = index
-        super().__init__(f"subsystem weight {index} is not strictly positive")
+        super().__init__(f"subsystem weight {index} is not a finite positive number")
 
 
 class StructureMismatch(StochsymError):

@@ -61,6 +61,15 @@ def as_vector(x) -> np.ndarray:
     return a
 
 
+def positive_weights(mu) -> np.ndarray:
+    """Coerce subsystem weights to a vector; each must be finite and positive."""
+    mu = as_vector(mu)
+    bad = np.flatnonzero(~(np.isfinite(mu) & (mu > 0)))
+    if bad.size:
+        raise WeightNotPositive(int(bad[0]))
+    return mu
+
+
 @dataclass(frozen=True, eq=False)
 class Box:
     """Axis-aligned interval box, possibly of dimension zero."""
@@ -98,10 +107,6 @@ class Box:
     def is_bounded(self) -> bool:
         return bool(np.all(np.isfinite(self.lower)) and np.all(np.isfinite(self.upper)))
 
-    def contains_point(self, x) -> bool:
-        x = as_vector(x)
-        return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
-
     def linear_image(self, m) -> "Box":
         """Tightest box enclosing {M x : x in self}; O(nnz) for a sparse M."""
         m = m if scipy.sparse.issparse(m) else as_matrix(m)
@@ -121,9 +126,6 @@ class Box:
         bad = (other.lower < self.lower - tol) | (other.upper > self.upper + tol)
         idx = np.flatnonzero(bad)
         return int(idx[0]) if idx.size else None
-
-    def contains_box(self, other: "Box") -> bool:
-        return self.first_outside(other) is None
 
     @staticmethod
     def stack(boxes) -> "Box":
@@ -176,10 +178,6 @@ class AffineSystem:
     def q2(self) -> int:
         return self.C2.shape[0]
 
-    @property
-    def noise_dim(self) -> int:
-        return self.G.shape[1]
-
     def internal_output_box(self) -> Box:
         """Interval image of the state box under C2."""
         return self.state_box.linear_image(self.C2)
@@ -224,15 +222,12 @@ class InterconnectionSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "M", as_coupling(self.M))
-        object.__setattr__(self, "mu", as_vector(self.mu))
+        object.__setattr__(self, "mu", positive_weights(self.mu))
         object.__setattr__(
             self, "subsystem_dims", tuple(tuple(int(v) for v in d) for d in self.subsystem_dims)
         )
         if len(self.subsystem_dims) != self.mu.size:
             raise DimensionMismatch("mu", "one weight per subsystem required")
-        for i, w in enumerate(self.mu):
-            if not w > 0:
-                raise WeightNotPositive(i)
         p_total = sum(d[2] for d in self.subsystem_dims)
         q2_total = sum(d[3] for d in self.subsystem_dims)
         if self.M.shape != (p_total, q2_total):

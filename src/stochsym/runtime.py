@@ -161,6 +161,8 @@ class SimConfig:
         for name in ("n_trials", "horizon", "n_substeps", "chunk_size"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"simulation.{name} must be >= 1")
+        if self.rng_seed < 0:
+            raise ConfigError("simulation.seed must be >= 0")
 
     def workers(self) -> int:
         if self.max_workers is not None:

@@ -74,9 +74,6 @@ class Controller:
         row = self.table if self.table.ndim == 1 else self.table[step]
         return int(row[state])
 
-    def action_table(self, step: int = 0) -> np.ndarray:
-        return self.table if self.table.ndim == 1 else self.table[step]
-
 
 def safe_mask(abstraction: FiniteAbstraction, spec: SafetySpec) -> np.ndarray:
     """States whose representative's external output lies in the (contracted) safe box."""

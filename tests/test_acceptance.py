@@ -88,12 +88,10 @@ def test_criterion_3_compositional_lmi_at_scale():
     elapsed_1000 = None
     for n in (3, 10, 100, 1000):
         t0 = time.perf_counter()
-        certs = [cert] * n
-        x = st.build_x_cmp(certs, np.ones(n))
+        blocks = st.supply_blocks([cert] * n, np.ones(n))
         m = circular_coupling(n)
-        lmi = st.check_compositional_lmi(m, x)
-        a, d = st.scalar_block_params(certs, np.ones(n))
-        fast = st.gershgorin_fast_check(m, a, d)
+        lmi = st.check_compositional_lmi(m, blocks)
+        fast = st.gershgorin_fast_check(m, blocks)
         dt = time.perf_counter() - t0
         ok &= lmi.ok and fast.ok
         if n == 1000:

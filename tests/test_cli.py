@@ -483,3 +483,80 @@ def test_ring_coupling_memory_does_not_grow_with_n_squared(tmp_path):
     assert bundle.ic.M.nnz == 4000
     _, verify_peak = traced_peak(cli._stage_verify, bundle, {"out": tmp_path})
     assert load_peak < 2e6 and verify_peak < 2e6
+
+
+def test_infinite_weight_is_config_error(tmp_path, capsys):
+    # JSON's Infinity parses to a float weight; compose's eigensolve would
+    # fail to converge on it, so loading the config rejects it
+    cfg = small_rooms(tmp_path, n=3)
+    cfg["interconnection"]["mu"] = [float("inf"), 1.0, 1.0]
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps(cfg))
+    assert "Infinity" in path.read_text()
+    assert run_pipeline(path) == EXIT_CONFIG
+    assert "weight 0 is not a finite positive number" in capsys.readouterr().err
+
+
+def _set(path, value):
+    def edit(cfg):
+        *parents, leaf = path
+        block = cfg
+        for key in parents:
+            block = block[key]
+        if value is None:
+            del block[leaf]
+        else:
+            block[leaf] = value
+    return edit
+
+
+def _cert_edit(edit):
+    def apply(cfg):
+        edit(cfg["certificates"]["values"][0])
+    return apply
+
+
+def _solve_mode(cfg):
+    cfg["certificates"] = {key: value for key, value in generate_rooms(
+        n=4, theta=0.0)["certificates"].items() if key != "kappa_tilde"}
+
+
+@pytest.mark.parametrize("edit, field", [
+    (_set(("interconnection", "coupling", "n"), 4.9), "interconnection.coupling.n"),
+    (_set(("interconnection", "coupling", "n"), True), "interconnection.coupling.n"),
+    (_set(("systems", "replicate"), 4.5), "systems.replicate"),
+    (_set(("bound", "horizon"), 12.7), "bound.horizon"),
+    (_set(("simulation", "n_trials"), 8.9), "simulation.n_trials"),
+    (_set(("safety", "horizon"), True), "safety.horizon"),
+    (_set(("safety", "horizon"), 12.5), "safety.horizon"),
+    (_set(("simulation", "record_outputs"), "false"), "simulation.record_outputs"),
+    (_cert_edit(lambda v: v.update(unknown=1.0)), "certificates.values[0]"),
+    (_cert_edit(lambda v: v.pop("K")), "certificates.values[0]"),
+    (_cert_edit(lambda v: v.update(K=[["fast"]])), "certificates.values[0]"),
+    (_set(("certificates", "values"), None), "certificates.values"),
+    (_solve_mode, "certificates.kappa_tilde"),
+    (_set(("bound", "alpha_mode"), "loose"), "bound.alpha_mode"),
+    (_set(("bound", "reported", "psi_network"), "small"), "bound.reported.psi_network"),
+    (_set(("bound", "horizon"), -3), "bound.horizon"),
+    (_set(("simulation", "seed"), -1), "simulation.seed"),
+], ids=["n-fraction", "n-bool", "replicate-fraction", "bound-horizon-fraction",
+        "n_trials-fraction", "safety-horizon-bool", "safety-horizon-fraction",
+        "record_outputs-string", "cert-unknown-key", "cert-missing-key",
+        "cert-non-numeric", "given-without-values", "solve-without-kappa_tilde",
+        "unknown-alpha_mode", "psi_network-non-numeric", "bound-horizon-negative",
+        "seed-negative"])
+def test_config_error_exits_3_and_names_its_field(tmp_path, capsys, edit, field):
+    cfg = small_rooms(tmp_path, trials=8)
+    edit(cfg)
+    assert run_pipeline(cfg) == EXIT_CONFIG
+    assert field in capsys.readouterr().err
+
+
+def test_integral_float_counts_are_accepted(tmp_path):
+    cfg = small_rooms(tmp_path, trials=8)
+    cfg["systems"]["replicate"] = 4.0
+    cfg["interconnection"]["coupling"]["n"] = 4.0
+    cfg["simulation"]["n_trials"] = 8.0
+    assert run_pipeline(cfg) == EXIT_OK
+    summary = json.loads((tmp_path / "out" / "simulation_summary.json").read_text())
+    assert summary["n_trials"] == 8

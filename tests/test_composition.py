@@ -50,64 +50,130 @@ class TestBuildXcmp:
             st.build_x_cmp([scalar_cert(1.0, -1.0)], [0.0])
 
 
+def scalar_blocks(a, d, n) -> st.SupplyBlocks:
+    """Unit-weight blocks of n identical scalar subsystems (a I, 0, 0, d I)."""
+    return st.supply_blocks([scalar_cert(a, d)] * n, np.ones(n))
+
+
 class TestCompositionalLmi:
     def test_hundred_room_ring(self):
-        certs = [room_certificate()] * 100
-        x = st.build_x_cmp(certs, np.ones(100))
-        res = st.check_compositional_lmi(circular_coupling(100), x)
+        blocks = st.supply_blocks([room_certificate()] * 100, np.ones(100))
+        res = st.check_compositional_lmi(circular_coupling(100), blocks)
         assert res.ok
         # closed form: a ||M||^2 + d with ||M|| = 2 for the ring
         assert res.margin == pytest.approx(4 * A_BLOCK + D_BLOCK, rel=1e-9)
 
     def test_zero_matrix_margin_zero(self):
-        res = st.check_compositional_lmi(np.eye(2), np.zeros((4, 4)))
+        res = st.check_compositional_lmi(np.eye(2), scalar_blocks(0.0, 0.0, 2))
         assert res.ok
         assert res.margin == 0.0
 
     def test_identity_blocks_violate(self):
-        res = st.check_compositional_lmi(np.eye(2), np.eye(4))
+        res = st.check_compositional_lmi(np.eye(2), scalar_blocks(1.0, 1.0, 2))
         assert not res.ok
         assert res.margin == pytest.approx(2.0)
 
 
+def hub_coupling(n) -> np.ndarray:
+    """Every internal input reads room 0's output: a non-symmetric star."""
+    m = np.zeros((n, n))
+    m[:, 0] = 1.0
+    return m
+
+
+def random_coupling(rng, kind, p, q) -> np.ndarray:
+    if kind == "ring":
+        return circular_coupling(p).toarray()
+    if kind == "hub":
+        return hub_coupling(p) * rng.uniform(0.5, 2.0)
+    mask = rng.uniform(size=(p, q)) < 0.4
+    if kind == "nonnegative":
+        return rng.uniform(0.0, 2.0, (p, q)) * mask
+    return rng.standard_normal((p, q)) * mask  # random-sign, rectangular
+
+
 class TestGershgorin:
     def test_ring_certified(self):
-        res = st.gershgorin_fast_check(circular_coupling(100), A_BLOCK, D_BLOCK)
+        res = st.gershgorin_fast_check(circular_coupling(100),
+                                       scalar_blocks(A_BLOCK, D_BLOCK, 100))
         assert res.ok
-        assert res.row_sum == 2.0
         assert res.bound == pytest.approx(4 * A_BLOCK + D_BLOCK, rel=1e-12)
 
+    def test_thousand_room_ring_bound_is_circulant_value(self):
+        # the ring's form a M^T M + d I has diagonal 2a + d and two off-diagonal
+        # entries a per row, so the disc edge 4a + d is also its top eigenvalue
+        cert = room_certificate()
+        a, d = cert.Xbar11.item(), cert.Xbar22.item()
+        res = st.gershgorin_fast_check(
+            circular_coupling(1000), st.supply_blocks([cert] * 1000, np.ones(1000)))
+        assert res.ok
+        assert res.bound == pytest.approx(4 * a + d, rel=1e-12)
+
     def test_zero_coupling_any_nonpositive_d(self):
-        assert st.gershgorin_fast_check(np.zeros((3, 3)), 1.0, -1e-9).ok
+        assert st.gershgorin_fast_check(np.zeros((3, 3)), scalar_blocks(1.0, -1e-9, 3)).ok
 
     def test_conservative_bound_inconclusive(self):
-        res = st.gershgorin_fast_check(np.eye(2), 1.0, 0.0)
+        res = st.gershgorin_fast_check(np.eye(2), scalar_blocks(1.0, 0.0, 2))
         assert not res.ok  # inconclusive, eigenvalue check would also refuse
 
     def test_sparse_row_sums_match_dense_formula(self):
+        # the disc edges of the form, summed in O(nnz), against dense numpy
         rng = np.random.default_rng(8)
-        dense = rng.standard_normal((60, 90)) * (rng.uniform(size=(60, 90)) < 0.1)
-        res = st.gershgorin_fast_check(scipy.sparse.csr_matrix(dense), 0.3, -2.0)
-        r = np.max(np.sum(np.abs(dense), axis=1))
-        assert res.row_sum == pytest.approx(r, rel=1e-12)
-        assert res.bound == pytest.approx(0.3 * r * r - 2.0, rel=1e-12)
+        n, p, q = 30, 2, 3
+        dense = rng.standard_normal((n * p, n * q)) * (rng.uniform(size=(n * p, n * q)) < 0.1)
+        blocks = st.supply_blocks([random_supply_cert(rng, p, q) for _ in range(n)],
+                                  rng.uniform(0.5, 2.0, n))
+        res = st.gershgorin_fast_check(scipy.sparse.csr_matrix(dense), blocks)
+        form = st.network_form(dense, blocks)
+        off = np.sum(np.abs(form), axis=1) - np.abs(np.diag(form))
+        want = np.max(np.diag(form) + off)
+        assert res.bound == pytest.approx(want, rel=1e-12)
 
-    def test_scalar_params_extraction(self):
-        certs = [room_certificate()] * 5
-        a, d = st.scalar_block_params(certs, np.ones(5))
-        assert a == certs[0].Xbar11.item()
-        assert d == certs[0].Xbar22.item()
+    def test_hub_is_inconclusive(self):
+        # a row-sum bound on ||M|| reads the hub (column sums 4, row sums 1)
+        # as certified; the form's top eigenvalue is 4 - 2 = +2
+        m = hub_coupling(4)
+        blocks = scalar_blocks(1.0, -2.0, 4)
+        fast = st.gershgorin_fast_check(m, blocks)
+        lmi = st.check_compositional_lmi(m, blocks)
+        assert lmi.margin == pytest.approx(2.0) and not lmi.ok
+        assert not fast.ok and fast.bound >= lmi.margin
 
-    def test_scalar_params_rejects_coupled_blocks(self):
-        with pytest.raises(StructureMismatch):
-            st.scalar_block_params([scalar_cert(1.0, -1.0, x12=0.2)], [1.0])
+    @pytest.mark.parametrize("kind", ["ring", "hub", "nonnegative", "random-sign"])
+    def test_bound_never_below_margin(self, kind):
+        # Gershgorin's theorem holds for every coupling and block structure:
+        # the bound is >= the top eigenvalue, and an ok check implies an ok LMI
+        rng = np.random.default_rng(["ring", "hub", "nonnegative", "random-sign"].index(kind))
+        conclusive = 0
+        for _ in range(25):
+            n = int(rng.integers(3, 9))
+            p, q = (1, 1)
+            if kind not in ("ring", "hub"):
+                p, q = int(rng.integers(1, 3)), int(rng.integers(1, 4))
+            m = random_coupling(rng, kind, n * p, n * q)
+            certs = [random_supply_cert(rng, p, q, scale=float(rng.uniform(0.0, 0.3)),
+                                        shift=q) for _ in range(n)]
+            blocks = st.supply_blocks(certs, rng.uniform(0.5, 2.0, n))
+            fast = st.gershgorin_fast_check(m, blocks)
+            lmi = st.check_compositional_lmi(m, blocks)
+            assert fast.bound >= lmi.margin - lmi.tol
+            if fast.ok:
+                conclusive += 1
+                assert lmi.ok
+        assert conclusive > 0
 
-    def test_scalar_params_with_non_dyadic_weight(self):
-        # w * x / w does not round-trip in floats; structure must still match
-        certs = [room_certificate()] * 4
-        a, d = st.scalar_block_params(certs, np.full(4, 3.0))
-        assert a == 3.0 * certs[0].Xbar11.item()
-        assert d == 3.0 * certs[0].Xbar22.item()
+    def test_heterogeneous_ring_is_conclusive(self):
+        # two parameter sets alternate around the ring; each row's disc edge
+        # is 2 (a_left + a_right) + d_i = 4 a_other + d_i < 0
+        n = 10
+        certs = [scalar_cert(A_BLOCK, D_BLOCK), scalar_cert(2 * A_BLOCK, 1.5 * D_BLOCK)] * (n // 2)
+        blocks = st.supply_blocks(certs, np.ones(n))
+        fast = st.gershgorin_fast_check(circular_coupling(n), blocks)
+        lmi = st.check_compositional_lmi(circular_coupling(n), blocks)
+        assert fast.ok and lmi.ok
+        assert fast.bound == pytest.approx(max(8 * A_BLOCK + D_BLOCK,
+                                               4 * A_BLOCK + 1.5 * D_BLOCK), rel=1e-12)
+        assert fast.bound >= lmi.margin
 
     def test_fast_path_implies_eigen_check(self):
         # gershgorin ok => LMI ok on random scalar-block ring networks;
@@ -118,9 +184,9 @@ class TestGershgorin:
             a = float(rng.uniform(0, 0.2))
             d = -float(rng.uniform(0, 1.0))
             m = circular_coupling(n)
-            fast = st.gershgorin_fast_check(m, a, d)
-            certs = [scalar_cert(a, d)] * n
-            lmi = st.check_compositional_lmi(m, st.build_x_cmp(certs, np.ones(n)))
+            blocks = scalar_blocks(a, d, n)
+            fast = st.gershgorin_fast_check(m, blocks)
+            lmi = st.check_compositional_lmi(m, blocks)
             if fast.ok:
                 assert lmi.ok
 
@@ -256,26 +322,29 @@ class TestComposeSsf:
                            output_maps=maps)
 
     def test_composition_result_serializes_with_margin(self):
-        certs = [room_certificate()] * 3
-        x = st.build_x_cmp(certs, np.ones(3))
-        lmi = st.check_compositional_lmi(circular_coupling(3), x)
+        blocks = st.supply_blocks([room_certificate()] * 3, np.ones(3))
+        lmi = st.check_compositional_lmi(circular_coupling(3), blocks)
         net = st.compose_ssf([constants()] * 3, np.ones(3), mode="general")
-        res = st.CompositionResult(x_cmp=x, lmi_margin=-lmi.margin, ssf=net, q_tilde=3)
+        res = st.CompositionResult(lmi_margin=-lmi.margin, ssf=net, q_tilde=3,
+                                   x_cmp_shape=blocks.shape)
         d = res.to_dict()
         assert d["lmi_margin"] == -lmi.margin
         assert d["q_tilde"] == 3
-        assert "x_cmp" in d
+        assert d["x_cmp_shape"] == [6, 6] and "x_cmp" not in d
 
 
-def random_supply_cert(rng, p, q) -> StorageCertificate:
+def random_supply_cert(rng, p, q, scale=1.0, shift=0.0) -> StorageCertificate:
     """Certificate with p internal inputs, q internal outputs and dense,
-    nonzero coupling blocks Xbar12 and Xbar21 (not each other's transpose)."""
+    nonzero coupling blocks Xbar12 and Xbar21 (not each other's transpose);
+    `scale` multiplies Xbar11 and the coupling blocks, `shift` is taken off
+    the diagonal of Xbar22."""
     a = rng.standard_normal((p, p))
     d = rng.standard_normal((q, q))
     return StorageCertificate(
         M_bar=1.0, K=-10.0, P=1.0, Q=0.0, H=0.0, kappa_tilde=69.0, tau=0.1,
-        pi=1.0, kappa_bar=0.4, Xbar11=a @ a.T, Xbar12=rng.standard_normal((p, q)),
-        Xbar21=rng.standard_normal((q, p)), Xbar22=-(d @ d.T),
+        pi=1.0, kappa_bar=0.4, Xbar11=scale * (a @ a.T),
+        Xbar12=scale * rng.standard_normal((p, q)),
+        Xbar21=scale * rng.standard_normal((q, p)), Xbar22=-(d @ d.T) - shift * np.eye(q),
     )
 
 
@@ -300,9 +369,8 @@ class TestBlockNetworkForm:
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
         top = np.linalg.eigvalsh(want)[-1]
-        for arg in (x, blocks):  # the dense oracle and the pipeline's blocks
-            lmi = st.check_compositional_lmi(m, arg)
-            assert lmi.margin == pytest.approx(top, rel=1e-12)
+        lmi = st.check_compositional_lmi(m, blocks)
+        assert lmi.margin == pytest.approx(top, rel=1e-12)
 
     def test_ring_margin_matches_circulant_spectrum(self):
         # a M^T M + d I with M the ring's adjacency: its eigenvalues are
@@ -325,8 +393,7 @@ class TestBlockNetworkForm:
 
 def test_result_without_matrix_keeps_shape():
     net = st.compose_ssf([constants()], [1.0], mode="general")
-    res = st.CompositionResult(x_cmp=None, lmi_margin=1.0, ssf=net, q_tilde=3,
-                               x_cmp_shape=(6, 6))
+    res = st.CompositionResult(lmi_margin=1.0, ssf=net, q_tilde=3, x_cmp_shape=(6, 6))
     d = res.to_dict()
     assert d["x_cmp_shape"] == [6, 6] and "x_cmp" not in d
 
@@ -347,3 +414,4 @@ def test_compose_stage_never_builds_x_cmp(tmp_path):
     assert peak < x_cmp_bytes
     payload = json.loads((tmp_path / "composition.json").read_text())
     assert payload["x_cmp_shape"] == [800, 800] and "x_cmp" not in payload
+    assert payload["gershgorin"]["ok"] and set(payload["gershgorin"]) == {"ok", "bound"}

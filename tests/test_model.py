@@ -13,7 +13,7 @@ from stochsym.errors import (
     WeightNotPositive,
 )
 
-from conftest import room_system
+from conftest import room_certificate, room_system
 
 
 def boxes(n):
@@ -146,6 +146,17 @@ def test_interconnection_rejects_nonpositive_weight():
     with pytest.raises(WeightNotPositive):
         st.InterconnectionSpec(M=np.eye(2), mu=[1.0, 0.0],
                                subsystem_dims=[(1, 1, 1, 1)] * 2)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+def test_every_weight_consumer_rejects_a_weight_that_is_not_finite_positive(bad):
+    mu = [1.0, bad, 1.0]
+    with pytest.raises(WeightNotPositive, match="weight 1 "):
+        st.InterconnectionSpec(M=np.eye(3), mu=mu, subsystem_dims=[(1, 1, 1, 1)] * 3)
+    with pytest.raises(WeightNotPositive):
+        st.supply_blocks([room_certificate()] * 3, mu)
+    with pytest.raises(WeightNotPositive):
+        st.compose_ssf([st.SstfConstants(1.0, 0.5, 1.0, 0.0)] * 3, mu)
 
 
 def test_interconnection_rejects_wrong_coupling_shape():
