@@ -41,8 +41,6 @@ from .composition import (
 from .bounds import (
     ClosenessBound,
     closeness_bound,
-    epsilon_for_target,
-    horizon_for_target,
     psi_hat,
     violation_probability,
 )
@@ -52,7 +50,6 @@ from .abstraction import (
     UniformGrid,
     build_deterministic,
     build_stochastic,
-    delta_of,
     quantize,
 )
 from .synthesis import (
@@ -67,7 +64,6 @@ from .runtime import (
     SimulationResult,
     clopper_pearson_upper,
     cosimulate,
-    em_step,
     interface_input,
 )
 from .cli import generate_rooms, run_pipeline
@@ -83,13 +79,12 @@ __all__ = [
     "CompositionResult", "NetworkSsf", "SupplyBlocks", "build_x_cmp",
     "check_compositional_lmi", "compose_ssf", "gershgorin_fast_check",
     "network_form", "supply_blocks",
-    "ClosenessBound", "closeness_bound", "epsilon_for_target",
-    "horizon_for_target", "psi_hat", "violation_probability",
+    "ClosenessBound", "closeness_bound", "psi_hat", "violation_probability",
     "AbstractionGrid", "FiniteAbstraction", "UniformGrid",
-    "build_deterministic", "build_stochastic", "delta_of", "quantize",
+    "build_deterministic", "build_stochastic", "quantize",
     "Controller", "SafetySpec", "safety_fixpoint", "safety_value_iteration",
     "InterfaceState", "SimConfig", "SimulationResult",
-    "clopper_pearson_upper", "cosimulate", "em_step", "interface_input",
+    "clopper_pearson_upper", "cosimulate", "interface_input",
     "generate_rooms", "run_pipeline",
     "__version__",
 ]

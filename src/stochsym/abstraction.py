@@ -72,6 +72,8 @@ class UniformGrid:
         widths = as_vector(widths)
         if widths.size != box.dim:
             raise DimensionMismatch("widths", f"expected {box.dim} widths")
+        if not np.all(np.isfinite(widths) & (widths > 0)):
+            raise DimensionMismatch("widths", "each width must be finite and positive")
         cells = tuple(
             _cell_count(float(hi - lo), float(w))
             for lo, hi, w in zip(box.lower, box.upper, widths)
@@ -163,11 +165,6 @@ def quantize(grid: UniformGrid, x) -> QuantizeResult:
     if idx == grid.n_points:
         return QuantizeResult(index=idx, representative=None)
     return QuantizeResult(index=idx, representative=grid.center(idx))
-
-
-def delta_of(grid: UniformGrid) -> float:
-    """State discretization parameter: the Euclidean norm of the cell widths."""
-    return grid.delta
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,8 +11,9 @@ forms, selected by whether alpha(eps) clears psi_hat / kappa:
 
 with psi_hat >= rho_ext(sup-norm of the abstract input) + psi.  Both branch
 values are always evaluated and reported; the two bounds are distinct at the
-regime boundary and no continuity is assumed.  Inverse queries recover the
-extremal radius (bisection) or horizon (integer scan) for a target level.
+regime boundary and no continuity is assumed.  Every input must be
+nonnegative (alpha(eps) positive); a NaN input raises NegativeInput like a
+negative one.
 """
 
 from __future__ import annotations
@@ -20,11 +21,9 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
-from .errors import InvalidKappa, NegativeInput, Unachievable
+from .errors import InvalidKappa, NegativeInput
 
 logger = logging.getLogger(__name__)
-
-_BISECT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -59,23 +58,11 @@ class ClosenessBound:
         }
 
 
-@dataclass(frozen=True)
-class EpsilonQuery:
-    epsilon: float
-    degenerate: bool  # any positive radius already meets the target
-
-
-@dataclass(frozen=True)
-class HorizonQuery:
-    horizon: int
-    saturated: bool  # the bound never reaches the target; horizon is the scan cap
-
-
 def psi_hat(rho_ext_slope: float, nu_hat_sup: float, psi: float) -> float:
     """Minimal admissible defect: rho_ext_slope * nu_hat_sup + psi."""
     for name, v in (("rho_ext_slope", rho_ext_slope), ("nu_hat_sup", nu_hat_sup),
                     ("psi", psi)):
-        if v < 0:
+        if not v >= 0:
             raise NegativeInput(name, v)
     return rho_ext_slope * nu_hat_sup + psi
 
@@ -95,10 +82,10 @@ def violation_probability(
     """
     if not 0.0 < kappa < 1.0:
         raise InvalidKappa(kappa)
-    if alpha_of_eps <= 0:
+    if not alpha_of_eps > 0:
         raise NegativeInput("alpha_of_eps", alpha_of_eps)
     for name, v in (("psi_hat", psi_hat), ("v0", v0), ("horizon", horizon)):
-        if v < 0:
+        if not v >= 0:
             raise NegativeInput(name, v)
     horizon = int(horizon)
 
@@ -129,84 +116,3 @@ def closeness_bound(
                           v0=v0, regime=res.regime,
                           violation_bound=res.violation_bound,
                           success_bound=res.success_bound)
-
-
-def epsilon_for_target(
-    target_violation: float,
-    alpha_coeff: float,
-    kappa: float,
-    psi_hat: float,
-    v0: float,
-    horizon: int,
-    eps_max: float | None = None,
-) -> EpsilonQuery:
-    """Smallest radius whose violation bound meets the target (quadratic alpha).
-
-    Bisection to 1e-12 on eps; the bound is nonincreasing in eps.  Raises
-    Unachievable when even the largest admissible radius misses the target.
-    """
-    if target_violation < 0:
-        raise NegativeInput("target_violation", target_violation)
-    if alpha_coeff <= 0:
-        raise NegativeInput("alpha_coeff", alpha_coeff)
-
-    def value(eps: float) -> float:
-        return violation_probability(alpha_coeff * eps * eps, kappa, psi_hat,
-                                     v0, horizon).violation_bound
-
-    if psi_hat == 0.0 and v0 == 0.0:
-        return EpsilonQuery(epsilon=0.0, degenerate=True)
-
-    if eps_max is not None:
-        hi = eps_max
-        if value(hi) > target_violation:
-            raise Unachievable(
-                f"violation bound {value(hi):.6g} at eps={hi!r} exceeds target"
-            )
-    else:
-        hi = 1.0
-        while value(hi) > target_violation:
-            hi *= 2.0
-            if hi > 1e18:
-                raise Unachievable("target not reached for any finite radius")
-    lo = 0.0
-    while hi - lo > _BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        if value(mid) <= target_violation:
-            hi = mid
-        else:
-            lo = mid
-    return EpsilonQuery(epsilon=hi, degenerate=False)
-
-
-def horizon_for_target(
-    target_violation: float,
-    alpha_of_eps: float,
-    kappa: float,
-    psi_hat: float,
-    v0: float,
-    max_horizon: int = 10**6,
-) -> HorizonQuery:
-    """Largest horizon whose violation bound stays within the target.
-
-    Integer search (doubling then bisection) over the nondecreasing bound.
-    Raises Unachievable when even a zero-length horizon misses the target.
-    """
-
-    def value(t: int) -> float:
-        return violation_probability(alpha_of_eps, kappa, psi_hat, v0, t).violation_bound
-
-    if value(0) > target_violation:
-        raise Unachievable("initial mismatch alone exceeds the target")
-    if value(max_horizon) <= target_violation:
-        return HorizonQuery(horizon=max_horizon, saturated=True)
-    lo, hi = 0, 1
-    while value(hi) <= target_violation:
-        lo, hi = hi, min(2 * hi, max_horizon)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if value(mid) <= target_violation:
-            lo = mid
-        else:
-            hi = mid
-    return HorizonQuery(horizon=lo, saturated=False)

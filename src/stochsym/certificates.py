@@ -21,7 +21,6 @@ equal inputs share one verdict.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, fields
 
@@ -121,13 +120,6 @@ class StorageCertificate:
     @classmethod
     def from_dict(cls, d: dict) -> "StorageCertificate":
         return cls(**d)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, s: str) -> "StorageCertificate":
-        return cls.from_dict(json.loads(s))
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,7 @@ from . import synthesis as synth
 from .errors import (
     CheckFailed,
     ConfigError,
+    DimensionMismatch,
     Infeasible,
     NotWellPosed,
     StochsymError,
@@ -251,32 +252,38 @@ class PipelineBundle:
     out_dir: Path
 
 
-def _box_from(d: dict, what: str) -> model.Box:
-    try:
-        return model.Box(d["lower"], d["upper"])
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"malformed box for {what}: {exc}") from exc
+def _object(value, what: str) -> dict:
+    """`value` if it is a JSON object; anything else is a ConfigError naming `what`."""
+    if value is None:
+        raise ConfigError(f"{what} is missing")
+    if not isinstance(value, dict):
+        raise ConfigError(f"'{what}' must be a JSON object, got {type(value).__name__}")
+    return value
 
 
-def _system_from(d: dict, base_dir: Path) -> model.AffineSystem:
-    if "file" in d:
-        ref = base_dir / d["file"]
-        if not ref.exists():
-            raise ConfigError(f"referenced system file not found: {ref}")
+def _box(value, what: str) -> model.Box:
+    box = _object(value, what)
+    lower, upper = (_field(box, what, end, model.as_vector) for end in ("lower", "upper"))
+    if lower.shape != upper.shape:
+        raise ConfigError(f"{what}.upper has {upper.size} entries, {what}.lower {lower.size}")
+    return model.Box(lower, upper)
+
+
+def _system_from(d, what: str, base_dir: Path) -> model.AffineSystem:
+    """The subsystem object `d` (at config path `what`), inline or a file reference."""
+    if "file" in _object(d, what):
+        ref = base_dir / _field(d, what, "file", Path)
         try:
             d = json.loads(ref.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"referenced system file is not valid JSON: {ref}") from exc
-    try:
-        return model.AffineSystem(
-            A=d["A"], B=d["B"], C1=d["C1"], C2=d["C2"], D=d["D"], G=d["G"],
-            b=d["b"],
-            state_box=_box_from(d["state_box"], "state_box"),
-            input_box=_box_from(d["input_box"], "input_box"),
-            internal_box=_box_from(d["internal_box"], "internal_box"),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"system definition missing field {exc}") from exc
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"{what}.file: cannot read {ref} as JSON: {exc}") from exc
+        d = _object(d, f"{what}.file")
+    return model.AffineSystem(
+        **{name: _field(d, what, name, model.as_matrix)
+           for name in ("A", "B", "C1", "C2", "D", "G")},
+        b=_field(d, what, "b", model.as_vector),
+        **{name: _box(d.get(name), f"{what}.{name}")
+           for name in ("state_box", "input_box", "internal_box")})
 
 
 def _broadcast(value, n: int, what: str) -> list:
@@ -293,19 +300,13 @@ def _block(raw: dict, name: str, default):
     """The top-level block `name` (`default` when absent or null); any other
     value than a JSON object is a ConfigError that names the block."""
     value = raw.get(name)
-    if value is None:
-        return default
-    if not isinstance(value, dict):
-        raise ConfigError(f"'{name}' must be a JSON object, got {type(value).__name__}")
-    return value
+    return default if value is None else _object(value, name)
 
 
 def _coupling_from(spec):
     """The coupling matrix an `interconnection.coupling` object describes."""
     what = "interconnection.coupling"
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{what} must be a JSON object, got {type(spec).__name__}")
-    kind = spec.get("kind")
+    kind = _object(spec, what).get("kind")
     if kind == "circular":
         return circular_coupling(_field(spec, what, "n", _integer))
     if kind == "dense":
@@ -317,20 +318,19 @@ def load_config(source) -> PipelineBundle:
     """Resolve a config document (dict or JSON path) into model objects.
 
     System entries may be inline dicts or `{"file": "..."}` references,
-    resolved relative to the config file's directory.  A broadcast entry
-    (one discretization or grid for all subsystems) becomes one shared
+    resolved relative to the config file's directory.  Every field is read
+    through `_field`, so a config error names its dotted path.  A broadcast
+    entry (one discretization or grid for all subsystems) becomes one shared
     object, so identical subsystems are recognised by identity later on.
     """
     base_dir = Path.cwd()
     if isinstance(source, (str, Path)):
         path = Path(source)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
         base_dir = path.parent
         try:
             raw = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read config {path} as JSON: {exc}") from exc
     elif isinstance(source, dict):
         raw = source
     else:
@@ -342,13 +342,12 @@ def load_config(source) -> PipelineBundle:
         ("safety", None), ("bound", {}), ("simulation", {}))}
 
     sys_spec = raw.get("systems")
-    if isinstance(sys_spec, dict) and "replicate" in sys_spec:
-        template = _system_from(sys_spec["template"], base_dir)
-        systems = [template] * _field(sys_spec, "systems", "replicate", _integer)
-    elif isinstance(sys_spec, list):
-        systems = [_system_from(d, base_dir) for d in sys_spec]
+    if isinstance(sys_spec, list):
+        systems = [_system_from(d, f"systems[{i}]", base_dir) for i, d in enumerate(sys_spec)]
     else:
-        raise ConfigError("config needs 'systems' (list or {replicate, template})")
+        template = _system_from(_object(sys_spec, "systems").get("template"),
+                                "systems.template", base_dir)
+        systems = [template] * _field(sys_spec, "systems", "replicate", _integer)
     n = len(systems)
     if n == 0:
         raise ConfigError("at least one subsystem required")
@@ -359,50 +358,53 @@ def load_config(source) -> PipelineBundle:
     elif "M" in ic_spec:
         m = _field(ic_spec, "interconnection", "M", _vector)
     else:
-        raise ConfigError("interconnection needs 'coupling' or 'M'")
-    mu = ic_spec.get("mu", [1.0] * n)
+        raise ConfigError("interconnection.coupling is missing (or give interconnection.M)")
+    mu = _field(ic_spec, "interconnection", "mu", _vector, np.ones(n))
     dims = [(s.n, s.m, s.p, s.q2) for s in systems]
     ic = model.InterconnectionSpec(M=m, mu=mu, subsystem_dims=dims)
 
     # one object per distinct entry: a broadcast entry is built once
+    disc_spec, grid_spec = raw.get("discretization"), raw.get("grid")
     disc_of: dict = {}
     discs = []
-    for d in _broadcast(raw.get("discretization"), n, "discretization"):
-        if d is None:
-            raise ConfigError("config needs 'discretization'")
+    for i, d in enumerate(_broadcast(disc_spec, n, "discretization")):
         if id(d) not in disc_of:
+            what = f"discretization[{i}]" if isinstance(disc_spec, list) else "discretization"
+            _object(d, what)
             disc_of[id(d)] = model.DiscretizationSpec(
-                tau=d["tau"], D_tilde=d.get("D_tilde", [[0.0]]),
-                R_tilde=d.get("R_tilde", [[0.0]]),
-            )
+                tau=_field(d, what, "tau", _positive),
+                D_tilde=_field(d, what, "D_tilde", model.as_matrix, [[0.0]]),
+                R_tilde=_field(d, what, "R_tilde", model.as_matrix, [[0.0]]))
         discs.append(disc_of[id(d)])
 
     grid_of: dict = {}
     grids = []
-    for s, gdict in zip(systems, _broadcast(raw.get("grid"), n, "grid")):
+    for i, (s, gdict) in enumerate(zip(systems, _broadcast(grid_spec, n, "grid"))):
         if gdict is None:
             grids.append(None)
             continue
         if (id(s), id(gdict)) not in grid_of:
-            internal = None
-            if s.p:
-                internal = abst.UniformGrid.cover(s.internal_box, gdict["internal_widths"])
+            what = f"grid[{i}]" if isinstance(grid_spec, list) else "grid"
+            _object(gdict, what)
+
+            def cover(box, name):
+                return _field(gdict, what, name, lambda w: abst.UniformGrid.cover(box, w))
             grid_of[id(s), id(gdict)] = abst.AbstractionGrid(
-                state=abst.UniformGrid.cover(s.state_box, gdict["state_widths"]),
-                input=abst.UniformGrid.cover(s.input_box, gdict["input_widths"]),
-                internal=internal)
+                state=cover(s.state_box, "state_widths"),
+                input=cover(s.input_box, "input_widths"),
+                internal=cover(s.internal_box, "internal_widths") if s.p else None)
         grids.append(grid_of[id(s), id(gdict)])
 
     safety = None
     if blocks["safety"] is not None:
         sdict = blocks["safety"]
         safety = synth.SafetySpec(
-            safe_box=_box_from(sdict, "safety"),
+            safe_box=_box(sdict, "safety"),
             contraction=_field(sdict, "safety", "contraction", float, 0.0),
             horizon=_field(sdict, "safety", "horizon", _integer, None),
         )
 
-    stages = raw.get("stages", list(STAGES))
+    stages = _field(raw, "", "stages", list, list(STAGES))
     if tuple(stages) != STAGES[: len(stages)]:
         raise ConfigError(
             f"stages must be a prefix of {list(STAGES)}, got {stages}"
@@ -418,8 +420,8 @@ def load_config(source) -> PipelineBundle:
         safety=safety,
         bound_config=blocks["bound"],
         sim_config=blocks["simulation"],
-        stages=list(stages),
-        out_dir=Path(raw.get("output_dir", "out")),
+        stages=stages,
+        out_dir=_field(raw, "", "output_dir", Path, "out"),
     )
 
 
@@ -502,7 +504,7 @@ def _stage_verify(bundle: PipelineBundle, ctx: dict) -> None:
         except CheckFailed as exc:
             raise CheckFailed(exc.condition, f"subsystem {i}: {exc.detail}") from exc
         if grid is not None and not d.noise_free:
-            actual = abst.delta_of(grid.state)
+            actual = grid.state.delta
             if abs(c.delta - actual) > 1e-12 * (1.0 + actual):
                 logger.warning("subsystem %d (and %d alike): certificate delta %.3g differs "
                                "from the grid's %.3g; the certified defect uses the "
@@ -695,16 +697,18 @@ def _initial_v0(bundle: PipelineBundle, ctx: dict, x0: np.ndarray) -> float:
 
 def _field(block: dict, what: str, name: str, kind, default=...):
     """`kind(block[name])` (of `default` when absent, None kept if the default
-    is None); a missing or malformed field is a ConfigError that names it."""
+    is None); a missing or malformed field is a ConfigError that names its
+    dotted path `what.name` (`name` alone when `what` is "", the top level)."""
+    path = f"{what}.{name}" if what else name
     value = block.get(name, default)
     if value is ...:
-        raise ConfigError(f"{what}.{name} is missing")
+        raise ConfigError(f"{path} is missing")
     if value is None and default is None:
         return None
     try:
         return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{what}.{name} is malformed: {exc}") from exc
+    except (TypeError, ValueError, DimensionMismatch) as exc:
+        raise ConfigError(f"{path} is malformed: {exc}") from exc
 
 
 def _vector(value) -> np.ndarray:
@@ -718,6 +722,20 @@ def _integer(value) -> int:
     if not float(value).is_integer():
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
+
+
+def _positive(value) -> float:
+    value = float(value)
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"expected a finite number > 0, got {value!r}")
+    return value
+
+
+def _nonnegative(value) -> float:
+    value = float(value)
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"expected a finite number >= 0, got {value!r}")
+    return value
 
 
 def _boolean(value) -> bool:
@@ -743,28 +761,29 @@ def _stage_bound(bundle: PipelineBundle, ctx: dict) -> None:
     if not cfg:
         raise ConfigError("'bound' block required for the bound stage")
     ssf = ctx["ssf"]
-    epsilon = _field(cfg, "bound", "epsilon", float)
+    epsilon = _field(cfg, "bound", "epsilon", _positive)
     horizon = _field(cfg, "bound", "horizon", _integer)
     if horizon < 0:
         raise ConfigError(f"bound.horizon must be >= 0, got {horizon}")
 
-    nu_sup = _field(cfg, "bound", "nu_hat_sup", float, None)
+    nu_sup = _field(cfg, "bound", "nu_hat_sup", _nonnegative, None)
     if nu_sup is None:
-        per_sub = []
-        for g in bundle.grids:
-            if g is None:
-                raise ConfigError("bound stage needs grids (or explicit nu_hat_sup)")
-            per_sub.append(float(np.max(np.linalg.norm(g.input.centers(), axis=1))))
-        nu_sup = math.sqrt(math.fsum(v * v for v in per_sub))
+        if any(g is None for g in bundle.grids):
+            raise ConfigError("bound.nu_hat_sup is needed when a subsystem has no grid")
+        # members of a group share their grid, so one norm per group
+        groups, group_of = ctx["groups"]
+        sup = [float(np.max(np.linalg.norm(bundle.grids[member[0]].input.centers(), axis=1)))
+               for member in groups]
+        nu_sup = math.sqrt(math.fsum(sup[g] * sup[g] for g in group_of))
     psi_hat_formula = bnd.psi_hat(ssf.rho_ext_slope, float(nu_sup), ssf.psi)
-    override = _field(cfg, "bound", "psi_hat_override", float, None)
+    override = _field(cfg, "bound", "psi_hat_override", _nonnegative, None)
     psi_hat_used = override if override is not None else psi_hat_formula
 
     x0 = _initial_state(bundle, required=False)
     if x0.size:
         v0 = _initial_v0(bundle, ctx, x0)
     else:
-        v0 = _field(cfg, "bound", "v0", float, 0.0)
+        v0 = _field(cfg, "bound", "v0", _nonnegative, 0.0)
 
     alpha_eps = ssf.alpha(epsilon)
     bound = bnd.closeness_bound(epsilon, alpha_eps, ssf.kappa, psi_hat_used,
@@ -808,7 +827,7 @@ def _stage_simulate(bundle: PipelineBundle, ctx: dict) -> None:
     config = rt.SimConfig(
         n_trials=_field(cfg, "simulation", "n_trials", _integer),
         horizon=_field(cfg, "simulation", "horizon", _integer),
-        epsilon=_field(cfg, "simulation", "epsilon", float),
+        epsilon=_field(cfg, "simulation", "epsilon", _positive),
         n_substeps=_field(cfg, "simulation", "n_substeps", _integer, 20),
         rng_seed=_field(cfg, "simulation", "seed", _integer, 0),
         chunk_size=_field(cfg, "simulation", "chunk_size", _integer, 128),

@@ -97,10 +97,6 @@ class NegativeInput(StochsymError):
         super().__init__(f"argument '{name}' must be nonnegative, got {value!r}")
 
 
-class Unachievable(StochsymError):
-    pass
-
-
 class NonDiagonalNoise(StochsymError):
     pass
 

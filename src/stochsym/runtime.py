@@ -121,16 +121,6 @@ def interface_input(state: InterfaceState, xi_t, w_t, t: float) -> np.ndarray:
             + terms["internal_latched"] + terms["internal_current"])
 
 
-def em_step(sys: AffineSystem, x, nu, w, dt: float, z) -> np.ndarray:
-    """One Euler-Maruyama step: x + (A x + B nu + D w + b) dt + G sqrt(dt) z."""
-    x = as_vector(x)
-    z = as_vector(z)
-    drift = sys.A @ x + sys.B @ as_vector(nu) + sys.b
-    if sys.p:
-        drift = drift + sys.D @ as_vector(w)
-    return x + dt * drift + math.sqrt(dt) * (sys.G @ z)
-
-
 def clopper_pearson_upper(violations: int, trials: int, confidence: float = 0.95) -> float:
     """Exact one-sided upper confidence bound on a binomial proportion.
 
@@ -163,6 +153,8 @@ class SimConfig:
                 raise ConfigError(f"simulation.{name} must be >= 1")
         if self.rng_seed < 0:
             raise ConfigError("simulation.seed must be >= 0")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ConfigError("simulation.epsilon must be a finite number > 0")
 
     def workers(self) -> int:
         if self.max_workers is not None:

@@ -66,7 +66,7 @@ class TestQuantizer:
             worst = max(worst, float(np.linalg.norm(q.representative - x)))
         half_diag = 0.5 * math.sqrt(2) * 0.1
         assert worst <= half_diag + 1e-12
-        assert worst <= st.delta_of(g)
+        assert worst <= g.delta
 
     @settings(max_examples=80, deadline=None)
     @given(x=hst.lists(hst.floats(0.0, 1.0), min_size=2, max_size=2))
@@ -74,20 +74,20 @@ class TestQuantizer:
         g = st.UniformGrid.cover(st.Box([0.0, 0.0], [1.0, 1.0]), [0.07, 0.13])
         q = st.quantize(g, x)
         assert not q.outside
-        assert np.linalg.norm(q.representative - np.asarray(x)) <= st.delta_of(g)
+        assert np.linalg.norm(q.representative - np.asarray(x)) <= g.delta
 
 
 class TestDelta:
     def test_scalar(self):
-        assert st.delta_of(grid_1d(w=0.1)) == pytest.approx(0.1)
+        assert grid_1d(w=0.1).delta == pytest.approx(0.1)
 
     def test_square_cell_diagonal(self):
         g = st.UniformGrid.cover(st.Box([0, 0], [1, 1]), [0.1, 0.1])
-        assert st.delta_of(g) == pytest.approx(0.1 * math.sqrt(2))
+        assert g.delta == pytest.approx(0.1 * math.sqrt(2))
 
     def test_three_dims(self):
         g = st.UniformGrid.cover(st.Box([0, 0, 0], [1, 1, 1]), [0.2, 0.3, 0.4])
-        assert st.delta_of(g) == pytest.approx(math.sqrt(0.04 + 0.09 + 0.16))
+        assert g.delta == pytest.approx(math.sqrt(0.04 + 0.09 + 0.16))
 
 
 def room_det_setup(input_vals=(-0.1, 0.0, 0.1)):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import stochsym as st
-from stochsym.errors import InvalidKappa, NegativeInput, Unachievable
+from stochsym.errors import InvalidKappa, NegativeInput
 
 # back-solved defect making the reference two-case bound hit 91% success
 PSI_HAT_REF = 0.25 * (1.0 - 0.91 ** (1.0 / 12.0))
@@ -26,6 +26,12 @@ class TestPsiHat:
     def test_rejects_negative(self):
         with pytest.raises(NegativeInput):
             st.psi_hat(-1.0, 0.0, 0.0)
+
+    def test_rejects_nan(self):
+        # NaN fails every comparison, so a `< 0` test would let it through
+        with pytest.raises(NegativeInput) as exc:
+            st.psi_hat(0.0, math.nan, 0.0)
+        assert exc.value.name == "nu_hat_sup"
 
 
 class TestViolationProbability:
@@ -53,6 +59,17 @@ class TestViolationProbability:
         with pytest.raises(NegativeInput) as exc:
             st.violation_probability(1.0, 0.5, -0.1, 0.0, 3)
         assert exc.value.name == "psi_hat"
+
+    @pytest.mark.parametrize("args, name", [
+        ((math.nan, 0.5, 0.1, 0.0, 3), "alpha_of_eps"),
+        ((1.0, 0.5, math.nan, 0.0, 3), "psi_hat"),
+        ((1.0, 0.5, 0.1, math.nan, 3), "v0"),
+    ])
+    def test_nan_input_named(self, args, name):
+        # a NaN defect or v0 used to give a violation bound of 0
+        with pytest.raises(NegativeInput) as exc:
+            st.violation_probability(*args)
+        assert exc.value.name == name
 
     def test_both_branches_reported_at_boundary(self):
         # alpha(eps) == psi_hat / kappa: strict tie goes to case-1 and both
@@ -103,42 +120,6 @@ class TestViolationProbability:
                 float(rng.uniform(0, 5)), float(rng.uniform(0, 5)),
                 int(rng.integers(0, 40)))
             assert 0.0 <= res.violation_bound <= 1.0
-
-
-class TestInverseQueries:
-    def test_recovers_reference_radius(self):
-        # bound is 0.09 exactly at eps = 0.5 for the reference constants
-        q = st.epsilon_for_target(0.09, 1.0, 0.5, PSI_HAT_REF, 0.0, 12)
-        assert not q.degenerate
-        assert q.epsilon == pytest.approx(0.5, abs=1e-10)
-
-    def test_degenerate_zero_defect(self):
-        q = st.epsilon_for_target(0.05, 1.0, 0.5, 0.0, 0.0, 12)
-        assert q.degenerate
-        assert q.epsilon == 0.0
-
-    def test_unachievable_with_radius_cap(self):
-        with pytest.raises(Unachievable):
-            st.epsilon_for_target(0.01, 1.0, 0.5, 0.0, v0=10.0, horizon=4,
-                                  eps_max=1.0)
-
-    def test_horizon_query_brackets_target(self):
-        target = 0.09 + 1e-12  # the bound equals 0.09 at T = 12 up to float dust
-        res = st.horizon_for_target(target, 0.25, 0.5, PSI_HAT_REF, 0.0)
-        assert not res.saturated
-        assert res.horizon == 12
-        below = st.violation_probability(0.25, 0.5, PSI_HAT_REF, 0.0, res.horizon)
-        above = st.violation_probability(0.25, 0.5, PSI_HAT_REF, 0.0, res.horizon + 1)
-        assert below.violation_bound <= target < above.violation_bound
-
-    def test_horizon_unachievable_at_zero(self):
-        with pytest.raises(Unachievable):
-            st.horizon_for_target(0.01, 0.25, 0.5, 0.0, v0=0.1)
-
-    def test_horizon_saturates_for_zero_defect(self):
-        res = st.horizon_for_target(0.5, 0.25, 0.5, 0.0, 0.01, max_horizon=10**4)
-        assert res.saturated
-        assert res.horizon == 10**4
 
 
 def test_closeness_bound_serialization():

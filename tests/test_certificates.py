@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -296,6 +297,7 @@ def test_kappa_tilde_from_round_trip():
 
 
 def test_certificate_json_round_trip(room_cert):
-    restored = StorageCertificate.from_json(room_cert.to_json())
+    # the path certificates.json takes: to_dict, JSON text, from_dict
+    restored = StorageCertificate.from_dict(json.loads(json.dumps(room_cert.to_dict())))
     assert restored.to_dict() == room_cert.to_dict()
     assert validate_certificate(restored)

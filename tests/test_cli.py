@@ -91,6 +91,10 @@ class TestLoadConfig:
     def test_missing_file_is_config_error(self):
         assert run_pipeline("/nonexistent/config.json") == EXIT_CONFIG
 
+    def test_unreadable_config_is_config_error(self, tmp_path):
+        # a directory exists but cannot be read as a file
+        assert run_pipeline(tmp_path) == EXIT_CONFIG
+
     def test_system_file_reference(self, tmp_path):
         cfg = small_rooms(tmp_path, n=3)
         (tmp_path / "room.json").write_text(
@@ -521,6 +525,14 @@ def _solve_mode(cfg):
         n=4, theta=0.0)["certificates"].items() if key != "kappa_tilde"}
 
 
+def _without_x0(edit):
+    # with no simulation.x0 the bound stage reads bound.v0 instead
+    def apply(cfg):
+        del cfg["simulation"]["x0"]
+        edit(cfg)
+    return apply
+
+
 @pytest.mark.parametrize("edit, field", [
     (_set(("interconnection", "coupling", "n"), 4.9), "interconnection.coupling.n"),
     (_set(("interconnection", "coupling", "n"), True), "interconnection.coupling.n"),
@@ -539,17 +551,96 @@ def _solve_mode(cfg):
     (_set(("bound", "reported", "psi_network"), "small"), "bound.reported.psi_network"),
     (_set(("bound", "horizon"), -3), "bound.horizon"),
     (_set(("simulation", "seed"), -1), "simulation.seed"),
+    (_set(("bound", "epsilon"), -1.0), "bound.epsilon"),
+    (_set(("bound", "epsilon"), float("nan")), "bound.epsilon"),
+    (_set(("bound", "epsilon"), 0.0), "bound.epsilon"),
+    (_set(("simulation", "epsilon"), -1.0), "simulation.epsilon"),
+    (_set(("simulation", "epsilon"), float("nan")), "simulation.epsilon"),
+    (_without_x0(_set(("bound", "v0"), -1.0)), "bound.v0"),
+    (_without_x0(_set(("bound", "v0"), float("nan"))), "bound.v0"),
+    (_set(("bound", "nu_hat_sup"), -1.0), "bound.nu_hat_sup"),
+    (_set(("bound", "psi_hat_override"), -1.0), "bound.psi_hat_override"),
+    (_set(("bound", "psi_hat_override"), float("nan")), "bound.psi_hat_override"),
+    (_set(("discretization", "tau"), None), "discretization.tau"),
+    (_set(("grid", "state_widths"), ["a"]), "grid.state_widths"),
+    (_set(("grid", "state_widths"), [0.0]), "grid.state_widths"),
+    (_set(("discretization", "R_tilde"), [["a"]]), "discretization.R_tilde"),
+    (_set(("systems", "template", "state_box", "lower"), ["a"]),
+     "systems.template.state_box.lower"),
+    (_set(("systems", "template", "state_box", "upper"), [21.0, 22.0]),
+     "systems.template.state_box.upper"),
+    (_set(("systems", "template", "A"), "zz"), "systems.template.A"),
+    (_set(("discretization",), 5), "discretization"),
+    (_set(("grid",), "g"), "grid"),
+    (_set(("stages",), 5), "stages"),
+    (_set(("output_dir",), 5), "output_dir"),
 ], ids=["n-fraction", "n-bool", "replicate-fraction", "bound-horizon-fraction",
         "n_trials-fraction", "safety-horizon-bool", "safety-horizon-fraction",
         "record_outputs-string", "cert-unknown-key", "cert-missing-key",
         "cert-non-numeric", "given-without-values", "solve-without-kappa_tilde",
         "unknown-alpha_mode", "psi_network-non-numeric", "bound-horizon-negative",
-        "seed-negative"])
+        "seed-negative", "bound-epsilon-negative", "bound-epsilon-nan",
+        "bound-epsilon-zero", "simulation-epsilon-negative", "simulation-epsilon-nan",
+        "v0-negative", "v0-nan", "nu_hat_sup-negative", "psi_hat_override-negative",
+        "psi_hat_override-nan", "tau-missing", "state_widths-string", "state_widths-zero",
+        "R_tilde-string", "state_box-string", "state_box-sizes-differ", "A-string",
+        "discretization-number", "grid-string", "stages-number", "output_dir-number"])
 def test_config_error_exits_3_and_names_its_field(tmp_path, capsys, edit, field):
     cfg = small_rooms(tmp_path, trials=8)
     edit(cfg)
     assert run_pipeline(cfg) == EXIT_CONFIG
     assert field in capsys.readouterr().err
+
+
+# every field load_config reads, by its dotted path in the generated config
+LOADED_FIELDS = [
+    "name", "systems", "systems.replicate", "systems.template",
+    *(f"systems.template.{m}" for m in ("A", "B", "C1", "C2", "D", "G", "b")),
+    *(f"systems.template.{box}{end}" for box in ("state_box", "input_box", "internal_box")
+      for end in ("", ".lower", ".upper")),
+    "interconnection", "interconnection.coupling", "interconnection.coupling.kind",
+    "interconnection.coupling.n", "interconnection.mu",
+    "discretization", "discretization.tau", "discretization.D_tilde",
+    "discretization.R_tilde",
+    "grid", "grid.state_widths", "grid.input_widths", "grid.internal_widths",
+    "safety", "safety.lower", "safety.upper", "safety.contraction", "safety.horizon",
+    "certificates", "bound", "simulation", "stages", "output_dir",
+]
+
+
+def test_every_loaded_field_loads_or_names_itself(tmp_path):
+    # deleted or set to a string, each field either loads or fails with a
+    # ConfigError naming its path; any other exception escapes the test
+    unnamed = []
+    for path in LOADED_FIELDS:
+        for value in (None, "a"):
+            cfg = small_rooms(tmp_path)
+            _set(tuple(path.split(".")), value)(cfg)
+            try:
+                load_config(cfg)
+            except ConfigError as exc:
+                if path not in str(exc):
+                    unnamed.append((path, value, str(exc)))
+    assert unnamed == []
+
+
+def test_list_entry_errors_name_their_index(tmp_path):
+    cfg = small_rooms(tmp_path)
+    cfg["systems"] = [dict(cfg["systems"]["template"]) for _ in range(4)]
+    cfg["discretization"] = [dict(cfg["discretization"])]
+    del cfg["systems"][2]["A"]
+    with pytest.raises(ConfigError, match=re.escape("systems[2].A is missing")):
+        load_config(cfg)
+    cfg["systems"][2]["A"] = [[-0.105]]
+    cfg["discretization"][0]["tau"] = -0.1
+    with pytest.raises(ConfigError, match=re.escape("discretization[0].tau is malformed")):
+        load_config(cfg)
+
+
+def test_unknown_key_is_ignored(tmp_path):
+    cfg = small_rooms(tmp_path, trials=8)
+    cfg["simulation"]["check_convergence"] = True
+    assert run_pipeline(cfg) == EXIT_OK
 
 
 def test_integral_float_counts_are_accepted(tmp_path):

@@ -73,96 +73,6 @@ class TestInterface:
             interface_input(room_state(step=0), [20.6], [41.1], 0.15)
 
 
-class TestEmStep:
-    def test_pure_linear_drift_exact(self):
-        sys_ = st.AffineSystem(A=np.zeros((2, 2)), B=np.eye(2), C1=np.eye(2),
-                               C2=np.eye(2), D=np.zeros((2, 0)), G=np.zeros((2, 1)),
-                               b=np.zeros(2), state_box=st.Box([-9, -9], [9, 9]),
-                               input_box=st.Box([-9, -9], [9, 9]),
-                               internal_box=st.Box(np.zeros(0), np.zeros(0)))
-        for n_sub in (1, 3, 20):
-            x = np.array([1.0, -2.0])
-            nu = np.array([0.3, 0.7])
-            dt = 0.1 / n_sub
-            for _ in range(n_sub):
-                x = st.em_step(sys_, x, nu, np.zeros(0), dt, np.zeros(1))
-            assert x == pytest.approx([1.0 + 0.03, -2.0 + 0.07], rel=1e-12)
-
-    def test_scalar_ode_convergence_order(self):
-        # against the exact solution e^{a tau} x0; halving dt halves the error
-        a = -1.7
-        sys_ = st.AffineSystem(A=a, B=0.0, C1=1.0, C2=1.0, D=np.zeros((1, 0)),
-                               G=0.0, b=0.0, state_box=st.Box([-9], [9]),
-                               input_box=st.Box([-1], [1]),
-                               internal_box=st.Box(np.zeros(0), np.zeros(0)))
-        exact = math.exp(a * 0.5) * 2.0
-        errs = []
-        for n_sub in (50, 100, 200):
-            x = np.array([2.0])
-            dt = 0.5 / n_sub
-            for _ in range(n_sub):
-                x = st.em_step(sys_, x, np.zeros(1), np.zeros(0), dt, np.zeros(1))
-            errs.append(abs(x.item() - exact))
-        assert errs[0] / errs[1] == pytest.approx(2.0, rel=0.1)
-        assert errs[1] / errs[2] == pytest.approx(2.0, rel=0.1)
-
-    def test_brownian_variance(self):
-        # pure diffusion: Var[x(tau) - x(0)] = g^2 tau within 3 standard errors
-        g, tau, n_sub, trials = 0.7, 0.4, 8, 4000
-        sys_ = st.AffineSystem(A=0.0, B=0.0, C1=1.0, C2=1.0, D=np.zeros((1, 0)),
-                               G=g, b=0.0, state_box=st.Box([-99], [99]),
-                               input_box=st.Box([-1], [1]),
-                               internal_box=st.Box(np.zeros(0), np.zeros(0)))
-        rng = np.random.default_rng(123)
-        dt = tau / n_sub
-        finals = np.empty(trials)
-        for t in range(trials):
-            x = np.zeros(1)
-            for _ in range(n_sub):
-                x = st.em_step(sys_, x, np.zeros(1), np.zeros(0), dt,
-                               rng.standard_normal(1))
-            finals[t] = x[0]
-        var = finals.var()
-        target = g * g * tau
-        se = target * math.sqrt(2.0 / (trials - 1))
-        assert abs(var - target) <= 3 * se
-
-    def test_one_interval_moments_converge_weakly_at_first_order(self):
-        # EM is affine in (x, z), so its one-interval mean and variance follow
-        # exactly from em_step itself: m <- step(m, z=0) and
-        # v <- slope^2 v + noise^2.  Against the simulator's exact step both
-        # errors halve as the substep count doubles.
-        from stochsym import runtime
-
-        f, g, tau, x0, nu = -1.7, 0.6, 0.5, 2.0, 0.4
-        sys_ = st.AffineSystem(A=f, B=1.0, C1=1.0, C2=1.0, D=np.zeros((1, 0)),
-                               G=g, b=0.3, state_box=st.Box([-9], [9]),
-                               input_box=st.Box([-1], [1]),
-                               internal_box=st.Box(np.zeros(0), np.zeros(0)))
-        phi, gain, chol = runtime._exact_step(sys_.A, sys_.G @ sys_.G.T, tau)
-        mean_exact = (phi @ [x0] + gain @ (sys_.B @ [nu] + sys_.b)).item()
-        var_exact = (chol @ chol.T).item()
-
-        def step(x, dt, z):
-            return st.em_step(sys_, [x], [nu], np.zeros(0), dt, [z]).item()
-
-        mean_errs, var_errs = [], []
-        for n_sub in (20, 40, 80, 160):
-            dt = tau / n_sub
-            slope = step(1.0, dt, 0.0) - step(0.0, dt, 0.0)
-            noise = step(0.0, dt, 1.0) - step(0.0, dt, 0.0)
-            mean, var = x0, 0.0
-            for _ in range(n_sub):
-                mean = step(mean, dt, 0.0)
-                var = slope * slope * var + noise * noise
-            mean_errs.append(abs(mean - mean_exact))
-            var_errs.append(abs(var - var_exact))
-        for errs in (mean_errs, var_errs):
-            assert errs[0] > 1e-4
-            for coarse, fine in zip(errs, errs[1:]):
-                assert coarse / fine == pytest.approx(2.0, rel=0.05)
-
-
 def exact_scalar_step(sys_, cert, x, nu_latched, w_t, dt, z):
     """Exact transition of a scalar room under the refinement law over dt.
 
@@ -405,6 +315,14 @@ def test_thread_env_var_caps_workers(monkeypatch):
     assert cfg.workers() == 6
     explicit = st.SimConfig(n_trials=1, horizon=1, epsilon=1.0, max_workers=2)
     assert explicit.workers() == 2
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -1.0, math.nan, math.inf])
+def test_sim_config_rejects_a_non_positive_or_non_finite_epsilon(epsilon):
+    # a negative radius counts every trial as violating while the bound,
+    # even in eps, stays small; NaN counts none
+    with pytest.raises(st.errors.ConfigError, match="simulation.epsilon"):
+        st.SimConfig(n_trials=1, horizon=1, epsilon=epsilon)
 
 
 def test_clopper_pearson_closed_forms():
