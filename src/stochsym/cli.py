@@ -335,8 +335,7 @@ def load_config(source) -> PipelineBundle:
         raw = source
     else:
         raise ConfigError(f"unsupported config source {type(source)!r}")
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
+    _object(raw, "config")
     blocks = {name: _block(raw, name, default) for name, default in (
         ("interconnection", {}), ("certificates", {"mode": "solve"}),
         ("safety", None), ("bound", {}), ("simulation", {}))}
