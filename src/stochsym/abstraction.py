@@ -1,16 +1,15 @@
 """Grid quantization and finite abstractions of the sampled-data dynamics.
 
-A uniform grid covers each box with half-open cells [lo, lo+w); cell centers
-are the representative points, which minimize the worst-case quantization
-radius.  The abstraction's transition structure is either a deterministic
-successor table (noise-free sampled model) or a finite Markov kernel whose
-rows are Gaussian cell masses; everything leaving the grid is collected in a
-single absorbing sink state, which synthesis treats as unsafe.
+A uniform grid covers each box with equal cells; cell centers are the
+representative points, which minimize the worst-case quantization radius.
+Every abstraction is a finite Markov kernel over the cells plus one
+absorbing sink (everything leaving the grid), which synthesis treats as
+unsafe.  A noise-free model's rows are point masses; they, and every
+noise-free axis of a Gaussian row, use `UniformGrid.locate_many`'s cell rule.
 
-Stochastic kernels use a block-wise array build: the per-axis Gaussian cell
-masses of a block of (state, input, internal) rows are computed at once, and
-the CSV export is formatted and written one block of rows at a time.  A
-finished abstraction is immutable and shareable.
+Gaussian rows are built block-wise from per-axis cell masses, and the CSV
+export is written one block of rows at a time.  A finished abstraction is
+immutable and shareable.
 """
 
 from __future__ import annotations
@@ -38,8 +37,9 @@ _ROW_TOL = 1e-9
 _EDGE_RTOL = 1e-9
 #: dense kernel entries, rows x (S+1), computed per block in build_stochastic
 _BLOCK_ENTRIES = 1 << 16
-#: CSV rows formatted and written per block in export_abstraction
-_EXPORT_ENTRIES = 1 << 13
+#: CSV rows formatted and written per block in export_abstraction; point-mass
+#: rows hold one entry each, so a block holds this many row labels
+_EXPORT_ENTRIES = 1 << 12
 
 
 def _cell_count(span: float, width: float) -> int:
@@ -52,7 +52,7 @@ def _cell_count(span: float, width: float) -> int:
 
 @dataclass(frozen=True, eq=False)
 class UniformGrid:
-    """Uniform half-open cells covering a box; representatives are cell centers."""
+    """Uniform cells covering a box; representatives are cell centers."""
 
     lower: np.ndarray
     widths: np.ndarray
@@ -125,16 +125,19 @@ class UniformGrid:
         return cached
 
     def locate_many(self, x: np.ndarray) -> np.ndarray:
-        """Flat cell indices for points of shape (..., dim); outside maps to n_points."""
+        """Flat cell indices for points of shape (..., dim); outside maps to n_points.
+
+        Per axis the cell is floor((x - lower) / width) in floating point,
+        clipped to the axis; 1e-9 widths of slack keep the outer edges inside.
+        """
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.dim:
             raise DimensionMismatch("x", f"expected last axis {self.dim}")
         edge = _EDGE_RTOL * self.widths
         upper = self.upper
         inside = np.all((x >= self.lower - edge) & (x <= upper + edge), axis=-1)
-        rel = (x - self.lower) / self.widths
-        idx = np.floor(rel).astype(np.int64)
-        idx = np.clip(idx, 0, np.asarray(self.cells) - 1)
+        idx = np.floor((x - self.lower) / self.widths).astype(np.int64)
+        np.clip(idx, 0, np.asarray(self.cells) - 1, out=idx)
         flat = np.ravel_multi_index(
             tuple(np.moveaxis(idx, -1, 0)), self.cells, mode="clip"
         )
@@ -157,9 +160,10 @@ class QuantizeResult:
 def quantize(grid: UniformGrid, x) -> QuantizeResult:
     """Representative point and flat index of the cell containing x.
 
-    Cells are half-open, so a point exactly on an interior boundary belongs
-    to the cell whose lower edge it is; points outside the grid map to the
-    sink index n_points.
+    The cell is `UniformGrid.locate_many`'s, so a point on an interior edge
+    lands on the side its rounded quotient does: edge 20.005 of a 0.005-wide
+    axis from 20.0 gives 0.999999999999801, cell 0.  Points outside the grid
+    map to the sink index n_points.
     """
     idx = grid.locate(x)
     if idx == grid.n_points:
@@ -185,21 +189,32 @@ class AbstractionGrid:
 
 @dataclass(eq=False)
 class FiniteAbstraction:
-    """Finite transition structure over grid representatives.
+    """Finite Markov kernel over grid representatives.
 
-    `successors` has shape (S, U, W) with the sink encoded as index S for
-    deterministic abstractions; `kernel` holds sparse probability rows over
-    S+1 targets (last column = sink) indexed by flat (s, u, w) otherwise.
+    `kernel` holds sparse probability rows over S+1 targets (last column =
+    sink), row (s * U + u) * W + w for state s, input u and internal cell w.
+    A noise-free model's rows are point masses (one entry, 1.0).
     """
 
     grid: AbstractionGrid
-    kind: str  # "deterministic" | "stochastic"
     disc: DiscretizationSpec
     P_map: np.ndarray
     output_map: np.ndarray           # C1 P, applied to representatives
     internal_output_map: np.ndarray  # C2 P
-    successors: np.ndarray | None = None
-    kernel: scipy.sparse.csr_matrix | None = None
+    kernel: scipy.sparse.csr_matrix
+
+    @property
+    def kind(self) -> str:  # "deterministic" (point-mass rows) | "stochastic"
+        return "deterministic" if self.disc.noise_free else "stochastic"
+
+    @property
+    def successors(self) -> np.ndarray:
+        """(S, U, W) targets of a point-mass kernel; only perfbench/spans.py reads it."""
+        if self.kind != "deterministic":
+            raise DimensionMismatch("kernel", "abstraction is stochastic")
+        table = self.kernel.indices.reshape(self.n_states, self.n_inputs, self.n_internal)
+        table.flags.writeable = False  # a view of the shared kernel
+        return table
 
     @property
     def sink(self) -> int:
@@ -218,9 +233,7 @@ class FiniteAbstraction:
         return self.grid.n_internal
 
     def row(self, s: int, u: int, w: int = 0) -> np.ndarray:
-        """Dense probability row over S+1 targets (stochastic abstractions)."""
-        if self.kernel is None:
-            raise DimensionMismatch("kernel", "abstraction is deterministic")
+        """Dense probability row over S+1 targets."""
         flat = (s * self.n_inputs + u) * self.n_internal + w
         return np.asarray(self.kernel.getrow(flat).todense()).reshape(-1)
 
@@ -257,39 +270,14 @@ def _warn_if_coarse(grid: AbstractionGrid, shifts: np.ndarray) -> None:
 def build_deterministic(
     sys: AffineSystem, disc: DiscretizationSpec, grid: AbstractionGrid, P=None
 ) -> FiniteAbstraction:
-    """Successor-table abstraction of the noise-free sampled model (R_tilde = 0).
+    """Point-mass abstraction of the noise-free sampled model (R_tilde = 0).
 
     P is the matrix relating concrete and abstract coordinates (identity by
     default); the abstraction's output maps are C1 P and C2 P.
     """
     if np.any(disc.R_tilde):
         raise DimensionMismatch("R_tilde", "deterministic abstraction needs R_tilde = 0")
-    P = np.eye(sys.n) if P is None else as_matrix(P)
-    shifts = _shift_table(sys, disc, grid)
-    _warn_if_coarse(grid, shifts)
-    centers = grid.state.centers()
-    S, U, W = grid.state.n_points, grid.input.n_points, grid.n_internal
-    succ = np.empty((S, U, W), dtype=np.int64)
-    for u in range(U):
-        for w in range(W):
-            succ[:, u, w] = grid.state.locate_many(centers + shifts[u, w])
-    return FiniteAbstraction(
-        grid=grid, kind="deterministic", disc=disc, P_map=P,
-        output_map=sys.C1 @ P, internal_output_map=sys.C2 @ P,
-        successors=succ,
-    )
-
-
-def _axis_masses(edges: np.ndarray, means: np.ndarray, sigma: float) -> np.ndarray:
-    """Gaussian interval masses of one axis for a block of means; shape (rows, cells)."""
-    if sigma > 0.0:
-        cdf = ndtr((edges - means[:, None]) / sigma)
-        return np.diff(cdf, axis=1)
-    masses = np.zeros((means.size, edges.size - 1))
-    j = np.searchsorted(edges, means, side="right") - 1
-    hit = np.flatnonzero((j >= 0) & (j < masses.shape[1]))
-    masses[hit, j[hit]] = 1.0
-    return masses
+    return _build(sys, disc, grid, P)
 
 
 def build_stochastic(
@@ -298,11 +286,29 @@ def build_stochastic(
     """Finite Markov kernel for the sampled model with Gaussian noise R_tilde s(k).
 
     Requires an axis-aligned noise covariance (R_tilde R_tilde^T diagonal).
-    Each row factors into per-dimension Gaussian interval masses; whatever
-    mass falls off the grid goes to the sink, and rows are renormalized only
-    when their drift from unit mass is below 1e-9.  Rows are computed in
-    blocks of about `_BLOCK_ENTRIES` dense entries.
+    Each row factors into per-dimension Gaussian interval masses (a point
+    mass on a noise-free axis); whatever mass falls off the grid goes to
+    the sink, and rows are renormalized only when their drift from unit
+    mass is below 1e-9.  Rows are computed in blocks of about
+    `_BLOCK_ENTRIES` dense entries, or all at once when every row is a point mass.
     """
+    return _build(sys, disc, grid, P)
+
+
+def _axis_masses(axis: UniformGrid, means: np.ndarray, sigma: float) -> np.ndarray:
+    """Gaussian cell masses on the 1-D grid `axis` for a block of means; shape (rows, cells)."""
+    if sigma > 0.0:
+        cdf = ndtr((axis.axis_edges(0) - means[:, None]) / sigma)
+        return np.diff(cdf, axis=1)
+    masses = np.zeros((means.size, axis.n_points))
+    j = axis.locate_many(means[:, None])
+    hit = np.flatnonzero(j < axis.n_points)
+    masses[hit, j[hit]] = 1.0
+    return masses
+
+
+def _build(sys, disc, grid, P) -> FiniteAbstraction:
+    """The kernel of `build_deterministic` and `build_stochastic`."""
     P = np.eye(sys.n) if P is None else as_matrix(P)
     cov = disc.R_tilde @ disc.R_tilde.T
     off = cov - np.diag(np.diag(cov))
@@ -313,42 +319,44 @@ def build_stochastic(
     _warn_if_coarse(grid, shifts)
     sgrid = grid.state
     S, U, W = sgrid.n_points, grid.input.n_points, grid.n_internal
-    edges = [sgrid.axis_edges(d) for d in range(sgrid.dim)]
     centers = sgrid.centers()
     shifts = shifts.reshape(U * W, sgrid.dim)
-
     n_rows = S * U * W
-    step = max(1, _BLOCK_ENTRIES // (S + 1))
-    data, indices, counts = [], [], []
-    for r0 in range(0, n_rows, step):
-        rows = np.arange(r0, min(r0 + step, n_rows))
-        s_idx, uw_idx = np.divmod(rows, U * W)
-        means = centers[s_idx] + shifts[uw_idx]
-        probs = _axis_masses(edges[0], means[:, 0], sigma[0])
-        for d in range(1, sgrid.dim):
-            axis = _axis_masses(edges[d], means[:, d], sigma[d])
-            probs = (probs[:, :, None] * axis[:, None, :]).reshape(rows.size, -1)
-        inside = probs.sum(axis=1)
-        sink = 1.0 - inside
-        bad = np.flatnonzero(sink < -_ROW_TOL)
-        if bad.size:
-            u, w = divmod(int(uw_idx[bad[0]]), W)
-            raise RowMassError((int(s_idx[bad[0]]), u, w), float(sink[bad[0]]))
-        sink = np.maximum(sink, 0.0)
-        full = np.concatenate([probs, sink[:, None]], axis=1)
-        nz_row, nz_col = np.nonzero(full)
-        data.append(full[nz_row, nz_col] / (inside + sink)[nz_row])
-        indices.append(nz_col.astype(np.int32))  # as the CSR stores them; half the memory
-        counts.append(np.bincount(nz_row, minlength=rows.size))
-    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
-    kernel = scipy.sparse.csr_matrix(
-        (np.concatenate(data), np.concatenate(indices), indptr),
-        shape=(n_rows, S + 1),
-    )
+
+    if not np.any(sigma):
+        targets = sgrid.locate_many(centers[:, None, :] + shifts[None, :, :]).reshape(-1)
+        data, indices, indptr = np.ones(n_rows), targets.astype(np.int32), np.arange(n_rows + 1)
+    else:
+        axes = [UniformGrid(sgrid.lower[d:d + 1], sgrid.widths[d:d + 1], sgrid.cells[d:d + 1])
+                for d in range(sgrid.dim)]
+        step = max(1, _BLOCK_ENTRIES // (S + 1))
+        data, indices, counts = [], [], []
+        for r0 in range(0, n_rows, step):
+            rows = np.arange(r0, min(r0 + step, n_rows))
+            s_idx, uw_idx = np.divmod(rows, U * W)
+            means = centers[s_idx] + shifts[uw_idx]
+            probs = _axis_masses(axes[0], means[:, 0], sigma[0])
+            for d in range(1, sgrid.dim):
+                axis = _axis_masses(axes[d], means[:, d], sigma[d])
+                probs = (probs[:, :, None] * axis[:, None, :]).reshape(rows.size, -1)
+            inside = probs.sum(axis=1)
+            sink = 1.0 - inside
+            bad = np.flatnonzero(sink < -_ROW_TOL)
+            if bad.size:
+                u, w = divmod(int(uw_idx[bad[0]]), W)
+                raise RowMassError((int(s_idx[bad[0]]), u, w), float(sink[bad[0]]))
+            sink = np.maximum(sink, 0.0)
+            full = np.concatenate([probs, sink[:, None]], axis=1)
+            nz_row, nz_col = np.nonzero(full)
+            data.append(full[nz_row, nz_col] / (inside + sink)[nz_row])
+            indices.append(nz_col.astype(np.int32))  # as the CSR stores them; half the memory
+            counts.append(np.bincount(nz_row, minlength=rows.size))
+        data, indices = np.concatenate(data), np.concatenate(indices)
+        indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
     return FiniteAbstraction(
-        grid=grid, kind="stochastic", disc=disc, P_map=P,
+        grid=grid, disc=disc, P_map=P,
         output_map=sys.C1 @ P, internal_output_map=sys.C2 @ P,
-        kernel=kernel,
+        kernel=scipy.sparse.csr_matrix((data, indices, indptr), shape=(n_rows, S + 1)),
     )
 
 
@@ -357,7 +365,8 @@ def export_abstraction(abs_: FiniteAbstraction, json_path, csv_path) -> None:
 
     CSV rows come in (state, input, internal, target) order, formatted and
     written about `_EXPORT_ENTRIES` at a time; probabilities are the shortest
-    round-trip `repr` of each float.  The abstraction is not modified.
+    round-trip `repr` of each float (a point mass is `1.0`).  Unsorted rows
+    are written from a sorted copy; the abstraction is not modified.
     """
     header = {
         "kind": abs_.kind,
@@ -366,63 +375,40 @@ def export_abstraction(abs_: FiniteAbstraction, json_path, csv_path) -> None:
         "n_internal": abs_.n_internal,
         "sink": abs_.sink,
         "tau": abs_.disc.tau,
-        "state_grid": {
-            "lower": abs_.grid.state.lower.tolist(),
-            "widths": abs_.grid.state.widths.tolist(),
-            "cells": list(abs_.grid.state.cells),
-        },
-        "input_grid": {
-            "lower": abs_.grid.input.lower.tolist(),
-            "widths": abs_.grid.input.widths.tolist(),
-            "cells": list(abs_.grid.input.cells),
-        },
-        "internal_grid": None if abs_.grid.internal is None else {
-            "lower": abs_.grid.internal.lower.tolist(),
-            "widths": abs_.grid.internal.widths.tolist(),
-            "cells": list(abs_.grid.internal.cells),
-        },
+        **{f"{name}_grid": None if g is None else {
+            "lower": g.lower.tolist(), "widths": g.widths.tolist(), "cells": list(g.cells)}
+           for name, g in (("state", abs_.grid.state), ("input", abs_.grid.input),
+                           ("internal", abs_.grid.internal))},
     }
     with open(json_path, "w", newline="\n") as fh:
         json.dump(header, fh, indent=2, sort_keys=True)
         fh.write("\n")
     U, W = abs_.n_inputs, abs_.n_internal
+    kernel = abs_.kernel
+    if not kernel.has_sorted_indices:
+        kernel = kernel.sorted_indices()  # a copy; the shared kernel stays as it is
+    indptr, cols = kernel.indptr, kernel.indices
+    # each distinct probability (bit pattern) is formatted once, as repr
+    bits = np.asarray(kernel.data, dtype=np.float64).view(np.int64)
+    keys = np.unique(bits)
+    texts = np.array([repr(p) + "\n" for p in keys.view(np.float64).tolist()],
+                     dtype=object)
     with open(csv_path, "w", newline="") as fh:
         fh.write("state,input,internal,target,prob\n")
-        if abs_.kind == "deterministic":
-            targets = abs_.successors.reshape(-1)
-            for e0 in range(0, targets.size, _EXPORT_ENTRIES):
-                rows = np.arange(e0, min(e0 + _EXPORT_ENTRIES, targets.size))
-                s, rem = np.divmod(rows, U * W)
-                u, w = np.divmod(rem, W)
-                fh.write("".join(map("%d,%d,%d,%d,1.0\n".__mod__, zip(
-                    s.tolist(), u.tolist(), w.tolist(), targets[rows].tolist()))))
-            return
-        kernel = abs_.kernel.tocsr()
-        indptr, cols = kernel.indptr, kernel.indices
-        # each distinct probability (bit pattern) is formatted once, as repr
-        bits = np.asarray(kernel.data, dtype=np.float64).view(np.int64)
-        keys = np.unique(bits)
-        texts = np.array([repr(p) + "\n" for p in keys.view(np.float64).tolist()],
-                         dtype=object)
-        in_order = kernel.has_sorted_indices
         r0, n_rows = 0, kernel.shape[0]
         while r0 < n_rows:
-            # a block holds whole rows, so each row can be put in target
-            # order within it, without sorting the shared kernel
+            # a block holds whole rows, so each row label is formatted once
             r1 = int(np.searchsorted(indptr, indptr[r0] + _EXPORT_ENTRIES, side="right"))
             r1 = min(max(r1 - 1, r0 + 1), n_rows)
             counts = np.diff(indptr[r0:r1 + 1])
-            take = np.arange(indptr[r0], indptr[r1])
-            if not in_order:
-                row_of = np.repeat(np.arange(r0, r1), counts)
-                take = take[np.lexsort((cols[take], row_of))]
+            take = slice(indptr[r0], indptr[r1])
             # each row label and each distinct target is formatted once
             s, rem = np.divmod(np.arange(r0, r1), U * W)
             u, w = np.divmod(rem, W)
             labels = list(map("%d,%d,%d,".__mod__, zip(s.tolist(), u.tolist(), w.tolist())))
             targets, target_of = np.unique(cols[take], return_inverse=True)
             targets = np.array(["%d," % t for t in targets.tolist()], dtype=object)
-            parts = np.empty((take.size, 3), dtype=object)
+            parts = np.empty((counts.sum(), 3), dtype=object)
             parts[:, 0] = np.repeat(np.array(labels, dtype=object), counts)
             parts[:, 1] = targets[target_of]
             parts[:, 2] = texts[np.searchsorted(keys, bits[take])]

@@ -337,7 +337,7 @@ def load_config(source) -> PipelineBundle:
         raise ConfigError(f"unsupported config source {type(source)!r}")
     _object(raw, "config")
     blocks = {name: _block(raw, name, default) for name, default in (
-        ("interconnection", {}), ("certificates", {"mode": "solve"}),
+        ("interconnection", {}), ("certificates", {}),
         ("safety", None), ("bound", {}), ("simulation", {}))}
 
     sys_spec = raw.get("systems")
@@ -353,14 +353,21 @@ def load_config(source) -> PipelineBundle:
 
     ic_spec = blocks["interconnection"]
     if ic_spec.get("coupling") is not None:
-        m = _coupling_from(ic_spec["coupling"])
+        m, m_path = _coupling_from(ic_spec["coupling"]), "interconnection.coupling"
     elif "M" in ic_spec:
-        m = _field(ic_spec, "interconnection", "M", _vector)
+        m, m_path = _field(ic_spec, "interconnection", "M", _vector), "interconnection.M"
     else:
         raise ConfigError("interconnection.coupling is missing (or give interconnection.M)")
-    mu = _field(ic_spec, "interconnection", "mu", _vector, np.ones(n))
+    mu = _field(ic_spec, "interconnection", "mu", model.positive_weights, np.ones(n))
     dims = [(s.n, s.m, s.p, s.q2) for s in systems]
-    ic = model.InterconnectionSpec(M=m, mu=mu, subsystem_dims=dims)
+    try:
+        ic = model.InterconnectionSpec(M=m, mu=mu, subsystem_dims=dims)
+    except DimensionMismatch as exc:
+        if exc.field == "mu":
+            raise ConfigError(f"interconnection.mu is malformed: {exc}") from exc
+        sys_path = "systems[i]" if isinstance(sys_spec, list) else "systems.template"
+        raise ConfigError(f"{m_path} is malformed: {exc} (a row per column of "
+                          f"{sys_path}.D, a column per row of {sys_path}.C2)") from exc
 
     # one object per distinct entry: a broadcast entry is built once
     disc_spec, grid_spec = raw.get("discretization"), raw.get("grid")
@@ -440,6 +447,8 @@ def _resolve_certs(bundle: PipelineBundle) -> list:
     so a broadcast certificate is one object shared by every subsystem."""
     cfg = bundle.cert_config
     mode = cfg.get("mode", "given")
+    if mode not in ("given", "solve"):
+        raise ConfigError(f"certificates.mode must be 'given' or 'solve', got {mode!r}")
     built: dict = {}
     if mode == "given":
         if cfg.get("values") is None:
@@ -452,8 +461,6 @@ def _resolve_certs(bundle: PipelineBundle) -> list:
                 except (TypeError, ValueError) as exc:
                     raise ConfigError(f"certificates.values[{i}] is malformed: {exc}") from exc
         return [built[id(v)] for v in values]
-    if mode != "solve":
-        raise ConfigError(f"unknown certificate mode {mode!r}")
     what = "certificates"
     shared = {name: _field(cfg, what, name, float, default) for name, default in (
         ("kappa_tilde", ...), ("pi", 1.0), ("kappa_bar", ...),
@@ -649,14 +656,12 @@ def _stage_synthesize(bundle: PipelineBundle, ctx: dict) -> None:
     controllers = []
     for g_idx, member in enumerate(groups):
         fa = ctx["abstractions"][member[0]]
-        if fa.kind == "deterministic":
+        if bundle.safety.horizon is not None:
+            ctrl = synth.safety_value_iteration(fa, bundle.safety)
+        elif fa.kind == "deterministic":
             ctrl = synth.safety_fixpoint(fa, bundle.safety)
         else:
-            if bundle.safety.horizon is None:
-                raise ConfigError(
-                    "stochastic abstractions need a finite safety horizon"
-                )
-            ctrl = synth.safety_value_iteration(fa, bundle.safety)
+            raise ConfigError("stochastic abstractions need a finite safety.horizon")
         if ctrl.winning_set.size == 0:
             raise CheckFailed("winning-set",
                               f"abstraction group {g_idx} has an empty winning set")

@@ -1,8 +1,8 @@
 """Safety controller synthesis on finite abstractions.
 
-Deterministic abstractions get the maximal controlled-invariant set via the
-standard shrinking fixpoint; stochastic abstractions get a finite-horizon
-maximal safety probability by backward value iteration over the kernel.
+One Bellman backup over the kernel serves both syntheses: value iteration
+applies it `horizon` times to any kernel (maximal safety probability), and the
+fixpoint applies it to point-mass rows until the maximal invariant set is found.
 Internal (coupling) inputs are resolved adversarially in both cases, which
 is sound for safety and collapses to the plain recursion when the internal
 grid is trivial.  Ties between equally good inputs always break toward the
@@ -84,31 +84,35 @@ def safe_mask(abstraction: FiniteAbstraction, spec: SafetySpec) -> np.ndarray:
     return np.all((outputs >= box.lower) & (outputs <= box.upper), axis=1)
 
 
+def _backup(abstraction: FiniteAbstraction, v: np.ndarray, safe: np.ndarray):
+    """V(s) = max_u min_w sum_t row(s,u,w)[t] v(t) on safe cells, 0 elsewhere (and
+    at the sink), with the maximizing input of every cell, lowest index on ties."""
+    S, W = abstraction.n_states, abstraction.n_internal
+    q = (abstraction.kernel @ np.append(v, 0.0)).reshape(S, -1, W).min(axis=2)
+    return np.where(safe, q.max(axis=1), 0.0), q.argmax(axis=1)
+
+
 def safety_fixpoint(abstraction: FiniteAbstraction, spec: SafetySpec) -> Controller:
     """Maximal controlled-invariant subset of the safe cells, with witness actions.
 
-    Iterates Z <- {s in Z : exists u, all internal w keep succ(s, u, w) in Z}
-    from the safe cells down to the fixpoint.  The stored action is the
-    lowest-index witnessing input.  An empty winning set is reported, not
-    raised.
+    Backs up the safe indicator until it stops changing; on point-mass rows
+    that is Z <- {s safe : exists u, all internal w keep succ(s, u, w) in Z}.
+    The stored action is the lowest-index witnessing input.  An empty
+    winning set is reported, not raised.
     """
     if abstraction.kind != "deterministic":
         raise DimensionMismatch("abstraction", "fixpoint synthesis needs a deterministic table")
     if spec.horizon is not None:
         raise DimensionMismatch("horizon", "fixpoint synthesis is infinite-horizon")
-    succ = abstraction.successors
-    S = abstraction.n_states
-    z = safe_mask(abstraction, spec)
-    z_ext = np.zeros(S + 1, dtype=bool)  # sink stays unsafe
+    safe = safe_mask(abstraction, spec)
+    v = np.where(safe, 1.0, 0.0)
     while True:
-        z_ext[:S] = z
-        ok_u = z_ext[succ].all(axis=2)  # (S, U): input keeps every internal branch inside
-        keep = z & ok_u.any(axis=1)
-        if np.array_equal(keep, z):
+        v_next, act = _backup(abstraction, v, safe)
+        if np.array_equal(v_next, v):
             break
-        z = keep
-    actions = np.where(z, np.argmax(ok_u, axis=1), -1).astype(np.int64)
-    winning = np.flatnonzero(z)
+        v = v_next
+    actions = np.where(v > 0.0, act, -1).astype(np.int64)
+    winning = np.flatnonzero(v > 0.0)
     if winning.size == 0:
         logger.info("safety fixpoint: empty winning set")
     return Controller(kind="deterministic-map", table=actions, winning_set=winning)
@@ -117,25 +121,16 @@ def safety_fixpoint(abstraction: FiniteAbstraction, spec: SafetySpec) -> Control
 def safety_value_iteration(abstraction: FiniteAbstraction, spec: SafetySpec) -> Controller:
     """Finite-horizon maximal probability of staying safe, with per-step argmax tables.
 
-    V_T = 1 on safe cells; V_k(s) = max_u min_w sum_t row(s,u,w)[t] V_{k+1}(t)
-    on safe cells and 0 elsewhere (the sink contributes 0).  Values returned
+    V_T = 1 on safe cells and V_k is the backup of V_{k+1}.  Values returned
     are V_0; the winning set is the safe cells with V_0 > 0.
     """
-    if abstraction.kind != "stochastic":
-        raise DimensionMismatch("abstraction", "value iteration needs a stochastic kernel")
     if spec.horizon is None:
         raise DimensionMismatch("horizon", "value iteration needs a finite horizon")
-    S, U, W = abstraction.n_states, abstraction.n_inputs, abstraction.n_internal
-    kernel = abstraction.kernel
     safe = safe_mask(abstraction, spec)
     v = np.where(safe, 1.0, 0.0)
     tables = []
     for _ in range(spec.horizon):
-        v_ext = np.append(v, 0.0)
-        q = (kernel @ v_ext).reshape(S, U, W).min(axis=2)
-        best = q.max(axis=1)
-        act = q.argmax(axis=1)
-        v = np.where(safe, best, 0.0)
+        v, act = _backup(abstraction, v, safe)
         tables.append(np.where(safe, act, -1).astype(np.int64))
     tables.reverse()  # tables[k] is applied at step k
     winning = np.flatnonzero(safe & (v > 0.0))

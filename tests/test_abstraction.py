@@ -246,6 +246,56 @@ class TestProductStructure:
                     assert t == np.ravel_multi_index((ta, tb), grid2.state.cells)
 
 
+def rooms_setup():
+    """The rooms demo's grid: 200 state cells of 0.005, 201 inputs of 1e-4."""
+    sys_ = room_system()
+    grid = abstraction_grid(sys_, state_w=0.005, input_w=1e-4)
+    return sys_, st.DiscretizationSpec(tau=0.1, D_tilde=0.0, R_tilde=0.0), grid
+
+
+def _row_means(disc, grid):
+    """Each kernel row's mean, center(s) + center(u) + D_tilde center(w), in row order."""
+    return np.array([grid.state.center(s) + (grid.input.center(u)
+                                             + grid.internal_shift(disc.D_tilde, w))
+                     for s in range(grid.state.n_points)
+                     for u in range(grid.input.n_points)
+                     for w in range(grid.n_internal)])
+
+
+class TestOneCellRule:
+    # the noise-free model as a point-mass kernel: one cell rule whichever
+    # builder is asked, the rule of the simulator's quantizer
+    @pytest.mark.parametrize("setup", [rooms_setup, lambda: plane_setup(np.zeros((2, 2)))],
+                             ids=["rooms", "plane"])
+    def test_builders_agree_with_the_quantizer(self, setup):
+        sys_, disc, grid = setup()
+        det = st.build_deterministic(sys_, disc, grid)
+        sto = st.build_stochastic(sys_, disc, grid)
+        assert det.kind == sto.kind == "deterministic"
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(det.kernel, name), getattr(sto.kernel, name))
+        assert np.all(det.kernel.data == 1.0)
+        targets = grid.state.locate_many(_row_means(disc, grid))
+        assert np.array_equal(det.successors.reshape(-1), targets)
+        assert np.any(targets == det.sink)
+
+    def test_zero_noise_axis_uses_the_quantizer(self):
+        sys_, disc, grid = plane_setup(np.diag([0.0, 0.3]))
+        fa = st.build_stochastic(sys_, disc, grid)
+        sgrid = grid.state
+        rows = fa.kernel.toarray()
+        for row, mean in zip(rows, _row_means(disc, grid)):
+            # axis 0 carries no noise: its mass sits in the cell the
+            # quantizer gives the mean (axis 1 moved inside the grid)
+            cell = sgrid.locate([mean[0], 0.5])
+            if cell == fa.sink:
+                assert row[fa.sink] == 1.0
+            else:
+                on_axis0 = row[:fa.sink].reshape(sgrid.cells).sum(axis=1)
+                assert np.flatnonzero(on_axis0).tolist() == [
+                    np.unravel_index(cell, sgrid.cells)[0]]
+
+
 def test_export_round_readable(tmp_path):
     sys_, disc, grid = room_det_setup()
     fa = st.build_deterministic(sys_, disc, grid)
@@ -265,13 +315,16 @@ def test_export_round_readable(tmp_path):
 # Per-entry oracles for the block-wise kernel build and CSV export
 
 
-def _reference_axis_masses(edges, mean, sigma):
+def _reference_axis_masses(grid, d, mean, sigma):
     if sigma > 0.0:
-        return np.diff(abst.ndtr((edges - mean) / sigma))
-    masses = np.zeros(edges.size - 1)
-    j = np.searchsorted(edges, mean, side="right") - 1
-    if 0 <= j < masses.size:
-        masses[j] = 1.0
+        return np.diff(abst.ndtr((grid.axis_edges(d) - mean) / sigma))
+    # the grid's cell rule: floor of (x - lower) / width, clipped, with
+    # 1e-9 widths of slack at the outer edges
+    lower, width, cells = grid.lower[d], grid.widths[d], grid.cells[d]
+    masses = np.zeros(cells)
+    slack = abst._EDGE_RTOL * width
+    if lower - slack <= mean <= lower + cells * width + slack:
+        masses[min(max(math.floor((mean - lower) / width), 0), cells - 1)] = 1.0
     return masses
 
 
@@ -282,17 +335,16 @@ def _reference_kernel(disc, grid):
     S, U, W = sgrid.n_points, grid.input.n_points, grid.n_internal
     shifts = np.asarray([[grid.input.center(u) + grid.internal_shift(disc.D_tilde, w)
                           for w in range(W)] for u in range(U)])
-    edges = [sgrid.axis_edges(d) for d in range(sgrid.dim)]
     centers = sgrid.centers()
     data, indices, indptr = [], [], [0]
     for s in range(S):
         for u in range(U):
             for w in range(W):
                 mean = centers[s] + shifts[u, w]
-                probs = _reference_axis_masses(edges[0], mean[0], sigma[0])
+                probs = _reference_axis_masses(sgrid, 0, mean[0], sigma[0])
                 for d in range(1, sgrid.dim):
                     probs = np.multiply.outer(
-                        probs, _reference_axis_masses(edges[d], mean[d], sigma[d]))
+                        probs, _reference_axis_masses(sgrid, d, mean[d], sigma[d]))
                 probs = probs.reshape(-1)
                 inside = float(probs.sum())
                 sink_mass = 1.0 - inside
@@ -394,7 +446,7 @@ def _unsorted_copy(fa):
                                      shape=k.shape)
     assert not kernel.has_sorted_indices
     return st.FiniteAbstraction(
-        grid=fa.grid, kind=fa.kind, disc=fa.disc, P_map=fa.P_map,
+        grid=fa.grid, disc=fa.disc, P_map=fa.P_map,
         output_map=fa.output_map, internal_output_map=fa.internal_output_map,
         kernel=kernel)
 

@@ -173,14 +173,18 @@ def test_criterion_5_abstraction_soundness():
 
 
 def _max_controlled_invariant_bruteforce(succ: np.ndarray, safe: np.ndarray) -> set:
-    """Union of every subset of safe states closed under some input choice."""
-    s, u = succ.shape
+    """Union of every subset of safe states closed under some input choice.
+
+    `succ` has shape (S, U, W); an input keeps a state in the subset when
+    every internal branch w does.
+    """
+    s, u, w = succ.shape
     safe_states = [i for i in range(s) if safe[i]]
     winning: set = set()
     for bits in range(1 << len(safe_states)):
         subset = {safe_states[j] for j in range(len(safe_states)) if bits >> j & 1}
         closed = all(
-            any(succ[state, inp] in subset for inp in range(u))
+            any(all(succ[state, inp, b] in subset for b in range(w)) for inp in range(u))
             for state in subset
         )
         if closed:
@@ -189,27 +193,29 @@ def _max_controlled_invariant_bruteforce(succ: np.ndarray, safe: np.ndarray) -> 
 
 
 def test_criterion_6_synthesis_oracle():
-    """Fixpoint equals exhaustive-subset maximal controlled invariance, 100 runs."""
+    """Fixpoint equals exhaustive-subset maximal controlled invariance,
+    100 runs for each of 1, 2 and 3 internal cells."""
     from test_synthesis import det_abstraction
 
     rng = np.random.default_rng(77)
     mismatches = 0
-    for _ in range(100):
-        s = int(rng.integers(3, 13))   # <= 12 states
-        u = int(rng.integers(1, 4))    # <= 3 inputs
-        succ = rng.integers(0, s + 1, size=(s, u))  # index s is the sink
-        # random contiguous safe window expressed as an output box
-        a, b = sorted(rng.integers(0, s, size=2))
-        safe_box = st.Box([float(a)], [float(b + 1)])
-        safe = np.zeros(s, dtype=bool)
-        safe[a:b + 1] = True
-        fa = det_abstraction(succ)
-        ctrl = st.safety_fixpoint(fa, st.SafetySpec(safe_box=safe_box))
-        expected = _max_controlled_invariant_bruteforce(succ, safe)
-        if set(ctrl.winning_set.tolist()) != expected:
-            mismatches += 1
+    for w in (1, 2, 3):
+        for _ in range(100):
+            s = int(rng.integers(3, 13))   # <= 12 states
+            u = int(rng.integers(1, 4))    # <= 3 inputs
+            succ = rng.integers(0, s + 1, size=(s, u, w))  # index s is the sink
+            # random contiguous safe window expressed as an output box
+            a, b = sorted(rng.integers(0, s, size=2))
+            safe_box = st.Box([float(a)], [float(b + 1)])
+            safe = np.zeros(s, dtype=bool)
+            safe[a:b + 1] = True
+            fa = det_abstraction(succ)
+            ctrl = st.safety_fixpoint(fa, st.SafetySpec(safe_box=safe_box))
+            expected = _max_controlled_invariant_bruteforce(succ, safe)
+            if set(ctrl.winning_set.tolist()) != expected:
+                mismatches += 1
     ok = mismatches == 0
-    _report(6, ok, f"oracle mismatches={mismatches}/100 instances")
+    _report(6, ok, f"oracle mismatches={mismatches}/300 instances (W = 1, 2, 3)")
 
 
 def test_criterion_7_monte_carlo_dominance(tmp_path):

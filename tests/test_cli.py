@@ -204,12 +204,33 @@ class TestRunPipeline:
         meta = json.loads((out / "controller.json").read_text())
         assert 0.0 <= meta["min_value_on_winning"] <= 1.0
 
-    def test_stochastic_without_horizon_is_config_error(self, tmp_path):
+    def test_stochastic_without_horizon_is_config_error(self, tmp_path, capsys):
         cfg = small_rooms(tmp_path)
         cfg["discretization"]["R_tilde"] = [[0.002]]
         cfg["grid"] = {"state_widths": [0.05], "input_widths": [0.005],
                        "internal_widths": [2.0]}
         assert run_pipeline(cfg) == EXIT_CONFIG
+        assert "safety.horizon" in capsys.readouterr().err
+
+    def test_finite_horizon_runs_value_iteration_on_point_masses(self, tmp_path):
+        # a noise-free abstraction with a finite safety horizon gets the
+        # time-varying table of value iteration, through the simulation
+        cfg = small_rooms(tmp_path, trials=8)
+        cfg["safety"]["horizon"] = 12
+        assert run_pipeline(cfg) == EXIT_OK
+        out = tmp_path / "out"
+        assert json.loads((out / "abstraction.json").read_text())["kind"] == "deterministic"
+        lines = (out / "controller.csv").read_text().splitlines()
+        assert lines[0] == "state_idx,step,input_idx"
+        assert {line.split(",")[1] for line in lines[1:]} == {str(k) for k in range(12)}
+        # 12 safe steps are won from every state the infinite horizon wins
+        bundle = load_config(cfg)
+        fa = st.build_deterministic(bundle.systems[0], bundle.discs[0], bundle.grids[0])
+        finite = st.safety_value_iteration(fa, bundle.safety)
+        forever = st.safety_fixpoint(fa, st.SafetySpec(safe_box=bundle.safety.safe_box))
+        assert set(forever.winning_set.tolist()) <= set(finite.winning_set.tolist())
+        meta = json.loads((out / "controller.json").read_text())
+        assert meta["winning_states"] == finite.winning_set.size
 
     def test_seed_override_changes_summary(self, tmp_path):
         cfg = small_rooms(tmp_path)
@@ -525,6 +546,14 @@ def _solve_mode(cfg):
         n=4, theta=0.0)["certificates"].items() if key != "kappa_tilde"}
 
 
+def _flat_coupling(m):
+    # the coupling as a bare interconnection.M
+    def apply(cfg):
+        del cfg["interconnection"]["coupling"]
+        cfg["interconnection"]["M"] = m
+    return apply
+
+
 def _without_x0(edit):
     # with no simulation.x0 the bound stage reads bound.v0 instead
     def apply(cfg):
@@ -574,6 +603,12 @@ def _without_x0(edit):
     (_set(("grid",), "g"), "grid"),
     (_set(("stages",), 5), "stages"),
     (_set(("output_dir",), 5), "output_dir"),
+    (_set(("interconnection", "mu"), [1.0, 1.0, 1.0]), "interconnection.mu"),
+    (_set(("interconnection", "coupling"), {"kind": "dense", "M": [[0, 1], [1, 0]]}),
+     "interconnection.coupling"),
+    (_flat_coupling([[0, 1], [1, 0]]), "interconnection.M"),
+    (_set(("certificates", "mode"), 5), "certificates.mode"),
+    (_set(("certificates",), None), "certificates.values"),
 ], ids=["n-fraction", "n-bool", "replicate-fraction", "bound-horizon-fraction",
         "n_trials-fraction", "safety-horizon-bool", "safety-horizon-fraction",
         "record_outputs-string", "cert-unknown-key", "cert-missing-key",
@@ -584,7 +619,9 @@ def _without_x0(edit):
         "v0-negative", "v0-nan", "nu_hat_sup-negative", "psi_hat_override-negative",
         "psi_hat_override-nan", "tau-missing", "state_widths-string", "state_widths-zero",
         "R_tilde-string", "state_box-string", "state_box-sizes-differ", "A-string",
-        "discretization-number", "grid-string", "stages-number", "output_dir-number"])
+        "discretization-number", "grid-string", "stages-number", "output_dir-number",
+        "mu-wrong-length", "coupling-M-wrong-shape", "M-wrong-shape", "cert-mode-number",
+        "certificates-missing"])
 def test_config_error_exits_3_and_names_its_field(tmp_path, capsys, edit, field):
     cfg = small_rooms(tmp_path, trials=8)
     edit(cfg)
@@ -613,7 +650,7 @@ def test_every_loaded_field_loads_or_names_itself(tmp_path):
     # ConfigError naming its path; any other exception escapes the test
     unnamed = []
     for path in LOADED_FIELDS:
-        for value in (None, "a"):
+        for value in (None, "a", [1.0] * 3):  # the network has 4 rooms of 1 state
             cfg = small_rooms(tmp_path)
             _set(tuple(path.split(".")), value)(cfg)
             try:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
 import stochsym as st
 from stochsym.abstraction import AbstractionGrid, FiniteAbstraction, UniformGrid
@@ -8,36 +9,33 @@ from stochsym.errors import DimensionMismatch, EmptyBox
 from conftest import room_system
 
 
-def det_abstraction(successors: np.ndarray, lo=0.0, width=1.0) -> FiniteAbstraction:
-    """Wrap a raw successor table (S, U) into a 1-D abstraction."""
-    s, u = successors.shape
+def _abstraction(kernel, s, u, w, r_tilde, lo, width) -> FiniteAbstraction:
     grid = AbstractionGrid(
         state=UniformGrid(lower=[lo], widths=[width], cells=(s,)),
         input=UniformGrid(lower=[0.0], widths=[1.0], cells=(u,)),
+        internal=UniformGrid(lower=[0.0], widths=[1.0], cells=(w,)) if w > 1 else None,
     )
     return FiniteAbstraction(
-        grid=grid, kind="deterministic",
-        disc=st.DiscretizationSpec(tau=1.0, D_tilde=0.0, R_tilde=0.0),
+        grid=grid, disc=st.DiscretizationSpec(tau=1.0, D_tilde=0.0, R_tilde=r_tilde),
         P_map=np.eye(1), output_map=np.eye(1), internal_output_map=np.eye(1),
-        successors=successors[:, :, None],
+        kernel=scipy.sparse.csr_matrix(kernel),
     )
+
+
+def det_abstraction(successors: np.ndarray, lo=0.0, width=1.0) -> FiniteAbstraction:
+    """Wrap a raw successor table, (S, U) or (S, U, W), into a 1-D point-mass abstraction."""
+    succ = successors if successors.ndim == 3 else successors[:, :, None]
+    s, u, w = succ.shape
+    rows = succ.size
+    kernel = (np.ones(rows), succ.reshape(-1), np.arange(rows + 1))
+    return _abstraction(scipy.sparse.csr_matrix(kernel, shape=(rows, s + 1)),
+                        s, u, w, 0.0, lo, width)
 
 
 def stoch_abstraction(rows: np.ndarray, lo=0.0, width=1.0) -> FiniteAbstraction:
     """rows has shape (S, U, S+1) of probabilities."""
-    import scipy.sparse
     s, u, _ = rows.shape
-    grid = AbstractionGrid(
-        state=UniformGrid(lower=[lo], widths=[width], cells=(s,)),
-        input=UniformGrid(lower=[0.0], widths=[1.0], cells=(u,)),
-    )
-    kernel = scipy.sparse.csr_matrix(rows.reshape(s * u, s + 1))
-    return FiniteAbstraction(
-        grid=grid, kind="stochastic",
-        disc=st.DiscretizationSpec(tau=1.0, D_tilde=0.0, R_tilde=1.0),
-        P_map=np.eye(1), output_map=np.eye(1), internal_output_map=np.eye(1),
-        kernel=kernel,
-    )
+    return _abstraction(rows.reshape(s * u, s + 1), s, u, 1, 1.0, lo, width)
 
 
 def full_box(fa: FiniteAbstraction) -> st.Box:
@@ -85,16 +83,18 @@ class TestFixpoint:
         assert ctrl.table[0] == 0
 
     def test_winning_set_is_invariant_under_closed_loop(self):
+        # every internal branch of the stored action stays winning
         rng = np.random.default_rng(42)
-        for _ in range(25):
-            s = int(rng.integers(3, 12))
-            u = int(rng.integers(1, 4))
-            succ = rng.integers(0, s + 1, size=(s, u))
-            fa = det_abstraction(succ)
-            ctrl = st.safety_fixpoint(fa, st.SafetySpec(safe_box=full_box(fa)))
-            for state in ctrl.winning_set:
-                nxt = succ[state, ctrl.table[state]]
-                assert nxt in ctrl.winning_set
+        for w in (1, 2, 3):
+            for _ in range(25):
+                s = int(rng.integers(3, 12))
+                u = int(rng.integers(1, 4))
+                succ = rng.integers(0, s + 1, size=(s, u, w))
+                fa = det_abstraction(succ)
+                ctrl = st.safety_fixpoint(fa, st.SafetySpec(safe_box=full_box(fa)))
+                for state in ctrl.winning_set:
+                    nxt = succ[state, ctrl.table[state]]
+                    assert np.isin(nxt, ctrl.winning_set).all()
 
     def test_lowest_index_tie_break_deterministic(self):
         succ = np.array([[0, 0], [1, 1]])
