@@ -164,7 +164,7 @@ def build_x_cmp(certs: list[StorageCertificate], mu) -> np.ndarray:
     return supply_blocks(certs, mu).dense()
 
 
-def _form(M, blocks: SupplyBlocks) -> scipy.sparse.csr_matrix:
+def network_form(M, blocks: SupplyBlocks) -> scipy.sparse.csr_matrix:
     """Symmetric part of [M; I]^T X_cmp [M; I], as a sparse q x q matrix.
 
     That is M^T x11 M + M^T x12 + x21 M + x22, formed as M^T (x11 M)
@@ -180,17 +180,16 @@ def _form(M, blocks: SupplyBlocks) -> scipy.sparse.csr_matrix:
     return (0.5 * (form + form.T)).tocsr()
 
 
-def network_form(M, blocks: SupplyBlocks) -> np.ndarray:
-    """The network form as a dense q x q array, the only dense matrix made."""
-    return _form(M, blocks).toarray(order="C")
-
-
-def check_compositional_lmi(M, blocks: SupplyBlocks) -> LmiCheck:
+def check_compositional_lmi(M, blocks: SupplyBlocks, *, form=None) -> LmiCheck:
     """Verify [M; I]^T X_cmp [M; I] <= 0; the margin is its largest eigenvalue.
 
-    One dense eigensolve of the q x q network form, run in place on it.
+    One dense eigensolve of the q x q network form, the only dense matrix
+    made, run in place on it.  `form` is `network_form(M, blocks)` when the
+    caller has already assembled it.
     """
-    quad = network_form(M, blocks)
+    if form is None:
+        form = network_form(M, blocks)
+    quad = form.toarray(order="C")
     tol = psd_tolerance(quad)
     margin = -math.inf
     if quad.size:
@@ -201,7 +200,7 @@ def check_compositional_lmi(M, blocks: SupplyBlocks) -> LmiCheck:
     return LmiCheck(ok=margin <= tol, margin=margin, tol=tol)
 
 
-def gershgorin_fast_check(M, blocks: SupplyBlocks) -> GershgorinCheck:
+def gershgorin_fast_check(M, blocks: SupplyBlocks, *, form=None) -> GershgorinCheck:
     """Gershgorin bound on the largest eigenvalue of the network form, in O(nnz).
 
     Every eigenvalue of the symmetric form F lies in a disc centred on some
@@ -209,8 +208,12 @@ def gershgorin_fast_check(M, blocks: SupplyBlocks) -> GershgorinCheck:
     bounds the LMI margin for any M and any blocks.  The check is ok when
     that bound is within the tolerance the eigensolve's verdict uses, so an
     ok check implies an ok LMI; False means inconclusive, not violated.
+    `form` is `network_form(M, blocks)` when the caller has already
+    assembled it.
     """
-    form = _form(M, blocks).tocoo()
+    if form is None:
+        form = network_form(M, blocks)
+    form = form.tocoo()
     off = form.row != form.col
     radius = np.bincount(form.row[off], weights=np.abs(form.data[off]),
                          minlength=form.shape[0])

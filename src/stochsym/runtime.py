@@ -28,15 +28,23 @@ together, one grid lookup per group and step.
 
 Trials are independent; each draws its Gaussian increments from its own
 counter-based stream split off the master seed, so results are bitwise
-reproducible regardless of chunking or worker count.  The substeps of an
-interval are streamed a block at a time (at most `_SUBSTEP_BLOCK_ENTRIES`
-normals per chunk), each trial continuing its stream in order, and the
-output envelope is folded in per substep, so the simulator's memory is
-O(C x n_total) for C trials per chunk, independent of the substep count.
-The empirical violation frequency is reported with an exact one-sided
-Clopper-Pearson upper confidence bound for comparison against the
-theoretical guarantee; the bound is one Beta quantile, computed with
-`scipy.special.betaincinv` so the package never imports `scipy.stats`.
+reproducible regardless of chunking or worker count.  The trials are split
+into contiguous chunks whose sizes differ by at most one: enough chunks to
+keep each within `chunk_size` trials and to give every worker one.  By
+default there is one worker per CPU the process may use; the calling thread
+runs chunks itself beside one helper thread per further worker (numpy draws
+normals and does the array arithmetic with the GIL released).  A run that
+loses an abstract state reports the loss one chunk holding every trial
+would meet first, whichever chunk met it.  The substeps of an interval are
+streamed a block at a time (at most `_SUBSTEP_BLOCK_ENTRIES` normals across
+the chunks in flight, but at least `_MIN_DRAW` per trial and block), each
+trial continuing its stream in order, and the output envelope is folded in
+per substep, so the simulator's memory is O(C x n_total) for C trials in
+flight, independent of the substep count.  The empirical violation
+frequency is reported with an exact one-sided Clopper-Pearson upper
+confidence bound for comparison against the theoretical guarantee; the
+bound is one Beta quantile, computed with `scipy.special.betaincinv` so the
+package never imports `scipy.stats`.
 """
 from __future__ import annotations
 
@@ -63,9 +71,13 @@ from .errors import (
 from .model import AffineSystem, InterconnectionSpec, as_matrix, as_vector
 from .synthesis import Controller
 
-#: substeps per block are capped so that one block of normals holds at most
-#: this many entries per chunk (C x block x n_total)
+#: substeps per block are capped so that the blocks of normals of the chunks
+#: in flight hold at most this many entries together (C x block x n_total)
 _SUBSTEP_BLOCK_ENTRIES = 1 << 16
+#: ... unless that leaves a trial's draw per block below this many normals:
+#: smaller draws cost more in call overhead (and, with helper threads, in
+#: handing the GIL back and forth) than in drawing
+_MIN_DRAW = 512
 
 
 @dataclass(eq=False)
@@ -136,7 +148,13 @@ def clopper_pearson_upper(violations: int, trials: int, confidence: float = 0.95
 
 @dataclass
 class SimConfig:
-    """Monte Carlo settings; one Brownian path per trial per master seed."""
+    """Monte Carlo settings; one Brownian path per trial per master seed.
+
+    `chunk_size` is an upper bound on the trials simulated together.  The
+    worker count defaults to the CPUs the process may use; `max_workers`,
+    or else the `STOCHSYM_THREADS` environment variable, sets it instead.
+    Neither changes any result.
+    """
 
     n_trials: int
     horizon: int
@@ -160,7 +178,11 @@ class SimConfig:
         if self.max_workers is not None:
             return max(1, self.max_workers)
         env = os.environ.get("STOCHSYM_THREADS", "")
-        return max(1, int(env)) if env.isdigit() and env else 1
+        if env.isdigit():
+            return max(1, int(env))
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
 
 
 @dataclass
@@ -335,9 +357,13 @@ class _Network:
                 table=np.hstack([t, -np.ones((t.shape[0], 1), dtype=np.int64)]),
             ))
 
-    def coupling(self, z2: np.ndarray) -> np.ndarray:
-        """w = M zeta2 for each row of z2."""
-        return np.ascontiguousarray((self.M @ z2.T).T)
+    def coupling(self, z2: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """w = M zeta2 for each row of z2, written into `out` when given."""
+        w = (self.M @ z2.T).T
+        if out is None:
+            return np.ascontiguousarray(w)
+        out[...] = w
+        return out
 
     def substep(self, n_substeps: int) -> _Substep:
         dt = self.tau / n_substeps
@@ -357,15 +383,24 @@ class _Network:
                         noise=_Op.stack(noise), residual=residual)
 
 
-def _raise_if_lost(masks, trial_offset: int, step: int) -> None:
-    """AbstractStateLost naming the lowest trial with a lost subsystem at `step`."""
+class _Lost(Exception):
+    """A chunk's first loss, as args (step, phase, trial).
+
+    Within a step the grid check (phase 0) precedes the action lookup
+    (phase 1), so the smallest args over all chunks is the loss that one
+    chunk holding every trial would meet first.
+    """
+
+
+def _raise_if_lost(masks, trial_offset: int, step: int, phase: int) -> None:
+    """_Lost naming the lowest trial with a lost subsystem at `step`."""
     lost = None
     for m in masks:
         if m.any():
             rows = m.any(axis=1)
             lost = rows if lost is None else lost | rows
     if lost is not None:
-        raise AbstractStateLost(trial_offset + int(np.flatnonzero(lost)[0]), step)
+        raise _Lost(step, phase, trial_offset + int(np.flatnonzero(lost)[0]))
 
 
 def _quantize(net: _Network, points: np.ndarray, Xhat: np.ndarray, idx: list,
@@ -374,14 +409,14 @@ def _quantize(net: _Network, points: np.ndarray, Xhat: np.ndarray, idx: list,
     for g, group in enumerate(net.groups):
         idx[g] = group.grid.locate_many(group.view(points))
     _raise_if_lost([i == group.grid.n_points for i, group in zip(idx, net.groups)],
-                   trial_offset, step)
+                   trial_offset, step, 0)
     for g, group in enumerate(net.groups):
         Xhat[:, group.cols] = group.grid.centers()[idx[g]].reshape(len(Xhat), -1)
 
 
 def _simulate_chunk(net: _Network, sub: _Substep, horizon: int,
                     x0: np.ndarray, streams, trial_offset: int,
-                    record_outputs: bool):
+                    record_outputs: bool, block: int):
     C = len(streams)
     # per trial: its abstract normals first, then n_substeps x n_total
     # concrete normals per interval
@@ -393,7 +428,6 @@ def _simulate_chunk(net: _Network, sub: _Substep, horizon: int,
 
     X = np.tile(x0, (C, 1))
     Xhat = np.empty_like(X)
-    V = np.empty_like(X)
     idx = [None] * len(net.groups)
     _quantize(net, X, Xhat, idx, trial_offset, 0)
 
@@ -402,41 +436,54 @@ def _simulate_chunk(net: _Network, sub: _Substep, horizon: int,
     out_max = np.full(C, -np.inf)
     out_rec = np.empty((C, horizon + 1, net.C1.out_dim)) if record_outputs else None
     out_hat_rec = np.empty_like(out_rec) if record_outputs else None
-    # the substeps of an interval are streamed `block` at a time; buffers are
-    # O(C x n_total) whatever the substep count
-    block = min(sub.n, max(1, _SUBSTEP_BLOCK_ENTRIES // (C * net.n_total)))
+    # the buffers below are allocated once per chunk and written in place;
+    # the substeps of an interval are streamed `block` at a time.  Outside
+    # the substep loop `nxt` and `drive` are free, so they hold other
+    # quantities of the interval in turn, and `offset` is scratch until set
     normals = np.empty((C, block, net.n_total))
-    drive = np.empty_like(X)
     nxt = np.empty_like(X)
+    drive = np.empty_like(X)
+    offset = np.empty_like(X)
+    z1 = np.empty((C, net.C1.out_dim))
+    z1_hat = np.empty_like(z1)
+    # column-major, so the coupling reads z2.T without copying it
+    z2 = np.empty((C, net.C2.out_dim), order="F")
+    w_hat = np.empty((C, net.M.shape[0]))
+    w = np.empty_like(w_hat)
 
     def extremes(z):
         np.minimum(out_min, z.min(axis=1), out=out_min)
         np.maximum(out_max, z.max(axis=1), out=out_max)
 
     def record(k):
-        z = net.C1(X)
-        zh = net.C1P(Xhat)
-        errors[:, k] = np.linalg.norm(z - zh, axis=1)
-        extremes(z)
+        z = net.C1(X, out=z1)
+        zh = net.C1P(Xhat, out=z1_hat)
         if record_outputs:
             out_rec[:, k] = z
             out_hat_rec[:, k] = zh
+        extremes(z)
+        errors[:, k] = np.linalg.norm(np.subtract(z, zh, out=z1_hat), axis=1)
 
     record(0)
     for k in range(horizon):
-        w_hat = net.coupling(net.C2P(Xhat))
+        net.coupling(net.C2P(Xhat, out=z2), out=w_hat)
         actions = [group.actions(i, k) for group, i in zip(net.groups, idx)]
-        _raise_if_lost([a < 0 for a in actions], trial_offset, k)
-        for group, a in zip(net.groups, actions):
-            V[:, group.cols] = group.input_centers[a].reshape(C, -1)
+        _raise_if_lost([a < 0 for a in actions], trial_offset, k, 1)
 
-        # nu(t) = K x(t) - H w(t) + nu_latched; c_k = B nu_latched + b enters
-        # every substep of the interval, so gain c_k is added to its noise
-        p_xhat = net.P(Xhat)
-        w_latch = net.coupling(net.C2(X))
-        nu_latched = (X - p_xhat - net.K(p_xhat) - net.Q(Xhat)
-                      + net.H(w_latch - w_hat))
-        offset = sub.gain(net.B(nu_latched) + net.b)
+        # nu(t) = K x(t) - H w(t) + nu_latched, where nu_latched is
+        # X - P xhat - K P xhat - Q xhat + H (w(k tau) - w_hat), summed left
+        # to right.  c_k = B nu_latched + b enters every substep of the
+        # interval, so gain c_k is added to its noise
+        p_xhat = net.P(Xhat, out=nxt)
+        nu_latched = np.subtract(X, p_xhat, out=drive)
+        nu_latched -= net.K(p_xhat, out=offset)
+        nu_latched -= net.Q(Xhat, out=offset)
+        w_latch = net.coupling(net.C2(X, out=z2), out=w)
+        w_latch -= w_hat
+        nu_latched += net.H(w_latch, out=offset)
+        c_k = net.B(nu_latched, out=nxt)
+        c_k += net.b
+        sub.gain(c_k, out=offset)
         # the substeps alternate between two state buffers, so no operator
         # writes onto its own input
         for j0 in range(0, sub.n, block):
@@ -450,48 +497,74 @@ def _simulate_chunk(net: _Network, sub: _Substep, horizon: int,
                 sub.phi(X, out=nxt)
                 nxt += drive
                 if sub.residual is not None:
-                    nxt += sub.residual(net.coupling(net.C2(X)))
+                    w_t = net.coupling(net.C2(X, out=z2), out=w)
+                    nxt += sub.residual(w_t, out=drive)
                 X, nxt = nxt, X
-                extremes(net.C1(X))
+                extremes(net.C1(X, out=z1))
 
-        target = Xhat + V + net.D_tilde(w_hat)
+        # target = Xhat + V + D_tilde w_hat (+ R_tilde noise), V the inputs
+        # of the actions; V + Xhat is the same sum as Xhat + V
+        target = nxt
+        for group, a in zip(net.groups, actions):
+            target[:, group.cols] = group.input_centers[a].reshape(C, -1)
+        target += Xhat
+        target += net.D_tilde(w_hat, out=drive)
         if net.stochastic:
-            target += net.R_tilde(abs_noise[:, k])
+            target += net.R_tilde(abs_noise[:, k], out=drive)
         _quantize(net, target, Xhat, idx, trial_offset, k + 1)
         record(k + 1)
 
     return errors, out_min, out_max, out_rec, out_hat_rec
 
 
+def _chunks(n_trials: int, chunk_size: int, workers: int) -> list:
+    """Contiguous (start, stop) trial ranges whose sizes differ by at most 1.
+
+    There are enough of them to keep each within `chunk_size` trials and to
+    give each of `workers` workers one; the larger ones come first.
+    """
+    n = max(-(-n_trials // chunk_size), min(workers, n_trials))
+    size, extra = divmod(n_trials, n)
+    starts = [i * size + min(i, extra) for i in range(n + 1)]
+    return list(zip(starts, starts[1:]))
+
+
 def _run_batch(net, config: SimConfig, x0, streams):
-    chunks = []
-    for start in range(0, config.n_trials, config.chunk_size):
-        stop = min(start + config.chunk_size, config.n_trials)
-        chunks.append((start, streams[start:stop]))
-    results = [None] * len(chunks)
-    sub = net.substep(config.n_substeps)
-
-    def work(pos):
-        start, chunk = chunks[pos]
-        return _simulate_chunk(net, sub, config.horizon, x0, chunk,
-                               start, config.record_outputs)
-
     workers = config.workers()
-    if workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for pos, res in enumerate(pool.map(work, range(len(chunks)))):
-                results[pos] = res
-    else:
-        for pos in range(len(chunks)):
-            results[pos] = work(pos)
+    chunks = _chunks(config.n_trials, config.chunk_size, workers)
+    workers = min(workers, len(chunks))
+    sub = net.substep(config.n_substeps)
+    # one block of normals per worker, sized by the largest chunk (the first)
+    in_flight = workers * (chunks[0][1] - chunks[0][0])
+    block = min(sub.n, max(_SUBSTEP_BLOCK_ENTRIES // (in_flight * net.n_total),
+                           -(-_MIN_DRAW // net.n_total)))
+    results = [None] * len(chunks)
 
-    errors = np.concatenate([r[0] for r in results])
-    out_min = np.concatenate([r[1] for r in results])
-    out_max = np.concatenate([r[2] for r in results])
-    out_rec = (np.concatenate([r[3] for r in results]) if config.record_outputs else None)
-    out_hat_rec = (np.concatenate([r[4] for r in results]) if config.record_outputs
-                   else None)
-    return errors, out_min, out_max, out_rec, out_hat_rec
+    def run(first: int) -> None:
+        # worker `first` takes every `workers`-th chunk from chunk `first` on
+        for pos in range(first, len(chunks), workers):
+            start, stop = chunks[pos]
+            try:
+                results[pos] = _simulate_chunk(net, sub, config.horizon, x0,
+                                               streams[start:stop], start,
+                                               config.record_outputs, block)
+            except _Lost as lost:
+                results[pos] = lost
+
+    # the calling thread is worker 0, beside workers - 1 helper threads
+    with ThreadPoolExecutor(max_workers=max(1, workers - 1)) as pool:
+        helpers = [pool.submit(run, w) for w in range(1, workers)]
+        run(0)
+        for helper in helpers:
+            helper.result()
+
+    lost = [r.args for r in results if isinstance(r, _Lost)]
+    if lost:
+        step, _, trial = min(lost)
+        raise AbstractStateLost(trial, step)
+    # each field's chunk rows, in trial order (out_rec is None unless recorded)
+    return tuple(None if parts[0] is None else np.concatenate(parts)
+                 for parts in zip(*results))
 
 
 def cosimulate(

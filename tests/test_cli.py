@@ -152,6 +152,17 @@ class TestRunPipeline:
         summary = json.loads((out / "simulation_summary.json").read_text())
         assert summary["cp95_below_theoretical"] is True
 
+    def test_thread_count_does_not_change_artifacts(self, tmp_path, monkeypatch):
+        artifacts = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("STOCHSYM_THREADS", threads)
+            assert run_pipeline(small_rooms(tmp_path / threads)) == EXIT_OK
+            out = tmp_path / threads / "out"
+            artifacts[threads] = {p.relative_to(out): p.read_bytes()
+                                  for p in out.rglob("*") if p.is_file()}
+        assert len(artifacts["1"]) >= 9
+        assert artifacts["1"] == artifacts["2"]
+
     def test_broken_q_names_the_matching_condition(self, tmp_path, capsys):
         cfg = small_rooms(tmp_path)
         cfg["certificates"]["values"][0]["Q"] = [[0.4]]

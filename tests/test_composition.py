@@ -124,7 +124,7 @@ class TestGershgorin:
         blocks = st.supply_blocks([random_supply_cert(rng, p, q) for _ in range(n)],
                                   rng.uniform(0.5, 2.0, n))
         res = st.gershgorin_fast_check(scipy.sparse.csr_matrix(dense), blocks)
-        form = st.network_form(dense, blocks)
+        form = st.network_form(dense, blocks).toarray()
         off = np.sum(np.abs(form), axis=1) - np.abs(np.diag(form))
         want = np.max(np.diag(form) + off)
         assert res.bound == pytest.approx(want, rel=1e-12)
@@ -364,7 +364,7 @@ class TestBlockNetworkForm:
         blocks = st.supply_blocks(certs, mu)
         assert blocks.shape == x.shape
         assert np.array_equal(blocks.dense(), x)
-        got = st.network_form(m, blocks)
+        got = st.network_form(m, blocks).toarray()
         assert np.array_equal(got, got.T)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 

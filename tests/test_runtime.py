@@ -1,5 +1,9 @@
 import dataclasses
+import itertools
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -307,10 +311,60 @@ class TestStochasticClosedLoop:
         assert np.array_equal(a.step_errors, b.step_errors)
 
 
+def test_calling_thread_runs_chunks_beside_its_helpers(monkeypatch):
+    # more workers than cores and a short switch interval: every worker
+    # count gives the arrays of one worker, and the caller runs chunks too
+    from stochsym import runtime
+
+    threads = []
+    simulate_chunk = runtime._simulate_chunk
+
+    def spy(*args):
+        threads.append(threading.get_ident())
+        return simulate_chunk(*args)
+
+    monkeypatch.setattr(runtime, "_simulate_chunk", spy)
+    systems, ic, discs, fas, ctrls, certs = small_network(g=0.3)
+    x0 = np.full(3, 20.5025)
+    runs = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 3, 8):
+            threads.clear()
+            cfg = st.SimConfig(n_trials=9, horizon=2, epsilon=0.5, n_substeps=4,
+                               rng_seed=5, chunk_size=1, max_workers=workers)
+            runs[workers] = st.cosimulate(systems, ic, discs, fas, ctrls, certs, cfg, x0)
+            assert len(threads) == 9
+            assert threading.get_ident() in threads
+            assert len(set(threads)) <= workers
+    finally:
+        sys.setswitchinterval(interval)
+    for res in runs.values():
+        for field in ("step_errors", "output_min", "output_max"):
+            assert np.array_equal(getattr(res, field), getattr(runs[1], field))
+
+
+def test_chunks_are_balanced_and_bounded_by_chunk_size():
+    from stochsym.runtime import _chunks
+
+    assert _chunks(64, 128, 2) == [(0, 32), (32, 64)]
+    assert _chunks(200, 128, 2) == [(0, 100), (100, 200)]
+    assert _chunks(7, 2, 3) == [(0, 2), (2, 4), (4, 6), (6, 7)]
+    assert _chunks(3, 128, 8) == [(0, 1), (1, 2), (2, 3)]
+    for n, size, workers in itertools.product(range(1, 30), range(1, 9), range(1, 5)):
+        chunks = _chunks(n, size, workers)
+        lengths = [b - a for a, b in chunks]
+        assert chunks[0][0] == 0 and chunks[-1][1] == n
+        assert all(a == b for (_, a), (b, _) in zip(chunks, chunks[1:]))
+        assert max(lengths) <= size and max(lengths) - min(lengths) <= 1
+        assert len(chunks) >= min(workers, n)
+
+
 def test_thread_env_var_caps_workers(monkeypatch):
     cfg = st.SimConfig(n_trials=1, horizon=1, epsilon=1.0)
     monkeypatch.delenv("STOCHSYM_THREADS", raising=False)
-    assert cfg.workers() == 1
+    assert cfg.workers() == len(os.sched_getaffinity(0))
     monkeypatch.setenv("STOCHSYM_THREADS", "6")
     assert cfg.workers() == 6
     explicit = st.SimConfig(n_trials=1, horizon=1, epsilon=1.0, max_workers=2)
@@ -494,17 +548,21 @@ class TestFusedSubstepOracle:
         x0 = np.full(3, grid.center(grid.locate([20.5]))[0])
         cfg = st.SimConfig(n_trials=8, horizon=6, epsilon=9.9, n_substeps=20,
                            rng_seed=3, chunk_size=8)
-        # one chunk: the run stops at the first step where any trial is lost
-        # and names the lowest trial lost there; with this seed a trial of
-        # lower index is lost only later, so the report is not simply the
-        # first lost trial
+        # the run reports what one chunk of all trials meets: the first step
+        # where any trial is lost and the lowest trial lost there.  With this
+        # seed a trial of lower index is lost only later, so the report is
+        # not simply the first lost trial, and with chunks of 2 or 4 the
+        # first chunk's own loss is that later one
         _, lost_at = scalar_reference(*net, cfg, x0)
         step = min(k for k in lost_at if k is not None)
         trial = lost_at.index(step)
+        assert (trial, step) == (4, 3)
         assert any(k is not None and k > step for k in lost_at[:trial])
-        with pytest.raises(AbstractStateLost) as info:
-            st.cosimulate(*net, cfg, x0)
-        assert (info.value.trial, info.value.step) == (trial, step)
+        for chunk_size, workers in itertools.product((2, 4, 8), (1, 2)):
+            cfg = dataclasses.replace(cfg, chunk_size=chunk_size, max_workers=workers)
+            with pytest.raises(AbstractStateLost) as info:
+                st.cosimulate(*net, cfg, x0)
+            assert (info.value.trial, info.value.step) == (trial, step)
 
 
 class TestSubstepStreaming:
