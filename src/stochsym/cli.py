@@ -541,8 +541,8 @@ def _stage_compose(bundle: PipelineBundle, ctx: dict) -> None:
     mu = bundle.ic.mu
     blocks = comp.supply_blocks(certs, mu)
     form = comp.network_form(bundle.ic.M, blocks)
-    fast = comp.gershgorin_fast_check(bundle.ic.M, blocks, form=form)
-    lmi = comp.check_compositional_lmi(bundle.ic.M, blocks, form=form)
+    fast = comp.gershgorin_fast_check(form)
+    lmi = comp.check_compositional_lmi(form)
     if not lmi.ok:
         raise CheckFailed(comp.CONDITION_NETWORK_LMI,
                           f"largest eigenvalue {lmi.margin:.3e}")

@@ -9,12 +9,12 @@ then certifies that the weighted sum of subsystem storage functions is a
 simulation function for the coupled network, and the subsystem constants
 aggregate in closed form.  X_cmp is held only as its four super-blocks,
 sparse block-diagonals (`SupplyBlocks`, from `supply_blocks`); one sparse
-assembly turns them into the q x q form M^T X11 M + M^T X12 + X21 M + X22,
-and both network checks read it.  `check_compositional_lmi` decides with
-one dense eigensolve of the form; `gershgorin_fast_check` bounds its
-largest eigenvalue by Gershgorin's disc theorem in O(nnz), a bound that
-holds for every coupling M and every block structure.  The dense X_cmp is
-built only on request (`build_x_cmp`).
+assembly, `network_form`, turns them into the q x q form
+M^T X11 M + M^T X12 + X21 M + X22, and both network checks take that form.
+`check_compositional_lmi` decides with one dense eigensolve of it;
+`gershgorin_fast_check` bounds its largest eigenvalue by Gershgorin's disc
+theorem in O(nnz), a bound that holds for every coupling M and every block
+structure.  The dense X_cmp is built only on request (`build_x_cmp`).
 """
 
 from __future__ import annotations
@@ -180,15 +180,12 @@ def network_form(M, blocks: SupplyBlocks) -> scipy.sparse.csr_matrix:
     return (0.5 * (form + form.T)).tocsr()
 
 
-def check_compositional_lmi(M, blocks: SupplyBlocks, *, form=None) -> LmiCheck:
+def check_compositional_lmi(form: scipy.sparse.csr_matrix) -> LmiCheck:
     """Verify [M; I]^T X_cmp [M; I] <= 0; the margin is its largest eigenvalue.
 
-    One dense eigensolve of the q x q network form, the only dense matrix
-    made, run in place on it.  `form` is `network_form(M, blocks)` when the
-    caller has already assembled it.
+    `form` is `network_form(M, blocks)`.  One dense eigensolve of this q x q
+    form, the only dense matrix made, run in place on it.
     """
-    if form is None:
-        form = network_form(M, blocks)
     quad = form.toarray(order="C")
     tol = psd_tolerance(quad)
     margin = -math.inf
@@ -200,19 +197,15 @@ def check_compositional_lmi(M, blocks: SupplyBlocks, *, form=None) -> LmiCheck:
     return LmiCheck(ok=margin <= tol, margin=margin, tol=tol)
 
 
-def gershgorin_fast_check(M, blocks: SupplyBlocks, *, form=None) -> GershgorinCheck:
-    """Gershgorin bound on the largest eigenvalue of the network form, in O(nnz).
+def gershgorin_fast_check(form: scipy.sparse.csr_matrix) -> GershgorinCheck:
+    """Gershgorin bound on the largest eigenvalue of `network_form(M, blocks)`.
 
-    Every eigenvalue of the symmetric form F lies in a disc centred on some
-    F_ii of radius sum_{j != i} |F_ij|, so max_i (F_ii + sum_{j != i} |F_ij|)
+    In O(nnz).  Every eigenvalue of the symmetric form F lies in a disc
+    centred on some F_ii of radius sum_{j != i} |F_ij|, so max_i (F_ii + sum_{j != i} |F_ij|)
     bounds the LMI margin for any M and any blocks.  The check is ok when
     that bound is within the tolerance the eigensolve's verdict uses, so an
     ok check implies an ok LMI; False means inconclusive, not violated.
-    `form` is `network_form(M, blocks)` when the caller has already
-    assembled it.
     """
-    if form is None:
-        form = network_form(M, blocks)
     form = form.tocoo()
     off = form.row != form.col
     radius = np.bincount(form.row[off], weights=np.abs(form.data[off]),

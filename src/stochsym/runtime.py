@@ -31,20 +31,20 @@ counter-based stream split off the master seed, so results are bitwise
 reproducible regardless of chunking or worker count.  The trials are split
 into contiguous chunks whose sizes differ by at most one: enough chunks to
 keep each within `chunk_size` trials and to give every worker one.  By
-default there is one worker per CPU the process may use; the calling thread
-runs chunks itself beside one helper thread per further worker (numpy draws
-normals and does the array arithmetic with the GIL released).  A run that
-loses an abstract state reports the loss one chunk holding every trial
-would meet first, whichever chunk met it.  The substeps of an interval are
-streamed a block at a time (at most `_SUBSTEP_BLOCK_ENTRIES` normals across
-the chunks in flight, but at least `_MIN_DRAW` per trial and block), each
-trial continuing its stream in order, and the output envelope is folded in
-per substep, so the simulator's memory is O(C x n_total) for C trials in
-flight, independent of the substep count.  The empirical violation
-frequency is reported with an exact one-sided Clopper-Pearson upper
-confidence bound for comparison against the theoretical guarantee; the
-bound is one Beta quantile, computed with `scipy.special.betaincinv` so the
-package never imports `scipy.stats`.
+default there is one worker per CPU the process may use, at most two; the
+calling thread runs chunks itself beside one helper thread per further
+worker (numpy draws normals and does the array arithmetic with the GIL
+released).  A run that loses an abstract state reports the loss one chunk
+holding every trial would meet first, whichever chunk met it.  The substeps
+of an interval are streamed a block at a time (at most
+`_SUBSTEP_BLOCK_ENTRIES` normals across the chunks in flight, but at least
+`_MIN_DRAW` per trial and block), each trial continuing its stream in
+order, and the output envelope is folded in per substep, so the simulator's
+memory is O(C x n_total) for C trials in flight, independent of the substep
+count.  The empirical violation frequency is reported with an exact
+one-sided Clopper-Pearson upper confidence bound for comparison against the
+theoretical guarantee; the bound is one Beta quantile, computed with
+`scipy.special.betaincinv` so the package never imports `scipy.stats`.
 """
 from __future__ import annotations
 
@@ -78,6 +78,10 @@ _SUBSTEP_BLOCK_ENTRIES = 1 << 16
 #: smaller draws cost more in call overhead (and, with helper threads, in
 #: handing the GIL back and forth) than in drawing
 _MIN_DRAW = 512
+#: the default worker count is the CPUs the process may use, but at most
+#: this many: more workers have not been measured to pay (smaller chunks
+#: make shorter GIL-free calls); max_workers or STOCHSYM_THREADS sets more
+_DEFAULT_WORKERS = 2
 
 
 @dataclass(eq=False)
@@ -151,9 +155,9 @@ class SimConfig:
     """Monte Carlo settings; one Brownian path per trial per master seed.
 
     `chunk_size` is an upper bound on the trials simulated together.  The
-    worker count defaults to the CPUs the process may use; `max_workers`,
-    or else the `STOCHSYM_THREADS` environment variable, sets it instead.
-    Neither changes any result.
+    worker count defaults to the CPUs the process may use, at most
+    `_DEFAULT_WORKERS` (2); `max_workers`, or else the `STOCHSYM_THREADS`
+    environment variable, sets it instead.  Neither changes any result.
     """
 
     n_trials: int
@@ -181,8 +185,10 @@ class SimConfig:
         if env.isdigit():
             return max(1, int(env))
         if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
+            cpus = len(os.sched_getaffinity(0))
+        else:
+            cpus = os.cpu_count() or 1
+        return min(_DEFAULT_WORKERS, cpus)
 
 
 @dataclass
@@ -357,12 +363,9 @@ class _Network:
                 table=np.hstack([t, -np.ones((t.shape[0], 1), dtype=np.int64)]),
             ))
 
-    def coupling(self, z2: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """w = M zeta2 for each row of z2, written into `out` when given."""
-        w = (self.M @ z2.T).T
-        if out is None:
-            return np.ascontiguousarray(w)
-        out[...] = w
+    def coupling(self, z2: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """w = M zeta2 for each row of z2, written into `out`."""
+        out[...] = (self.M @ z2.T).T
         return out
 
     def substep(self, n_substeps: int) -> _Substep:

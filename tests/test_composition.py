@@ -58,18 +58,20 @@ def scalar_blocks(a, d, n) -> st.SupplyBlocks:
 class TestCompositionalLmi:
     def test_hundred_room_ring(self):
         blocks = st.supply_blocks([room_certificate()] * 100, np.ones(100))
-        res = st.check_compositional_lmi(circular_coupling(100), blocks)
+        res = st.check_compositional_lmi(st.network_form(circular_coupling(100), blocks))
         assert res.ok
         # closed form: a ||M||^2 + d with ||M|| = 2 for the ring
         assert res.margin == pytest.approx(4 * A_BLOCK + D_BLOCK, rel=1e-9)
 
     def test_zero_matrix_margin_zero(self):
-        res = st.check_compositional_lmi(np.eye(2), scalar_blocks(0.0, 0.0, 2))
+        res = st.check_compositional_lmi(
+            st.network_form(np.eye(2), scalar_blocks(0.0, 0.0, 2)))
         assert res.ok
         assert res.margin == 0.0
 
     def test_identity_blocks_violate(self):
-        res = st.check_compositional_lmi(np.eye(2), scalar_blocks(1.0, 1.0, 2))
+        res = st.check_compositional_lmi(
+            st.network_form(np.eye(2), scalar_blocks(1.0, 1.0, 2)))
         assert not res.ok
         assert res.margin == pytest.approx(2.0)
 
@@ -94,8 +96,8 @@ def random_coupling(rng, kind, p, q) -> np.ndarray:
 
 class TestGershgorin:
     def test_ring_certified(self):
-        res = st.gershgorin_fast_check(circular_coupling(100),
-                                       scalar_blocks(A_BLOCK, D_BLOCK, 100))
+        res = st.gershgorin_fast_check(st.network_form(
+            circular_coupling(100), scalar_blocks(A_BLOCK, D_BLOCK, 100)))
         assert res.ok
         assert res.bound == pytest.approx(4 * A_BLOCK + D_BLOCK, rel=1e-12)
 
@@ -104,16 +106,18 @@ class TestGershgorin:
         # entries a per row, so the disc edge 4a + d is also its top eigenvalue
         cert = room_certificate()
         a, d = cert.Xbar11.item(), cert.Xbar22.item()
-        res = st.gershgorin_fast_check(
-            circular_coupling(1000), st.supply_blocks([cert] * 1000, np.ones(1000)))
+        res = st.gershgorin_fast_check(st.network_form(
+            circular_coupling(1000), st.supply_blocks([cert] * 1000, np.ones(1000))))
         assert res.ok
         assert res.bound == pytest.approx(4 * a + d, rel=1e-12)
 
     def test_zero_coupling_any_nonpositive_d(self):
-        assert st.gershgorin_fast_check(np.zeros((3, 3)), scalar_blocks(1.0, -1e-9, 3)).ok
+        assert st.gershgorin_fast_check(
+            st.network_form(np.zeros((3, 3)), scalar_blocks(1.0, -1e-9, 3))).ok
 
     def test_conservative_bound_inconclusive(self):
-        res = st.gershgorin_fast_check(np.eye(2), scalar_blocks(1.0, 0.0, 2))
+        res = st.gershgorin_fast_check(
+            st.network_form(np.eye(2), scalar_blocks(1.0, 0.0, 2)))
         assert not res.ok  # inconclusive, eigenvalue check would also refuse
 
     def test_sparse_row_sums_match_dense_formula(self):
@@ -123,7 +127,8 @@ class TestGershgorin:
         dense = rng.standard_normal((n * p, n * q)) * (rng.uniform(size=(n * p, n * q)) < 0.1)
         blocks = st.supply_blocks([random_supply_cert(rng, p, q) for _ in range(n)],
                                   rng.uniform(0.5, 2.0, n))
-        res = st.gershgorin_fast_check(scipy.sparse.csr_matrix(dense), blocks)
+        res = st.gershgorin_fast_check(
+            st.network_form(scipy.sparse.csr_matrix(dense), blocks))
         form = st.network_form(dense, blocks).toarray()
         off = np.sum(np.abs(form), axis=1) - np.abs(np.diag(form))
         want = np.max(np.diag(form) + off)
@@ -134,8 +139,9 @@ class TestGershgorin:
         # as certified; the form's top eigenvalue is 4 - 2 = +2
         m = hub_coupling(4)
         blocks = scalar_blocks(1.0, -2.0, 4)
-        fast = st.gershgorin_fast_check(m, blocks)
-        lmi = st.check_compositional_lmi(m, blocks)
+        form = st.network_form(m, blocks)
+        fast = st.gershgorin_fast_check(form)
+        lmi = st.check_compositional_lmi(form)
         assert lmi.margin == pytest.approx(2.0) and not lmi.ok
         assert not fast.ok and fast.bound >= lmi.margin
 
@@ -154,8 +160,9 @@ class TestGershgorin:
             certs = [random_supply_cert(rng, p, q, scale=float(rng.uniform(0.0, 0.3)),
                                         shift=q) for _ in range(n)]
             blocks = st.supply_blocks(certs, rng.uniform(0.5, 2.0, n))
-            fast = st.gershgorin_fast_check(m, blocks)
-            lmi = st.check_compositional_lmi(m, blocks)
+            form = st.network_form(m, blocks)
+            fast = st.gershgorin_fast_check(form)
+            lmi = st.check_compositional_lmi(form)
             assert fast.bound >= lmi.margin - lmi.tol
             if fast.ok:
                 conclusive += 1
@@ -168,8 +175,9 @@ class TestGershgorin:
         n = 10
         certs = [scalar_cert(A_BLOCK, D_BLOCK), scalar_cert(2 * A_BLOCK, 1.5 * D_BLOCK)] * (n // 2)
         blocks = st.supply_blocks(certs, np.ones(n))
-        fast = st.gershgorin_fast_check(circular_coupling(n), blocks)
-        lmi = st.check_compositional_lmi(circular_coupling(n), blocks)
+        form = st.network_form(circular_coupling(n), blocks)
+        fast = st.gershgorin_fast_check(form)
+        lmi = st.check_compositional_lmi(form)
         assert fast.ok and lmi.ok
         assert fast.bound == pytest.approx(max(8 * A_BLOCK + D_BLOCK,
                                                4 * A_BLOCK + 1.5 * D_BLOCK), rel=1e-12)
@@ -185,8 +193,9 @@ class TestGershgorin:
             d = -float(rng.uniform(0, 1.0))
             m = circular_coupling(n)
             blocks = scalar_blocks(a, d, n)
-            fast = st.gershgorin_fast_check(m, blocks)
-            lmi = st.check_compositional_lmi(m, blocks)
+            form = st.network_form(m, blocks)
+            fast = st.gershgorin_fast_check(form)
+            lmi = st.check_compositional_lmi(form)
             if fast.ok:
                 assert lmi.ok
 
@@ -323,7 +332,7 @@ class TestComposeSsf:
 
     def test_composition_result_serializes_with_margin(self):
         blocks = st.supply_blocks([room_certificate()] * 3, np.ones(3))
-        lmi = st.check_compositional_lmi(circular_coupling(3), blocks)
+        lmi = st.check_compositional_lmi(st.network_form(circular_coupling(3), blocks))
         net = st.compose_ssf([constants()] * 3, np.ones(3), mode="general")
         res = st.CompositionResult(lmi_margin=-lmi.margin, ssf=net, q_tilde=3,
                                    x_cmp_shape=blocks.shape)
@@ -369,7 +378,7 @@ class TestBlockNetworkForm:
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
         top = np.linalg.eigvalsh(want)[-1]
-        lmi = st.check_compositional_lmi(m, blocks)
+        lmi = st.check_compositional_lmi(st.network_form(m, blocks))
         assert lmi.margin == pytest.approx(top, rel=1e-12)
 
     def test_ring_margin_matches_circulant_spectrum(self):
@@ -378,8 +387,8 @@ class TestBlockNetworkForm:
         n = 400
         cert = room_certificate()
         a, d = cert.Xbar11.item(), cert.Xbar22.item()
-        lmi = st.check_compositional_lmi(
-            circular_coupling(n), st.supply_blocks([cert] * n, np.ones(n)))
+        lmi = st.check_compositional_lmi(st.network_form(
+            circular_coupling(n), st.supply_blocks([cert] * n, np.ones(n))))
         circulant = max(a * (2 * math.cos(2 * math.pi * k / n)) ** 2 + d
                         for k in range(n))
         assert lmi.ok
@@ -388,7 +397,7 @@ class TestBlockNetworkForm:
     def test_rejects_blocks_of_the_wrong_size(self):
         blocks = st.supply_blocks([scalar_cert(1.0, -1.0)] * 3, np.ones(3))
         with pytest.raises(DimensionMismatch):
-            st.check_compositional_lmi(np.eye(4), blocks)
+            st.network_form(np.eye(4), blocks)
 
 
 def test_result_without_matrix_keeps_shape():
