@@ -441,6 +441,33 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
+def _write_rows_json(path: Path, rows: list, group_of: list) -> None:
+    """`_write_json(path, {"subsystems": report})`, byte for byte, for the
+    report [{**rows[g], "subsystem": i} for i, g in enumerate(group_of)].
+
+    Each group's row is encoded once; "subsystem" sorts last among a row's
+    keys, so a member's row is that text with its own index in the last
+    line.  Rows are written one at a time, so the report is never held
+    whole.
+    """
+    close = "\n    }"
+    heads = []
+    for row in rows:
+        text = json.dumps({**row, "subsystem": 0}, indent=2, sort_keys=True)
+        # two levels deep in the report: inside its object and its list
+        text = "    " + text.replace("\n", "\n    ")
+        assert text.endswith('"subsystem": 0' + close)
+        heads.append(text[:-len("0" + close)])
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="\n") as fh:
+        fh.write('{\n  "subsystems": [\n')
+        sep = ""
+        for i, g in enumerate(group_of):
+            fh.write(f"{sep}{heads[g]}{i}{close}")
+            sep = ",\n"
+        fh.write("\n  ]\n}\n")
+
+
 def _resolve_certs(bundle: PipelineBundle) -> list:
     """One certificate per subsystem; a certificate is built once per distinct
     `values` entry (given) or (system, discretization) object pair (solve),
@@ -522,11 +549,10 @@ def _stage_verify(bundle: PipelineBundle, ctx: dict) -> None:
              "constants": v.constants.to_dict(),
              "certificate": certs[member[0]].to_dict()}
             for v, member in zip(verdicts, groups)]
-    report = [{**rows[g], "subsystem": i} for i, g in enumerate(group_of)]
     ctx["certs"] = certs
     ctx["groups"] = (groups, group_of)
     ctx["constants"] = [verdicts[g].constants for g in group_of]
-    _write_json(ctx["out"] / "certificates.json", {"subsystems": report})
+    _write_rows_json(ctx["out"] / "certificates.json", rows, group_of)
     logger.info("verify: %d subsystems certified in %d group(s)", len(certs), len(groups))
 
 
@@ -544,8 +570,10 @@ def _stage_compose(bundle: PipelineBundle, ctx: dict) -> None:
     fast = comp.gershgorin_fast_check(form)
     lmi = comp.check_compositional_lmi(form)
     if not lmi.ok:
-        raise CheckFailed(comp.CONDITION_NETWORK_LMI,
-                          f"largest eigenvalue {lmi.margin:.3e}")
+        tag = (comp.CONDITION_NETWORK_LMI if lmi.violated
+               else comp.CONDITION_NETWORK_LMI_INCONCLUSIVE)
+        raise CheckFailed(tag, f"largest eigenvalue in [{lmi.lower:.3e}, "
+                               f"{lmi.margin:.3e}], tolerance {lmi.tol:.3e}")
 
     # The abstract network reuses the concrete coupling matrix, so the
     # equality condition holds structurally; the abstract internal outputs
@@ -582,6 +610,9 @@ def _stage_compose(bundle: PipelineBundle, ctx: dict) -> None:
     payload["coupling_equality"] = "identical by construction"
     payload["abstract_well_posed"] = has_grids or None
     payload["gershgorin"] = {"ok": fast.ok, "bound": fast.bound}
+    # the bracket on the form's largest eigenvalue; lmi_margin is -upper end
+    payload["lmi_bracket"] = [lmi.lower, lmi.margin]
+    payload["lmi_factorizations"] = lmi.factorizations
     _write_json(ctx["out"] / "composition.json", payload)
     logger.info("compose: network LMI margin %.3e", -lmi.margin)
 

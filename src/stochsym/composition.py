@@ -11,10 +11,13 @@ aggregate in closed form.  X_cmp is held only as its four super-blocks,
 sparse block-diagonals (`SupplyBlocks`, from `supply_blocks`); one sparse
 assembly, `network_form`, turns them into the q x q form
 M^T X11 M + M^T X12 + X21 M + X22, and both network checks take that form.
-`check_compositional_lmi` decides with one dense eigensolve of it;
 `gershgorin_fast_check` bounds its largest eigenvalue by Gershgorin's disc
 theorem in O(nnz), a bound that holds for every coupling M and every block
-structure.  The dense X_cmp is built only on request (`build_x_cmp`).
+structure.  `check_compositional_lmi` brackets that eigenvalue between a
+Rayleigh quotient and the Gershgorin bound and narrows the bracket by
+spectrum slicing (Sylvester's law of inertia; Parlett, "The Symmetric
+Eigenvalue Problem", 1980): sparse factorizations of shifted forms, never a
+dense eigensolve.  The dense X_cmp is built only on request (`build_x_cmp`).
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 
 from .certificates import SstfConstants, StorageCertificate, psd_tolerance
@@ -36,15 +38,35 @@ from .errors import (
 from .model import as_coupling, as_matrix, positive_weights
 
 CONDITION_NETWORK_LMI = "Con_1a"
+#: the network LMI could be neither proved nor refuted (see LmiCheck)
+CONDITION_NETWORK_LMI_INCONCLUSIVE = "Con_1a-inconclusive"
 CONDITION_COUPLING_EQ = "Con_2a"
 CONDITION_ABSTRACT_WELL_POSED = "Con111"
 
 
+#: the bisection stops once its bracket is this narrow, relative to the
+#: larger of its ends' magnitudes and the form's largest entry
+_BRACKET_RTOL = 2e-13
+
+
 @dataclass(frozen=True)
 class LmiCheck:
+    """Verdict on [M; I]^T X_cmp [M; I] <= 0 from a bracket on its top eigenvalue.
+
+    ok when the upper end is within `tol`; the LMI is violated when the
+    lower end is above it; otherwise the verdict is inconclusive, and an
+    inconclusive check never passes.
+    """
+
     ok: bool
-    margin: float  # largest eigenvalue of [M; I]^T X_cmp [M; I]
+    margin: float  # upper end of the bracket on the largest eigenvalue
     tol: float
+    lower: float  # lower end of that bracket
+    factorizations: int  # sparse factorizations the bisection made
+
+    @property
+    def violated(self) -> bool:
+        return self.lower > self.tol
 
 
 @dataclass(frozen=True)
@@ -180,21 +202,77 @@ def network_form(M, blocks: SupplyBlocks) -> scipy.sparse.csr_matrix:
     return (0.5 * (form + form.T)).tocsr()
 
 
-def check_compositional_lmi(form: scipy.sparse.csr_matrix) -> LmiCheck:
-    """Verify [M; I]^T X_cmp [M; I] <= 0; the margin is its largest eigenvalue.
+def _gershgorin_bound(form: scipy.sparse.csr_matrix) -> float:
+    """max_i (F_ii + sum_{j != i} |F_ij|), in O(nnz); -inf for an empty form."""
+    form = form.tocoo()
+    off = form.row != form.col
+    radius = np.bincount(form.row[off], weights=np.abs(form.data[off]),
+                         minlength=form.shape[0])
+    return float(np.max(form.diagonal() + radius)) if form.shape[0] else -math.inf
 
-    `form` is `network_form(M, blocks)`.  One dense eigensolve of this q x q
-    form, the only dense matrix made, run in place on it.
+
+def _below(form: scipy.sparse.csr_matrix, sigma: float) -> bool | None:
+    """Whether the largest eigenvalue of `form` is below `sigma`; None if unproved.
+
+    sigma I - F is factored by Gaussian elimination in natural order, taking
+    every pivot from the diagonal.  With no row exchange (`perm_r` the
+    identity, as `perm_c` is) that is the symmetric factorization L D L^T, so
+    by Sylvester's law of inertia all pivots positive proves sigma I - F
+    positive definite, and any pivot <= 0 proves it is not.  A row exchange
+    or an exactly singular factor leaves the question open.
     """
-    quad = form.toarray(order="C")
-    tol = psd_tolerance(quad)
-    margin = -math.inf
-    if quad.size:
-        # the LAPACK routine of numpy's eigvalsh, run in place: the form is
-        # symmetric, so its transpose is the Fortran-order array it takes
-        margin = float(scipy.linalg.eigh(quad.T, eigvals_only=True, driver="evd",
-                                         overwrite_a=True, check_finite=False)[-1])
-    return LmiCheck(ok=margin <= tol, margin=margin, tol=tol)
+    # imported here: most forms never need it, and it costs start-up memory
+    import scipy.sparse.linalg
+
+    n = form.shape[0]
+    shifted = (sigma * scipy.sparse.identity(n, format="csr") - form).tocsc()
+    try:
+        lu = scipy.sparse.linalg.splu(shifted, permc_spec="NATURAL",
+                                      diag_pivot_thresh=0.0,
+                                      options={"SymmetricMode": True})
+    except RuntimeError:  # exactly singular
+        return None
+    identity = np.arange(n)
+    if not (np.array_equal(lu.perm_r, identity) and np.array_equal(lu.perm_c, identity)):
+        return None
+    return bool(np.all(lu.U.diagonal() > 0.0))
+
+
+def check_compositional_lmi(form: scipy.sparse.csr_matrix) -> LmiCheck:
+    """Verify [M; I]^T X_cmp [M; I] <= 0 by bracketing its largest eigenvalue.
+
+    `form` is `network_form(M, blocks)`, F.  The bracket starts at
+    [1^T F 1 / n, Gershgorin bound]: a Rayleigh quotient cannot exceed the
+    largest eigenvalue, and no eigenvalue exceeds the bound.  Bisection on
+    sigma narrows it with one sparse factorization of sigma I - F per step
+    (`_below`) until it is `_BRACKET_RTOL` wide; an inconclusive
+    factorization ends the bisection and moves neither end.  On a ring of
+    identical rooms the quotient meets the bound, so nothing is factored.
+    The margin is the upper end, so a conclusive Gershgorin check decides
+    alone.
+    """
+    tol = psd_tolerance(form)
+    n = form.shape[0]
+    hi = _gershgorin_bound(form)
+    if not n:
+        return LmiCheck(ok=True, margin=hi, tol=tol, lower=hi, factorizations=0)
+    lo = min(float(form.sum()) / n, hi)
+    floor = max(float(form.max()), -float(form.min()))
+    factorizations = 0
+    while hi - lo > _BRACKET_RTOL * max(abs(lo), abs(hi), floor):
+        sigma = lo + 0.5 * (hi - lo)
+        if not lo < sigma < hi:
+            break
+        below = _below(form, sigma)
+        factorizations += 1
+        if below is None:
+            break
+        if below:
+            hi = sigma
+        else:
+            lo = sigma
+    return LmiCheck(ok=hi <= tol, margin=hi, tol=tol, lower=lo,
+                    factorizations=factorizations)
 
 
 def gershgorin_fast_check(form: scipy.sparse.csr_matrix) -> GershgorinCheck:
@@ -203,14 +281,10 @@ def gershgorin_fast_check(form: scipy.sparse.csr_matrix) -> GershgorinCheck:
     In O(nnz).  Every eigenvalue of the symmetric form F lies in a disc
     centred on some F_ii of radius sum_{j != i} |F_ij|, so max_i (F_ii + sum_{j != i} |F_ij|)
     bounds the LMI margin for any M and any blocks.  The check is ok when
-    that bound is within the tolerance the eigensolve's verdict uses, so an
-    ok check implies an ok LMI; False means inconclusive, not violated.
+    that bound is within the tolerance the LMI verdict uses, so an ok check
+    implies an ok LMI; False means inconclusive, not violated.
     """
-    form = form.tocoo()
-    off = form.row != form.col
-    radius = np.bincount(form.row[off], weights=np.abs(form.data[off]),
-                         minlength=form.shape[0])
-    bound = float(np.max(form.diagonal() + radius)) if form.shape[0] else -math.inf
+    bound = _gershgorin_bound(form)
     return GershgorinCheck(ok=bound <= psd_tolerance(form), bound=bound)
 
 

@@ -39,10 +39,12 @@ holding every trial would meet first, whichever chunk met it.  The substeps
 of an interval are streamed a block at a time (at most
 `_SUBSTEP_BLOCK_ENTRIES` normals across the chunks in flight, but at least
 `_MIN_DRAW` per trial and block), each trial continuing its stream in
-order, and the output envelope is folded in per substep, so the simulator's
-memory is O(C x n_total) for C trials in flight, independent of the substep
-count.  The empirical violation frequency is reported with an exact
-one-sided Clopper-Pearson upper confidence bound for comparison against the
+order.  A block's normals become its states in place: one noise map and
+one offset over the whole block, then one update per substep, and the
+output envelope is folded in once per block.  So the simulator's memory is
+O(C x n_total) for C trials in flight, independent of the substep count.
+The empirical violation frequency is reported with an exact one-sided
+Clopper-Pearson upper confidence bound for comparison against the
 theoretical guarantee; the bound is one Beta quantile, computed with
 `scipy.special.betaincinv` so the package never imports `scipy.stats`.
 """
@@ -73,7 +75,7 @@ from .synthesis import Controller
 
 #: substeps per block are capped so that the blocks of normals of the chunks
 #: in flight hold at most this many entries together (C x block x n_total)
-_SUBSTEP_BLOCK_ENTRIES = 1 << 16
+_SUBSTEP_BLOCK_ENTRIES = 1 << 18
 #: ... unless that leaves a trial's draw per block below this many normals:
 #: smaller draws cost more in call overhead (and, with helper threads, in
 #: handing the GIL back and forth) than in drawing
@@ -234,11 +236,16 @@ class _Op:
 
     @classmethod
     def stack(cls, mats: list) -> "_Op":
-        mats = [as_matrix(m) for m in mats]
+        # a matrix object shared by many subsystems is coerced and checked
+        # once; `mats` keeps every object alive, so no two share an id
+        keys = list(map(id, mats))
+        distinct = {key: as_matrix(m) for key, m in dict(zip(keys, mats)).items()}
+        mats = list(map(distinct.__getitem__, keys))
         if mats and all(m.shape[0] == m.shape[1] and (
                 m.shape[0] == 1 or not np.any(m - np.diag(m.diagonal())))
-                for m in mats):
-            return cls(dense_t=None, diag=np.concatenate([m.diagonal() for m in mats]))
+                for m in distinct.values()):
+            diags = {key: m.diagonal() for key, m in distinct.items()}
+            return cls(dense_t=None, diag=np.concatenate(list(map(diags.__getitem__, keys))))
         full = scipy.linalg.block_diag(*mats) if mats else np.zeros((0, 0))
         if full.ndim != 2:  # block_diag of empties degenerates
             full = np.zeros((0, 0))
@@ -326,18 +333,27 @@ class _Network:
         self.P = _Op.stack([c.P for c in certs])
         self.Q = _Op.stack([c.Q for c in certs])
         self.H = _Op.stack([c.H for c in certs])
-        self.C1P = _Op.stack([s.C1 @ c.P for s, c in zip(systems, certs)])
-        self.C2P = _Op.stack([s.C2 @ c.P for s, c in zip(systems, certs)])
+        # products of a subsystem's matrices, formed once per distinct
+        # (system, certificate) object pair and shared by its members
+        pairs: dict = {}
+        for s, c in zip(systems, certs):
+            if (id(s), id(c)) not in pairs:
+                pairs[id(s), id(c)] = (s.C1 @ c.P, s.C2 @ c.P, s.A + s.B @ c.K,
+                                       s.G @ s.G.T, s.D - s.B @ c.H)
+        c1p, c2p, self._closed_loop, self._diffusion, residual = zip(
+            *(pairs[id(s), id(c)] for s, c in zip(systems, certs)))
+        self.C1P = _Op.stack(c1p)
+        self.C2P = _Op.stack(c2p)
         self.D_tilde = _Op.stack([d.D_tilde for d in discs])
         self.R_tilde = _Op.stack([d.R_tilde for d in discs])
-        self.stochastic = any(not d.noise_free for d in discs)
+        distinct_discs = {id(d): d for d in discs}.values()
+        self.stochastic = any(not d.noise_free for d in distinct_discs)
         self.b = np.concatenate([s.b for s in systems])
         self.M = ic.M
         self.abs_noise_dim = sum(d.R_tilde.shape[1] for d in discs)
-        self._closed_loop = [s.A + s.B @ c.K for s, c in zip(systems, certs)]
-        self._diffusion = [s.G @ s.G.T for s in systems]
-        residual = [s.D - s.B @ c.H for s, c in zip(systems, certs)]
-        self._residual = residual if any(np.any(r) for r in residual) else None
+        self._residual = None
+        if any(np.any(r) for *_, r in pairs.values()):
+            self._residual = residual
 
         for i, (s, a) in enumerate(zip(systems, abstractions)):
             if s.m != s.n:
@@ -372,16 +388,22 @@ class _Network:
         dt = self.tau / n_substeps
         residual = None
         if self._residual is not None:
-            residual = _Op.stack([dt * r for r in self._residual])
-        # keyed by value: a ring of identical rooms costs one pair of expm calls
+            # scaled once per distinct block object, like _Op.stack
+            scaled = {id(r): r for r in self._residual}
+            scaled = {key: dt * r for key, r in scaled.items()}
+            residual = _Op.stack([scaled[id(r)] for r in self._residual])
+        # keyed by value: a ring of identical rooms costs one pair of expm
+        # calls; a shared pair of objects is keyed once
         exact: dict = {}
-        blocks = []
+        blocks: dict = {}
         for f, gg in zip(self._closed_loop, self._diffusion):
-            key = (f.shape, f.tobytes(), gg.tobytes())
-            if key not in exact:
-                exact[key] = _exact_step(f, gg, dt)
-            blocks.append(exact[key])
-        phi, gain, noise = zip(*blocks)
+            if (id(f), id(gg)) not in blocks:
+                key = (f.shape, f.tobytes(), gg.tobytes())
+                if key not in exact:
+                    exact[key] = _exact_step(f, gg, dt)
+                blocks[id(f), id(gg)] = exact[key]
+        phi, gain, noise = zip(*(blocks[id(f), id(gg)] for f, gg
+                                 in zip(self._closed_loop, self._diffusion)))
         return _Substep(n=n_substeps, phi=_Op.stack(phi), gain=_Op.stack(gain),
                         noise=_Op.stack(noise), residual=residual)
 
@@ -440,23 +462,28 @@ def _simulate_chunk(net: _Network, sub: _Substep, horizon: int,
     out_rec = np.empty((C, horizon + 1, net.C1.out_dim)) if record_outputs else None
     out_hat_rec = np.empty_like(out_rec) if record_outputs else None
     # the buffers below are allocated once per chunk and written in place;
-    # the substeps of an interval are streamed `block` at a time.  Outside
-    # the substep loop `nxt` and `drive` are free, so they hold other
-    # quantities of the interval in turn, and `offset` is scratch until set
+    # the substeps of an interval are streamed `block` at a time, each
+    # block's normals turning into its states in place.  `nxt` is scratch
+    # throughout, and `offset` is scratch outside the substep blocks
     normals = np.empty((C, block, net.n_total))
-    nxt = np.empty_like(X)
-    drive = np.empty_like(X)
-    offset = np.empty_like(X)
-    z1 = np.empty((C, net.C1.out_dim))
+    # the outputs of a block's states; a square C1 writes over the states.
+    # Outside the blocks its first substep holds the sampled outputs
+    outputs = (normals if net.C1.out_dim == net.n_total
+               else np.empty((C, block, net.C1.out_dim)))
+    z1 = outputs[:, 0]
     z1_hat = np.empty_like(z1)
+    nxt = np.empty_like(X)
+    offset = np.empty_like(X)
     # column-major, so the coupling reads z2.T without copying it
     z2 = np.empty((C, net.C2.out_dim), order="F")
     w_hat = np.empty((C, net.M.shape[0]))
     w = np.empty_like(w_hat)
 
     def extremes(z):
-        np.minimum(out_min, z.min(axis=1), out=out_min)
-        np.maximum(out_max, z.max(axis=1), out=out_max)
+        """Fold outputs z, (C, q1) or (C, substeps, q1), into each trial's range."""
+        axes = tuple(range(1, z.ndim))
+        np.minimum(out_min, z.min(axis=axes), out=out_min)
+        np.maximum(out_max, z.max(axis=axes), out=out_max)
 
     def record(k):
         z = net.C1(X, out=z1)
@@ -464,10 +491,11 @@ def _simulate_chunk(net: _Network, sub: _Substep, horizon: int,
         if record_outputs:
             out_rec[:, k] = z
             out_hat_rec[:, k] = zh
-        extremes(z)
         errors[:, k] = np.linalg.norm(np.subtract(z, zh, out=z1_hat), axis=1)
+        return z
 
-    record(0)
+    # every later sampled state ends a substep block, folded in there
+    extremes(record(0))
     for k in range(horizon):
         net.coupling(net.C2P(Xhat, out=z2), out=w_hat)
         actions = [group.actions(i, k) for group, i in zip(net.groups, idx)]
@@ -478,32 +506,36 @@ def _simulate_chunk(net: _Network, sub: _Substep, horizon: int,
         # to right.  c_k = B nu_latched + b enters every substep of the
         # interval, so gain c_k is added to its noise
         p_xhat = net.P(Xhat, out=nxt)
-        nu_latched = np.subtract(X, p_xhat, out=drive)
-        nu_latched -= net.K(p_xhat, out=offset)
-        nu_latched -= net.Q(Xhat, out=offset)
+        nu_latched = np.subtract(X, p_xhat, out=offset)
+        nu_latched -= net.K(p_xhat, out=p_xhat)  # P xhat is not read again
+        nu_latched -= net.Q(Xhat, out=nxt)
         w_latch = net.coupling(net.C2(X, out=z2), out=w)
         w_latch -= w_hat
-        nu_latched += net.H(w_latch, out=offset)
+        nu_latched += net.H(w_latch, out=nxt)
         c_k = net.B(nu_latched, out=nxt)
         c_k += net.b
         sub.gain(c_k, out=offset)
-        # the substeps alternate between two state buffers, so no operator
-        # writes onto its own input
         for j0 in range(0, sub.n, block):
             z = normals[:, :min(block, sub.n - j0)]
             # each trial continues its interval's normals in stream order
             for c, gen in enumerate(gens):
                 gen.standard_normal(out=z[c])
+            # L z + gain c_k for the whole block; substep j then adds
+            # phi x_{j-1} (and the residual term) into slice j, which becomes
+            # x_j: addition commutes, so each state is the sum
+            # phi x + (L z + gain c_k) of one substep at a time, bit for bit
+            sub.noise(z, out=z)
+            z += offset[:, None, :]
+            prev = X
             for j in range(z.shape[1]):
-                sub.noise(z[:, j], out=drive)
-                drive += offset
-                sub.phi(X, out=nxt)
-                nxt += drive
+                x = z[:, j]
+                x += sub.phi(prev, out=nxt)
                 if sub.residual is not None:
-                    w_t = net.coupling(net.C2(X, out=z2), out=w)
-                    nxt += sub.residual(w_t, out=drive)
-                X, nxt = nxt, X
-                extremes(net.C1(X, out=z1))
+                    w_t = net.coupling(net.C2(prev, out=z2), out=w)
+                    x += sub.residual(w_t, out=nxt)
+                prev = x
+            X[...] = prev
+            extremes(net.C1(z, out=outputs[:, :z.shape[1]]))
 
         # target = Xhat + V + D_tilde w_hat (+ R_tilde noise), V the inputs
         # of the actions; V + Xhat is the same sum as Xhat + V
@@ -511,9 +543,9 @@ def _simulate_chunk(net: _Network, sub: _Substep, horizon: int,
         for group, a in zip(net.groups, actions):
             target[:, group.cols] = group.input_centers[a].reshape(C, -1)
         target += Xhat
-        target += net.D_tilde(w_hat, out=drive)
+        target += net.D_tilde(w_hat, out=offset)
         if net.stochastic:
-            target += net.R_tilde(abs_noise[:, k], out=drive)
+            target += net.R_tilde(abs_noise[:, k], out=offset)
         _quantize(net, target, Xhat, idx, trial_offset, k + 1)
         record(k + 1)
 

@@ -186,6 +186,38 @@ class TestRunPipeline:
         assert rc == EXIT_CONDITION
         assert "Con_1a" in capsys.readouterr().err
 
+    def test_inconclusive_network_lmi_never_passes(self, tmp_path, capsys, monkeypatch):
+        # mu = (0.5, 1, 1.5, 1) and a 16-fold Xbar11: the form's top
+        # eigenvalue is -2.2e-6 but its Gershgorin bound +3.5e-6, so only
+        # the bisection's factorizations can prove the LMI
+        import scipy.sparse.linalg
+        from types import SimpleNamespace
+
+        cfg = small_rooms(tmp_path)
+        cert = cfg["certificates"]["values"][0]
+        cert["Xbar11"] = [[16 * cert["Xbar11"][0][0]]]
+        cfg["interconnection"]["mu"] = [0.5, 1.0, 1.5, 1.0]
+        assert run_pipeline(cfg, stages=["verify", "compose"]) == EXIT_OK
+        comp = json.loads((tmp_path / "out" / "composition.json").read_text())
+        assert not comp["gershgorin"]["ok"] and comp["lmi_factorizations"] > 0
+        lower, upper = comp["lmi_bracket"]
+        assert lower <= upper == -comp["lmi_margin"] < 0
+        capsys.readouterr()
+
+        # a factorization that exchanged rows proves nothing either way
+        real = scipy.sparse.linalg.splu
+
+        def pivoted(a, **kwargs):
+            lu = real(a, **kwargs)
+            return SimpleNamespace(perm_r=lu.perm_r[::-1].copy(), perm_c=lu.perm_c, U=lu.U)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", pivoted)
+        (tmp_path / "out" / "composition.json").unlink()
+        rc = run_pipeline(cfg, stages=["verify", "compose"])
+        assert rc == EXIT_CONDITION
+        assert "condition violated: Con_1a-inconclusive" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "composition.json").exists()
+
     def test_gridless_compose_reports_skipped_abstract_check(self, tmp_path):
         cfg = small_rooms(tmp_path)
         assert run_pipeline(cfg, stages=["verify", "compose"]) == EXIT_OK
@@ -338,6 +370,21 @@ class TestVerifyOncePerGroup:
         assert run_pipeline(cfg, stages=["verify"]) == EXIT_CONDITION
         err = capsys.readouterr().err
         assert "Con_2" in err and "subsystem 2" in err
+
+    def test_report_is_the_whole_payload_encoded(self, tmp_path):
+        # two interleaved groups (rooms 1 and 3 with a stronger gain): the
+        # report written row by row is the stdlib encoding of all its rows
+        cfg = small_rooms(tmp_path)
+        values = _per_room_certificates(cfg)
+        for i in (1, 3):
+            values[i]["K"] = [[2.0 * values[i]["K"][0][0]]]
+        assert run_pipeline(cfg, stages=["verify"]) == EXIT_OK
+        text = (tmp_path / "out" / "certificates.json").read_text()
+        rows = json.loads(text)["subsystems"]
+        assert [row["subsystem"] for row in rows] == [0, 1, 2, 3]
+        assert rows[0]["certificate"] == rows[2]["certificate"]
+        assert rows[1]["certificate"] == rows[3]["certificate"] != rows[0]["certificate"]
+        assert text == json.dumps({"subsystems": rows}, indent=2, sort_keys=True) + "\n"
 
     def test_room_with_own_gain_gets_own_margins(self, tmp_path):
         cfg = small_rooms(tmp_path)

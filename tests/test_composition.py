@@ -1,9 +1,11 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.optimize
 import scipy.sparse
+import scipy.sparse.linalg
 
 import stochsym as st
 from stochsym.certificates import SstfConstants, StorageCertificate
@@ -74,6 +76,39 @@ class TestCompositionalLmi:
             st.network_form(np.eye(2), scalar_blocks(1.0, 1.0, 2)))
         assert not res.ok
         assert res.margin == pytest.approx(2.0)
+
+    def test_weighted_ring_bisects_to_dense_top(self):
+        # mu from U[0.5, 1.5]: 1^T F 1 / n is below the top eigenvalue and
+        # the Gershgorin bound above it, so the bracket has to be bisected
+        n = 240
+        mu = np.random.default_rng(5).uniform(0.5, 1.5, n)
+        form = st.network_form(circular_coupling(n),
+                               st.supply_blocks([room_certificate()] * n, mu))
+        top = np.linalg.eigvalsh(form.toarray())[-1]
+        lmi = st.check_compositional_lmi(form)
+        assert lmi.factorizations > 0
+        assert st.gershgorin_fast_check(form).bound > lmi.margin
+        assert lmi.ok and not lmi.violated
+        assert lmi.margin >= top
+        assert lmi.margin == pytest.approx(top, rel=1e-12)
+        assert lmi.lower <= top <= lmi.margin
+
+    def test_pivoted_factorization_is_inconclusive(self, monkeypatch):
+        # the hub's Gershgorin bound (2) is not conclusive; a factorization
+        # that exchanged rows proves nothing, so the bracket stays at
+        # [1^T F 1 / n, bound] = [-1, 2] and the verdict neither passes nor fails
+        real = scipy.sparse.linalg.splu
+
+        def pivoted(a, **kwargs):
+            lu = real(a, **kwargs)
+            return SimpleNamespace(perm_r=lu.perm_r[::-1].copy(), perm_c=lu.perm_c, U=lu.U)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", pivoted)
+        form = st.network_form(hub_coupling(4), scalar_blocks(1.0, -2.0, 4))
+        lmi = st.check_compositional_lmi(form)
+        assert not lmi.ok and not lmi.violated
+        assert (lmi.lower, lmi.margin) == (-1.0, 2.0)
+        assert lmi.factorizations == 1
 
 
 def hub_coupling(n) -> np.ndarray:

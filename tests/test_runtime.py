@@ -610,17 +610,39 @@ class TestSubstepStreaming:
             for field in ("step_errors", "output_min", "output_max"):
                 assert np.array_equal(getattr(runs[block], field), getattr(whole, field))
 
+    def test_non_square_output_map_envelope(self):
+        # C1 = [1; -1] per room reads (x, -x): the states are those of
+        # C1 = 1, so the envelope is that run's, mirrored, and every sampled
+        # error is sqrt(2) times that run's
+        systems, *rest = small_network(n=3, g=0.3, tracking_rate=40.0)
+        mirrored = dataclasses.replace(systems[0], C1=np.array([[1.0], [-1.0]]))
+        x0 = np.array([20.387, 20.502, 20.731])
+        cfg = st.SimConfig(n_trials=6, horizon=4, epsilon=9.9, n_substeps=11,
+                           rng_seed=8, chunk_size=3)
+        plain = st.cosimulate(systems, *rest, cfg, x0)
+        both = st.cosimulate([mirrored] * 3, *rest, cfg, x0)
+        assert np.array_equal(both.output_min, np.minimum(plain.output_min, -plain.output_max))
+        assert np.array_equal(both.output_max, np.maximum(plain.output_max, -plain.output_min))
+        assert np.allclose(both.step_errors, math.sqrt(2) * plain.step_errors,
+                           rtol=1e-12, atol=0.0)
+
     def test_peak_memory_does_not_grow_with_substeps(self):
-        # the substep buffers are capped at _SUBSTEP_BLOCK_ENTRIES normals per
-        # chunk; whole-interval buffers at 400 substeps would be 3 x 1.2 MB
+        # the substep buffers are capped at _SUBSTEP_BLOCK_ENTRIES normals
+        # across the chunks in flight (2 MiB); a whole-interval buffer at
+        # 4000 substeps would be 128 x 4000 x 3 doubles, 12.3 MB
+        from stochsym import runtime
+
         net = small_network(n=3)
         x0 = np.array([20.387, 20.502, 20.731])
         peaks = {}
-        for n_sub in (4, 400):
+        for n_sub in (4, 4000):
             cfg = st.SimConfig(n_trials=128, horizon=2, epsilon=9.9,
                                n_substeps=n_sub, rng_seed=1, chunk_size=128)
             _, peaks[n_sub] = traced_peak(st.cosimulate, *net, cfg, x0)
-        assert peaks[400] - peaks[4] <= 1_000_000
+        cap = runtime._SUBSTEP_BLOCK_ENTRIES * 8
+        # plus the slack a 2^16-entry cap had under a 1 MB bound
+        slack = 1_000_000 - (1 << 16) * 8
+        assert peaks[4000] - peaks[4] <= cap + slack
 
 
 class TestControllerHorizon:
