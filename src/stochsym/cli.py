@@ -239,10 +239,15 @@ def generate_rooms(
 
 @dataclass(eq=False)
 class PipelineBundle:
+    """A resolved config: `systems`, `discs`, `grids` and given-mode `certs`
+    (None in solve mode) hold one entry per group; subsystem i is in group
+    `ic.group_of[i]`, and groups are ordered by their lowest member."""
+
     name: str
     systems: list
     ic: model.InterconnectionSpec
     discs: list
+    certs: list | None
     cert_config: dict
     grids: list
     safety: synth.SafetySpec | None
@@ -286,21 +291,79 @@ def _system_from(d, what: str, base_dir: Path) -> model.AffineSystem:
            for name in ("state_box", "input_box", "internal_box")})
 
 
-def _broadcast(value, n: int, what: str) -> list:
-    if isinstance(value, list):
-        if len(value) == 1:
-            return value * n
-        if len(value) != n:
-            raise ConfigError(f"{what}: expected 1 or {n} entries, got {len(value)}")
-        return value
-    return [value] * n
-
-
 def _block(raw: dict, name: str, default):
     """The top-level block `name` (`default` when absent or null); any other
     value than a JSON object is a ConfigError that names the block."""
     value = raw.get(name)
     return default if value is None else _object(value, name)
+
+
+def _disc_from(d, what: str) -> model.DiscretizationSpec:
+    _object(d, what)
+    return model.DiscretizationSpec(
+        tau=_field(d, what, "tau", _positive),
+        D_tilde=_field(d, what, "D_tilde", model.as_matrix, [[0.0]]),
+        R_tilde=_field(d, what, "R_tilde", model.as_matrix, [[0.0]]))
+
+
+def _grid_from(s: model.AffineSystem, gdict, what: str) -> abst.AbstractionGrid | None:
+    if gdict is None:
+        return None
+    _object(gdict, what)
+
+    def cover(box, name):
+        return _field(gdict, what, name, lambda w: abst.UniformGrid.cover(box, w))
+    return abst.AbstractionGrid(
+        state=cover(s.state_box, "state_widths"),
+        input=cover(s.input_box, "input_widths"),
+        internal=cover(s.internal_box, "internal_widths") if s.p else None)
+
+
+def _cert_from(v, what: str) -> cert_mod.StorageCertificate:
+    try:
+        return cert_mod.StorageCertificate.from_dict(v)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what} is malformed: {exc}") from exc
+
+
+def _entries(spec, n: int, what: str) -> list:
+    """(entry, config path) pairs of a field given once (maybe as a list of one) or n times."""
+    if not isinstance(spec, list):
+        return [(spec, what)]
+    if len(spec) not in (1, n):
+        raise ConfigError(f"{what}: expected 1 or {n} entries, got {len(spec)}")
+    return [(entry, f"{what}[{i}]") for i, entry in enumerate(spec)]
+
+
+def _value_key(value):
+    """Equal for equal values: dataclasses field by field, the rest as float arrays."""
+    if dataclasses.is_dataclass(value):
+        return tuple(_value_key(getattr(value, f.name)) for f in dataclasses.fields(value))
+    if value is None:
+        return None
+    # shapes keep arrays of different sizes from running into each other
+    a = np.asarray(value, dtype=float)
+    return a.shape, a.tobytes()
+
+
+def _distinct(objects: list, n: int) -> tuple[list, np.ndarray]:
+    """The distinct values among `objects` (one for all n subsystems, or one
+    each), and each subsystem's position among them."""
+    seen: dict = {}
+    index = np.array([seen.setdefault(_value_key(o), len(seen)) for o in objects])
+    _, first = np.unique(index, return_index=True)
+    return [objects[i] for i in first], np.broadcast_to(index, n)
+
+
+def _grouping(indices: list, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(group_of, first): a group per distinct row of the per-kind `indices`,
+    numbered in order of its lowest member `first`."""
+    code = np.zeros(n, dtype=np.intp)
+    for idx in indices:
+        # a pair of indices below n each fits an intp as one code
+        _, code = np.unique(code * (int(idx.max()) + 1) + idx, return_inverse=True)
+    _, first, code = np.unique(code, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[code], np.sort(first)
 
 
 def _coupling_from(spec):
@@ -319,9 +382,10 @@ def load_config(source) -> PipelineBundle:
 
     System entries may be inline dicts or `{"file": "..."}` references,
     resolved relative to the config file's directory.  Every field is read
-    through `_field`, so a config error names its dotted path.  A broadcast
-    entry (one discretization or grid for all subsystems) becomes one shared
-    object, so identical subsystems are recognised by identity later on.
+    through `_field`, so a config error names its dotted path.  Each entry of
+    a per-subsystem field (system, discretization, grid, given certificate)
+    is built once, and subsystems whose four objects are equal by value form
+    one group: the bundle holds each group's objects once and `ic.group_of`.
     """
     base_dir = Path.cwd()
     if isinstance(source, (str, Path)):
@@ -343,13 +407,37 @@ def load_config(source) -> PipelineBundle:
     sys_spec = raw.get("systems")
     if isinstance(sys_spec, list):
         systems = [_system_from(d, f"systems[{i}]", base_dir) for i, d in enumerate(sys_spec)]
+        n = len(systems)
     else:
-        template = _system_from(_object(sys_spec, "systems").get("template"),
-                                "systems.template", base_dir)
-        systems = [template] * _field(sys_spec, "systems", "replicate", _integer)
-    n = len(systems)
-    if n == 0:
+        systems = [_system_from(_object(sys_spec, "systems").get("template"),
+                                "systems.template", base_dir)]
+        n = _field(sys_spec, "systems", "replicate", _integer)
+    if n <= 0:
         raise ConfigError("at least one subsystem required")
+    systems, sys_idx = _distinct(systems, n)
+    discs, disc_idx = _distinct([_disc_from(*e) for e in _entries(
+        raw.get("discretization"), n, "discretization")], n)
+
+    # a grid covers its system's boxes: one per (system, grid entry) pair
+    entries = _entries(raw.get("grid"), n, "grid")
+    pair_of, pairs = _grouping([sys_idx, np.broadcast_to(np.arange(len(entries)), n)], n)
+    grids, grid_idx = _distinct([_grid_from(systems[sys_idx[i]], *entries[i % len(entries)])
+                                 for i in pairs], pairs.size)
+    grid_idx = grid_idx[pair_of]
+
+    cert_cfg = blocks["certificates"]
+    mode = cert_cfg.get("mode", "given")
+    if mode not in ("given", "solve"):
+        raise ConfigError(f"certificates.mode must be 'given' or 'solve', got {mode!r}")
+    certs, cert_idx = None, np.zeros(n, dtype=np.intp)
+    if mode == "given":
+        if cert_cfg.get("values") is None:
+            raise ConfigError("certificates.values is missing")
+        certs, cert_idx = _distinct([_cert_from(*e) for e in _entries(
+            cert_cfg["values"], n, "certificates.values")], n)
+
+    group_of, first = _grouping([sys_idx, disc_idx, grid_idx, cert_idx], n)
+    systems = [systems[k] for k in sys_idx[first]]
 
     ic_spec = blocks["interconnection"]
     if ic_spec.get("coupling") is not None:
@@ -359,47 +447,15 @@ def load_config(source) -> PipelineBundle:
     else:
         raise ConfigError("interconnection.coupling is missing (or give interconnection.M)")
     mu = _field(ic_spec, "interconnection", "mu", model.positive_weights, np.ones(n))
-    dims = [(s.n, s.m, s.p, s.q2) for s in systems]
     try:
-        ic = model.InterconnectionSpec(M=m, mu=mu, subsystem_dims=dims)
+        ic = model.InterconnectionSpec(M=m, mu=mu, group_of=group_of,
+                                       subsystem_dims=[(s.n, s.m, s.p, s.q2) for s in systems])
     except DimensionMismatch as exc:
         if exc.field == "mu":
             raise ConfigError(f"interconnection.mu is malformed: {exc}") from exc
         sys_path = "systems[i]" if isinstance(sys_spec, list) else "systems.template"
         raise ConfigError(f"{m_path} is malformed: {exc} (a row per column of "
                           f"{sys_path}.D, a column per row of {sys_path}.C2)") from exc
-
-    # one object per distinct entry: a broadcast entry is built once
-    disc_spec, grid_spec = raw.get("discretization"), raw.get("grid")
-    disc_of: dict = {}
-    discs = []
-    for i, d in enumerate(_broadcast(disc_spec, n, "discretization")):
-        if id(d) not in disc_of:
-            what = f"discretization[{i}]" if isinstance(disc_spec, list) else "discretization"
-            _object(d, what)
-            disc_of[id(d)] = model.DiscretizationSpec(
-                tau=_field(d, what, "tau", _positive),
-                D_tilde=_field(d, what, "D_tilde", model.as_matrix, [[0.0]]),
-                R_tilde=_field(d, what, "R_tilde", model.as_matrix, [[0.0]]))
-        discs.append(disc_of[id(d)])
-
-    grid_of: dict = {}
-    grids = []
-    for i, (s, gdict) in enumerate(zip(systems, _broadcast(grid_spec, n, "grid"))):
-        if gdict is None:
-            grids.append(None)
-            continue
-        if (id(s), id(gdict)) not in grid_of:
-            what = f"grid[{i}]" if isinstance(grid_spec, list) else "grid"
-            _object(gdict, what)
-
-            def cover(box, name):
-                return _field(gdict, what, name, lambda w: abst.UniformGrid.cover(box, w))
-            grid_of[id(s), id(gdict)] = abst.AbstractionGrid(
-                state=cover(s.state_box, "state_widths"),
-                input=cover(s.input_box, "input_widths"),
-                internal=cover(s.internal_box, "internal_widths") if s.p else None)
-        grids.append(grid_of[id(s), id(gdict)])
 
     safety = None
     if blocks["safety"] is not None:
@@ -420,9 +476,10 @@ def load_config(source) -> PipelineBundle:
         name=raw.get("name", "network"),
         systems=systems,
         ic=ic,
-        discs=discs,
-        cert_config=blocks["certificates"],
-        grids=grids,
+        discs=[discs[k] for k in disc_idx[first]],
+        certs=None if certs is None else [certs[k] for k in cert_idx[first]],
+        cert_config=cert_cfg,
+        grids=[grids[k] for k in grid_idx[first]],
         safety=safety,
         bound_config=blocks["bound"],
         sim_config=blocks["simulation"],
@@ -441,7 +498,7 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_rows_json(path: Path, rows: list, group_of: list) -> None:
+def _write_rows_json(path: Path, rows: list, group_of: np.ndarray) -> None:
     """`_write_json(path, {"subsystems": report})`, byte for byte, for the
     report [{**rows[g], "subsystem": i} for i, g in enumerate(group_of)].
 
@@ -462,78 +519,55 @@ def _write_rows_json(path: Path, rows: list, group_of: list) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write('{\n  "subsystems": [\n')
         sep = ""
-        for i, g in enumerate(group_of):
+        for i, g in enumerate(group_of.tolist()):
             fh.write(f"{sep}{heads[g]}{i}{close}")
             sep = ",\n"
         fh.write("\n  ]\n}\n")
 
 
-def _resolve_certs(bundle: PipelineBundle) -> list:
-    """One certificate per subsystem; a certificate is built once per distinct
-    `values` entry (given) or (system, discretization) object pair (solve),
-    so a broadcast certificate is one object shared by every subsystem."""
-    cfg = bundle.cert_config
-    mode = cfg.get("mode", "given")
-    if mode not in ("given", "solve"):
-        raise ConfigError(f"certificates.mode must be 'given' or 'solve', got {mode!r}")
-    built: dict = {}
-    if mode == "given":
-        if cfg.get("values") is None:
-            raise ConfigError("certificates.values is missing")
-        values = _broadcast(cfg["values"], len(bundle.systems), "certificates.values")
-        for i, v in enumerate(values):
-            if id(v) not in built:
-                try:
-                    built[id(v)] = cert_mod.StorageCertificate.from_dict(v)
-                except (TypeError, ValueError) as exc:
-                    raise ConfigError(f"certificates.values[{i}] is malformed: {exc}") from exc
-        return [built[id(v)] for v in values]
-    what = "certificates"
+def _solve_certs(bundle: PipelineBundle) -> list:
+    """One certificate per group, solved for its system (certificates.mode "solve")."""
+    cfg, what = bundle.cert_config, "certificates"
     shared = {name: _field(cfg, what, name, float, default) for name, default in (
         ("kappa_tilde", ...), ("pi", 1.0), ("kappa_bar", ...),
         ("gamma_slope", 0.0), ("delta", 0.0))}
     shared.update({name: _field(cfg, what, name, model.as_matrix)
                    for name in ("Xbar11", "Xbar12", "Xbar21", "Xbar22")})
+    certs = []
     for s, d in zip(bundle.systems, bundle.discs):
-        if (id(s), id(d)) in built:
-            continue
         try:
             cand = cert_mod.solve_candidates(s, shared["kappa_tilde"])
         except Infeasible as exc:
             if exc.condition is not None:
                 raise CheckFailed(exc.condition, exc.reason) from exc
             raise
-        built[id(s), id(d)] = cert_mod.StorageCertificate(
+        certs.append(cert_mod.StorageCertificate(
             M_bar=cand.M_bar, K=cand.K, P=cand.P, Q=cand.Q, H=cand.H,
-            tau=d.tau, **shared)
-    return [built[id(s), id(d)] for s, d in zip(bundle.systems, bundle.discs)]
+            tau=d.tau, **shared))
+    return certs
 
 
 def _stage_verify(bundle: PipelineBundle, ctx: dict) -> None:
-    # a replicated template is one object, validated and boxed once
-    out_boxes: dict = {}
     for s in bundle.systems:
-        if id(s) not in out_boxes:
-            model.validate_system(s)
-            out_boxes[id(s)] = s.internal_output_box()
+        model.validate_system(s)
     try:
         model.check_well_posed(
             bundle.ic,
-            [out_boxes[id(s)] for s in bundle.systems],
+            [s.internal_output_box() for s in bundle.systems],
             [s.internal_box for s in bundle.systems],
         )
     except NotWellPosed as exc:
         raise CheckFailed(model.CONDITION_WELL_POSED, str(exc)) from exc
 
-    certs = _resolve_certs(bundle)
-    groups, group_of = _groups(bundle, certs)
+    certs = bundle.certs if bundle.certs is not None else _solve_certs(bundle)
+    members = model.group_members(bundle.ic.group_of)
     verdicts = []
-    for member in groups:
-        # members share every input of the verdict; the lowest one speaks for all
-        i = member[0]
-        s, c, d, grid = bundle.systems[i], certs[i], bundle.discs[i], bundle.grids[i]
+    for member, s, c, d, grid in zip(members, bundle.systems, certs, bundle.discs,
+                                     bundle.grids):
+        # the lowest member speaks for its group
+        i = int(member[0])
         try:
-            verdicts.append(cert_mod.verify(c, s, d, w_hat_bound=_internal_sup(bundle, i)))
+            verdicts.append(cert_mod.verify(c, s, d, w_hat_bound=_internal_sup(s)))
         except CheckFailed as exc:
             raise CheckFailed(exc.condition, f"subsystem {i}: {exc.detail}") from exc
         if grid is not None and not d.noise_free:
@@ -541,31 +575,30 @@ def _stage_verify(bundle: PipelineBundle, ctx: dict) -> None:
             if abs(c.delta - actual) > 1e-12 * (1.0 + actual):
                 logger.warning("subsystem %d (and %d alike): certificate delta %.3g differs "
                                "from the grid's %.3g; the certified defect uses the "
-                               "certificate value", i, len(member) - 1, c.delta, actual)
-    # members' certificates agree bit for bit, so one dict serves the group
+                               "certificate value", i, member.size - 1, c.delta, actual)
     rows = [{"lyapunov_margin": v.lyapunov.margin,
              "geometric_residuals": [v.geometric.residual_q, v.geometric.residual_h],
              "dissipation_margin": v.dissipativity.margin,
              "constants": v.constants.to_dict(),
-             "certificate": certs[member[0]].to_dict()}
-            for v, member in zip(verdicts, groups)]
+             "certificate": c.to_dict()}
+            for v, c in zip(verdicts, certs)]
     ctx["certs"] = certs
-    ctx["groups"] = (groups, group_of)
-    ctx["constants"] = [verdicts[g].constants for g in group_of]
-    _write_rows_json(ctx["out"] / "certificates.json", rows, group_of)
-    logger.info("verify: %d subsystems certified in %d group(s)", len(certs), len(groups))
+    ctx["constants"] = [v.constants for v in verdicts]
+    _write_rows_json(ctx["out"] / "certificates.json", rows, bundle.ic.group_of)
+    logger.info("verify: %d subsystems certified in %d group(s)",
+                bundle.ic.n_subsystems, len(certs))
 
 
-def _internal_sup(bundle: PipelineBundle, i: int) -> float:
+def _internal_sup(s: model.AffineSystem) -> float:
     """Sup norm of the abstract internal input set (for the feedthrough defect term)."""
-    box = bundle.systems[i].internal_box  # the norm of an empty box is 0
+    box = s.internal_box  # the norm of an empty box is 0
     return float(np.linalg.norm(np.maximum(np.abs(box.lower), np.abs(box.upper))))
 
 
 def _stage_compose(bundle: PipelineBundle, ctx: dict) -> None:
     certs = ctx["certs"]
     mu = bundle.ic.mu
-    blocks = comp.supply_blocks(certs, mu)
+    blocks = comp.supply_blocks(certs, mu, bundle.ic.group_of)
     form = comp.network_form(bundle.ic.M, blocks)
     fast = comp.gershgorin_fast_check(form)
     lmi = comp.check_compositional_lmi(form)
@@ -582,14 +615,10 @@ def _stage_compose(bundle: PipelineBundle, ctx: dict) -> None:
     # composition.json reports null.
     has_grids = all(g is not None for g in bundle.grids)
     if has_grids:
-        # members of a group share system, certificate and grid, so one box each
-        groups, group_of = ctx["groups"]
-        boxes = []
-        for member in groups:
-            s, c, g = bundle.systems[member[0]], certs[member[0]], bundle.grids[member[0]]
-            boxes.append(g.state.as_box().linear_image(s.C2 @ c.P))
+        boxes = [g.state.as_box().linear_image(s.C2 @ c.P)
+                 for s, c, g in zip(bundle.systems, certs, bundle.grids)]
         try:
-            model.check_well_posed(bundle.ic, [boxes[g] for g in group_of],
+            model.check_well_posed(bundle.ic, boxes,
                                    [s.internal_box for s in bundle.systems])
         except NotWellPosed as exc:
             raise CheckFailed(comp.CONDITION_ABSTRACT_WELL_POSED, str(exc)) from exc
@@ -600,10 +629,10 @@ def _stage_compose(bundle: PipelineBundle, ctx: dict) -> None:
     ssf = comp.compose_ssf(
         ctx["constants"], mu, mode=mode,
         output_maps=[s.C1 for s in bundle.systems] if mode == "stacked" else None,
+        group_of=bundle.ic.group_of,
     )
-    q_tilde = sum(s.q2 for s in bundle.systems)
     result = comp.CompositionResult(lmi_margin=-lmi.margin, ssf=ssf,
-                                    q_tilde=q_tilde, x_cmp_shape=blocks.shape)
+                                    q_tilde=bundle.ic.M.shape[1], x_cmp_shape=blocks.shape)
     ctx["ssf"] = ssf
     # X_cmp is rebuilt from certificates.json and mu; only its shape is written
     payload = result.to_dict()
@@ -617,77 +646,33 @@ def _stage_compose(bundle: PipelineBundle, ctx: dict) -> None:
     logger.info("compose: network LMI margin %.3e", -lmi.margin)
 
 
-def _group_key(sys_, disc, grid, cert) -> tuple:
-    # every input of a subsystem's verdict and abstraction (P also enters the
-    # output maps C1 P and C2 P); `grid` may be None
-    parts = [sys_.A, sys_.B, sys_.C1, sys_.C2, sys_.D, sys_.G, sys_.b,
-             sys_.state_box.lower, sys_.state_box.upper,
-             sys_.input_box.lower, sys_.input_box.upper,
-             sys_.internal_box.lower, sys_.internal_box.upper,
-             disc.tau, disc.D_tilde, disc.R_tilde]
-    parts += [getattr(cert, f.name) for f in dataclasses.fields(cert)]
-    for axis in [] if grid is None else [grid.state, grid.input, grid.internal]:
-        if axis is not None:
-            parts += [axis.lower, axis.widths, axis.cells]
-    # shapes keep parts of different sizes from running into each other
-    arrays = [np.asarray(p, dtype=float) for p in parts]
-    return tuple((a.shape, a.tobytes()) for a in arrays)
-
-
-def _groups(bundle: PipelineBundle, certs: list) -> tuple[list, list]:
-    """Indices grouped by identical (system, discretization, grid, certificate).
-
-    Groups are ordered by their lowest member; `group_of[i]` is the position
-    of subsystem i's group.  The value key is built once per distinct tuple
-    of objects, so subsystems that share all four objects cost one lookup.
-    """
-    keys: dict = {}
-    by_identity: dict = {}
-    group_of = []
-    for parts in zip(bundle.systems, bundle.discs, bundle.grids, certs):
-        ident = tuple(map(id, parts))
-        if ident not in by_identity:
-            by_identity[ident] = keys.setdefault(_group_key(*parts), len(keys))
-        group_of.append(by_identity[ident])
-    groups = [[] for _ in keys]
-    for i, g in enumerate(group_of):
-        groups[g].append(i)
-    return groups, group_of
-
-
 def _stage_abstract(bundle: PipelineBundle, ctx: dict) -> None:
     certs = ctx["certs"]
-    for i, g in enumerate(bundle.grids):
+    for member, g in zip(model.group_members(bundle.ic.group_of), bundle.grids):
         if g is None:
-            raise ConfigError(f"subsystem {i} has no grid; 'grid' is required "
+            raise ConfigError(f"subsystem {member[0]} has no grid; 'grid' is required "
                               "for abstraction stages")
-    if "groups" not in ctx:  # set by the verify stage for these certificates
-        ctx["groups"] = _groups(bundle, certs)
-    groups, group_of = ctx["groups"]
     built = []
-    for g_idx, member in enumerate(groups):
-        i = member[0]
-        s, d, grid = bundle.systems[i], bundle.discs[i], bundle.grids[i]
+    for g_idx, (s, d, grid, c) in enumerate(zip(bundle.systems, bundle.discs,
+                                               bundle.grids, certs)):
         if d.noise_free:
-            fa = abst.build_deterministic(s, d, grid, P=certs[i].P)
+            fa = abst.build_deterministic(s, d, grid, P=c.P)
         else:
-            fa = abst.build_stochastic(s, d, grid, P=certs[i].P)
+            fa = abst.build_stochastic(s, d, grid, P=c.P)
         built.append(fa)
-        suffix = "" if len(groups) == 1 else f"_{g_idx}"
+        suffix = "" if len(certs) == 1 else f"_{g_idx}"
         abst.export_abstraction(fa, ctx["out"] / f"abstraction{suffix}.json",
                                 ctx["out"] / f"abstraction{suffix}.csv")
-    ctx["abstractions"] = [built[g] for g in group_of]
+    ctx["abstractions"] = built
     logger.info("abstract: %d unique abstraction(s) for %d subsystems",
-                len(groups), len(bundle.systems))
+                len(built), bundle.ic.n_subsystems)
 
 
 def _stage_synthesize(bundle: PipelineBundle, ctx: dict) -> None:
     if bundle.safety is None:
         raise ConfigError("'safety' block required for the synthesize stage")
-    groups, group_of = ctx["groups"]
     controllers = []
-    for g_idx, member in enumerate(groups):
-        fa = ctx["abstractions"][member[0]]
+    for g_idx, fa in enumerate(ctx["abstractions"]):
         if bundle.safety.horizon is not None:
             ctrl = synth.safety_value_iteration(fa, bundle.safety)
         elif fa.kind == "deterministic":
@@ -698,11 +683,11 @@ def _stage_synthesize(bundle: PipelineBundle, ctx: dict) -> None:
             raise CheckFailed("winning-set",
                               f"abstraction group {g_idx} has an empty winning set")
         controllers.append(ctrl)
-        suffix = "" if len(groups) == 1 else f"_{g_idx}"
+        suffix = "" if len(ctx["abstractions"]) == 1 else f"_{g_idx}"
         synth.write_controller(ctrl, bundle.safety,
                                ctx["out"] / f"controller{suffix}.csv",
                                ctx["out"] / f"controller{suffix}.json")
-    ctx["controllers"] = [controllers[g] for g in group_of]
+    ctx["controllers"] = controllers
     logger.info("synthesize: winning fraction %.3f",
                 controllers[0].winning_fraction)
 
@@ -713,22 +698,19 @@ def _initial_v0(bundle: PipelineBundle, ctx: dict, x0: np.ndarray) -> float:
     One grid lookup per group; the per-subsystem terms are then added one
     at a time in subsystem order, the order of a scalar per-room loop.
     """
-    certs = ctx["certs"]
-    offsets = np.cumsum([0] + [s.n for s in bundle.systems])
-    terms = np.empty(len(bundle.systems))
-    for member in ctx["groups"][0]:
-        i = member[0]
-        grid, c = bundle.grids[i].state, certs[i]
-        xi = x0[offsets[member][:, None] + np.arange(bundle.systems[i].n)]
-        idx = grid.locate_many(xi)
-        if np.any(idx == grid.n_points):
+    group_of = bundle.ic.group_of
+    start = model.member_starts([s.n for s in bundle.systems], group_of)
+    terms = np.zeros(group_of.size + 1)  # a leading 0.0, the loop's initial total
+    for member, s, c, grid in zip(model.group_members(group_of), bundle.systems,
+                                  ctx["certs"], bundle.grids):
+        xi = x0[start[member][:, None] + np.arange(s.n)]
+        idx = grid.state.locate_many(xi)
+        if np.any(idx == grid.state.n_points):
             raise ConfigError("initial state lies outside the state grid")
-        mismatch = xi - grid.centers()[idx] @ c.P.T
-        terms[member] = bundle.ic.mu[member] * np.sum(mismatch @ c.M_bar * mismatch, axis=1)
-    total = 0.0
-    for t in terms:
-        total += float(t)
-    return total
+        mismatch = xi - grid.state.centers()[idx] @ c.P.T
+        terms[1 + member] = bundle.ic.mu[member] * np.sum(mismatch @ c.M_bar * mismatch, axis=1)
+    # a cumulative sum adds left to right, one term at a time
+    return float(np.cumsum(terms)[-1])
 
 
 def _field(block: dict, what: str, name: str, kind, default=...):
@@ -785,7 +767,7 @@ def _initial_state(bundle: PipelineBundle, required: bool) -> np.ndarray:
     x0 that is absent or empty comes back empty."""
     x0 = _field(bundle.sim_config, "simulation", "x0", _vector,
                 ... if required else [])
-    n_states = sum(s.n for s in bundle.systems)
+    n_states = model.member_starts([s.n for s in bundle.systems], bundle.ic.group_of)[-1]
     if (required or x0.size) and x0.shape != (n_states,):
         raise ConfigError(f"simulation.x0 has {x0.size} values, the network has "
                           f"{n_states} states")
@@ -807,10 +789,9 @@ def _stage_bound(bundle: PipelineBundle, ctx: dict) -> None:
         if any(g is None for g in bundle.grids):
             raise ConfigError("bound.nu_hat_sup is needed when a subsystem has no grid")
         # members of a group share their grid, so one norm per group
-        groups, group_of = ctx["groups"]
-        sup = [float(np.max(np.linalg.norm(bundle.grids[member[0]].input.centers(), axis=1)))
-               for member in groups]
-        nu_sup = math.sqrt(math.fsum(sup[g] * sup[g] for g in group_of))
+        sup = np.array([np.max(np.linalg.norm(g.input.centers(), axis=1))
+                        for g in bundle.grids])[bundle.ic.group_of]
+        nu_sup = math.sqrt(math.fsum((sup * sup).tolist()))
     psi_hat_formula = bnd.psi_hat(ssf.rho_ext_slope, float(nu_sup), ssf.psi)
     override = _field(cfg, "bound", "psi_hat_override", _nonnegative, None)
     psi_hat_used = override if override is not None else psi_hat_formula
@@ -842,7 +823,7 @@ def _stage_bound(bundle: PipelineBundle, ctx: dict) -> None:
         if "psi_network" in rep:
             ref = _field(rep, "bound.reported", "psi_network", float)
         elif "psi_per_subsystem" in rep:
-            ref = _field(rep, "bound.reported", "psi_per_subsystem", float) * len(bundle.systems)
+            ref = _field(rep, "bound.reported", "psi_per_subsystem", float) * bundle.ic.n_subsystems
         else:
             ref = None
         if ref is not None:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 import scipy.sparse
@@ -35,7 +36,14 @@ from .errors import (
     NonQuadraticAlpha,
     StructureMismatch,
 )
-from .model import as_coupling, as_matrix, positive_weights
+from .model import (
+    as_coupling,
+    as_matrix,
+    group_index,
+    member_starts,
+    positive_weights,
+    spread,
+)
 
 CONDITION_NETWORK_LMI = "Con_1a"
 #: the network LMI could be neither proved nor refuted (see LmiCheck)
@@ -138,44 +146,40 @@ class SupplyBlocks:
                                   [self.x21, self.x22]]).toarray()
 
 
-def _block_diag(mats: list[np.ndarray], weights: np.ndarray) -> scipy.sparse.csr_matrix:
-    """CSR blkdiag(w_i mats_i) holding only nonzero entries.
+def _block_diag(mats: list[np.ndarray], weights: np.ndarray,
+                group_of: np.ndarray) -> scipy.sparse.csr_matrix:
+    """CSR blkdiag(w_i mats[group_of[i]]) over subsystems i, holding only nonzero entries.
 
-    A matrix object shared by many subsystems (a broadcast certificate) is
-    scanned once and placed at all of its offsets together.
+    Each group's matrix is scanned once; its nonzeros are repeated at every
+    member's offset together, in subsystem order.
     """
-    r_off = np.cumsum([0] + [m.shape[0] for m in mats])
-    c_off = np.cumsum([0] + [m.shape[1] for m in mats])
-    members: dict = {}
-    for k, m in enumerate(mats):
-        members.setdefault(id(m), []).append(k)
-    rows, cols, vals = [], [], []
-    for ks in members.values():
-        m = mats[ks[0]]
-        i, j = np.nonzero(m)
-        ks = np.asarray(ks)[:, None]
-        rows.append((r_off[ks] + i).ravel())
-        cols.append((c_off[ks] + j).ravel())
-        vals.append((weights[ks] * m[i, j]).ravel())
-    return scipy.sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(r_off[-1], c_off[-1]))
+    nonzero = [np.nonzero(m) for m in mats]
+    count = np.array([i.size for i, _ in nonzero], dtype=np.intp)[group_of]
+    r_off = member_starts([m.shape[0] for m in mats], group_of)
+    c_off = member_starts([m.shape[1] for m in mats], group_of)
+    rows = spread([i for i, _ in nonzero], group_of) + np.repeat(r_off[:-1], count)
+    cols = spread([j for _, j in nonzero], group_of) + np.repeat(c_off[:-1], count)
+    vals = (spread([m[i, j] for m, (i, j) in zip(mats, nonzero)], group_of)
+            * np.repeat(weights, count))
+    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(r_off[-1], c_off[-1]))
 
 
-def supply_blocks(certs: list[StorageCertificate], mu) -> SupplyBlocks:
+def supply_blocks(certs: list[StorageCertificate], mu, group_of=None) -> SupplyBlocks:
     """The weighted supply-rate blocks of X_cmp, without building X_cmp.
 
-    Subsystem i contributes mu_i Xbar11_i to x11, mu_i Xbar12_i to x12 and
-    so on, in subsystem order; build_x_cmp arranges the same blocks densely.
+    Subsystem i, of certificate certs[group_of[i]], contributes mu_i Xbar11
+    to x11, mu_i Xbar12 to x12 and so on, in subsystem order; build_x_cmp
+    arranges the same blocks densely.
     """
     mu = positive_weights(mu)
-    if len(certs) != mu.size or len(certs) == 0:
-        raise DimensionMismatch("mu", "one positive weight per certificate")
-    return SupplyBlocks(*(_block_diag([getattr(c, name) for c in certs], mu)
+    group_of = group_index(group_of, len(certs))
+    if group_of.size != mu.size or len(certs) == 0:
+        raise DimensionMismatch("mu", "one positive weight per subsystem")
+    return SupplyBlocks(*(_block_diag([getattr(c, name) for c in certs], mu, group_of)
                           for name in ("Xbar11", "Xbar12", "Xbar21", "Xbar22")))
 
 
-def build_x_cmp(certs: list[StorageCertificate], mu) -> np.ndarray:
+def build_x_cmp(certs: list[StorageCertificate], mu, group_of=None) -> np.ndarray:
     """Arrange the weighted supply-rate blocks into the network matrix.
 
     The (1,1) super-block is blkdiag(mu_i Xbar11_i), the (1,2) super-block
@@ -183,7 +187,7 @@ def build_x_cmp(certs: list[StorageCertificate], mu) -> np.ndarray:
     sum(p_i) + sum(q2_i).  The pipeline never builds it: it assembles the
     network form from `supply_blocks` directly.
     """
-    return supply_blocks(certs, mu).dense()
+    return supply_blocks(certs, mu, group_of).dense()
 
 
 def network_form(M, blocks: SupplyBlocks) -> scipy.sparse.csr_matrix:
@@ -293,9 +297,11 @@ def compose_ssf(
     mu,
     mode: str = "general",
     output_maps: list[np.ndarray] | None = None,
+    group_of=None,
 ) -> NetworkSsf:
     """Aggregate verified per-subsystem constants into network constants.
 
+    `constants` and `output_maps` hold one entry per group of `group_of`.
     kappa is the exact maximum of the subsystem kappas; psi the weighted sum;
     the external gain slope is the Euclidean norm of the weighted subsystem
     slopes (the linear maximum over a sphere in closed form).  The quadratic
@@ -311,8 +317,8 @@ def compose_ssf(
     Stacked mode requires `output_maps` (the C1 matrices) for that gate.
     """
     mu = positive_weights(mu)
-    n = len(constants)
-    if n == 0 or mu.size != n:
+    group_of = group_index(group_of, len(constants))
+    if not constants or mu.size != group_of.size:
         raise DimensionMismatch("mu", "one weight per subsystem")
     for c in constants:
         if not (np.isfinite(c.rho_ext_slope) and c.rho_ext_slope >= 0):
@@ -320,29 +326,27 @@ def compose_ssf(
         if not (np.isfinite(c.alpha_coeff) and c.alpha_coeff > 0):
             raise NonQuadraticAlpha(f"subsystem alpha coefficient {c.alpha_coeff!r} is not quadratic-positive")
 
+    def weighted(name: str) -> np.ndarray:  # mu_i times subsystem i's constant
+        return mu * np.array([getattr(c, name) for c in constants], dtype=float)[group_of]
+
     kappa = max(c.kappa for c in constants)
-    psi = math.fsum(w * c.psi for w, c in zip(mu, constants))
-    slope = math.sqrt(math.fsum((w * c.rho_ext_slope) ** 2 for w, c in zip(mu, constants)))
+    psi = math.fsum(weighted("psi").tolist())
+    # squared by pow, as `x ** 2` squares a float (it can differ from x * x)
+    slope = math.sqrt(math.fsum(map(pow, weighted("rho_ext_slope").tolist(), repeat(2))))
 
     if mode == "general":
-        alpha_coeff = 1.0 / math.fsum(1.0 / (c.alpha_coeff * w) for w, c in zip(mu, constants))
+        alpha_coeff = 1.0 / math.fsum((1.0 / weighted("alpha_coeff")).tolist())
     elif mode == "stacked":
         if output_maps is None:
             raise StructureMismatch("stacked mode needs the external output maps to validate")
-        # a map shared by many subsystems is rank-checked once; the list keeps
-        # every map alive, so no two distinct maps share an id in the memo
-        output_maps = list(output_maps)
-        checked = set()
-        for i, c1 in enumerate(output_maps):
-            if id(c1) in checked:
-                continue
-            checked.add(id(c1))
+        for g, c1 in enumerate(output_maps):
             c1 = as_matrix(c1)
             if c1.shape[0] != c1.shape[1] or np.linalg.matrix_rank(c1) < c1.shape[0]:
+                i = int(np.flatnonzero(group_of == g)[0])
                 raise StructureMismatch(
                     f"stacked mode needs square nonsingular output maps (subsystem {i})"
                 )
-        alpha_coeff = min(w * c.alpha_coeff for w, c in zip(mu, constants))
+        alpha_coeff = np.min(weighted("alpha_coeff"))
     else:
         raise ValueError(f"unknown alpha aggregation mode {mode!r}")
 

@@ -8,7 +8,8 @@ interval-arithmetic image of a box under a linear map, and boxes are
 closed under it.
 
 All types are immutable values after construction and every operation is
-pure, so instances can be shared freely across threads.
+pure, so instances can be shared freely across threads.  A network holds
+one object per group of equal subsystems; subsystem i is in group group_of[i].
 """
 
 from __future__ import annotations
@@ -70,6 +71,41 @@ def positive_weights(mu) -> np.ndarray:
     return mu
 
 
+def group_index(group_of, n_groups: int) -> np.ndarray:
+    """`group_of` (every subsystem its own group if None) as integers naming
+    each of groups 0 .. n_groups - 1 at least once."""
+    group_of = np.arange(n_groups) if group_of is None else np.asarray(group_of)
+    if not (group_of.ndim == 1 and group_of.dtype.kind in "iu"
+            and np.all((group_of >= 0) & (group_of < n_groups))
+            and np.bincount(group_of, minlength=n_groups).all()):
+        raise DimensionMismatch("group_of", f"expected indices naming each of groups 0 .. "
+                                            f"{n_groups - 1} at least once")
+    return group_of.astype(np.intp, copy=False)
+
+
+def group_members(group_of) -> list:
+    """The subsystems of each group, ascending, as one index array per group."""
+    order = np.argsort(group_of, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(group_of))[:-1])
+
+
+def member_starts(sizes, group_of) -> np.ndarray:
+    """Where each subsystem's slice starts (plus the total at the end) when
+    subsystem i takes sizes[group_of[i]] consecutive entries."""
+    sizes = np.asarray(sizes, dtype=np.intp)[group_of]
+    return np.concatenate([[0], np.cumsum(sizes)])
+
+
+def spread(parts, group_of) -> np.ndarray:
+    """concatenate([parts[g] for g in group_of]) of 1-D arrays, without a per-subsystem loop."""
+    if not len(parts):
+        return np.zeros(0)
+    sizes = [p.size for p in parts]
+    src, out = member_starts(sizes, np.arange(len(parts))), member_starts(sizes, group_of)
+    idx = np.repeat(src[group_of] - out[:-1], np.diff(out)) + np.arange(out[-1])
+    return np.concatenate(parts)[idx]
+
+
 @dataclass(frozen=True, eq=False)
 class Box:
     """Axis-aligned interval box, possibly of dimension zero."""
@@ -128,14 +164,12 @@ class Box:
         return int(idx[0]) if idx.size else None
 
     @staticmethod
-    def stack(boxes) -> "Box":
+    def stack(boxes, group_of=None) -> "Box":
+        """The product box of boxes[group_of[i]] over subsystems i (of every box by default)."""
         boxes = list(boxes)
-        if not boxes:
-            return Box(np.zeros(0), np.zeros(0))
-        return Box(
-            np.concatenate([b.lower for b in boxes]),
-            np.concatenate([b.upper for b in boxes]),
-        )
+        group_of = group_index(group_of, len(boxes))
+        return Box(spread([b.lower for b in boxes], group_of),
+                   spread([b.upper for b in boxes], group_of))
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,22 +248,24 @@ class DiscretizationSpec:
 
 @dataclass(frozen=True, eq=False)
 class InterconnectionSpec:
-    """Static coupling w = M zeta2 (M held as CSR) over stacked internal signals, weights mu."""
+    """Static coupling w = M zeta2 (M held as CSR) over stacked internal signals, weights mu.
+
+    Subsystem i is in group group_of[i] (by default its own group i)."""
 
     M: scipy.sparse.csr_matrix
     mu: np.ndarray
-    subsystem_dims: tuple  # per subsystem (n, m, p, q2)
+    subsystem_dims: np.ndarray  # per group (n, m, p, q2)
+    group_of: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "M", as_coupling(self.M))
         object.__setattr__(self, "mu", positive_weights(self.mu))
-        object.__setattr__(
-            self, "subsystem_dims", tuple(tuple(int(v) for v in d) for d in self.subsystem_dims)
-        )
-        if len(self.subsystem_dims) != self.mu.size:
+        dims = np.array(self.subsystem_dims, dtype=np.intp).reshape(-1, 4)
+        object.__setattr__(self, "subsystem_dims", dims)
+        object.__setattr__(self, "group_of", group_index(self.group_of, len(dims)))
+        if self.group_of.size != self.mu.size:
             raise DimensionMismatch("mu", "one weight per subsystem required")
-        p_total = sum(d[2] for d in self.subsystem_dims)
-        q2_total = sum(d[3] for d in self.subsystem_dims)
+        p_total, q2_total = (int(v) for v in dims[self.group_of, 2:].sum(axis=0))
         if self.M.shape != (p_total, q2_total):
             raise DimensionMismatch(
                 "M", f"expected {(p_total, q2_total)}, got {self.M.shape}"
@@ -237,7 +273,7 @@ class InterconnectionSpec:
 
     @property
     def n_subsystems(self) -> int:
-        return len(self.subsystem_dims)
+        return self.group_of.size
 
 
 def validate_system(sys: AffineSystem) -> bool:
@@ -283,12 +319,13 @@ def check_well_posed(
 ) -> bool:
     """Check that M maps the stacked internal-output box into the internal input box.
 
+    The boxes are given per group of `ic` and tiled over its subsystems.
     The output boxes are the interval images of the state sets under the
     internal output maps; the check is interval arithmetic, hence sound.
     Raises NotWellPosed with the first violated component index.
     """
-    y2 = Box.stack(internal_output_boxes)
-    w = Box.stack(internal_input_boxes)
+    y2 = Box.stack(internal_output_boxes, ic.group_of)
+    w = Box.stack(internal_input_boxes, ic.group_of)
     if ic.M.shape != (w.dim, y2.dim):
         raise DimensionMismatch(
             "M", f"expected {(w.dim, y2.dim)} for these boxes, got {ic.M.shape}"

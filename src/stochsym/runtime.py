@@ -22,9 +22,10 @@ x <- e^{F dt} x + (int_0^dt e^{F s} ds) c_k + L z, where L L^T is the
 covariance int_0^dt e^{F s} G G^T e^{F^T s} ds.  Sampled errors therefore
 do not depend on the substep count, which sets only the resolution of the
 output envelope.  When the stacked residual D - B H is not exactly zero,
-dt (D - B H) M C2 x is added per substep (a first-order splitting).  Rooms
-that share one abstraction and controller are quantized and looked up
-together, one grid lookup per group and step.
+dt (D - B H) M C2 x is added per substep (a first-order splitting).  Each
+object is given once per group of equal subsystems (`ic.group_of`); a
+group's operators are built once, and its members are quantized and looked
+up together, one grid lookup per group and step.
 
 Trials are independent; each draws its Gaussian increments from its own
 counter-based stream split off the master seed, so results are bitwise
@@ -70,7 +71,15 @@ from .errors import (
     StaleControllerTable,
     StaleLatch,
 )
-from .model import AffineSystem, InterconnectionSpec, as_matrix, as_vector
+from .model import (
+    AffineSystem,
+    InterconnectionSpec,
+    as_matrix,
+    as_vector,
+    group_members,
+    member_starts,
+    spread,
+)
 from .synthesis import Controller
 
 #: substeps per block are capped so that the blocks of normals of the chunks
@@ -235,20 +244,15 @@ class _Op:
     diag: np.ndarray | None
 
     @classmethod
-    def stack(cls, mats: list) -> "_Op":
-        # a matrix object shared by many subsystems is coerced and checked
-        # once; `mats` keeps every object alive, so no two share an id
-        keys = list(map(id, mats))
-        distinct = {key: as_matrix(m) for key, m in dict(zip(keys, mats)).items()}
-        mats = list(map(distinct.__getitem__, keys))
+    def stack(cls, mats: list, group_of: np.ndarray) -> "_Op":
+        """blkdiag(mats[group_of[i]]) over subsystems i, from one matrix per group."""
+        mats = [as_matrix(m) for m in mats]
         if mats and all(m.shape[0] == m.shape[1] and (
                 m.shape[0] == 1 or not np.any(m - np.diag(m.diagonal())))
-                for m in distinct.values()):
-            diags = {key: m.diagonal() for key, m in distinct.items()}
-            return cls(dense_t=None, diag=np.concatenate(list(map(diags.__getitem__, keys))))
-        full = scipy.linalg.block_diag(*mats) if mats else np.zeros((0, 0))
-        if full.ndim != 2:  # block_diag of empties degenerates
-            full = np.zeros((0, 0))
+                for m in mats):
+            return cls(dense_t=None, diag=spread([m.diagonal() for m in mats], group_of))
+        # a dense operator is n_total^2 numbers, so a per-subsystem list is cheap beside it
+        full = scipy.linalg.block_diag(*(mats[g] for g in group_of)) if mats else np.zeros((0, 0))
         return cls(dense_t=full.T.copy(), diag=None)
 
     @property
@@ -308,73 +312,56 @@ class _Group:
 
 
 class _Network:
-    """Stacked operators and per-group lookup data for batched simulation."""
+    """Stacked operators and per-group lookup data for batched simulation;
+    every list holds one entry per group of `ic`."""
 
     def __init__(self, systems, ic, discs, abstractions, controllers, certs, horizon):
         if not (len(systems) == len(discs) == len(abstractions)
-                == len(controllers) == len(certs) == ic.n_subsystems):
-            raise DimensionMismatch("network", "per-subsystem argument lists disagree")
+                == len(controllers) == len(certs) == len(ic.subsystem_dims)):
+            raise DimensionMismatch("network", "per-group argument lists disagree")
         taus = {d.tau for d in discs}
         if len(taus) != 1:
             raise DimensionMismatch("tau", "all subsystems must share one sampling time")
         self.tau = discs[0].tau
+        self.group_of = group_of = ic.group_of
+        members = group_members(group_of)
+        start = member_starts([s.n for s in systems], group_of)
+        self.n_total = int(start[-1])
 
-        state_slices = []
-        off = 0
-        for s in systems:
-            state_slices.append(slice(off, off + s.n))
-            off += s.n
-        self.n_total = off
-
-        self.B = _Op.stack([s.B for s in systems])
-        self.C1 = _Op.stack([s.C1 for s in systems])
-        self.C2 = _Op.stack([s.C2 for s in systems])
-        self.K = _Op.stack([c.K for c in certs])
-        self.P = _Op.stack([c.P for c in certs])
-        self.Q = _Op.stack([c.Q for c in certs])
-        self.H = _Op.stack([c.H for c in certs])
-        # products of a subsystem's matrices, formed once per distinct
-        # (system, certificate) object pair and shared by its members
-        pairs: dict = {}
-        for s, c in zip(systems, certs):
-            if (id(s), id(c)) not in pairs:
-                pairs[id(s), id(c)] = (s.C1 @ c.P, s.C2 @ c.P, s.A + s.B @ c.K,
-                                       s.G @ s.G.T, s.D - s.B @ c.H)
-        c1p, c2p, self._closed_loop, self._diffusion, residual = zip(
-            *(pairs[id(s), id(c)] for s, c in zip(systems, certs)))
-        self.C1P = _Op.stack(c1p)
-        self.C2P = _Op.stack(c2p)
-        self.D_tilde = _Op.stack([d.D_tilde for d in discs])
-        self.R_tilde = _Op.stack([d.R_tilde for d in discs])
-        distinct_discs = {id(d): d for d in discs}.values()
-        self.stochastic = any(not d.noise_free for d in distinct_discs)
-        self.b = np.concatenate([s.b for s in systems])
+        self.B = _Op.stack([s.B for s in systems], group_of)
+        self.C1 = _Op.stack([s.C1 for s in systems], group_of)
+        self.C2 = _Op.stack([s.C2 for s in systems], group_of)
+        self.K = _Op.stack([c.K for c in certs], group_of)
+        self.P = _Op.stack([c.P for c in certs], group_of)
+        self.Q = _Op.stack([c.Q for c in certs], group_of)
+        self.H = _Op.stack([c.H for c in certs], group_of)
+        self.C1P = _Op.stack([s.C1 @ c.P for s, c in zip(systems, certs)], group_of)
+        self.C2P = _Op.stack([s.C2 @ c.P for s, c in zip(systems, certs)], group_of)
+        self.D_tilde = _Op.stack([d.D_tilde for d in discs], group_of)
+        self.R_tilde = _Op.stack([d.R_tilde for d in discs], group_of)
+        self.stochastic = any(not d.noise_free for d in discs)
+        self.b = spread([s.b for s in systems], group_of)
         self.M = ic.M
-        self.abs_noise_dim = sum(d.R_tilde.shape[1] for d in discs)
-        self._residual = None
-        if any(np.any(r) for *_, r in pairs.values()):
-            self._residual = residual
+        self.abs_noise_dim = int(member_starts([d.R_tilde.shape[1] for d in discs], group_of)[-1])
+        self._closed_loop = [s.A + s.B @ c.K for s, c in zip(systems, certs)]
+        self._diffusion = [s.G @ s.G.T for s in systems]
+        residual = [s.D - s.B @ c.H for s, c in zip(systems, certs)]
+        self._residual = residual if any(np.any(r) for r in residual) else None
 
-        for i, (s, a) in enumerate(zip(systems, abstractions)):
-            if s.m != s.n:
-                raise DimensionMismatch("B", f"subsystem {i}: refinement needs m == n")
-            if a.grid.state.dim != s.n:
-                raise DimensionMismatch("grid", f"subsystem {i}: state grid dim mismatch")
-        members: dict = {}
-        for i, (a, c) in enumerate(zip(abstractions, controllers)):
-            members.setdefault((id(a), id(c)), []).append(i)
         self.groups = []
-        for rooms in members.values():
-            a, c = abstractions[rooms[0]], controllers[rooms[0]]
-            cols = np.concatenate([np.arange(state_slices[i].start, state_slices[i].stop)
-                                   for i in rooms])
+        for member, s, a, c in zip(members, systems, abstractions, controllers):
+            if s.m != s.n:
+                raise DimensionMismatch("B", f"subsystem {member[0]}: refinement needs m == n")
+            if a.grid.state.dim != s.n:
+                raise DimensionMismatch("grid", f"subsystem {member[0]}: state grid dim mismatch")
+            cols = (start[member][:, None] + np.arange(s.n)).ravel()
             if np.array_equal(cols, np.arange(cols[0], cols[0] + cols.size)):
                 cols = slice(int(cols[0]), int(cols[0]) + cols.size)
             t = c.table if c.table.ndim == 2 else c.table[None, :]
             if 1 < t.shape[0] < horizon:
-                raise StaleControllerTable(rooms[0], t.shape[0], horizon)
+                raise StaleControllerTable(int(member[0]), t.shape[0], horizon)
             self.groups.append(_Group(
-                rooms=len(rooms), cols=cols, grid=a.grid.state,
+                rooms=member.size, cols=cols, grid=a.grid.state,
                 input_centers=a.grid.input.centers(),
                 table=np.hstack([t, -np.ones((t.shape[0], 1), dtype=np.int64)]),
             ))
@@ -386,26 +373,13 @@ class _Network:
 
     def substep(self, n_substeps: int) -> _Substep:
         dt = self.tau / n_substeps
+        group_of = self.group_of
         residual = None
         if self._residual is not None:
-            # scaled once per distinct block object, like _Op.stack
-            scaled = {id(r): r for r in self._residual}
-            scaled = {key: dt * r for key, r in scaled.items()}
-            residual = _Op.stack([scaled[id(r)] for r in self._residual])
-        # keyed by value: a ring of identical rooms costs one pair of expm
-        # calls; a shared pair of objects is keyed once
-        exact: dict = {}
-        blocks: dict = {}
-        for f, gg in zip(self._closed_loop, self._diffusion):
-            if (id(f), id(gg)) not in blocks:
-                key = (f.shape, f.tobytes(), gg.tobytes())
-                if key not in exact:
-                    exact[key] = _exact_step(f, gg, dt)
-                blocks[id(f), id(gg)] = exact[key]
-        phi, gain, noise = zip(*(blocks[id(f), id(gg)] for f, gg
-                                 in zip(self._closed_loop, self._diffusion)))
-        return _Substep(n=n_substeps, phi=_Op.stack(phi), gain=_Op.stack(gain),
-                        noise=_Op.stack(noise), residual=residual)
+            residual = _Op.stack([dt * r for r in self._residual], group_of)
+        phi, gain, noise = (_Op.stack(ops, group_of) for ops in zip(
+            *(_exact_step(f, gg, dt) for f, gg in zip(self._closed_loop, self._diffusion))))
+        return _Substep(n=n_substeps, phi=phi, gain=gain, noise=noise, residual=residual)
 
 
 class _Lost(Exception):
@@ -614,7 +588,9 @@ def cosimulate(
 ) -> SimulationResult:
     """Closed-loop Monte Carlo of the concrete network against its abstraction.
 
-    Per trial: the abstract network starts at the quantized concrete initial
+    `systems`, `discs`, `abstractions`, `controllers` and `certs` hold one
+    entry per group of `ic`, whose `group_of` places the subsystems.  Per
+    trial: the abstract network starts at the quantized concrete initial
     state and both evolve in lockstep; the concrete internal input is
     recomputed continuously from current states through M, while the abstract
     one uses sampled abstract outputs.  The sampled output mismatch

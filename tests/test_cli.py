@@ -76,7 +76,9 @@ class TestGenerateRooms:
 class TestLoadConfig:
     def test_replicated_template_expands(self, tmp_path):
         bundle = load_config(small_rooms(tmp_path, n=5))
-        assert len(bundle.systems) == 5
+        # five subsystems, one group: each object is held once
+        assert bundle.ic.n_subsystems == 5 and len(bundle.systems) == 1
+        assert bundle.ic.group_of.tolist() == [0] * 5
         assert bundle.ic.M.shape == (5, 5)
         assert bundle.grids[0].state.n_points == 200
         assert bundle.grids[0].input.n_points == 201
@@ -103,7 +105,7 @@ class TestLoadConfig:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(cfg))
         bundle = load_config(path)
-        assert len(bundle.systems) == 3
+        assert bundle.ic.n_subsystems == 3
         assert bundle.systems[0].B[0, 0] == 0.5
 
     def test_missing_system_reference_is_config_error(self, tmp_path):
@@ -288,23 +290,21 @@ class TestRunPipeline:
 def test_rooms_with_different_p_get_their_own_abstraction(tmp_path):
     # identical rooms whose certificates differ only in P must not share an
     # abstraction: its output maps C1 P and C2 P depend on P
-    import dataclasses
-
     from stochsym import cli
 
-    bundle = load_config(small_rooms(tmp_path))
-    certs = cli._resolve_certs(bundle)
-    certs[2] = dataclasses.replace(certs[2], P=0.98 * certs[2].P)
+    cfg = small_rooms(tmp_path)
+    _per_room_certificates(cfg)[2]["P"] = [[0.98]]
+    bundle = load_config(cfg)
+    assert bundle.ic.group_of.tolist() == [0, 0, 1, 0]
     (tmp_path / "out").mkdir()
-    ctx = {"out": tmp_path / "out", "certs": certs}
+    ctx = {"out": tmp_path / "out", "certs": bundle.certs}
     cli._stage_abstract(bundle, ctx)
-    groups, _ = ctx["groups"]
-    assert groups == [[0, 1, 3], [2]]
     fas = ctx["abstractions"]
-    assert fas[0] is fas[1] is fas[3] and fas[2] is not fas[0]
-    for s, c, fa in zip(bundle.systems, certs, fas):
+    assert len(fas) == 2 and fas[0] is not fas[1]
+    for s, c, fa in zip(bundle.systems, bundle.certs, fas):
         assert np.array_equal(fa.output_map, s.C1 @ c.P)
         assert np.array_equal(fa.internal_output_map, s.C2 @ c.P)
+    assert fas[1].output_map[0, 0] == 0.98
     assert (tmp_path / "out" / "abstraction_1.json").exists()
 
 
@@ -403,78 +403,116 @@ class TestVerifyOncePerGroup:
         assert row["certificate"]["K"] == values[2]["K"]
         bundle = load_config(cfg)
         cert = st.StorageCertificate.from_dict(values[2])
-        lyap = st.check_lyapunov(bundle.systems[2], cert.M_bar, cert.K,
+        lyap = st.check_lyapunov(bundle.systems[bundle.ic.group_of[2]], cert.M_bar, cert.K,
                                  cert.kappa_tilde)
         assert row["lyapunov_margin"] == lyap.margin
         assert row["lyapunov_margin"] != same["subsystems"][2]["lyapunov_margin"]
 
 
 def test_rooms_with_different_k_are_grouped_apart(tmp_path):
-    import dataclasses
-
-    from stochsym import cli
-
-    bundle = load_config(small_rooms(tmp_path))
-    certs = cli._resolve_certs(bundle)
-    assert cli._groups(bundle, certs)[0] == [[0, 1, 2, 3]]
-    certs[2] = dataclasses.replace(certs[2], K=2.0 * certs[2].K)
-    groups, group_of = cli._groups(bundle, certs)
-    assert groups == [[0, 1, 3], [2]]
-    assert list(group_of) == [0, 0, 1, 0]
+    cfg = small_rooms(tmp_path)
+    values = _per_room_certificates(cfg)
+    assert load_config(cfg).ic.group_of.tolist() == [0, 0, 0, 0]
+    values[2]["K"] = [[2.0 * values[2]["K"][0][0]]]
+    bundle = load_config(cfg)
+    assert bundle.ic.group_of.tolist() == [0, 0, 1, 0]
+    assert [c.K[0, 0] for c in bundle.certs] == [values[0]["K"][0][0], values[2]["K"][0][0]]
 
 
 def test_broadcast_certificate_is_one_shared_object(tmp_path):
-    from stochsym import cli
-
-    bundle = load_config(small_rooms(tmp_path))
-    certs = cli._resolve_certs(bundle)
-    assert all(c is certs[0] for c in certs)
-    assert all(d is bundle.discs[0] for d in bundle.discs)
-    assert all(g is bundle.grids[0] for g in bundle.grids)
+    # a bare entry and a list of one are both built once for every room
+    cfg = small_rooms(tmp_path)
+    for listed in (False, True):
+        if listed:
+            for key in ("discretization", "grid"):
+                cfg[key] = [cfg[key]]
+            cfg["systems"] = [cfg["systems"]["template"]] * 4
+        bundle = load_config(cfg)
+        assert bundle.ic.group_of.tolist() == [0, 0, 0, 0]
+        for objects in (bundle.systems, bundle.discs, bundle.grids, bundle.certs):
+            assert len(objects) == 1
 
 
 def test_equal_per_room_certificates_share_one_group(tmp_path):
-    # distinct objects with equal values fall back to the value key
-    from stochsym import cli
-
+    # distinct entries with equal values are one object and one group
     cfg = small_rooms(tmp_path)
     _per_room_certificates(cfg)
     bundle = load_config(cfg)
-    certs = cli._resolve_certs(bundle)
-    assert len({id(c) for c in certs}) == 4
-    assert cli._groups(bundle, certs) == ([[0, 1, 2, 3]], [0, 0, 0, 0])
+    assert len(bundle.certs) == 1
+    assert bundle.ic.group_of.tolist() == [0, 0, 0, 0]
 
 
 @pytest.mark.parametrize("field, value", [
     ("gamma_slope", 3.0), ("delta", 0.01), ("Xbar22", [[-1.0]]), ("tau", 0.2),
 ])
 def test_rooms_with_any_differing_certificate_field_split(tmp_path, field, value):
-    import dataclasses
+    cfg = small_rooms(tmp_path)
+    _per_room_certificates(cfg)[1][field] = value
+    bundle = load_config(cfg)
+    assert bundle.ic.group_of.tolist() == [0, 1, 0, 0]
+    assert bundle.certs[1].to_dict()[field] == value
 
-    from stochsym import cli
 
-    bundle = load_config(small_rooms(tmp_path))
-    certs = cli._resolve_certs(bundle)
-    certs[1] = dataclasses.replace(certs[1], **{field: value})
-    assert cli._groups(bundle, certs)[0] == [[0, 2, 3], [1]]
+def test_systems_and_grids_split_groups_by_value(tmp_path):
+    # a differing system or grid entry splits its room off; groups are
+    # numbered by their lowest member, and equal entries join one group
+    cfg = small_rooms(tmp_path)
+    template = cfg["systems"]["template"]
+    cfg["systems"] = [dict(template) for _ in range(4)]
+    cfg["systems"][1]["G"] = [[0.25]]
+    cfg["grid"] = [dict(cfg["grid"]) for _ in range(4)]
+    cfg["grid"][3]["state_widths"] = [0.01]
+    cfg["grid"][2]["state_widths"] = [0.005]  # equal by value to the others
+    bundle = load_config(cfg)
+    assert bundle.ic.group_of.tolist() == [0, 1, 0, 2]
+    assert [s.G[0, 0] for s in bundle.systems] == [0.5, 0.25, 0.5]
+    assert [g.state.widths[0] for g in bundle.grids] == [0.005, 0.005, 0.01]
+    assert bundle.systems[0] is bundle.systems[2]
+
+
+def test_explicit_equal_entries_write_the_replicated_artifacts(tmp_path):
+    # four system entries and four certificate entries, each equal to the
+    # template: one group, so every artifact is the replicated run's
+    cfg = small_rooms(tmp_path, trials=8)
+    assert run_pipeline(cfg, out_dir=str(tmp_path / "replicated")) == EXIT_OK
+    cfg["systems"] = [dict(cfg["systems"]["template"]) for _ in range(4)]
+    _per_room_certificates(cfg)
+    assert run_pipeline(cfg, out_dir=str(tmp_path / "listed")) == EXIT_OK
+    files = {}
+    for name in ("replicated", "listed"):
+        out = tmp_path / name
+        files[name] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert files["listed"] == files["replicated"]
+    assert "abstraction.csv" in files["listed"]
+    assert not any(name.startswith("abstraction_") for name in files["listed"])
+
+
+def test_ring_of_many_rooms_loads_one_object_per_kind(tmp_path):
+    # 10^5 replicated rooms resolve to one group: a single object of each
+    # kind and an all-zero group index, however many rooms there are
+    bundle = load_config(generate_rooms(n=100_000, out_dir=str(tmp_path)))
+    for objects in (bundle.systems, bundle.discs, bundle.grids, bundle.certs):
+        assert len(objects) == 1
+    assert bundle.ic.group_of.shape == (100_000,) and not bundle.ic.group_of.any()
+    assert bundle.ic.n_subsystems == 100_000
 
 
 def test_initial_v0_matches_per_room_quantization(tmp_path):
     # the array-wise lookup against the scalar quantizer, term by term in
     # room order, with rooms split over two groups
-    import dataclasses
-
     from stochsym import cli
 
-    bundle = load_config(small_rooms(tmp_path, n=5))
-    certs = cli._resolve_certs(bundle)
-    certs[3] = dataclasses.replace(certs[3], P=0.999 * certs[3].P,
-                                   M_bar=2.0 * certs[3].M_bar)
-    ctx = {"certs": certs, "groups": cli._groups(bundle, certs)}
+    cfg = small_rooms(tmp_path, n=5)
+    values = _per_room_certificates(cfg, n=5)
+    values[3].update(P=[[0.999]], M_bar=[[2.0]])
+    bundle = load_config(cfg)
+    assert bundle.ic.group_of.tolist() == [0, 0, 0, 1, 0]
+    ctx = {"certs": bundle.certs}
     x0 = np.array([20.5, 20.013, 20.9991, 20.4, 20.0002])
     expected = 0.0
-    for i, (c, g) in enumerate(zip(certs, bundle.grids)):
-        q = st.quantize(g.state, x0[i:i + 1])
+    for i, g in enumerate(bundle.ic.group_of):
+        c, grid = bundle.certs[g], bundle.grids[g]
+        q = st.quantize(grid.state, x0[i:i + 1])
         m = x0[i:i + 1] - c.P @ q.representative
         expected += float(bundle.ic.mu[i]) * float(m @ c.M_bar @ m)
     assert cli._initial_v0(bundle, ctx, x0) == expected

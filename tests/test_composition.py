@@ -459,3 +459,51 @@ def test_compose_stage_never_builds_x_cmp(tmp_path):
     payload = json.loads((tmp_path / "composition.json").read_text())
     assert payload["x_cmp_shape"] == [800, 800] and "x_cmp" not in payload
     assert payload["gershgorin"]["ok"] and set(payload["gershgorin"]) == {"ok", "bound"}
+
+
+class TestGroupIndex:
+    """Group-indexed assembly against the per-room reference, bit for bit:
+    one object per group plus `group_of` must equal the same objects listed
+    once per room (every room its own group)."""
+
+    GROUP_OF = np.array([2, 0, 1, 0, 2, 2, 1, 0])
+
+    def test_supply_blocks_match_per_room_reference(self):
+        rng = np.random.default_rng(31)
+        certs = [random_supply_cert(rng, p, q) for p, q in ((1, 2), (2, 1), (3, 3))]
+        mu = rng.uniform(0.5, 2.0, self.GROUP_OF.size)
+        grouped = st.supply_blocks(certs, mu, self.GROUP_OF)
+        per_room = st.supply_blocks([certs[g] for g in self.GROUP_OF], mu)
+        for name in ("x11", "x12", "x21", "x22"):
+            a, b = getattr(grouped, name), getattr(per_room, name)
+            assert a.shape == b.shape
+            for part in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(a, part), getattr(b, part)), (name, part)
+        assert np.array_equal(st.build_x_cmp(certs, mu, self.GROUP_OF),
+                              st.build_x_cmp([certs[g] for g in self.GROUP_OF], mu))
+
+    @pytest.mark.parametrize("mode", ["general", "stacked"])
+    def test_compose_ssf_matches_per_room_reference(self, mode):
+        rng = np.random.default_rng(32)
+        cs = [constants(a=float(rng.uniform(0.2, 3.0)), k=float(rng.uniform(0.1, 0.9)),
+                        c=float(rng.uniform(0.0, 3.0)), psi=float(rng.uniform(0, 1e-3)))
+              for _ in range(3)]
+        maps = [np.eye(1), 2.0 * np.eye(1), -np.eye(1)]
+        mu = rng.uniform(0.5, 2.0, self.GROUP_OF.size)
+        grouped = st.compose_ssf(cs, mu, mode=mode, output_maps=maps, group_of=self.GROUP_OF)
+        per_room = st.compose_ssf([cs[g] for g in self.GROUP_OF], mu, mode=mode,
+                                  output_maps=[maps[g] for g in self.GROUP_OF])
+        assert grouped.to_dict() == per_room.to_dict()
+
+    def test_rank_check_names_the_lowest_member(self):
+        # group 1 holds rooms 2 and 6
+        maps = [np.eye(1), np.zeros((1, 1)), np.eye(1)]
+        with pytest.raises(StructureMismatch, match=r"\(subsystem 2\)"):
+            st.compose_ssf([constants()] * 3, np.ones(8), mode="stacked",
+                           output_maps=maps, group_of=self.GROUP_OF)
+
+    def test_group_index_is_checked(self):
+        with pytest.raises(DimensionMismatch, match="group_of"):
+            st.supply_blocks([room_certificate()] * 2, np.ones(3), [0, 0, 0])
+        with pytest.raises(DimensionMismatch, match="group_of"):
+            st.compose_ssf([constants()], np.ones(2), group_of=[0, 1])

@@ -93,18 +93,25 @@ def exact_scalar_step(sys_, cert, x, nu_latched, w_t, dt, z):
             + dt * residual * w_t)
 
 
+def ring_of_one_group(n):
+    """Ring interconnection of n scalar rooms that all belong to group 0."""
+    from stochsym.cli import circular_coupling
+    return st.InterconnectionSpec(M=circular_coupling(n), mu=np.ones(n),
+                                  subsystem_dims=[(1, 1, 1, 1)],
+                                  group_of=np.zeros(n, dtype=int))
+
+
 def small_network(n=3, g=0.0, bias=None, tracking_rate=200.0):
-    """n-room ring with adjustable noise/offset for runtime tests."""
+    """n-room ring of one group, with adjustable noise/offset for runtime tests.
+
+    Returns (systems, ic, discs, fas, ctrls, certs), one list entry per group.
+    """
     base = room_system()
     sys_ = st.AffineSystem(
         A=base.A, B=base.B, C1=base.C1, C2=base.C2, D=base.D,
         G=g, b=base.b if bias is None else bias,
         state_box=base.state_box, input_box=base.input_box,
         internal_box=base.internal_box)
-    systems = [sys_] * n
-    from stochsym.cli import circular_coupling
-    ic = st.InterconnectionSpec(M=circular_coupling(n), mu=np.ones(n),
-                                subsystem_dims=[(1, 1, 1, 1)] * n)
     disc = st.DiscretizationSpec(tau=0.1, D_tilde=0.0, R_tilde=0.0)
     k = (-tracking_rate + 0.105) / 0.5
     cert = room_certificate(k_gain=k)
@@ -114,7 +121,7 @@ def small_network(n=3, g=0.0, bias=None, tracking_rate=200.0):
         internal=st.UniformGrid.cover(sys_.internal_box, [2.0]))
     fa = st.build_deterministic(sys_, disc, grid)
     ctrl = st.safety_fixpoint(fa, st.SafetySpec(safe_box=st.Box([20.0], [21.0])))
-    return systems, ic, [disc] * n, [fa] * n, [ctrl] * n, [cert] * n
+    return [sys_], ring_of_one_group(n), [disc], [fa], [ctrl], [cert]
 
 
 class TestCosimulate:
@@ -178,7 +185,7 @@ class TestCosimulate:
         idx = [grid.locate([v]) for v in x0]
         xhat = np.array([grid.center(i)[0] for i in idx])
         what = m @ xhat
-        actions = [ctrls[i].action(idx[i]) for i in range(3)]
+        actions = [ctrls[0].action(idx[i]) for i in range(3)]
         nu_hat = np.array([fas[0].grid.input.center(a)[0] for a in actions])
         x = x0.copy()
         w_latch = m @ x0
@@ -187,14 +194,14 @@ class TestCosimulate:
             w_t = m @ x
             nu = np.empty(3)
             for i in range(3):
-                s = InterfaceState(K=certs[i].K, P=certs[i].P, Q=certs[i].Q,
-                                   H=certs[i].H, tau=0.1, step=0,
+                s = InterfaceState(K=certs[0].K, P=certs[0].P, Q=certs[0].Q,
+                                   H=certs[0].H, tau=0.1, step=0,
                                    xi_latch=[x0[i]], xi_hat=[xhat[i]],
                                    w_hat=[what[i]], w_latch=[w_latch[i]])
                 # the latched part of the law: its value at xi = w = 0
                 nu[i] = interface_input(s, [0.0], [0.0], 0.0)[0]
             for i in range(3):
-                x[i] = exact_scalar_step(systems[i], certs[i], x[i], nu[i],
+                x[i] = exact_scalar_step(systems[0], certs[0], x[i], nu[i],
                                          w_t[i], dt, 0.0)
         xhat_next = np.array([
             grid.center(grid.locate([xhat[i] + nu_hat[i]]))[0] for i in range(3)])
@@ -263,15 +270,12 @@ class TestExactOperators:
 
 
 def stochastic_network(n=3, sigma=0.002):
-    """Coarse-grid ring whose abstraction is a sampled Markov kernel."""
+    """Coarse-grid ring of one group whose abstraction is a sampled Markov kernel."""
     base = room_system()
     sys_ = st.AffineSystem(
         A=base.A, B=base.B, C1=base.C1, C2=base.C2, D=base.D, G=0.2, b=base.b,
         state_box=base.state_box, input_box=st.Box([-0.075], [0.075]),
         internal_box=base.internal_box)
-    from stochsym.cli import circular_coupling
-    ic = st.InterconnectionSpec(M=circular_coupling(n), mu=np.ones(n),
-                                subsystem_dims=[(1, 1, 1, 1)] * n)
     disc = st.DiscretizationSpec(tau=0.1, D_tilde=0.0, R_tilde=sigma)
     cert = room_certificate(k_gain=(-200.0 + 0.105) / 0.5)
     grid = st.AbstractionGrid(
@@ -281,7 +285,7 @@ def stochastic_network(n=3, sigma=0.002):
     fa = st.build_stochastic(sys_, disc, grid)
     ctrl = st.safety_value_iteration(
         fa, st.SafetySpec(safe_box=st.Box([20.0], [21.0]), horizon=6))
-    return [sys_] * n, ic, [disc] * n, [fa] * n, [ctrl] * n, [cert] * n
+    return [sys_], ring_of_one_group(n), [disc], [fa], [ctrl], [cert]
 
 
 class TestStochasticClosedLoop:
@@ -423,6 +427,9 @@ def scalar_reference(systems, ic, discs, fas, ctrls, certs, cfg, x0):
     Returns (step_errors, lost_at): lost_at[t] is None, or the step at which
     trial t first loses an abstract state.
     """
+    # each room's own objects, from its group's
+    systems, discs, fas, ctrls, certs = ([objects[g] for g in ic.group_of] for objects
+                                         in (systems, discs, fas, ctrls, certs))
     n = len(systems)
     dt = discs[0].tau / cfg.n_substeps
     m = ic.M
@@ -484,9 +491,11 @@ def scalar_reference(systems, ic, discs, fas, ctrls, certs, cfg, x0):
 
 
 def mixed_network(g=0.3, tracking_rate=40.0):
-    """3-room ring with H = 0 (so D - B H != 0) and two distinct
-    abstraction/controller pairs placed on rooms (0, 2) and (1,)."""
+    """3-room ring with H = 0 (so D - B H != 0) in two interleaved groups,
+    rooms (0, 2) and (1,), each with its own abstraction and controller."""
     systems, ic, discs, _, _, certs = small_network(g=g, tracking_rate=tracking_rate)
+    ic = st.InterconnectionSpec(M=ic.M, mu=ic.mu, subsystem_dims=[(1, 1, 1, 1)] * 2,
+                                group_of=[0, 1, 0])
     cert = dataclasses.replace(certs[0], H=0.0)
     pairs = []
     for width in (0.005, 0.01):
@@ -497,9 +506,8 @@ def mixed_network(g=0.3, tracking_rate=40.0):
         fa = st.build_deterministic(systems[0], discs[0], grid)
         pairs.append((fa, st.safety_fixpoint(
             fa, st.SafetySpec(safe_box=st.Box([20.0], [21.0])))))
-    fas = [pairs[0][0], pairs[1][0], pairs[0][0]]
-    ctrls = [pairs[0][1], pairs[1][1], pairs[0][1]]
-    return systems, ic, discs, fas, ctrls, [cert] * 3
+    fas, ctrls = (list(objects) for objects in zip(*pairs))
+    return systems * 2, ic, discs * 2, fas, ctrls, [cert] * 2
 
 
 def _force_dense(monkeypatch):
@@ -508,8 +516,8 @@ def _force_dense(monkeypatch):
 
     stack = runtime._Op.stack
 
-    def dense_stack(mats):
-        op = stack(mats)
+    def dense_stack(mats, group_of):
+        op = stack(mats, group_of)
         if op.diag is None:
             return op
         return runtime._Op(dense_t=np.diag(op.diag), diag=None)
@@ -563,6 +571,40 @@ class TestFusedSubstepOracle:
             with pytest.raises(AbstractStateLost) as info:
                 st.cosimulate(*net, cfg, x0)
             assert (info.value.trial, info.value.step) == (trial, step)
+
+
+class TestGroupIndex:
+    def test_stacked_operators_match_per_room_reference(self):
+        # one matrix per group laid out by an interleaved group_of equals the
+        # same matrices listed per room, bit for bit, on both paths
+        from stochsym import runtime
+
+        group_of = np.array([1, 0, 2, 0, 1, 1])
+        rng = np.random.default_rng(4)
+        for mats in ([rng.standard_normal((1, 1)) for _ in range(3)],
+                     [rng.standard_normal(shape) for shape in ((2, 2), (1, 3), (2, 1))]):
+            grouped = runtime._Op.stack(mats, group_of)
+            per_room = runtime._Op.stack([mats[g] for g in group_of], np.arange(6))
+            for part in ("diag", "dense_t"):
+                a, b = getattr(grouped, part), getattr(per_room, part)
+                assert (a is None) == (b is None)
+                assert a is None or np.array_equal(a, b)
+
+    def test_grouped_network_simulates_like_its_rooms(self):
+        # the two interleaved groups of mixed_network against each room
+        # given its own objects: the same arrays, bit for bit
+        systems, ic, discs, fas, ctrls, certs = mixed_network()
+        rooms = st.InterconnectionSpec(M=ic.M, mu=ic.mu, subsystem_dims=[(1, 1, 1, 1)] * 3)
+        per_room = [[objects[g] for g in ic.group_of]
+                    for objects in (systems, discs, fas, ctrls, certs)]
+        x0 = np.array([20.4012, 20.5537, 20.6981])
+        cfg = st.SimConfig(n_trials=5, horizon=4, epsilon=9.9, n_substeps=8,
+                           rng_seed=17, chunk_size=2, record_outputs=True)
+        grouped = st.cosimulate(systems, ic, discs, fas, ctrls, certs, cfg, x0)
+        alone = st.cosimulate(per_room[0], rooms, *per_room[1:], cfg, x0)
+        for field in ("step_errors", "output_min", "output_max", "outputs",
+                      "abstract_outputs"):
+            assert np.array_equal(getattr(grouped, field), getattr(alone, field))
 
 
 class TestSubstepStreaming:
@@ -620,7 +662,7 @@ class TestSubstepStreaming:
         cfg = st.SimConfig(n_trials=6, horizon=4, epsilon=9.9, n_substeps=11,
                            rng_seed=8, chunk_size=3)
         plain = st.cosimulate(systems, *rest, cfg, x0)
-        both = st.cosimulate([mirrored] * 3, *rest, cfg, x0)
+        both = st.cosimulate([mirrored], *rest, cfg, x0)
         assert np.array_equal(both.output_min, np.minimum(plain.output_min, -plain.output_max))
         assert np.array_equal(both.output_max, np.maximum(plain.output_max, -plain.output_min))
         assert np.allclose(both.step_errors, math.sqrt(2) * plain.step_errors,
@@ -665,7 +707,7 @@ class TestControllerHorizon:
                                    table=ctrls[0].table[:1].copy(),
                                    winning_set=ctrls[0].winning_set)
         cfg = st.SimConfig(n_trials=2, horizon=9, epsilon=0.6, n_substeps=20)
-        res = st.cosimulate(systems, ic, discs, fas, [stationary] * 3, certs, cfg, x0)
+        res = st.cosimulate(systems, ic, discs, fas, [stationary], certs, cfg, x0)
         assert np.all(np.isfinite(res.step_errors))
 
 
