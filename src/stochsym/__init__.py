@@ -62,6 +62,7 @@ from .runtime import (
     InterfaceState,
     SimConfig,
     SimulationResult,
+    clopper_pearson_lower,
     clopper_pearson_upper,
     cosimulate,
     interface_input,
@@ -84,7 +85,7 @@ __all__ = [
     "build_deterministic", "build_stochastic", "quantize",
     "Controller", "SafetySpec", "safety_fixpoint", "safety_value_iteration",
     "InterfaceState", "SimConfig", "SimulationResult",
-    "clopper_pearson_upper", "cosimulate", "interface_input",
+    "clopper_pearson_lower", "clopper_pearson_upper", "cosimulate", "interface_input",
     "generate_rooms", "run_pipeline",
     "__version__",
 ]

@@ -14,7 +14,6 @@ immutable and shareable.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -28,6 +27,7 @@ from .errors import (
     GridTooCoarse,
     NonDiagonalNoise,
     RowMassError,
+    strict_json,
 )
 from .model import AffineSystem, Box, DiscretizationSpec, as_matrix, as_vector
 
@@ -380,9 +380,9 @@ def export_abstraction(abs_: FiniteAbstraction, json_path, csv_path) -> None:
            for name, g in (("state", abs_.grid.state), ("input", abs_.grid.input),
                            ("internal", abs_.grid.internal))},
     }
+    text = strict_json(header, json_path)
     with open(json_path, "w", newline="\n") as fh:
-        json.dump(header, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
     U, W = abs_.n_inputs, abs_.n_internal
     kernel = abs_.kernel
     if not kernel.has_sorted_indices:

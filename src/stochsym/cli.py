@@ -44,6 +44,7 @@ from .errors import (
     NotWellPosed,
     StochsymError,
     TooFewRooms,
+    strict_json,
 )
 
 logger = logging.getLogger(__name__)
@@ -420,8 +421,9 @@ def load_config(source) -> PipelineBundle:
 
     # a grid covers its system's boxes: one per (system, grid entry) pair
     entries = _entries(raw.get("grid"), n, "grid")
-    pair_of, pairs = _grouping([sys_idx, np.broadcast_to(np.arange(len(entries)), n)], n)
-    grids, grid_idx = _distinct([_grid_from(systems[sys_idx[i]], *entries[i % len(entries)])
+    entry_idx = np.broadcast_to(np.arange(len(entries)), n)
+    pair_of, pairs = _grouping([sys_idx, entry_idx], n)
+    grids, grid_idx = _distinct([_grid_from(systems[sys_idx[i]], *entries[entry_idx[i]])
                                  for i in pairs], pairs.size)
     grid_idx = grid_idx[pair_of]
 
@@ -492,10 +494,10 @@ def load_config(source) -> PipelineBundle:
 # stage implementations
 
 def _write_json(path: Path, payload: dict) -> None:
+    text = strict_json(payload, path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _write_rows_json(path: Path, rows: list, group_of: np.ndarray) -> None:
@@ -510,7 +512,7 @@ def _write_rows_json(path: Path, rows: list, group_of: np.ndarray) -> None:
     close = "\n    }"
     heads = []
     for row in rows:
-        text = json.dumps({**row, "subsystem": 0}, indent=2, sort_keys=True)
+        text = strict_json({**row, "subsystem": 0}, path)
         # two levels deep in the report: inside its object and its list
         text = "    " + text.replace("\n", "\n    ")
         assert text.endswith('"subsystem": 0' + close)
@@ -806,9 +808,13 @@ def _stage_bound(bundle: PipelineBundle, ctx: dict) -> None:
     bound = bnd.closeness_bound(epsilon, alpha_eps, ssf.kappa, psi_hat_used,
                                 v0, horizon)
     payload = bound.to_dict()
+    formula = bnd.violation_probability(alpha_eps, ssf.kappa, psi_hat_formula, v0, horizon)
     payload.update({
         "alpha_of_eps": alpha_eps,
         "alpha_mode": ssf.alpha_mode,
+        # the formula's own bound is 1 (says nothing) when its defect is too large
+        "formula_vacuous": formula.violation_bound >= 1.0,
+        "headline_source": "formula" if override is None else "override",
         "kappa": ssf.kappa,
         "nu_hat_sup": float(nu_sup),
         "psi_hat_formula": psi_hat_formula,
@@ -856,10 +862,17 @@ def _stage_simulate(bundle: PipelineBundle, ctx: dict) -> None:
                            ctx["certs"], config, x0)
     payload = result.summary.to_dict()
     if "bound" in ctx:
-        payload["theoretical_violation_bound"] = ctx["bound"].violation_bound
-        payload["cp95_below_theoretical"] = bool(
-            result.summary.cp95_upper <= ctx["bound"].violation_bound
-        )
+        bound = ctx["bound"].violation_bound
+        payload["theoretical_violation_bound"] = bound
+        payload["cp95_below_theoretical"] = bool(result.summary.cp95_upper <= bound)
+        # the sampled frequency is above the bound with 95% confidence; a
+        # warning only: whether that should fail the run is left open
+        payload["bound_refuted"] = bool(result.summary.cp95_lower > bound)
+        if payload["bound_refuted"]:
+            logger.warning("simulate: the violation bound %.4g is refuted: %d of %d trials "
+                           "violate (cp95 lower bound %.4g)", bound,
+                           result.summary.n_violations, result.summary.n_trials,
+                           result.summary.cp95_lower)
     _write_json(ctx["out"] / "simulation_summary.json", payload)
     rt.write_trajectories_csv(result, ctx["out"] / "trajectories.csv")
     ctx["simulation"] = result

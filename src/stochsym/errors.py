@@ -1,4 +1,6 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the strict JSON encoding that raises one."""
+
+import json
 
 
 class StochsymError(Exception):
@@ -148,6 +150,23 @@ class StaleControllerTable(ConfigError):
             f"{steps} steps but the simulation runs {horizon}; synthesize with a "
             f"safety horizon of at least {horizon}"
         )
+
+
+class NonFiniteArtifact(StochsymError):
+    """A JSON artifact would hold NaN or an infinity, which strict JSON cannot encode."""
+
+    def __init__(self, path, detail: str):
+        self.path = str(path)
+        super().__init__(f"{path}: {detail}")
+
+
+def strict_json(payload, path) -> str:
+    """`payload` as indented, key-sorted strict JSON for the artifact at `path`;
+    NaN or an infinity raises NonFiniteArtifact instead of writing a bad file."""
+    try:
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteArtifact(path, str(exc)) from exc
 
 
 class CheckFailed(StochsymError):

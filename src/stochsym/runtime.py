@@ -44,9 +44,9 @@ order.  A block's normals become its states in place: one noise map and
 one offset over the whole block, then one update per substep, and the
 output envelope is folded in once per block.  So the simulator's memory is
 O(C x n_total) for C trials in flight, independent of the substep count.
-The empirical violation frequency is reported with an exact one-sided
-Clopper-Pearson upper confidence bound for comparison against the
-theoretical guarantee; the bound is one Beta quantile, computed with
+The empirical violation frequency is reported with exact one-sided
+Clopper-Pearson upper and lower confidence bounds for comparison against the
+theoretical guarantee; each bound is one Beta quantile, computed with
 `scipy.special.betaincinv` so the package never imports `scipy.stats`.
 """
 from __future__ import annotations
@@ -148,6 +148,20 @@ def interface_input(state: InterfaceState, xi_t, w_t, t: float) -> np.ndarray:
             + terms["internal_latched"] + terms["internal_current"])
 
 
+def clopper_pearson_lower(violations: int, trials: int, confidence: float = 0.95) -> float:
+    """Exact one-sided lower confidence bound on a binomial proportion.
+
+    The Beta(v, n - v + 1) quantile at 1 - `confidence` (0 when v = 0), from
+    `scipy.special.betaincinv` as for `clopper_pearson_upper`.
+    """
+    if not 0 <= violations <= trials or trials < 1:
+        raise DimensionMismatch("violations", "need 0 <= violations <= trials")
+    if violations == 0:
+        return 0.0
+    return float(scipy.special.betaincinv(violations, trials - violations + 1,
+                                          1.0 - confidence))
+
+
 def clopper_pearson_upper(violations: int, trials: int, confidence: float = 0.95) -> float:
     """Exact one-sided upper confidence bound on a binomial proportion.
 
@@ -208,6 +222,7 @@ class SimulationSummary:
     n_violations: int
     violation_frequency: float
     cp95_upper: float
+    cp95_lower: float
     epsilon: float
     horizon: int
     n_substeps: int
@@ -216,8 +231,8 @@ class SimulationSummary:
     max_sup_error: float
     output_min: float
     output_max: float
-    violation_free_output_min: float
-    violation_free_output_max: float
+    violation_free_output_min: float | None  # None when every trial violates
+    violation_free_output_max: float | None
     convergence: None = None  # always None; summary readers still look it up
 
     def to_dict(self) -> dict:
@@ -624,6 +639,7 @@ def cosimulate(
         n_violations=n_viol,
         violation_frequency=freq,
         cp95_upper=clopper_pearson_upper(n_viol, config.n_trials),
+        cp95_lower=clopper_pearson_lower(n_viol, config.n_trials),
         epsilon=config.epsilon,
         horizon=config.horizon,
         n_substeps=config.n_substeps,
@@ -632,8 +648,8 @@ def cosimulate(
         max_sup_error=float(sup.max()),
         output_min=float(out_min.min()),
         output_max=float(out_max.max()),
-        violation_free_output_min=float(out_min[vf].min()) if vf.any() else math.nan,
-        violation_free_output_max=float(out_max[vf].max()) if vf.any() else math.nan,
+        violation_free_output_min=float(out_min[vf].min()) if vf.any() else None,
+        violation_free_output_max=float(out_max[vf].max()) if vf.any() else None,
     )
 
     return SimulationResult(summary=summary, step_errors=errors,

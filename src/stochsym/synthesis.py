@@ -12,14 +12,13 @@ lowest index, so identical problems produce bit-identical controllers.
 from __future__ import annotations
 
 import csv
-import json
 import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .abstraction import FiniteAbstraction
-from .errors import DimensionMismatch, EmptyBox
+from .errors import DimensionMismatch, EmptyBox, strict_json
 from .model import Box
 
 logger = logging.getLogger(__name__)
@@ -172,6 +171,6 @@ def write_controller(
             float(controller.values[controller.winning_set].min())
             if controller.winning_set.size else 0.0
         )
+    text = strict_json(meta, json_path)
     with open(json_path, "w", newline="\n") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")

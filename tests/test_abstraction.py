@@ -484,3 +484,21 @@ class TestBlockExport:
         fa = st.build_deterministic(sys_, disc, grid)
         assert np.any(fa.successors == fa.sink) and fa.successors.size > 3 * 7
         self._same_bytes(fa, tmp_path)
+
+
+def test_export_rejects_a_non_finite_header(tmp_path):
+    # strict JSON has no NaN or infinity: the header is refused, not written
+    import dataclasses
+    import math
+
+    from stochsym.abstraction import export_abstraction
+    from stochsym.errors import NonFiniteArtifact
+
+    sys_, disc, grid = room_det_setup()
+    fa = st.build_deterministic(sys_, disc, grid)
+    bad = dataclasses.replace(fa, disc=st.DiscretizationSpec(tau=math.inf, D_tilde=0.0,
+                                                             R_tilde=0.0))
+    jp, cp = tmp_path / "a.json", tmp_path / "a.csv"
+    with pytest.raises(NonFiniteArtifact, match="a.json"):
+        export_abstraction(bad, jp, cp)
+    assert not jp.exists()

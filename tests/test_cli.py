@@ -9,6 +9,7 @@ from stochsym.cli import (
     EXIT_CONDITION,
     EXIT_CONFIG,
     EXIT_OK,
+    EXIT_RUNTIME,
     circular_coupling,
     generate_rooms,
     load_config,
@@ -153,6 +154,52 @@ class TestRunPipeline:
         assert bound["reported_psi_reproduced"] is False
         summary = json.loads((out / "simulation_summary.json").read_text())
         assert summary["cp95_below_theoretical"] is True
+
+    def test_every_trial_violating_writes_strict_json(self, tmp_path, caplog):
+        # a tiny epsilon makes every trial violate: no violation-free output
+        # exists (null, not NaN) and 8 of 8 violations refute the 0.09 bound
+        def no_constants(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        cfg = small_rooms(tmp_path, trials=8)
+        cfg["simulation"]["epsilon"] = 1e-6
+        with caplog.at_level("WARNING", logger="stochsym.cli"):
+            assert run_pipeline(cfg) == EXIT_OK
+        text = (tmp_path / "out" / "simulation_summary.json").read_text()
+        summary = json.loads(text, parse_constant=no_constants)
+        assert summary["n_violations"] == 8
+        assert summary["violation_free_output_min"] is None
+        assert summary["violation_free_output_max"] is None
+        assert summary["cp95_lower"] == pytest.approx(0.05 ** (1 / 8), rel=1e-12)
+        assert summary["bound_refuted"] is True
+        assert summary["cp95_below_theoretical"] is False
+        assert "refuted" in caplog.text
+        for path in (tmp_path / "out").glob("*.json"):
+            json.loads(path.read_text(), parse_constant=no_constants)
+
+    def test_non_finite_artifact_value_is_a_runtime_error(self, tmp_path, capsys):
+        cfg = small_rooms(tmp_path)
+        cfg["bound"]["reported"]["kappa"] = float("nan")
+        assert run_pipeline(cfg) == EXIT_RUNTIME
+        assert "runtime error" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "bound.json").exists()
+
+    def test_bound_names_its_headline_source(self, tmp_path):
+        # the demo's override carries the headline; without it the formula
+        # does, and at a small epsilon the formula bound is a vacuous 1
+        cfg = small_rooms(tmp_path)
+        stages = ["verify", "compose", "abstract", "synthesize", "bound"]
+        cases = [("override", 0.5, False), ("formula", 0.5, False), ("formula", 0.1, True)]
+        for source, epsilon, vacuous in cases:
+            if source == "formula":
+                cfg["bound"]["psi_hat_override"] = None
+            cfg["bound"]["epsilon"] = epsilon
+            assert run_pipeline(cfg, stages=stages) == EXIT_OK
+            bound = json.loads((tmp_path / "out" / "bound.json").read_text())
+            assert bound["headline_source"] == source
+            assert bound["formula_vacuous"] is vacuous
+            assert (bound["violation_bound"] == 1.0) is (source == "formula" and vacuous)
+        assert bound["regime"] == "case-2"
 
     def test_thread_count_does_not_change_artifacts(self, tmp_path, monkeypatch):
         artifacts = {}

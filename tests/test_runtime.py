@@ -395,6 +395,20 @@ def test_clopper_pearson_closed_forms():
     assert scipy.stats.binom.cdf(k, n, p) == pytest.approx(0.05, rel=1e-9)
 
 
+def test_clopper_pearson_lower_closed_forms():
+    # every trial violating: the lower bound is alpha^(1/n); none: 0
+    assert st.clopper_pearson_lower(64, 64) == pytest.approx(0.05 ** (1 / 64), rel=1e-12)
+    assert st.clopper_pearson_lower(0, 64) == 0.0
+    import scipy.stats
+
+    for v, n in [(v, n) for n in (1, 7, 64, 500) for v in range(1, n + 1, max(1, n // 9))]:
+        lower = st.clopper_pearson_lower(v, n)
+        assert lower == float(scipy.stats.beta.ppf(1 - 0.95, v, n - v + 1)), (v, n)
+        assert lower <= v / n <= clopper_pearson_upper(v, n)
+    with pytest.raises(st.errors.DimensionMismatch):
+        st.clopper_pearson_lower(5, 4)
+
+
 def test_clopper_pearson_matches_beta_quantile_exactly():
     # the bound is the Beta(v + 1, n - v) quantile that scipy.stats computes
     import scipy.stats

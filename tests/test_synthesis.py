@@ -218,3 +218,17 @@ def test_controller_serialization(tmp_path):
     import json
     meta = json.loads(jp.read_text())
     assert meta["winning_fraction"] == 1.0
+
+
+def test_controller_meta_rejects_non_finite_values(tmp_path):
+    import math
+
+    from stochsym.errors import NonFiniteArtifact
+    from stochsym.synthesis import write_controller
+
+    fa = room_abstraction()
+    ctrl = st.safety_fixpoint(fa, st.SafetySpec(safe_box=st.Box([20.0], [21.0])))
+    unbounded = st.SafetySpec(safe_box=st.Box([20.0], [math.inf]))
+    with pytest.raises(NonFiniteArtifact, match="c.json"):
+        write_controller(ctrl, unbounded, tmp_path / "c.csv", tmp_path / "c.json")
+    assert not (tmp_path / "c.json").exists()
