@@ -27,7 +27,7 @@ from .errors import (
     GridTooCoarse,
     NonDiagonalNoise,
     RowMassError,
-    strict_json,
+    write_json,
 )
 from .model import AffineSystem, Box, DiscretizationSpec, as_matrix, as_vector
 
@@ -380,9 +380,7 @@ def export_abstraction(abs_: FiniteAbstraction, json_path, csv_path) -> None:
            for name, g in (("state", abs_.grid.state), ("input", abs_.grid.input),
                            ("internal", abs_.grid.internal))},
     }
-    text = strict_json(header, json_path)
-    with open(json_path, "w", newline="\n") as fh:
-        fh.write(text + "\n")
+    write_json(json_path, header)
     U, W = abs_.n_inputs, abs_.n_internal
     kernel = abs_.kernel
     if not kernel.has_sorted_indices:

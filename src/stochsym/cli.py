@@ -44,7 +44,7 @@ from .errors import (
     NotWellPosed,
     StochsymError,
     TooFewRooms,
-    strict_json,
+    write_json,
 )
 
 logger = logging.getLogger(__name__)
@@ -378,6 +378,14 @@ def _coupling_from(spec):
     raise ConfigError(f"{what}.kind must be 'circular' or 'dense', got {kind!r}")
 
 
+def _stage_prefix(stages) -> list:
+    """`stages` as a list, if it is a prefix of STAGES."""
+    stages = list(stages)
+    if tuple(stages) != STAGES[: len(stages)]:
+        raise ConfigError(f"stages must be a prefix of {list(STAGES)}, got {stages}")
+    return stages
+
+
 def load_config(source) -> PipelineBundle:
     """Resolve a config document (dict or JSON path) into model objects.
 
@@ -468,11 +476,7 @@ def load_config(source) -> PipelineBundle:
             horizon=_field(sdict, "safety", "horizon", _integer, None),
         )
 
-    stages = _field(raw, "", "stages", list, list(STAGES))
-    if tuple(stages) != STAGES[: len(stages)]:
-        raise ConfigError(
-            f"stages must be a prefix of {list(STAGES)}, got {stages}"
-        )
+    stages = _stage_prefix(_field(raw, "", "stages", list, list(STAGES)))
 
     return PipelineBundle(
         name=raw.get("name", "network"),
@@ -492,40 +496,6 @@ def load_config(source) -> PipelineBundle:
 
 # ---------------------------------------------------------------------------
 # stage implementations
-
-def _write_json(path: Path, payload: dict) -> None:
-    text = strict_json(payload, path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(text + "\n")
-
-
-def _write_rows_json(path: Path, rows: list, group_of: np.ndarray) -> None:
-    """`_write_json(path, {"subsystems": report})`, byte for byte, for the
-    report [{**rows[g], "subsystem": i} for i, g in enumerate(group_of)].
-
-    Each group's row is encoded once; "subsystem" sorts last among a row's
-    keys, so a member's row is that text with its own index in the last
-    line.  Rows are written one at a time, so the report is never held
-    whole.
-    """
-    close = "\n    }"
-    heads = []
-    for row in rows:
-        text = strict_json({**row, "subsystem": 0}, path)
-        # two levels deep in the report: inside its object and its list
-        text = "    " + text.replace("\n", "\n    ")
-        assert text.endswith('"subsystem": 0' + close)
-        heads.append(text[:-len("0" + close)])
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="\n") as fh:
-        fh.write('{\n  "subsystems": [\n')
-        sep = ""
-        for i, g in enumerate(group_of.tolist()):
-            fh.write(f"{sep}{heads[g]}{i}{close}")
-            sep = ",\n"
-        fh.write("\n  ]\n}\n")
-
 
 def _solve_certs(bundle: PipelineBundle) -> list:
     """One certificate per group, solved for its system (certificates.mode "solve")."""
@@ -578,15 +548,17 @@ def _stage_verify(bundle: PipelineBundle, ctx: dict) -> None:
                 logger.warning("subsystem %d (and %d alike): certificate delta %.3g differs "
                                "from the grid's %.3g; the certified defect uses the "
                                "certificate value", i, member.size - 1, c.delta, actual)
-    rows = [{"lyapunov_margin": v.lyapunov.margin,
-             "geometric_residuals": [v.geometric.residual_q, v.geometric.residual_h],
-             "dissipation_margin": v.dissipativity.margin,
-             "constants": v.constants.to_dict(),
-             "certificate": c.to_dict()}
-            for v, c in zip(verdicts, certs)]
+    # one row per group; subsystem i's row is groups[group_of[i]]
+    groups = [{"lyapunov_margin": v.lyapunov.margin,
+               "geometric_residuals": [v.geometric.residual_q, v.geometric.residual_h],
+               "dissipation_margin": v.dissipativity.margin,
+               "constants": v.constants.to_dict(),
+               "certificate": c.to_dict()}
+              for v, c in zip(verdicts, certs)]
     ctx["certs"] = certs
     ctx["constants"] = [v.constants for v in verdicts]
-    _write_rows_json(ctx["out"] / "certificates.json", rows, bundle.ic.group_of)
+    write_json(ctx["out"] / "certificates.json",
+               {"group_of": bundle.ic.group_of.tolist(), "groups": groups})
     logger.info("verify: %d subsystems certified in %d group(s)",
                 bundle.ic.n_subsystems, len(certs))
 
@@ -644,7 +616,7 @@ def _stage_compose(bundle: PipelineBundle, ctx: dict) -> None:
     # the bracket on the form's largest eigenvalue; lmi_margin is -upper end
     payload["lmi_bracket"] = [lmi.lower, lmi.margin]
     payload["lmi_factorizations"] = lmi.factorizations
-    _write_json(ctx["out"] / "composition.json", payload)
+    write_json(ctx["out"] / "composition.json", payload)
     logger.info("compose: network LMI margin %.3e", -lmi.margin)
 
 
@@ -839,7 +811,7 @@ def _stage_bound(bundle: PipelineBundle, ctx: dict) -> None:
     if "notes" in cfg:
         payload["notes"] = cfg["notes"]
     ctx["bound"] = bound
-    _write_json(ctx["out"] / "bound.json", payload)
+    write_json(ctx["out"] / "bound.json", payload)
     logger.info("bound: violation <= %.4f (%s)", bound.violation_bound, bound.regime)
 
 
@@ -873,7 +845,7 @@ def _stage_simulate(bundle: PipelineBundle, ctx: dict) -> None:
                            "violate (cp95 lower bound %.4g)", bound,
                            result.summary.n_violations, result.summary.n_trials,
                            result.summary.cp95_lower)
-    _write_json(ctx["out"] / "simulation_summary.json", payload)
+    write_json(ctx["out"] / "simulation_summary.json", payload)
     rt.write_trajectories_csv(result, ctx["out"] / "trajectories.csv")
     ctx["simulation"] = result
     logger.info("simulate: %d/%d violations (cp95 %.4f)",
@@ -900,9 +872,7 @@ def run_pipeline(source, stages=None, seed=None, out_dir=None) -> int:
     try:
         bundle = load_config(source)
         if stages is not None:
-            if tuple(stages) != STAGES[: len(stages)]:
-                raise ConfigError(f"stages must be a prefix of {list(STAGES)}")
-            bundle.stages = list(stages)
+            bundle.stages = _stage_prefix(stages)
         if seed is not None:
             bundle.sim_config = dict(bundle.sim_config)
             bundle.sim_config["seed"] = int(seed)
@@ -914,8 +884,8 @@ def run_pipeline(source, stages=None, seed=None, out_dir=None) -> int:
         return EXIT_CONFIG
 
     ctx: dict = {"out": bundle.out_dir}
-    bundle.out_dir.mkdir(parents=True, exist_ok=True)
     try:
+        bundle.out_dir.mkdir(parents=True, exist_ok=True)
         for stage in bundle.stages:
             logger.info("stage %s", stage)
             _STAGE_FUNCS[stage](bundle, ctx)
@@ -925,7 +895,8 @@ def run_pipeline(source, stages=None, seed=None, out_dir=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except StochsymError as exc:
+    except (StochsymError, OSError) as exc:
+        # an artifact that cannot be written is a runtime failure too
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     return EXIT_OK
@@ -978,7 +949,13 @@ def main(argv=None) -> int:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
         if args.write_config:
-            _write_json(Path(args.write_config), config)
+            path = Path(args.write_config)
+            try:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                write_json(path, config)
+            except OSError as exc:
+                print(f"runtime error: {exc}", file=sys.stderr)
+                return EXIT_RUNTIME
         stages = args.stages.split(",") if args.stages else None
         return run_pipeline(config, stages=stages, seed=args.seed, out_dir=args.out)
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit, and the strict JSON encoding that raises one."""
+"""Exception types shared across the toolkit, and the strict JSON writer that raises one."""
 
 import json
 
@@ -160,13 +160,17 @@ class NonFiniteArtifact(StochsymError):
         super().__init__(f"{path}: {detail}")
 
 
-def strict_json(payload, path) -> str:
-    """`payload` as indented, key-sorted strict JSON for the artifact at `path`;
-    NaN or an infinity raises NonFiniteArtifact instead of writing a bad file."""
+def write_json(path, payload) -> None:
+    """Write `payload` to `path` as indented, key-sorted strict JSON and a newline.
+
+    NaN or an infinity raises NonFiniteArtifact and no file is written.
+    """
     try:
-        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:
         raise NonFiniteArtifact(path, str(exc)) from exc
+    with open(path, "w", newline="\n") as fh:
+        fh.write(text + "\n")
 
 
 class CheckFailed(StochsymError):

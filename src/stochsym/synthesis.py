@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .abstraction import FiniteAbstraction
-from .errors import DimensionMismatch, EmptyBox, strict_json
+from .errors import DimensionMismatch, EmptyBox, write_json
 from .model import Box
 
 logger = logging.getLogger(__name__)
@@ -171,6 +171,4 @@ def write_controller(
             float(controller.values[controller.winning_set].min())
             if controller.winning_set.size else 0.0
         )
-    text = strict_json(meta, json_path)
-    with open(json_path, "w", newline="\n") as fh:
-        fh.write(text + "\n")
+    write_json(json_path, meta)

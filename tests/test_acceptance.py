@@ -35,9 +35,10 @@ def test_criterion_1_case_study_certificates(tmp_path):
     elapsed = time.perf_counter() - t0
     assert rc == 0
     report = json.loads((tmp_path / "certificates.json").read_text())
-    ok = True
+    # 100 identical rooms: one group, and every room reads its row
+    ok = report["group_of"] == [0] * 100
     detail = []
-    for entry in report["subsystems"]:
+    for entry in report["groups"]:
         rq, rh = entry["geometric_residuals"]
         ok &= rq < 1e-12 and rh < 1e-12
         cert = entry["certificate"]

@@ -116,10 +116,15 @@ class TestLoadConfig:
         path.write_text(json.dumps(cfg))
         assert run_pipeline(path) == EXIT_CONFIG
 
-    def test_non_prefix_stages_rejected(self, tmp_path):
+    def test_non_prefix_stages_rejected(self, tmp_path, capsys):
         cfg = small_rooms(tmp_path)
         assert run_pipeline(cfg, stages=["compose"]) == EXIT_CONFIG
         assert run_pipeline(cfg, stages=["verify", "abstract"]) == EXIT_CONFIG
+        assert "got ['verify', 'abstract']" in capsys.readouterr().err
+        # the config's own stages list is checked the same way
+        cfg["stages"] = ["verify", "bound"]
+        assert run_pipeline(cfg) == EXIT_CONFIG
+        assert "got ['verify', 'bound']" in capsys.readouterr().err
 
     def test_malformed_coupling_is_config_error(self, tmp_path):
         cfg = small_rooms(tmp_path)
@@ -183,6 +188,18 @@ class TestRunPipeline:
         assert run_pipeline(cfg) == EXIT_RUNTIME
         assert "runtime error" in capsys.readouterr().err
         assert not (tmp_path / "out" / "bound.json").exists()
+
+    def test_unwritable_output_is_a_runtime_error(self, tmp_path, capsys):
+        # a regular file where a directory is needed, then an artifact path
+        # that is a directory: both are tagged, neither is a traceback
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        cfg = small_rooms(tmp_path)
+        assert run_pipeline(cfg, stages=["verify"], out_dir=blocker / "out") == EXIT_RUNTIME
+        assert "runtime error" in capsys.readouterr().err
+        (tmp_path / "out" / "certificates.json").mkdir(parents=True)
+        assert run_pipeline(cfg, stages=["verify"]) == EXIT_RUNTIME
+        assert "runtime error" in capsys.readouterr().err
 
     def test_bound_names_its_headline_source(self, tmp_path):
         # the demo's override carries the headline; without it the formula
@@ -374,6 +391,20 @@ class TestMain:
         assert (tmp_path / "o" / "composition.json").exists()
         assert not (tmp_path / "o" / "bound.json").exists()
 
+    def test_unwritable_paths_exit_as_runtime_errors(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        rc = main(["demo-rooms", "--rooms", "4", "--trials", "8", "--stages", "verify",
+                   "--out", str(blocker / "out")])
+        assert rc == EXIT_RUNTIME
+        assert "runtime error" in capsys.readouterr().err
+        rc = main(["demo-rooms", "--rooms", "4", "--trials", "8", "--stages", "verify",
+                   "--out", str(tmp_path / "demo"),
+                   "--write-config", str(blocker / "cfg.json")])
+        assert rc == EXIT_RUNTIME
+        assert "runtime error" in capsys.readouterr().err
+        assert not (tmp_path / "demo").exists()
+
     def test_run_subcommand_with_config_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -419,19 +450,21 @@ class TestVerifyOncePerGroup:
         assert "Con_2" in err and "subsystem 2" in err
 
     def test_report_is_the_whole_payload_encoded(self, tmp_path):
-        # two interleaved groups (rooms 1 and 3 with a stronger gain): the
-        # report written row by row is the stdlib encoding of all its rows
+        # two interleaved groups (rooms 1 and 3 with a stronger gain): one row
+        # per group, the group index per room, and the strict stdlib encoding
         cfg = small_rooms(tmp_path)
         values = _per_room_certificates(cfg)
         for i in (1, 3):
             values[i]["K"] = [[2.0 * values[i]["K"][0][0]]]
         assert run_pipeline(cfg, stages=["verify"]) == EXIT_OK
         text = (tmp_path / "out" / "certificates.json").read_text()
-        rows = json.loads(text)["subsystems"]
-        assert [row["subsystem"] for row in rows] == [0, 1, 2, 3]
-        assert rows[0]["certificate"] == rows[2]["certificate"]
-        assert rows[1]["certificate"] == rows[3]["certificate"] != rows[0]["certificate"]
-        assert text == json.dumps({"subsystems": rows}, indent=2, sort_keys=True) + "\n"
+        report = json.loads(text)
+        assert report["group_of"] == [0, 1, 0, 1]
+        rows = report["groups"]
+        assert len(rows) == 2 and all("subsystem" not in row for row in rows)
+        assert rows[0]["certificate"]["K"] == values[0]["K"]
+        assert rows[1]["certificate"]["K"] == values[1]["K"] != values[0]["K"]
+        assert text == json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
     def test_room_with_own_gain_gets_own_margins(self, tmp_path):
         cfg = small_rooms(tmp_path)
@@ -443,17 +476,21 @@ class TestVerifyOncePerGroup:
                             out_dir=str(tmp_path / "own")) == EXIT_OK
         same = json.loads((tmp_path / "same" / "certificates.json").read_text())
         own = json.loads((tmp_path / "own" / "certificates.json").read_text())
+
+        def row_of(report, i):
+            return report["groups"][report["group_of"][i]]
+
+        assert own["group_of"] == [0, 0, 1, 0]
         for i in (0, 1, 3):
-            assert own["subsystems"][i] == same["subsystems"][i]
-        row = own["subsystems"][2]
-        assert row["subsystem"] == 2
+            assert row_of(own, i) == row_of(same, i)
+        row = row_of(own, 2)
         assert row["certificate"]["K"] == values[2]["K"]
         bundle = load_config(cfg)
         cert = st.StorageCertificate.from_dict(values[2])
         lyap = st.check_lyapunov(bundle.systems[bundle.ic.group_of[2]], cert.M_bar, cert.K,
                                  cert.kappa_tilde)
         assert row["lyapunov_margin"] == lyap.margin
-        assert row["lyapunov_margin"] != same["subsystems"][2]["lyapunov_margin"]
+        assert row["lyapunov_margin"] != row_of(same, 2)["lyapunov_margin"]
 
 
 def test_rooms_with_different_k_are_grouped_apart(tmp_path):
@@ -542,6 +579,17 @@ def test_ring_of_many_rooms_loads_one_object_per_kind(tmp_path):
         assert len(objects) == 1
     assert bundle.ic.group_of.shape == (100_000,) and not bundle.ic.group_of.any()
     assert bundle.ic.n_subsystems == 100_000
+
+
+def test_ring_of_many_rooms_writes_one_certificate_row(tmp_path):
+    # verify alone on 10^5 rooms: one group row and the group index (about
+    # 0.7 MB), where a row per room would be 127.5 MB
+    cfg = generate_rooms(n=100_000, out_dir=str(tmp_path))
+    assert run_pipeline(cfg, stages=["verify"]) == EXIT_OK
+    path = tmp_path / "certificates.json"
+    assert path.stat().st_size < 1_000_000
+    report = json.loads(path.read_text())
+    assert len(report["groups"]) == 1 and len(report["group_of"]) == 100_000
 
 
 def test_initial_v0_matches_per_room_quantization(tmp_path):
