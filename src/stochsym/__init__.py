@@ -28,7 +28,6 @@ from .certificates import (
     solve_candidates,
 )
 from .composition import (
-    CompositionResult,
     NetworkSsf,
     SupplyBlocks,
     build_x_cmp,
@@ -77,7 +76,7 @@ __all__ = [
     "SstfConstants", "StorageCertificate", "check_dissipativity_lmi",
     "check_geometric", "check_lyapunov", "derive_constants",
     "gamma_slope_bound", "kappa_tilde_from", "solve_candidates",
-    "CompositionResult", "NetworkSsf", "SupplyBlocks", "build_x_cmp",
+    "NetworkSsf", "SupplyBlocks", "build_x_cmp",
     "check_compositional_lmi", "compose_ssf", "gershgorin_fast_check",
     "network_form", "supply_blocks",
     "ClosenessBound", "closeness_bound", "psi_hat", "violation_probability",

@@ -10,7 +10,8 @@ forms, selected by whether alpha(eps) clears psi_hat / kappa:
       (v0/alpha(eps)) (1-kappa)^T + (psi_hat/(kappa alpha(eps))) (1 - (1-kappa)^T)
 
 with psi_hat >= rho_ext(sup-norm of the abstract input) + psi.  Both branch
-values are always evaluated and reported; the two bounds are distinct at the
+values are evaluated (`ViolationResult.case1`, `.case2`), but `bound.json`
+writes only the selected one and its regime; the two are distinct at the
 regime boundary and no continuity is assumed.  Every input must be
 nonnegative (alpha(eps) positive); a NaN input raises NegativeInput like a
 negative one.
@@ -19,7 +20,7 @@ negative one.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import InvalidKappa, NegativeInput
 
@@ -47,15 +48,7 @@ class ClosenessBound:
     success_bound: float
 
     def to_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "horizon": self.horizon,
-            "psi_hat": self.psi_hat,
-            "v0": self.v0,
-            "regime": self.regime,
-            "violation_bound": self.violation_bound,
-            "success_bound": self.success_bound,
-        }
+        return asdict(self)
 
 
 def psi_hat(rho_ext_slope: float, nu_hat_sup: float, psi: float) -> float:

@@ -22,7 +22,7 @@ equal inputs share one verdict.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 import scipy.linalg
@@ -147,12 +147,7 @@ class SstfConstants:
         return self.alpha_coeff * s * s
 
     def to_dict(self) -> dict:
-        return {
-            "alpha_coeff": self.alpha_coeff,
-            "kappa": self.kappa,
-            "rho_ext_slope": self.rho_ext_slope,
-            "psi": self.psi,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,9 @@ from .errors import (
     CheckFailed,
     ConfigError,
     DimensionMismatch,
+    EmptyBox,
     Infeasible,
+    NonFiniteEntry,
     NotWellPosed,
     StochsymError,
     TooFewRooms,
@@ -184,7 +186,6 @@ def generate_rooms(
         config["certificates"] = {
             "mode": "solve",
             "kappa_tilde": cert_mod.kappa_tilde_from(kappa_bar, kappa_target, tau),
-            "tau": tau,
             "pi": pi,
             "kappa_bar": kappa_bar,
             "Xbar11": [[0.0]],
@@ -213,7 +214,6 @@ def generate_rooms(
         "epsilon": epsilon,
         "horizon": horizon,
         "alpha_mode": "stacked",
-        "nu_hat_sup": None,
         "psi_hat_override": 0.25 * (1.0 - 0.91 ** (1.0 / 12.0)),
         "reported": reported,
         "notes": (
@@ -226,11 +226,8 @@ def generate_rooms(
         "n_trials": n_trials,
         "n_substeps": n_substeps,
         "seed": seed,
-        "epsilon": epsilon,
-        "horizon": horizon,
         "x0": [x0_room] * n,
         "record_outputs": False,
-        "chunk_size": 128,
     }
     return config
 
@@ -336,6 +333,32 @@ def _entries(spec, n: int, what: str) -> list:
     return [(entry, f"{what}[{i}]") for i, entry in enumerate(spec)]
 
 
+def _check_group(s: model.AffineSystem, d: model.DiscretizationSpec, c, safety,
+                 sys_path: str, disc_path: str, cert_path: str | None) -> None:
+    """A group's system, then its discretization, given certificate `c` (or
+    None) and the safety box against it; a ConfigError names the entry at fault."""
+    try:
+        model.validate_system(s)
+    except (DimensionMismatch, NonFiniteEntry, EmptyBox) as exc:
+        raise ConfigError(f"{sys_path}.{exc.field} is malformed: {exc}") from exc
+    n, m, p, q2 = s.n, s.m, s.p, s.q2
+    # R_tilde may draw any number of normals, one per column
+    want = {f"{disc_path}.D_tilde": (d.D_tilde, (n, p)),
+            f"{disc_path}.R_tilde": (d.R_tilde, (n, d.R_tilde.shape[1]))}
+    if c is not None:
+        want.update({f"{cert_path}.{name}": (getattr(c, name), shape) for name, shape in (
+            ("M_bar", (n, n)), ("K", (m, n)), ("P", (n, n)), ("Q", (m, n)), ("H", (m, p)),
+            ("Xbar11", (p, p)), ("Xbar12", (p, q2)), ("Xbar21", (q2, p)), ("Xbar22", (q2, q2)))})
+    for path, (value, shape) in want.items():
+        if value.shape != shape:
+            raise ConfigError(f"{path} has shape {value.shape}, {sys_path} needs {shape}")
+    if c is not None and c.tau != d.tau:
+        raise ConfigError(f"{cert_path}.tau is {c.tau!r}, {disc_path}.tau {d.tau!r}")
+    if safety is not None and safety.safe_box.dim != s.q1:
+        raise ConfigError(f"safety.lower has {safety.safe_box.dim} entries, "
+                          f"{sys_path}.C1 has {s.q1} rows")
+
+
 def _value_key(value):
     """Equal for equal values: dataclasses field by field, the rest as float arrays."""
     if dataclasses.is_dataclass(value):
@@ -367,6 +390,16 @@ def _grouping(indices: list, n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.argsort(np.argsort(first))[code], np.sort(first)
 
 
+#: settings that are no longer read, with what states each now; a config that
+#: still sets one is an error, because ignoring it would change a result unsaid
+_MOVED = {
+    "simulation.epsilon": "the simulation checks bound.epsilon",
+    "simulation.horizon": "the simulation runs bound.horizon steps",
+    "bound.nu_hat_sup": "it is derived from the input grids",
+    "interconnection.M": 'give interconnection.coupling {"kind": "dense", "M": ...}',
+}
+
+
 def _coupling_from(spec):
     """The coupling matrix an `interconnection.coupling` object describes."""
     what = "interconnection.coupling"
@@ -395,6 +428,8 @@ def load_config(source) -> PipelineBundle:
     a per-subsystem field (system, discretization, grid, given certificate)
     is built once, and subsystems whose four objects are equal by value form
     one group: the bundle holds each group's objects once and `ic.group_of`.
+    Each group's objects and the safety box are checked against its system,
+    and a setting in `_MOVED` is an error.
     """
     base_dir = Path.cwd()
     if isinstance(source, (str, Path)):
@@ -413,19 +448,24 @@ def load_config(source) -> PipelineBundle:
         ("interconnection", {}), ("certificates", {}),
         ("safety", None), ("bound", {}), ("simulation", {}))}
 
+    for path, now in _MOVED.items():
+        block, key = path.split(".")
+        if blocks[block].get(key) is not None:
+            raise ConfigError(f"{path} is no longer read: {now}")
+
     sys_spec = raw.get("systems")
     if isinstance(sys_spec, list):
-        systems = [_system_from(d, f"systems[{i}]", base_dir) for i, d in enumerate(sys_spec)]
-        n = len(systems)
+        sys_entries = [(d, f"systems[{i}]") for i, d in enumerate(sys_spec)]
+        n = len(sys_entries)
     else:
-        systems = [_system_from(_object(sys_spec, "systems").get("template"),
-                                "systems.template", base_dir)]
+        sys_entries = [(_object(sys_spec, "systems").get("template"), "systems.template")]
         n = _field(sys_spec, "systems", "replicate", _integer)
     if n <= 0:
         raise ConfigError("at least one subsystem required")
-    systems, sys_idx = _distinct(systems, n)
-    discs, disc_idx = _distinct([_disc_from(*e) for e in _entries(
-        raw.get("discretization"), n, "discretization")], n)
+    systems, sys_idx = _distinct([_system_from(d, what, base_dir)
+                                  for d, what in sys_entries], n)
+    disc_entries = _entries(raw.get("discretization"), n, "discretization")
+    discs, disc_idx = _distinct([_disc_from(*e) for e in disc_entries], n)
 
     # a grid covers its system's boxes: one per (system, grid entry) pair
     entries = _entries(raw.get("grid"), n, "grid")
@@ -439,23 +479,20 @@ def load_config(source) -> PipelineBundle:
     mode = cert_cfg.get("mode", "given")
     if mode not in ("given", "solve"):
         raise ConfigError(f"certificates.mode must be 'given' or 'solve', got {mode!r}")
-    certs, cert_idx = None, np.zeros(n, dtype=np.intp)
+    certs, cert_idx, cert_entries = None, np.zeros(n, dtype=np.intp), [(None, None)]
     if mode == "given":
         if cert_cfg.get("values") is None:
             raise ConfigError("certificates.values is missing")
-        certs, cert_idx = _distinct([_cert_from(*e) for e in _entries(
-            cert_cfg["values"], n, "certificates.values")], n)
+        cert_entries = _entries(cert_cfg["values"], n, "certificates.values")
+        certs, cert_idx = _distinct([_cert_from(*e) for e in cert_entries], n)
 
     group_of, first = _grouping([sys_idx, disc_idx, grid_idx, cert_idx], n)
     systems = [systems[k] for k in sys_idx[first]]
+    discs = [discs[k] for k in disc_idx[first]]
+    certs = None if certs is None else [certs[k] for k in cert_idx[first]]
 
     ic_spec = blocks["interconnection"]
-    if ic_spec.get("coupling") is not None:
-        m, m_path = _coupling_from(ic_spec["coupling"]), "interconnection.coupling"
-    elif "M" in ic_spec:
-        m, m_path = _field(ic_spec, "interconnection", "M", _vector), "interconnection.M"
-    else:
-        raise ConfigError("interconnection.coupling is missing (or give interconnection.M)")
+    m = _coupling_from(ic_spec.get("coupling"))
     mu = _field(ic_spec, "interconnection", "mu", model.positive_weights, np.ones(n))
     try:
         ic = model.InterconnectionSpec(M=m, mu=mu, group_of=group_of,
@@ -464,8 +501,8 @@ def load_config(source) -> PipelineBundle:
         if exc.field == "mu":
             raise ConfigError(f"interconnection.mu is malformed: {exc}") from exc
         sys_path = "systems[i]" if isinstance(sys_spec, list) else "systems.template"
-        raise ConfigError(f"{m_path} is malformed: {exc} (a row per column of "
-                          f"{sys_path}.D, a column per row of {sys_path}.C2)") from exc
+        raise ConfigError(f"interconnection.coupling is malformed: {exc} (a row per column "
+                          f"of {sys_path}.D, a column per row of {sys_path}.C2)") from exc
 
     safety = None
     if blocks["safety"] is not None:
@@ -475,6 +512,11 @@ def load_config(source) -> PipelineBundle:
             contraction=_field(sdict, "safety", "contraction", float, 0.0),
             horizon=_field(sdict, "safety", "horizon", _integer, None),
         )
+    for g, i in enumerate(first):
+        # the entries of the group's lowest member name the group's objects
+        _check_group(systems[g], discs[g], certs and certs[g], safety,
+                     *(e[i if len(e) > 1 else 0][1]
+                       for e in (sys_entries, disc_entries, cert_entries)))
 
     stages = _stage_prefix(_field(raw, "", "stages", list, list(STAGES)))
 
@@ -482,8 +524,8 @@ def load_config(source) -> PipelineBundle:
         name=raw.get("name", "network"),
         systems=systems,
         ic=ic,
-        discs=[discs[k] for k in disc_idx[first]],
-        certs=None if certs is None else [certs[k] for k in cert_idx[first]],
+        discs=discs,
+        certs=certs,
         cert_config=cert_cfg,
         grids=[grids[k] for k in grid_idx[first]],
         safety=safety,
@@ -520,8 +562,6 @@ def _solve_certs(bundle: PipelineBundle) -> list:
 
 
 def _stage_verify(bundle: PipelineBundle, ctx: dict) -> None:
-    for s in bundle.systems:
-        model.validate_system(s)
     try:
         model.check_well_posed(
             bundle.ic,
@@ -605,18 +645,20 @@ def _stage_compose(bundle: PipelineBundle, ctx: dict) -> None:
         output_maps=[s.C1 for s in bundle.systems] if mode == "stacked" else None,
         group_of=bundle.ic.group_of,
     )
-    result = comp.CompositionResult(lmi_margin=-lmi.margin, ssf=ssf,
-                                    q_tilde=bundle.ic.M.shape[1], x_cmp_shape=blocks.shape)
     ctx["ssf"] = ssf
-    # X_cmp is rebuilt from certificates.json and mu; only its shape is written
-    payload = result.to_dict()
-    payload["coupling_equality"] = "identical by construction"
-    payload["abstract_well_posed"] = has_grids or None
-    payload["gershgorin"] = {"ok": fast.ok, "bound": fast.bound}
-    # the bracket on the form's largest eigenvalue; lmi_margin is -upper end
-    payload["lmi_bracket"] = [lmi.lower, lmi.margin]
-    payload["lmi_factorizations"] = lmi.factorizations
-    write_json(ctx["out"] / "composition.json", payload)
+    write_json(ctx["out"] / "composition.json", {
+        "abstract_well_posed": has_grids or None,
+        "coupling_equality": "identical by construction",
+        "gershgorin": {"ok": fast.ok, "bound": fast.bound},
+        # the bracket on the form's largest eigenvalue; lmi_margin is -upper end
+        "lmi_bracket": [lmi.lower, lmi.margin],
+        "lmi_factorizations": lmi.factorizations,
+        "lmi_margin": -lmi.margin,
+        "q_tilde": bundle.ic.M.shape[1],
+        "ssf": ssf.to_dict(),
+        # X_cmp is rebuilt from certificates.json and mu; only its shape is written
+        "x_cmp_shape": list(blocks.shape),
+    })
     logger.info("compose: network LMI margin %.3e", -lmi.margin)
 
 
@@ -750,23 +792,18 @@ def _initial_state(bundle: PipelineBundle, required: bool) -> np.ndarray:
 
 def _stage_bound(bundle: PipelineBundle, ctx: dict) -> None:
     cfg = bundle.bound_config
-    if not cfg:
-        raise ConfigError("'bound' block required for the bound stage")
     ssf = ctx["ssf"]
     epsilon = _field(cfg, "bound", "epsilon", _positive)
     horizon = _field(cfg, "bound", "horizon", _integer)
     if horizon < 0:
         raise ConfigError(f"bound.horizon must be >= 0, got {horizon}")
 
-    nu_sup = _field(cfg, "bound", "nu_hat_sup", _nonnegative, None)
-    if nu_sup is None:
-        if any(g is None for g in bundle.grids):
-            raise ConfigError("bound.nu_hat_sup is needed when a subsystem has no grid")
-        # members of a group share their grid, so one norm per group
-        sup = np.array([np.max(np.linalg.norm(g.input.centers(), axis=1))
-                        for g in bundle.grids])[bundle.ic.group_of]
-        nu_sup = math.sqrt(math.fsum((sup * sup).tolist()))
-    psi_hat_formula = bnd.psi_hat(ssf.rho_ext_slope, float(nu_sup), ssf.psi)
+    # the sup norm of the stacked abstract input; the abstract stage ran, so
+    # every group has a grid, and its members share it: one norm per group
+    sup = np.array([np.max(np.linalg.norm(g.input.centers(), axis=1))
+                    for g in bundle.grids])[bundle.ic.group_of]
+    nu_sup = math.sqrt(math.fsum((sup * sup).tolist()))
+    psi_hat_formula = bnd.psi_hat(ssf.rho_ext_slope, nu_sup, ssf.psi)
     override = _field(cfg, "bound", "psi_hat_override", _nonnegative, None)
     psi_hat_used = override if override is not None else psi_hat_formula
 
@@ -788,7 +825,7 @@ def _stage_bound(bundle: PipelineBundle, ctx: dict) -> None:
         "formula_vacuous": formula.violation_bound >= 1.0,
         "headline_source": "formula" if override is None else "override",
         "kappa": ssf.kappa,
-        "nu_hat_sup": float(nu_sup),
+        "nu_hat_sup": nu_sup,
         "psi_hat_formula": psi_hat_formula,
         "psi_hat_override": override,
         "psi_network_formula": ssf.psi,
@@ -817,34 +854,30 @@ def _stage_bound(bundle: PipelineBundle, ctx: dict) -> None:
 
 def _stage_simulate(bundle: PipelineBundle, ctx: dict) -> None:
     cfg = bundle.sim_config
-    if not cfg:
-        raise ConfigError("'simulation' block required for the simulate stage")
+    x0 = _initial_state(bundle, required=True)
+    bound = ctx["bound"]  # the Monte Carlo counts the event the bound stage bounded
     config = rt.SimConfig(
         n_trials=_field(cfg, "simulation", "n_trials", _integer),
-        horizon=_field(cfg, "simulation", "horizon", _integer),
-        epsilon=_field(cfg, "simulation", "epsilon", _positive),
+        horizon=bound.horizon,
+        epsilon=bound.epsilon,
         n_substeps=_field(cfg, "simulation", "n_substeps", _integer, 20),
         rng_seed=_field(cfg, "simulation", "seed", _integer, 0),
-        chunk_size=_field(cfg, "simulation", "chunk_size", _integer, 128),
         record_outputs=_field(cfg, "simulation", "record_outputs", _boolean, False),
     )
-    x0 = _initial_state(bundle, required=True)
     result = rt.cosimulate(bundle.systems, bundle.ic, bundle.discs,
                            ctx["abstractions"], ctx["controllers"],
                            ctx["certs"], config, x0)
     payload = result.summary.to_dict()
-    if "bound" in ctx:
-        bound = ctx["bound"].violation_bound
-        payload["theoretical_violation_bound"] = bound
-        payload["cp95_below_theoretical"] = bool(result.summary.cp95_upper <= bound)
-        # the sampled frequency is above the bound with 95% confidence; a
-        # warning only: whether that should fail the run is left open
-        payload["bound_refuted"] = bool(result.summary.cp95_lower > bound)
-        if payload["bound_refuted"]:
-            logger.warning("simulate: the violation bound %.4g is refuted: %d of %d trials "
-                           "violate (cp95 lower bound %.4g)", bound,
-                           result.summary.n_violations, result.summary.n_trials,
-                           result.summary.cp95_lower)
+    payload["theoretical_violation_bound"] = bound.violation_bound
+    payload["cp95_below_theoretical"] = bool(result.summary.cp95_upper <= bound.violation_bound)
+    # the sampled frequency is above the bound with 95% confidence; a warning
+    # only: whether that should fail the run is left open
+    payload["bound_refuted"] = bool(result.summary.cp95_lower > bound.violation_bound)
+    if payload["bound_refuted"]:
+        logger.warning("simulate: the violation bound %.4g is refuted: %d of %d trials "
+                       "violate (cp95 lower bound %.4g)", bound.violation_bound,
+                       result.summary.n_violations, result.summary.n_trials,
+                       result.summary.cp95_lower)
     write_json(ctx["out"] / "simulation_summary.json", payload)
     rt.write_trajectories_csv(result, ctx["out"] / "trajectories.csv")
     ctx["simulation"] = result

@@ -23,7 +23,7 @@ dense eigensolve.  The dense X_cmp is built only on request (`build_x_cmp`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import repeat
 
 import numpy as np
@@ -97,29 +97,7 @@ class NetworkSsf:
         return self.alpha_coeff * s * s
 
     def to_dict(self) -> dict:
-        return {
-            "alpha_mode": self.alpha_mode,
-            "alpha_coeff": self.alpha_coeff,
-            "kappa": self.kappa,
-            "rho_ext_slope": self.rho_ext_slope,
-            "psi": self.psi,
-        }
-
-
-@dataclass(eq=False)
-class CompositionResult:
-    lmi_margin: float  # minimum eigenvalue of -[M; I]^T X_cmp [M; I]
-    ssf: NetworkSsf
-    q_tilde: int
-    x_cmp_shape: tuple[int, int]  # X_cmp is rebuilt from the certificates and mu
-
-    def to_dict(self) -> dict:
-        return {
-            "lmi_margin": self.lmi_margin,
-            "q_tilde": self.q_tilde,
-            "ssf": self.ssf.to_dict(),
-            "x_cmp_shape": list(self.x_cmp_shape),
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True, eq=False)

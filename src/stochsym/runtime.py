@@ -31,12 +31,13 @@ Trials are independent; each draws its Gaussian increments from its own
 counter-based stream split off the master seed, so results are bitwise
 reproducible regardless of chunking or worker count.  The trials are split
 into contiguous chunks whose sizes differ by at most one: enough chunks to
-keep each within `chunk_size` trials and to give every worker one.  By
-default there is one worker per CPU the process may use, at most two; the
-calling thread runs chunks itself beside one helper thread per further
-worker (numpy draws normals and does the array arithmetic with the GIL
-released).  A run that loses an abstract state reports the loss one chunk
-holding every trial would meet first, whichever chunk met it.  The substeps
+keep each within `_CHUNK_TRIALS` trials and to give every worker one.  By
+default there is one worker per CPU the process may use, at most two, and
+the `STOCHSYM_THREADS` environment variable sets another count; the calling
+thread runs chunks itself beside one helper thread per further worker
+(numpy draws normals and does the array arithmetic with the GIL released).
+A run that loses an abstract state reports the loss one chunk holding every
+trial would meet first, whichever chunk met it.  The substeps
 of an interval are streamed a block at a time (at most
 `_SUBSTEP_BLOCK_ENTRIES` normals across the chunks in flight, but at least
 `_MIN_DRAW` per trial and block), each trial continuing its stream in
@@ -82,6 +83,8 @@ from .model import (
 )
 from .synthesis import Controller
 
+#: a chunk holds at most this many trials
+_CHUNK_TRIALS = 128
 #: substeps per block are capped so that the blocks of normals of the chunks
 #: in flight hold at most this many entries together (C x block x n_total)
 _SUBSTEP_BLOCK_ENTRIES = 1 << 18
@@ -91,7 +94,7 @@ _SUBSTEP_BLOCK_ENTRIES = 1 << 18
 _MIN_DRAW = 512
 #: the default worker count is the CPUs the process may use, but at most
 #: this many: more workers have not been measured to pay (smaller chunks
-#: make shorter GIL-free calls); max_workers or STOCHSYM_THREADS sets more
+#: make shorter GIL-free calls); STOCHSYM_THREADS sets more
 _DEFAULT_WORKERS = 2
 
 
@@ -179,10 +182,11 @@ def clopper_pearson_upper(violations: int, trials: int, confidence: float = 0.95
 class SimConfig:
     """Monte Carlo settings; one Brownian path per trial per master seed.
 
-    `chunk_size` is an upper bound on the trials simulated together.  The
-    worker count defaults to the CPUs the process may use, at most
-    `_DEFAULT_WORKERS` (2); `max_workers`, or else the `STOCHSYM_THREADS`
-    environment variable, sets it instead.  Neither changes any result.
+    A run estimates the event the closeness bound bounds, so `horizon` and
+    `epsilon` are the bound's (`bound.horizon`, `bound.epsilon` in a config).
+    The worker count defaults to the CPUs the process may use, at most
+    `_DEFAULT_WORKERS` (2); the `STOCHSYM_THREADS` environment variable sets
+    it instead.  No worker count changes any result.
     """
 
     n_trials: int
@@ -190,22 +194,19 @@ class SimConfig:
     epsilon: float
     n_substeps: int = 20
     rng_seed: int = 0
-    chunk_size: int = 128
     record_outputs: bool = False
-    max_workers: int | None = None
 
     def __post_init__(self):
-        for name in ("n_trials", "horizon", "n_substeps", "chunk_size"):
+        for name, path in (("n_trials", "simulation.n_trials"), ("horizon", "bound.horizon"),
+                           ("n_substeps", "simulation.n_substeps")):
             if getattr(self, name) < 1:
-                raise ConfigError(f"simulation.{name} must be >= 1")
+                raise ConfigError(f"{path} must be >= 1 for the simulation")
         if self.rng_seed < 0:
             raise ConfigError("simulation.seed must be >= 0")
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
-            raise ConfigError("simulation.epsilon must be a finite number > 0")
+            raise ConfigError("bound.epsilon must be a finite number > 0")
 
     def workers(self) -> int:
-        if self.max_workers is not None:
-            return max(1, self.max_workers)
         env = os.environ.get("STOCHSYM_THREADS", "")
         if env.isdigit():
             return max(1, int(env))
@@ -541,13 +542,13 @@ def _simulate_chunk(net: _Network, sub: _Substep, horizon: int,
     return errors, out_min, out_max, out_rec, out_hat_rec
 
 
-def _chunks(n_trials: int, chunk_size: int, workers: int) -> list:
+def _chunks(n_trials: int, workers: int) -> list:
     """Contiguous (start, stop) trial ranges whose sizes differ by at most 1.
 
-    There are enough of them to keep each within `chunk_size` trials and to
-    give each of `workers` workers one; the larger ones come first.
+    There are enough of them to keep each within `_CHUNK_TRIALS` trials and
+    to give each of `workers` workers one; the larger ones come first.
     """
-    n = max(-(-n_trials // chunk_size), min(workers, n_trials))
+    n = max(-(-n_trials // _CHUNK_TRIALS), min(workers, n_trials))
     size, extra = divmod(n_trials, n)
     starts = [i * size + min(i, extra) for i in range(n + 1)]
     return list(zip(starts, starts[1:]))
@@ -555,7 +556,7 @@ def _chunks(n_trials: int, chunk_size: int, workers: int) -> list:
 
 def _run_batch(net, config: SimConfig, x0, streams):
     workers = config.workers()
-    chunks = _chunks(config.n_trials, config.chunk_size, workers)
+    chunks = _chunks(config.n_trials, workers)
     workers = min(workers, len(chunks))
     sub = net.substep(config.n_substeps)
     # one block of normals per worker, sized by the largest chunk (the first)

@@ -24,10 +24,8 @@ from conftest import traced_peak
 def small_rooms(tmp_path, n=4, trials=60, **kw):
     # >= 33 trials so a zero-violation Clopper-Pearson bound can sit below 0.09
     # 40 substeps: the demo's resolution of the output envelope
-    cfg = generate_rooms(n=n, n_trials=trials, n_substeps=40, seed=11,
-                         out_dir=str(tmp_path / "out"), **kw)
-    cfg["simulation"]["chunk_size"] = 16
-    return cfg
+    return generate_rooms(n=n, n_trials=trials, n_substeps=40, seed=11,
+                          out_dir=str(tmp_path / "out"), **kw)
 
 
 class TestGenerateRooms:
@@ -162,16 +160,19 @@ class TestRunPipeline:
 
     def test_every_trial_violating_writes_strict_json(self, tmp_path, caplog):
         # a tiny epsilon makes every trial violate: no violation-free output
-        # exists (null, not NaN) and 8 of 8 violations refute the 0.09 bound
+        # exists (null, not NaN).  With a zero defect the bound on that same
+        # event is 0, and 8 of 8 violations refute it
         def no_constants(name):
             raise ValueError(f"non-standard JSON constant {name}")
 
         cfg = small_rooms(tmp_path, trials=8)
-        cfg["simulation"]["epsilon"] = 1e-6
+        cfg["bound"]["epsilon"] = 1e-6
+        cfg["bound"]["psi_hat_override"] = 0.0
         with caplog.at_level("WARNING", logger="stochsym.cli"):
             assert run_pipeline(cfg) == EXIT_OK
         text = (tmp_path / "out" / "simulation_summary.json").read_text()
         summary = json.loads(text, parse_constant=no_constants)
+        assert summary["epsilon"] == 1e-6 and summary["theoretical_violation_bound"] == 0.0
         assert summary["n_violations"] == 8
         assert summary["violation_free_output_min"] is None
         assert summary["violation_free_output_max"] is None
@@ -532,6 +533,9 @@ def test_equal_per_room_certificates_share_one_group(tmp_path):
 def test_rooms_with_any_differing_certificate_field_split(tmp_path, field, value):
     cfg = small_rooms(tmp_path)
     _per_room_certificates(cfg)[1][field] = value
+    if field == "tau":  # a certificate's tau is its discretization's
+        cfg["discretization"] = [dict(cfg["discretization"]) for _ in range(4)]
+        cfg["discretization"][1]["tau"] = value
     bundle = load_config(cfg)
     assert bundle.ic.group_of.tolist() == [0, 1, 0, 0]
     assert bundle.certs[1].to_dict()[field] == value
@@ -647,12 +651,11 @@ def test_gridless_abstract_is_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("block, field, value", [
-    ("simulation", "chunk_size", 0),
-    ("simulation", "chunk_size", -1),
     ("simulation", "x0", None),
     ("simulation", "n_trials", None),
     ("bound", "epsilon", None),
     ("bound", "horizon", "twelve"),
+    ("bound", "horizon", 0),  # the bound of no steps, but nothing to simulate
 ])
 def test_late_stage_field_error_is_config_error(tmp_path, capsys, block, field, value):
     # a missing (None) or bad field of the bound or simulation block exits 3
@@ -774,6 +777,8 @@ def _without_x0(edit):
     (_set(("bound", "epsilon"), -1.0), "bound.epsilon"),
     (_set(("bound", "epsilon"), float("nan")), "bound.epsilon"),
     (_set(("bound", "epsilon"), 0.0), "bound.epsilon"),
+    # simulation.epsilon, bound.nu_hat_sup and a bare interconnection.M are
+    # no longer read: any value exits 3 and names the field
     (_set(("simulation", "epsilon"), -1.0), "simulation.epsilon"),
     (_set(("simulation", "epsilon"), float("nan")), "simulation.epsilon"),
     (_without_x0(_set(("bound", "v0"), -1.0)), "bound.v0"),
@@ -868,7 +873,141 @@ def test_list_entry_errors_name_their_index(tmp_path):
 def test_unknown_key_is_ignored(tmp_path):
     cfg = small_rooms(tmp_path, trials=8)
     cfg["simulation"]["check_convergence"] = True
+    cfg["simulation"]["chunk_size"] = 16  # no longer read, and it changed no result
     assert run_pipeline(cfg) == EXIT_OK
+
+
+@pytest.mark.parametrize("block, field, value, now", [
+    ("simulation", "epsilon", 0.5, "bound.epsilon"),
+    ("simulation", "horizon", 12, "bound.horizon"),
+    ("bound", "nu_hat_sup", 0.0, "input grids"),
+    ("interconnection", "M", circular_coupling(4).toarray().tolist(),
+     "interconnection.coupling"),
+], ids=["simulation.epsilon", "simulation.horizon", "bound.nu_hat_sup", "interconnection.M"])
+def test_moved_setting_is_config_error(tmp_path, capsys, block, field, value, now):
+    # even a value that agrees with its replacement exits 3: ignoring a
+    # setting that used to be read would change a result without saying so
+    cfg = small_rooms(tmp_path, trials=8)
+    cfg[block][field] = value
+    with pytest.raises(ConfigError, match=re.escape(f"{block}.{field} is no longer read")):
+        load_config(cfg)
+    assert run_pipeline(cfg) == EXIT_CONFIG
+    assert now in capsys.readouterr().err
+
+
+def test_simulation_checks_the_bounds_event(tmp_path):
+    # the Monte Carlo counts sup_k |zeta(k tau) - zeta_hat(k)| >= epsilon over
+    # the bound's own epsilon and horizon
+    cfg = small_rooms(tmp_path, trials=8)
+    cfg["bound"].update(epsilon=0.3, horizon=5)
+    assert run_pipeline(cfg) == EXIT_OK
+    out = tmp_path / "out"
+    bound = json.loads((out / "bound.json").read_text())
+    summary = json.loads((out / "simulation_summary.json").read_text())
+    assert (summary["epsilon"], summary["horizon"]) == (bound["epsilon"], bound["horizon"]) \
+        == (0.3, 5)
+    rows = (out / "trajectories.csv").read_text().splitlines()
+    assert len(rows) == 1 + 8 * (5 + 1)
+
+
+@pytest.mark.parametrize("edit, path", [
+    (_cert_edit(lambda v: v.update(P=[[1.0, 0.0]])), "certificates.values[0].P"),
+    (_cert_edit(lambda v: v.update(Q=[[-0.21], [0.0]])), "certificates.values[0].Q"),
+    (_cert_edit(lambda v: v.update(M_bar=[[1.0, 0.0], [0.0, 1.0]])),
+     "certificates.values[0].M_bar"),
+    (_cert_edit(lambda v: v.update(Xbar12=[[0.0, 0.0]])), "certificates.values[0].Xbar12"),
+    (_cert_edit(lambda v: v.update(Xbar21=[[0.0, 0.0]])), "certificates.values[0].Xbar21"),
+    (_cert_edit(lambda v: v.update(Xbar22=[[-1.0, 0.0], [0.0, -1.0]])),
+     "certificates.values[0].Xbar22"),
+    (_cert_edit(lambda v: v.update(H=[[0.1, 0.0]])), "certificates.values[0].H"),
+    (_cert_edit(lambda v: v.update(K=[[-400.0, 0.0]])), "certificates.values[0].K"),
+    (_cert_edit(lambda v: v.update(Xbar11=[[0.0, 0.0], [0.0, 0.0]])),
+     "certificates.values[0].Xbar11"),
+    (_cert_edit(lambda v: v.update(tau=0.2)), "certificates.values[0].tau"),
+    (lambda cfg: _per_room_certificates(cfg)[2].update(P=[[1.0, 0.0]]),
+     "certificates.values[2].P"),
+    (_set(("discretization", "D_tilde"), [[0.0, 0.0]]), "discretization.D_tilde"),
+    (_set(("discretization", "R_tilde"), [[0.0], [0.0]]), "discretization.R_tilde"),
+    (_set(("safety",), {"lower": [20.0, 20.0], "upper": [21.0, 21.0]}), "safety.lower"),
+    (_set(("systems", "template", "A"), [[float("nan")]]), "systems.template.A"),
+], ids=["P", "Q", "M_bar", "Xbar12", "Xbar21", "Xbar22", "H", "K", "Xbar11", "tau",
+        "P-of-room-2", "D_tilde", "R_tilde", "safety-2d", "A-nan"])
+def test_shape_error_against_the_subsystem_names_its_path(tmp_path, capsys, edit, path):
+    # a certificate, discretization or safety box that does not fit its
+    # subsystem is a config error when the config loads, not a traceback,
+    # a violated condition or a runtime error in a later stage
+    cfg = small_rooms(tmp_path, trials=8)
+    edit(cfg)
+    with pytest.raises(ConfigError, match=re.escape(path)):
+        load_config(cfg)
+    assert run_pipeline(cfg) == EXIT_CONFIG
+    assert path in capsys.readouterr().err
+
+
+class _Recorded(dict):
+    """A config object that notes the dotted path of each key read from it.
+
+    `__iter__` is overridden so that `**obj` goes through `__getitem__`.
+    """
+
+    def __init__(self, data: dict, path: str, reads: set):
+        super().__init__({key: _recorded(value, _join(path, key), reads)
+                          for key, value in data.items()})
+        self.path, self.reads = path, reads
+
+    def __iter__(self):
+        return super().__iter__()
+
+    def __getitem__(self, key):
+        self.reads.add(_join(self.path, key))
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.reads.add(_join(self.path, key))
+        return super().get(key, default)
+
+    def items(self):
+        # a whole-object copy, as into an artifact, reads every key
+        self.reads.update(_join(self.path, key) for key in self)
+        return super().items()
+
+
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _recorded(value, path: str, reads: set):
+    if isinstance(value, dict):
+        return _Recorded(value, path, reads)
+    if isinstance(value, list):
+        return [_recorded(v, f"{path}[{i}]", reads) for i, v in enumerate(value)]
+    return value
+
+
+def _keys(value, path: str = "") -> set:
+    """The dotted path of every key of every object in `value`."""
+    if isinstance(value, dict):
+        return set().union(*({_join(path, k)} | _keys(v, _join(path, k))
+                             for k, v in value.items()))
+    if isinstance(value, list):
+        return set().union(set(), *(_keys(v, f"{path}[{i}]") for i, v in enumerate(value)))
+    return set()
+
+
+def test_every_generated_key_is_read(tmp_path):
+    # a generated key that no stage reads states a setting that changes
+    # nothing; given mode through every stage, solve mode through verify
+    reads: set = set()
+    cfg = small_rooms(tmp_path, trials=8)
+    assert run_pipeline(_recorded(cfg, "", reads)) == EXIT_OK
+    assert _keys(cfg) - reads == set()
+
+    reads.clear()
+    cfg = small_rooms(tmp_path, theta=0.0)
+    assert cfg["certificates"]["mode"] == "solve"
+    # unstabilizable: the solve fails, after every certificate setting is read
+    assert run_pipeline(_recorded(cfg, "", reads), stages=["verify"]) == EXIT_CONDITION
+    assert {k for k in _keys(cfg) if k.startswith("certificates")} - reads == set()
 
 
 def test_integral_float_counts_are_accepted(tmp_path):

@@ -365,17 +365,6 @@ class TestComposeSsf:
             st.compose_ssf([constants()] * n, np.ones(n), mode="stacked",
                            output_maps=maps)
 
-    def test_composition_result_serializes_with_margin(self):
-        blocks = st.supply_blocks([room_certificate()] * 3, np.ones(3))
-        lmi = st.check_compositional_lmi(st.network_form(circular_coupling(3), blocks))
-        net = st.compose_ssf([constants()] * 3, np.ones(3), mode="general")
-        res = st.CompositionResult(lmi_margin=-lmi.margin, ssf=net, q_tilde=3,
-                                   x_cmp_shape=blocks.shape)
-        d = res.to_dict()
-        assert d["lmi_margin"] == -lmi.margin
-        assert d["q_tilde"] == 3
-        assert d["x_cmp_shape"] == [6, 6] and "x_cmp" not in d
-
 
 def random_supply_cert(rng, p, q, scale=1.0, shift=0.0) -> StorageCertificate:
     """Certificate with p internal inputs, q internal outputs and dense,
@@ -435,13 +424,6 @@ class TestBlockNetworkForm:
             st.network_form(np.eye(4), blocks)
 
 
-def test_result_without_matrix_keeps_shape():
-    net = st.compose_ssf([constants()], [1.0], mode="general")
-    res = st.CompositionResult(lmi_margin=1.0, ssf=net, q_tilde=3, x_cmp_shape=(6, 6))
-    d = res.to_dict()
-    assert d["x_cmp_shape"] == [6, 6] and "x_cmp" not in d
-
-
 def test_compose_stage_never_builds_x_cmp(tmp_path):
     # 400 rooms: X_cmp would be 800 x 800 doubles (5.12 MB); the stage holds
     # the q x q form and a temporary or two of the same size (1.28 MB each)
@@ -458,6 +440,11 @@ def test_compose_stage_never_builds_x_cmp(tmp_path):
     assert peak < x_cmp_bytes
     payload = json.loads((tmp_path / "composition.json").read_text())
     assert payload["x_cmp_shape"] == [800, 800] and "x_cmp" not in payload
+    assert payload["q_tilde"] == 400
+    assert payload["ssf"] == ctx["ssf"].to_dict()
+    lmi = st.check_compositional_lmi(st.network_form(bundle.ic.M, st.supply_blocks(
+        ctx["certs"], bundle.ic.mu, bundle.ic.group_of)))
+    assert payload["lmi_margin"] == -lmi.margin == -payload["lmi_bracket"][1] > 0
     assert payload["gershgorin"]["ok"] and set(payload["gershgorin"]) == {"ok", "bound"}
 
 

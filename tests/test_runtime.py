@@ -21,6 +21,13 @@ from stochsym.runtime import (
 from conftest import ROOM, room_certificate, room_system, traced_peak
 
 
+def chunk_trials(monkeypatch, trials):
+    """Split the trials into chunks of at most `trials` (the simulator's 128)."""
+    from stochsym import runtime
+
+    monkeypatch.setattr(runtime, "_CHUNK_TRIALS", trials)
+
+
 def room_state(**kw):
     defaults = dict(K=-140.0, P=1.0, Q=-0.21, H=0.1, tau=0.1, step=0,
                     xi_latch=[20.6], xi_hat=[20.55], w_hat=[41.1], w_latch=[41.1])
@@ -125,51 +132,52 @@ def small_network(n=3, g=0.0, bias=None, tracking_rate=200.0):
 
 
 class TestCosimulate:
-    def test_noise_free_synced_start_stays_tight(self):
+    def test_noise_free_synced_start_stays_tight(self, monkeypatch):
         # G = 0, b = 0, start on a representative: quantization is the only
         # error source and stays below the one-step input kick + cell radius
         systems, ic, discs, fas, ctrls, certs = small_network(g=0.0, bias=0.0)
         grid = fas[0].grid.state
         x0 = np.full(3, grid.center(grid.locate([20.5]))[0])
+        chunk_trials(monkeypatch, 2)
         cfg = st.SimConfig(n_trials=3, horizon=12, epsilon=0.05, n_substeps=20,
-                           rng_seed=0, chunk_size=2)
+                           rng_seed=0)
         res = st.cosimulate(systems, ic, discs, fas, ctrls, certs, cfg, x0)
         # one abstract input kick (<= 0.01) + cell radius + tracking residue
         bound = math.sqrt(3) * (0.01 + 0.0025 + 0.005)
         assert res.summary.max_sup_error <= bound
         assert res.summary.n_violations == 0
 
-    def test_seeded_reproducibility_bitwise(self):
+    def test_seeded_reproducibility_bitwise(self, monkeypatch):
         systems, ic, discs, fas, ctrls, certs = small_network(g=0.3)
         x0 = np.full(3, 20.5025)
+        chunk_trials(monkeypatch, 4)
         cfg = st.SimConfig(n_trials=6, horizon=5, epsilon=0.5, n_substeps=10,
-                           rng_seed=99, chunk_size=4)
+                           rng_seed=99)
         a = st.cosimulate(systems, ic, discs, fas, ctrls, certs, cfg, x0)
         b = st.cosimulate(systems, ic, discs, fas, ctrls, certs, cfg, x0)
         assert np.array_equal(a.step_errors, b.step_errors)
         assert a.summary.to_dict() == b.summary.to_dict()
 
-    def test_chunking_does_not_change_statistics(self):
+    def test_chunking_does_not_change_statistics(self, monkeypatch):
         systems, ic, discs, fas, ctrls, certs = small_network(g=0.3)
         x0 = np.full(3, 20.5025)
-        base = st.SimConfig(n_trials=7, horizon=4, epsilon=0.5, n_substeps=8,
-                            rng_seed=5, chunk_size=7)
-        rechunked = st.SimConfig(n_trials=7, horizon=4, epsilon=0.5, n_substeps=8,
-                                 rng_seed=5, chunk_size=2)
-        a = st.cosimulate(systems, ic, discs, fas, ctrls, certs, base, x0)
-        b = st.cosimulate(systems, ic, discs, fas, ctrls, certs, rechunked, x0)
-        assert np.array_equal(a.step_errors, b.step_errors)
+        cfg = st.SimConfig(n_trials=7, horizon=4, epsilon=0.5, n_substeps=8, rng_seed=5)
+        runs = []
+        for trials in (7, 2):
+            chunk_trials(monkeypatch, trials)
+            runs.append(st.cosimulate(systems, ic, discs, fas, ctrls, certs, cfg, x0))
+        assert np.array_equal(runs[0].step_errors, runs[1].step_errors)
 
-    def test_worker_count_does_not_change_statistics(self):
+    def test_worker_count_does_not_change_statistics(self, monkeypatch):
         systems, ic, discs, fas, ctrls, certs = small_network(g=0.3)
         x0 = np.full(3, 20.5025)
-        one = st.SimConfig(n_trials=8, horizon=4, epsilon=0.5, n_substeps=8,
-                           rng_seed=5, chunk_size=2, max_workers=1)
-        four = st.SimConfig(n_trials=8, horizon=4, epsilon=0.5, n_substeps=8,
-                            rng_seed=5, chunk_size=2, max_workers=4)
-        a = st.cosimulate(systems, ic, discs, fas, ctrls, certs, one, x0)
-        b = st.cosimulate(systems, ic, discs, fas, ctrls, certs, four, x0)
-        assert np.array_equal(a.step_errors, b.step_errors)
+        chunk_trials(monkeypatch, 2)
+        cfg = st.SimConfig(n_trials=8, horizon=4, epsilon=0.5, n_substeps=8, rng_seed=5)
+        runs = []
+        for workers in ("1", "4"):
+            monkeypatch.setenv("STOCHSYM_THREADS", workers)
+            runs.append(st.cosimulate(systems, ic, discs, fas, ctrls, certs, cfg, x0))
+        assert np.array_equal(runs[0].step_errors, runs[1].step_errors)
 
     def test_interface_matches_scalar_reference_inside_run(self):
         # one noise-free step of the batched engine equals a hand-rolled
@@ -178,7 +186,7 @@ class TestCosimulate:
         grid = fas[0].grid.state
         x0 = np.array([20.387, 20.502, 20.731])
         cfg = st.SimConfig(n_trials=1, horizon=1, epsilon=9.9, n_substeps=4,
-                           rng_seed=0, chunk_size=1, record_outputs=True)
+                           rng_seed=0, record_outputs=True)
         res = st.cosimulate(systems, ic, discs, fas, ctrls, certs, cfg, x0)
 
         m = ic.M
@@ -213,21 +221,22 @@ class TestCosimulate:
         systems, ic, discs, fas, ctrls, certs = small_network(g=0.0)
         x0 = np.array([20.387, 20.502, 20.731])
         runs = [st.cosimulate(systems, ic, discs, fas, ctrls, certs, st.SimConfig(
-                    n_trials=2, horizon=6, epsilon=9.9, n_substeps=n, rng_seed=3,
-                    chunk_size=2), x0).step_errors
+                    n_trials=2, horizon=6, epsilon=9.9, n_substeps=n, rng_seed=3),
+                    x0).step_errors
                 for n in (1, 4, 40)]
         assert np.all(runs[0][:, 1:] > 0)
         for other in runs[1:]:
             np.testing.assert_allclose(other, runs[0], rtol=1e-12, atol=0)
 
-    def test_one_interval_moments_match_closed_form(self):
+    def test_one_interval_moments_match_closed_form(self, monkeypatch):
         # x(tau) of a noisy room started on a representative is Gaussian
         # with the closed-form mean and variance of the exact transition
         systems, ic, discs, fas, ctrls, certs = small_network(g=0.3)
         grid = fas[0].grid.state
         x0 = np.full(3, grid.center(grid.locate([20.5]))[0])
+        chunk_trials(monkeypatch, 4096)
         cfg = st.SimConfig(n_trials=20_000, horizon=1, epsilon=9.9, n_substeps=4,
-                           rng_seed=8, chunk_size=4096, record_outputs=True)
+                           rng_seed=8, record_outputs=True)
         res = st.cosimulate(systems, ic, discs, fas, ctrls, certs, cfg, x0)
         finals = res.outputs[:, 1, :].ravel()  # three independent rooms
 
@@ -289,12 +298,12 @@ def stochastic_network(n=3, sigma=0.002):
 
 
 class TestStochasticClosedLoop:
-    def test_end_to_end_with_sampled_abstraction(self):
+    def test_end_to_end_with_sampled_abstraction(self, monkeypatch):
         systems, ic, discs, fas, ctrls, certs = stochastic_network()
         grid = fas[0].grid.state
         x0 = np.full(3, grid.center(grid.locate([20.5]))[0])
-        cfg = st.SimConfig(n_trials=20, horizon=6, epsilon=0.6, n_substeps=20,
-                           rng_seed=4, chunk_size=8)
+        chunk_trials(monkeypatch, 8)
+        cfg = st.SimConfig(n_trials=20, horizon=6, epsilon=0.6, n_substeps=20, rng_seed=4)
         res = st.cosimulate(systems, ic, discs, fas, ctrls, certs, cfg, x0)
         assert res.summary.n_trials == 20
         assert np.all(np.isfinite(res.step_errors))
@@ -302,17 +311,16 @@ class TestStochasticClosedLoop:
         # are nonzero but stay near the per-step kick scale
         assert 0.0 < res.summary.max_sup_error < 0.6
 
-    def test_sampled_abstract_path_is_seed_reproducible(self):
+    def test_sampled_abstract_path_is_seed_reproducible(self, monkeypatch):
         systems, ic, discs, fas, ctrls, certs = stochastic_network()
         grid = fas[0].grid.state
         x0 = np.full(3, grid.center(grid.locate([20.5]))[0])
-        cfg = st.SimConfig(n_trials=9, horizon=4, epsilon=0.6, n_substeps=10,
-                           rng_seed=21, chunk_size=4)
-        a = st.cosimulate(systems, ic, discs, fas, ctrls, certs, cfg, x0)
-        cfg2 = st.SimConfig(n_trials=9, horizon=4, epsilon=0.6, n_substeps=10,
-                            rng_seed=21, chunk_size=3)
-        b = st.cosimulate(systems, ic, discs, fas, ctrls, certs, cfg2, x0)
-        assert np.array_equal(a.step_errors, b.step_errors)
+        cfg = st.SimConfig(n_trials=9, horizon=4, epsilon=0.6, n_substeps=10, rng_seed=21)
+        runs = []
+        for trials in (4, 3):
+            chunk_trials(monkeypatch, trials)
+            runs.append(st.cosimulate(systems, ic, discs, fas, ctrls, certs, cfg, x0))
+        assert np.array_equal(runs[0].step_errors, runs[1].step_errors)
 
 
 def test_calling_thread_runs_chunks_beside_its_helpers(monkeypatch):
@@ -331,13 +339,14 @@ def test_calling_thread_runs_chunks_beside_its_helpers(monkeypatch):
     systems, ic, discs, fas, ctrls, certs = small_network(g=0.3)
     x0 = np.full(3, 20.5025)
     runs = {}
+    chunk_trials(monkeypatch, 1)
+    cfg = st.SimConfig(n_trials=9, horizon=2, epsilon=0.5, n_substeps=4, rng_seed=5)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for workers in (1, 2, 3, 8):
             threads.clear()
-            cfg = st.SimConfig(n_trials=9, horizon=2, epsilon=0.5, n_substeps=4,
-                               rng_seed=5, chunk_size=1, max_workers=workers)
+            monkeypatch.setenv("STOCHSYM_THREADS", str(workers))
             runs[workers] = st.cosimulate(systems, ic, discs, fas, ctrls, certs, cfg, x0)
             assert len(threads) == 9
             assert threading.get_ident() in threads
@@ -349,15 +358,17 @@ def test_calling_thread_runs_chunks_beside_its_helpers(monkeypatch):
             assert np.array_equal(getattr(res, field), getattr(runs[1], field))
 
 
-def test_chunks_are_balanced_and_bounded_by_chunk_size():
+def test_chunks_are_balanced_and_bounded_by_chunk_size(monkeypatch):
     from stochsym.runtime import _chunks
 
-    assert _chunks(64, 128, 2) == [(0, 32), (32, 64)]
-    assert _chunks(200, 128, 2) == [(0, 100), (100, 200)]
-    assert _chunks(7, 2, 3) == [(0, 2), (2, 4), (4, 6), (6, 7)]
-    assert _chunks(3, 128, 8) == [(0, 1), (1, 2), (2, 3)]
+    assert _chunks(64, 2) == [(0, 32), (32, 64)]
+    assert _chunks(200, 2) == [(0, 100), (100, 200)]
+    assert _chunks(3, 8) == [(0, 1), (1, 2), (2, 3)]
+    chunk_trials(monkeypatch, 2)
+    assert _chunks(7, 3) == [(0, 2), (2, 4), (4, 6), (6, 7)]
     for n, size, workers in itertools.product(range(1, 30), range(1, 9), range(1, 5)):
-        chunks = _chunks(n, size, workers)
+        chunk_trials(monkeypatch, size)
+        chunks = _chunks(n, workers)
         lengths = [b - a for a, b in chunks]
         assert chunks[0][0] == 0 and chunks[-1][1] == n
         assert all(a == b for (_, a), (b, _) in zip(chunks, chunks[1:]))
@@ -371,15 +382,13 @@ def test_thread_env_var_caps_workers(monkeypatch):
     assert cfg.workers() == min(2, len(os.sched_getaffinity(0)))
     monkeypatch.setenv("STOCHSYM_THREADS", "6")
     assert cfg.workers() == 6
-    explicit = st.SimConfig(n_trials=1, horizon=1, epsilon=1.0, max_workers=2)
-    assert explicit.workers() == 2
 
 
 @pytest.mark.parametrize("epsilon", [0.0, -1.0, math.nan, math.inf])
 def test_sim_config_rejects_a_non_positive_or_non_finite_epsilon(epsilon):
     # a negative radius counts every trial as violating while the bound,
     # even in eps, stays small; NaN counts none
-    with pytest.raises(st.errors.ConfigError, match="simulation.epsilon"):
+    with pytest.raises(st.errors.ConfigError, match="bound.epsilon"):
         st.SimConfig(n_trials=1, horizon=1, epsilon=epsilon)
 
 
@@ -424,7 +433,7 @@ def test_trajectory_csv_layout(tmp_path):
     systems, ic, discs, fas, ctrls, certs = small_network(g=0.1)
     x0 = np.full(3, 20.5025)
     cfg = st.SimConfig(n_trials=2, horizon=3, epsilon=0.5, n_substeps=5,
-                       rng_seed=2, chunk_size=2, record_outputs=True)
+                       rng_seed=2, record_outputs=True)
     res = st.cosimulate(systems, ic, discs, fas, ctrls, certs, cfg, x0)
     path = tmp_path / "traj.csv"
     write_trajectories_csv(res, path)
@@ -540,11 +549,11 @@ def _force_dense(monkeypatch):
 
 
 class TestFusedSubstepOracle:
-    def test_noisy_run_matches_scalar_interface_law(self):
+    def test_noisy_run_matches_scalar_interface_law(self, monkeypatch):
         net = mixed_network()
         x0 = np.array([20.4012, 20.5537, 20.6981])
-        cfg = st.SimConfig(n_trials=5, horizon=4, epsilon=9.9, n_substeps=8,
-                           rng_seed=17, chunk_size=2)
+        chunk_trials(monkeypatch, 2)
+        cfg = st.SimConfig(n_trials=5, horizon=4, epsilon=9.9, n_substeps=8, rng_seed=17)
         res = st.cosimulate(*net, cfg, x0)
         want, lost_at = scalar_reference(*net, cfg, x0)
         assert lost_at == [None] * 5
@@ -556,20 +565,19 @@ class TestFusedSubstepOracle:
         # path must give the same errors
         net = mixed_network()
         x0 = np.array([20.4012, 20.5537, 20.6981])
-        cfg = st.SimConfig(n_trials=4, horizon=3, epsilon=9.9, n_substeps=8,
-                           rng_seed=2, chunk_size=3)
+        chunk_trials(monkeypatch, 3)
+        cfg = st.SimConfig(n_trials=4, horizon=3, epsilon=9.9, n_substeps=8, rng_seed=2)
         fast = st.cosimulate(*net, cfg, x0)
         _force_dense(monkeypatch)
         dense = st.cosimulate(*net, cfg, x0)
         np.testing.assert_allclose(dense.step_errors, fast.step_errors,
                                    rtol=1e-12, atol=0)
 
-    def test_lost_trial_and_step_are_reported(self):
+    def test_lost_trial_and_step_are_reported(self, monkeypatch):
         net = stochastic_network(sigma=0.15)
         grid = net[3][0].grid.state
         x0 = np.full(3, grid.center(grid.locate([20.5]))[0])
-        cfg = st.SimConfig(n_trials=8, horizon=6, epsilon=9.9, n_substeps=20,
-                           rng_seed=3, chunk_size=8)
+        cfg = st.SimConfig(n_trials=8, horizon=6, epsilon=9.9, n_substeps=20, rng_seed=3)
         # the run reports what one chunk of all trials meets: the first step
         # where any trial is lost and the lowest trial lost there.  With this
         # seed a trial of lower index is lost only later, so the report is
@@ -580,8 +588,9 @@ class TestFusedSubstepOracle:
         trial = lost_at.index(step)
         assert (trial, step) == (4, 3)
         assert any(k is not None and k > step for k in lost_at[:trial])
-        for chunk_size, workers in itertools.product((2, 4, 8), (1, 2)):
-            cfg = dataclasses.replace(cfg, chunk_size=chunk_size, max_workers=workers)
+        for trials, workers in itertools.product((2, 4, 8), (1, 2)):
+            chunk_trials(monkeypatch, trials)
+            monkeypatch.setenv("STOCHSYM_THREADS", str(workers))
             with pytest.raises(AbstractStateLost) as info:
                 st.cosimulate(*net, cfg, x0)
             assert (info.value.trial, info.value.step) == (trial, step)
@@ -604,7 +613,7 @@ class TestGroupIndex:
                 assert (a is None) == (b is None)
                 assert a is None or np.array_equal(a, b)
 
-    def test_grouped_network_simulates_like_its_rooms(self):
+    def test_grouped_network_simulates_like_its_rooms(self, monkeypatch):
         # the two interleaved groups of mixed_network against each room
         # given its own objects: the same arrays, bit for bit
         systems, ic, discs, fas, ctrls, certs = mixed_network()
@@ -612,8 +621,9 @@ class TestGroupIndex:
         per_room = [[objects[g] for g in ic.group_of]
                     for objects in (systems, discs, fas, ctrls, certs)]
         x0 = np.array([20.4012, 20.5537, 20.6981])
+        chunk_trials(monkeypatch, 2)
         cfg = st.SimConfig(n_trials=5, horizon=4, epsilon=9.9, n_substeps=8,
-                           rng_seed=17, chunk_size=2, record_outputs=True)
+                           rng_seed=17, record_outputs=True)
         grouped = st.cosimulate(systems, ic, discs, fas, ctrls, certs, cfg, x0)
         alone = st.cosimulate(per_room[0], rooms, *per_room[1:], cfg, x0)
         for field in ("step_errors", "output_min", "output_max", "outputs",
@@ -652,7 +662,7 @@ class TestSubstepStreaming:
             assert runtime._Network(*net, 4).substep(7).phi.diag is None
         trials, n_total = 4, x0.size
         cfg = st.SimConfig(n_trials=trials, horizon=4, epsilon=9.9, n_substeps=7,
-                           rng_seed=23, chunk_size=trials)
+                           rng_seed=23)
         runs = {}
         for block in (7, 1, 3):
             monkeypatch.setattr(runtime, "_SUBSTEP_BLOCK_ENTRIES",
@@ -666,15 +676,15 @@ class TestSubstepStreaming:
             for field in ("step_errors", "output_min", "output_max"):
                 assert np.array_equal(getattr(runs[block], field), getattr(whole, field))
 
-    def test_non_square_output_map_envelope(self):
+    def test_non_square_output_map_envelope(self, monkeypatch):
         # C1 = [1; -1] per room reads (x, -x): the states are those of
         # C1 = 1, so the envelope is that run's, mirrored, and every sampled
         # error is sqrt(2) times that run's
         systems, *rest = small_network(n=3, g=0.3, tracking_rate=40.0)
         mirrored = dataclasses.replace(systems[0], C1=np.array([[1.0], [-1.0]]))
         x0 = np.array([20.387, 20.502, 20.731])
-        cfg = st.SimConfig(n_trials=6, horizon=4, epsilon=9.9, n_substeps=11,
-                           rng_seed=8, chunk_size=3)
+        chunk_trials(monkeypatch, 3)
+        cfg = st.SimConfig(n_trials=6, horizon=4, epsilon=9.9, n_substeps=11, rng_seed=8)
         plain = st.cosimulate(systems, *rest, cfg, x0)
         both = st.cosimulate([mirrored], *rest, cfg, x0)
         assert np.array_equal(both.output_min, np.minimum(plain.output_min, -plain.output_max))
@@ -693,7 +703,7 @@ class TestSubstepStreaming:
         peaks = {}
         for n_sub in (4, 4000):
             cfg = st.SimConfig(n_trials=128, horizon=2, epsilon=9.9,
-                               n_substeps=n_sub, rng_seed=1, chunk_size=128)
+                               n_substeps=n_sub, rng_seed=1)
             _, peaks[n_sub] = traced_peak(st.cosimulate, *net, cfg, x0)
         cap = runtime._SUBSTEP_BLOCK_ENTRIES * 8
         # plus the slack a 2^16-entry cap had under a 1 MB bound
@@ -725,11 +735,12 @@ class TestControllerHorizon:
         assert np.all(np.isfinite(res.step_errors))
 
 
-def test_trajectory_csv_rows_match_arrays(tmp_path):
+def test_trajectory_csv_rows_match_arrays(tmp_path, monkeypatch):
     systems, ic, discs, fas, ctrls, certs = small_network(g=0.1)
     x0 = np.full(3, 20.5025)
+    chunk_trials(monkeypatch, 2)
     cfg = st.SimConfig(n_trials=3, horizon=2, epsilon=0.5, n_substeps=5,
-                       rng_seed=4, chunk_size=2, record_outputs=True)
+                       rng_seed=4, record_outputs=True)
     res = st.cosimulate(systems, ic, discs, fas, ctrls, certs, cfg, x0)
     path = tmp_path / "traj.csv"
     write_trajectories_csv(res, path)
