@@ -365,6 +365,14 @@ class TestComposeSsf:
             st.compose_ssf([constants()] * n, np.ones(n), mode="stacked",
                            output_maps=maps)
 
+    def test_composition_result_serializes_with_margin(self, tmp_path):
+        bundle, ctx, payload = compose_stage_payload(tmp_path, n=3)
+        lmi = st.check_compositional_lmi(st.network_form(bundle.ic.M, st.supply_blocks(
+            ctx["certs"], bundle.ic.mu, bundle.ic.group_of)))
+        assert payload["lmi_margin"] == -lmi.margin
+        assert payload["q_tilde"] == 3
+        assert payload["x_cmp_shape"] == [6, 6] and "x_cmp" not in payload
+
 
 def random_supply_cert(rng, p, q, scale=1.0, shift=0.0) -> StorageCertificate:
     """Certificate with p internal inputs, q internal outputs and dense,
@@ -422,6 +430,25 @@ class TestBlockNetworkForm:
         blocks = st.supply_blocks([scalar_cert(1.0, -1.0)] * 3, np.ones(3))
         with pytest.raises(DimensionMismatch):
             st.network_form(np.eye(4), blocks)
+
+
+def compose_stage_payload(tmp_path, n):
+    """Run verify and compose on an n-room ring; return the bundle, the stage
+    context and the composition.json it wrote."""
+    import json
+
+    from stochsym import cli
+
+    bundle = cli.load_config(cli.generate_rooms(n=n, out_dir=str(tmp_path)))
+    ctx = {"out": tmp_path}
+    cli._stage_verify(bundle, ctx)
+    cli._stage_compose(bundle, ctx)
+    return bundle, ctx, json.loads((tmp_path / "composition.json").read_text())
+
+
+def test_result_without_matrix_keeps_shape(tmp_path):
+    _, _, payload = compose_stage_payload(tmp_path, n=5)
+    assert payload["x_cmp_shape"] == [10, 10] and "x_cmp" not in payload
 
 
 def test_compose_stage_never_builds_x_cmp(tmp_path):
