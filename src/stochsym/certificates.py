@@ -85,7 +85,6 @@ class StorageCertificate:
     Q: np.ndarray
     H: np.ndarray
     kappa_tilde: float
-    tau: float
     pi: float
     kappa_bar: float
     Xbar11: np.ndarray
@@ -96,19 +95,11 @@ class StorageCertificate:
     eta_bar_p: float = 1.0
     eta_bar_pp: float = 1.0
     gamma_slope: float = 0.0
-    delta: float = 0.0
 
     def __post_init__(self):
-        for name in ("M_bar", "K", "P", "Q", "H", "Xbar11", "Xbar12", "Xbar21", "Xbar22"):
-            object.__setattr__(self, name, as_matrix(getattr(self, name)))
-        for name in ("kappa_tilde", "tau", "pi", "kappa_bar", "eta_bar",
-                     "eta_bar_p", "eta_bar_pp", "gamma_slope", "delta"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-
-    @property
-    def decay_factor(self) -> float:
-        """exp(-kappa_tilde * tau), the per-sample residual of the continuous decay."""
-        return math.exp(-self.kappa_tilde * self.tau)
+        for f in fields(self):  # the matrices have capitalized names
+            value = getattr(self, f.name)
+            object.__setattr__(self, f.name, as_matrix(value) if f.name[0].isupper() else float(value))
 
     def to_dict(self) -> dict:
         out = {}
@@ -116,10 +107,6 @@ class StorageCertificate:
             v = getattr(self, f.name)
             out[f.name] = v.tolist() if isinstance(v, np.ndarray) else v
         return out
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "StorageCertificate":
-        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -305,27 +292,28 @@ def solve_candidates(sys: AffineSystem, kappa_tilde: float, P=None) -> Candidate
     return Candidates(M_bar=M_bar, K=K, P=P, Q=Q, H=H)
 
 
-def validate_certificate(cert: StorageCertificate) -> bool:
-    """Check the certificate's own invariants (independent of any system)."""
+def validate_certificate(cert: StorageCertificate, tau: float) -> bool:
+    """Check the certificate's own invariants at sampling time tau (independent of any system)."""
     lam = _min_eig(cert.M_bar)
     if not np.allclose(cert.M_bar, cert.M_bar.T) or lam <= 0:
         raise NotPositiveDefinite("M_bar", lam)
-    upper = 1.0 - cert.decay_factor
+    upper = 1.0 - math.exp(-cert.kappa_tilde * tau)
     if not (0.0 < cert.kappa_bar < upper):
         raise KappaBarOutOfRange(cert.kappa_bar, upper)
     if cert.pi <= 0:
         raise Infeasible("pi must be positive")
     if min(cert.eta_bar, cert.eta_bar_p, cert.eta_bar_pp) <= 0:
         raise Infeasible("eta slack constants must be positive")
-    if cert.delta < 0 or cert.gamma_slope < 0:
-        raise Infeasible("delta and gamma_slope must be nonnegative")
+    if cert.gamma_slope < 0:
+        raise Infeasible("gamma_slope must be nonnegative")
     if cert.Xbar21.shape != cert.Xbar12.T.shape or np.any(cert.Xbar21 != cert.Xbar12.T):
         raise DimensionMismatch("Xbar21", "supply-rate matrix must be symmetric")
     return True
 
 
-def check_dissipativity_lmi(cert: StorageCertificate, sys: AffineSystem) -> DissipativityCheck:
-    """Verify the sampled-data dissipation block inequality.
+def check_dissipativity_lmi(cert: StorageCertificate, sys: AffineSystem,
+                            tau: float) -> DissipativityCheck:
+    """Verify the sampled-data dissipation block inequality at sampling time tau.
 
     diag(pi e^{-kt} tau B^T M B, pi e^{-kt} tau D^T M D)
         <=  [kappa_bar M + C2^T X22 C2,  C2^T X21; X12 C2,  X11]
@@ -338,13 +326,13 @@ def check_dissipativity_lmi(cert: StorageCertificate, sys: AffineSystem) -> Diss
         raise DimensionMismatch(
             "B", "the refinement law needs a square B (external input dim == state dim)"
         )
-    validate_certificate(cert)
+    validate_certificate(cert, tau)
     n, p = sys.n, sys.p
     if cert.Xbar11.shape != (p, p):
         raise DimensionMismatch("Xbar11", f"expected {(p, p)}, got {cert.Xbar11.shape}")
     if cert.Xbar22.shape != (sys.q2, sys.q2):
         raise DimensionMismatch("Xbar22", f"expected {(sys.q2, sys.q2)}")
-    scale = cert.pi * cert.decay_factor * cert.tau
+    scale = cert.pi * math.exp(-cert.kappa_tilde * tau) * tau
     M, C2 = cert.M_bar, sys.C2
     top_left = cert.kappa_bar * M + C2.T @ cert.Xbar22 @ C2 - scale * (sys.B.T @ M @ sys.B)
     if p:
@@ -400,12 +388,14 @@ class VerifyReport:
 
 
 def verify(cert: StorageCertificate, sys: AffineSystem, disc: DiscretizationSpec,
-           w_hat_bound: float = 0.0) -> VerifyReport:
+           w_hat_bound: float = 0.0, delta: float | None = None) -> VerifyReport:
     """Check a certificate against its subsystem and evaluate its constants.
 
+    tau is `disc.tau`; `delta`, the noisy defect's quantization radius, is the
+    cell radius of the state grid (`grid.state.delta`), required when noisy.
     Con_1, Con_2, Con_3 and Eq_8a (with the certificate's own invariants) are
-    checked once each, in that order, then the tau of certificate and
-    discretization; a violated condition raises `CheckFailed` with its tag.
+    checked once each, in that order; a violated condition raises
+    `CheckFailed` with its tag.
 
     alpha_coeff = lam_min(M_bar) / lam_max(C1^T C1) and
     kappa = kappa_bar + e^{-kappa_tilde tau} always.  With gamma(s) = L s:
@@ -417,6 +407,9 @@ def verify(cert: StorageCertificate, sys: AffineSystem, disc: DiscretizationSpec
 
     where psi0 = e^{-kappa_tilde tau} tau (tr(G^T M G) + pi ||sqrt(M) b||^2).
     """
+    if delta is None and not disc.noise_free:
+        raise ValueError("a noisy discretization needs delta, the state grid's cell radius")
+    tau = disc.tau
     lyap = check_lyapunov(sys, cert.M_bar, cert.K, cert.kappa_tilde)
     if not lyap.ok:
         raise CheckFailed(CONDITION_LYAPUNOV,
@@ -428,18 +421,16 @@ def verify(cert: StorageCertificate, sys: AffineSystem, disc: DiscretizationSpec
     if not geom.ok_internal_match:
         raise CheckFailed(CONDITION_INTERNAL_MATCH,
                           f"D = B H residual {geom.residual_h:.3e}")
-    diss = check_dissipativity_lmi(cert, sys)
+    diss = check_dissipativity_lmi(cert, sys, tau)
     if not diss.ok:
         raise CheckFailed(CONDITION_DISSIPATION,
                           f"dissipation margin {diss.margin:.3e}")
-    if disc.tau != cert.tau:
-        raise DimensionMismatch("tau", "certificate and discretization disagree")
 
-    e_term = cert.decay_factor
+    e_term = math.exp(-cert.kappa_tilde * tau)  # the decay's residual over one sample
     kappa = cert.kappa_bar + e_term
     noise_quad = float(np.trace(sys.G.T @ cert.M_bar @ sys.G))
     offset_quad = float(sys.b @ cert.M_bar @ sys.b)
-    psi0 = e_term * cert.tau * (noise_quad + cert.pi * offset_quad)
+    psi0 = e_term * tau * (noise_quad + cert.pi * offset_quad)
 
     L = cert.gamma_slope
     eb, ebp, ebpp = cert.eta_bar, cert.eta_bar_p, cert.eta_bar_pp
@@ -453,7 +444,7 @@ def verify(cert: StorageCertificate, sys: AffineSystem, disc: DiscretizationSpec
         if disc.noise_free:
             psi = psi0 + d_term
         else:
-            quant_term = L * (1.0 + eb) * cert.delta
+            quant_term = L * (1.0 + eb) * delta
             trace_term = (L * (1.0 + 1.0 / eb) * (1.0 + 1.0 / ebp)
                           * math.sqrt(float(np.trace(disc.R_tilde.T @ disc.R_tilde))))
             psi = psi0 + quant_term + trace_term + d_term
@@ -465,6 +456,6 @@ def verify(cert: StorageCertificate, sys: AffineSystem, disc: DiscretizationSpec
 
 
 def derive_constants(cert: StorageCertificate, sys: AffineSystem, disc: DiscretizationSpec,
-                     w_hat_bound: float = 0.0) -> SstfConstants:
+                     w_hat_bound: float = 0.0, delta: float | None = None) -> SstfConstants:
     """The constants of `verify`, whose checks run first (failures propagate)."""
-    return verify(cert, sys, disc, w_hat_bound).constants
+    return verify(cert, sys, disc, w_hat_bound, delta).constants

@@ -101,7 +101,7 @@ def generate_rooms(
     Each room is scalar with A = -2 eta - beta, B = theta T_h, D = eta,
     b = beta T_e, G = g, unit output maps, and comfort band [20, 21].
     Certificate seeds use M_bar = P = 1, Q = A/B, H = D/B, the stated
-    (tau, pi, kappa_bar) and the matching diagonal supply-rate blocks; the
+    (pi, kappa_bar) and the supply-rate blocks matching them at tau; the
     decay rate is back-computed from the target contraction.  When the
     actuation gain is zero no seeds are emitted and the pipeline is left to
     solve for candidates (which is then infeasible).
@@ -141,8 +141,7 @@ def generate_rooms(
     config: dict = {
         "name": f"rooms-{n}",
         "systems": {"replicate": n, "template": system},
-        "interconnection": {"coupling": {"kind": "circular", "n": n},
-                            "mu": [1.0] * n},
+        "interconnection": {"coupling": {"kind": "circular"}, "mu": [1.0] * n},
         "discretization": {"tau": tau, "D_tilde": [[0.0]], "R_tilde": [[0.0]]},
         "grid": {
             "state_widths": [state_width],
@@ -168,7 +167,6 @@ def generate_rooms(
                 "Q": [[a / b_gain]],
                 "H": [[eta / b_gain]],
                 "kappa_tilde": kappa_tilde,
-                "tau": tau,
                 "pi": pi,
                 "kappa_bar": kappa_bar,
                 "Xbar11": [[e_term * tau * eta**2]],
@@ -179,7 +177,6 @@ def generate_rooms(
                 "eta_bar_p": 1.0,
                 "eta_bar_pp": 1.0,
                 "gamma_slope": 2.0,
-                "delta": state_width,
             }],
         }
     else:
@@ -193,7 +190,6 @@ def generate_rooms(
             "Xbar21": [[0.0]],
             "Xbar22": [[0.0]],
             "gamma_slope": 2.0,
-            "delta": state_width,
         }
 
     state_grid = abst.UniformGrid.cover(
@@ -237,16 +233,15 @@ def generate_rooms(
 
 @dataclass(eq=False)
 class PipelineBundle:
-    """A resolved config: `systems`, `discs`, `grids` and given-mode `certs`
-    (None in solve mode) hold one entry per group; subsystem i is in group
+    """A resolved config: `systems`, `discs`, `grids` and `certs` (given or
+    solved) hold one entry per group; subsystem i is in group
     `ic.group_of[i]`, and groups are ordered by their lowest member."""
 
     name: str
     systems: list
     ic: model.InterconnectionSpec
     discs: list
-    certs: list | None
-    cert_config: dict
+    certs: list
     grids: list
     safety: synth.SafetySpec | None
     bound_config: dict
@@ -317,11 +312,40 @@ def _grid_from(s: model.AffineSystem, gdict, what: str) -> abst.AbstractionGrid 
         internal=cover(s.internal_box, "internal_widths") if s.p else None)
 
 
-def _cert_from(v, what: str) -> cert_mod.StorageCertificate:
-    try:
-        return cert_mod.StorageCertificate.from_dict(v)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{what} is malformed: {exc}") from exc
+#: each certificate field's default (... where a config must state it)
+_CERT_DEFAULTS = {f.name: ... if f.default is dataclasses.MISSING else f.default
+                  for f in dataclasses.fields(cert_mod.StorageCertificate)}
+#: the shared fields of certificates.mode "solve" and their defaults; the solve finds the rest
+_SOLVE_DEFAULTS = {"kappa_tilde": ..., "pi": 1.0, "kappa_bar": ..., "gamma_slope": 0.0,
+                   **dict.fromkeys(("Xbar11", "Xbar12", "Xbar21", "Xbar22"), ...)}
+
+
+def _cert_fields(d: dict, what: str, defaults: dict) -> dict:
+    """The fields in `defaults` of the object `d` at `what`, capitalized ones as matrices."""
+    return {name: _field(d, what, name, model.as_matrix if name[0].isupper() else float,
+                         default) for name, default in defaults.items()}
+
+
+def _cert_from(v, what: str) -> dict:
+    """The fields of a given certificate entry; any other key is a ConfigError naming it."""
+    _reject_moved(_object(v, what), what, "certificates.values")
+    if unknown := set(v) - _CERT_DEFAULTS.keys():
+        raise ConfigError(f"{what}.{min(unknown)} is not a certificate field")
+    return _cert_fields(v, what, _CERT_DEFAULTS)
+
+
+def _certificate(s: model.AffineSystem, fields: dict) -> cert_mod.StorageCertificate:
+    """The certificate of `fields`; solve mode's lack the candidate matrices, solved
+    here for system `s` (a condition the solve cannot meet is a tagged CheckFailed)."""
+    if "M_bar" not in fields:
+        try:
+            cand = cert_mod.solve_candidates(s, fields["kappa_tilde"])
+        except Infeasible as exc:
+            if exc.condition is not None:
+                raise CheckFailed(exc.condition, exc.reason) from exc
+            raise
+        fields = {**fields, **vars(cand)}
+    return cert_mod.StorageCertificate(**fields)
 
 
 def _entries(spec, n: int, what: str) -> list:
@@ -333,36 +357,39 @@ def _entries(spec, n: int, what: str) -> list:
     return [(entry, f"{what}[{i}]") for i, entry in enumerate(spec)]
 
 
-def _check_group(s: model.AffineSystem, d: model.DiscretizationSpec, c, safety,
-                 sys_path: str, disc_path: str, cert_path: str | None) -> None:
-    """A group's system, then its discretization, given certificate `c` (or
-    None) and the safety box against it; a ConfigError names the entry at fault."""
+def _check_group(s: model.AffineSystem, d: model.DiscretizationSpec, grid, cert: dict,
+                 safety, sys_path: str, disc_path: str, grid_path: str, cert_path: str) -> None:
+    """A group's system, then its discretization, grid, certificate fields
+    and the safety box against it; a ConfigError names the entry at fault."""
     try:
         model.validate_system(s)
     except (DimensionMismatch, NonFiniteEntry, EmptyBox) as exc:
         raise ConfigError(f"{sys_path}.{exc.field} is malformed: {exc}") from exc
     n, m, p, q2 = s.n, s.m, s.p, s.q2
+    shapes = {"M_bar": (n, n), "K": (m, n), "P": (n, n), "Q": (m, n), "H": (m, p),
+              "Xbar11": (p, p), "Xbar12": (p, q2), "Xbar21": (q2, p), "Xbar22": (q2, q2)}
     # R_tilde may draw any number of normals, one per column
     want = {f"{disc_path}.D_tilde": (d.D_tilde, (n, p)),
-            f"{disc_path}.R_tilde": (d.R_tilde, (n, d.R_tilde.shape[1]))}
-    if c is not None:
-        want.update({f"{cert_path}.{name}": (getattr(c, name), shape) for name, shape in (
-            ("M_bar", (n, n)), ("K", (m, n)), ("P", (n, n)), ("Q", (m, n)), ("H", (m, p)),
-            ("Xbar11", (p, p)), ("Xbar12", (p, q2)), ("Xbar21", (q2, p)), ("Xbar22", (q2, q2)))})
+            f"{disc_path}.R_tilde": (d.R_tilde, (n, d.R_tilde.shape[1])),
+            **{f"{cert_path}.{name}": (value, shapes[name])
+               for name, value in cert.items() if name in shapes}}
     for path, (value, shape) in want.items():
         if value.shape != shape:
             raise ConfigError(f"{path} has shape {value.shape}, {sys_path} needs {shape}")
-    if c is not None and c.tau != d.tau:
-        raise ConfigError(f"{cert_path}.tau is {c.tau!r}, {disc_path}.tau {d.tau!r}")
+    if grid is None and not d.noise_free:
+        raise ConfigError(f"{grid_path} is missing: the defect of a nonzero {disc_path}.R_tilde "
+                          "needs the state grid's cell radius")
     if safety is not None and safety.safe_box.dim != s.q1:
         raise ConfigError(f"safety.lower has {safety.safe_box.dim} entries, "
                           f"{sys_path}.C1 has {s.q1} rows")
 
 
 def _value_key(value):
-    """Equal for equal values: dataclasses field by field, the rest as float arrays."""
+    """Equal for equal values: dataclasses and dicts field by field, the rest as float arrays."""
     if dataclasses.is_dataclass(value):
         return tuple(_value_key(getattr(value, f.name)) for f in dataclasses.fields(value))
+    if isinstance(value, dict):
+        return tuple(_value_key(v) for v in value.values())
     if value is None:
         return None
     # shapes keep arrays of different sizes from running into each other
@@ -397,15 +424,28 @@ _MOVED = {
     "simulation.horizon": "the simulation runs bound.horizon steps",
     "bound.nu_hat_sup": "it is derived from the input grids",
     "interconnection.M": 'give interconnection.coupling {"kind": "dense", "M": ...}',
+    "interconnection.coupling.n": "a ring has one node per subsystem",
+    "certificates.values.tau": "it is the group's discretization.tau",
+    "certificates.values.delta": "it is the cell radius of the group's state grid",
+    "certificates.delta": "it is the cell radius of each group's state grid",
 }
 
 
-def _coupling_from(spec):
-    """The coupling matrix an `interconnection.coupling` object describes."""
+def _reject_moved(d: dict, what: str, where: str | None = None) -> None:
+    """A ConfigError if the object `d` at `what` (`where` unindexed) sets a `_MOVED` key."""
+    for key in d:
+        now = _MOVED.get(f"{where or what}.{key}")
+        if now is not None and d[key] is not None:
+            raise ConfigError(f"{what}.{key} is no longer read: {now}")
+
+
+def _coupling_from(spec, n: int):
+    """The coupling matrix of `n` subsystems an `interconnection.coupling` object describes."""
     what = "interconnection.coupling"
     kind = _object(spec, what).get("kind")
+    _reject_moved(spec, what)
     if kind == "circular":
-        return circular_coupling(_field(spec, what, "n", _integer))
+        return circular_coupling(n)
     if kind == "dense":
         return _field(spec, what, "M", _vector)
     raise ConfigError(f"{what}.kind must be 'circular' or 'dense', got {kind!r}")
@@ -429,7 +469,8 @@ def load_config(source) -> PipelineBundle:
     is built once, and subsystems whose four objects are equal by value form
     one group: the bundle holds each group's objects once and `ic.group_of`.
     Each group's objects and the safety box are checked against its system,
-    and a setting in `_MOVED` is an error.
+    and a setting in `_MOVED` is an error.  Solve mode then solves each
+    group's certificate (`CheckFailed` for a condition it cannot meet).
     """
     base_dir = Path.cwd()
     if isinstance(source, (str, Path)):
@@ -448,10 +489,8 @@ def load_config(source) -> PipelineBundle:
         ("interconnection", {}), ("certificates", {}),
         ("safety", None), ("bound", {}), ("simulation", {}))}
 
-    for path, now in _MOVED.items():
-        block, key = path.split(".")
-        if blocks[block].get(key) is not None:
-            raise ConfigError(f"{path} is no longer read: {now}")
+    for name in ("interconnection", "certificates", "bound", "simulation"):
+        _reject_moved(blocks[name], name)
 
     sys_spec = raw.get("systems")
     if isinstance(sys_spec, list):
@@ -479,20 +518,24 @@ def load_config(source) -> PipelineBundle:
     mode = cert_cfg.get("mode", "given")
     if mode not in ("given", "solve"):
         raise ConfigError(f"certificates.mode must be 'given' or 'solve', got {mode!r}")
-    certs, cert_idx, cert_entries = None, np.zeros(n, dtype=np.intp), [(None, None)]
     if mode == "given":
         if cert_cfg.get("values") is None:
             raise ConfigError("certificates.values is missing")
         cert_entries = _entries(cert_cfg["values"], n, "certificates.values")
         certs, cert_idx = _distinct([_cert_from(*e) for e in cert_entries], n)
+    else:
+        # shared fields, whose solve per system splits no group
+        cert_entries = [(None, "certificates")]
+        certs, cert_idx = _distinct([_cert_fields(cert_cfg, "certificates", _SOLVE_DEFAULTS)], n)
 
     group_of, first = _grouping([sys_idx, disc_idx, grid_idx, cert_idx], n)
     systems = [systems[k] for k in sys_idx[first]]
     discs = [discs[k] for k in disc_idx[first]]
-    certs = None if certs is None else [certs[k] for k in cert_idx[first]]
+    grids = [grids[k] for k in grid_idx[first]]
+    certs = [certs[k] for k in cert_idx[first]]
 
     ic_spec = blocks["interconnection"]
-    m = _coupling_from(ic_spec.get("coupling"))
+    m = _coupling_from(ic_spec.get("coupling"), n)
     mu = _field(ic_spec, "interconnection", "mu", model.positive_weights, np.ones(n))
     try:
         ic = model.InterconnectionSpec(M=m, mu=mu, group_of=group_of,
@@ -514,9 +557,10 @@ def load_config(source) -> PipelineBundle:
         )
     for g, i in enumerate(first):
         # the entries of the group's lowest member name the group's objects
-        _check_group(systems[g], discs[g], certs and certs[g], safety,
+        _check_group(systems[g], discs[g], grids[g], certs[g], safety,
                      *(e[i if len(e) > 1 else 0][1]
-                       for e in (sys_entries, disc_entries, cert_entries)))
+                       for e in (sys_entries, disc_entries, entries, cert_entries)))
+    certs = [_certificate(s, c) for s, c in zip(systems, certs)]
 
     stages = _stage_prefix(_field(raw, "", "stages", list, list(STAGES)))
 
@@ -526,8 +570,7 @@ def load_config(source) -> PipelineBundle:
         ic=ic,
         discs=discs,
         certs=certs,
-        cert_config=cert_cfg,
-        grids=[grids[k] for k in grid_idx[first]],
+        grids=grids,
         safety=safety,
         bound_config=blocks["bound"],
         sim_config=blocks["simulation"],
@@ -539,28 +582,6 @@ def load_config(source) -> PipelineBundle:
 # ---------------------------------------------------------------------------
 # stage implementations
 
-def _solve_certs(bundle: PipelineBundle) -> list:
-    """One certificate per group, solved for its system (certificates.mode "solve")."""
-    cfg, what = bundle.cert_config, "certificates"
-    shared = {name: _field(cfg, what, name, float, default) for name, default in (
-        ("kappa_tilde", ...), ("pi", 1.0), ("kappa_bar", ...),
-        ("gamma_slope", 0.0), ("delta", 0.0))}
-    shared.update({name: _field(cfg, what, name, model.as_matrix)
-                   for name in ("Xbar11", "Xbar12", "Xbar21", "Xbar22")})
-    certs = []
-    for s, d in zip(bundle.systems, bundle.discs):
-        try:
-            cand = cert_mod.solve_candidates(s, shared["kappa_tilde"])
-        except Infeasible as exc:
-            if exc.condition is not None:
-                raise CheckFailed(exc.condition, exc.reason) from exc
-            raise
-        certs.append(cert_mod.StorageCertificate(
-            M_bar=cand.M_bar, K=cand.K, P=cand.P, Q=cand.Q, H=cand.H,
-            tau=d.tau, **shared))
-    return certs
-
-
 def _stage_verify(bundle: PipelineBundle, ctx: dict) -> None:
     try:
         model.check_well_posed(
@@ -571,36 +592,27 @@ def _stage_verify(bundle: PipelineBundle, ctx: dict) -> None:
     except NotWellPosed as exc:
         raise CheckFailed(model.CONDITION_WELL_POSED, str(exc)) from exc
 
-    certs = bundle.certs if bundle.certs is not None else _solve_certs(bundle)
-    members = model.group_members(bundle.ic.group_of)
     verdicts = []
-    for member, s, c, d, grid in zip(members, bundle.systems, certs, bundle.discs,
-                                     bundle.grids):
-        # the lowest member speaks for its group
-        i = int(member[0])
+    for member, s, c, d, grid in zip(model.group_members(bundle.ic.group_of), bundle.systems,
+                                     bundle.certs, bundle.discs, bundle.grids):
         try:
-            verdicts.append(cert_mod.verify(c, s, d, w_hat_bound=_internal_sup(s)))
+            verdicts.append(cert_mod.verify(c, s, d, w_hat_bound=_internal_sup(s),
+                                            delta=None if grid is None else grid.state.delta))
         except CheckFailed as exc:
-            raise CheckFailed(exc.condition, f"subsystem {i}: {exc.detail}") from exc
-        if grid is not None and not d.noise_free:
-            actual = grid.state.delta
-            if abs(c.delta - actual) > 1e-12 * (1.0 + actual):
-                logger.warning("subsystem %d (and %d alike): certificate delta %.3g differs "
-                               "from the grid's %.3g; the certified defect uses the "
-                               "certificate value", i, member.size - 1, c.delta, actual)
+            # the lowest member speaks for its group
+            raise CheckFailed(exc.condition, f"subsystem {member[0]}: {exc.detail}") from exc
     # one row per group; subsystem i's row is groups[group_of[i]]
     groups = [{"lyapunov_margin": v.lyapunov.margin,
                "geometric_residuals": [v.geometric.residual_q, v.geometric.residual_h],
                "dissipation_margin": v.dissipativity.margin,
                "constants": v.constants.to_dict(),
                "certificate": c.to_dict()}
-              for v, c in zip(verdicts, certs)]
-    ctx["certs"] = certs
+              for v, c in zip(verdicts, bundle.certs)]
     ctx["constants"] = [v.constants for v in verdicts]
     write_json(ctx["out"] / "certificates.json",
                {"group_of": bundle.ic.group_of.tolist(), "groups": groups})
     logger.info("verify: %d subsystems certified in %d group(s)",
-                bundle.ic.n_subsystems, len(certs))
+                bundle.ic.n_subsystems, len(bundle.certs))
 
 
 def _internal_sup(s: model.AffineSystem) -> float:
@@ -610,9 +622,8 @@ def _internal_sup(s: model.AffineSystem) -> float:
 
 
 def _stage_compose(bundle: PipelineBundle, ctx: dict) -> None:
-    certs = ctx["certs"]
     mu = bundle.ic.mu
-    blocks = comp.supply_blocks(certs, mu, bundle.ic.group_of)
+    blocks = comp.supply_blocks(bundle.certs, mu, bundle.ic.group_of)
     form = comp.network_form(bundle.ic.M, blocks)
     fast = comp.gershgorin_fast_check(form)
     lmi = comp.check_compositional_lmi(form)
@@ -630,7 +641,7 @@ def _stage_compose(bundle: PipelineBundle, ctx: dict) -> None:
     has_grids = all(g is not None for g in bundle.grids)
     if has_grids:
         boxes = [g.state.as_box().linear_image(s.C2 @ c.P)
-                 for s, c, g in zip(bundle.systems, certs, bundle.grids)]
+                 for s, c, g in zip(bundle.systems, bundle.certs, bundle.grids)]
         try:
             model.check_well_posed(bundle.ic, boxes,
                                    [s.internal_box for s in bundle.systems])
@@ -663,20 +674,19 @@ def _stage_compose(bundle: PipelineBundle, ctx: dict) -> None:
 
 
 def _stage_abstract(bundle: PipelineBundle, ctx: dict) -> None:
-    certs = ctx["certs"]
     for member, g in zip(model.group_members(bundle.ic.group_of), bundle.grids):
         if g is None:
             raise ConfigError(f"subsystem {member[0]} has no grid; 'grid' is required "
                               "for abstraction stages")
     built = []
     for g_idx, (s, d, grid, c) in enumerate(zip(bundle.systems, bundle.discs,
-                                               bundle.grids, certs)):
+                                               bundle.grids, bundle.certs)):
         if d.noise_free:
             fa = abst.build_deterministic(s, d, grid, P=c.P)
         else:
             fa = abst.build_stochastic(s, d, grid, P=c.P)
         built.append(fa)
-        suffix = "" if len(certs) == 1 else f"_{g_idx}"
+        suffix = "" if len(bundle.certs) == 1 else f"_{g_idx}"
         abst.export_abstraction(fa, ctx["out"] / f"abstraction{suffix}.json",
                                 ctx["out"] / f"abstraction{suffix}.csv")
     ctx["abstractions"] = built
@@ -708,7 +718,7 @@ def _stage_synthesize(bundle: PipelineBundle, ctx: dict) -> None:
                 controllers[0].winning_fraction)
 
 
-def _initial_v0(bundle: PipelineBundle, ctx: dict, x0: np.ndarray) -> float:
+def _initial_v0(bundle: PipelineBundle, x0: np.ndarray) -> float:
     """Weighted storage at the initial pair (x0, quantized x0).
 
     One grid lookup per group; the per-subsystem terms are then added one
@@ -718,11 +728,12 @@ def _initial_v0(bundle: PipelineBundle, ctx: dict, x0: np.ndarray) -> float:
     start = model.member_starts([s.n for s in bundle.systems], group_of)
     terms = np.zeros(group_of.size + 1)  # a leading 0.0, the loop's initial total
     for member, s, c, grid in zip(model.group_members(group_of), bundle.systems,
-                                  ctx["certs"], bundle.grids):
+                                  bundle.certs, bundle.grids):
         xi = x0[start[member][:, None] + np.arange(s.n)]
         idx = grid.state.locate_many(xi)
-        if np.any(idx == grid.state.n_points):
-            raise ConfigError("initial state lies outside the state grid")
+        outside = member[idx == grid.state.n_points]
+        if outside.size:
+            raise ConfigError(f"simulation.x0 puts subsystem {outside[0]} outside the state grid")
         mismatch = xi - grid.state.centers()[idx] @ c.P.T
         terms[1 + member] = bundle.ic.mu[member] * np.sum(mismatch @ c.M_bar * mismatch, axis=1)
     # a cumulative sum adds left to right, one term at a time
@@ -809,7 +820,7 @@ def _stage_bound(bundle: PipelineBundle, ctx: dict) -> None:
 
     x0 = _initial_state(bundle, required=False)
     if x0.size:
-        v0 = _initial_v0(bundle, ctx, x0)
+        v0 = _initial_v0(bundle, x0)
     else:
         v0 = _field(cfg, "bound", "v0", _nonnegative, 0.0)
 
@@ -866,7 +877,7 @@ def _stage_simulate(bundle: PipelineBundle, ctx: dict) -> None:
     )
     result = rt.cosimulate(bundle.systems, bundle.ic, bundle.discs,
                            ctx["abstractions"], ctx["controllers"],
-                           ctx["certs"], config, x0)
+                           bundle.certs, config, x0)
     payload = result.summary.to_dict()
     payload["theoretical_violation_bound"] = bound.violation_bound
     payload["cp95_below_theoretical"] = bool(result.summary.cp95_upper <= bound.violation_bound)
@@ -911,8 +922,11 @@ def run_pipeline(source, stages=None, seed=None, out_dir=None) -> int:
             bundle.sim_config["seed"] = int(seed)
         if out_dir is not None:
             bundle.out_dir = Path(out_dir)
+    except CheckFailed as exc:  # solve mode could not find a certificate
+        print(f"condition violated: {exc.condition} ({exc.detail})", file=sys.stderr)
+        return EXIT_CONDITION
     except (StochsymError, KeyError, TypeError, ValueError) as exc:
-        # anything raised while resolving the document is a config problem
+        # anything else raised while resolving the document is a config problem
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -185,8 +185,8 @@ class SimConfig:
     A run estimates the event the closeness bound bounds, so `horizon` and
     `epsilon` are the bound's (`bound.horizon`, `bound.epsilon` in a config).
     The worker count defaults to the CPUs the process may use, at most
-    `_DEFAULT_WORKERS` (2); the `STOCHSYM_THREADS` environment variable sets
-    it instead.  No worker count changes any result.
+    `_DEFAULT_WORKERS` (2); the `STOCHSYM_THREADS` environment variable, a
+    positive integer, sets it instead.  No worker count changes any result.
     """
 
     n_trials: int
@@ -207,9 +207,10 @@ class SimConfig:
             raise ConfigError("bound.epsilon must be a finite number > 0")
 
     def workers(self) -> int:
-        env = os.environ.get("STOCHSYM_THREADS", "")
-        if env.isdigit():
-            return max(1, int(env))
+        if env := os.environ.get("STOCHSYM_THREADS"):
+            if not (env.isdecimal() and int(env) >= 1):
+                raise ConfigError(f"STOCHSYM_THREADS must be a positive integer, got {env!r}")
+            return int(env)
         if hasattr(os, "sched_getaffinity"):
             cpus = len(os.sched_getaffinity(0))
         else:

@@ -39,12 +39,12 @@ def room_certificate(gamma_slope: float = 2.0, k_gain: float | None = None) -> s
     k = (-0.5 * kt - a) / b if k_gain is None else k_gain
     return st.StorageCertificate(
         M_bar=1.0, K=k, P=1.0, Q=a / b, H=ROOM["eta"] / b,
-        kappa_tilde=kt, tau=ROOM["tau"], pi=ROOM["pi"],
+        kappa_tilde=kt, pi=ROOM["pi"],
         kappa_bar=ROOM["kappa_bar"],
         Xbar11=e * ROOM["tau"] * ROOM["eta"] ** 2,
         Xbar12=0.0, Xbar21=0.0,
         Xbar22=-ROOM["pi"] * e * ROOM["tau"] * (ROOM["theta"] * ROOM["t_h"]) ** 2,
-        gamma_slope=gamma_slope, delta=0.005,
+        gamma_slope=gamma_slope,
     )
 
 

@@ -43,10 +43,11 @@ def test_criterion_1_case_study_certificates(tmp_path):
         ok &= rq < 1e-12 and rh < 1e-12
         cert = entry["certificate"]
         ok &= abs(cert["Q"][0][0] - -0.21) <= 1e-15 and cert["H"] == [[0.1]]
-        ok &= cert["kappa_bar"] == 0.499 and cert["pi"] == 1.0 and cert["tau"] == 0.1
+        ok &= cert["kappa_bar"] == 0.499 and cert["pi"] == 1.0
+    ok &= cfg["discretization"]["tau"] == 0.1
     # the (1,1) entry of the dissipation residual carries the 0.498-level margin
     room = room_system()
-    diss = st.check_dissipativity_lmi(room_certificate(), room)
+    diss = st.check_dissipativity_lmi(room_certificate(), room, 0.1)
     ok &= diss.ok and diss.residual[0, 0] >= 0.498
     ok &= elapsed < 1.0
     detail.append(f"residuals<1e-12, diss(1,1)={diss.residual[0, 0]:.5f}, "

@@ -137,7 +137,7 @@ class TestSolveCandidates:
 
 class TestDissipativity:
     def test_room_reference_blocks(self, room, room_cert):
-        res = st.check_dissipativity_lmi(room_cert, room)
+        res = st.check_dissipativity_lmi(room_cert, room, 0.1)
         assert res.ok
         # by-hand residual: diag(kappa_bar - 2 pi e tau B^2, 0)
         e = math.exp(-KT_ROOM * 0.1)
@@ -146,14 +146,14 @@ class TestDissipativity:
         assert res.residual[1, 1] == pytest.approx(0.0, abs=1e-15)
 
     def test_kappa_bar_boundary_rejected(self, room, room_cert):
-        bad = StorageCertificate.from_dict({**room_cert.to_dict(), "kappa_bar": 0.0})
+        bad = StorageCertificate(**{**room_cert.to_dict(), "kappa_bar": 0.0})
         with pytest.raises(KappaBarOutOfRange):
-            st.check_dissipativity_lmi(bad, room)
+            st.check_dissipativity_lmi(bad, room, 0.1)
 
     def test_large_pi_violates_internal_block(self, room, room_cert):
         # pi = 4 pushes the internal-input block past its Xbar11 budget
-        bad = StorageCertificate.from_dict({**room_cert.to_dict(), "pi": 4.0})
-        res = st.check_dissipativity_lmi(bad, room)
+        bad = StorageCertificate(**{**room_cert.to_dict(), "pi": 4.0})
+        res = st.check_dissipativity_lmi(bad, room, 0.1)
         assert not res.ok
         assert res.residual[1, 1] < 0
 
@@ -164,33 +164,33 @@ class TestDissipativity:
                                input_box=st.Box([-1], [1]), internal_box=st.Box([-1], [1]))
         cert = StorageCertificate(
             M_bar=np.eye(2), K=np.zeros((1, 2)), P=np.eye(2), Q=np.zeros((1, 2)),
-            H=np.zeros((1, 1)), kappa_tilde=1.0, tau=0.1, pi=1.0, kappa_bar=0.4,
+            H=np.zeros((1, 1)), kappa_tilde=1.0, pi=1.0, kappa_bar=0.4,
             Xbar11=0.0, Xbar12=np.zeros((1, 2)), Xbar21=np.zeros((2, 1)),
             Xbar22=np.zeros((2, 2)))
         with pytest.raises(DimensionMismatch):
-            st.check_dissipativity_lmi(cert, sys_)
+            st.check_dissipativity_lmi(cert, sys_, 0.1)
 
     def test_joint_rescale_recomputed(self, room, room_cert):
         # pi -> pi/c with M_bar -> c M_bar and X blocks rescaled keeps the verdict,
         # established by recomputation rather than assumption
         c = 4.0
-        scaled = StorageCertificate.from_dict({
+        scaled = StorageCertificate(**{
             **room_cert.to_dict(),
             "pi": room_cert.pi / c,
             "M_bar": (c * room_cert.M_bar).tolist(),
             "Xbar11": (c * room_cert.Xbar11).tolist(),
             "Xbar22": (c * room_cert.Xbar22).tolist(),
         })
-        base = st.check_dissipativity_lmi(room_cert, room)
-        res = st.check_dissipativity_lmi(scaled, room)
+        base = st.check_dissipativity_lmi(room_cert, room, 0.1)
+        res = st.check_dissipativity_lmi(scaled, room, 0.1)
         assert res.ok == base.ok
         # inconsistent rescale (M_bar only) must be re-checked, not assumed:
         # kappa_bar c M_bar grows while the B-block grows the same way, but the
         # Xbar22 budget is unscaled, so the verdict can flip for large c
-        lopsided = StorageCertificate.from_dict({
+        lopsided = StorageCertificate(**{
             **room_cert.to_dict(), "M_bar": [[4000.0]],
         })
-        res2 = st.check_dissipativity_lmi(lopsided, room)
+        res2 = st.check_dissipativity_lmi(lopsided, room, 0.1)
         assert isinstance(res2.ok, bool)
 
 
@@ -201,7 +201,7 @@ class TestGammaSlope:
         assert st.gamma_slope_bound(room_cert, sys_) == pytest.approx(3.0, rel=1e-12)
 
     def test_degenerate_p(self, room, room_cert):
-        cert = StorageCertificate.from_dict({**room_cert.to_dict(), "P": [[0.0]]})
+        cert = StorageCertificate(**{**room_cert.to_dict(), "P": [[0.0]]})
         assert st.gamma_slope_bound(cert, room) == 0.0
 
     def test_override_reproduces_tight_slope(self, room, room_cert):
@@ -241,7 +241,7 @@ class TestDeriveConstants:
     def test_psi_scales_with_m_bar_exactly(self, room, noise_free_disc):
         base = room_certificate()
         c = 4.0  # power of two: scaling is exact in floating point
-        scaled = StorageCertificate.from_dict({
+        scaled = StorageCertificate(**{
             **base.to_dict(),
             "M_bar": (c * base.M_bar).tolist(),
             "Xbar11": (c * base.Xbar11).tolist(),
@@ -262,7 +262,7 @@ class TestDeriveConstants:
                                           D_tilde=rng.uniform(0, 0.5),
                                           R_tilde=rng.uniform(1e-3, 0.5))
             full = st.derive_constants(cert, room, noisy,
-                                       w_hat_bound=rng.uniform(0, 50.0))
+                                       w_hat_bound=rng.uniform(0, 50.0), delta=0.005)
             assert base.psi <= full.psi
 
     def test_kappa_strictly_inside_unit_interval(self, room, noise_free_disc):
@@ -272,7 +272,7 @@ class TestDeriveConstants:
             gap = rng.uniform(0.005, min(0.09, 0.99 - kb))
             kt = st.kappa_tilde_from(kb, kb + gap, 0.1)
             scale = 1.0 * gap * 0.1  # pi e^{-kt tau} tau, with e^{-kt tau} = gap
-            cert = StorageCertificate.from_dict({
+            cert = StorageCertificate(**{
                 **room_certificate().to_dict(),
                 "kappa_bar": kb, "kappa_tilde": kt,
                 "K": [[(-0.5 * kt + 0.105) / 0.5]],
@@ -284,7 +284,7 @@ class TestDeriveConstants:
             assert const.kappa == pytest.approx(kb + gap, rel=1e-12)
 
     def test_check_failure_propagates(self, room, noise_free_disc, room_cert):
-        bad = StorageCertificate.from_dict({**room_cert.to_dict(), "Q": [[5.0]]})
+        bad = StorageCertificate(**{**room_cert.to_dict(), "Q": [[5.0]]})
         with pytest.raises(CheckFailed) as exc:
             st.derive_constants(bad, room, noise_free_disc)
         assert exc.value.condition == "Con_2"
@@ -297,7 +297,7 @@ def test_kappa_tilde_from_round_trip():
 
 
 def test_certificate_json_round_trip(room_cert):
-    # the path certificates.json takes: to_dict, JSON text, from_dict
-    restored = StorageCertificate.from_dict(json.loads(json.dumps(room_cert.to_dict())))
+    # to_dict, JSON text and back
+    restored = StorageCertificate(**json.loads(json.dumps(room_cert.to_dict())))
     assert restored.to_dict() == room_cert.to_dict()
-    assert validate_certificate(restored)
+    assert validate_certificate(restored, 0.1)

@@ -41,7 +41,9 @@ class TestGenerateRooms:
         assert cert["H"][0][0] == pytest.approx(0.1)
         assert cert["kappa_bar"] == 0.499
         assert cert["pi"] == 1.0
-        assert cert["tau"] == 0.1
+        # tau and the quantization radius are the discretization's and the grid's
+        assert cfg["discretization"]["tau"] == 0.1
+        assert "tau" not in cert and "delta" not in cert
         # gain is at least as strong as the closed-form stabilizing bound
         assert cert["K"][0][0] <= -68.85
 
@@ -126,7 +128,7 @@ class TestLoadConfig:
 
     def test_malformed_coupling_is_config_error(self, tmp_path):
         cfg = small_rooms(tmp_path)
-        cfg["interconnection"]["coupling"] = {"kind": "circular", "n": 2}
+        cfg["systems"]["replicate"] = 2  # too few subsystems for a ring
         assert run_pipeline(cfg) == EXIT_CONFIG
         cfg2 = small_rooms(tmp_path)
         del cfg2["discretization"]["tau"]
@@ -302,7 +304,6 @@ class TestRunPipeline:
         cfg["discretization"]["R_tilde"] = [[0.002]]
         cfg["grid"] = {"state_widths": [0.05], "input_widths": [0.005],
                        "internal_widths": [2.0]}
-        cfg["certificates"]["values"][0]["delta"] = 0.05  # match the grid
         cfg["safety"]["horizon"] = 12
         rc = run_pipeline(cfg)
         assert rc == EXIT_OK
@@ -362,7 +363,7 @@ def test_rooms_with_different_p_get_their_own_abstraction(tmp_path):
     bundle = load_config(cfg)
     assert bundle.ic.group_of.tolist() == [0, 0, 1, 0]
     (tmp_path / "out").mkdir()
-    ctx = {"out": tmp_path / "out", "certs": bundle.certs}
+    ctx = {"out": tmp_path / "out"}
     cli._stage_abstract(bundle, ctx)
     fas = ctx["abstractions"]
     assert len(fas) == 2 and fas[0] is not fas[1]
@@ -487,7 +488,7 @@ class TestVerifyOncePerGroup:
         row = row_of(own, 2)
         assert row["certificate"]["K"] == values[2]["K"]
         bundle = load_config(cfg)
-        cert = st.StorageCertificate.from_dict(values[2])
+        cert = st.StorageCertificate(**values[2])
         lyap = st.check_lyapunov(bundle.systems[bundle.ic.group_of[2]], cert.M_bar, cert.K,
                                  cert.kappa_tilde)
         assert row["lyapunov_margin"] == lyap.margin
@@ -528,14 +529,11 @@ def test_equal_per_room_certificates_share_one_group(tmp_path):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("gamma_slope", 3.0), ("delta", 0.01), ("Xbar22", [[-1.0]]), ("tau", 0.2),
+    ("gamma_slope", 3.0), ("kappa_bar", 0.498), ("Xbar22", [[-1.0]]), ("eta_bar", 2.0),
 ])
 def test_rooms_with_any_differing_certificate_field_split(tmp_path, field, value):
     cfg = small_rooms(tmp_path)
     _per_room_certificates(cfg)[1][field] = value
-    if field == "tau":  # a certificate's tau is its discretization's
-        cfg["discretization"] = [dict(cfg["discretization"]) for _ in range(4)]
-        cfg["discretization"][1]["tau"] = value
     bundle = load_config(cfg)
     assert bundle.ic.group_of.tolist() == [0, 1, 0, 0]
     assert bundle.certs[1].to_dict()[field] == value
@@ -606,7 +604,6 @@ def test_initial_v0_matches_per_room_quantization(tmp_path):
     values[3].update(P=[[0.999]], M_bar=[[2.0]])
     bundle = load_config(cfg)
     assert bundle.ic.group_of.tolist() == [0, 0, 0, 1, 0]
-    ctx = {"certs": bundle.certs}
     x0 = np.array([20.5, 20.013, 20.9991, 20.4, 20.0002])
     expected = 0.0
     for i, g in enumerate(bundle.ic.group_of):
@@ -614,10 +611,10 @@ def test_initial_v0_matches_per_room_quantization(tmp_path):
         q = st.quantize(grid.state, x0[i:i + 1])
         m = x0[i:i + 1] - c.P @ q.representative
         expected += float(bundle.ic.mu[i]) * float(m @ c.M_bar @ m)
-    assert cli._initial_v0(bundle, ctx, x0) == expected
+    assert cli._initial_v0(bundle, x0) == expected
     x0[4] = 21.5
-    with pytest.raises(ConfigError, match="outside the state grid"):
-        cli._initial_v0(bundle, ctx, x0)
+    with pytest.raises(ConfigError, match="simulation.x0 puts subsystem 4 outside the state grid"):
+        cli._initial_v0(bundle, x0)
 
 
 def test_wrong_length_x0_is_config_error(tmp_path, capsys):
@@ -680,7 +677,7 @@ def test_non_finite_coupling_is_config_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("coupling, message", [
     ({"kind": "ring"}, "interconnection.coupling.kind must be"),
-    ({"kind": "circular"}, "interconnection.coupling.n is missing"),
+    ({"kind": "circular", "n": 4}, "interconnection.coupling.n is no longer read"),
     ({"kind": "dense"}, "interconnection.coupling.M is missing"),
 ])
 def test_coupling_error_names_the_field(tmp_path, capsys, coupling, message):
@@ -740,6 +737,19 @@ def _solve_mode(cfg):
         n=4, theta=0.0)["certificates"].items() if key != "kappa_tilde"}
 
 
+def _solved(edit=None):
+    # solve mode with the given certificate's shared fields, which the
+    # solve completes to a valid certificate of the demo room
+    def apply(cfg):
+        given = cfg["certificates"]["values"][0]
+        cfg["certificates"] = {"mode": "solve", **{key: given[key] for key in (
+            "kappa_tilde", "pi", "kappa_bar", "gamma_slope",
+            "Xbar11", "Xbar12", "Xbar21", "Xbar22")}}
+        if edit is not None:
+            edit(cfg["certificates"])
+    return apply
+
+
 def _flat_coupling(m):
     # the coupling as a bare interconnection.M
     def apply(cfg):
@@ -757,6 +767,7 @@ def _without_x0(edit):
 
 
 @pytest.mark.parametrize("edit, field", [
+    # coupling.n is no longer read: any value exits 3 naming it
     (_set(("interconnection", "coupling", "n"), 4.9), "interconnection.coupling.n"),
     (_set(("interconnection", "coupling", "n"), True), "interconnection.coupling.n"),
     (_set(("systems", "replicate"), 4.5), "systems.replicate"),
@@ -765,9 +776,10 @@ def _without_x0(edit):
     (_set(("safety", "horizon"), True), "safety.horizon"),
     (_set(("safety", "horizon"), 12.5), "safety.horizon"),
     (_set(("simulation", "record_outputs"), "false"), "simulation.record_outputs"),
-    (_cert_edit(lambda v: v.update(unknown=1.0)), "certificates.values[0]"),
-    (_cert_edit(lambda v: v.pop("K")), "certificates.values[0]"),
-    (_cert_edit(lambda v: v.update(K=[["fast"]])), "certificates.values[0]"),
+    (_cert_edit(lambda v: v.update(unknown=1.0)),
+     "certificates.values[0].unknown is not a certificate field"),
+    (_cert_edit(lambda v: v.pop("K")), "certificates.values[0].K is missing"),
+    (_cert_edit(lambda v: v.update(K=[["fast"]])), "certificates.values[0].K is malformed"),
     (_set(("certificates", "values"), None), "certificates.values"),
     (_solve_mode, "certificates.kappa_tilde"),
     (_set(("bound", "alpha_mode"), "loose"), "bound.alpha_mode"),
@@ -805,6 +817,10 @@ def _without_x0(edit):
     (_flat_coupling([[0, 1], [1, 0]]), "interconnection.M"),
     (_set(("certificates", "mode"), 5), "certificates.mode"),
     (_set(("certificates",), None), "certificates.values"),
+    (_set(("simulation", "x0"), [20.5, 20.5, 21.5, 20.5]),
+     "simulation.x0 puts subsystem 2 outside the state grid"),
+    (lambda cfg: (cfg["discretization"].update(R_tilde=[[0.002]]), cfg.pop("grid")),
+     "grid is missing: the defect of a nonzero discretization.R_tilde"),
 ], ids=["n-fraction", "n-bool", "replicate-fraction", "bound-horizon-fraction",
         "n_trials-fraction", "safety-horizon-bool", "safety-horizon-fraction",
         "record_outputs-string", "cert-unknown-key", "cert-missing-key",
@@ -817,7 +833,7 @@ def _without_x0(edit):
         "R_tilde-string", "state_box-string", "state_box-sizes-differ", "A-string",
         "discretization-number", "grid-string", "stages-number", "output_dir-number",
         "mu-wrong-length", "coupling-M-wrong-shape", "M-wrong-shape", "cert-mode-number",
-        "certificates-missing"])
+        "certificates-missing", "x0-outside-grid", "noisy-without-grid"])
 def test_config_error_exits_3_and_names_its_field(tmp_path, capsys, edit, field):
     cfg = small_rooms(tmp_path, trials=8)
     edit(cfg)
@@ -832,7 +848,7 @@ LOADED_FIELDS = [
     *(f"systems.template.{box}{end}" for box in ("state_box", "input_box", "internal_box")
       for end in ("", ".lower", ".upper")),
     "interconnection", "interconnection.coupling", "interconnection.coupling.kind",
-    "interconnection.coupling.n", "interconnection.mu",
+    "interconnection.mu",
     "discretization", "discretization.tau", "discretization.D_tilde",
     "discretization.R_tilde",
     "grid", "grid.state_widths", "grid.input_widths", "grid.internal_widths",
@@ -877,19 +893,28 @@ def test_unknown_key_is_ignored(tmp_path):
     assert run_pipeline(cfg) == EXIT_OK
 
 
-@pytest.mark.parametrize("block, field, value, now", [
-    ("simulation", "epsilon", 0.5, "bound.epsilon"),
-    ("simulation", "horizon", 12, "bound.horizon"),
-    ("bound", "nu_hat_sup", 0.0, "input grids"),
-    ("interconnection", "M", circular_coupling(4).toarray().tolist(),
-     "interconnection.coupling"),
-], ids=["simulation.epsilon", "simulation.horizon", "bound.nu_hat_sup", "interconnection.M"])
-def test_moved_setting_is_config_error(tmp_path, capsys, block, field, value, now):
+@pytest.mark.parametrize("edit, path, now", [
+    (_set(("simulation", "epsilon"), 0.5), "simulation.epsilon", "bound.epsilon"),
+    (_set(("simulation", "horizon"), 12), "simulation.horizon", "bound.horizon"),
+    (_set(("bound", "nu_hat_sup"), 0.0), "bound.nu_hat_sup", "input grids"),
+    (_set(("interconnection", "M"), circular_coupling(4).toarray().tolist()),
+     "interconnection.M", "interconnection.coupling"),
+    (_set(("interconnection", "coupling", "n"), 4), "interconnection.coupling.n",
+     "one node per subsystem"),
+    (_cert_edit(lambda v: v.update(tau=0.1)), "certificates.values[0].tau",
+     "discretization.tau"),
+    (_cert_edit(lambda v: v.update(delta=0.005)), "certificates.values[0].delta",
+     "state grid"),
+    (_solved(lambda c: c.update(delta=0.005)), "certificates.delta", "state grid"),
+], ids=["simulation.epsilon", "simulation.horizon", "bound.nu_hat_sup", "interconnection.M",
+        "interconnection.coupling.n", "certificates.values[0].tau",
+        "certificates.values[0].delta", "certificates.delta"])
+def test_moved_setting_is_config_error(tmp_path, capsys, edit, path, now):
     # even a value that agrees with its replacement exits 3: ignoring a
     # setting that used to be read would change a result without saying so
     cfg = small_rooms(tmp_path, trials=8)
-    cfg[block][field] = value
-    with pytest.raises(ConfigError, match=re.escape(f"{block}.{field} is no longer read")):
+    edit(cfg)
+    with pytest.raises(ConfigError, match=re.escape(f"{path} is no longer read")):
         load_config(cfg)
     assert run_pipeline(cfg) == EXIT_CONFIG
     assert now in capsys.readouterr().err
@@ -923,6 +948,7 @@ def test_simulation_checks_the_bounds_event(tmp_path):
     (_cert_edit(lambda v: v.update(K=[[-400.0, 0.0]])), "certificates.values[0].K"),
     (_cert_edit(lambda v: v.update(Xbar11=[[0.0, 0.0], [0.0, 0.0]])),
      "certificates.values[0].Xbar11"),
+    # a certificate's tau is no longer read: the discretization's is used
     (_cert_edit(lambda v: v.update(tau=0.2)), "certificates.values[0].tau"),
     (lambda cfg: _per_room_certificates(cfg)[2].update(P=[[1.0, 0.0]]),
      "certificates.values[2].P"),
@@ -930,8 +956,11 @@ def test_simulation_checks_the_bounds_event(tmp_path):
     (_set(("discretization", "R_tilde"), [[0.0], [0.0]]), "discretization.R_tilde"),
     (_set(("safety",), {"lower": [20.0, 20.0], "upper": [21.0, 21.0]}), "safety.lower"),
     (_set(("systems", "template", "A"), [[float("nan")]]), "systems.template.A"),
+    (_solved(lambda c: c.update(Xbar11=[[0.0, 0.0], [0.0, 0.0]])), "certificates.Xbar11"),
+    (_solved(lambda c: c.update(Xbar12=[[0.0, 0.0]])), "certificates.Xbar12"),
 ], ids=["P", "Q", "M_bar", "Xbar12", "Xbar21", "Xbar22", "H", "K", "Xbar11", "tau",
-        "P-of-room-2", "D_tilde", "R_tilde", "safety-2d", "A-nan"])
+        "P-of-room-2", "D_tilde", "R_tilde", "safety-2d", "A-nan", "solve-Xbar11",
+        "solve-Xbar12"])
 def test_shape_error_against_the_subsystem_names_its_path(tmp_path, capsys, edit, path):
     # a certificate, discretization or safety box that does not fit its
     # subsystem is a config error when the config loads, not a traceback,
@@ -1013,8 +1042,31 @@ def test_every_generated_key_is_read(tmp_path):
 def test_integral_float_counts_are_accepted(tmp_path):
     cfg = small_rooms(tmp_path, trials=8)
     cfg["systems"]["replicate"] = 4.0
-    cfg["interconnection"]["coupling"]["n"] = 4.0
     cfg["simulation"]["n_trials"] = 8.0
     assert run_pipeline(cfg) == EXIT_OK
     summary = json.loads((tmp_path / "out" / "simulation_summary.json").read_text())
     assert summary["n_trials"] == 8
+
+
+@pytest.mark.parametrize("mode", ["given", "solve"])
+def test_noisy_defect_takes_the_grids_quantization_radius(tmp_path, mode):
+    # the defect's quantization term is L (1 + eta_bar) delta with the state
+    # grid's cell radius: 2 * 2 * 0.05 = 0.2 of psi per room once the grid
+    # is widened from the generated 0.005 to 0.05
+    cfg = small_rooms(tmp_path, input_step=0.005)
+    if mode == "solve":
+        _solved()(cfg)
+    cfg["grid"]["state_widths"] = [0.05]
+    cfg["discretization"]["R_tilde"] = [[0.002]]
+    cfg["safety"]["horizon"] = 12
+    stages = ["verify", "compose", "abstract", "synthesize", "bound"]
+    assert run_pipeline(cfg, stages=stages) == EXIT_OK
+    bound = json.loads((tmp_path / "out" / "bound.json").read_text())
+    assert bound["psi_hat_formula"] == pytest.approx(1.5041, abs=1e-4)
+
+
+@pytest.mark.parametrize("threads", ["two", "-1", "0"])
+def test_malformed_thread_count_is_config_error(tmp_path, capsys, monkeypatch, threads):
+    monkeypatch.setenv("STOCHSYM_THREADS", threads)
+    assert run_pipeline(small_rooms(tmp_path, trials=8)) == EXIT_CONFIG
+    assert "STOCHSYM_THREADS" in capsys.readouterr().err

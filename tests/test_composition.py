@@ -21,7 +21,7 @@ D_BLOCK = -E_TERM * 0.1 * 0.25
 
 def scalar_cert(a, d, x12=0.0) -> StorageCertificate:
     return StorageCertificate(
-        M_bar=1.0, K=-10.0, P=1.0, Q=0.0, H=0.0, kappa_tilde=69.0, tau=0.1,
+        M_bar=1.0, K=-10.0, P=1.0, Q=0.0, H=0.0, kappa_tilde=69.0,
         pi=1.0, kappa_bar=0.4, Xbar11=a, Xbar12=x12, Xbar21=x12, Xbar22=d,
     )
 
@@ -368,7 +368,7 @@ class TestComposeSsf:
     def test_composition_result_serializes_with_margin(self, tmp_path):
         bundle, ctx, payload = compose_stage_payload(tmp_path, n=3)
         lmi = st.check_compositional_lmi(st.network_form(bundle.ic.M, st.supply_blocks(
-            ctx["certs"], bundle.ic.mu, bundle.ic.group_of)))
+            bundle.certs, bundle.ic.mu, bundle.ic.group_of)))
         assert payload["lmi_margin"] == -lmi.margin
         assert payload["q_tilde"] == 3
         assert payload["x_cmp_shape"] == [6, 6] and "x_cmp" not in payload
@@ -382,7 +382,7 @@ def random_supply_cert(rng, p, q, scale=1.0, shift=0.0) -> StorageCertificate:
     a = rng.standard_normal((p, p))
     d = rng.standard_normal((q, q))
     return StorageCertificate(
-        M_bar=1.0, K=-10.0, P=1.0, Q=0.0, H=0.0, kappa_tilde=69.0, tau=0.1,
+        M_bar=1.0, K=-10.0, P=1.0, Q=0.0, H=0.0, kappa_tilde=69.0,
         pi=1.0, kappa_bar=0.4, Xbar11=scale * (a @ a.T),
         Xbar12=scale * rng.standard_normal((p, q)),
         Xbar21=scale * rng.standard_normal((q, p)), Xbar22=-(d @ d.T) - shift * np.eye(q),
@@ -470,7 +470,7 @@ def test_compose_stage_never_builds_x_cmp(tmp_path):
     assert payload["q_tilde"] == 400
     assert payload["ssf"] == ctx["ssf"].to_dict()
     lmi = st.check_compositional_lmi(st.network_form(bundle.ic.M, st.supply_blocks(
-        ctx["certs"], bundle.ic.mu, bundle.ic.group_of)))
+        bundle.certs, bundle.ic.mu, bundle.ic.group_of)))
     assert payload["lmi_margin"] == -lmi.margin == -payload["lmi_bracket"][1] > 0
     assert payload["gershgorin"]["ok"] and set(payload["gershgorin"]) == {"ok", "bound"}
 
