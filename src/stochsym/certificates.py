@@ -94,7 +94,6 @@ class StorageCertificate:
     eta_bar: float = 1.0
     eta_bar_p: float = 1.0
     eta_bar_pp: float = 1.0
-    gamma_slope: float = 0.0
 
     def __post_init__(self):
         for f in fields(self):  # the matrices have capitalized names
@@ -304,8 +303,6 @@ def validate_certificate(cert: StorageCertificate, tau: float) -> bool:
         raise Infeasible("pi must be positive")
     if min(cert.eta_bar, cert.eta_bar_p, cert.eta_bar_pp) <= 0:
         raise Infeasible("eta slack constants must be positive")
-    if cert.gamma_slope < 0:
-        raise Infeasible("gamma_slope must be nonnegative")
     if cert.Xbar21.shape != cert.Xbar12.T.shape or np.any(cert.Xbar21 != cert.Xbar12.T):
         raise DimensionMismatch("Xbar21", "supply-rate matrix must be symmetric")
     return True
@@ -349,32 +346,24 @@ def check_dissipativity_lmi(cert: StorageCertificate, sys: AffineSystem,
                               residual=residual)
 
 
-def gamma_slope_bound(
-    cert: StorageCertificate,
-    sys: AffineSystem,
-    max_mismatch: float | None = None,
-    diameter: float | None = None,
-) -> float:
-    """Slope of a linear concave majorant of S(x, x') - S(x, x'') on the state box.
+def gamma_slope_bound(cert: StorageCertificate, sys: AffineSystem) -> float:
+    """Slope L of a linear majorant of S(x, x') - S(x, x'') on the state box.
 
-    Returns L = 2 lam_max(M_bar) ||P|| Delta + lam_max(M_bar) ||P||^2 d, where
-    Delta bounds ||x - P x''|| over the box (interval arithmetic) and d is the
-    box diameter.  Both ingredients accept tighter user overrides, e.g. from a
-    known reachable tube.
+    L = 2 lam_max(M_bar) ||P|| Delta, where Delta bounds ||x - P x''|| over the
+    box (interval arithmetic).  With a = x - P x' and b = x - P x'', symmetric
+    M_bar gives a^T M_bar a - b^T M_bar b = (a - b)^T M_bar (a + b) with
+    a - b = P (x'' - x'), so the difference is at most
+    lam_max ||P|| ||x' - x''|| (||a|| + ||b||) <= L ||x' - x''|| for every x,
+    x', x'' in the box.
     """
     box = sys.state_box
     if not box.is_bounded():
         raise UnboundedStateBox("state box must be compact for a linear majorant")
-    lam = _max_eig(cert.M_bar)
-    p_norm = float(np.linalg.norm(cert.P, 2))
-    if max_mismatch is None:
-        img = box.linear_image(cert.P)
-        lo = box.lower - img.upper
-        hi = box.upper - img.lower
-        max_mismatch = float(np.linalg.norm(np.maximum(np.abs(lo), np.abs(hi))))
-    if diameter is None:
-        diameter = box.diameter()
-    return 2.0 * lam * p_norm * max_mismatch + lam * p_norm**2 * diameter
+    img = box.linear_image(cert.P)
+    lo = box.lower - img.upper
+    hi = box.upper - img.lower
+    delta = float(np.linalg.norm(np.maximum(np.abs(lo), np.abs(hi))))
+    return 2.0 * _max_eig(cert.M_bar) * float(np.linalg.norm(cert.P, 2)) * delta
 
 
 @dataclass(frozen=True)
@@ -384,7 +373,16 @@ class VerifyReport:
     lyapunov: PsdCheck
     geometric: GeometricCheck
     dissipativity: DissipativityCheck
+    gamma_slope: float  # L of gamma(s) = L s, from `gamma_slope_bound`
     constants: SstfConstants
+
+    def to_dict(self) -> dict:
+        """The margins, residuals, slope and constants of a certificates.json row."""
+        return {"lyapunov_margin": self.lyapunov.margin,
+                "geometric_residuals": [self.geometric.residual_q, self.geometric.residual_h],
+                "dissipation_margin": self.dissipativity.margin,
+                "gamma_slope": self.gamma_slope,
+                "constants": self.constants.to_dict()}
 
 
 def verify(cert: StorageCertificate, sys: AffineSystem, disc: DiscretizationSpec,
@@ -398,7 +396,8 @@ def verify(cert: StorageCertificate, sys: AffineSystem, disc: DiscretizationSpec
     `CheckFailed` with its tag.
 
     alpha_coeff = lam_min(M_bar) / lam_max(C1^T C1) and
-    kappa = kappa_bar + e^{-kappa_tilde tau} always.  With gamma(s) = L s:
+    kappa = kappa_bar + e^{-kappa_tilde tau} always.  With gamma(s) = L s, where
+    L = `gamma_slope_bound(cert, sys)` is derived from M_bar, P and the state box:
 
       * noise-free abstract model with no internal feedthrough
         (R_tilde = 0, D_tilde = 0): rho_ext(s) = gamma(s), psi = psi0;
@@ -432,7 +431,7 @@ def verify(cert: StorageCertificate, sys: AffineSystem, disc: DiscretizationSpec
     offset_quad = float(sys.b @ cert.M_bar @ sys.b)
     psi0 = e_term * tau * (noise_quad + cert.pi * offset_quad)
 
-    L = cert.gamma_slope
+    L = gamma_slope_bound(cert, sys)
     eb, ebp, ebpp = cert.eta_bar, cert.eta_bar_p, cert.eta_bar_pp
     if disc.noise_free and disc.internal_free:
         slope = L
@@ -451,7 +450,7 @@ def verify(cert: StorageCertificate, sys: AffineSystem, disc: DiscretizationSpec
 
     c1_quad = sys.C1.T @ sys.C1
     alpha_coeff = _min_eig(cert.M_bar) / _max_eig(c1_quad)
-    return VerifyReport(lyap, geom, diss, SstfConstants(
+    return VerifyReport(lyap, geom, diss, L, SstfConstants(
         alpha_coeff=alpha_coeff, kappa=kappa, rho_ext_slope=slope, psi=psi))
 
 

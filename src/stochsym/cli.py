@@ -176,7 +176,6 @@ def generate_rooms(
                 "eta_bar": 1.0,
                 "eta_bar_p": 1.0,
                 "eta_bar_pp": 1.0,
-                "gamma_slope": 2.0,
             }],
         }
     else:
@@ -189,7 +188,6 @@ def generate_rooms(
             "Xbar12": [[0.0]],
             "Xbar21": [[0.0]],
             "Xbar22": [[0.0]],
-            "gamma_slope": 2.0,
         }
 
     state_grid = abst.UniformGrid.cover(
@@ -235,7 +233,10 @@ def generate_rooms(
 class PipelineBundle:
     """A resolved config: `systems`, `discs`, `grids` and `certs` (given or
     solved) hold one entry per group; subsystem i is in group
-    `ic.group_of[i]`, and groups are ordered by their lowest member."""
+    `ic.group_of[i]`, and groups are ordered by their lowest member.  `x0` is
+    `simulation.x0` (empty when absent) and `v0` the bound's initial storage:
+    at x0 and its quantization, `bound.v0` without x0, and None when a
+    group has no grid to quantize x0 in."""
 
     name: str
     systems: list
@@ -248,6 +249,8 @@ class PipelineBundle:
     sim_config: dict
     stages: list
     out_dir: Path
+    x0: np.ndarray
+    v0: float | None
 
 
 def _object(value, what: str) -> dict:
@@ -276,12 +279,15 @@ def _system_from(d, what: str, base_dir: Path) -> model.AffineSystem:
         except (OSError, ValueError) as exc:
             raise ConfigError(f"{what}.file: cannot read {ref} as JSON: {exc}") from exc
         d = _object(d, f"{what}.file")
-    return model.AffineSystem(
+    s = model.AffineSystem(
         **{name: _field(d, what, name, model.as_matrix)
            for name in ("A", "B", "C1", "C2", "D", "G")},
         b=_field(d, what, "b", model.as_vector),
         **{name: _box(d.get(name), f"{what}.{name}")
            for name in ("state_box", "input_box", "internal_box")})
+    if not s.state_box.is_bounded():  # checked before a grid covers it
+        raise ConfigError(f"{what}.state_box must be bounded: the gamma slope is derived over it")
+    return s
 
 
 def _block(raw: dict, name: str, default):
@@ -316,7 +322,7 @@ def _grid_from(s: model.AffineSystem, gdict, what: str) -> abst.AbstractionGrid 
 _CERT_DEFAULTS = {f.name: ... if f.default is dataclasses.MISSING else f.default
                   for f in dataclasses.fields(cert_mod.StorageCertificate)}
 #: the shared fields of certificates.mode "solve" and their defaults; the solve finds the rest
-_SOLVE_DEFAULTS = {"kappa_tilde": ..., "pi": 1.0, "kappa_bar": ..., "gamma_slope": 0.0,
+_SOLVE_DEFAULTS = {"kappa_tilde": ..., "pi": 1.0, "kappa_bar": ...,
                    **dict.fromkeys(("Xbar11", "Xbar12", "Xbar21", "Xbar22"), ...)}
 
 
@@ -428,6 +434,8 @@ _MOVED = {
     "certificates.values.tau": "it is the group's discretization.tau",
     "certificates.values.delta": "it is the cell radius of the group's state grid",
     "certificates.delta": "it is the cell radius of each group's state grid",
+    "certificates.values.gamma_slope": "it is derived from M_bar, P and the state box",
+    "certificates.gamma_slope": "it is derived from M_bar, P and the state box",
 }
 
 
@@ -445,7 +453,11 @@ def _coupling_from(spec, n: int):
     kind = _object(spec, what).get("kind")
     _reject_moved(spec, what)
     if kind == "circular":
-        return circular_coupling(n)
+        try:
+            return circular_coupling(n)
+        except TooFewRooms as exc:
+            raise ConfigError(f"{what} is malformed: {exc} (a ring has one node per "
+                              "subsystem: systems.replicate, or one per systems entry)") from exc
     if kind == "dense":
         return _field(spec, what, "M", _vector)
     raise ConfigError(f"{what}.kind must be 'circular' or 'dense', got {kind!r}")
@@ -470,7 +482,8 @@ def load_config(source) -> PipelineBundle:
     one group: the bundle holds each group's objects once and `ic.group_of`.
     Each group's objects and the safety box are checked against its system,
     and a setting in `_MOVED` is an error.  Solve mode then solves each
-    group's certificate (`CheckFailed` for a condition it cannot meet).
+    group's certificate (`CheckFailed` for a condition it cannot meet), and
+    `simulation.x0` is checked against the network's size and each grid.
     """
     base_dir = Path.cwd()
     if isinstance(source, (str, Path)):
@@ -564,7 +577,7 @@ def load_config(source) -> PipelineBundle:
 
     stages = _stage_prefix(_field(raw, "", "stages", list, list(STAGES)))
 
-    return PipelineBundle(
+    bundle = PipelineBundle(
         name=raw.get("name", "network"),
         systems=systems,
         ic=ic,
@@ -576,7 +589,15 @@ def load_config(source) -> PipelineBundle:
         sim_config=blocks["simulation"],
         stages=stages,
         out_dir=_field(raw, "", "output_dir", Path, "out"),
+        x0=_initial_state(blocks["simulation"], systems, group_of),
+        v0=None,
     )
+    if not bundle.x0.size:
+        bundle.v0 = _field(blocks["bound"], "bound", "v0", _nonnegative, 0.0)
+    elif all(g is not None for g in grids):
+        # x0 outside a grid is a ConfigError here, before any stage runs
+        bundle.v0 = _initial_v0(bundle, bundle.x0)
+    return bundle
 
 
 # ---------------------------------------------------------------------------
@@ -602,11 +623,7 @@ def _stage_verify(bundle: PipelineBundle, ctx: dict) -> None:
             # the lowest member speaks for its group
             raise CheckFailed(exc.condition, f"subsystem {member[0]}: {exc.detail}") from exc
     # one row per group; subsystem i's row is groups[group_of[i]]
-    groups = [{"lyapunov_margin": v.lyapunov.margin,
-               "geometric_residuals": [v.geometric.residual_q, v.geometric.residual_h],
-               "dissipation_margin": v.dissipativity.margin,
-               "constants": v.constants.to_dict(),
-               "certificate": c.to_dict()}
+    groups = [{**v.to_dict(), "certificate": c.to_dict()}
               for v, c in zip(verdicts, bundle.certs)]
     ctx["constants"] = [v.constants for v in verdicts]
     write_json(ctx["out"] / "certificates.json",
@@ -789,13 +806,12 @@ def _boolean(value) -> bool:
     return value
 
 
-def _initial_state(bundle: PipelineBundle, required: bool) -> np.ndarray:
-    """`simulation.x0`, one entry per stacked subsystem state; an optional
-    x0 that is absent or empty comes back empty."""
-    x0 = _field(bundle.sim_config, "simulation", "x0", _vector,
-                ... if required else [])
-    n_states = model.member_starts([s.n for s in bundle.systems], bundle.ic.group_of)[-1]
-    if (required or x0.size) and x0.shape != (n_states,):
+def _initial_state(sim: dict, systems: list, group_of: np.ndarray) -> np.ndarray:
+    """`simulation.x0` of the block `sim`, one entry per stacked subsystem
+    state; an x0 that is absent or empty comes back empty."""
+    x0 = _field(sim, "simulation", "x0", _vector, [])
+    n_states = model.member_starts([s.n for s in systems], group_of)[-1]
+    if x0.size and x0.shape != (n_states,):
         raise ConfigError(f"simulation.x0 has {x0.size} values, the network has "
                           f"{n_states} states")
     return x0
@@ -818,17 +834,12 @@ def _stage_bound(bundle: PipelineBundle, ctx: dict) -> None:
     override = _field(cfg, "bound", "psi_hat_override", _nonnegative, None)
     psi_hat_used = override if override is not None else psi_hat_formula
 
-    x0 = _initial_state(bundle, required=False)
-    if x0.size:
-        v0 = _initial_v0(bundle, x0)
-    else:
-        v0 = _field(cfg, "bound", "v0", _nonnegative, 0.0)
-
     alpha_eps = ssf.alpha(epsilon)
     bound = bnd.closeness_bound(epsilon, alpha_eps, ssf.kappa, psi_hat_used,
-                                v0, horizon)
+                                bundle.v0, horizon)
     payload = bound.to_dict()
-    formula = bnd.violation_probability(alpha_eps, ssf.kappa, psi_hat_formula, v0, horizon)
+    formula = bnd.violation_probability(alpha_eps, ssf.kappa, psi_hat_formula, bundle.v0,
+                                        horizon)
     payload.update({
         "alpha_of_eps": alpha_eps,
         "alpha_mode": ssf.alpha_mode,
@@ -865,7 +876,6 @@ def _stage_bound(bundle: PipelineBundle, ctx: dict) -> None:
 
 def _stage_simulate(bundle: PipelineBundle, ctx: dict) -> None:
     cfg = bundle.sim_config
-    x0 = _initial_state(bundle, required=True)
     bound = ctx["bound"]  # the Monte Carlo counts the event the bound stage bounded
     config = rt.SimConfig(
         n_trials=_field(cfg, "simulation", "n_trials", _integer),
@@ -877,7 +887,7 @@ def _stage_simulate(bundle: PipelineBundle, ctx: dict) -> None:
     )
     result = rt.cosimulate(bundle.systems, bundle.ic, bundle.discs,
                            ctx["abstractions"], ctx["controllers"],
-                           bundle.certs, config, x0)
+                           bundle.certs, config, bundle.x0)
     payload = result.summary.to_dict()
     payload["theoretical_violation_bound"] = bound.violation_bound
     payload["cp95_below_theoretical"] = bool(result.summary.cp95_upper <= bound.violation_bound)
@@ -922,6 +932,11 @@ def run_pipeline(source, stages=None, seed=None, out_dir=None) -> int:
             bundle.sim_config["seed"] = int(seed)
         if out_dir is not None:
             bundle.out_dir = Path(out_dir)
+        if "simulate" in bundle.stages:
+            # what the simulate stage reads besides its settings, before any artifact
+            if not bundle.x0.size:
+                raise ConfigError("simulation.x0 is missing")
+            rt.SimConfig.workers()
     except CheckFailed as exc:  # solve mode could not find a certificate
         print(f"condition violated: {exc.condition} ({exc.detail})", file=sys.stderr)
         return EXIT_CONDITION

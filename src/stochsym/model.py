@@ -137,9 +137,6 @@ class Box:
     def widths(self) -> np.ndarray:
         return self.upper - self.lower
 
-    def diameter(self) -> float:
-        return float(np.linalg.norm(self.widths))
-
     def is_bounded(self) -> bool:
         return bool(np.all(np.isfinite(self.lower)) and np.all(np.isfinite(self.upper)))
 

@@ -206,7 +206,8 @@ class SimConfig:
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
             raise ConfigError("bound.epsilon must be a finite number > 0")
 
-    def workers(self) -> int:
+    @staticmethod
+    def workers() -> int:
         if env := os.environ.get("STOCHSYM_THREADS"):
             if not (env.isdecimal() and int(env) >= 1):
                 raise ConfigError(f"STOCHSYM_THREADS must be a positive integer, got {env!r}")

@@ -31,7 +31,7 @@ def room_system() -> st.AffineSystem:
     )
 
 
-def room_certificate(gamma_slope: float = 2.0, k_gain: float | None = None) -> st.StorageCertificate:
+def room_certificate(k_gain: float | None = None) -> st.StorageCertificate:
     kt = st.kappa_tilde_from(ROOM["kappa_bar"], 0.5, ROOM["tau"])
     e = math.exp(-kt * ROOM["tau"])
     a = -2 * ROOM["eta"] - ROOM["beta"]
@@ -44,7 +44,6 @@ def room_certificate(gamma_slope: float = 2.0, k_gain: float | None = None) -> s
         Xbar11=e * ROOM["tau"] * ROOM["eta"] ** 2,
         Xbar12=0.0, Xbar21=0.0,
         Xbar22=-ROOM["pi"] * e * ROOM["tau"] * (ROOM["theta"] * ROOM["t_h"]) ** 2,
-        gamma_slope=gamma_slope,
     )
 
 

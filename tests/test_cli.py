@@ -10,6 +10,7 @@ from stochsym.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_RUNTIME,
+    STAGES,
     circular_coupling,
     generate_rooms,
     load_config,
@@ -126,10 +127,13 @@ class TestLoadConfig:
         assert run_pipeline(cfg) == EXIT_CONFIG
         assert "got ['verify', 'bound']" in capsys.readouterr().err
 
-    def test_malformed_coupling_is_config_error(self, tmp_path):
+    def test_malformed_coupling_is_config_error(self, tmp_path, capsys):
         cfg = small_rooms(tmp_path)
         cfg["systems"]["replicate"] = 2  # too few subsystems for a ring
         assert run_pipeline(cfg) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "interconnection.coupling is malformed: ring coupling needs at least 3 " \
+            "rooms, got 2" in err and "systems.replicate" in err
         cfg2 = small_rooms(tmp_path)
         del cfg2["discretization"]["tau"]
         assert run_pipeline(cfg2) == EXIT_CONFIG
@@ -529,7 +533,7 @@ def test_equal_per_room_certificates_share_one_group(tmp_path):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("gamma_slope", 3.0), ("kappa_bar", 0.498), ("Xbar22", [[-1.0]]), ("eta_bar", 2.0),
+    ("eta_bar_p", 3.0), ("kappa_bar", 0.498), ("Xbar22", [[-1.0]]), ("eta_bar", 2.0),
 ])
 def test_rooms_with_any_differing_certificate_field_split(tmp_path, field, value):
     cfg = small_rooms(tmp_path)
@@ -618,16 +622,20 @@ def test_initial_v0_matches_per_room_quantization(tmp_path):
 
 
 def test_wrong_length_x0_is_config_error(tmp_path, capsys):
-    from stochsym import cli
-
     cfg = small_rooms(tmp_path)
     cfg["simulation"]["x0"] = cfg["simulation"]["x0"][:3]
-    assert run_pipeline(cfg) == EXIT_CONFIG  # stops in the bound stage
+    assert run_pipeline(cfg) == EXIT_CONFIG  # stops before the first stage
     err = capsys.readouterr().err
     assert "simulation.x0" in err and "3 values" in err and "4 states" in err
-    bundle = load_config(cfg)
     with pytest.raises(ConfigError, match=r"simulation\.x0 has 3 values.*4 states"):
-        cli._stage_simulate(bundle, {})
+        load_config(cfg)
+    assert not (tmp_path / "out").exists()
+    del cfg["simulation"]["x0"]
+    bundle = load_config(cfg)  # the bound stage can run on bound.v0
+    assert bundle.x0.size == 0 and bundle.v0 == 0.0
+    assert run_pipeline(cfg) == EXIT_CONFIG
+    assert "simulation.x0 is missing" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("block", ["simulation", "bound", "safety",
@@ -743,8 +751,7 @@ def _solved(edit=None):
     def apply(cfg):
         given = cfg["certificates"]["values"][0]
         cfg["certificates"] = {"mode": "solve", **{key: given[key] for key in (
-            "kappa_tilde", "pi", "kappa_bar", "gamma_slope",
-            "Xbar11", "Xbar12", "Xbar21", "Xbar22")}}
+            "kappa_tilde", "pi", "kappa_bar", "Xbar11", "Xbar12", "Xbar21", "Xbar22")}}
         if edit is not None:
             edit(cfg["certificates"])
     return apply
@@ -821,6 +828,8 @@ def _without_x0(edit):
      "simulation.x0 puts subsystem 2 outside the state grid"),
     (lambda cfg: (cfg["discretization"].update(R_tilde=[[0.002]]), cfg.pop("grid")),
      "grid is missing: the defect of a nonzero discretization.R_tilde"),
+    (_set(("systems", "template", "state_box", "upper"), [float("inf")]),
+     "systems.template.state_box must be bounded"),
 ], ids=["n-fraction", "n-bool", "replicate-fraction", "bound-horizon-fraction",
         "n_trials-fraction", "safety-horizon-bool", "safety-horizon-fraction",
         "record_outputs-string", "cert-unknown-key", "cert-missing-key",
@@ -833,7 +842,8 @@ def _without_x0(edit):
         "R_tilde-string", "state_box-string", "state_box-sizes-differ", "A-string",
         "discretization-number", "grid-string", "stages-number", "output_dir-number",
         "mu-wrong-length", "coupling-M-wrong-shape", "M-wrong-shape", "cert-mode-number",
-        "certificates-missing", "x0-outside-grid", "noisy-without-grid"])
+        "certificates-missing", "x0-outside-grid", "noisy-without-grid",
+        "state_box-unbounded"])
 def test_config_error_exits_3_and_names_its_field(tmp_path, capsys, edit, field):
     cfg = small_rooms(tmp_path, trials=8)
     edit(cfg)
@@ -906,9 +916,14 @@ def test_unknown_key_is_ignored(tmp_path):
     (_cert_edit(lambda v: v.update(delta=0.005)), "certificates.values[0].delta",
      "state grid"),
     (_solved(lambda c: c.update(delta=0.005)), "certificates.delta", "state grid"),
+    (_cert_edit(lambda v: v.update(gamma_slope=2.0)), "certificates.values[0].gamma_slope",
+     "derived from M_bar, P and the state box"),
+    (_solved(lambda c: c.update(gamma_slope=2.0)), "certificates.gamma_slope",
+     "derived from M_bar, P and the state box"),
 ], ids=["simulation.epsilon", "simulation.horizon", "bound.nu_hat_sup", "interconnection.M",
         "interconnection.coupling.n", "certificates.values[0].tau",
-        "certificates.values[0].delta", "certificates.delta"])
+        "certificates.values[0].delta", "certificates.delta",
+        "certificates.values[0].gamma_slope", "certificates.gamma_slope"])
 def test_moved_setting_is_config_error(tmp_path, capsys, edit, path, now):
     # even a value that agrees with its replacement exits 3: ignoring a
     # setting that used to be read would change a result without saying so
@@ -1070,3 +1085,31 @@ def test_malformed_thread_count_is_config_error(tmp_path, capsys, monkeypatch, t
     monkeypatch.setenv("STOCHSYM_THREADS", threads)
     assert run_pipeline(small_rooms(tmp_path, trials=8)) == EXIT_CONFIG
     assert "STOCHSYM_THREADS" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()  # read before the first stage
+
+
+def test_x0_outside_the_grid_writes_no_artifact(tmp_path, capsys):
+    # load_config finds it, so the run stops before its first stage
+    cfg = small_rooms(tmp_path, trials=8)
+    cfg["simulation"]["x0"][2] = 21.5
+    with pytest.raises(ConfigError, match="simulation.x0 puts subsystem 2 outside"):
+        load_config(cfg)
+    assert run_pipeline(cfg) == EXIT_CONFIG
+    assert "simulation.x0 puts subsystem 2 outside" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_solve_mode_slope_is_derived_not_defaulted(tmp_path):
+    # the 100-room ring in solve mode without an override: each room's slope
+    # is 2 lam_max(M_bar) ||P|| Delta = 2, so the formula's defect is
+    # 100 * 2 * 0.01 + 100 * psi_i = 2.0025 and its bound says nothing
+    cfg = small_rooms(tmp_path, n=100)
+    _solved()(cfg)
+    del cfg["bound"]["psi_hat_override"]
+    assert run_pipeline(cfg, stages=list(STAGES[:5])) == EXIT_OK
+    bound = json.loads((tmp_path / "out" / "bound.json").read_text())
+    assert bound["psi_hat_formula"] == pytest.approx(2.0025, abs=1e-4)
+    assert bound["formula_vacuous"] is True
+    assert bound["violation_bound"] == 1.0
+    report = json.loads((tmp_path / "out" / "certificates.json").read_text())
+    assert [row["gamma_slope"] for row in report["groups"]] == [2.0]
