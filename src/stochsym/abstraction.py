@@ -386,11 +386,8 @@ def export_abstraction(abs_: FiniteAbstraction, json_path, csv_path) -> None:
     if not kernel.has_sorted_indices:
         kernel = kernel.sorted_indices()  # a copy; the shared kernel stays as it is
     indptr, cols = kernel.indptr, kernel.indices
-    # each distinct probability (bit pattern) is formatted once, as repr
     bits = np.asarray(kernel.data, dtype=np.float64).view(np.int64)
-    keys = np.unique(bits)
-    texts = np.array([repr(p) + "\n" for p in keys.view(np.float64).tolist()],
-                     dtype=object)
+    made: dict[int, str] = {}  # repr of each probability (bit pattern) met so far
     with open(csv_path, "w", newline="") as fh:
         fh.write("state,input,internal,target,prob\n")
         r0, n_rows = 0, kernel.shape[0]
@@ -400,7 +397,7 @@ def export_abstraction(abs_: FiniteAbstraction, json_path, csv_path) -> None:
             r1 = min(max(r1 - 1, r0 + 1), n_rows)
             counts = np.diff(indptr[r0:r1 + 1])
             take = slice(indptr[r0], indptr[r1])
-            # each row label and each distinct target is formatted once
+            # each row label, distinct target and distinct probability is formatted once
             s, rem = np.divmod(np.arange(r0, r1), U * W)
             u, w = np.divmod(rem, W)
             labels = list(map("%d,%d,%d,".__mod__, zip(s.tolist(), u.tolist(), w.tolist())))
@@ -409,6 +406,9 @@ def export_abstraction(abs_: FiniteAbstraction, json_path, csv_path) -> None:
             parts = np.empty((counts.sum(), 3), dtype=object)
             parts[:, 0] = np.repeat(np.array(labels, dtype=object), counts)
             parts[:, 1] = targets[target_of]
-            parts[:, 2] = texts[np.searchsorted(keys, bits[take])]
+            keys, key_of = np.unique(bits[take], return_inverse=True)
+            texts = [made.get(k) or made.setdefault(k, repr(p) + "\n") for k, p in
+                     zip(keys.tolist(), keys.view(np.float64).tolist())]
+            parts[:, 2] = np.array(texts, dtype=object)[key_of]
             fh.write("".join(parts.reshape(-1).tolist()))
             r0 = r1

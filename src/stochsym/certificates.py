@@ -25,7 +25,6 @@ import math
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     CheckFailed,
@@ -251,6 +250,9 @@ def solve_candidates(sys: AffineSystem, kappa_tilde: float, P=None) -> Candidate
         if not check_lyapunov(sys, M_bar, K, kappa_tilde).ok:  # pragma: no cover
             raise Infeasible("closed-form diagonal gain failed verification")
     else:
+        # imported here: only this general case needs it, and it costs start-up memory
+        from scipy.linalg import solve_continuous_lyapunov
+
         pinv_b = np.linalg.pinv(B)
         have_b = bool(np.any(B))
         shifts = [0.0] + [0.5 * kappa_tilde * 2.0**j for j in range(0, 14)]
@@ -268,7 +270,7 @@ def solve_candidates(sys: AffineSystem, kappa_tilde: float, P=None) -> Candidate
             s = 0.5 * (-abscissa - 0.5 * kappa_tilde)
             a_bar = a_cl + (0.5 * kappa_tilde + s) * np.eye(n)
             try:
-                M_try = scipy.linalg.solve_continuous_lyapunov(a_bar.T, -np.eye(n))
+                M_try = solve_continuous_lyapunov(a_bar.T, -np.eye(n))
             except np.linalg.LinAlgError:  # pragma: no cover
                 continue
             M_try = _sym(M_try)

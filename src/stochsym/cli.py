@@ -285,8 +285,11 @@ def _system_from(d, what: str, base_dir: Path) -> model.AffineSystem:
         b=_field(d, what, "b", model.as_vector),
         **{name: _box(d.get(name), f"{what}.{name}")
            for name in ("state_box", "input_box", "internal_box")})
-    if not s.state_box.is_bounded():  # checked before a grid covers it
-        raise ConfigError(f"{what}.state_box must be bounded: the gamma slope is derived over it")
+    for name, why in (("state_box", "the gamma slope is derived over it"),
+                      ("input_box", "the abstraction grid covers it"),
+                      ("internal_box", "verify takes its sup norm and the grid covers it")):
+        if not getattr(s, name).is_bounded():  # checked before a grid covers it
+            raise ConfigError(f"{what}.{name} must be bounded: {why}")
     return s
 
 

@@ -60,7 +60,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.special
 
 from .abstraction import FiniteAbstraction, UniformGrid
@@ -269,9 +268,13 @@ class _Op:
                 m.shape[0] == 1 or not np.any(m - np.diag(m.diagonal())))
                 for m in mats):
             return cls(dense_t=None, diag=spread([m.diagonal() for m in mats], group_of))
-        # a dense operator is n_total^2 numbers, so a per-subsystem list is cheap beside it
-        full = scipy.linalg.block_diag(*(mats[g] for g in group_of)) if mats else np.zeros((0, 0))
-        return cls(dense_t=full.T.copy(), diag=None)
+        # a dense operator is n_total^2 numbers, so per-subsystem offsets are cheap beside it
+        rows = np.cumsum([0] + [mats[g].shape[0] for g in group_of])
+        cols = np.cumsum([0] + [mats[g].shape[1] for g in group_of])
+        dense_t = np.zeros((cols[-1], rows[-1]))
+        for g, r, c in zip(group_of, rows, cols):
+            dense_t[c:c + mats[g].shape[1], r:r + mats[g].shape[0]] = mats[g].T
+        return cls(dense_t=dense_t, diag=None)
 
     @property
     def out_dim(self) -> int:
@@ -283,18 +286,64 @@ class _Op:
         return np.matmul(x, self.dense_t, out=out)
 
 
+#: Pade [13/13] numerator coefficients b_0..b_13 and the 1-norm up to which
+#: that approximant meets double precision without scaling, theta_13 (Higham,
+#: "The scaling and squaring method for the matrix exponential revisited", 2005)
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+           33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """e^a by Pade [13/13] with scaling and squaring, the method behind SciPy's `expm`.
+
+    a is scaled by 2^-s so that its 1-norm is at most theta_13, the
+    approximant r = (V - U)^-1 (V + U) is formed from even powers of a, and
+    r is squared s times.  For an upper triangular a, the diagonal and first
+    superdiagonal of r are set to their exact values before the first and
+    after each squaring (Al-Mohy and Higham, 2009, Code Fragment 2.1), so a
+    2 x 2 one such as the scalar Van Loan block is exact to rounding.
+    """
+    norm = np.linalg.norm(a, 1)
+    s = max(0, math.ceil(math.log2(norm / _THETA13))) if norm > 0 else 0
+    a = a / 2.0**s
+    b, eye = _PADE13, np.eye(a.shape[0])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    r = np.linalg.solve(v - u, v + u)
+    upper = not np.any(np.tril(a, -1))
+    i = np.arange(a.shape[0])
+    for j in range(s + 1):
+        if j:
+            r = r @ r
+        if upper:
+            lam, sup = np.diag(a) * 2.0**j, np.diag(a, 1) * 2.0**j
+            # (e^l1 - e^l2) / (l1 - l2) = e^max(l1, l2) (1 - e^-gap) / gap, gap = |l1 - l2|
+            gap = np.abs(np.diff(lam))
+            quotient = np.divide(-np.expm1(-gap), gap, out=np.ones_like(gap), where=gap > 0)
+            r[i, i] = np.exp(lam)
+            r[i[:-1], i[1:]] = sup * np.exp(np.maximum(lam[:-1], lam[1:])) * quotient
+    return r
+
+
 def _exact_step(f: np.ndarray, gg: np.ndarray, dt: float):
     """(phi, gain, L) of dx = (F x + c) dt + G dW over dt, with gg = G G^T.
 
-    phi and gain come from expm([[F, I], [0, 0]] dt); L L^T is phi times the
-    upper right block of the Van Loan expm([[-F, gg], [0, F^T]] dt).  L comes
-    from `eigh` with negative eigenvalues clipped to 0 (G may be rank-deficient).
+    phi and gain come from `_expm([[F, I], [0, 0]] dt)`; L L^T is phi times
+    the upper right block of the Van Loan `_expm([[-F, gg], [0, F^T]] dt)`.
+    L comes from `eigh` with negative eigenvalues clipped to 0 (G may be
+    rank-deficient).
     """
     n = f.shape[0]
     zero = np.zeros((n, n))
-    top = scipy.linalg.expm(np.block([[f, np.eye(n)], [zero, zero]]) * dt)
+    top = _expm(np.block([[f, np.eye(n)], [zero, zero]]) * dt)
     phi, gain = top[:n, :n], top[:n, n:]
-    van_loan = scipy.linalg.expm(np.block([[-f, gg], [zero, f.T]]) * dt)
+    van_loan = _expm(np.block([[-f, gg], [zero, f.T]]) * dt)
     cov = phi @ van_loan[:n, n:]
     lam, vec = np.linalg.eigh(0.5 * (cov + cov.T))
     return phi, gain, vec * np.sqrt(np.clip(lam, 0.0, None))

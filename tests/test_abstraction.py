@@ -18,7 +18,7 @@ from stochsym.errors import (
     RowMassError,
 )
 
-from conftest import room_system
+from conftest import room_system, traced_peak
 
 
 def grid_1d(lo=20.0, hi=21.0, w=0.1):
@@ -477,6 +477,21 @@ class TestBlockExport:
         indices = fa.kernel.indices.copy()
         self._same_bytes(fa, tmp_path)
         assert np.array_equal(fa.kernel.indices, indices)  # not sorted in place
+
+    def test_peak_stays_below_the_kernel_data(self, tmp_path):
+        # the benchmark's noisy room abstraction (0.4 M nnz): blocks and the
+        # texts of the distinct probabilities, never a kernel-sized copy
+        sys_ = room_system()
+        disc = st.DiscretizationSpec(tau=0.1, D_tilde=0.0, R_tilde=0.01)
+        grid = st.AbstractionGrid(
+            state=st.UniformGrid.cover(sys_.state_box, [0.01]),
+            input=st.UniformGrid.cover(sys_.input_box, [2e-4]),
+            internal=st.UniformGrid.cover(sys_.internal_box, [2.0]))
+        fa = st.build_stochastic(sys_, disc, grid)
+        assert fa.kernel.nnz > 350_000
+        _, peak = traced_peak(abst.export_abstraction, fa, tmp_path / "a.json",
+                              tmp_path / "a.csv")
+        assert peak < fa.kernel.data.nbytes
 
     def test_deterministic_bytes(self, tmp_path, monkeypatch):
         monkeypatch.setattr(abst, "_EXPORT_ENTRIES", 7)

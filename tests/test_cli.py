@@ -830,6 +830,10 @@ def _without_x0(edit):
      "grid is missing: the defect of a nonzero discretization.R_tilde"),
     (_set(("systems", "template", "state_box", "upper"), [float("inf")]),
      "systems.template.state_box must be bounded"),
+    (_set(("systems", "template", "input_box", "upper"), [float("inf")]),
+     "systems.template.input_box must be bounded"),
+    (_set(("systems", "template", "internal_box", "upper"), [float("inf")]),
+     "systems.template.internal_box must be bounded"),
 ], ids=["n-fraction", "n-bool", "replicate-fraction", "bound-horizon-fraction",
         "n_trials-fraction", "safety-horizon-bool", "safety-horizon-fraction",
         "record_outputs-string", "cert-unknown-key", "cert-missing-key",
@@ -843,7 +847,7 @@ def _without_x0(edit):
         "discretization-number", "grid-string", "stages-number", "output_dir-number",
         "mu-wrong-length", "coupling-M-wrong-shape", "M-wrong-shape", "cert-mode-number",
         "certificates-missing", "x0-outside-grid", "noisy-without-grid",
-        "state_box-unbounded"])
+        "state_box-unbounded", "input_box-unbounded", "internal_box-unbounded"])
 def test_config_error_exits_3_and_names_its_field(tmp_path, capsys, edit, field):
     cfg = small_rooms(tmp_path, trials=8)
     edit(cfg)

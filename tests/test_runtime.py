@@ -278,6 +278,57 @@ class TestExactOperators:
             assert not chol.any()
 
 
+def _van_loan_blocks(f, gg, dt):
+    """The two matrices `_exact_step` exponentiates."""
+    n = f.shape[0]
+    zero = np.zeros((n, n))
+    return (np.block([[f, np.eye(n)], [zero, zero]]) * dt,
+            np.block([[-f, gg], [zero, f.T]]) * dt)
+
+
+def _room_blocks(tracking_rate):
+    sys_ = room_system()
+    cert = room_certificate(k_gain=(-tracking_rate + 0.105) / 0.5)
+    # the demo's substep: tau over 40
+    return _van_loan_blocks(sys_.A + sys_.B @ cert.K, sys_.G @ sys_.G.T, ROOM["tau"] / 40)
+
+
+class TestExpm:
+    """`runtime._expm` against `scipy.linalg.expm`, to 1e-13 relative (Frobenius)."""
+
+    @pytest.mark.parametrize("a", [
+        *_room_blocks(50.0), *_room_blocks(200.0),
+        *_van_loan_blocks(np.array([[-1.3, 0.8], [-2.1, -0.4]]),
+                          np.array([[0.36, -0.12], [-0.12, 0.04]]), 0.37),
+        *_van_loan_blocks(np.array([[-1.0, 2.0], [0.0, -3.0]]),
+                          np.array([[0.49, 0.0], [0.0, 0.0]]), 0.37),
+        *_van_loan_blocks(np.array([[-1.0, 2.0], [0.0, -3.0]]), np.zeros((2, 2)), 0.37),
+        np.zeros((3, 3)),
+        np.array([[0.0, 1.0, 2.0], [0.0, 0.0, 3.0], [0.0, 0.0, 0.0]]),  # nilpotent
+        np.array([[-49.0, 24.0], [-64.0, 31.0]]),  # Moler and Van Loan's; 5 squarings
+    ], ids=["room-50-phi", "room-50-cov", "room-200-phi", "room-200-cov",
+            "full-rank-phi", "full-rank-cov", "eigenvector-phi", "eigenvector-cov",
+            "no-noise-phi", "no-noise-cov", "zero", "nilpotent", "squarings"])
+    def test_matches_scipy(self, a):
+        import scipy.linalg
+
+        from stochsym import runtime
+
+        want = scipy.linalg.expm(a)
+        assert np.linalg.norm(runtime._expm(a) - want) <= 1e-13 * np.linalg.norm(want)
+
+    def test_scalar_van_loan_block_is_exact_at_any_scaling(self):
+        # phi = e^{f dt} and gain = (e^{f dt} - 1) / f for a 1 x 1 F, so n
+        # substeps of dt compose to one step of n dt
+        from stochsym import runtime
+
+        f = -199.895
+        for dt in (0.1, 0.025, 0.0025):
+            top = runtime._expm(np.array([[f, 1.0], [0.0, 0.0]]) * dt)
+            assert top[0, 0] == pytest.approx(math.exp(f * dt), rel=3e-16, abs=0)
+            assert top[0, 1] == pytest.approx(math.expm1(f * dt) / f, rel=3e-16, abs=0)
+
+
 def stochastic_network(n=3, sigma=0.002):
     """Coarse-grid ring of one group whose abstraction is a sampled Markov kernel."""
     base = room_system()
