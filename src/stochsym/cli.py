@@ -22,6 +22,7 @@ import json
 import logging
 import math
 import numbers
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -44,6 +45,7 @@ from .errors import (
     Infeasible,
     NonFiniteEntry,
     NotWellPosed,
+    StaleControllerTable,
     StochsymError,
     TooFewRooms,
     write_json,
@@ -207,7 +209,6 @@ def generate_rooms(
     config["bound"] = {
         "epsilon": epsilon,
         "horizon": horizon,
-        "alpha_mode": "stacked",
         "psi_hat_override": 0.25 * (1.0 - 0.91 ** (1.0 / 12.0)),
         "reported": reported,
         "notes": (
@@ -233,10 +234,13 @@ def generate_rooms(
 class PipelineBundle:
     """A resolved config: `systems`, `discs`, `grids` and `certs` (given or
     solved) hold one entry per group; subsystem i is in group
-    `ic.group_of[i]`, and groups are ordered by their lowest member.  `x0` is
-    `simulation.x0` (empty when absent) and `v0` the bound's initial storage:
-    at x0 and its quantization, `bound.v0` without x0, and None when a
-    group has no grid to quantize x0 in."""
+    `ic.group_of[i]`, and groups are ordered by their lowest member.  `bound`
+    and `simulation` hold their blocks' values by key, read as `_BOUND` and
+    `_SIMULATION` say.  `x0` is `simulation.x0` (empty when absent) and `v0`
+    the bound's initial storage: at x0 and its quantization, `bound.v0`
+    without x0, and None when a group has no grid to quantize x0 in.
+    `monte_carlo` is the simulate stage's settings, set by `_check_stages`
+    when that stage runs."""
 
     name: str
     systems: list
@@ -245,46 +249,190 @@ class PipelineBundle:
     certs: list
     grids: list
     safety: synth.SafetySpec | None
-    bound_config: dict
-    sim_config: dict
+    bound: dict
+    simulation: dict
     stages: list
     out_dir: Path
     x0: np.ndarray
     v0: float | None
+    monte_carlo: rt.SimConfig | None = None
 
 
-def _object(value, what: str) -> dict:
-    """`value` if it is a JSON object; anything else is a ConfigError naming `what`."""
-    if value is None:
-        raise ConfigError(f"{what} is missing")
+def _object(value, what: str, keys) -> dict:
+    """`value` if it is a JSON object whose every key is in `keys`; anything
+    else is a ConfigError naming `what`, or the key (`what` "" is the top
+    level) and what states it now if it is a `_MOVED` setting."""
     if not isinstance(value, dict):
         raise ConfigError(f"'{what}' must be a JSON object, got {type(value).__name__}")
+    for key in value:
+        if key not in keys:
+            path = f"{what}.{key}" if what else key
+            now = _MOVED.get(re.sub(r"\[\d+\]", "", path))  # one entry for every list index
+            raise ConfigError(f"{path} is no longer read: {now}" if now
+                              else f"{path} is not a known key")
     return value
 
 
-def _box(value, what: str) -> model.Box:
-    box = _object(value, what)
-    lower, upper = (_field(box, what, end, model.as_vector) for end in ("lower", "upper"))
-    if lower.shape != upper.shape:
-        raise ConfigError(f"{what}.upper has {upper.size} entries, {what}.lower {lower.size}")
-    return model.Box(lower, upper)
+def _field(block: dict, what: str, name: str, kind, default=...):
+    """`kind(block[name])` (of `default` when absent, None kept if the default
+    is None); a missing or malformed field is a ConfigError that names its
+    dotted path `what.name` (`name` alone when `what` is "", the top level)."""
+    path = f"{what}.{name}" if what else name
+    value = block.get(name, default)
+    if value is ...:
+        raise ConfigError(f"{path} is missing")
+    if value is None and default is None:
+        return None
+    try:
+        return kind(value)
+    except (TypeError, ValueError, DimensionMismatch) as exc:
+        raise ConfigError(f"{path} is malformed: {exc}") from exc
+
+
+def _fields(d, what: str, table: dict) -> dict:
+    """Every field of the object `d` at `what` (an absent object has none
+    set), read as `table[name] = (reader, default)` says; a key not in
+    `table` is a ConfigError naming its path."""
+    d = {} if d is None else _object(d, what, table)
+    return {name: _field(d, what, name, kind, default) for name, (kind, default) in table.items()}
+
+
+def _as_is(value):
+    return value
+
+
+def _finite(value) -> np.ndarray:
+    v = model.as_vector(value)
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"expected finite entries, got {value!r}")
+    return v
+
+
+def _integer(value) -> int:
+    """An integral JSON number (4 or 4.0); a bool or a fraction is malformed."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"expected an integer, got {value!r}")
+    if not float(value).is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _count(low: int):
+    """A reader of integers (as `_integer` reads them) of at least `low`."""
+    def read(value) -> int:
+        if (value := _integer(value)) < low:
+            raise ValueError(f"expected an integer >= {low}, got {value}")
+        return value
+    return read
+
+
+def _positive(value) -> float:
+    value = float(value)
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"expected a finite number > 0, got {value!r}")
+    return value
+
+
+def _nonnegative(value) -> float:
+    value = float(value)
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"expected a finite number >= 0, got {value!r}")
+    return value
+
+
+def _boolean(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _prefix_of_stages(stages) -> list:
+    """`stages` as a list, if it is a prefix of STAGES."""
+    stages = list(stages)
+    if tuple(stages) != STAGES[: len(stages)]:
+        raise ConfigError(f"stages must be a prefix of {list(STAGES)}, got {stages}")
+    return stages
+
+
+# The config schema: one table per config object, `name: (reader, default)`
+# with ... where a config must state the field.  Grid entries and the coupling,
+# whose reading depends on other values, list only their keys; bound.reported
+# may hold any key.  A key that is in no table is a config error.
+
+_TOP = {"name": (_as_is, "network"), "stages": (_prefix_of_stages, STAGES),
+        "output_dir": (Path, "out"),
+        **dict.fromkeys(("systems", "interconnection", "discretization", "grid", "safety",
+                         "certificates", "bound", "simulation"), (_as_is, None))}
+_SYSTEMS = {"replicate": (_integer, ...), "template": (_as_is, ...)}
+_BOXES = ("state_box", "input_box", "internal_box")
+_SYSTEM = {**dict.fromkeys(("A", "B", "C1", "C2", "D", "G"), (model.as_matrix, ...)),
+           "b": (model.as_vector, ...), **dict.fromkeys(_BOXES, (_as_is, ...))}
+_BOX = dict.fromkeys(("lower", "upper"), (model.as_vector, ...))
+_INTERCONNECTION = {"coupling": (_as_is, ...), "mu": (model.positive_weights, None)}
+_DISCRETIZATION = {"tau": (_positive, ...), "D_tilde": (model.as_matrix, [[0.0]]),
+                   "R_tilde": (model.as_matrix, [[0.0]])}
+_GRID = ("state_widths", "input_widths", "internal_widths")
+_SAFETY = {**dict.fromkeys(("lower", "upper"), (_finite, ...)),
+           "contraction": (_nonnegative, 0.0), "horizon": (_count(1), None)}
+#: a given certificate's fields, capitalized ones as matrices
+_CERT = {f.name: (model.as_matrix if f.name[0].isupper() else float,
+                  ... if f.default is dataclasses.MISSING else f.default)
+         for f in dataclasses.fields(cert_mod.StorageCertificate)}
+#: the `certificates` block by mode; solve mode states the shared fields and
+#: the solve finds the rest
+_CERTIFICATES = {
+    "given": {"mode": (_as_is, None), "values": (_as_is, ...)},
+    "solve": {"mode": (_as_is, None), "pi": (float, 1.0),
+              **{name: _CERT[name] for name in ("kappa_tilde", "kappa_bar", "Xbar11",
+                                                "Xbar12", "Xbar21", "Xbar22")}},
+}
+#: `reported` and `notes` are copied into bound.json as they are
+_BOUND = {"epsilon": (_positive, None), "horizon": (_count(0), None),
+          "v0": (_nonnegative, 0.0), "psi_hat_override": (_nonnegative, None),
+          "reported": (_as_is, None), "notes": (_as_is, None)}
+_SIMULATION = {"n_trials": (_count(1), None), "n_substeps": (_count(1), 20),
+               "seed": (_count(0), 0), "x0": (model.as_vector, []),
+               "record_outputs": (_boolean, False),
+               # read by nothing; the benchmark's workload configs still set it
+               "check_convergence": (_as_is, None)}
+
+#: settings that are no longer read, with what states each now; a config that
+#: still sets one is an error, because ignoring it would change a result unsaid
+_MOVED = {
+    "simulation.epsilon": "the simulation checks bound.epsilon",
+    "simulation.horizon": "the simulation runs bound.horizon steps",
+    "bound.nu_hat_sup": "it is derived from the input grids",
+    "bound.alpha_mode": "alpha is min_i(mu_i a_i) s^2 for every output map",
+    "interconnection.M": 'give interconnection.coupling {"kind": "dense", "M": ...}',
+    "interconnection.coupling.n": "a ring has one node per subsystem",
+    "certificates.values.tau": "it is the group's discretization.tau",
+    "certificates.values.delta": "it is the cell radius of the group's state grid",
+    "certificates.delta": "it is the cell radius of each group's state grid",
+    "certificates.values.gamma_slope": "it is derived from M_bar, P and the state box",
+    "certificates.gamma_slope": "it is derived from M_bar, P and the state box",
+}
+
+
+def _box(f: dict, what: str) -> model.Box:
+    """The box of the `lower` and `upper` fields `f` of the object at `what`."""
+    if f["lower"].shape != f["upper"].shape:
+        raise ConfigError(f"{what}.upper has {f['upper'].size} entries, "
+                          f"{what}.lower {f['lower'].size}")
+    return model.Box(f["lower"], f["upper"])
 
 
 def _system_from(d, what: str, base_dir: Path) -> model.AffineSystem:
     """The subsystem object `d` (at config path `what`), inline or a file reference."""
-    if "file" in _object(d, what):
-        ref = base_dir / _field(d, what, "file", Path)
+    if isinstance(d, dict) and "file" in d:
+        ref = base_dir / _fields(d, what, {"file": (Path, ...)})["file"]
         try:
             d = json.loads(ref.read_text())
         except (OSError, ValueError) as exc:
             raise ConfigError(f"{what}.file: cannot read {ref} as JSON: {exc}") from exc
-        d = _object(d, f"{what}.file")
-    s = model.AffineSystem(
-        **{name: _field(d, what, name, model.as_matrix)
-           for name in ("A", "B", "C1", "C2", "D", "G")},
-        b=_field(d, what, "b", model.as_vector),
-        **{name: _box(d.get(name), f"{what}.{name}")
-           for name in ("state_box", "input_box", "internal_box")})
+        _object(d, f"{what}.file", _SYSTEM)
+    f = _fields(d, what, _SYSTEM)
+    s = model.AffineSystem(**{**f, **{name: _box(_fields(f[name], f"{what}.{name}", _BOX),
+                                                 f"{what}.{name}") for name in _BOXES}})
     for name, why in (("state_box", "the gamma slope is derived over it"),
                       ("input_box", "the abstraction grid covers it"),
                       ("internal_box", "verify takes its sup norm and the grid covers it")):
@@ -293,25 +441,10 @@ def _system_from(d, what: str, base_dir: Path) -> model.AffineSystem:
     return s
 
 
-def _block(raw: dict, name: str, default):
-    """The top-level block `name` (`default` when absent or null); any other
-    value than a JSON object is a ConfigError that names the block."""
-    value = raw.get(name)
-    return default if value is None else _object(value, name)
-
-
-def _disc_from(d, what: str) -> model.DiscretizationSpec:
-    _object(d, what)
-    return model.DiscretizationSpec(
-        tau=_field(d, what, "tau", _positive),
-        D_tilde=_field(d, what, "D_tilde", model.as_matrix, [[0.0]]),
-        R_tilde=_field(d, what, "R_tilde", model.as_matrix, [[0.0]]))
-
-
 def _grid_from(s: model.AffineSystem, gdict, what: str) -> abst.AbstractionGrid | None:
     if gdict is None:
         return None
-    _object(gdict, what)
+    _object(gdict, what, _GRID)
 
     def cover(box, name):
         return _field(gdict, what, name, lambda w: abst.UniformGrid.cover(box, w))
@@ -319,28 +452,6 @@ def _grid_from(s: model.AffineSystem, gdict, what: str) -> abst.AbstractionGrid 
         state=cover(s.state_box, "state_widths"),
         input=cover(s.input_box, "input_widths"),
         internal=cover(s.internal_box, "internal_widths") if s.p else None)
-
-
-#: each certificate field's default (... where a config must state it)
-_CERT_DEFAULTS = {f.name: ... if f.default is dataclasses.MISSING else f.default
-                  for f in dataclasses.fields(cert_mod.StorageCertificate)}
-#: the shared fields of certificates.mode "solve" and their defaults; the solve finds the rest
-_SOLVE_DEFAULTS = {"kappa_tilde": ..., "pi": 1.0, "kappa_bar": ...,
-                   **dict.fromkeys(("Xbar11", "Xbar12", "Xbar21", "Xbar22"), ...)}
-
-
-def _cert_fields(d: dict, what: str, defaults: dict) -> dict:
-    """The fields in `defaults` of the object `d` at `what`, capitalized ones as matrices."""
-    return {name: _field(d, what, name, model.as_matrix if name[0].isupper() else float,
-                         default) for name, default in defaults.items()}
-
-
-def _cert_from(v, what: str) -> dict:
-    """The fields of a given certificate entry; any other key is a ConfigError naming it."""
-    _reject_moved(_object(v, what), what, "certificates.values")
-    if unknown := set(v) - _CERT_DEFAULTS.keys():
-        raise ConfigError(f"{what}.{min(unknown)} is not a certificate field")
-    return _cert_fields(v, what, _CERT_DEFAULTS)
 
 
 def _certificate(s: model.AffineSystem, fields: dict) -> cert_mod.StorageCertificate:
@@ -426,67 +537,59 @@ def _grouping(indices: list, n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.argsort(np.argsort(first))[code], np.sort(first)
 
 
-#: settings that are no longer read, with what states each now; a config that
-#: still sets one is an error, because ignoring it would change a result unsaid
-_MOVED = {
-    "simulation.epsilon": "the simulation checks bound.epsilon",
-    "simulation.horizon": "the simulation runs bound.horizon steps",
-    "bound.nu_hat_sup": "it is derived from the input grids",
-    "interconnection.M": 'give interconnection.coupling {"kind": "dense", "M": ...}',
-    "interconnection.coupling.n": "a ring has one node per subsystem",
-    "certificates.values.tau": "it is the group's discretization.tau",
-    "certificates.values.delta": "it is the cell radius of the group's state grid",
-    "certificates.delta": "it is the cell radius of each group's state grid",
-    "certificates.values.gamma_slope": "it is derived from M_bar, P and the state box",
-    "certificates.gamma_slope": "it is derived from M_bar, P and the state box",
-}
-
-
-def _reject_moved(d: dict, what: str, where: str | None = None) -> None:
-    """A ConfigError if the object `d` at `what` (`where` unindexed) sets a `_MOVED` key."""
-    for key in d:
-        now = _MOVED.get(f"{where or what}.{key}")
-        if now is not None and d[key] is not None:
-            raise ConfigError(f"{what}.{key} is no longer read: {now}")
-
-
 def _coupling_from(spec, n: int):
     """The coupling matrix of `n` subsystems an `interconnection.coupling` object describes."""
     what = "interconnection.coupling"
-    kind = _object(spec, what).get("kind")
-    _reject_moved(spec, what)
+    kind = _object(spec, what, ("kind", "M")).get("kind")
     if kind == "circular":
+        _object(spec, what, ("kind",))  # a ring is given by its kind alone
         try:
             return circular_coupling(n)
         except TooFewRooms as exc:
             raise ConfigError(f"{what} is malformed: {exc} (a ring has one node per "
                               "subsystem: systems.replicate, or one per systems entry)") from exc
     if kind == "dense":
-        return _field(spec, what, "M", _vector)
+        return _field(spec, what, "M", model.as_matrix)
     raise ConfigError(f"{what}.kind must be 'circular' or 'dense', got {kind!r}")
 
 
-def _stage_prefix(stages) -> list:
-    """`stages` as a list, if it is a prefix of STAGES."""
-    stages = list(stages)
-    if tuple(stages) != STAGES[: len(stages)]:
-        raise ConfigError(f"stages must be a prefix of {list(STAGES)}, got {stages}")
-    return stages
+def _initial_v0(bundle: PipelineBundle, x0: np.ndarray) -> float:
+    """Weighted storage at the initial pair (x0, quantized x0).
+
+    One grid lookup per group; the per-subsystem terms are then added one
+    at a time in subsystem order, the order of a scalar per-room loop.
+    """
+    group_of = bundle.ic.group_of
+    start = model.member_starts([s.n for s in bundle.systems], group_of)
+    terms = np.zeros(group_of.size + 1)  # a leading 0.0, the loop's initial total
+    for member, s, c, grid in zip(model.group_members(group_of), bundle.systems,
+                                  bundle.certs, bundle.grids):
+        xi = x0[start[member][:, None] + np.arange(s.n)]
+        idx = grid.state.locate_many(xi)
+        outside = member[idx == grid.state.n_points]
+        if outside.size:
+            raise ConfigError(f"simulation.x0 puts subsystem {outside[0]} outside the state grid")
+        mismatch = xi - grid.state.centers()[idx] @ c.P.T
+        terms[1 + member] = bundle.ic.mu[member] * np.sum(mismatch @ c.M_bar * mismatch, axis=1)
+    # a cumulative sum adds left to right, one term at a time
+    return float(np.cumsum(terms)[-1])
 
 
 def load_config(source) -> PipelineBundle:
     """Resolve a config document (dict or JSON path) into model objects.
 
     System entries may be inline dicts or `{"file": "..."}` references,
-    resolved relative to the config file's directory.  Every field is read
-    through `_field`, so a config error names its dotted path.  Each entry of
-    a per-subsystem field (system, discretization, grid, given certificate)
-    is built once, and subsystems whose four objects are equal by value form
-    one group: the bundle holds each group's objects once and `ic.group_of`.
-    Each group's objects and the safety box are checked against its system,
-    and a setting in `_MOVED` is an error.  Solve mode then solves each
-    group's certificate (`CheckFailed` for a condition it cannot meet), and
-    `simulation.x0` is checked against the network's size and each grid.
+    resolved relative to the config file's directory.  Every object is read
+    against its table in the config schema above, so a key the schema does
+    not know, or a missing or malformed field, is a ConfigError naming its
+    dotted path.  Each entry of a per-subsystem field (system,
+    discretization, grid, given certificate) is built once, and subsystems
+    whose four objects are equal by value form one group: the bundle holds
+    each group's objects once and `ic.group_of`.  Each group's objects and
+    the safety box are checked against its system.  Solve mode then solves
+    each group's certificate (`CheckFailed` for a condition it cannot meet),
+    and `simulation.x0` is checked against the network's size and each grid.
+    What only some stages need is checked by `_check_stages`.
     """
     base_dir = Path.cwd()
     if isinstance(source, (str, Path)):
@@ -496,53 +599,50 @@ def load_config(source) -> PipelineBundle:
             raw = json.loads(path.read_text())
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read config {path} as JSON: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config {path} is not a JSON object")
     elif isinstance(source, dict):
         raw = source
     else:
         raise ConfigError(f"unsupported config source {type(source)!r}")
-    _object(raw, "config")
-    blocks = {name: _block(raw, name, default) for name, default in (
-        ("interconnection", {}), ("certificates", {}),
-        ("safety", None), ("bound", {}), ("simulation", {}))}
+    top = _fields(raw, "", _TOP)
 
-    for name in ("interconnection", "certificates", "bound", "simulation"):
-        _reject_moved(blocks[name], name)
-
-    sys_spec = raw.get("systems")
+    sys_spec = top["systems"]
     if isinstance(sys_spec, list):
         sys_entries = [(d, f"systems[{i}]") for i, d in enumerate(sys_spec)]
         n = len(sys_entries)
     else:
-        sys_entries = [(_object(sys_spec, "systems").get("template"), "systems.template")]
-        n = _field(sys_spec, "systems", "replicate", _integer)
+        sys_spec = _fields(sys_spec, "systems", _SYSTEMS)
+        sys_entries, n = [(sys_spec["template"], "systems.template")], sys_spec["replicate"]
     if n <= 0:
         raise ConfigError("at least one subsystem required")
     systems, sys_idx = _distinct([_system_from(d, what, base_dir)
                                   for d, what in sys_entries], n)
-    disc_entries = _entries(raw.get("discretization"), n, "discretization")
-    discs, disc_idx = _distinct([_disc_from(*e) for e in disc_entries], n)
+    disc_entries = _entries(top["discretization"], n, "discretization")
+    discs, disc_idx = _distinct([model.DiscretizationSpec(**_fields(*e, _DISCRETIZATION))
+                                 for e in disc_entries], n)
 
     # a grid covers its system's boxes: one per (system, grid entry) pair
-    entries = _entries(raw.get("grid"), n, "grid")
+    entries = _entries(top["grid"], n, "grid")
     entry_idx = np.broadcast_to(np.arange(len(entries)), n)
     pair_of, pairs = _grouping([sys_idx, entry_idx], n)
     grids, grid_idx = _distinct([_grid_from(systems[sys_idx[i]], *entries[entry_idx[i]])
                                  for i in pairs], pairs.size)
     grid_idx = grid_idx[pair_of]
 
-    cert_cfg = blocks["certificates"]
-    mode = cert_cfg.get("mode", "given")
+    cert_cfg = top["certificates"]
+    mode = cert_cfg.get("mode", "given") if isinstance(cert_cfg, dict) else "given"
     if mode not in ("given", "solve"):
         raise ConfigError(f"certificates.mode must be 'given' or 'solve', got {mode!r}")
+    cert_cfg = _fields(cert_cfg, "certificates", _CERTIFICATES[mode])
+    del cert_cfg["mode"]
     if mode == "given":
-        if cert_cfg.get("values") is None:
-            raise ConfigError("certificates.values is missing")
         cert_entries = _entries(cert_cfg["values"], n, "certificates.values")
-        certs, cert_idx = _distinct([_cert_from(*e) for e in cert_entries], n)
+        certs, cert_idx = _distinct([_fields(*e, _CERT) for e in cert_entries], n)
     else:
         # shared fields, whose solve per system splits no group
         cert_entries = [(None, "certificates")]
-        certs, cert_idx = _distinct([_cert_fields(cert_cfg, "certificates", _SOLVE_DEFAULTS)], n)
+        certs, cert_idx = _distinct([cert_cfg], n)
 
     group_of, first = _grouping([sys_idx, disc_idx, grid_idx, cert_idx], n)
     systems = [systems[k] for k in sys_idx[first]]
@@ -550,9 +650,9 @@ def load_config(source) -> PipelineBundle:
     grids = [grids[k] for k in grid_idx[first]]
     certs = [certs[k] for k in cert_idx[first]]
 
-    ic_spec = blocks["interconnection"]
-    m = _coupling_from(ic_spec.get("coupling"), n)
-    mu = _field(ic_spec, "interconnection", "mu", model.positive_weights, np.ones(n))
+    ic_spec = _fields(top["interconnection"], "interconnection", _INTERCONNECTION)
+    m = _coupling_from(ic_spec["coupling"], n)
+    mu = np.ones(n) if ic_spec["mu"] is None else ic_spec["mu"]
     try:
         ic = model.InterconnectionSpec(M=m, mu=mu, group_of=group_of,
                                        subsystem_dims=[(s.n, s.m, s.p, s.q2) for s in systems])
@@ -564,43 +664,89 @@ def load_config(source) -> PipelineBundle:
                           f"of {sys_path}.D, a column per row of {sys_path}.C2)") from exc
 
     safety = None
-    if blocks["safety"] is not None:
-        sdict = blocks["safety"]
-        safety = synth.SafetySpec(
-            safe_box=_box(sdict, "safety"),
-            contraction=_field(sdict, "safety", "contraction", float, 0.0),
-            horizon=_field(sdict, "safety", "horizon", _integer, None),
-        )
+    if top["safety"] is not None:
+        f = _fields(top["safety"], "safety", _SAFETY)
+        try:
+            safety = synth.SafetySpec(_box(f, "safety"), f["contraction"], f["horizon"])
+        except EmptyBox as exc:
+            raise ConfigError(f"safety is malformed: {exc}") from exc
+    bound = _fields(top["bound"], "bound", _BOUND)
+    # bound.reported may hold any key; the network defect it states is checked
+    rep = {} if (rep := bound["reported"]) is None else _object(rep, "bound.reported", rep)
+    psi_network, psi_room = (_field(rep, "bound.reported", key, float, None)
+                             for key in ("psi_network", "psi_per_subsystem"))
+    bound["reported_psi"] = (psi_network if psi_network is not None
+                             else None if psi_room is None else psi_room * n)
+    simulation = _fields(top["simulation"], "simulation", _SIMULATION)
     for g, i in enumerate(first):
         # the entries of the group's lowest member name the group's objects
         _check_group(systems[g], discs[g], grids[g], certs[g], safety,
                      *(e[i if len(e) > 1 else 0][1]
                        for e in (sys_entries, disc_entries, entries, cert_entries)))
+    x0 = simulation["x0"]
+    n_states = model.member_starts([s.n for s in systems], group_of)[-1]
+    if x0.size and x0.shape != (n_states,):
+        raise ConfigError(f"simulation.x0 has {x0.size} values, the network has "
+                          f"{n_states} states")
     certs = [_certificate(s, c) for s, c in zip(systems, certs)]
 
-    stages = _stage_prefix(_field(raw, "", "stages", list, list(STAGES)))
 
     bundle = PipelineBundle(
-        name=raw.get("name", "network"),
+        name=top["name"],
         systems=systems,
         ic=ic,
         discs=discs,
         certs=certs,
         grids=grids,
         safety=safety,
-        bound_config=blocks["bound"],
-        sim_config=blocks["simulation"],
-        stages=stages,
-        out_dir=_field(raw, "", "output_dir", Path, "out"),
-        x0=_initial_state(blocks["simulation"], systems, group_of),
+        bound=bound,
+        simulation=simulation,
+        stages=top["stages"],
+        out_dir=top["output_dir"],
+        x0=x0,
         v0=None,
     )
-    if not bundle.x0.size:
-        bundle.v0 = _field(blocks["bound"], "bound", "v0", _nonnegative, 0.0)
+    if not x0.size:
+        bundle.v0 = bound["v0"]
     elif all(g is not None for g in grids):
         # x0 outside a grid is a ConfigError here, before any stage runs
-        bundle.v0 = _initial_v0(bundle, bundle.x0)
+        bundle.v0 = _initial_v0(bundle, x0)
     return bundle
+
+
+def _check_stages(bundle: PipelineBundle) -> None:
+    """What the stages to run need of the config beyond what `load_config`
+    checks, so that a run stops at such an error before its first artifact;
+    sets `bundle.monte_carlo` when the simulate stage runs."""
+    stages = bundle.stages
+    if "abstract" in stages:
+        for member, g in zip(model.group_members(bundle.ic.group_of), bundle.grids):
+            if g is None:
+                raise ConfigError(f"subsystem {member[0]} has no grid; 'grid' is required "
+                                  "for abstraction stages")
+    if "synthesize" in stages:
+        if bundle.safety is None:
+            raise ConfigError("'safety' block required for the synthesize stage")
+        if bundle.safety.horizon is None and not all(d.noise_free for d in bundle.discs):
+            raise ConfigError("stochastic abstractions need a finite safety.horizon")
+    if "bound" in stages:
+        for name in ("epsilon", "horizon"):
+            if bundle.bound[name] is None:
+                raise ConfigError(f"bound.{name} is missing")
+    if "simulate" in stages:
+        sim = bundle.simulation
+        for name, given in (("x0", bundle.x0.size), ("n_trials", sim["n_trials"])):
+            if not given:
+                raise ConfigError(f"simulation.{name} is missing")
+        bundle.monte_carlo = rt.SimConfig(
+            n_trials=sim["n_trials"], horizon=bundle.bound["horizon"],
+            epsilon=bundle.bound["epsilon"], n_substeps=sim["n_substeps"],
+            rng_seed=sim["seed"], record_outputs=sim["record_outputs"])
+        rt.SimConfig.workers()
+        # the runtime's rule: a table of one step is stationary
+        steps = bundle.safety.horizon
+        if steps is not None and 1 < steps < bundle.monte_carlo.horizon:
+            raise StaleControllerTable(0, steps, bundle.monte_carlo.horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -668,14 +814,7 @@ def _stage_compose(bundle: PipelineBundle, ctx: dict) -> None:
         except NotWellPosed as exc:
             raise CheckFailed(comp.CONDITION_ABSTRACT_WELL_POSED, str(exc)) from exc
 
-    mode = bundle.bound_config.get("alpha_mode", "general")
-    if mode not in ("general", "stacked"):
-        raise ConfigError(f"bound.alpha_mode must be 'general' or 'stacked', got {mode!r}")
-    ssf = comp.compose_ssf(
-        ctx["constants"], mu, mode=mode,
-        output_maps=[s.C1 for s in bundle.systems] if mode == "stacked" else None,
-        group_of=bundle.ic.group_of,
-    )
+    ssf = comp.compose_ssf(ctx["constants"], mu, group_of=bundle.ic.group_of)
     ctx["ssf"] = ssf
     write_json(ctx["out"] / "composition.json", {
         "abstract_well_posed": has_grids or None,
@@ -694,10 +833,6 @@ def _stage_compose(bundle: PipelineBundle, ctx: dict) -> None:
 
 
 def _stage_abstract(bundle: PipelineBundle, ctx: dict) -> None:
-    for member, g in zip(model.group_members(bundle.ic.group_of), bundle.grids):
-        if g is None:
-            raise ConfigError(f"subsystem {member[0]} has no grid; 'grid' is required "
-                              "for abstraction stages")
     built = []
     for g_idx, (s, d, grid, c) in enumerate(zip(bundle.systems, bundle.discs,
                                                bundle.grids, bundle.certs)):
@@ -715,16 +850,12 @@ def _stage_abstract(bundle: PipelineBundle, ctx: dict) -> None:
 
 
 def _stage_synthesize(bundle: PipelineBundle, ctx: dict) -> None:
-    if bundle.safety is None:
-        raise ConfigError("'safety' block required for the synthesize stage")
     controllers = []
     for g_idx, fa in enumerate(ctx["abstractions"]):
         if bundle.safety.horizon is not None:
             ctrl = synth.safety_value_iteration(fa, bundle.safety)
-        elif fa.kind == "deterministic":
+        else:  # the abstraction is deterministic: `_check_stages` checked it
             ctrl = synth.safety_fixpoint(fa, bundle.safety)
-        else:
-            raise ConfigError("stochastic abstractions need a finite safety.horizon")
         if ctrl.winning_set.size == 0:
             raise CheckFailed("winning-set",
                               f"abstraction group {g_idx} has an empty winning set")
@@ -738,95 +869,10 @@ def _stage_synthesize(bundle: PipelineBundle, ctx: dict) -> None:
                 controllers[0].winning_fraction)
 
 
-def _initial_v0(bundle: PipelineBundle, x0: np.ndarray) -> float:
-    """Weighted storage at the initial pair (x0, quantized x0).
-
-    One grid lookup per group; the per-subsystem terms are then added one
-    at a time in subsystem order, the order of a scalar per-room loop.
-    """
-    group_of = bundle.ic.group_of
-    start = model.member_starts([s.n for s in bundle.systems], group_of)
-    terms = np.zeros(group_of.size + 1)  # a leading 0.0, the loop's initial total
-    for member, s, c, grid in zip(model.group_members(group_of), bundle.systems,
-                                  bundle.certs, bundle.grids):
-        xi = x0[start[member][:, None] + np.arange(s.n)]
-        idx = grid.state.locate_many(xi)
-        outside = member[idx == grid.state.n_points]
-        if outside.size:
-            raise ConfigError(f"simulation.x0 puts subsystem {outside[0]} outside the state grid")
-        mismatch = xi - grid.state.centers()[idx] @ c.P.T
-        terms[1 + member] = bundle.ic.mu[member] * np.sum(mismatch @ c.M_bar * mismatch, axis=1)
-    # a cumulative sum adds left to right, one term at a time
-    return float(np.cumsum(terms)[-1])
-
-
-def _field(block: dict, what: str, name: str, kind, default=...):
-    """`kind(block[name])` (of `default` when absent, None kept if the default
-    is None); a missing or malformed field is a ConfigError that names its
-    dotted path `what.name` (`name` alone when `what` is "", the top level)."""
-    path = f"{what}.{name}" if what else name
-    value = block.get(name, default)
-    if value is ...:
-        raise ConfigError(f"{path} is missing")
-    if value is None and default is None:
-        return None
-    try:
-        return kind(value)
-    except (TypeError, ValueError, DimensionMismatch) as exc:
-        raise ConfigError(f"{path} is malformed: {exc}") from exc
-
-
-def _vector(value) -> np.ndarray:
-    return np.asarray(value, dtype=float)
-
-
-def _integer(value) -> int:
-    """An integral JSON number (4 or 4.0); a bool or a fraction is malformed."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise TypeError(f"expected an integer, got {value!r}")
-    if not float(value).is_integer():
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
-
-
-def _positive(value) -> float:
-    value = float(value)
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"expected a finite number > 0, got {value!r}")
-    return value
-
-
-def _nonnegative(value) -> float:
-    value = float(value)
-    if not (math.isfinite(value) and value >= 0):
-        raise ValueError(f"expected a finite number >= 0, got {value!r}")
-    return value
-
-
-def _boolean(value) -> bool:
-    if not isinstance(value, bool):
-        raise TypeError(f"expected true or false, got {value!r}")
-    return value
-
-
-def _initial_state(sim: dict, systems: list, group_of: np.ndarray) -> np.ndarray:
-    """`simulation.x0` of the block `sim`, one entry per stacked subsystem
-    state; an x0 that is absent or empty comes back empty."""
-    x0 = _field(sim, "simulation", "x0", _vector, [])
-    n_states = model.member_starts([s.n for s in systems], group_of)[-1]
-    if x0.size and x0.shape != (n_states,):
-        raise ConfigError(f"simulation.x0 has {x0.size} values, the network has "
-                          f"{n_states} states")
-    return x0
-
-
 def _stage_bound(bundle: PipelineBundle, ctx: dict) -> None:
-    cfg = bundle.bound_config
+    cfg = bundle.bound
     ssf = ctx["ssf"]
-    epsilon = _field(cfg, "bound", "epsilon", _positive)
-    horizon = _field(cfg, "bound", "horizon", _integer)
-    if horizon < 0:
-        raise ConfigError(f"bound.horizon must be >= 0, got {horizon}")
+    epsilon, horizon, override = cfg["epsilon"], cfg["horizon"], cfg["psi_hat_override"]
 
     # the sup norm of the stacked abstract input; the abstract stage ran, so
     # every group has a grid, and its members share it: one norm per group
@@ -834,7 +880,6 @@ def _stage_bound(bundle: PipelineBundle, ctx: dict) -> None:
                     for g in bundle.grids])[bundle.ic.group_of]
     nu_sup = math.sqrt(math.fsum((sup * sup).tolist()))
     psi_hat_formula = bnd.psi_hat(ssf.rho_ext_slope, nu_sup, ssf.psi)
-    override = _field(cfg, "bound", "psi_hat_override", _nonnegative, None)
     psi_hat_used = override if override is not None else psi_hat_formula
 
     alpha_eps = ssf.alpha(epsilon)
@@ -845,7 +890,6 @@ def _stage_bound(bundle: PipelineBundle, ctx: dict) -> None:
                                         horizon)
     payload.update({
         "alpha_of_eps": alpha_eps,
-        "alpha_mode": ssf.alpha_mode,
         # the formula's own bound is 1 (says nothing) when its defect is too large
         "formula_vacuous": formula.violation_bound >= 1.0,
         "headline_source": "formula" if override is None else "override",
@@ -855,42 +899,23 @@ def _stage_bound(bundle: PipelineBundle, ctx: dict) -> None:
         "psi_hat_override": override,
         "psi_network_formula": ssf.psi,
     })
-    if "reported" in cfg:
-        rep = cfg["reported"]
-        if not isinstance(rep, dict):
-            raise ConfigError(f"bound.reported must be a JSON object, got {type(rep).__name__}")
-        payload["reported"] = rep
-        if "psi_network" in rep:
-            ref = _field(rep, "bound.reported", "psi_network", float)
-        elif "psi_per_subsystem" in rep:
-            ref = _field(rep, "bound.reported", "psi_per_subsystem", float) * bundle.ic.n_subsystems
-        else:
-            ref = None
-        if ref is not None:
-            payload["reported_psi_reproduced"] = bool(
-                abs(ssf.psi - ref) <= 1e-12 * max(1.0, abs(ssf.psi))
-            )
-    if "notes" in cfg:
-        payload["notes"] = cfg["notes"]
+    for key in ("reported", "notes"):
+        if cfg[key] is not None:
+            payload[key] = cfg[key]
+    if (ref := cfg["reported_psi"]) is not None:
+        payload["reported_psi_reproduced"] = bool(
+            abs(ssf.psi - ref) <= 1e-12 * max(1.0, abs(ssf.psi))
+        )
     ctx["bound"] = bound
     write_json(ctx["out"] / "bound.json", payload)
     logger.info("bound: violation <= %.4f (%s)", bound.violation_bound, bound.regime)
 
 
 def _stage_simulate(bundle: PipelineBundle, ctx: dict) -> None:
-    cfg = bundle.sim_config
-    bound = ctx["bound"]  # the Monte Carlo counts the event the bound stage bounded
-    config = rt.SimConfig(
-        n_trials=_field(cfg, "simulation", "n_trials", _integer),
-        horizon=bound.horizon,
-        epsilon=bound.epsilon,
-        n_substeps=_field(cfg, "simulation", "n_substeps", _integer, 20),
-        rng_seed=_field(cfg, "simulation", "seed", _integer, 0),
-        record_outputs=_field(cfg, "simulation", "record_outputs", _boolean, False),
-    )
+    bound = ctx["bound"]  # the Monte Carlo counts the event this bound bounds
     result = rt.cosimulate(bundle.systems, bundle.ic, bundle.discs,
                            ctx["abstractions"], ctx["controllers"],
-                           bundle.certs, config, bundle.x0)
+                           bundle.certs, bundle.monte_carlo, bundle.x0)
     payload = result.summary.to_dict()
     payload["theoretical_violation_bound"] = bound.violation_bound
     payload["cp95_below_theoretical"] = bool(result.summary.cp95_upper <= bound.violation_bound)
@@ -929,17 +954,12 @@ def run_pipeline(source, stages=None, seed=None, out_dir=None) -> int:
     try:
         bundle = load_config(source)
         if stages is not None:
-            bundle.stages = _stage_prefix(stages)
-        if seed is not None:
-            bundle.sim_config = dict(bundle.sim_config)
-            bundle.sim_config["seed"] = int(seed)
+            bundle.stages = _prefix_of_stages(stages)
         if out_dir is not None:
             bundle.out_dir = Path(out_dir)
-        if "simulate" in bundle.stages:
-            # what the simulate stage reads besides its settings, before any artifact
-            if not bundle.x0.size:
-                raise ConfigError("simulation.x0 is missing")
-            rt.SimConfig.workers()
+        _check_stages(bundle)
+        if seed is not None and bundle.monte_carlo is not None:
+            bundle.monte_carlo = dataclasses.replace(bundle.monte_carlo, rng_seed=int(seed))
     except CheckFailed as exc:  # solve mode could not find a certificate
         print(f"condition violated: {exc.condition} ({exc.detail})", file=sys.stderr)
         return EXIT_CONDITION

@@ -34,11 +34,9 @@ from .errors import (
     DimensionMismatch,
     NonLinearRho,
     NonQuadraticAlpha,
-    StructureMismatch,
 )
 from .model import (
     as_coupling,
-    as_matrix,
     group_index,
     member_starts,
     positive_weights,
@@ -87,7 +85,6 @@ class GershgorinCheck:
 class NetworkSsf:
     """Aggregated simulation-function constants for the coupled network."""
 
-    alpha_mode: str  # "general" | "stacked"
     alpha_coeff: float
     kappa: float
     rho_ext_slope: float
@@ -273,26 +270,19 @@ def gershgorin_fast_check(form: scipy.sparse.csr_matrix) -> GershgorinCheck:
 def compose_ssf(
     constants: list[SstfConstants],
     mu,
-    mode: str = "general",
-    output_maps: list[np.ndarray] | None = None,
     group_of=None,
 ) -> NetworkSsf:
     """Aggregate verified per-subsystem constants into network constants.
 
-    `constants` and `output_maps` hold one entry per group of `group_of`.
-    kappa is the exact maximum of the subsystem kappas; psi the weighted sum;
-    the external gain slope is the Euclidean norm of the weighted subsystem
-    slopes (the linear maximum over a sphere in closed form).  The quadratic
-    alpha aggregates in one of two modes:
-
-      * "general":  alpha(s) = s^2 / sum_i 1/(a_i mu_i), the closed-form
-        inverse of the worst-case split over the weighted simplex -- valid
-        for any quadratic subsystem alphas;
-      * "stacked":  alpha(s) = min_i(mu_i a_i) s^2, enabled only when every
-        external output map is square and nonsingular so the summed storage
-        function is itself a quadratic in the stacked output error.
-
-    Stacked mode requires `output_maps` (the C1 matrices) for that gate.
+    `constants` holds one entry per group of `group_of`.  kappa is the exact
+    maximum of the subsystem kappas; psi the weighted sum; the external gain
+    slope is the Euclidean norm of the weighted subsystem slopes (the linear
+    maximum over a sphere in closed form).  alpha(s) = min_i(mu_i a_i) s^2
+    for any output maps C1_i, square or not: each storage function satisfies
+    S_i >= lam_min(M_bar_i) ||x_i - P_i xh_i||^2 >= a_i ||e_i||^2 with
+    a_i = lam_min(M_bar_i) / lam_max(C1_i^T C1_i) and e_i = C1_i (x_i - P_i xh_i),
+    so sum_i mu_i S_i >= min_i(mu_i a_i) ||e||^2 in the Euclidean norm of
+    the stacked output error e.
     """
     mu = positive_weights(mu)
     group_of = group_index(group_of, len(constants))
@@ -312,22 +302,6 @@ def compose_ssf(
     # squared by pow, as `x ** 2` squares a float (it can differ from x * x)
     slope = math.sqrt(math.fsum(map(pow, weighted("rho_ext_slope").tolist(), repeat(2))))
 
-    if mode == "general":
-        alpha_coeff = 1.0 / math.fsum((1.0 / weighted("alpha_coeff")).tolist())
-    elif mode == "stacked":
-        if output_maps is None:
-            raise StructureMismatch("stacked mode needs the external output maps to validate")
-        for g, c1 in enumerate(output_maps):
-            c1 = as_matrix(c1)
-            if c1.shape[0] != c1.shape[1] or np.linalg.matrix_rank(c1) < c1.shape[0]:
-                i = int(np.flatnonzero(group_of == g)[0])
-                raise StructureMismatch(
-                    f"stacked mode needs square nonsingular output maps (subsystem {i})"
-                )
-        alpha_coeff = np.min(weighted("alpha_coeff"))
-    else:
-        raise ValueError(f"unknown alpha aggregation mode {mode!r}")
-
-    return NetworkSsf(alpha_mode=mode, alpha_coeff=float(alpha_coeff),
+    return NetworkSsf(alpha_coeff=float(np.min(weighted("alpha_coeff"))),
                       kappa=float(kappa), rho_ext_slope=float(slope),
                       psi=float(psi))

@@ -74,10 +74,6 @@ class WeightNotPositive(StochsymError):
         super().__init__(f"subsystem weight {index} is not a finite positive number")
 
 
-class StructureMismatch(StochsymError):
-    pass
-
-
 class NonLinearRho(StochsymError):
     pass
 

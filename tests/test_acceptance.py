@@ -61,8 +61,7 @@ def test_criterion_2_composed_constants(tmp_path):
     cert = room_certificate()
     disc = st.DiscretizationSpec(tau=0.1, D_tilde=0.0, R_tilde=0.0)
     const = st.derive_constants(cert, room, disc)
-    net = st.compose_ssf([const] * 100, np.ones(100), mode="stacked",
-                         output_maps=[room.C1] * 100)
+    net = st.compose_ssf([const] * 100, np.ones(100))
     ok = abs(net.kappa - 0.5) <= 1e-12
     ok &= net.kappa == max([const.kappa] * 100)  # exact max aggregation
     ok &= net.rho_ext_slope == 20.0

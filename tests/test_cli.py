@@ -17,7 +17,7 @@ from stochsym.cli import (
     main,
     run_pipeline,
 )
-from stochsym.errors import ConfigError, TooFewRooms
+from stochsym.errors import CheckFailed, ConfigError, TooFewRooms
 
 from conftest import traced_peak
 
@@ -784,7 +784,7 @@ def _without_x0(edit):
     (_set(("safety", "horizon"), 12.5), "safety.horizon"),
     (_set(("simulation", "record_outputs"), "false"), "simulation.record_outputs"),
     (_cert_edit(lambda v: v.update(unknown=1.0)),
-     "certificates.values[0].unknown is not a certificate field"),
+     "certificates.values[0].unknown is not a known key"),
     (_cert_edit(lambda v: v.pop("K")), "certificates.values[0].K is missing"),
     (_cert_edit(lambda v: v.update(K=[["fast"]])), "certificates.values[0].K is malformed"),
     (_set(("certificates", "values"), None), "certificates.values"),
@@ -834,6 +834,28 @@ def _without_x0(edit):
      "systems.template.input_box must be bounded"),
     (_set(("systems", "template", "internal_box", "upper"), [float("inf")]),
      "systems.template.internal_box must be bounded"),
+    (_set(("bound", "epsilon"), "half"), "bound.epsilon is malformed"),
+    (_set(("simulation", "n_trials"), "many"), "simulation.n_trials is malformed"),
+    (_set(("safety",), None), "'safety' block required for the synthesize stage"),
+    (lambda cfg: cfg["discretization"].update(R_tilde=[[0.002]]),
+     "stochastic abstractions need a finite safety.horizon"),
+    (_set(("safety", "contraction"), float("nan")), "safety.contraction is malformed"),
+    (_set(("safety", "contraction"), -1.0), "safety.contraction is malformed"),
+    (_set(("safety", "lower"), [float("nan")]), "safety.lower is malformed"),
+    (_set(("safety", "upper"), [float("inf")]), "safety.upper is malformed"),
+    (_set(("safety", "horizon"), 0), "safety.horizon is malformed"),
+    (_set(("safety", "horizon"), 2), "controller table for 2 steps but the simulation runs 12"),
+    # a misspelt key at each level of the document
+    (_set(("grd",), {}), "grd is not a known key"),
+    (_set(("systems", "template", "AA"), [[0.0]]), "systems.template.AA is not a known key"),
+    (_set(("systems", "template", "state_box", "uper"), [21.0]),
+     "systems.template.state_box.uper is not a known key"),
+    (_set(("discretization", "tauu"), 0.1), "discretization.tauu is not a known key"),
+    (_set(("grid", "state_width"), [0.005]), "grid.state_width is not a known key"),
+    (_set(("safety", "horizn"), 12), "safety.horizn is not a known key"),
+    (_cert_edit(lambda v: v.update(Kk=[[0.0]])), "certificates.values[0].Kk is not a known key"),
+    (_set(("bound", "epsilon_"), 0.1), "bound.epsilon_ is not a known key"),
+    (_set(("simulation", "n_substep"), 40), "simulation.n_substep is not a known key"),
 ], ids=["n-fraction", "n-bool", "replicate-fraction", "bound-horizon-fraction",
         "n_trials-fraction", "safety-horizon-bool", "safety-horizon-fraction",
         "record_outputs-string", "cert-unknown-key", "cert-missing-key",
@@ -847,12 +869,19 @@ def _without_x0(edit):
         "discretization-number", "grid-string", "stages-number", "output_dir-number",
         "mu-wrong-length", "coupling-M-wrong-shape", "M-wrong-shape", "cert-mode-number",
         "certificates-missing", "x0-outside-grid", "noisy-without-grid",
-        "state_box-unbounded", "input_box-unbounded", "internal_box-unbounded"])
+        "state_box-unbounded", "input_box-unbounded", "internal_box-unbounded",
+        "bound-epsilon-string", "n_trials-string", "synthesize-without-safety",
+        "stochastic-without-safety-horizon", "safety-contraction-nan",
+        "safety-contraction-negative", "safety-lower-nan", "safety-upper-infinite",
+        "safety-horizon-zero", "safety-horizon-below-bound-horizon", "top-level-typo",
+        "system-typo", "box-typo", "discretization-typo", "grid-typo", "safety-typo",
+        "certificate-typo", "bound-typo", "simulation-typo"])
 def test_config_error_exits_3_and_names_its_field(tmp_path, capsys, edit, field):
     cfg = small_rooms(tmp_path, trials=8)
     edit(cfg)
     assert run_pipeline(cfg) == EXIT_CONFIG
     assert field in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()  # found before the first artifact
 
 
 # every field load_config reads, by its dotted path in the generated config
@@ -900,11 +929,46 @@ def test_list_entry_errors_name_their_index(tmp_path):
         load_config(cfg)
 
 
-def test_unknown_key_is_ignored(tmp_path):
+def test_unknown_key_is_config_error(tmp_path, capsys):
+    # simulation.check_convergence is the one key that loads and is read by
+    # nothing: the benchmark's workload configs still set it
     cfg = small_rooms(tmp_path, trials=8)
     cfg["simulation"]["check_convergence"] = True
-    cfg["simulation"]["chunk_size"] = 16  # no longer read, and it changed no result
     assert run_pipeline(cfg) == EXIT_OK
+    cfg["simulation"]["chunk_size"] = 16
+    with pytest.raises(ConfigError, match=re.escape("simulation.chunk_size is not a known key")):
+        load_config(cfg)
+    assert run_pipeline(cfg, out_dir=str(tmp_path / "rejected")) == EXIT_CONFIG
+    assert "simulation.chunk_size" in capsys.readouterr().err
+    assert not (tmp_path / "rejected").exists()
+
+
+@pytest.mark.parametrize("scale", ["toy", "full"])
+def test_benchmark_workload_configs_load(tmp_path, scale):
+    # every run of the benchmark starts from one of these configs
+    import sys
+    from pathlib import Path
+
+    from stochsym import cli
+
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    for workload in workloads.WORKLOADS.values():
+        cfg = workloads.make_config(cli, workload, scale, str(tmp_path / "out"))
+        rooms, trials = workload.size(scale)
+        bundle = load_config(cfg)
+        assert bundle.ic.n_subsystems == rooms
+        assert bundle.simulation["n_trials"] == trials
+    # solve mode: the generated block loads, and only the solve fails (this
+    # room cannot be stabilized); the demo room's shared fields solve
+    with pytest.raises(CheckFailed, match="not stabilizable"):
+        load_config(generate_rooms(n=4, theta=0.0))
+    cfg = small_rooms(tmp_path)
+    _solved()(cfg)
+    assert load_config(cfg).certs[0].K.shape == (1, 1)
 
 
 @pytest.mark.parametrize("edit, path, now", [
@@ -924,10 +988,11 @@ def test_unknown_key_is_ignored(tmp_path):
      "derived from M_bar, P and the state box"),
     (_solved(lambda c: c.update(gamma_slope=2.0)), "certificates.gamma_slope",
      "derived from M_bar, P and the state box"),
+    (_set(("bound", "alpha_mode"), "stacked"), "bound.alpha_mode", "every output map"),
 ], ids=["simulation.epsilon", "simulation.horizon", "bound.nu_hat_sup", "interconnection.M",
         "interconnection.coupling.n", "certificates.values[0].tau",
         "certificates.values[0].delta", "certificates.delta",
-        "certificates.values[0].gamma_slope", "certificates.gamma_slope"])
+        "certificates.values[0].gamma_slope", "certificates.gamma_slope", "bound.alpha_mode"])
 def test_moved_setting_is_config_error(tmp_path, capsys, edit, path, now):
     # even a value that agrees with its replacement exits 3: ignoring a
     # setting that used to be read would change a result without saying so

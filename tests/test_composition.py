@@ -10,7 +10,7 @@ import scipy.sparse.linalg
 import stochsym as st
 from stochsym.certificates import SstfConstants, StorageCertificate
 from stochsym.cli import circular_coupling
-from stochsym.errors import DimensionMismatch, StructureMismatch, WeightNotPositive
+from stochsym.errors import DimensionMismatch, WeightNotPositive
 
 from conftest import room_certificate, traced_peak
 
@@ -242,49 +242,11 @@ def constants(a=1.0, k=0.5, c=2.0, psi=1e-5) -> SstfConstants:
 class TestComposeSsf:
     def test_hundred_identical_rooms(self):
         cs = [constants(psi=2.50025e-5)] * 100
-        net = st.compose_ssf(cs, np.ones(100), mode="stacked",
-                             output_maps=[np.eye(1)] * 100)
+        net = st.compose_ssf(cs, np.ones(100))
         assert net.rho_ext_slope == 20.0
         assert net.kappa == 0.5
         assert net.psi == 100 * 2.50025e-5
         assert net.alpha_coeff == 1.0
-
-    def test_singleton_modes_agree(self):
-        c = [constants(a=0.7)]
-        general = st.compose_ssf(c, [1.0], mode="general")
-        stacked = st.compose_ssf(c, [1.0], mode="stacked", output_maps=[np.eye(1)])
-        assert general.alpha_coeff == pytest.approx(stacked.alpha_coeff)
-        assert general.kappa == stacked.kappa
-        assert general.psi == stacked.psi
-
-    def test_two_subsystem_general_alpha(self):
-        net = st.compose_ssf([constants(), constants()], [1.0, 1.0], mode="general")
-        assert net.alpha_coeff == pytest.approx(0.5, rel=1e-12)
-
-    def test_general_alpha_matches_simplex_oracle(self):
-        # brute-force the worst-case split max sum sqrt(s_i / a_i) over the
-        # weighted simplex, then invert numerically
-        rng = np.random.default_rng(9)
-        for _ in range(10):
-            n = int(rng.integers(2, 6))
-            a = rng.uniform(0.2, 3.0, n)
-            mu = rng.uniform(0.2, 3.0, n)
-            s_total = float(rng.uniform(0.5, 4.0))
-
-            def neg(v):
-                return -np.sum(np.sqrt(np.maximum(v, 0) / a))
-
-            res = scipy.optimize.minimize(
-                neg, x0=np.full(n, s_total / np.sum(mu)), method="SLSQP",
-                bounds=[(0, None)] * n,
-                constraints=[{"type": "eq", "fun": lambda v: np.dot(mu, v) - s_total}],
-                options={"maxiter": 500, "ftol": 1e-14},
-            )
-            alpha_bar = -res.fun
-            cs = [constants(a=float(ai)) for ai in a]
-            net = st.compose_ssf(cs, mu, mode="general")
-            # inversion: alpha(alpha_bar(s)) should recover s
-            assert net.alpha(alpha_bar) == pytest.approx(s_total, rel=1e-6)
 
     def test_slope_matches_sphere_oracle(self):
         # maximize sum mu_i c_i s_i over the nonnegative unit sphere numerically
@@ -306,8 +268,44 @@ class TestComposeSsf:
                 options={"maxiter": 500, "ftol": 1e-14},
             )
             cs = [constants(c=float(ci)) for ci in c]
-            net = st.compose_ssf(cs, mu, mode="general")
+            net = st.compose_ssf(cs, mu)
             assert net.rho_ext_slope == pytest.approx(-res.fun, abs=1e-6 * (1 + abs(res.fun)))
+
+    def test_alpha_is_the_least_weighted_coefficient(self):
+        net = st.compose_ssf([constants(a=2.0), constants(a=0.5)], [1.0, 3.0])
+        assert net.alpha_coeff == 1.5
+        assert net.alpha(2.0) == 6.0
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2)])
+    def test_alpha_bounds_the_storage_for_any_output_map(self, shape):
+        # the network storage V = sum_i mu_i d_i^T M_bar_i d_i, for errors
+        # d_i = x_i - P_i xh_i, is at least alpha(||e||) at every point, where
+        # e stacks e_i = C1_i d_i and a_i = lam_min(M_bar_i) / lam_max(C1_i^T C1_i).
+        # Each SPD M_bar_i has its least eigenvector along C1_i's top right
+        # singular vector, so a room's error there meets its bound exactly
+        rng = np.random.default_rng(41)
+        n = shape[1]
+        maps = [rng.normal(size=shape) for _ in range(3)]
+        tops = [np.linalg.svd(c)[2] for c in maps]  # rows: right singular vectors
+        m_bars = [vt.T @ np.diag(np.sort(rng.uniform(0.1, 3.0, n))) @ vt for vt in tops]
+        cs = [constants(a=np.linalg.eigvalsh(m)[0] / np.linalg.eigvalsh(c.T @ c)[-1])
+              for m, c in zip(m_bars, maps)]
+        group_of = np.array([0, 1, 2, 1, 0, 2, 2])
+        mu = rng.uniform(0.5, 2.0, group_of.size)
+        net = st.compose_ssf(cs, mu, group_of=group_of)
+        least = int(np.argmin(mu * np.array([c.alpha_coeff for c in cs])[group_of]))
+        worst = np.zeros((group_of.size, n))
+        worst[least] = 2.0 * tops[group_of[least]][0]
+        ratios = []
+        for k in range(2000):
+            d = rng.normal(size=(group_of.size, n)) * rng.uniform(0.0, 3.0, (group_of.size, 1))
+            if k % 2:  # the error in one room only
+                d[np.arange(group_of.size) != rng.integers(group_of.size)] = 0.0
+            for x in (d, worst):
+                v = sum(mu[i] * x[i] @ m_bars[g] @ x[i] for i, g in enumerate(group_of))
+                e = np.concatenate([maps[g] @ x[i] for i, g in enumerate(group_of)])
+                ratios.append(net.alpha(float(np.linalg.norm(e))) / v)
+        assert max(ratios) == pytest.approx(1.0, rel=1e-12)  # V >= alpha, and tight
 
     def test_kappa_is_max_independent_of_weights(self):
         rng = np.random.default_rng(2)
@@ -315,28 +313,17 @@ class TestComposeSsf:
         cs = [constants(k=k) for k in kappas]
         for _ in range(10):
             mu = rng.uniform(0.1, 5.0, 3)
-            net = st.compose_ssf(cs, mu, mode="general")
+            net = st.compose_ssf(cs, mu)
             assert net.kappa == max(kappas)
 
     def test_psi_linear_in_components_and_weights(self):
         base = [constants(psi=1e-4), constants(psi=3e-4)]
         mu = np.array([2.0, 5.0])
-        net = st.compose_ssf(base, mu, mode="general")
+        net = st.compose_ssf(base, mu)
         assert net.psi == pytest.approx(2.0 * 1e-4 + 5.0 * 3e-4, rel=1e-15)
         doubled = [constants(psi=2e-4), constants(psi=6e-4)]
-        assert st.compose_ssf(doubled, mu, mode="general").psi == pytest.approx(
+        assert st.compose_ssf(doubled, mu).psi == pytest.approx(
             2 * net.psi, rel=1e-15)
-
-    def test_general_mode_no_less_conservative_than_stacked(self):
-        rng = np.random.default_rng(6)
-        for _ in range(20):
-            n = int(rng.integers(2, 6))
-            a = float(rng.uniform(0.2, 4.0))
-            cs = [constants(a=a)] * n
-            mu = np.ones(n)
-            g = st.compose_ssf(cs, mu, mode="general")
-            s = st.compose_ssf(cs, mu, mode="stacked", output_maps=[np.eye(1)] * n)
-            assert g.alpha_coeff <= s.alpha_coeff + 1e-15
 
     def test_rejects_malformed_duck_typed_constants(self):
         # constants built outside the validated dataclass still get checked
@@ -345,25 +332,11 @@ class TestComposeSsf:
         bad_rho = SimpleNamespace(alpha_coeff=1.0, kappa=0.5,
                                   rho_ext_slope=float("nan"), psi=0.0)
         with pytest.raises(NonLinearRho):
-            st.compose_ssf([bad_rho], [1.0], mode="general")
+            st.compose_ssf([bad_rho], [1.0])
         bad_alpha = SimpleNamespace(alpha_coeff=-2.0, kappa=0.5,
                                     rho_ext_slope=1.0, psi=0.0)
         with pytest.raises(NonQuadraticAlpha):
-            st.compose_ssf([bad_alpha], [1.0], mode="general")
-
-    def test_stacked_mode_requires_square_output(self):
-        with pytest.raises(StructureMismatch):
-            st.compose_ssf([constants()], [1.0], mode="stacked",
-                           output_maps=[np.ones((2, 1))])
-
-    def test_stacked_mode_rank_checks_each_map_of_an_iterator(self):
-        # a generator frees each map after its turn, so the singular last
-        # map may reuse an earlier one's id; it must still be rank-checked
-        n = 10
-        maps = (np.eye(2) if i < n - 1 else np.zeros((2, 2)) for i in range(n))
-        with pytest.raises(StructureMismatch):
-            st.compose_ssf([constants()] * n, np.ones(n), mode="stacked",
-                           output_maps=maps)
+            st.compose_ssf([bad_alpha], [1.0])
 
     def test_composition_result_serializes_with_margin(self, tmp_path):
         bundle, ctx, payload = compose_stage_payload(tmp_path, n=3)
@@ -496,25 +469,15 @@ class TestGroupIndex:
         assert np.array_equal(st.build_x_cmp(certs, mu, self.GROUP_OF),
                               st.build_x_cmp([certs[g] for g in self.GROUP_OF], mu))
 
-    @pytest.mark.parametrize("mode", ["general", "stacked"])
-    def test_compose_ssf_matches_per_room_reference(self, mode):
+    def test_compose_ssf_matches_per_room_reference(self):
         rng = np.random.default_rng(32)
         cs = [constants(a=float(rng.uniform(0.2, 3.0)), k=float(rng.uniform(0.1, 0.9)),
                         c=float(rng.uniform(0.0, 3.0)), psi=float(rng.uniform(0, 1e-3)))
               for _ in range(3)]
-        maps = [np.eye(1), 2.0 * np.eye(1), -np.eye(1)]
         mu = rng.uniform(0.5, 2.0, self.GROUP_OF.size)
-        grouped = st.compose_ssf(cs, mu, mode=mode, output_maps=maps, group_of=self.GROUP_OF)
-        per_room = st.compose_ssf([cs[g] for g in self.GROUP_OF], mu, mode=mode,
-                                  output_maps=[maps[g] for g in self.GROUP_OF])
+        grouped = st.compose_ssf(cs, mu, group_of=self.GROUP_OF)
+        per_room = st.compose_ssf([cs[g] for g in self.GROUP_OF], mu)
         assert grouped.to_dict() == per_room.to_dict()
-
-    def test_rank_check_names_the_lowest_member(self):
-        # group 1 holds rooms 2 and 6
-        maps = [np.eye(1), np.zeros((1, 1)), np.eye(1)]
-        with pytest.raises(StructureMismatch, match=r"\(subsystem 2\)"):
-            st.compose_ssf([constants()] * 3, np.ones(8), mode="stacked",
-                           output_maps=maps, group_of=self.GROUP_OF)
 
     def test_group_index_is_checked(self):
         with pytest.raises(DimensionMismatch, match="group_of"):
