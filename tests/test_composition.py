@@ -469,14 +469,18 @@ class TestGroupIndex:
         assert np.array_equal(st.build_x_cmp(certs, mu, self.GROUP_OF),
                               st.build_x_cmp([certs[g] for g in self.GROUP_OF], mu))
 
-    def test_compose_ssf_matches_per_room_reference(self):
+    # "general": the rooms of a group lie anywhere in the network;
+    # "stacked": the rooms of each group are contiguous, in group order
+    @pytest.mark.parametrize("layout", ["general", "stacked"])
+    def test_compose_ssf_matches_per_room_reference(self, layout):
+        group_of = self.GROUP_OF if layout == "general" else np.sort(self.GROUP_OF)
         rng = np.random.default_rng(32)
         cs = [constants(a=float(rng.uniform(0.2, 3.0)), k=float(rng.uniform(0.1, 0.9)),
                         c=float(rng.uniform(0.0, 3.0)), psi=float(rng.uniform(0, 1e-3)))
               for _ in range(3)]
         mu = rng.uniform(0.5, 2.0, self.GROUP_OF.size)
-        grouped = st.compose_ssf(cs, mu, group_of=self.GROUP_OF)
-        per_room = st.compose_ssf([cs[g] for g in self.GROUP_OF], mu)
+        grouped = st.compose_ssf(cs, mu, group_of=group_of)
+        per_room = st.compose_ssf([cs[g] for g in group_of], mu)
         assert grouped.to_dict() == per_room.to_dict()
 
     def test_group_index_is_checked(self):
