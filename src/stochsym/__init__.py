@@ -28,7 +28,6 @@ from .certificates import (
     solve_candidates,
 )
 from .composition import (
-    NetworkSsf,
     SupplyBlocks,
     build_x_cmp,
     check_compositional_lmi,
@@ -76,7 +75,7 @@ __all__ = [
     "SstfConstants", "StorageCertificate", "check_dissipativity_lmi",
     "check_geometric", "check_lyapunov", "derive_constants",
     "gamma_slope_bound", "kappa_tilde_from", "solve_candidates",
-    "NetworkSsf", "SupplyBlocks", "build_x_cmp",
+    "SupplyBlocks", "build_x_cmp",
     "check_compositional_lmi", "compose_ssf", "gershgorin_fast_check",
     "network_form", "supply_blocks",
     "ClosenessBound", "closeness_bound", "psi_hat", "violation_probability",

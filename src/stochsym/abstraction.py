@@ -181,11 +181,6 @@ class AbstractionGrid:
     def n_internal(self) -> int:
         return self.internal.n_points if self.internal is not None else 1
 
-    def internal_shift(self, d_tilde: np.ndarray, w_idx: int) -> np.ndarray:
-        if self.internal is None or d_tilde.size == 0:
-            return np.zeros(self.state.dim)
-        return d_tilde @ self.internal.center(w_idx)
-
 
 @dataclass(eq=False)
 class FiniteAbstraction:
@@ -249,12 +244,9 @@ def _shift_table(sys: AffineSystem, disc: DiscretizationSpec, grid: AbstractionG
         )
     if sys.p and (grid.internal is None or grid.internal.dim != sys.p):
         raise DimensionMismatch("grid.internal", f"expected dim {sys.p}")
-    shifts = []
-    for u in range(grid.input.n_points):
-        nu = grid.input.center(u)
-        for w in range(grid.n_internal):
-            shifts.append(nu + grid.internal_shift(disc.D_tilde, w))
-    return np.asarray(shifts).reshape(grid.input.n_points, grid.n_internal, sys.n)
+    internal = (np.zeros((1, sys.n)) if grid.internal is None
+                else grid.internal.centers() @ disc.D_tilde.T)
+    return grid.input.centers()[:, None] + internal[None]
 
 
 def _warn_if_coarse(grid: AbstractionGrid, shifts: np.ndarray) -> None:

@@ -237,8 +237,8 @@ class PipelineBundle:
     `ic.group_of[i]`, and groups are ordered by their lowest member.  `bound`
     and `simulation` hold their blocks' values by key, read as `_BOUND` and
     `_SIMULATION` say.  `x0` is `simulation.x0` (empty when absent) and `v0`
-    the bound's initial storage: at x0 and its quantization, `bound.v0`
-    without x0, and None when a group has no grid to quantize x0 in.
+    the bound's initial storage, the storage at x0 and its quantization: None
+    without x0 or when a group has no grid to quantize x0 in.
     `monte_carlo` is the simulate stage's settings, set by `_check_stages`
     when that stage runs."""
 
@@ -388,7 +388,7 @@ _CERTIFICATES = {
 }
 #: `reported` and `notes` are copied into bound.json as they are
 _BOUND = {"epsilon": (_positive, None), "horizon": (_count(0), None),
-          "v0": (_nonnegative, 0.0), "psi_hat_override": (_nonnegative, None),
+          "psi_hat_override": (_nonnegative, None),
           "reported": (_as_is, None), "notes": (_as_is, None)}
 _SIMULATION = {"n_trials": (_count(1), None), "n_substeps": (_count(1), 20),
                "seed": (_count(0), 0), "x0": (model.as_vector, []),
@@ -403,6 +403,7 @@ _MOVED = {
     "simulation.horizon": "the simulation runs bound.horizon steps",
     "bound.nu_hat_sup": "it is derived from the input grids",
     "bound.alpha_mode": "alpha is min_i(mu_i a_i) s^2 for every output map",
+    "bound.v0": "it is the storage at simulation.x0 and its quantization",
     "interconnection.M": 'give interconnection.coupling {"kind": "dense", "M": ...}',
     "interconnection.coupling.n": "a ring has one node per subsystem",
     "certificates.values.tau": "it is the group's discretization.tau",
@@ -706,9 +707,7 @@ def load_config(source) -> PipelineBundle:
         x0=x0,
         v0=None,
     )
-    if not x0.size:
-        bundle.v0 = bound["v0"]
-    elif all(g is not None for g in grids):
+    if x0.size and all(g is not None for g in grids):
         # x0 outside a grid is a ConfigError here, before any stage runs
         bundle.v0 = _initial_v0(bundle, x0)
     return bundle
@@ -733,19 +732,20 @@ def _check_stages(bundle: PipelineBundle) -> None:
         for name in ("epsilon", "horizon"):
             if bundle.bound[name] is None:
                 raise ConfigError(f"bound.{name} is missing")
+        if not bundle.x0.size:  # v0, the bound's initial storage, is the storage at x0
+            raise ConfigError("simulation.x0 is missing")
     if "simulate" in stages:
         sim = bundle.simulation
-        for name, given in (("x0", bundle.x0.size), ("n_trials", sim["n_trials"])):
-            if not given:
-                raise ConfigError(f"simulation.{name} is missing")
+        if sim["n_trials"] is None:
+            raise ConfigError("simulation.n_trials is missing")
         bundle.monte_carlo = rt.SimConfig(
             n_trials=sim["n_trials"], horizon=bundle.bound["horizon"],
             epsilon=bundle.bound["epsilon"], n_substeps=sim["n_substeps"],
             rng_seed=sim["seed"], record_outputs=sim["record_outputs"])
         rt.SimConfig.workers()
-        # the runtime's rule: a table of one step is stationary
+        # the runtime's rule: a time-varying table must hold a row per step
         steps = bundle.safety.horizon
-        if steps is not None and 1 < steps < bundle.monte_carlo.horizon:
+        if steps is not None and steps < bundle.monte_carlo.horizon:
             raise StaleControllerTable(0, steps, bundle.monte_carlo.horizon)
 
 
@@ -791,7 +791,6 @@ def _stage_compose(bundle: PipelineBundle, ctx: dict) -> None:
     mu = bundle.ic.mu
     blocks = comp.supply_blocks(bundle.certs, mu, bundle.ic.group_of)
     form = comp.network_form(bundle.ic.M, blocks)
-    fast = comp.gershgorin_fast_check(form)
     lmi = comp.check_compositional_lmi(form)
     if not lmi.ok:
         tag = (comp.CONDITION_NETWORK_LMI if lmi.violated
@@ -819,7 +818,7 @@ def _stage_compose(bundle: PipelineBundle, ctx: dict) -> None:
     write_json(ctx["out"] / "composition.json", {
         "abstract_well_posed": has_grids or None,
         "coupling_equality": "identical by construction",
-        "gershgorin": {"ok": fast.ok, "bound": fast.bound},
+        "gershgorin": {"ok": lmi.gershgorin.ok, "bound": lmi.gershgorin.bound},
         # the bracket on the form's largest eigenvalue; lmi_margin is -upper end
         "lmi_bracket": [lmi.lower, lmi.margin],
         "lmi_factorizations": lmi.factorizations,
@@ -913,9 +912,9 @@ def _stage_bound(bundle: PipelineBundle, ctx: dict) -> None:
 
 def _stage_simulate(bundle: PipelineBundle, ctx: dict) -> None:
     bound = ctx["bound"]  # the Monte Carlo counts the event this bound bounds
-    result = rt.cosimulate(bundle.systems, bundle.ic, bundle.discs,
-                           ctx["abstractions"], ctx["controllers"],
-                           bundle.certs, bundle.monte_carlo, bundle.x0)
+    result = rt.cosimulate(bundle.systems, bundle.ic, ctx["abstractions"],
+                           ctx["controllers"], bundle.certs, bundle.monte_carlo,
+                           bundle.x0)
     payload = result.summary.to_dict()
     payload["theoretical_violation_bound"] = bound.violation_bound
     payload["cp95_below_theoretical"] = bool(result.summary.cp95_upper <= bound.violation_bound)

@@ -23,7 +23,7 @@ dense eigensolve.  The dense X_cmp is built only on request (`build_x_cmp`).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
@@ -69,6 +69,7 @@ class LmiCheck:
     tol: float
     lower: float  # lower end of that bracket
     factorizations: int  # sparse factorizations the bisection made
+    gershgorin: GershgorinCheck  # the check whose bound starts the bracket
 
     @property
     def violated(self) -> bool:
@@ -79,22 +80,7 @@ class LmiCheck:
 class GershgorinCheck:
     ok: bool  # False means inconclusive, not violated
     bound: float  # largest Gershgorin disc edge of the network form
-
-
-@dataclass(frozen=True)
-class NetworkSsf:
-    """Aggregated simulation-function constants for the coupled network."""
-
-    alpha_coeff: float
-    kappa: float
-    rho_ext_slope: float
-    psi: float
-
-    def alpha(self, s: float) -> float:
-        return self.alpha_coeff * s * s
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+    tol: float  # the form's PSD tolerance, which the LMI verdict uses too
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,19 +208,22 @@ def check_compositional_lmi(form: scipy.sparse.csr_matrix) -> LmiCheck:
 
     `form` is `network_form(M, blocks)`, F.  The bracket starts at
     [1^T F 1 / n, Gershgorin bound]: a Rayleigh quotient cannot exceed the
-    largest eigenvalue, and no eigenvalue exceeds the bound.  Bisection on
-    sigma narrows it with one sparse factorization of sigma I - F per step
+    largest eigenvalue, and no eigenvalue exceeds the bound.  The bound and
+    the tolerance come from `gershgorin_fast_check`, whose result the verdict
+    carries.  Bisection on sigma narrows the bracket with one sparse
+    factorization of sigma I - F per step
     (`_below`) until it is `_BRACKET_RTOL` wide; an inconclusive
     factorization ends the bisection and moves neither end.  On a ring of
     identical rooms the quotient meets the bound, so nothing is factored.
     The margin is the upper end, so a conclusive Gershgorin check decides
     alone.
     """
-    tol = psd_tolerance(form)
+    fast = gershgorin_fast_check(form)
+    tol, hi = fast.tol, fast.bound
     n = form.shape[0]
-    hi = _gershgorin_bound(form)
     if not n:
-        return LmiCheck(ok=True, margin=hi, tol=tol, lower=hi, factorizations=0)
+        return LmiCheck(ok=True, margin=hi, tol=tol, lower=hi, factorizations=0,
+                        gershgorin=fast)
     lo = min(float(form.sum()) / n, hi)
     floor = max(float(form.max()), -float(form.min()))
     factorizations = 0
@@ -251,7 +240,7 @@ def check_compositional_lmi(form: scipy.sparse.csr_matrix) -> LmiCheck:
         else:
             lo = sigma
     return LmiCheck(ok=hi <= tol, margin=hi, tol=tol, lower=lo,
-                    factorizations=factorizations)
+                    factorizations=factorizations, gershgorin=fast)
 
 
 def gershgorin_fast_check(form: scipy.sparse.csr_matrix) -> GershgorinCheck:
@@ -263,15 +252,15 @@ def gershgorin_fast_check(form: scipy.sparse.csr_matrix) -> GershgorinCheck:
     that bound is within the tolerance the LMI verdict uses, so an ok check
     implies an ok LMI; False means inconclusive, not violated.
     """
-    bound = _gershgorin_bound(form)
-    return GershgorinCheck(ok=bound <= psd_tolerance(form), bound=bound)
+    bound, tol = _gershgorin_bound(form), psd_tolerance(form)
+    return GershgorinCheck(ok=bound <= tol, bound=bound, tol=tol)
 
 
 def compose_ssf(
     constants: list[SstfConstants],
     mu,
     group_of=None,
-) -> NetworkSsf:
+) -> SstfConstants:
     """Aggregate verified per-subsystem constants into network constants.
 
     `constants` holds one entry per group of `group_of`.  kappa is the exact
@@ -302,6 +291,6 @@ def compose_ssf(
     # squared by pow, as `x ** 2` squares a float (it can differ from x * x)
     slope = math.sqrt(math.fsum(map(pow, weighted("rho_ext_slope").tolist(), repeat(2))))
 
-    return NetworkSsf(alpha_coeff=float(np.min(weighted("alpha_coeff"))),
-                      kappa=float(kappa), rho_ext_slope=float(slope),
-                      psi=float(psi))
+    return SstfConstants(alpha_coeff=float(np.min(weighted("alpha_coeff"))),
+                         kappa=float(kappa), rho_ext_slope=float(slope),
+                         psi=float(psi))

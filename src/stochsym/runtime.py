@@ -23,9 +23,11 @@ covariance int_0^dt e^{F s} G G^T e^{F^T s} ds.  Sampled errors therefore
 do not depend on the substep count, which sets only the resolution of the
 output envelope.  When the stacked residual D - B H is not exactly zero,
 dt (D - B H) M C2 x is added per substep (a first-order splitting).  Each
-object is given once per group of equal subsystems (`ic.group_of`); a
-group's operators are built once, and its members are quantized and looked
-up together, one grid lookup per group and step.
+object is given once per group of equal subsystems (`ic.group_of`), and a
+group's sampled model is its abstraction's own; a group's operators,
+substep maps for the run's one substep count included, are built once, and
+its members are quantized and looked up together, one grid lookup per group
+and step.
 
 Trials are independent; each draws its Gaussian increments from its own
 counter-based stream split off the master seed, so results are bitwise
@@ -350,17 +352,6 @@ def _exact_step(f: np.ndarray, gg: np.ndarray, dt: float):
 
 
 @dataclass(eq=False)
-class _Substep:
-    """Exact-transition substep operators for one substep count."""
-
-    n: int
-    phi: _Op                # e^{F dt}
-    gain: _Op               # int_0^dt e^{F s} ds, applied to c_k
-    noise: _Op              # L, applied to n standard normals per subsystem
-    residual: _Op | None    # dt (D - B H); None when Con_3 cancels the coupling
-
-
-@dataclass(eq=False)
 class _Group:
     """Subsystems sharing one abstraction and controller, looked up together."""
 
@@ -375,22 +366,23 @@ class _Group:
         return x[:, self.cols].reshape(x.shape[0], self.rooms, self.grid.dim)
 
     def actions(self, idx: np.ndarray, step: int) -> np.ndarray:
-        return self.table[step if self.table.shape[0] > 1 else 0][idx]
+        return self.table[step][idx]
 
 
 class _Network:
-    """Stacked operators and per-group lookup data for batched simulation;
-    every list holds one entry per group of `ic`."""
+    """Stacked operators, exact substep maps for `n_substeps` substeps per
+    interval, and per-group lookup data for batched simulation; every list
+    holds one entry per group of `ic`."""
 
-    def __init__(self, systems, ic, discs, abstractions, controllers, certs, horizon):
-        if not (len(systems) == len(discs) == len(abstractions)
-                == len(controllers) == len(certs) == len(ic.subsystem_dims)):
+    def __init__(self, systems, ic, abstractions, controllers, certs, horizon, n_substeps):
+        if not (len(systems) == len(abstractions) == len(controllers) == len(certs)
+                == len(ic.subsystem_dims)):
             raise DimensionMismatch("network", "per-group argument lists disagree")
-        taus = {d.tau for d in discs}
-        if len(taus) != 1:
+        discs = [a.disc for a in abstractions]
+        if len({d.tau for d in discs}) != 1:
             raise DimensionMismatch("tau", "all subsystems must share one sampling time")
-        self.tau = discs[0].tau
-        self.group_of = group_of = ic.group_of
+        self.n_substeps = n_substeps
+        group_of = ic.group_of
         members = group_members(group_of)
         start = member_starts([s.n for s in systems], group_of)
         self.n_total = int(start[-1])
@@ -410,10 +402,17 @@ class _Network:
         self.b = spread([s.b for s in systems], group_of)
         self.M = ic.M
         self.abs_noise_dim = int(member_starts([d.R_tilde.shape[1] for d in discs], group_of)[-1])
-        self._closed_loop = [s.A + s.B @ c.K for s, c in zip(systems, certs)]
-        self._diffusion = [s.G @ s.G.T for s in systems]
+
+        # the exact transition of each substep: phi = e^{F dt}, gain =
+        # int_0^dt e^{F s} ds (applied to c_k) and noise = L (applied to n
+        # standard normals per subsystem); residual = dt (D - B H), None when
+        # Con_3 cancels the coupling
+        dt = discs[0].tau / n_substeps
+        self.phi, self.gain, self.noise = (_Op.stack(ops, group_of) for ops in zip(
+            *(_exact_step(s.A + s.B @ c.K, s.G @ s.G.T, dt) for s, c in zip(systems, certs))))
         residual = [s.D - s.B @ c.H for s, c in zip(systems, certs)]
-        self._residual = residual if any(np.any(r) for r in residual) else None
+        self.residual = (_Op.stack([dt * r for r in residual], group_of)
+                         if any(np.any(r) for r in residual) else None)
 
         self.groups = []
         for member, s, a, c in zip(members, systems, abstractions, controllers):
@@ -424,8 +423,10 @@ class _Network:
             cols = (start[member][:, None] + np.arange(s.n)).ravel()
             if np.array_equal(cols, np.arange(cols[0], cols[0] + cols.size)):
                 cols = slice(int(cols[0]), int(cols[0]) + cols.size)
-            t = c.table if c.table.ndim == 2 else c.table[None, :]
-            if 1 < t.shape[0] < horizon:
+            # a stationary (1-D) table serves every step; a time-varying one
+            # must hold a row for each of them
+            t = c.table if c.table.ndim == 2 else np.broadcast_to(c.table, (horizon, c.table.size))
+            if t.shape[0] < horizon:
                 raise StaleControllerTable(int(member[0]), t.shape[0], horizon)
             self.groups.append(_Group(
                 rooms=member.size, cols=cols, grid=a.grid.state,
@@ -437,16 +438,6 @@ class _Network:
         """w = M zeta2 for each row of z2, written into `out`."""
         out[...] = (self.M @ z2.T).T
         return out
-
-    def substep(self, n_substeps: int) -> _Substep:
-        dt = self.tau / n_substeps
-        group_of = self.group_of
-        residual = None
-        if self._residual is not None:
-            residual = _Op.stack([dt * r for r in self._residual], group_of)
-        phi, gain, noise = (_Op.stack(ops, group_of) for ops in zip(
-            *(_exact_step(f, gg, dt) for f, gg in zip(self._closed_loop, self._diffusion))))
-        return _Substep(n=n_substeps, phi=phi, gain=gain, noise=noise, residual=residual)
 
 
 class _Lost(Exception):
@@ -480,9 +471,8 @@ def _quantize(net: _Network, points: np.ndarray, Xhat: np.ndarray, idx: list,
         Xhat[:, group.cols] = group.grid.centers()[idx[g]].reshape(len(Xhat), -1)
 
 
-def _simulate_chunk(net: _Network, sub: _Substep, horizon: int,
-                    x0: np.ndarray, streams, trial_offset: int,
-                    record_outputs: bool, block: int):
+def _simulate_chunk(net: _Network, horizon: int, x0: np.ndarray, streams,
+                    trial_offset: int, record_outputs: bool, block: int):
     C = len(streams)
     # per trial: its abstract normals first, then n_substeps x n_total
     # concrete normals per interval
@@ -555,9 +545,9 @@ def _simulate_chunk(net: _Network, sub: _Substep, horizon: int,
         nu_latched += net.H(w_latch, out=nxt)
         c_k = net.B(nu_latched, out=nxt)
         c_k += net.b
-        sub.gain(c_k, out=offset)
-        for j0 in range(0, sub.n, block):
-            z = normals[:, :min(block, sub.n - j0)]
+        net.gain(c_k, out=offset)
+        for j0 in range(0, net.n_substeps, block):
+            z = normals[:, :min(block, net.n_substeps - j0)]
             # each trial continues its interval's normals in stream order
             for c, gen in enumerate(gens):
                 gen.standard_normal(out=z[c])
@@ -565,15 +555,15 @@ def _simulate_chunk(net: _Network, sub: _Substep, horizon: int,
             # phi x_{j-1} (and the residual term) into slice j, which becomes
             # x_j: addition commutes, so each state is the sum
             # phi x + (L z + gain c_k) of one substep at a time, bit for bit
-            sub.noise(z, out=z)
+            net.noise(z, out=z)
             z += offset[:, None, :]
             prev = X
             for j in range(z.shape[1]):
                 x = z[:, j]
-                x += sub.phi(prev, out=nxt)
-                if sub.residual is not None:
+                x += net.phi(prev, out=nxt)
+                if net.residual is not None:
                     w_t = net.coupling(net.C2(prev, out=z2), out=w)
-                    x += sub.residual(w_t, out=nxt)
+                    x += net.residual(w_t, out=nxt)
                 prev = x
             X[...] = prev
             extremes(net.C1(z, out=outputs[:, :z.shape[1]]))
@@ -609,11 +599,11 @@ def _run_batch(net, config: SimConfig, x0, streams):
     workers = config.workers()
     chunks = _chunks(config.n_trials, workers)
     workers = min(workers, len(chunks))
-    sub = net.substep(config.n_substeps)
     # one block of normals per worker, sized by the largest chunk (the first)
     in_flight = workers * (chunks[0][1] - chunks[0][0])
-    block = min(sub.n, max(_SUBSTEP_BLOCK_ENTRIES // (in_flight * net.n_total),
-                           -(-_MIN_DRAW // net.n_total)))
+    block = min(config.n_substeps,
+                max(_SUBSTEP_BLOCK_ENTRIES // (in_flight * net.n_total),
+                    -(-_MIN_DRAW // net.n_total)))
     results = [None] * len(chunks)
 
     def run(first: int) -> None:
@@ -621,7 +611,7 @@ def _run_batch(net, config: SimConfig, x0, streams):
         for pos in range(first, len(chunks), workers):
             start, stop = chunks[pos]
             try:
-                results[pos] = _simulate_chunk(net, sub, config.horizon, x0,
+                results[pos] = _simulate_chunk(net, config.horizon, x0,
                                                streams[start:stop], start,
                                                config.record_outputs, block)
             except _Lost as lost:
@@ -646,7 +636,6 @@ def _run_batch(net, config: SimConfig, x0, streams):
 def cosimulate(
     systems: list[AffineSystem],
     ic: InterconnectionSpec,
-    discs: list,
     abstractions: list[FiniteAbstraction],
     controllers: list[Controller],
     certs: list[StorageCertificate],
@@ -655,8 +644,13 @@ def cosimulate(
 ) -> SimulationResult:
     """Closed-loop Monte Carlo of the concrete network against its abstraction.
 
-    `systems`, `discs`, `abstractions`, `controllers` and `certs` hold one
-    entry per group of `ic`, whose `group_of` places the subsystems.  Per
+    `systems`, `abstractions`, `controllers` and `certs` hold one entry per
+    group of `ic`, whose `group_of` places the subsystems; each group's
+    sampling time, D_tilde and R_tilde are those of its abstraction's `disc`,
+    and its output maps C1 P and C2 P are formed from `systems` and `certs`.
+    A stationary controller table serves every step, and a time-varying one
+    must hold a row for each of the `config.horizon` steps
+    (`StaleControllerTable`, a ConfigError, if it holds fewer).  Per
     trial: the abstract network starts at the quantized concrete initial
     state and both evolve in lockstep; the concrete internal input is
     recomputed continuously from current states through M, while the abstract
@@ -669,8 +663,8 @@ def cosimulate(
     sampled errors do not depend on `config.n_substeps`; the substep count
     sets only how finely the output envelope between samples is resolved.
     """
-    net = _Network(systems, ic, discs, abstractions, controllers, certs,
-                   config.horizon)
+    net = _Network(systems, ic, abstractions, controllers, certs, config.horizon,
+                   config.n_substeps)
     x0 = as_vector(x0)
     if x0.size != net.n_total:
         raise DimensionMismatch("x0", f"expected {net.n_total} states")

@@ -256,7 +256,7 @@ def rooms_setup():
 def _row_means(disc, grid):
     """Each kernel row's mean, center(s) + center(u) + D_tilde center(w), in row order."""
     return np.array([grid.state.center(s) + (grid.input.center(u)
-                                             + grid.internal_shift(disc.D_tilde, w))
+                                             + disc.D_tilde @ grid.internal.center(w))
                      for s in range(grid.state.n_points)
                      for u in range(grid.input.n_points)
                      for w in range(grid.n_internal)])
@@ -333,7 +333,7 @@ def _reference_kernel(disc, grid):
     sigma = np.sqrt(np.maximum(np.diag(disc.R_tilde @ disc.R_tilde.T), 0.0))
     sgrid = grid.state
     S, U, W = sgrid.n_points, grid.input.n_points, grid.n_internal
-    shifts = np.asarray([[grid.input.center(u) + grid.internal_shift(disc.D_tilde, w)
+    shifts = np.asarray([[grid.input.center(u) + disc.D_tilde @ grid.internal.center(w)
                           for w in range(W)] for u in range(U)])
     centers = sgrid.centers()
     data, indices, indptr = [], [], [0]

@@ -631,11 +631,12 @@ def test_wrong_length_x0_is_config_error(tmp_path, capsys):
         load_config(cfg)
     assert not (tmp_path / "out").exists()
     del cfg["simulation"]["x0"]
-    bundle = load_config(cfg)  # the bound stage can run on bound.v0
-    assert bundle.x0.size == 0 and bundle.v0 == 0.0
-    assert run_pipeline(cfg) == EXIT_CONFIG
-    assert "simulation.x0 is missing" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    bundle = load_config(cfg)  # the bound's initial storage is the storage at x0
+    assert bundle.x0.size == 0 and bundle.v0 is None
+    for stages in (None, list(STAGES[:5])):  # through simulate, and through bound
+        assert run_pipeline(cfg, stages=stages) == EXIT_CONFIG
+        assert "simulation.x0 is missing" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("block", ["simulation", "bound", "safety",
@@ -765,14 +766,6 @@ def _flat_coupling(m):
     return apply
 
 
-def _without_x0(edit):
-    # with no simulation.x0 the bound stage reads bound.v0 instead
-    def apply(cfg):
-        del cfg["simulation"]["x0"]
-        edit(cfg)
-    return apply
-
-
 @pytest.mark.parametrize("edit, field", [
     # coupling.n is no longer read: any value exits 3 naming it
     (_set(("interconnection", "coupling", "n"), 4.9), "interconnection.coupling.n"),
@@ -800,8 +793,6 @@ def _without_x0(edit):
     # no longer read: any value exits 3 and names the field
     (_set(("simulation", "epsilon"), -1.0), "simulation.epsilon"),
     (_set(("simulation", "epsilon"), float("nan")), "simulation.epsilon"),
-    (_without_x0(_set(("bound", "v0"), -1.0)), "bound.v0"),
-    (_without_x0(_set(("bound", "v0"), float("nan"))), "bound.v0"),
     (_set(("bound", "nu_hat_sup"), -1.0), "bound.nu_hat_sup"),
     (_set(("bound", "psi_hat_override"), -1.0), "bound.psi_hat_override"),
     (_set(("bound", "psi_hat_override"), float("nan")), "bound.psi_hat_override"),
@@ -845,6 +836,8 @@ def _without_x0(edit):
     (_set(("safety", "upper"), [float("inf")]), "safety.upper is malformed"),
     (_set(("safety", "horizon"), 0), "safety.horizon is malformed"),
     (_set(("safety", "horizon"), 2), "controller table for 2 steps but the simulation runs 12"),
+    # a one-step table is no stationary policy either
+    (_set(("safety", "horizon"), 1), "controller table for 1 steps but the simulation runs 12"),
     # a misspelt key at each level of the document
     (_set(("grd",), {}), "grd is not a known key"),
     (_set(("systems", "template", "AA"), [[0.0]]), "systems.template.AA is not a known key"),
@@ -863,7 +856,7 @@ def _without_x0(edit):
         "unknown-alpha_mode", "psi_network-non-numeric", "bound-horizon-negative",
         "seed-negative", "bound-epsilon-negative", "bound-epsilon-nan",
         "bound-epsilon-zero", "simulation-epsilon-negative", "simulation-epsilon-nan",
-        "v0-negative", "v0-nan", "nu_hat_sup-negative", "psi_hat_override-negative",
+        "nu_hat_sup-negative", "psi_hat_override-negative",
         "psi_hat_override-nan", "tau-missing", "state_widths-string", "state_widths-zero",
         "R_tilde-string", "state_box-string", "state_box-sizes-differ", "A-string",
         "discretization-number", "grid-string", "stages-number", "output_dir-number",
@@ -873,7 +866,8 @@ def _without_x0(edit):
         "bound-epsilon-string", "n_trials-string", "synthesize-without-safety",
         "stochastic-without-safety-horizon", "safety-contraction-nan",
         "safety-contraction-negative", "safety-lower-nan", "safety-upper-infinite",
-        "safety-horizon-zero", "safety-horizon-below-bound-horizon", "top-level-typo",
+        "safety-horizon-zero", "safety-horizon-below-bound-horizon",
+        "safety-horizon-one-step", "top-level-typo",
         "system-typo", "box-typo", "discretization-typo", "grid-typo", "safety-typo",
         "certificate-typo", "bound-typo", "simulation-typo"])
 def test_config_error_exits_3_and_names_its_field(tmp_path, capsys, edit, field):
@@ -989,10 +983,12 @@ def test_benchmark_workload_configs_load(tmp_path, scale):
     (_solved(lambda c: c.update(gamma_slope=2.0)), "certificates.gamma_slope",
      "derived from M_bar, P and the state box"),
     (_set(("bound", "alpha_mode"), "stacked"), "bound.alpha_mode", "every output map"),
+    (_set(("bound", "v0"), 0.0), "bound.v0", "storage at simulation.x0"),
 ], ids=["simulation.epsilon", "simulation.horizon", "bound.nu_hat_sup", "interconnection.M",
         "interconnection.coupling.n", "certificates.values[0].tau",
         "certificates.values[0].delta", "certificates.delta",
-        "certificates.values[0].gamma_slope", "certificates.gamma_slope", "bound.alpha_mode"])
+        "certificates.values[0].gamma_slope", "certificates.gamma_slope", "bound.alpha_mode",
+        "bound.v0"])
 def test_moved_setting_is_config_error(tmp_path, capsys, edit, path, now):
     # even a value that agrees with its replacement exits 3: ignoring a
     # setting that used to be read would change a result without saying so

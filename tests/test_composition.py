@@ -419,6 +419,24 @@ def compose_stage_payload(tmp_path, n):
     return bundle, ctx, json.loads((tmp_path / "composition.json").read_text())
 
 
+def test_compose_stage_takes_one_gershgorin_bound(tmp_path, monkeypatch):
+    # the LMI bracket starts from the fast check's bound and tolerance, and
+    # composition.json reports that same check
+    from stochsym import composition
+
+    calls = []
+    bound = composition._gershgorin_bound
+
+    def spy(form):
+        calls.append(form.shape)
+        return bound(form)
+
+    monkeypatch.setattr(composition, "_gershgorin_bound", spy)
+    _, _, payload = compose_stage_payload(tmp_path, n=5)
+    assert calls == [(5, 5)]
+    assert payload["gershgorin"]["bound"] == payload["lmi_bracket"][1]
+
+
 def test_result_without_matrix_keeps_shape(tmp_path):
     _, _, payload = compose_stage_payload(tmp_path, n=5)
     assert payload["x_cmp_shape"] == [10, 10] and "x_cmp" not in payload

@@ -111,7 +111,7 @@ def ring_of_one_group(n):
 def small_network(n=3, g=0.0, bias=None, tracking_rate=200.0):
     """n-room ring of one group, with adjustable noise/offset for runtime tests.
 
-    Returns (systems, ic, discs, fas, ctrls, certs), one list entry per group.
+    Returns (systems, ic, fas, ctrls, certs), one list entry per group.
     """
     base = room_system()
     sys_ = st.AffineSystem(
@@ -128,66 +128,66 @@ def small_network(n=3, g=0.0, bias=None, tracking_rate=200.0):
         internal=st.UniformGrid.cover(sys_.internal_box, [2.0]))
     fa = st.build_deterministic(sys_, disc, grid)
     ctrl = st.safety_fixpoint(fa, st.SafetySpec(safe_box=st.Box([20.0], [21.0])))
-    return [sys_], ring_of_one_group(n), [disc], [fa], [ctrl], [cert]
+    return [sys_], ring_of_one_group(n), [fa], [ctrl], [cert]
 
 
 class TestCosimulate:
     def test_noise_free_synced_start_stays_tight(self, monkeypatch):
         # G = 0, b = 0, start on a representative: quantization is the only
         # error source and stays below the one-step input kick + cell radius
-        systems, ic, discs, fas, ctrls, certs = small_network(g=0.0, bias=0.0)
+        systems, ic, fas, ctrls, certs = small_network(g=0.0, bias=0.0)
         grid = fas[0].grid.state
         x0 = np.full(3, grid.center(grid.locate([20.5]))[0])
         chunk_trials(monkeypatch, 2)
         cfg = st.SimConfig(n_trials=3, horizon=12, epsilon=0.05, n_substeps=20,
                            rng_seed=0)
-        res = st.cosimulate(systems, ic, discs, fas, ctrls, certs, cfg, x0)
+        res = st.cosimulate(systems, ic, fas, ctrls, certs, cfg, x0)
         # one abstract input kick (<= 0.01) + cell radius + tracking residue
         bound = math.sqrt(3) * (0.01 + 0.0025 + 0.005)
         assert res.summary.max_sup_error <= bound
         assert res.summary.n_violations == 0
 
     def test_seeded_reproducibility_bitwise(self, monkeypatch):
-        systems, ic, discs, fas, ctrls, certs = small_network(g=0.3)
+        systems, ic, fas, ctrls, certs = small_network(g=0.3)
         x0 = np.full(3, 20.5025)
         chunk_trials(monkeypatch, 4)
         cfg = st.SimConfig(n_trials=6, horizon=5, epsilon=0.5, n_substeps=10,
                            rng_seed=99)
-        a = st.cosimulate(systems, ic, discs, fas, ctrls, certs, cfg, x0)
-        b = st.cosimulate(systems, ic, discs, fas, ctrls, certs, cfg, x0)
+        a = st.cosimulate(systems, ic, fas, ctrls, certs, cfg, x0)
+        b = st.cosimulate(systems, ic, fas, ctrls, certs, cfg, x0)
         assert np.array_equal(a.step_errors, b.step_errors)
         assert a.summary.to_dict() == b.summary.to_dict()
 
     def test_chunking_does_not_change_statistics(self, monkeypatch):
-        systems, ic, discs, fas, ctrls, certs = small_network(g=0.3)
+        systems, ic, fas, ctrls, certs = small_network(g=0.3)
         x0 = np.full(3, 20.5025)
         cfg = st.SimConfig(n_trials=7, horizon=4, epsilon=0.5, n_substeps=8, rng_seed=5)
         runs = []
         for trials in (7, 2):
             chunk_trials(monkeypatch, trials)
-            runs.append(st.cosimulate(systems, ic, discs, fas, ctrls, certs, cfg, x0))
+            runs.append(st.cosimulate(systems, ic, fas, ctrls, certs, cfg, x0))
         assert np.array_equal(runs[0].step_errors, runs[1].step_errors)
 
     def test_worker_count_does_not_change_statistics(self, monkeypatch):
-        systems, ic, discs, fas, ctrls, certs = small_network(g=0.3)
+        systems, ic, fas, ctrls, certs = small_network(g=0.3)
         x0 = np.full(3, 20.5025)
         chunk_trials(monkeypatch, 2)
         cfg = st.SimConfig(n_trials=8, horizon=4, epsilon=0.5, n_substeps=8, rng_seed=5)
         runs = []
         for workers in ("1", "4"):
             monkeypatch.setenv("STOCHSYM_THREADS", workers)
-            runs.append(st.cosimulate(systems, ic, discs, fas, ctrls, certs, cfg, x0))
+            runs.append(st.cosimulate(systems, ic, fas, ctrls, certs, cfg, x0))
         assert np.array_equal(runs[0].step_errors, runs[1].step_errors)
 
     def test_interface_matches_scalar_reference_inside_run(self):
         # one noise-free step of the batched engine equals a hand-rolled
         # scalar exact-step integration driven by interface_input
-        systems, ic, discs, fas, ctrls, certs = small_network(g=0.0)
+        systems, ic, fas, ctrls, certs = small_network(g=0.0)
         grid = fas[0].grid.state
         x0 = np.array([20.387, 20.502, 20.731])
         cfg = st.SimConfig(n_trials=1, horizon=1, epsilon=9.9, n_substeps=4,
                            rng_seed=0, record_outputs=True)
-        res = st.cosimulate(systems, ic, discs, fas, ctrls, certs, cfg, x0)
+        res = st.cosimulate(systems, ic, fas, ctrls, certs, cfg, x0)
 
         m = ic.M
         idx = [grid.locate([v]) for v in x0]
@@ -218,9 +218,9 @@ class TestCosimulate:
 
     def test_noise_free_errors_do_not_depend_on_substeps(self):
         # the exact step composes: n steps of dt equal one step of n dt
-        systems, ic, discs, fas, ctrls, certs = small_network(g=0.0)
+        systems, ic, fas, ctrls, certs = small_network(g=0.0)
         x0 = np.array([20.387, 20.502, 20.731])
-        runs = [st.cosimulate(systems, ic, discs, fas, ctrls, certs, st.SimConfig(
+        runs = [st.cosimulate(systems, ic, fas, ctrls, certs, st.SimConfig(
                     n_trials=2, horizon=6, epsilon=9.9, n_substeps=n, rng_seed=3),
                     x0).step_errors
                 for n in (1, 4, 40)]
@@ -231,16 +231,16 @@ class TestCosimulate:
     def test_one_interval_moments_match_closed_form(self, monkeypatch):
         # x(tau) of a noisy room started on a representative is Gaussian
         # with the closed-form mean and variance of the exact transition
-        systems, ic, discs, fas, ctrls, certs = small_network(g=0.3)
+        systems, ic, fas, ctrls, certs = small_network(g=0.3)
         grid = fas[0].grid.state
         x0 = np.full(3, grid.center(grid.locate([20.5]))[0])
         chunk_trials(monkeypatch, 4096)
         cfg = st.SimConfig(n_trials=20_000, horizon=1, epsilon=9.9, n_substeps=4,
                            rng_seed=8, record_outputs=True)
-        res = st.cosimulate(systems, ic, discs, fas, ctrls, certs, cfg, x0)
+        res = st.cosimulate(systems, ic, fas, ctrls, certs, cfg, x0)
         finals = res.outputs[:, 1, :].ravel()  # three independent rooms
 
-        sys_, cert, tau = systems[0], certs[0], discs[0].tau
+        sys_, cert, tau = systems[0], certs[0], fas[0].disc.tau
         w0 = 2.0 * x0[0]  # ring: both neighbours, concrete and abstract alike
         s = InterfaceState(K=cert.K, P=cert.P, Q=cert.Q, H=cert.H, tau=tau,
                            step=0, xi_latch=x0[:1], xi_hat=x0[:1],
@@ -345,17 +345,17 @@ def stochastic_network(n=3, sigma=0.002):
     fa = st.build_stochastic(sys_, disc, grid)
     ctrl = st.safety_value_iteration(
         fa, st.SafetySpec(safe_box=st.Box([20.0], [21.0]), horizon=6))
-    return [sys_], ring_of_one_group(n), [disc], [fa], [ctrl], [cert]
+    return [sys_], ring_of_one_group(n), [fa], [ctrl], [cert]
 
 
 class TestStochasticClosedLoop:
     def test_end_to_end_with_sampled_abstraction(self, monkeypatch):
-        systems, ic, discs, fas, ctrls, certs = stochastic_network()
+        systems, ic, fas, ctrls, certs = stochastic_network()
         grid = fas[0].grid.state
         x0 = np.full(3, grid.center(grid.locate([20.5]))[0])
         chunk_trials(monkeypatch, 8)
         cfg = st.SimConfig(n_trials=20, horizon=6, epsilon=0.6, n_substeps=20, rng_seed=4)
-        res = st.cosimulate(systems, ic, discs, fas, ctrls, certs, cfg, x0)
+        res = st.cosimulate(systems, ic, fas, ctrls, certs, cfg, x0)
         assert res.summary.n_trials == 20
         assert np.all(np.isfinite(res.step_errors))
         # the abstract state jitters by the sampled noise as well, so errors
@@ -363,14 +363,14 @@ class TestStochasticClosedLoop:
         assert 0.0 < res.summary.max_sup_error < 0.6
 
     def test_sampled_abstract_path_is_seed_reproducible(self, monkeypatch):
-        systems, ic, discs, fas, ctrls, certs = stochastic_network()
+        systems, ic, fas, ctrls, certs = stochastic_network()
         grid = fas[0].grid.state
         x0 = np.full(3, grid.center(grid.locate([20.5]))[0])
         cfg = st.SimConfig(n_trials=9, horizon=4, epsilon=0.6, n_substeps=10, rng_seed=21)
         runs = []
         for trials in (4, 3):
             chunk_trials(monkeypatch, trials)
-            runs.append(st.cosimulate(systems, ic, discs, fas, ctrls, certs, cfg, x0))
+            runs.append(st.cosimulate(systems, ic, fas, ctrls, certs, cfg, x0))
         assert np.array_equal(runs[0].step_errors, runs[1].step_errors)
 
 
@@ -387,7 +387,7 @@ def test_calling_thread_runs_chunks_beside_its_helpers(monkeypatch):
         return simulate_chunk(*args)
 
     monkeypatch.setattr(runtime, "_simulate_chunk", spy)
-    systems, ic, discs, fas, ctrls, certs = small_network(g=0.3)
+    systems, ic, fas, ctrls, certs = small_network(g=0.3)
     x0 = np.full(3, 20.5025)
     runs = {}
     chunk_trials(monkeypatch, 1)
@@ -398,7 +398,7 @@ def test_calling_thread_runs_chunks_beside_its_helpers(monkeypatch):
         for workers in (1, 2, 3, 8):
             threads.clear()
             monkeypatch.setenv("STOCHSYM_THREADS", str(workers))
-            runs[workers] = st.cosimulate(systems, ic, discs, fas, ctrls, certs, cfg, x0)
+            runs[workers] = st.cosimulate(systems, ic, fas, ctrls, certs, cfg, x0)
             assert len(threads) == 9
             assert threading.get_ident() in threads
             assert len(set(threads)) <= workers
@@ -481,11 +481,11 @@ def test_clopper_pearson_matches_beta_quantile_exactly():
 
 
 def test_trajectory_csv_layout(tmp_path):
-    systems, ic, discs, fas, ctrls, certs = small_network(g=0.1)
+    systems, ic, fas, ctrls, certs = small_network(g=0.1)
     x0 = np.full(3, 20.5025)
     cfg = st.SimConfig(n_trials=2, horizon=3, epsilon=0.5, n_substeps=5,
                        rng_seed=2, record_outputs=True)
-    res = st.cosimulate(systems, ic, discs, fas, ctrls, certs, cfg, x0)
+    res = st.cosimulate(systems, ic, fas, ctrls, certs, cfg, x0)
     path = tmp_path / "traj.csv"
     write_trajectories_csv(res, path)
     lines = path.read_text().strip().splitlines()
@@ -493,7 +493,7 @@ def test_trajectory_csv_layout(tmp_path):
     assert len(lines) == 1 + 2 * 4
 
 
-def scalar_reference(systems, ic, discs, fas, ctrls, certs, cfg, x0):
+def scalar_reference(systems, ic, fas, ctrls, certs, cfg, x0):
     """Trial-by-trial replay of a network of scalar rooms through
     `interface_input` and `exact_scalar_step`, on the normals of each trial's
     stream: its abstract normals first, then each interval's substep normals.
@@ -502,8 +502,9 @@ def scalar_reference(systems, ic, discs, fas, ctrls, certs, cfg, x0):
     trial t first loses an abstract state.
     """
     # each room's own objects, from its group's
-    systems, discs, fas, ctrls, certs = ([objects[g] for g in ic.group_of] for objects
-                                         in (systems, discs, fas, ctrls, certs))
+    systems, fas, ctrls, certs = ([objects[g] for g in ic.group_of] for objects
+                                  in (systems, fas, ctrls, certs))
+    discs = [fa.disc for fa in fas]
     n = len(systems)
     dt = discs[0].tau / cfg.n_substeps
     m = ic.M
@@ -567,7 +568,7 @@ def scalar_reference(systems, ic, discs, fas, ctrls, certs, cfg, x0):
 def mixed_network(g=0.3, tracking_rate=40.0):
     """3-room ring with H = 0 (so D - B H != 0) in two interleaved groups,
     rooms (0, 2) and (1,), each with its own abstraction and controller."""
-    systems, ic, discs, _, _, certs = small_network(g=g, tracking_rate=tracking_rate)
+    systems, ic, fas, _, certs = small_network(g=g, tracking_rate=tracking_rate)
     ic = st.InterconnectionSpec(M=ic.M, mu=ic.mu, subsystem_dims=[(1, 1, 1, 1)] * 2,
                                 group_of=[0, 1, 0])
     cert = dataclasses.replace(certs[0], H=0.0)
@@ -577,11 +578,11 @@ def mixed_network(g=0.3, tracking_rate=40.0):
             state=st.UniformGrid.cover(systems[0].state_box, [width]),
             input=st.UniformGrid.cover(systems[0].input_box, [1e-4]),
             internal=st.UniformGrid.cover(systems[0].internal_box, [2.0]))
-        fa = st.build_deterministic(systems[0], discs[0], grid)
+        fa = st.build_deterministic(systems[0], fas[0].disc, grid)
         pairs.append((fa, st.safety_fixpoint(
             fa, st.SafetySpec(safe_box=st.Box([20.0], [21.0])))))
     fas, ctrls = (list(objects) for objects in zip(*pairs))
-    return systems * 2, ic, discs * 2, fas, ctrls, [cert] * 2
+    return systems * 2, ic, fas, ctrls, [cert] * 2
 
 
 def _force_dense(monkeypatch):
@@ -626,7 +627,7 @@ class TestFusedSubstepOracle:
 
     def test_lost_trial_and_step_are_reported(self, monkeypatch):
         net = stochastic_network(sigma=0.15)
-        grid = net[3][0].grid.state
+        grid = net[2][0].grid.state
         x0 = np.full(3, grid.center(grid.locate([20.5]))[0])
         cfg = st.SimConfig(n_trials=8, horizon=6, epsilon=9.9, n_substeps=20, rng_seed=3)
         # the run reports what one chunk of all trials meets: the first step
@@ -667,15 +668,15 @@ class TestGroupIndex:
     def test_grouped_network_simulates_like_its_rooms(self, monkeypatch):
         # the two interleaved groups of mixed_network against each room
         # given its own objects: the same arrays, bit for bit
-        systems, ic, discs, fas, ctrls, certs = mixed_network()
+        systems, ic, fas, ctrls, certs = mixed_network()
         rooms = st.InterconnectionSpec(M=ic.M, mu=ic.mu, subsystem_dims=[(1, 1, 1, 1)] * 3)
         per_room = [[objects[g] for g in ic.group_of]
-                    for objects in (systems, discs, fas, ctrls, certs)]
+                    for objects in (systems, fas, ctrls, certs)]
         x0 = np.array([20.4012, 20.5537, 20.6981])
         chunk_trials(monkeypatch, 2)
         cfg = st.SimConfig(n_trials=5, horizon=4, epsilon=9.9, n_substeps=8,
                            rng_seed=17, record_outputs=True)
-        grouped = st.cosimulate(systems, ic, discs, fas, ctrls, certs, cfg, x0)
+        grouped = st.cosimulate(systems, ic, fas, ctrls, certs, cfg, x0)
         alone = st.cosimulate(per_room[0], rooms, *per_room[1:], cfg, x0)
         for field in ("step_errors", "output_min", "output_max", "outputs",
                       "abstract_outputs"):
@@ -710,7 +711,7 @@ class TestSubstepStreaming:
             net = small_network(n=12, g=0.3, tracking_rate=40.0)
             x0 = np.linspace(20.3, 20.7, 12)
         if dense:
-            assert runtime._Network(*net, 4).substep(7).phi.diag is None
+            assert runtime._Network(*net, 4, 7).phi.diag is None
         trials, n_total = 4, x0.size
         cfg = st.SimConfig(n_trials=trials, horizon=4, epsilon=9.9, n_substeps=7,
                            rng_seed=23)
@@ -764,35 +765,38 @@ class TestSubstepStreaming:
 
 class TestControllerHorizon:
     def test_time_varying_table_shorter_than_horizon_is_rejected(self):
-        systems, ic, discs, fas, ctrls, certs = stochastic_network()
+        systems, ic, fas, ctrls, certs = stochastic_network()
         grid = fas[0].grid.state
         x0 = np.full(3, grid.center(grid.locate([20.5]))[0])
         assert ctrls[0].table.shape[0] == 6
         cfg = st.SimConfig(n_trials=2, horizon=7, epsilon=0.6, n_substeps=20)
         with pytest.raises(StaleControllerTable) as info:
-            st.cosimulate(systems, ic, discs, fas, ctrls, certs, cfg, x0)
+            st.cosimulate(systems, ic, fas, ctrls, certs, cfg, x0)
         assert (info.value.steps, info.value.horizon) == (6, 7)
         assert isinstance(info.value, st.errors.ConfigError)
 
-    def test_one_row_table_is_stationary(self):
-        systems, ic, discs, fas, ctrls, certs = stochastic_network()
+    def test_one_row_time_varying_table_is_stale(self):
+        # a time-varying table of one step is no stationary policy: it
+        # covers one of the 9 steps, like any other too-short table
+        systems, ic, fas, ctrls, certs = stochastic_network()
         grid = fas[0].grid.state
         x0 = np.full(3, grid.center(grid.locate([20.5]))[0])
-        stationary = st.Controller(kind="time-varying-map",
-                                   table=ctrls[0].table[:1].copy(),
-                                   winning_set=ctrls[0].winning_set)
+        one_step = st.Controller(kind="time-varying-map",
+                                 table=ctrls[0].table[:1].copy(),
+                                 winning_set=ctrls[0].winning_set)
         cfg = st.SimConfig(n_trials=2, horizon=9, epsilon=0.6, n_substeps=20)
-        res = st.cosimulate(systems, ic, discs, fas, [stationary], certs, cfg, x0)
-        assert np.all(np.isfinite(res.step_errors))
+        with pytest.raises(StaleControllerTable) as info:
+            st.cosimulate(systems, ic, fas, [one_step], certs, cfg, x0)
+        assert (info.value.steps, info.value.horizon) == (1, 9)
 
 
 def test_trajectory_csv_rows_match_arrays(tmp_path, monkeypatch):
-    systems, ic, discs, fas, ctrls, certs = small_network(g=0.1)
+    systems, ic, fas, ctrls, certs = small_network(g=0.1)
     x0 = np.full(3, 20.5025)
     chunk_trials(monkeypatch, 2)
     cfg = st.SimConfig(n_trials=3, horizon=2, epsilon=0.5, n_substeps=5,
                        rng_seed=4, record_outputs=True)
-    res = st.cosimulate(systems, ic, discs, fas, ctrls, certs, cfg, x0)
+    res = st.cosimulate(systems, ic, fas, ctrls, certs, cfg, x0)
     path = tmp_path / "traj.csv"
     write_trajectories_csv(res, path)
     want = ["trial,k,err,sup_err,out_0,out_1,out_2,out_hat_0,out_hat_1,out_hat_2"]
@@ -808,8 +812,8 @@ class TestCoupling:
     def test_sparse_ring_keeps_no_dense_copy(self):
         from stochsym import runtime
 
-        systems, ic, discs, fas, ctrls, certs = small_network(n=1000)
-        net = runtime._Network(systems, ic, discs, fas, ctrls, certs, 1)
+        systems, ic, fas, ctrls, certs = small_network(n=1000)
+        net = runtime._Network(systems, ic, fas, ctrls, certs, 1, 1)
         # the simulator multiplies with the interconnection's own CSR matrix
         assert net.M is ic.M and ic.M.nnz == 2000
         z2 = np.random.default_rng(3).standard_normal((16, 1000))
