@@ -8,6 +8,7 @@ controllers on the finite abstraction, and refines them to the concrete
 network with Monte Carlo validation.
 """
 
+from .csr import CSR
 from .model import (
     AffineSystem,
     Box,
@@ -70,7 +71,7 @@ from .cli import generate_rooms, run_pipeline
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineSystem", "Box", "DiscretizationSpec", "InterconnectionSpec",
+    "CSR", "AffineSystem", "Box", "DiscretizationSpec", "InterconnectionSpec",
     "check_well_posed", "validate_system",
     "SstfConstants", "StorageCertificate", "check_dissipativity_lmi",
     "check_geometric", "check_lyapunov", "derive_constants",

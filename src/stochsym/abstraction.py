@@ -9,7 +9,9 @@ noise-free axis of a Gaussian row, use `UniformGrid.locate_many`'s cell rule.
 
 Gaussian rows are built block-wise from per-axis cell masses, and the CSV
 export is written one block of rows at a time.  A finished abstraction is
-immutable and shareable.
+immutable and shareable.  The normal CDF is `ndtr`, Cephes' (Moshier,
+"Methods and Programs for Mathematical Functions", 1989) in numpy: erf and
+erfc by Cody's rational Chebyshev approximations (Math. Comp. 23, 1969).
 """
 
 from __future__ import annotations
@@ -19,9 +21,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
-from scipy.special import ndtr
 
+from .csr import CSR, as_csr
 from .errors import (
     DimensionMismatch,
     GridTooCoarse,
@@ -40,6 +41,79 @@ _BLOCK_ENTRIES = 1 << 16
 #: CSV rows formatted and written per block in export_abstraction; point-mass
 #: rows hold one entry each, so a block holds this many row labels
 _EXPORT_ENTRIES = 1 << 12
+
+# Cephes ndtr's coefficients: erf(x) = x T(x^2) / U(x^2) for |x| <= 1, and
+# erfc(z) = exp(-z^2) P(z) / Q(z) for 1 <= z < 8, exp(-z^2) R(z) / S(z) from
+# 8 on; U, Q and S have an implicit leading 1
+_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+          7.00332514112805075473E3, 5.55923013010394962768E4)
+_ERF_U = (3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+          2.26290000613890934246E4, 4.92673942608635921086E4)
+_ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+           4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+           9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
+_ERFC_Q = (1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+           9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+           1.65666309194161350182E3, 5.57535340817727675546E2)
+_ERFC_R = (5.64189583547755073984E-1, 1.27536670759978104416E0, 5.01905042251180477414E0,
+           6.16021097993053585195E0, 7.40974269950448939160E0, 2.97886665372100240670E0)
+_ERFC_S = (2.26052863220117276590E0, 9.39603524938001434673E0, 1.20489539808096656605E1,
+           1.70814450747565897222E1, 9.60896809063285878198E0, 3.36907645100081516050E0)
+_SQRTH = 7.07106781186547524401E-1  # 1 / sqrt(2)
+_MAXLOG = 7.09782712893383996843E2  # log of the largest double
+#: from x / sqrt(2) = 6 on, erfc(6) / 2 = 1.1e-17 is below half an ulp of 1,
+#: so ndtr(x) = 1 - erfc / 2 rounds to exactly 1
+_NDTR_ONE = 6.0
+
+
+def _horner(z: np.ndarray, coeffs, monic: bool = False) -> np.ndarray:
+    """coeffs[0] z^n + ... + coeffs[n] (Cephes polevl), or with a leading 1 (p1evl)."""
+    acc = z + coeffs[0] if monic else np.full_like(z, coeffs[0])
+    for c in coeffs[1:]:
+        acc *= z
+        acc += c
+    return acc
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """erf(x) for |x| <= 1."""
+    z = x * x
+    return x * _horner(z, _ERF_T) / _horner(z, _ERF_U, monic=True)
+
+
+def _erfc(z: np.ndarray) -> np.ndarray:
+    """erfc(z) for 1 / sqrt(2) <= z <= sqrt(_MAXLOG)."""
+    out = np.empty_like(z)
+    mid = z < 1.0
+    out[mid] = 1.0 - _erf(z[mid])
+    for part, p, q in ((~mid & (z < 8.0), _ERFC_P, _ERFC_Q), (z >= 8.0, _ERFC_R, _ERFC_S)):
+        t = z[part]
+        # exp(-t^2) as exp(-m^2) exp(-(2 m f + f^2)), m = t to the nearest
+        # 1/128 and f = t - m, so that m^2 is exact (Cephes expx2)
+        m = np.floor(128.0 * t + 0.5) / 128.0
+        f = t - m
+        e = np.exp(-(m * m)) * np.exp(-(2.0 * m * f + f * f))
+        out[part] = e * _horner(t, p) / _horner(t, q, monic=True)
+    return out
+
+
+def ndtr(a) -> np.ndarray:
+    """Standard normal CDF, elementwise, as Cephes' ndtr computes it.
+
+    With x = a / sqrt(2): 1/2 + erf(x) / 2 for |x| < 1 / sqrt(2), else
+    erfc(|x|) / 2 (or 1 minus it, for x > 0).  Only arguments whose value is
+    neither exactly 0 nor exactly 1 are evaluated: 0 where x^2 exceeds
+    `_MAXLOG` (Cephes' underflow), 1 from x = `_NDTR_ONE` on.  NaN stays NaN.
+    """
+    x = np.asarray(a, dtype=float) * _SQRTH
+    z = np.abs(x)
+    y = np.heaviside(x, 0.5)  # the 0s and 1s, and NaN
+    near = z < _SQRTH
+    y[near] = 0.5 + 0.5 * _erf(x[near])
+    far = ~near & (z * z <= _MAXLOG) & (x < _NDTR_ONE)
+    half = 0.5 * _erfc(z[far])
+    y[far] = np.where(x[far] > 0.0, 1.0 - half, half)
+    return y
 
 
 def _cell_count(span: float, width: float) -> int:
@@ -187,8 +261,11 @@ class FiniteAbstraction:
     """Finite Markov kernel over grid representatives.
 
     `kernel` holds sparse probability rows over S+1 targets (last column =
-    sink), row (s * U + u) * W + w for state s, input u and internal cell w.
-    A noise-free model's rows are point masses (one entry, 1.0).
+    sink), row (s * U + u) * W + w for state s, input u and internal cell w,
+    as this package's `CSR`, so each row's targets are sorted.  Any other
+    kernel given (a scipy sparse matrix, a dense array) is converted to one;
+    scipy is never imported for it.  A noise-free model's rows are point
+    masses (one entry, 1.0).
     """
 
     grid: AbstractionGrid
@@ -196,7 +273,10 @@ class FiniteAbstraction:
     P_map: np.ndarray
     output_map: np.ndarray           # C1 P, applied to representatives
     internal_output_map: np.ndarray  # C2 P
-    kernel: scipy.sparse.csr_matrix
+    kernel: CSR
+
+    def __post_init__(self):
+        self.kernel = as_csr(self.kernel)
 
     @property
     def kind(self) -> str:  # "deterministic" (point-mass rows) | "stochastic"
@@ -230,7 +310,11 @@ class FiniteAbstraction:
     def row(self, s: int, u: int, w: int = 0) -> np.ndarray:
         """Dense probability row over S+1 targets."""
         flat = (s * self.n_inputs + u) * self.n_internal + w
-        return np.asarray(self.kernel.getrow(flat).todense()).reshape(-1)
+        k = self.kernel
+        take = slice(k.indptr[flat], k.indptr[flat + 1])
+        row = np.zeros(k.shape[1])
+        row[k.indices[take]] = k.data[take]
+        return row
 
 
 def _shift_table(sys: AffineSystem, disc: DiscretizationSpec, grid: AbstractionGrid):
@@ -348,7 +432,7 @@ def _build(sys, disc, grid, P) -> FiniteAbstraction:
     return FiniteAbstraction(
         grid=grid, disc=disc, P_map=P,
         output_map=sys.C1 @ P, internal_output_map=sys.C2 @ P,
-        kernel=scipy.sparse.csr_matrix((data, indices, indptr), shape=(n_rows, S + 1)),
+        kernel=CSR(data, indices, indptr, (n_rows, S + 1)),
     )
 
 
@@ -357,8 +441,8 @@ def export_abstraction(abs_: FiniteAbstraction, json_path, csv_path) -> None:
 
     CSV rows come in (state, input, internal, target) order, formatted and
     written about `_EXPORT_ENTRIES` at a time; probabilities are the shortest
-    round-trip `repr` of each float (a point mass is `1.0`).  Unsorted rows
-    are written from a sorted copy; the abstraction is not modified.
+    round-trip `repr` of each float (a point mass is `1.0`).  The kernel's
+    rows are sorted by target, as every `CSR` is.
     """
     header = {
         "kind": abs_.kind,
@@ -375,8 +459,6 @@ def export_abstraction(abs_: FiniteAbstraction, json_path, csv_path) -> None:
     write_json(json_path, header)
     U, W = abs_.n_inputs, abs_.n_internal
     kernel = abs_.kernel
-    if not kernel.has_sorted_indices:
-        kernel = kernel.sorted_indices()  # a copy; the shared kernel stays as it is
     indptr, cols = kernel.indptr, kernel.indices
     bits = np.asarray(kernel.data, dtype=np.float64).view(np.int64)
     made: dict[int, str] = {}  # repr of each probability (bit pattern) met so far

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse
 
 from . import abstraction as abst
 from . import bounds as bnd
@@ -37,6 +36,7 @@ from . import certificates as cert_mod
 from . import model
 from . import runtime as rt
 from . import synthesis as synth
+from .csr import CSR
 from .errors import (
     CheckFailed,
     ConfigError,
@@ -64,15 +64,14 @@ EXIT_RUNTIME = 4
 # ---------------------------------------------------------------------------
 # case-study generator
 
-def circular_coupling(n: int) -> scipy.sparse.csr_matrix:
+def circular_coupling(n: int) -> CSR:
     """Ring coupling, as CSR: each internal input is the sum of the two neighbor outputs."""
     if n < 3:
         raise TooFewRooms(n)
     left, right = (np.arange(n) - 1) % n, (np.arange(n) + 1) % n
     # ascending columns per row; np.sort would page in ~0.25 MB of sort kernels
     cols = np.stack([np.minimum(left, right), np.maximum(left, right)], axis=1)
-    return scipy.sparse.csr_matrix((np.ones(2 * n), cols.ravel(), 2 * np.arange(n + 1)),
-                                   shape=(n, n))
+    return CSR(np.ones(2 * n), cols.ravel(), 2 * np.arange(n + 1), (n, n))
 
 
 def generate_rooms(
@@ -776,7 +775,8 @@ def _stage_verify(bundle: PipelineBundle, ctx: dict) -> None:
               for v, c in zip(verdicts, bundle.certs)]
     ctx["constants"] = [v.constants for v in verdicts]
     write_json(ctx["out"] / "certificates.json",
-               {"group_of": bundle.ic.group_of.tolist(), "groups": groups})
+               {"group_of": bundle.ic.group_of.tolist(), "groups": groups},
+               one_line=("group_of",))
     logger.info("verify: %d subsystems certified in %d group(s)",
                 bundle.ic.n_subsystems, len(bundle.certs))
 

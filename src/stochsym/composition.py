@@ -27,9 +27,9 @@ from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
-import scipy.sparse
 
 from .certificates import SstfConstants, StorageCertificate, psd_tolerance
+from .csr import CSR
 from .errors import (
     DimensionMismatch,
     NonLinearRho,
@@ -92,10 +92,10 @@ class SupplyBlocks:
     outputs; x12 (p x q) and x21 (q x p) hold the coupling blocks.
     """
 
-    x11: scipy.sparse.csr_matrix
-    x12: scipy.sparse.csr_matrix
-    x21: scipy.sparse.csr_matrix
-    x22: scipy.sparse.csr_matrix
+    x11: CSR
+    x12: CSR
+    x21: CSR
+    x22: CSR
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -103,12 +103,12 @@ class SupplyBlocks:
         return n, n
 
     def dense(self) -> np.ndarray:
-        return scipy.sparse.bmat([[self.x11, self.x12],
-                                  [self.x21, self.x22]]).toarray()
+        return np.block([[self.x11.toarray(), self.x12.toarray()],
+                         [self.x21.toarray(), self.x22.toarray()]])
 
 
 def _block_diag(mats: list[np.ndarray], weights: np.ndarray,
-                group_of: np.ndarray) -> scipy.sparse.csr_matrix:
+                group_of: np.ndarray) -> CSR:
     """CSR blkdiag(w_i mats[group_of[i]]) over subsystems i, holding only nonzero entries.
 
     Each group's matrix is scanned once; its nonzeros are repeated at every
@@ -122,7 +122,7 @@ def _block_diag(mats: list[np.ndarray], weights: np.ndarray,
     cols = spread([j for _, j in nonzero], group_of) + np.repeat(c_off[:-1], count)
     vals = (spread([m[i, j] for m, (i, j) in zip(mats, nonzero)], group_of)
             * np.repeat(weights, count))
-    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(r_off[-1], c_off[-1]))
+    return CSR.from_coo(rows, cols, vals, (r_off[-1], c_off[-1]))
 
 
 def supply_blocks(certs: list[StorageCertificate], mu, group_of=None) -> SupplyBlocks:
@@ -151,7 +151,7 @@ def build_x_cmp(certs: list[StorageCertificate], mu, group_of=None) -> np.ndarra
     return supply_blocks(certs, mu, group_of).dense()
 
 
-def network_form(M, blocks: SupplyBlocks) -> scipy.sparse.csr_matrix:
+def network_form(M, blocks: SupplyBlocks) -> CSR:
     """Symmetric part of [M; I]^T X_cmp [M; I], as a sparse q x q matrix.
 
     That is M^T x11 M + M^T x12 + x21 M + x22, formed as M^T (x11 M)
@@ -164,19 +164,21 @@ def network_form(M, blocks: SupplyBlocks) -> scipy.sparse.csr_matrix:
         raise DimensionMismatch(
             "x_cmp", f"expected {(p + q,) * 2}, got {blocks.shape}")
     form = M.T @ (blocks.x11 @ M) + (blocks.x12.T + blocks.x21) @ M + blocks.x22
-    return (0.5 * (form + form.T)).tocsr()
+    return 0.5 * (form + form.T)
 
 
-def _gershgorin_bound(form: scipy.sparse.csr_matrix) -> float:
+def _gershgorin_bound(form: CSR) -> float:
     """max_i (F_ii + sum_{j != i} |F_ij|), in O(nnz); -inf for an empty form."""
-    form = form.tocoo()
-    off = form.row != form.col
-    radius = np.bincount(form.row[off], weights=np.abs(form.data[off]),
-                         minlength=form.shape[0])
-    return float(np.max(form.diagonal() + radius)) if form.shape[0] else -math.inf
+    n = form.shape[0]
+    row = form.row_index()
+    on = row == form.indices
+    radius = np.bincount(row[~on], weights=np.abs(form.data[~on]), minlength=n)
+    diagonal = np.zeros(n)
+    diagonal[row[on]] = form.data[on]
+    return float(np.max(diagonal + radius)) if n else -math.inf
 
 
-def _below(form: scipy.sparse.csr_matrix, sigma: float) -> bool | None:
+def _below(form: CSR, sigma: float) -> bool | None:
     """Whether the largest eigenvalue of `form` is below `sigma`; None if unproved.
 
     sigma I - F is factored by Gaussian elimination in natural order, taking
@@ -186,10 +188,13 @@ def _below(form: scipy.sparse.csr_matrix, sigma: float) -> bool | None:
     positive definite, and any pivot <= 0 proves it is not.  A row exchange
     or an exactly singular factor leaves the question open.
     """
-    # imported here: most forms never need it, and it costs start-up memory
+    # imported here: most forms never need it, and scipy.sparse costs
+    # start-up time and memory that no other stage pays
+    import scipy.sparse
     import scipy.sparse.linalg
 
     n = form.shape[0]
+    form = scipy.sparse.csr_matrix((form.data, form.indices, form.indptr), shape=form.shape)
     shifted = (sigma * scipy.sparse.identity(n, format="csr") - form).tocsc()
     try:
         lu = scipy.sparse.linalg.splu(shifted, permc_spec="NATURAL",
@@ -203,7 +208,7 @@ def _below(form: scipy.sparse.csr_matrix, sigma: float) -> bool | None:
     return bool(np.all(lu.U.diagonal() > 0.0))
 
 
-def check_compositional_lmi(form: scipy.sparse.csr_matrix) -> LmiCheck:
+def check_compositional_lmi(form: CSR) -> LmiCheck:
     """Verify [M; I]^T X_cmp [M; I] <= 0 by bracketing its largest eigenvalue.
 
     `form` is `network_form(M, blocks)`, F.  The bracket starts at
@@ -243,7 +248,7 @@ def check_compositional_lmi(form: scipy.sparse.csr_matrix) -> LmiCheck:
                     factorizations=factorizations, gershgorin=fast)
 
 
-def gershgorin_fast_check(form: scipy.sparse.csr_matrix) -> GershgorinCheck:
+def gershgorin_fast_check(form: CSR) -> GershgorinCheck:
     """Gershgorin bound on the largest eigenvalue of `network_form(M, blocks)`.
 
     In O(nnz).  Every eigenvalue of the symmetric form F lies in a disc

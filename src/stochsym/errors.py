@@ -156,13 +156,23 @@ class NonFiniteArtifact(StochsymError):
         super().__init__(f"{path}: {detail}")
 
 
-def write_json(path, payload) -> None:
+def write_json(path, payload, one_line=()) -> None:
     """Write `payload` to `path` as indented, key-sorted strict JSON and a newline.
 
-    NaN or an infinity raises NonFiniteArtifact and no file is written.
+    The values of the top-level keys named in `one_line` (a long list, say)
+    go on one line each, through the stdlib's C encoder: an indented encode
+    runs its pure-Python encoder, one step per element.  NaN or an infinity
+    raises NonFiniteArtifact and no file is written.
     """
     try:
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+        if one_line:
+            text = "{\n%s\n}" % ",\n".join(
+                f"  {json.dumps(key)}: " + (
+                    json.dumps(value, allow_nan=False) if key in one_line else
+                    json.dumps(value, indent=2, sort_keys=True, allow_nan=False).replace("\n", "\n  "))
+                for key, value in sorted(payload.items()))
+        else:
+            text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:
         raise NonFiniteArtifact(path, str(exc)) from exc
     with open(path, "w", newline="\n") as fh:

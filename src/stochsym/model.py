@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
+from .csr import CSR, as_csr
 from .errors import (
     DimensionMismatch,
     EmptyBox,
@@ -45,9 +45,14 @@ def as_matrix(x) -> np.ndarray:
     return a
 
 
-def as_coupling(m) -> scipy.sparse.csr_matrix:
-    """Coerce a coupling matrix, dense or sparse, to float64 CSR with finite entries."""
-    m = scipy.sparse.csr_matrix(m if scipy.sparse.issparse(m) else as_matrix(m), dtype=float)
+def as_coupling(m) -> CSR:
+    """Coerce a coupling matrix to this package's float64 CSR with finite entries.
+
+    Accepts nested lists and arrays (shaped as by `as_matrix`), a CSR, and
+    any object with a `tocsr()` method, such as a scipy sparse matrix, by
+    duck typing: scipy is never imported for it.
+    """
+    m = as_csr(m if hasattr(m, "tocsr") else as_matrix(m))
     if not np.all(np.isfinite(m.data)):
         raise NonFiniteEntry("M")
     return m
@@ -141,8 +146,9 @@ class Box:
         return bool(np.all(np.isfinite(self.lower)) and np.all(np.isfinite(self.upper)))
 
     def linear_image(self, m) -> "Box":
-        """Tightest box enclosing {M x : x in self}; O(nnz) for a sparse M."""
-        m = m if scipy.sparse.issparse(m) else as_matrix(m)
+        """Tightest box enclosing {M x : x in self}; O(nnz) for a sparse M
+        (anything with a `tocsr()` method)."""
+        m = as_csr(m) if hasattr(m, "tocsr") else as_matrix(m)
         if m.shape[1] != self.dim:
             raise DimensionMismatch("M", f"{m.shape} applied to a {self.dim}-dim box")
         c = m @ self.center
@@ -249,7 +255,7 @@ class InterconnectionSpec:
 
     Subsystem i is in group group_of[i] (by default its own group i)."""
 
-    M: scipy.sparse.csr_matrix
+    M: CSR
     mu: np.ndarray
     subsystem_dims: np.ndarray  # per group (n, m, p, q2)
     group_of: np.ndarray | None = None

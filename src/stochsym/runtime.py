@@ -49,8 +49,11 @@ output envelope is folded in once per block.  So the simulator's memory is
 O(C x n_total) for C trials in flight, independent of the substep count.
 The empirical violation frequency is reported with exact one-sided
 Clopper-Pearson upper and lower confidence bounds for comparison against the
-theoretical guarantee; each bound is one Beta quantile, computed with
-`scipy.special.betaincinv` so the package never imports `scipy.stats`.
+theoretical guarantee.  Each bound solves Clopper and Pearson's (1934)
+defining equation, a binomial tail equal to 1 - confidence, by bisection
+(closed forms at 0 and at every trial violating), so no scipy subpackage is
+loaded for it: a pipeline run loads none, except solve mode's scipy.linalg
+and the network LMI's scipy.sparse.linalg when its bisection factors.
 """
 from __future__ import annotations
 
@@ -62,7 +65,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special
+# loaded with the package, not by the first simulation: its import (about
+# 10 ms of extension modules) is start-up work, as numpy's own is
+import numpy.random  # noqa: F401
 
 from .abstraction import FiniteAbstraction, UniformGrid
 from .certificates import StorageCertificate
@@ -152,31 +157,65 @@ def interface_input(state: InterfaceState, xi_t, w_t, t: float) -> np.ndarray:
             + terms["internal_latched"] + terms["internal_current"])
 
 
+def _binomial_bracket(k: int, n: int, target: float) -> tuple[float, float]:
+    """Adjacent floats lo < hi around the p with P(X <= k) = target, X ~ Binomial(n, p).
+
+    For 0 <= k < n, where that cdf falls strictly from 1 to 0 as p runs over
+    [0, 1]: bisection keeps cdf(lo) > target >= cdf(hi).  The cdf sums the
+    tail with fewer terms, C(n, j) p^j (1 - p)^(n - j), each taken in log
+    space (`math.lgamma`, `math.log1p`) and added by `math.fsum`.
+    """
+    js = range(k + 1) if k < n - k else range(k + 1, n + 1)
+    log_choose = [math.lgamma(n + 1) - math.lgamma(j + 1) - math.lgamma(n - j + 1) for j in js]
+
+    def cdf(p: float) -> float:
+        log_p, log_q = math.log(p), math.log1p(-p)
+        logs = [c + j * log_p + (n - j) * log_q for c, j in zip(log_choose, js)]
+        top = max(logs)
+        tail = math.exp(top) * math.fsum(math.exp(t - top) for t in logs)
+        return tail if js[0] == 0 else 1.0 - tail
+
+    lo, hi = 0.0, 1.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if cdf(mid) > target:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def clopper_pearson_lower(violations: int, trials: int, confidence: float = 0.95) -> float:
     """Exact one-sided lower confidence bound on a binomial proportion.
 
-    The Beta(v, n - v + 1) quantile at 1 - `confidence` (0 when v = 0), from
-    `scipy.special.betaincinv` as for `clopper_pearson_upper`.
+    The p with P(X >= v) = 1 - `confidence` for X ~ Binomial(n, p), the
+    Beta(v, n - v + 1) quantile at 1 - `confidence`: 0 when v = 0,
+    (1 - confidence)^(1/n) when v = n, else the lower end of
+    `_binomial_bracket`, the conservative side.
     """
     if not 0 <= violations <= trials or trials < 1:
         raise DimensionMismatch("violations", "need 0 <= violations <= trials")
     if violations == 0:
         return 0.0
-    return float(scipy.special.betaincinv(violations, trials - violations + 1,
-                                          1.0 - confidence))
+    if violations == trials:
+        return math.exp(math.log1p(-confidence) / trials)
+    return _binomial_bracket(violations - 1, trials, confidence)[0]
 
 
 def clopper_pearson_upper(violations: int, trials: int, confidence: float = 0.95) -> float:
     """Exact one-sided upper confidence bound on a binomial proportion.
 
-    The Beta(v + 1, n - v) quantile at `confidence`, taken from
-    `scipy.special.betaincinv` (what `scipy.stats.beta.ppf` evaluates).
+    The p with P(X <= v) = 1 - `confidence` for X ~ Binomial(n, p) (Clopper
+    and Pearson, 1934), the Beta(v + 1, n - v) quantile at `confidence`:
+    1 - (1 - confidence)^(1/n) when v = 0, 1 when v = n, else the upper end
+    of `_binomial_bracket`, the conservative side.
     """
     if not 0 <= violations <= trials or trials < 1:
         raise DimensionMismatch("violations", "need 0 <= violations <= trials")
     if violations == trials:
         return 1.0
-    return float(scipy.special.betaincinv(violations + 1, trials - violations, confidence))
+    if violations == 0:
+        return -math.expm1(math.log1p(-confidence) / trials)
+    return _binomial_bracket(violations, trials, 1.0 - confidence)[1]
 
 
 @dataclass

@@ -90,6 +90,26 @@ class TestDelta:
         assert g.delta == pytest.approx(math.sqrt(0.04 + 0.09 + 0.16))
 
 
+class TestNdtr:
+    # the package's normal CDF against scipy.special.ndtr, which is Cephes'
+    def test_matches_scipy(self):
+        import scipy.special
+
+        x = np.concatenate([np.linspace(-40.0, 10.0, 1_000_001), [0.0, -0.0]])
+        got, want = abst.ndtr(x), scipy.special.ndtr(x)
+        # exactly 0 or 1 wherever scipy's is; relative 1e-13 down to 1e-300
+        exact = (want == 0.0) | (want == 1.0)
+        assert np.count_nonzero(want == 0.0) > 1000 and np.count_nonzero(want == 1.0) > 1000
+        assert np.array_equal(got[exact], want[exact])
+        normal = want >= 1e-300
+        assert np.max(np.abs(got[normal] - want[normal]) / want[normal]) <= 1e-13
+
+    def test_limits_and_nan(self):
+        got = abst.ndtr(np.array([-np.inf, -0.0, 0.0, np.inf, np.nan]))
+        assert got[:4].tolist() == [0.0, 0.5, 0.5, 1.0]
+        assert np.isnan(got[4])
+
+
 def room_det_setup(input_vals=(-0.1, 0.0, 0.1)):
     sys_ = room_system()
     lo = min(input_vals) - 0.05
@@ -374,9 +394,9 @@ def _reference_csv(fa, path):
                     for w in range(W):
                         writer.writerow([s, u, w, int(fa.successors[s, u, w]), 1.0])
         else:
-            kernel = fa.kernel.tocoo()
-            for k in np.lexsort((kernel.col, kernel.row)):
-                flat, t, p = int(kernel.row[k]), int(kernel.col[k]), float(kernel.data[k])
+            kernel, rows = fa.kernel, fa.kernel.row_index()
+            for k in np.lexsort((kernel.indices, rows)):
+                flat, t, p = int(rows[k]), int(kernel.indices[k]), float(kernel.data[k])
                 s, rem = divmod(flat, U * W)
                 u, w = divmod(rem, W)
                 writer.writerow([s, u, w, t, repr(p)])
@@ -415,12 +435,13 @@ class TestBlockKernel:
         assert np.array_equal(fa.kernel.data, data)
         assert np.array_equal(fa.kernel.indices, indices)
         assert np.array_equal(fa.kernel.indptr, indptr)
-        sink = fa.kernel[:, fa.sink].toarray().ravel()
+        sink = fa.kernel.toarray()[:, fa.sink]
         assert np.count_nonzero(sink) > 10 and np.any(sink == 1.0)
         # unblocked build agrees too
         monkeypatch.setattr(abst, "_BLOCK_ENTRIES", 1 << 16)
         whole = st.build_stochastic(sys_, disc, grid).kernel
-        assert (fa.kernel != whole).nnz == 0
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(fa.kernel, name), getattr(whole, name))
 
     def test_row_mass_error_names_first_row(self, monkeypatch):
         # doubled CDFs push rows far enough inside the grid past unit mass
@@ -437,18 +458,11 @@ class TestBlockKernel:
         assert got.value.drift == ref.value.drift
 
 
-def _unsorted_copy(fa):
-    """fa with each kernel row stored in reverse target order."""
-    k = fa.kernel
+def _reversed_rows(k):
+    """data, indices and indptr of kernel k with each row in reverse target order."""
     perm = np.concatenate([np.arange(k.indptr[r + 1] - 1, k.indptr[r] - 1, -1)
                            for r in range(k.shape[0])])
-    kernel = scipy.sparse.csr_matrix((k.data[perm], k.indices[perm], k.indptr.copy()),
-                                     shape=k.shape)
-    assert not kernel.has_sorted_indices
-    return st.FiniteAbstraction(
-        grid=fa.grid, disc=fa.disc, P_map=fa.P_map,
-        output_map=fa.output_map, internal_output_map=fa.internal_output_map,
-        kernel=kernel)
+    return k.data[perm], k.indices[perm], k.indptr.copy()
 
 
 class TestBlockExport:
@@ -470,13 +484,22 @@ class TestBlockExport:
         for a, b in zip(before, (fa.kernel.data, fa.kernel.indices, fa.kernel.indptr)):
             assert np.array_equal(a, b)
 
-    def test_unsorted_kernel_bytes(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(abst, "_EXPORT_ENTRIES", 50)
+    def test_csr_rejects_unsorted_rows(self):
+        # every kernel is a CSR, whose rows are sorted, so the export never
+        # meets an unsorted row; a scipy kernel stored unsorted is sorted
+        # on the way in
         sys_, disc, grid = plane_setup(np.diag([0.08, 0.05]))
-        fa = _unsorted_copy(st.build_stochastic(sys_, disc, grid))
-        indices = fa.kernel.indices.copy()
-        self._same_bytes(fa, tmp_path)
-        assert np.array_equal(fa.kernel.indices, indices)  # not sorted in place
+        fa = st.build_stochastic(sys_, disc, grid)
+        k = fa.kernel
+        with pytest.raises(DimensionMismatch, match="increase strictly"):
+            st.CSR(*_reversed_rows(k), k.shape)
+        unsorted = scipy.sparse.csr_matrix(_reversed_rows(k), shape=k.shape)
+        assert not unsorted.has_sorted_indices
+        again = st.FiniteAbstraction(
+            grid=fa.grid, disc=fa.disc, P_map=fa.P_map, output_map=fa.output_map,
+            internal_output_map=fa.internal_output_map, kernel=unsorted)
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(again.kernel, name), getattr(k, name))
 
     def test_peak_stays_below_the_kernel_data(self, tmp_path):
         # the benchmark's noisy room abstraction (0.4 M nnz): blocks and the

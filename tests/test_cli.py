@@ -52,10 +52,10 @@ class TestGenerateRooms:
         m = circular_coupling(3)
         assert np.array_equal(m.toarray(), np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]],
                                                     dtype=float))
-        assert np.all(m.sum(axis=1) == 2)
+        assert np.all(m.toarray().sum(axis=1) == 2)
 
     def test_coupling_row_sums_at_scale(self):
-        assert np.all(circular_coupling(100).sum(axis=1) == 2)
+        assert np.all(circular_coupling(100).toarray().sum(axis=1) == 2)
 
     def test_too_few_rooms(self):
         with pytest.raises(TooFewRooms):
@@ -470,7 +470,10 @@ class TestVerifyOncePerGroup:
         assert len(rows) == 2 and all("subsystem" not in row for row in rows)
         assert rows[0]["certificate"]["K"] == values[0]["K"]
         assert rows[1]["certificate"]["K"] == values[1]["K"] != values[0]["K"]
-        assert text == json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        # indented and key-sorted, but the group index on one line
+        layout = json.dumps({**report, "group_of": None}, indent=2, sort_keys=True,
+                            allow_nan=False)
+        assert text == layout.replace('"group_of": null', '"group_of": [0, 1, 0, 1]') + "\n"
 
     def test_room_with_own_gain_gets_own_margins(self, tmp_path):
         cfg = small_rooms(tmp_path)
@@ -596,6 +599,19 @@ def test_ring_of_many_rooms_writes_one_certificate_row(tmp_path):
     assert path.stat().st_size < 1_000_000
     report = json.loads(path.read_text())
     assert len(report["groups"]) == 1 and len(report["group_of"]) == 100_000
+
+
+def test_group_index_takes_one_line(tmp_path):
+    # written by the stdlib's C encoder, so the file has as many lines at
+    # 400 rooms as at 4, and it reads back as the interconnection's index
+    lines = []
+    for n in (4, 400):
+        cfg = generate_rooms(n=n, out_dir=str(tmp_path / str(n)))
+        assert run_pipeline(cfg, stages=["verify"]) == EXIT_OK
+        text = (tmp_path / str(n) / "certificates.json").read_text()
+        assert json.loads(text)["group_of"] == load_config(cfg).ic.group_of.tolist()
+        lines.append(text.count("\n"))
+    assert lines[0] == lines[1]
 
 
 def test_initial_v0_matches_per_room_quantization(tmp_path):

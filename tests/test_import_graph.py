@@ -1,13 +1,16 @@
-"""The package loads only the scipy submodules its stages use, and its
-public names all resolve.
+"""A pipeline run loads no scipy subpackage, and the package's public
+names all resolve.
 
 Importing one heavy scipy subpackage (stats pulls in optimize, integrate,
 interpolate, spatial and more) costs more start-up time and memory than a
 whole small pipeline run, so the import graph is checked in a fresh
-interpreter.  The linear-algebra subpackages are kept off the pipeline's
-path too: only solve mode loads scipy.linalg, and only the LMI bisection
-scipy.sparse.linalg.  Tests themselves may still import scipy.stats or
-scipy.linalg as an oracle.
+interpreter.  scipy.sparse and scipy.special alone cost about 23 MB and
+0.3 s: both import scipy._lib._util, whose array-API layer imports numpy's
+testing, f2py and masked-array packages.  The package has its own CSR
+matrix, normal CDF and Clopper-Pearson bounds instead.  Only two paths
+load scipy, lazily: solve mode loads scipy.linalg, and the network LMI's
+bisection scipy.sparse.linalg when it factors.  Tests themselves may still
+import scipy as an oracle.
 """
 import json
 import os
@@ -22,6 +25,7 @@ import stochsym
 HEAVY = ("scipy.stats", "scipy.optimize", "scipy.integrate",
          "scipy.interpolate", "scipy.spatial", "scipy.signal")
 LINALG = ("scipy.linalg", "scipy.sparse.linalg")
+SPARSE_SPECIAL = ("scipy.sparse", "scipy.special", "scipy._lib._util")
 
 
 def _fresh(code: str):
@@ -47,9 +51,18 @@ def test_import_loads_no_scipy_linalg():
     assert _fresh(code) == []
 
 
+def test_import_loads_no_scipy_sparse_or_special():
+    code = ("import json, sys, stochsym, stochsym.cli; "
+            f"print(json.dumps([m for m in {list(SPARSE_SPECIAL)!r} if m in sys.modules]))")
+    assert _fresh(code) == []
+
+
 @pytest.mark.parametrize("r_tilde", [0.0, 0.01], ids=["noise-free", "noisy"])
 def test_pipeline_run_loads_no_scipy_linalg(tmp_path, r_tilde):
-    # every stage runs: the exact substep's matrix exponential is numpy's
+    # every stage runs: the exact substep's matrix exponential is numpy's,
+    # and the coupling, network form, kernel, normal CDF and Clopper-Pearson
+    # bounds are the package's own, so neither is scipy.sparse nor
+    # scipy.special loaded
     code = f"""
 import json, sys
 from stochsym import cli
@@ -59,7 +72,7 @@ if {r_tilde!r}:
     cfg["discretization"]["R_tilde"] = [[{r_tilde!r}]]
     cfg["safety"]["horizon"] = cfg["bound"]["horizon"]
 assert cli.run_pipeline(cfg, seed=1) == 0
-print(json.dumps([m for m in {list(LINALG)!r} if m in sys.modules]))
+print(json.dumps([m for m in {list(LINALG + SPARSE_SPECIAL)!r} if m in sys.modules]))
 """
     assert _fresh(code) == []
 

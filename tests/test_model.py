@@ -172,7 +172,7 @@ def test_interconnection_rejects_wrong_coupling_shape():
 def test_interconnection_stores_coupling_as_float_csr(make):
     m = ring(4)
     ic = _ic(make(m), [(1, 1, 1, 1)] * 4)
-    assert isinstance(ic.M, scipy.sparse.csr_matrix)
+    assert isinstance(ic.M, st.CSR)
     assert ic.M.dtype == np.float64 and ic.M.nnz == 8
     assert np.array_equal(ic.M.toarray(), m)
 

@@ -463,21 +463,27 @@ def test_clopper_pearson_lower_closed_forms():
 
     for v, n in [(v, n) for n in (1, 7, 64, 500) for v in range(1, n + 1, max(1, n // 9))]:
         lower = st.clopper_pearson_lower(v, n)
-        assert lower == float(scipy.stats.beta.ppf(1 - 0.95, v, n - v + 1)), (v, n)
+        assert lower == pytest.approx(scipy.stats.beta.ppf(1 - 0.95, v, n - v + 1),
+                                      rel=1e-10), (v, n)
+        # the defining equation: Binom(n, lower){X >= v} = 0.05
+        assert scipy.stats.binom.sf(v - 1, n, lower) == pytest.approx(0.05, rel=1e-9), (v, n)
         assert lower <= v / n <= clopper_pearson_upper(v, n)
     with pytest.raises(st.errors.DimensionMismatch):
         st.clopper_pearson_lower(5, 4)
 
 
-def test_clopper_pearson_matches_beta_quantile_exactly():
-    # the bound is the Beta(v + 1, n - v) quantile that scipy.stats computes
+def test_clopper_pearson_matches_beta_quantile():
+    # the bound is the Beta(v + 1, n - v) quantile that scipy.stats computes,
+    # and it solves the defining equation Binom(n, upper){X <= v} = 0.05
     import scipy.stats
 
     pairs = [(v, n) for n in range(1, 121) for v in range(n)]
     pairs += [(v, n) for n in (1000, 10000) for v in range(51)]
     for v, n in pairs:
-        assert clopper_pearson_upper(v, n) == float(
-            scipy.stats.beta.ppf(0.95, v + 1, n - v)), (v, n)
+        upper = clopper_pearson_upper(v, n)
+        assert upper == pytest.approx(scipy.stats.beta.ppf(0.95, v + 1, n - v),
+                                      rel=1e-10), (v, n)
+        assert scipy.stats.binom.cdf(v, n, upper) == pytest.approx(0.05, rel=1e-9), (v, n)
 
 
 def test_trajectory_csv_layout(tmp_path):
