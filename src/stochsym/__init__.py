@@ -58,13 +58,11 @@ from .synthesis import (
     safety_value_iteration,
 )
 from .runtime import (
-    InterfaceState,
     SimConfig,
     SimulationResult,
     clopper_pearson_lower,
     clopper_pearson_upper,
     cosimulate,
-    interface_input,
 )
 from .cli import generate_rooms, run_pipeline
 
@@ -83,8 +81,8 @@ __all__ = [
     "AbstractionGrid", "FiniteAbstraction", "UniformGrid",
     "build_deterministic", "build_stochastic", "quantize",
     "Controller", "SafetySpec", "safety_fixpoint", "safety_value_iteration",
-    "InterfaceState", "SimConfig", "SimulationResult",
-    "clopper_pearson_lower", "clopper_pearson_upper", "cosimulate", "interface_input",
+    "SimConfig", "SimulationResult",
+    "clopper_pearson_lower", "clopper_pearson_upper", "cosimulate",
     "generate_rooms", "run_pipeline",
     "__version__",
 ]

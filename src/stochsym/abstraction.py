@@ -270,9 +270,7 @@ class FiniteAbstraction:
 
     grid: AbstractionGrid
     disc: DiscretizationSpec
-    P_map: np.ndarray
-    output_map: np.ndarray           # C1 P, applied to representatives
-    internal_output_map: np.ndarray  # C2 P
+    output_map: np.ndarray  # C1 P, applied to representatives
     kernel: CSR
 
     def __post_init__(self):
@@ -430,8 +428,7 @@ def _build(sys, disc, grid, P) -> FiniteAbstraction:
         data, indices = np.concatenate(data), np.concatenate(indices)
         indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
     return FiniteAbstraction(
-        grid=grid, disc=disc, P_map=P,
-        output_map=sys.C1 @ P, internal_output_map=sys.C2 @ P,
+        grid=grid, disc=disc, output_map=sys.C1 @ P,
         kernel=CSR(data, indices, indptr, (n_rows, S + 1)),
     )
 

@@ -50,9 +50,9 @@ TOL_EQ = 1e-9
 def psd_tolerance(x) -> float:
     """Eigenvalue slack used for semidefiniteness verdicts: 1e-9 * (1 + max |entry|).
 
-    `x` is a dense array or this package's `CSR` (a network form); both give
-    the same slack for the same entries, since a CSR's `max` and `min` count
-    its implicit zeros.
+    `x` is an array of entries: a dense matrix, or the stored entries
+    (`data`) of a sparse network form, whose implicit zeros never change
+    the largest magnitude.
     """
     # max |entry| without an |x|-sized temporary
     scale = max(float(x.max()), -float(x.min())) if x.size else 0.0

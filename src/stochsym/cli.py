@@ -142,7 +142,7 @@ def generate_rooms(
     config: dict = {
         "name": f"rooms-{n}",
         "systems": {"replicate": n, "template": system},
-        "interconnection": {"coupling": {"kind": "circular"}, "mu": [1.0] * n},
+        "interconnection": {"coupling": {"kind": "circular"}},
         "discretization": {"tau": tau, "D_tilde": [[0.0]], "R_tilde": [[0.0]]},
         "grid": {
             "state_widths": [state_width],
@@ -885,8 +885,9 @@ def _stage_bound(bundle: PipelineBundle, ctx: dict) -> None:
     bound = bnd.closeness_bound(epsilon, alpha_eps, ssf.kappa, psi_hat_used,
                                 bundle.v0, horizon)
     payload = bound.to_dict()
-    formula = bnd.violation_probability(alpha_eps, ssf.kappa, psi_hat_formula, bundle.v0,
-                                        horizon)
+    # without an override the headline is the formula's own bound
+    formula = bound if override is None else bnd.violation_probability(
+        alpha_eps, ssf.kappa, psi_hat_formula, bundle.v0, horizon)
     payload.update({
         "alpha_of_eps": alpha_eps,
         # the formula's own bound is 1 (says nothing) when its defect is too large

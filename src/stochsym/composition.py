@@ -37,10 +37,9 @@ from .errors import (
 )
 from .model import (
     as_coupling,
+    block_diag,
     group_index,
-    member_starts,
     positive_weights,
-    spread,
 )
 
 CONDITION_NETWORK_LMI = "Con_1a"
@@ -107,24 +106,6 @@ class SupplyBlocks:
                          [self.x21.toarray(), self.x22.toarray()]])
 
 
-def _block_diag(mats: list[np.ndarray], weights: np.ndarray,
-                group_of: np.ndarray) -> CSR:
-    """CSR blkdiag(w_i mats[group_of[i]]) over subsystems i, holding only nonzero entries.
-
-    Each group's matrix is scanned once; its nonzeros are repeated at every
-    member's offset together, in subsystem order.
-    """
-    nonzero = [np.nonzero(m) for m in mats]
-    count = np.array([i.size for i, _ in nonzero], dtype=np.intp)[group_of]
-    r_off = member_starts([m.shape[0] for m in mats], group_of)
-    c_off = member_starts([m.shape[1] for m in mats], group_of)
-    rows = spread([i for i, _ in nonzero], group_of) + np.repeat(r_off[:-1], count)
-    cols = spread([j for _, j in nonzero], group_of) + np.repeat(c_off[:-1], count)
-    vals = (spread([m[i, j] for m, (i, j) in zip(mats, nonzero)], group_of)
-            * np.repeat(weights, count))
-    return CSR.from_coo(rows, cols, vals, (r_off[-1], c_off[-1]))
-
-
 def supply_blocks(certs: list[StorageCertificate], mu, group_of=None) -> SupplyBlocks:
     """The weighted supply-rate blocks of X_cmp, without building X_cmp.
 
@@ -136,7 +117,7 @@ def supply_blocks(certs: list[StorageCertificate], mu, group_of=None) -> SupplyB
     group_of = group_index(group_of, len(certs))
     if group_of.size != mu.size or len(certs) == 0:
         raise DimensionMismatch("mu", "one positive weight per subsystem")
-    return SupplyBlocks(*(_block_diag([getattr(c, name) for c in certs], mu, group_of)
+    return SupplyBlocks(*(block_diag([getattr(c, name) for c in certs], mu, group_of)
                           for name in ("Xbar11", "Xbar12", "Xbar21", "Xbar22")))
 
 
@@ -229,8 +210,9 @@ def check_compositional_lmi(form: CSR) -> LmiCheck:
     if not n:
         return LmiCheck(ok=True, margin=hi, tol=tol, lower=hi, factorizations=0,
                         gershgorin=fast)
-    lo = min(float(form.sum()) / n, hi)
-    floor = max(float(form.max()), -float(form.min()))
+    lo = min(float(form.data.sum()) / n, hi)
+    # the largest |entry|; 0 for a form with no stored entry (an all-zero Xbar)
+    floor = max(float(form.data.max(initial=0.0)), -float(form.data.min(initial=0.0)))
     factorizations = 0
     while hi - lo > _BRACKET_RTOL * max(abs(lo), abs(hi), floor):
         sigma = lo + 0.5 * (hi - lo)
@@ -257,7 +239,7 @@ def gershgorin_fast_check(form: CSR) -> GershgorinCheck:
     that bound is within the tolerance the LMI verdict uses, so an ok check
     implies an ok LMI; False means inconclusive, not violated.
     """
-    bound, tol = _gershgorin_bound(form), psd_tolerance(form)
+    bound, tol = _gershgorin_bound(form), psd_tolerance(form.data)
     return GershgorinCheck(ok=bound <= tol, bound=bound, tol=tol)
 
 

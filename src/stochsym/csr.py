@@ -1,12 +1,13 @@
 """A small compressed-sparse-row matrix, built with numpy only.
 
-A pipeline run has three sparse objects: the coupling M, the network form
-assembled from it (`composition.network_form`) and each abstraction's
-Markov kernel.  `CSR` gives them only the operations the run uses: sparse
-products, sums and transposes (by expanding to coordinates and coalescing),
-products with dense vectors and matrices, and the few reductions the
-network checks read.  Every row keeps its columns strictly increasing, so
-there are no duplicates and no unsorted rows to account for.
+A pipeline run's sparse objects are the coupling M, the network form
+assembled from it (`composition.network_form`), each abstraction's Markov
+kernel and any non-diagonal block map of the simulator (`model.block_diag`).
+`CSR` gives them only the operations the run uses: sparse products, sums and
+transposes (by expanding to coordinates and coalescing) and products with
+dense vectors and matrices.  Reductions read `data`, the stored entries.
+Every row keeps its columns strictly increasing, so there are no duplicates
+and no unsorted rows to account for.
 
 A product with a dense operand sums each row's terms left to right from
 +0.0, in stored order, as scipy's `csr_matrix @ x` does, so the two agree
@@ -94,11 +95,6 @@ class CSR:
     def dtype(self) -> np.dtype:
         return self.data.dtype
 
-    @property
-    def size(self) -> int:
-        """Entries, implicit zeros included (as `max` and `min` count them)."""
-        return self.shape[0] * self.shape[1]
-
     def row_index(self) -> np.ndarray:
         """The row of each stored entry."""
         return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
@@ -111,17 +107,6 @@ class CSR:
     @property
     def T(self) -> "CSR":
         return CSR.from_coo(self.indices, self.row_index(), self.data, self.shape[::-1])
-
-    def max(self) -> float:
-        top = self.data.max() if self.nnz else 0.0
-        return float(max(top, 0.0) if self.nnz < self.size else top)
-
-    def min(self) -> float:
-        low = self.data.min() if self.nnz else 0.0
-        return float(min(low, 0.0) if self.nnz < self.size else low)
-
-    def sum(self) -> float:
-        return float(self.data.sum())
 
     def __abs__(self) -> "CSR":
         return CSR(np.abs(self.data), self.indices, self.indptr, self.shape)

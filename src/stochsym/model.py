@@ -111,6 +111,23 @@ def spread(parts, group_of) -> np.ndarray:
     return np.concatenate(parts)[idx]
 
 
+def block_diag(mats: list[np.ndarray], weights: np.ndarray, group_of: np.ndarray) -> CSR:
+    """CSR blkdiag(w_i mats[group_of[i]]) over subsystems i, holding only nonzero entries.
+
+    Each group's matrix is scanned once; its nonzeros are repeated at every
+    member's offset together, in subsystem order.
+    """
+    nonzero = [np.nonzero(m) for m in mats]
+    count = np.array([i.size for i, _ in nonzero], dtype=np.intp)[group_of]
+    r_off = member_starts([m.shape[0] for m in mats], group_of)
+    c_off = member_starts([m.shape[1] for m in mats], group_of)
+    rows = spread([i for i, _ in nonzero], group_of) + np.repeat(r_off[:-1], count)
+    cols = spread([j for _, j in nonzero], group_of) + np.repeat(c_off[:-1], count)
+    vals = (spread([m[i, j] for m, (i, j) in zip(mats, nonzero)], group_of)
+            * np.repeat(weights, count))
+    return CSR.from_coo(rows, cols, vals, (r_off[-1], c_off[-1]))
+
+
 @dataclass(frozen=True, eq=False)
 class Box:
     """Axis-aligned interval box, possibly of dimension zero."""

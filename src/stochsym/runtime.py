@@ -71,6 +71,7 @@ import numpy.random  # noqa: F401
 
 from .abstraction import FiniteAbstraction, UniformGrid
 from .certificates import StorageCertificate
+from .csr import CSR
 from .errors import (
     AbstractStateLost,
     ConfigError,
@@ -83,6 +84,7 @@ from .model import (
     InterconnectionSpec,
     as_matrix,
     as_vector,
+    block_diag,
     group_members,
     member_starts,
     spread,
@@ -296,10 +298,15 @@ class SimulationResult:
 
 @dataclass(eq=False)
 class _Op:
-    """Batched block-diagonal map on the last axis; diagonal fast path when possible."""
+    """Batched block-diagonal map on the last axis.
 
-    dense_t: np.ndarray | None
+    `diag` holds the diagonal when every block is square and diagonal, and
+    the map is one multiply; otherwise `csr` is the block diagonal from
+    `model.block_diag`, so no map holds an n_total x n_total array.
+    """
+
     diag: np.ndarray | None
+    csr: CSR | None
 
     @classmethod
     def stack(cls, mats: list, group_of: np.ndarray) -> "_Op":
@@ -308,23 +315,19 @@ class _Op:
         if mats and all(m.shape[0] == m.shape[1] and (
                 m.shape[0] == 1 or not np.any(m - np.diag(m.diagonal())))
                 for m in mats):
-            return cls(dense_t=None, diag=spread([m.diagonal() for m in mats], group_of))
-        # a dense operator is n_total^2 numbers, so per-subsystem offsets are cheap beside it
-        rows = np.cumsum([0] + [mats[g].shape[0] for g in group_of])
-        cols = np.cumsum([0] + [mats[g].shape[1] for g in group_of])
-        dense_t = np.zeros((cols[-1], rows[-1]))
-        for g, r, c in zip(group_of, rows, cols):
-            dense_t[c:c + mats[g].shape[1], r:r + mats[g].shape[0]] = mats[g].T
-        return cls(dense_t=dense_t, diag=None)
+            return cls(diag=spread([m.diagonal() for m in mats], group_of), csr=None)
+        return cls(diag=None, csr=block_diag(mats, np.ones(group_of.size), group_of))
 
     @property
     def out_dim(self) -> int:
-        return self.diag.size if self.diag is not None else self.dense_t.shape[1]
+        return self.diag.size if self.diag is not None else self.csr.shape[0]
 
-    def __call__(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def __call__(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The map of x's last axis, written into `out`, which may be x itself."""
         if self.diag is not None:
             return np.multiply(x, self.diag, out=out)
-        return np.matmul(x, self.dense_t, out=out)
+        out[...] = np.moveaxis(self.csr @ np.moveaxis(x, -1, 0), 0, -1)
+        return out
 
 
 #: Pade [13/13] numerator coefficients b_0..b_13 and the 1-norm up to which

@@ -496,8 +496,7 @@ class TestBlockExport:
         unsorted = scipy.sparse.csr_matrix(_reversed_rows(k), shape=k.shape)
         assert not unsorted.has_sorted_indices
         again = st.FiniteAbstraction(
-            grid=fa.grid, disc=fa.disc, P_map=fa.P_map, output_map=fa.output_map,
-            internal_output_map=fa.internal_output_map, kernel=unsorted)
+            grid=fa.grid, disc=fa.disc, output_map=fa.output_map, kernel=unsorted)
         for name in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(again.kernel, name), getattr(k, name))
 

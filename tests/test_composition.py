@@ -66,10 +66,13 @@ class TestCompositionalLmi:
         assert res.margin == pytest.approx(4 * A_BLOCK + D_BLOCK, rel=1e-9)
 
     def test_zero_matrix_margin_zero(self):
-        res = st.check_compositional_lmi(
-            st.network_form(np.eye(2), scalar_blocks(0.0, 0.0, 2)))
+        # all-zero blocks, as solve mode's Xbar are, give a form with no
+        # stored entry: its largest |entry| is 0, so the tolerance is 1e-9
+        form = st.network_form(np.eye(2), scalar_blocks(0.0, 0.0, 2))
+        assert form.nnz == 0
+        res = st.check_compositional_lmi(form)
         assert res.ok
-        assert res.margin == 0.0
+        assert res.margin == 0.0 and res.tol == 1e-9
 
     def test_identity_blocks_violate(self):
         res = st.check_compositional_lmi(

@@ -537,7 +537,7 @@ def scalar_reference(systems, ic, fas, ctrls, certs, cfg, x0):
         xhat = quantized()
         errors[t, 0] = out_error(xhat)
         for k in range(cfg.horizon):
-            w_hat = m @ np.array([(fas[i].internal_output_map @ xhat[i:i + 1])[0]
+            w_hat = m @ np.array([(systems[i].C2 @ certs[i].P @ xhat[i:i + 1])[0]
                                   for i in range(n)])
             actions = [ctrls[i].action(idx[i], k) for i in range(n)]
             if min(actions) < 0:
@@ -592,7 +592,8 @@ def mixed_network(g=0.3, tracking_rate=40.0):
 
 
 def _force_dense(monkeypatch):
-    """Make every stacked operator of the simulator a dense matmul."""
+    """Make every stacked operator of the simulator take the path of a
+    non-diagonal block: a product with its block-diagonal CSR."""
     from stochsym import runtime
 
     stack = runtime._Op.stack
@@ -601,7 +602,7 @@ def _force_dense(monkeypatch):
         op = stack(mats, group_of)
         if op.diag is None:
             return op
-        return runtime._Op(dense_t=np.diag(op.diag), diag=None)
+        return runtime._Op(diag=None, csr=st.CSR.from_dense(np.diag(op.diag)))
 
     monkeypatch.setattr(runtime._Op, "stack", dense_stack)
 
@@ -619,7 +620,7 @@ class TestFusedSubstepOracle:
         np.testing.assert_allclose(res.step_errors, want, rtol=1e-12, atol=0)
 
     def test_dense_operators_match_diagonal_fast_path(self, monkeypatch):
-        # every operator of the rooms is diagonal; forcing the dense matmul
+        # every operator of the rooms is diagonal; forcing the CSR product
         # path must give the same errors
         net = mixed_network()
         x0 = np.array([20.4012, 20.5537, 20.6981])
@@ -666,10 +667,12 @@ class TestGroupIndex:
                      [rng.standard_normal(shape) for shape in ((2, 2), (1, 3), (2, 1))]):
             grouped = runtime._Op.stack(mats, group_of)
             per_room = runtime._Op.stack([mats[g] for g in group_of], np.arange(6))
-            for part in ("diag", "dense_t"):
-                a, b = getattr(grouped, part), getattr(per_room, part)
-                assert (a is None) == (b is None)
-                assert a is None or np.array_equal(a, b)
+            assert (grouped.diag is None) == (per_room.diag is None)
+            if grouped.diag is not None:
+                assert np.array_equal(grouped.diag, per_room.diag)
+            else:  # canonical CSRs (sorted, no zeros): equal arrays, equal entries
+                assert np.array_equal(grouped.csr.toarray(), per_room.csr.toarray())
+                assert grouped.csr.nnz == per_room.csr.nnz
 
     def test_grouped_network_simulates_like_its_rooms(self, monkeypatch):
         # the two interleaved groups of mixed_network against each room
@@ -815,6 +818,21 @@ def test_trajectory_csv_rows_match_arrays(tmp_path, monkeypatch):
 
 
 class TestCoupling:
+    def test_dense_room_block_stacks_sparse(self):
+        # one dense 2 x 2 block over 2000 rooms: a block-diagonal CSR, where
+        # an n_total x n_total matrix would take 128 MB
+        from stochsym import runtime
+
+        rng = np.random.default_rng(6)
+        m, n = rng.standard_normal((2, 2)), 2000
+        op, peak = traced_peak(runtime._Op.stack, [m], np.zeros(n, dtype=np.intp))
+        assert op.diag is None and op.out_dim == 2 * n
+        assert peak < 5e6
+        x = rng.standard_normal((8, 2 * n))
+        want = (x.reshape(8, n, 2) @ m.T).reshape(8, 2 * n)
+        assert op(x, out=x) is x  # in place, as the noise map runs
+        assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want))
+
     def test_sparse_ring_keeps_no_dense_copy(self):
         from stochsym import runtime
 

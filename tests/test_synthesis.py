@@ -17,7 +17,7 @@ def _abstraction(kernel, s, u, w, r_tilde, lo, width) -> FiniteAbstraction:
     )
     return FiniteAbstraction(
         grid=grid, disc=st.DiscretizationSpec(tau=1.0, D_tilde=0.0, R_tilde=r_tilde),
-        P_map=np.eye(1), output_map=np.eye(1), internal_output_map=np.eye(1),
+        output_map=np.eye(1),
         kernel=scipy.sparse.csr_matrix(kernel),
     )
 
