@@ -15,6 +15,10 @@ on the first violated condition, and evaluates the closed-form comparison
 constants (quadratic alpha coefficient, contraction kappa, linear external
 gain, and the per-step defect psi) consumed by the composition and bound layers.
 
+`solve_candidates` builds the candidate matrices of solve mode in closed form
+from an invertible square B; the certificate it completes goes through
+`verify` like a given one.
+
 Everything here is a pure function of immutable inputs, so subsystems with
 equal inputs share one verdict.
 """
@@ -165,6 +169,9 @@ class DissipativityCheck:
 
 @dataclass(frozen=True, eq=False)
 class Candidates:
+    """The candidate matrices `solve_candidates` finds: M_bar = P = I and the
+    K, Q, H of one solve with B."""
+
     M_bar: np.ndarray
     K: np.ndarray
     P: np.ndarray
@@ -213,85 +220,29 @@ def check_geometric(sys: AffineSystem, P, Q, H) -> GeometricCheck:
                           residual_q=rq, residual_h=rh)
 
 
-def _lstsq_or_infeasible(B, target, rel_to, what: str, condition: str) -> np.ndarray:
-    sol, *_ = np.linalg.lstsq(B, target, rcond=None)
-    resid = float(np.linalg.norm(B @ sol - target))
-    if resid > TOL_EQ * (1.0 + float(np.linalg.norm(rel_to))):
-        raise Infeasible(f"image of {what} is not contained in the image of B "
-                         f"(least-squares residual {resid:.3e})", condition)
-    return sol
+def solve_candidates(sys: AffineSystem, kappa_tilde: float) -> Candidates:
+    """Construct (M_bar, K, P, Q, H) meeting Con_1, Con_2 and Con_3 at rate kappa_tilde.
 
-
-def _is_diagonal(x: np.ndarray) -> bool:
-    return x.shape[0] == x.shape[1] and not np.any(x - np.diag(np.diag(x)))
-
-
-def solve_candidates(sys: AffineSystem, kappa_tilde: float, P=None) -> Candidates:
-    """Construct (M_bar, K, P, Q, H) meeting the three conditions at rate kappa_tilde.
-
-    P defaults to the identity.  Scalar/diagonal pairs use the closed form
-    K = (-kappa_tilde/2 - A) / B per coordinate with M_bar = I.  The general
-    case shifts the spectrum through the pseudo-inverse of B, searching over
-    the shift and solving a strict Lyapunov equation for M_bar; every result
-    is validated a posteriori with check_lyapunov.  Q and H are least-squares
-    solutions of B Q = A P and D = B H, rejected when their residuals exceed
-    the equality tolerance.
+    The closed form M_bar = P = I, K = B^-1 (-kappa_tilde/2 I - A), Q = B^-1 A
+    and H = B^-1 D, from one solve with B, gives A + B K = -kappa_tilde/2 I,
+    which meets Con_1 with equality.  B must be square, as the refinement law
+    needs.  A singular B admits no solution: with P = I, Con_2 forces A = B Q,
+    so A + B K = B (Q + K) is singular for every K and Con_1 cannot hold.
     """
     if kappa_tilde <= 0:
         raise Infeasible("kappa_tilde must be positive")
     n = sys.n
-    P = np.eye(n) if P is None else as_matrix(P)
-    A, B = sys.A, sys.B
-
-    M_bar = None
-    K = None
-    if sys.m == n and _is_diagonal(A) and _is_diagonal(B) and np.all(np.diag(B) != 0):
-        K = np.diag((-0.5 * kappa_tilde - np.diag(A)) / np.diag(B))
-        M_bar = np.eye(n)
-        if not check_lyapunov(sys, M_bar, K, kappa_tilde).ok:  # pragma: no cover
-            raise Infeasible("closed-form diagonal gain failed verification")
-    else:
-        # imported here: only this general case needs it, and it costs start-up memory
-        from scipy.linalg import solve_continuous_lyapunov
-
-        pinv_b = np.linalg.pinv(B)
-        have_b = bool(np.any(B))
-        shifts = [0.0] + [0.5 * kappa_tilde * 2.0**j for j in range(0, 14)]
-        for c in shifts:
-            K_try = pinv_b @ (-(0.5 * kappa_tilde + c) * np.eye(n) - A) if have_b \
-                else np.zeros((sys.m, n))
-            a_cl = A + B @ K_try
-            abscissa = float(np.max(np.real(np.linalg.eigvals(a_cl))))
-            if abscissa >= -0.5 * kappa_tilde:
-                if not have_b:
-                    break
-                continue
-            # A_cl + (kappa_tilde/2 + s) I is Hurwitz for s below the spare margin;
-            # a strict Lyapunov solve then certifies the rate with slack.
-            s = 0.5 * (-abscissa - 0.5 * kappa_tilde)
-            a_bar = a_cl + (0.5 * kappa_tilde + s) * np.eye(n)
-            try:
-                M_try = solve_continuous_lyapunov(a_bar.T, -np.eye(n))
-            except np.linalg.LinAlgError:  # pragma: no cover
-                continue
-            M_try = _sym(M_try)
-            if _min_eig(M_try) <= 0:
-                continue
-            if check_lyapunov(sys, M_try, K_try, kappa_tilde).ok:
-                M_bar, K = M_try, K_try
-                break
-        if M_bar is None:
-            raise Infeasible(
-                f"(A, B) not stabilizable to decay rate {kappa_tilde!r}",
-                CONDITION_LYAPUNOV,
-            )
-
-    Q = _lstsq_or_infeasible(B, A @ P, A @ P, "A P", CONDITION_INPUT_MATCH)
-    if sys.p:
-        H = _lstsq_or_infeasible(B, sys.D, sys.D, "D", CONDITION_INTERNAL_MATCH)
-    else:
-        H = np.zeros((sys.m, 0))
-    return Candidates(M_bar=M_bar, K=K, P=P, Q=Q, H=H)
+    if sys.m != n:
+        raise DimensionMismatch(
+            "B", "the refinement law needs a square B (external input dim == state dim)"
+        )
+    rhs = np.hstack([-0.5 * kappa_tilde * np.eye(n) - sys.A, sys.A, sys.D])
+    try:
+        K, Q, H = np.split(np.linalg.solve(sys.B, rhs), [n, 2 * n], axis=1)
+    except np.linalg.LinAlgError:
+        raise Infeasible(f"(A, B) not stabilizable to decay rate {kappa_tilde!r}: "
+                         "B is singular", CONDITION_LYAPUNOV) from None
+    return Candidates(M_bar=np.eye(n), K=K, P=np.eye(n), Q=Q, H=H)
 
 
 def validate_certificate(cert: StorageCertificate, tau: float) -> bool:

@@ -300,8 +300,32 @@ def _as_is(value):
     return value
 
 
+def _numeric(value):
+    """`value`, a JSON number or nested list of numbers, if no true or false
+    is in it: float() and numpy would read one as 1.0 or 0.0."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {json.dumps(value)}")
+    if isinstance(value, list):
+        for v in value:
+            if isinstance(v, (bool, list)):
+                _numeric(v)
+    return value
+
+
+def _real(value) -> float:
+    return float(_numeric(value))
+
+
+def _matrix(value) -> np.ndarray:
+    return model.as_matrix(_numeric(value))
+
+
+def _vector(value) -> np.ndarray:
+    return model.as_vector(_numeric(value))
+
+
 def _finite(value) -> np.ndarray:
-    v = model.as_vector(value)
+    v = _vector(value)
     if not np.all(np.isfinite(v)):
         raise ValueError(f"expected finite entries, got {value!r}")
     return v
@@ -309,7 +333,7 @@ def _finite(value) -> np.ndarray:
 
 def _integer(value) -> int:
     """An integral JSON number (4 or 4.0); a bool or a fraction is malformed."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    if not isinstance(_numeric(value), numbers.Real):
         raise TypeError(f"expected an integer, got {value!r}")
     if not float(value).is_integer():
         raise ValueError(f"expected an integer, got {value!r}")
@@ -326,14 +350,14 @@ def _count(low: int):
 
 
 def _positive(value) -> float:
-    value = float(value)
+    value = _real(value)
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"expected a finite number > 0, got {value!r}")
     return value
 
 
 def _nonnegative(value) -> float:
-    value = float(value)
+    value = _real(value)
     if not (math.isfinite(value) and value >= 0):
         raise ValueError(f"expected a finite number >= 0, got {value!r}")
     return value
@@ -364,24 +388,25 @@ _TOP = {"name": (_as_is, "network"), "stages": (_prefix_of_stages, STAGES),
                          "certificates", "bound", "simulation"), (_as_is, None))}
 _SYSTEMS = {"replicate": (_integer, ...), "template": (_as_is, ...)}
 _BOXES = ("state_box", "input_box", "internal_box")
-_SYSTEM = {**dict.fromkeys(("A", "B", "C1", "C2", "D", "G"), (model.as_matrix, ...)),
-           "b": (model.as_vector, ...), **dict.fromkeys(_BOXES, (_as_is, ...))}
-_BOX = dict.fromkeys(("lower", "upper"), (model.as_vector, ...))
-_INTERCONNECTION = {"coupling": (_as_is, ...), "mu": (model.positive_weights, None)}
-_DISCRETIZATION = {"tau": (_positive, ...), "D_tilde": (model.as_matrix, [[0.0]]),
-                   "R_tilde": (model.as_matrix, [[0.0]])}
+_SYSTEM = {**dict.fromkeys(("A", "B", "C1", "C2", "D", "G"), (_matrix, ...)),
+           "b": (_vector, ...), **dict.fromkeys(_BOXES, (_as_is, ...))}
+_BOX = dict.fromkeys(("lower", "upper"), (_vector, ...))
+_INTERCONNECTION = {"coupling": (_as_is, ...),
+                    "mu": (lambda v: model.positive_weights(_numeric(v)), None)}
+_DISCRETIZATION = {"tau": (_positive, ...), "D_tilde": (_matrix, [[0.0]]),
+                   "R_tilde": (_matrix, [[0.0]])}
 _GRID = ("state_widths", "input_widths", "internal_widths")
 _SAFETY = {**dict.fromkeys(("lower", "upper"), (_finite, ...)),
            "contraction": (_nonnegative, 0.0), "horizon": (_count(1), None)}
 #: a given certificate's fields, capitalized ones as matrices
-_CERT = {f.name: (model.as_matrix if f.name[0].isupper() else float,
+_CERT = {f.name: (_matrix if f.name[0].isupper() else _real,
                   ... if f.default is dataclasses.MISSING else f.default)
          for f in dataclasses.fields(cert_mod.StorageCertificate)}
 #: the `certificates` block by mode; solve mode states the shared fields and
 #: the solve finds the rest
 _CERTIFICATES = {
     "given": {"mode": (_as_is, None), "values": (_as_is, ...)},
-    "solve": {"mode": (_as_is, None), "pi": (float, 1.0),
+    "solve": {"mode": (_as_is, None), "pi": (_real, 1.0),
               **{name: _CERT[name] for name in ("kappa_tilde", "kappa_bar", "Xbar11",
                                                 "Xbar12", "Xbar21", "Xbar22")}},
 }
@@ -390,7 +415,7 @@ _BOUND = {"epsilon": (_positive, None), "horizon": (_count(0), None),
           "psi_hat_override": (_nonnegative, None),
           "reported": (_as_is, None), "notes": (_as_is, None)}
 _SIMULATION = {"n_trials": (_count(1), None), "n_substeps": (_count(1), 20),
-               "seed": (_count(0), 0), "x0": (model.as_vector, []),
+               "seed": (_count(0), 0), "x0": (_vector, []),
                "record_outputs": (_boolean, False),
                # read by nothing; the benchmark's workload configs still set it
                "check_convergence": (_as_is, None)}
@@ -447,7 +472,7 @@ def _grid_from(s: model.AffineSystem, gdict, what: str) -> abst.AbstractionGrid 
     _object(gdict, what, _GRID)
 
     def cover(box, name):
-        return _field(gdict, what, name, lambda w: abst.UniformGrid.cover(box, w))
+        return _field(gdict, what, name, lambda w: abst.UniformGrid.cover(box, _numeric(w)))
     return abst.AbstractionGrid(
         state=cover(s.state_box, "state_widths"),
         input=cover(s.input_box, "input_widths"),
@@ -486,6 +511,9 @@ def _check_group(s: model.AffineSystem, d: model.DiscretizationSpec, grid, cert:
     except (DimensionMismatch, NonFiniteEntry, EmptyBox) as exc:
         raise ConfigError(f"{sys_path}.{exc.field} is malformed: {exc}") from exc
     n, m, p, q2 = s.n, s.m, s.p, s.q2
+    if m != n:
+        raise ConfigError(f"{sys_path}.B has shape {s.B.shape}: the refinement law "
+                          "needs a square B (external input dim == state dim)")
     shapes = {"M_bar": (n, n), "K": (m, n), "P": (n, n), "Q": (m, n), "H": (m, p),
               "Xbar11": (p, p), "Xbar12": (p, q2), "Xbar21": (q2, p), "Xbar22": (q2, q2)}
     # R_tilde may draw any number of normals, one per column
@@ -549,7 +577,7 @@ def _coupling_from(spec, n: int):
             raise ConfigError(f"{what} is malformed: {exc} (a ring has one node per "
                               "subsystem: systems.replicate, or one per systems entry)") from exc
     if kind == "dense":
-        return _field(spec, what, "M", model.as_matrix)
+        return _field(spec, what, "M", _matrix)
     raise ConfigError(f"{what}.kind must be 'circular' or 'dense', got {kind!r}")
 
 
@@ -673,7 +701,7 @@ def load_config(source) -> PipelineBundle:
     bound = _fields(top["bound"], "bound", _BOUND)
     # bound.reported may hold any key; the network defect it states is checked
     rep = {} if (rep := bound["reported"]) is None else _object(rep, "bound.reported", rep)
-    psi_network, psi_room = (_field(rep, "bound.reported", key, float, None)
+    psi_network, psi_room = (_field(rep, "bound.reported", key, _real, None)
                              for key in ("psi_network", "psi_per_subsystem"))
     bound["reported_psi"] = (psi_network if psi_network is not None
                              else None if psi_room is None else psi_room * n)

@@ -52,8 +52,8 @@ Clopper-Pearson upper and lower confidence bounds for comparison against the
 theoretical guarantee.  Each bound solves Clopper and Pearson's (1934)
 defining equation, a binomial tail equal to 1 - confidence, by bisection
 (closed forms at 0 and at every trial violating), so no scipy subpackage is
-loaded for it: a pipeline run loads none, except solve mode's scipy.linalg
-and the network LMI's scipy.sparse.linalg when its bisection factors.
+loaded for it: a pipeline run loads none, except the network LMI's
+scipy.sparse.linalg when its bisection factors.
 """
 from __future__ import annotations
 

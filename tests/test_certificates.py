@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import stochsym as st
 from stochsym.certificates import StorageCertificate, validate_certificate
@@ -121,6 +123,51 @@ class TestSolveCandidates:
                                internal_box=st.Box([-1], [1]))
         with pytest.raises(Infeasible):
             st.solve_candidates(sys_, 1.0)
+
+    def test_singular_b_fails_the_decay_condition(self):
+        # the second state is matched but the first has no actuation: with
+        # P = I, Con_2 forces A = B Q, so A + B K is singular for every K
+        sys_ = st.AffineSystem(A=np.diag([-10.0, 0.0]), B=np.diag([0.0, 1.0]),
+                               C1=np.eye(2), C2=np.eye(2), D=np.zeros((2, 1)),
+                               G=np.eye(2), b=np.zeros(2),
+                               state_box=st.Box(-np.ones(2), np.ones(2)),
+                               input_box=st.Box(-np.ones(2), np.ones(2)),
+                               internal_box=st.Box([-1], [1]))
+        with pytest.raises(Infeasible) as exc:
+            st.solve_candidates(sys_, 1.0)
+        assert exc.value.condition == "Con_1"
+
+    def test_non_square_b_rejected(self):
+        sys_ = st.AffineSystem(A=-1.0, B=[[1.0, 0.5]], C1=1.0, C2=1.0, D=0.0, G=1.0,
+                               b=0.0, state_box=st.Box([-1], [1]),
+                               input_box=st.Box([-1, -1], [1, 1]),
+                               internal_box=st.Box([-1], [1]))
+        with pytest.raises(DimensionMismatch):
+            st.solve_candidates(sys_, 1.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=hst.integers(1, 4), p=hst.integers(0, 2), seed=hst.integers(0, 2**32 - 1),
+           kappa_tilde=hst.floats(0.5, 100.0))
+    def test_closed_form_meets_every_condition(self, n, p, seed, kappa_tilde):
+        # B = U diag(s) V^T with random orthogonal U, V and s in [0.5, 2]: a
+        # non-diagonal B of condition number at most 4
+        rng = np.random.default_rng(seed)
+        u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        b = u @ np.diag(rng.uniform(0.5, 2.0, n)) @ v.T
+        a = rng.uniform(-5.0, 5.0, (n, n))
+        sys_ = st.AffineSystem(A=a, B=b, C1=np.eye(n), C2=np.eye(n),
+                               D=rng.standard_normal((n, p)), G=np.eye(n),
+                               b=np.zeros(n), state_box=st.Box(-np.ones(n), np.ones(n)),
+                               input_box=st.Box(-np.ones(n), np.ones(n)),
+                               internal_box=st.Box(-np.ones(p), np.ones(p)))
+        cand = st.solve_candidates(sys_, kappa_tilde)
+        assert np.array_equal(cand.M_bar, np.eye(n)) and np.array_equal(cand.P, np.eye(n))
+        assert st.check_lyapunov(sys_, cand.M_bar, cand.K, kappa_tilde).ok
+        assert st.check_geometric(sys_, cand.P, cand.Q, cand.H).ok
+        target = -0.5 * kappa_tilde * np.eye(n)
+        assert (np.linalg.norm(a + b @ cand.K - target)
+                <= 1e-12 * np.linalg.norm(target))
 
     def test_general_multivariable_pair(self):
         rng = np.random.default_rng(11)

@@ -773,6 +773,14 @@ def _solved(edit=None):
     return apply
 
 
+def _two_input_room(cfg):
+    room = cfg["systems"]["template"]
+    room.update(B=[[0.5, 0.0]], input_box={"lower": [-0.01, -0.01], "upper": [0.01, 0.01]})
+    cfg["grid"]["input_widths"] *= 2
+    cfg["certificates"]["values"][0].update(K=[[-399.79], [0.0]], Q=[[-0.21], [0.0]],
+                                            H=[[0.1], [0.0]])
+
+
 def _flat_coupling(m):
     # the coupling as a bare interconnection.M
     def apply(cfg):
@@ -864,6 +872,12 @@ def _flat_coupling(m):
     (_cert_edit(lambda v: v.update(Kk=[[0.0]])), "certificates.values[0].Kk is not a known key"),
     (_set(("bound", "epsilon_"), 0.1), "bound.epsilon_ is not a known key"),
     (_set(("simulation", "n_substep"), 40), "simulation.n_substep is not a known key"),
+    # JSON's true is no number, though float() and numpy read it as 1.0
+    (_set(("discretization", "tau"), True), "discretization.tau is malformed"),
+    (_set(("bound", "epsilon"), True), "bound.epsilon is malformed"),
+    (_cert_edit(lambda v: v.update(pi=True)), "certificates.values[0].pi is malformed"),
+    (_set(("safety", "lower"), [True]), "safety.lower is malformed"),
+    (_set(("systems", "template", "A"), [[True]]), "systems.template.A is malformed"),
 ], ids=["n-fraction", "n-bool", "replicate-fraction", "bound-horizon-fraction",
         "n_trials-fraction", "safety-horizon-bool", "safety-horizon-fraction",
         "record_outputs-string", "cert-unknown-key", "cert-missing-key",
@@ -884,7 +898,8 @@ def _flat_coupling(m):
         "safety-horizon-zero", "safety-horizon-below-bound-horizon",
         "safety-horizon-one-step", "top-level-typo",
         "system-typo", "box-typo", "discretization-typo", "grid-typo", "safety-typo",
-        "certificate-typo", "bound-typo", "simulation-typo"])
+        "certificate-typo", "bound-typo", "simulation-typo", "tau-bool",
+        "bound-epsilon-bool", "pi-bool", "safety-lower-bool", "A-bool"])
 def test_config_error_exits_3_and_names_its_field(tmp_path, capsys, edit, field):
     cfg = small_rooms(tmp_path, trials=8)
     edit(cfg)
@@ -1054,9 +1069,12 @@ def test_simulation_checks_the_bounds_event(tmp_path):
     (_set(("systems", "template", "A"), [[float("nan")]]), "systems.template.A"),
     (_solved(lambda c: c.update(Xbar11=[[0.0, 0.0], [0.0, 0.0]])), "certificates.Xbar11"),
     (_solved(lambda c: c.update(Xbar12=[[0.0, 0.0]])), "certificates.Xbar12"),
+    # two inputs to one state, with a certificate of matching shapes: the
+    # refinement law needs a square B
+    (_two_input_room, "systems.template.B"),
 ], ids=["P", "Q", "M_bar", "Xbar12", "Xbar21", "Xbar22", "H", "K", "Xbar11", "tau",
         "P-of-room-2", "D_tilde", "R_tilde", "safety-2d", "A-nan", "solve-Xbar11",
-        "solve-Xbar12"])
+        "solve-Xbar12", "B-not-square"])
 def test_shape_error_against_the_subsystem_names_its_path(tmp_path, capsys, edit, path):
     # a certificate, discretization or safety box that does not fit its
     # subsystem is a config error when the config loads, not a traceback,

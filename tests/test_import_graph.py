@@ -7,10 +7,10 @@ whole small pipeline run, so the import graph is checked in a fresh
 interpreter.  scipy.sparse and scipy.special alone cost about 23 MB and
 0.3 s: both import scipy._lib._util, whose array-API layer imports numpy's
 testing, f2py and masked-array packages.  The package has its own CSR
-matrix, normal CDF and Clopper-Pearson bounds instead.  Only two paths
-load scipy, lazily: solve mode loads scipy.linalg, and the network LMI's
-bisection scipy.sparse.linalg when it factors.  Tests themselves may still
-import scipy as an oracle.
+matrix, normal CDF and Clopper-Pearson bounds instead, and solve mode's
+certificates are a closed form in numpy.  Only one path loads scipy,
+lazily: the network LMI's bisection loads scipy.sparse.linalg when it
+factors.  Tests themselves may still import scipy as an oracle.
 """
 import json
 import os
@@ -75,6 +75,36 @@ assert cli.run_pipeline(cfg, seed=1) == 0
 print(json.dumps([m for m in {list(LINALG + SPARSE_SPECIAL)!r} if m in sys.modules]))
 """
     assert _fresh(code) == []
+
+
+def test_solve_mode_of_two_state_rooms_loads_no_scipy_linalg(tmp_path):
+    # two coupled states per room (air and wall): A and B are not
+    # multiples of the identity, and the closed-form solve needs no scipy
+    code = f"""
+import json, sys
+from stochsym import cli
+cfg = cli.generate_rooms(n=4, out_dir={str(tmp_path / "out")!r})
+cfg["systems"]["template"] = {{
+    "A": [[-0.105, 0.02], [0.02, -0.03]], "B": [[0.5, 0.0], [0.0, 0.2]],
+    "C1": [[1.0, 0.0]], "C2": [[1.0, 0.0]], "D": [[0.05], [0.0]],
+    "G": [[0.5, 0.0], [0.0, 0.1]], "b": [-0.005, 0.0],
+    "state_box": {{"lower": [20.0, 20.0], "upper": [21.0, 21.0]}},
+    "input_box": {{"lower": [-0.01, -0.01], "upper": [0.01, 0.01]}},
+    "internal_box": {{"lower": [40.0], "upper": [42.0]}}}}
+cfg["discretization"].update(D_tilde=[[0.0], [0.0]], R_tilde=[[0.0], [0.0]])
+del cfg["grid"], cfg["simulation"]["x0"]
+cfg["stages"] = ["verify", "compose"]
+kappa_tilde = cfg["certificates"]["values"][0]["kappa_tilde"]
+cfg["certificates"] = {{"mode": "solve", "kappa_tilde": kappa_tilde, "kappa_bar": 0.499,
+                       "Xbar11": [[1e-3]], "Xbar12": [[0.0]], "Xbar21": [[0.0]],
+                       "Xbar22": [[-5e-3]]}}
+assert cli.run_pipeline(cfg, seed=1) == 0
+print(json.dumps([m for m in {list(LINALG + SPARSE_SPECIAL)!r} if m in sys.modules]))
+"""
+    assert _fresh(code) == []
+    cert = json.loads((tmp_path / "out" / "certificates.json").read_text())
+    assert cert["groups"][0]["certificate"]["M_bar"] == [[1.0, 0.0], [0.0, 1.0]]
+    assert (tmp_path / "out" / "composition.json").exists()
 
 
 def test_every_public_name_resolves():
