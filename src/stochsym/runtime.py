@@ -62,7 +62,7 @@ import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 # loaded with the package, not by the first simulation: its import (about
@@ -303,10 +303,15 @@ class _Op:
     `diag` holds the diagonal when every block is square and diagonal, and
     the map is one multiply; otherwise `csr` is the block diagonal from
     `model.block_diag`, so no map holds an n_total x n_total array.
+    `identity` is set when the diagonal is all ones.
     """
 
     diag: np.ndarray | None
     csr: CSR | None
+    identity: bool = field(init=False)
+
+    def __post_init__(self):
+        self.identity = self.diag is not None and bool(np.all(self.diag == 1.0))
 
     @classmethod
     def stack(cls, mats: list, group_of: np.ndarray) -> "_Op":
@@ -328,6 +333,11 @@ class _Op:
             return np.multiply(x, self.diag, out=out)
         out[...] = np.moveaxis(self.csr @ np.moveaxis(x, -1, 0), 0, -1)
         return out
+
+    def image(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The map of x for reading only: x itself when the map is the
+        identity (x * 1.0 == x, so nothing is lost), else `self(x, out)`."""
+        return x if self.identity else self(x, out)
 
 
 #: Pade [13/13] numerator coefficients b_0..b_13 and the 1-norm up to which
@@ -539,7 +549,8 @@ def _simulate_chunk(net: _Network, horizon: int, x0: np.ndarray, streams,
     # block's normals turning into its states in place.  `nxt` is scratch
     # throughout, and `offset` is scratch outside the substep blocks
     normals = np.empty((C, block, net.n_total))
-    # the outputs of a block's states; a square C1 writes over the states.
+    # the outputs of a block's states; a square C1 writes over the states,
+    # and an identity C1 is not applied: the states are the outputs.
     # Outside the blocks its first substep holds the sampled outputs
     outputs = (normals if net.C1.out_dim == net.n_total
                else np.empty((C, block, net.C1.out_dim)))
@@ -559,8 +570,8 @@ def _simulate_chunk(net: _Network, horizon: int, x0: np.ndarray, streams,
         np.maximum(out_max, z.max(axis=axes), out=out_max)
 
     def record(k):
-        z = net.C1(X, out=z1)
-        zh = net.C1P(Xhat, out=z1_hat)
+        z = net.C1.image(X, out=z1)
+        zh = net.C1P.image(Xhat, out=z1_hat)
         if record_outputs:
             out_rec[:, k] = z
             out_hat_rec[:, k] = zh
@@ -608,7 +619,7 @@ def _simulate_chunk(net: _Network, horizon: int, x0: np.ndarray, streams,
                     x += net.residual(w_t, out=nxt)
                 prev = x
             X[...] = prev
-            extremes(net.C1(z, out=outputs[:, :z.shape[1]]))
+            extremes(net.C1.image(z, out=outputs[:, :z.shape[1]]))
 
         # target = Xhat + V + D_tilde w_hat (+ R_tilde noise), V the inputs
         # of the actions; V + Xhat is the same sum as Xhat + V

@@ -753,6 +753,27 @@ class TestSubstepStreaming:
         assert np.allclose(both.step_errors, math.sqrt(2) * plain.step_errors,
                            rtol=1e-12, atol=0.0)
 
+    def test_square_output_map_scales_the_envelope(self, monkeypatch):
+        # C1 = I is not applied (the states are the outputs) and C1 = 2 I is
+        # multiplied in: the states are the same, and scaling by a power of
+        # two is exact, so the envelope and every sampled error double exactly
+        from stochsym import runtime
+
+        systems, *rest = small_network(n=3, g=0.3, tracking_rate=40.0)
+        doubled = dataclasses.replace(systems[0], C1=np.array([[2.0]]))
+        assert runtime._Network(systems, *rest, 4, 11).C1.identity
+        assert not runtime._Network([doubled], *rest, 4, 11).C1.identity
+        x0 = np.array([20.387, 20.502, 20.731])
+        chunk_trials(monkeypatch, 3)
+        cfg = st.SimConfig(n_trials=6, horizon=4, epsilon=9.9, n_substeps=11,
+                           rng_seed=8, record_outputs=True)
+        plain = st.cosimulate(systems, *rest, cfg, x0)
+        twice = st.cosimulate([doubled], *rest, cfg, x0)
+        for field in ("output_min", "output_max", "step_errors", "outputs",
+                      "abstract_outputs"):
+            assert np.array_equal(getattr(twice, field), 2.0 * getattr(plain, field)), field
+        assert np.all(plain.step_errors[:, 1:] > 0)
+
     def test_peak_memory_does_not_grow_with_substeps(self):
         # the substep buffers are capped at _SUBSTEP_BLOCK_ENTRIES normals
         # across the chunks in flight (2 MiB); a whole-interval buffer at
