@@ -30,8 +30,9 @@ its members are quantized and looked up together, one grid lookup per group
 and step.
 
 Trials are independent; each draws its Gaussian increments from its own
-counter-based stream split off the master seed, so results are bitwise
-reproducible regardless of chunking or worker count.  The trials are split
+stream, a `BIT_GENERATOR` (SFC64) seeded by that trial's child of the
+master seed, so results are bitwise reproducible regardless of chunking or
+worker count.  The trials are split
 into contiguous chunks whose sizes differ by at most one: enough chunks to
 keep each within `_CHUNK_TRIALS` trials and to give every worker one.  By
 default there is one worker per CPU the process may use, at most two, and
@@ -104,6 +105,9 @@ _MIN_DRAW = 512
 #: this many: more workers have not been measured to pay (smaller chunks
 #: make shorter GIL-free calls); STOCHSYM_THREADS sets more
 _DEFAULT_WORKERS = 2
+#: the bit generator of each trial's stream, seeded by that trial's child of
+#: the master seed; `SimulationSummary.bit_generator` names it
+BIT_GENERATOR = np.random.SFC64
 
 
 @dataclass(eq=False)
@@ -272,6 +276,7 @@ class SimulationSummary:
     horizon: int
     n_substeps: int
     rng_seed: int
+    bit_generator: str  # with rng_seed, names the trials' streams
     mean_sup_error: float
     max_sup_error: float
     output_min: float
@@ -528,7 +533,7 @@ def _simulate_chunk(net: _Network, horizon: int, x0: np.ndarray, streams,
     C = len(streams)
     # per trial: its abstract normals first, then n_substeps x n_total
     # concrete normals per interval
-    gens = [np.random.Generator(np.random.Philox(s)) for s in streams]
+    gens = [np.random.Generator(BIT_GENERATOR(s)) for s in streams]
     abs_noise = None
     if net.stochastic:
         abs_noise = np.stack([g.standard_normal((horizon, net.abs_noise_dim))
@@ -743,6 +748,7 @@ def cosimulate(
         horizon=config.horizon,
         n_substeps=config.n_substeps,
         rng_seed=config.rng_seed,
+        bit_generator=BIT_GENERATOR.__name__,
         mean_sup_error=float(sup.mean()),
         max_sup_error=float(sup.max()),
         output_min=float(out_min.min()),

@@ -163,6 +163,7 @@ class TestRunPipeline:
         assert bound["reported_psi_reproduced"] is False
         summary = json.loads((out / "simulation_summary.json").read_text())
         assert summary["cp95_below_theoretical"] is True
+        assert summary["bit_generator"] == "SFC64"
 
     def test_every_trial_violating_writes_strict_json(self, tmp_path, caplog):
         # a tiny epsilon makes every trial violate: no violation-free output

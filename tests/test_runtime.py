@@ -11,6 +11,7 @@ import pytest
 import stochsym as st
 from stochsym.errors import AbstractStateLost, StaleControllerTable, StaleLatch
 from stochsym.runtime import (
+    BIT_GENERATOR,
     InterfaceState,
     clopper_pearson_upper,
     interface_input,
@@ -520,7 +521,7 @@ def scalar_reference(systems, ic, fas, ctrls, certs, cfg, x0):
     errors = np.full((cfg.n_trials, cfg.horizon + 1), np.nan)
     lost_at = [None] * cfg.n_trials
     for t, ss in enumerate(streams):
-        gen = np.random.Generator(np.random.Philox(ss))
+        gen = np.random.Generator(BIT_GENERATOR(ss))
         s_abs = gen.standard_normal((cfg.horizon, n)) if stochastic else None
         x = np.array(x0, dtype=float)
         idx = [grids[i].locate(x[i:i + 1]) for i in range(n)]
@@ -636,7 +637,7 @@ class TestFusedSubstepOracle:
         net = stochastic_network(sigma=0.15)
         grid = net[2][0].grid.state
         x0 = np.full(3, grid.center(grid.locate([20.5]))[0])
-        cfg = st.SimConfig(n_trials=8, horizon=6, epsilon=9.9, n_substeps=20, rng_seed=3)
+        cfg = st.SimConfig(n_trials=8, horizon=6, epsilon=9.9, n_substeps=20, rng_seed=18)
         # the run reports what one chunk of all trials meets: the first step
         # where any trial is lost and the lowest trial lost there.  With this
         # seed a trial of lower index is lost only later, so the report is
@@ -645,8 +646,10 @@ class TestFusedSubstepOracle:
         _, lost_at = scalar_reference(*net, cfg, x0)
         step = min(k for k in lost_at if k is not None)
         trial = lost_at.index(step)
-        assert (trial, step) == (4, 3)
-        assert any(k is not None and k > step for k in lost_at[:trial])
+        assert (trial, step) == (5, 3)
+        for size in (2, 4):
+            first_chunk = lost_at[:size]
+            assert trial >= size and any(k is not None and k > step for k in first_chunk)
         for trials, workers in itertools.product((2, 4, 8), (1, 2)):
             chunk_trials(monkeypatch, trials)
             monkeypatch.setenv("STOCHSYM_THREADS", str(workers))
