@@ -32,9 +32,9 @@ and step.
 Trials are independent; each draws its Gaussian increments from its own
 stream, a `BIT_GENERATOR` (SFC64) seeded by that trial's child of the
 master seed, so results are bitwise reproducible regardless of chunking or
-worker count.  The trials are split
-into contiguous chunks whose sizes differ by at most one: enough chunks to
-keep each within `_CHUNK_TRIALS` trials and to give every worker one.  By
+worker count.  The trials are split into contiguous chunks whose sizes
+differ by at most one: enough chunks to keep each within `_CHUNK_TRIALS`
+trials and to give every worker one.  By
 default there is one worker per CPU the process may use, at most two, and
 the `STOCHSYM_THREADS` environment variable sets another count; the calling
 thread runs chunks itself beside one helper thread per further worker
@@ -341,7 +341,7 @@ class _Op:
 
     def image(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The map of x for reading only: x itself when the map is the
-        identity (x * 1.0 == x, so nothing is lost), else `self(x, out)`."""
+        identity (x * 1.0 == x, so the result is the same), else `self(x, out)`."""
         return x if self.identity else self(x, out)
 
 
