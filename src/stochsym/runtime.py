@@ -21,8 +21,16 @@ and each substep is its exact transition (Van Loan, 1978)
 x <- e^{F dt} x + (int_0^dt e^{F s} ds) c_k + L z, where L L^T is the
 covariance int_0^dt e^{F s} G G^T e^{F^T s} ds.  Sampled errors therefore
 do not depend on the substep count, which sets only the resolution of the
-output envelope.  When the stacked residual D - B H is not exactly zero,
-dt (D - B H) M C2 x is added per substep (a first-order splitting).  Each
+output envelope.  That envelope covers a trial's path up to its first
+sample whose error reaches epsilon; from then on the trial's violation is
+settled and nothing reads its path between samples, so each of its later
+intervals is one exact step over tau (the same formula with dt = tau),
+whose law is that of the composed substeps.  A trial draws n_substeps x
+n_total normals per interval while violation-free and n_total after, and
+the violation-free trials' results are bitwise those of a run in which
+nothing violates.  When the stacked residual D - B H is not exactly zero,
+dt (D - B H) M C2 x is added per substep (a first-order splitting), and
+every trial keeps its substeps, under the same envelope rule.  Each
 object is given once per group of equal subsystems (`ic.group_of`), and a
 group's sampled model is its abstraction's own; a group's operators,
 substep maps for the run's one substep count included, are built once, and
@@ -64,6 +72,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 # loaded with the package, not by the first simulation: its import (about
@@ -275,11 +284,13 @@ class SimulationSummary:
     epsilon: float
     horizon: int
     n_substeps: int
+    # (trial, interval) pairs stepped with substeps, of n_trials x horizon
+    substep_intervals: int
     rng_seed: int
     bit_generator: str  # with rng_seed, names the trials' streams
     mean_sup_error: float
     max_sup_error: float
-    output_min: float
+    output_min: float  # over each trial's path up to its first violating sample
     output_max: float
     violation_free_output_min: float | None  # None when every trial violates
     violation_free_output_max: float | None
@@ -295,8 +306,10 @@ class SimulationResult:
 
     summary: SimulationSummary
     step_errors: np.ndarray  # (n_trials, horizon + 1) sampled output mismatch
-    output_min: np.ndarray   # (n_trials,) smallest external output, substeps included
-    output_max: np.ndarray   # (n_trials,) largest external output, substeps included
+    # (n_trials,) smallest and largest external output, substeps included, up
+    # to and including the trial's first violating sample
+    output_min: np.ndarray
+    output_max: np.ndarray
     outputs: np.ndarray | None = None           # (n_trials, horizon + 1, q1) if recorded
     abstract_outputs: np.ndarray | None = None  # same shape, abstract side
 
@@ -429,7 +442,8 @@ class _Group:
 class _Network:
     """Stacked operators, exact substep maps for `n_substeps` substeps per
     interval, and per-group lookup data for batched simulation; every list
-    holds one entry per group of `ic`."""
+    holds one entry per group of `ic`.  The maps of one whole interval are
+    built by `interval` when a trial first needs them."""
 
     def __init__(self, systems, ic, abstractions, controllers, certs, horizon, n_substeps):
         if not (len(systems) == len(abstractions) == len(controllers) == len(certs)
@@ -464,9 +478,11 @@ class _Network:
         # int_0^dt e^{F s} ds (applied to c_k) and noise = L (applied to n
         # standard normals per subsystem); residual = dt (D - B H), None when
         # Con_3 cancels the coupling
-        dt = discs[0].tau / n_substeps
-        self.phi, self.gain, self.noise = (_Op.stack(ops, group_of) for ops in zip(
-            *(_exact_step(s.A + s.B @ c.K, s.G @ s.G.T, dt) for s, c in zip(systems, certs))))
+        self.tau = discs[0].tau
+        self._group_of = group_of
+        self._blocks = [(s.A + s.B @ c.K, s.G @ s.G.T) for s, c in zip(systems, certs)]
+        dt = self.tau / n_substeps
+        self.phi, self.gain, self.noise = self._maps(dt)
         residual = [s.D - s.B @ c.H for s, c in zip(systems, certs)]
         self.residual = (_Op.stack([dt * r for r in residual], group_of)
                          if any(np.any(r) for r in residual) else None)
@@ -491,6 +507,17 @@ class _Network:
                 table=np.hstack([t, -np.ones((t.shape[0], 1), dtype=np.int64)]),
             ))
 
+    def _maps(self, dt: float) -> tuple:
+        """The stacked (phi, gain, noise) of the exact transition over dt."""
+        return tuple(_Op.stack(ops, self._group_of) for ops in zip(
+            *(_exact_step(f, gg, dt) for f, gg in self._blocks)))
+
+    @cached_property
+    def interval(self) -> tuple:
+        """(phi, gain, noise) over one whole interval tau, built on first use:
+        a run in which no trial violates never needs them."""
+        return self._maps(self.tau)
+
     def coupling(self, z2: np.ndarray, out: np.ndarray) -> np.ndarray:
         """w = M zeta2 for each row of z2, written into `out`."""
         out[...] = (self.M @ z2.T).T
@@ -506,49 +533,59 @@ class _Lost(Exception):
     """
 
 
-def _raise_if_lost(masks, trial_offset: int, step: int, phase: int) -> None:
-    """_Lost naming the lowest trial with a lost subsystem at `step`."""
+def _raise_if_lost(masks, trials: np.ndarray, step: int, phase: int) -> None:
+    """_Lost naming the lowest trial with a lost subsystem at `step`; row r
+    of each mask belongs to trial `trials[r]`."""
     lost = None
     for m in masks:
         if m.any():
             rows = m.any(axis=1)
             lost = rows if lost is None else lost | rows
     if lost is not None:
-        raise _Lost(step, phase, trial_offset + int(np.flatnonzero(lost)[0]))
+        raise _Lost(step, phase, int(trials[lost].min()))
 
 
 def _quantize(net: _Network, points: np.ndarray, Xhat: np.ndarray, idx: list,
-              trial_offset: int, step: int) -> None:
+              trials: np.ndarray, step: int) -> None:
     """Cell indices of `points` per group into `idx`, their centers into `Xhat`."""
     for g, group in enumerate(net.groups):
         idx[g] = group.grid.locate_many(group.view(points))
     _raise_if_lost([i == group.grid.n_points for i, group in zip(idx, net.groups)],
-                   trial_offset, step, 0)
+                   trials, step, 0)
     for g, group in enumerate(net.groups):
         Xhat[:, group.cols] = group.grid.centers()[idx[g]].reshape(len(Xhat), -1)
 
 
 def _simulate_chunk(net: _Network, horizon: int, x0: np.ndarray, streams,
-                    trial_offset: int, record_outputs: bool, block: int):
+                    trial_offset: int, record_outputs: bool, epsilon: float, block: int):
+    """One chunk's arrays in trial order, and how many (trial, interval)
+    pairs it stepped with substeps."""
     C = len(streams)
-    # per trial: its abstract normals first, then n_substeps x n_total
-    # concrete normals per interval
+    # per trial: its abstract normals first, then per interval n_substeps x
+    # n_total concrete normals while it is violation-free, n_total after
     gens = [np.random.Generator(BIT_GENERATOR(s)) for s in streams]
     abs_noise = None
     if net.stochastic:
         abs_noise = np.stack([g.standard_normal((horizon, net.abs_noise_dim))
                               for g in gens])
 
+    # every per-trial array holds chunk row order[p] at position p; the
+    # `live` trials, those whose samples have all stayed below epsilon, come
+    # first, so each kind of step runs on one slice
+    order = np.arange(C)
+    live = C
     X = np.tile(x0, (C, 1))
     Xhat = np.empty_like(X)
     idx = [None] * len(net.groups)
-    _quantize(net, X, Xhat, idx, trial_offset, 0)
+    _quantize(net, X, Xhat, idx, trial_offset + order, 0)
 
     errors = np.empty((C, horizon + 1))
     out_min = np.full(C, np.inf)
     out_max = np.full(C, -np.inf)
     out_rec = np.empty((C, horizon + 1, net.C1.out_dim)) if record_outputs else None
     out_hat_rec = np.empty_like(out_rec) if record_outputs else None
+    per_trial = [a for a in (order, X, Xhat, errors, out_min, out_max, abs_noise,
+                             out_rec, out_hat_rec) if a is not None]
     # the buffers below are allocated once per chunk and written in place;
     # the substeps of an interval are streamed `block` at a time, each
     # block's normals turning into its states in place.  `nxt` is scratch
@@ -569,10 +606,12 @@ def _simulate_chunk(net: _Network, horizon: int, x0: np.ndarray, streams,
     w = np.empty_like(w_hat)
 
     def extremes(z):
-        """Fold outputs z, (C, q1) or (C, substeps, q1), into each trial's range."""
+        """Fold outputs z, (n, q1) or (n, substeps, q1), into the ranges of
+        the first n positions."""
         axes = tuple(range(1, z.ndim))
-        np.minimum(out_min, z.min(axis=axes), out=out_min)
-        np.maximum(out_max, z.max(axis=axes), out=out_max)
+        lo, hi = out_min[:len(z)], out_max[:len(z)]
+        np.minimum(lo, z.min(axis=axes), out=lo)
+        np.maximum(hi, z.max(axis=axes), out=hi)
 
     def record(k):
         z = net.C1.image(X, out=z1)
@@ -583,12 +622,65 @@ def _simulate_chunk(net: _Network, horizon: int, x0: np.ndarray, streams,
         errors[:, k] = np.linalg.norm(np.subtract(z, zh, out=z1_hat), axis=1)
         return z
 
-    # every later sampled state ends a substep block, folded in there
+    def retire(hit):
+        """Move the live positions where `hit` is set behind the other live ones."""
+        nonlocal live
+        perm = np.concatenate([np.flatnonzero(~hit), np.flatnonzero(hit), np.arange(live, C)])
+        live -= int(np.count_nonzero(hit))
+        if not np.array_equal(perm, np.arange(C)):
+            for a in per_trial:
+                a[...] = a[perm]
+            idx[:] = [i[perm] for i in idx]
+            gens[:] = [gens[p] for p in perm]
+
+    def interval_step(s, c_k):
+        """x <- phi x + gain c_k + L z over the whole interval at positions s..,
+        each trial drawing n_total normals."""
+        phi, gain, noise = net.interval
+        for p in range(s, C):
+            gens[p].standard_normal(out=normals[p, 0])
+        x = X[s:]
+        phi(x, out=x)
+        x += gain(c_k[s:], out=offset[s:])
+        x += noise(normals[s:, 0], out=normals[s:, 0])
+
+    def substep_blocks(s, c_k):
+        """The interval's substeps at positions ..s; the envelope of the live ones."""
+        net.gain(c_k[:s], out=offset[:s])
+        for j0 in range(0, net.n_substeps, block):
+            z = normals[:s, :min(block, net.n_substeps - j0)]
+            # each trial continues its interval's normals in stream order
+            for c in range(s):
+                gens[c].standard_normal(out=z[c])
+            # L z + gain c_k for the whole block; substep j then adds
+            # phi x_{j-1} (and the residual term) into slice j, which becomes
+            # x_j: addition commutes, so each state is the sum
+            # phi x + (L z + gain c_k) of one substep at a time, bit for bit
+            net.noise(z, out=z)
+            z += offset[:s, None, :]
+            prev = X[:s]
+            for j in range(z.shape[1]):
+                x = z[:, j]
+                x += net.phi(prev, out=nxt[:s])
+                if net.residual is not None:
+                    w_t = net.coupling(net.C2(prev, out=z2[:s]), out=w[:s])
+                    x += net.residual(w_t, out=nxt[:s])
+                prev = x
+            X[:s] = prev
+            if live:
+                extremes(net.C1.image(z[:live], out=outputs[:live, :z.shape[1]]))
+
+    # every later sampled state of a live trial ends a substep block, folded
+    # in there; a trial's envelope ends with its first violating sample
     extremes(record(0))
+    substep_intervals = 0
     for k in range(horizon):
+        hit = errors[:live, k] >= epsilon
+        if hit.any():
+            retire(hit)
         net.coupling(net.C2P(Xhat, out=z2), out=w_hat)
         actions = [group.actions(i, k) for group, i in zip(net.groups, idx)]
-        _raise_if_lost([a < 0 for a in actions], trial_offset, k, 1)
+        _raise_if_lost([a < 0 for a in actions], trial_offset + order, k, 1)
 
         # nu(t) = K x(t) - H w(t) + nu_latched, where nu_latched is
         # X - P xhat - K P xhat - Q xhat + H (w(k tau) - w_hat), summed left
@@ -603,28 +695,16 @@ def _simulate_chunk(net: _Network, horizon: int, x0: np.ndarray, streams,
         nu_latched += net.H(w_latch, out=nxt)
         c_k = net.B(nu_latched, out=nxt)
         c_k += net.b
-        net.gain(c_k, out=offset)
-        for j0 in range(0, net.n_substeps, block):
-            z = normals[:, :min(block, net.n_substeps - j0)]
-            # each trial continues its interval's normals in stream order
-            for c, gen in enumerate(gens):
-                gen.standard_normal(out=z[c])
-            # L z + gain c_k for the whole block; substep j then adds
-            # phi x_{j-1} (and the residual term) into slice j, which becomes
-            # x_j: addition commutes, so each state is the sum
-            # phi x + (L z + gain c_k) of one substep at a time, bit for bit
-            net.noise(z, out=z)
-            z += offset[:, None, :]
-            prev = X
-            for j in range(z.shape[1]):
-                x = z[:, j]
-                x += net.phi(prev, out=nxt)
-                if net.residual is not None:
-                    w_t = net.coupling(net.C2(prev, out=z2), out=w)
-                    x += net.residual(w_t, out=nxt)
-                prev = x
-            X[...] = prev
-            extremes(net.C1.image(z, out=outputs[:, :z.shape[1]]))
+
+        # a violating trial takes one exact step over the interval, whose
+        # law is that of its substeps composed; the residual path has no
+        # such step and keeps its substeps
+        s = C if net.residual is not None else live
+        substep_intervals += s
+        if s < C:
+            interval_step(s, c_k)
+        if s:
+            substep_blocks(s, c_k)
 
         # target = Xhat + V + D_tilde w_hat (+ R_tilde noise), V the inputs
         # of the actions; V + Xhat is the same sum as Xhat + V
@@ -635,10 +715,12 @@ def _simulate_chunk(net: _Network, horizon: int, x0: np.ndarray, streams,
         target += net.D_tilde(w_hat, out=offset)
         if net.stochastic:
             target += net.R_tilde(abs_noise[:, k], out=offset)
-        _quantize(net, target, Xhat, idx, trial_offset, k + 1)
+        _quantize(net, target, Xhat, idx, trial_offset + order, k + 1)
         record(k + 1)
 
-    return errors, out_min, out_max, out_rec, out_hat_rec
+    at = np.argsort(order)  # the position of each chunk row
+    arrays = (errors, out_min, out_max, out_rec, out_hat_rec)
+    return tuple(None if a is None else a[at] for a in arrays), substep_intervals
 
 
 def _chunks(n_trials: int, workers: int) -> list:
@@ -671,7 +753,8 @@ def _run_batch(net, config: SimConfig, x0, streams):
             try:
                 results[pos] = _simulate_chunk(net, config.horizon, x0,
                                                streams[start:stop], start,
-                                               config.record_outputs, block)
+                                               config.record_outputs, config.epsilon,
+                                               block)
             except _Lost as lost:
                 results[pos] = lost
 
@@ -687,8 +770,9 @@ def _run_batch(net, config: SimConfig, x0, streams):
         step, _, trial = min(lost)
         raise AbstractStateLost(trial, step)
     # each field's chunk rows, in trial order (out_rec is None unless recorded)
-    return tuple(None if parts[0] is None else np.concatenate(parts)
-                 for parts in zip(*results))
+    arrays = tuple(None if parts[0] is None else np.concatenate(parts)
+                   for parts in zip(*(r[0] for r in results)))
+    return arrays, sum(r[1] for r in results)
 
 
 def cosimulate(
@@ -720,6 +804,10 @@ def cosimulate(
     dynamics (plus the first-order residual term when D != B H), so the
     sampled errors do not depend on `config.n_substeps`; the substep count
     sets only how finely the output envelope between samples is resolved.
+    A trial's envelope ends with its first violating sample, and when
+    D = B H each of its later intervals is one exact step over tau;
+    `summary.substep_intervals` counts the (trial, interval) pairs stepped
+    with substeps.
     """
     net = _Network(systems, ic, abstractions, controllers, certs, config.horizon,
                    config.n_substeps)
@@ -730,7 +818,7 @@ def cosimulate(
     # trial streams are the children of the master seed's first child; the
     # second child is unused, and keeping the split keeps each seed's streams
     trial_ss = np.random.SeedSequence(config.rng_seed).spawn(2)[0]
-    errors, out_min, out_max, out_rec, out_hat_rec = _run_batch(
+    (errors, out_min, out_max, out_rec, out_hat_rec), substep_intervals = _run_batch(
         net, config, x0, trial_ss.spawn(config.n_trials))
 
     sup = errors.max(axis=1)
@@ -747,6 +835,7 @@ def cosimulate(
         epsilon=config.epsilon,
         horizon=config.horizon,
         n_substeps=config.n_substeps,
+        substep_intervals=substep_intervals,
         rng_seed=config.rng_seed,
         bit_generator=BIT_GENERATOR.__name__,
         mean_sup_error=float(sup.mean()),

@@ -164,6 +164,9 @@ class TestRunPipeline:
         summary = json.loads((out / "simulation_summary.json").read_text())
         assert summary["cp95_below_theoretical"] is True
         assert summary["bit_generator"] == "SFC64"
+        # no trial violates, so every (trial, interval) pair takes substeps
+        assert summary["n_violations"] == 0
+        assert summary["substep_intervals"] == summary["n_trials"] * summary["horizon"]
 
     def test_every_trial_violating_writes_strict_json(self, tmp_path, caplog):
         # a tiny epsilon makes every trial violate: no violation-free output

@@ -7,6 +7,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import stochsym as st
 from stochsym.errors import AbstractStateLost, StaleControllerTable, StaleLatch
@@ -277,6 +279,45 @@ class TestExactOperators:
         assert np.max(np.abs(f @ cov + cov @ f.T - (e @ gg @ e.T - gg))) <= 1e-12
         if not gg.any():
             assert not chol.any()
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=hst.integers(0, 2**32 - 1), tau=hst.floats(0.01, 1.0),
+           n=hst.integers(2, 40))
+    def test_interval_map_composes_the_substep_maps(self, seed, tau, n):
+        # a non-diagonal F and rank-one noise: one exact step over tau is n
+        # exact steps of tau / n, map by map
+        rng = np.random.default_rng(seed)
+        f = rng.uniform(-3.0, 3.0, (2, 2))
+        f[0, 1] = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 3.0)
+        g = rng.uniform(-1.0, 1.0, (2, 1))
+        assert_interval_composes(f, g @ g.T, tau, n)
+
+    @pytest.mark.parametrize("f, g", [
+        ([[-1.3, 0.8], [-2.1, -0.4]], [[0.6], [-0.2]]),
+        ([[-1.0, 2.0], [0.0, -3.0]], [[0.7], [0.0]]),
+        ([[-1.0, 2.0], [0.0, -3.0]], [[0.0], [0.0]]),
+    ], ids=["full-rank", "eigenvector", "no-noise"])
+    def test_interval_map_composes_on_the_fixed_blocks(self, f, g):
+        g = np.array(g)
+        assert_interval_composes(np.array(f), g @ g.T, 0.37, 40)
+
+
+def assert_interval_composes(f, gg, tau, n):
+    """`_exact_step` over tau against the n-fold composition of its step over
+    tau / n: phi^n, sum phi^i gain and sum phi^i L L^T phi^iT, to 1e-12
+    relative (Frobenius)."""
+    from stochsym import runtime
+
+    phi, gain, chol = runtime._exact_step(f, gg, tau)
+    p, g, l = runtime._exact_step(f, gg, tau / n)
+    power, gains, cov = np.eye(2), np.zeros((2, 2)), np.zeros((2, 2))
+    for _ in range(n):
+        gains += power @ g
+        cov += power @ l @ l.T @ power.T
+        power = power @ p
+    for got, want in ((phi, power), (gain, gains), (chol @ chol.T, cov)):
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def _van_loan_blocks(f, gg, dt):
@@ -643,18 +684,22 @@ class TestFusedSubstepOracle:
         # seed a trial of lower index is lost only later, so the report is
         # not simply the first lost trial, and with chunks of 2 or 4 the
         # first chunk's own loss is that later one
-        _, lost_at = scalar_reference(*net, cfg, x0)
+        errors, lost_at = scalar_reference(*net, cfg, x0)
         step = min(k for k in lost_at if k is not None)
         trial = lost_at.index(step)
         assert (trial, step) == (5, 3)
         for size in (2, 4):
             first_chunk = lost_at[:size]
             assert trial >= size and any(k is not None and k > step for k in first_chunk)
-        for trials, workers in itertools.product((2, 4, 8), (1, 2)):
+        # the abstract path does not read the concrete one, so trials that
+        # violate first (and move behind the live ones in their chunk) do
+        # not change the report; at 0.3, trials 2 and 5 violate at step 1
+        assert first_violations(errors[:, :2], 0.3) == [None, None, 1, None, None, 1, None, None]
+        for epsilon, trials, workers in itertools.product((9.9, 0.3), (2, 4, 8), (1, 2)):
             chunk_trials(monkeypatch, trials)
             monkeypatch.setenv("STOCHSYM_THREADS", str(workers))
             with pytest.raises(AbstractStateLost) as info:
-                st.cosimulate(*net, cfg, x0)
+                st.cosimulate(*net, dataclasses.replace(cfg, epsilon=epsilon), x0)
             assert (info.value.trial, info.value.step) == (trial, step)
 
 
@@ -794,6 +839,152 @@ class TestSubstepStreaming:
         # plus the slack a 2^16-entry cap had under a 1 MB bound
         slack = 1_000_000 - (1 << 16) * 8
         assert peaks[4000] - peaks[4] <= cap + slack
+
+
+def first_violations(step_errors, epsilon):
+    """Each trial's first sample at or above epsilon, None when it has none."""
+    return [int(np.argmax(row >= epsilon)) if np.any(row >= epsilon) else None
+            for row in step_errors]
+
+
+def spy_exact_step(monkeypatch):
+    """The dt of every `_exact_step` call the simulator makes, in a list."""
+    from stochsym import runtime
+
+    dts = []
+    exact_step = runtime._exact_step
+
+    def spy(f, gg, dt):
+        dts.append(dt)
+        return exact_step(f, gg, dt)
+
+    monkeypatch.setattr(runtime, "_exact_step", spy)
+    return dts
+
+
+class TestViolatedTrials:
+    """A trial whose sample reaches epsilon takes one exact step per later
+    interval; the violation-free ones keep their substeps, bit for bit."""
+
+    def test_one_interval_moments_after_a_violating_start(self, monkeypatch):
+        # started off its cell centre, every trial's k = 0 error reaches
+        # epsilon, so x(tau) comes from the interval step alone: Gaussian with
+        # the closed-form mean and variance of the exact transition.  A slow
+        # loop (e^{F tau} = e^-4) keeps the moments apart from one substep's
+        from stochsym import runtime
+
+        systems, ic, fas, ctrls, certs = small_network(g=0.3, tracking_rate=40.0)
+        assert runtime._Network(systems, ic, fas, ctrls, certs, 1, 4).residual is None
+        grid = fas[0].grid.state
+        centre = grid.center(grid.locate([20.5]))[0]
+        x0 = np.full(3, centre + 0.002)
+        chunk_trials(monkeypatch, 4096)
+        cfg = st.SimConfig(n_trials=20_000, horizon=1, epsilon=0.003, n_substeps=4,
+                           rng_seed=8, record_outputs=True)
+        res = st.cosimulate(systems, ic, fas, ctrls, certs, cfg, x0)
+        assert res.summary.n_violations == cfg.n_trials
+        assert res.summary.substep_intervals == 0
+        # the envelope is the first sample's alone
+        assert np.all(res.output_min == x0[0]) and np.all(res.output_max == x0[0])
+        finals = res.outputs[:, 1, :].ravel()  # three independent rooms
+
+        sys_, cert, tau = systems[0], certs[0], fas[0].disc.tau
+        s = InterfaceState(K=cert.K, P=cert.P, Q=cert.Q, H=cert.H, tau=tau, step=0,
+                           xi_latch=x0[:1], xi_hat=[centre], w_hat=[2.0 * centre],
+                           w_latch=[2.0 * x0[0]])
+        nu = interface_input(s, [0.0], [0.0], 0.0)[0]
+        mean = exact_scalar_step(sys_, cert, x0[0], nu, 0.0, tau, 0.0)
+        var = (exact_scalar_step(sys_, cert, x0[0], nu, 0.0, tau, 1.0) - mean) ** 2
+        n = finals.size
+        assert abs(finals.mean() - mean) <= 4 * math.sqrt(var / n)
+        assert abs(finals.var(ddof=1) - var) <= 4 * var * math.sqrt(2 / (n - 1))
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["diagonal", "dense"])
+    @pytest.mark.parametrize("network", ["deterministic", "stochastic"])
+    def test_violation_free_trials_are_bitwise_unchanged(self, monkeypatch, network, dense):
+        if dense:
+            _force_dense(monkeypatch)
+        if network == "deterministic":
+            net = small_network(n=3, g=0.3, tracking_rate=40.0)
+            x0, epsilon = np.array([20.387, 20.502, 20.731]), 0.09
+        else:
+            net = stochastic_network()
+            grid = net[2][0].grid.state
+            x0, epsilon = np.full(3, grid.center(grid.locate([20.5]))[0]), 0.1
+        dts = spy_exact_step(monkeypatch)
+        cfg = st.SimConfig(n_trials=8, horizon=6, epsilon=9.9, n_substeps=7,
+                           rng_seed=23, record_outputs=True)
+        free = st.cosimulate(*net, cfg, x0)
+        # nothing violates at 9.9, so the interval maps are never built
+        assert free.summary.n_violations == 0
+        assert dts and all(dt == 0.1 / 7 for dt in dts)
+        first = first_violations(free.step_errors, epsilon)
+        # trials violate at different steps, and some never do
+        assert None in first and len({k for k in first if k is not None}) >= 2
+
+        runs = []
+        for trials, workers in itertools.product((1, 2, 3), ("1", "2")):
+            chunk_trials(monkeypatch, trials)
+            monkeypatch.setenv("STOCHSYM_THREADS", workers)
+            runs.append(st.cosimulate(*net, dataclasses.replace(cfg, epsilon=epsilon), x0))
+        res = runs[0]
+        assert 0.1 in dts
+        for other in runs[1:]:
+            for field in ("step_errors", "output_min", "output_max", "outputs",
+                          "abstract_outputs"):
+                assert np.array_equal(getattr(other, field), getattr(res, field)), field
+            assert other.summary.to_dict() == res.summary.to_dict()
+
+        assert first_violations(res.step_errors, epsilon) == first
+        assert res.summary.n_violations == sum(k is not None for k in first)
+        assert res.summary.substep_intervals == sum(
+            cfg.horizon if k is None else k for k in first)
+        for t, k in enumerate(first):
+            upto = cfg.horizon + 1 if k is None else k + 1
+            assert np.array_equal(res.step_errors[t, :upto], free.step_errors[t, :upto])
+            assert np.array_equal(res.outputs[t, :upto], free.outputs[t, :upto])
+            if k is None:
+                assert res.output_min[t] == free.output_min[t]
+                assert res.output_max[t] == free.output_max[t]
+        # the violating trials drew other normals after their first violation
+        assert not np.array_equal(res.step_errors, free.step_errors)
+        kept = np.array([k is None for k in first])
+        assert res.summary.violation_free_output_min == free.output_min[kept].min()
+        assert res.summary.violation_free_output_max == free.output_max[kept].max()
+        if network == "deterministic":
+            # no abstract normals come first in a stream, so a shorter run is
+            # the same path cut short: its envelope is the one up to the
+            # first violating sample
+            for t, k in enumerate(first):
+                if k is not None:
+                    cut = st.cosimulate(*net, dataclasses.replace(cfg, horizon=k), x0)
+                    assert res.output_min[t] == cut.output_min[t]
+                    assert res.output_max[t] == cut.output_max[t]
+
+    def test_residual_path_keeps_every_draw(self, monkeypatch):
+        # D != B H: every trial keeps its substeps, so every step error is the
+        # 9.9 run's, while a violating trial's envelope still ends with its
+        # first violating sample
+        net = mixed_network()
+        x0 = np.array([20.4012, 20.5537, 20.6981])
+        dts = spy_exact_step(monkeypatch)
+        cfg = st.SimConfig(n_trials=8, horizon=6, epsilon=9.9, n_substeps=7, rng_seed=23)
+        free = st.cosimulate(*net, cfg, x0)
+        epsilon = 0.2
+        first = first_violations(free.step_errors, epsilon)
+        assert None in first and len({k for k in first if k is not None}) >= 2
+        for trials in (1, 3):
+            chunk_trials(monkeypatch, trials)
+            res = st.cosimulate(*net, dataclasses.replace(cfg, epsilon=epsilon), x0)
+            assert np.array_equal(res.step_errors, free.step_errors)
+            assert res.summary.n_violations == sum(k is not None for k in first)
+            assert res.summary.substep_intervals == cfg.n_trials * cfg.horizon
+            for t, k in enumerate(first):
+                want = free if k is None else st.cosimulate(
+                    *net, dataclasses.replace(cfg, horizon=k), x0)
+                assert res.output_min[t] == want.output_min[t]
+                assert res.output_max[t] == want.output_max[t]
+        assert all(dt == 0.1 / 7 for dt in dts)
 
 
 class TestControllerHorizon:
