@@ -8,7 +8,12 @@ unsafe.  A noise-free model's rows are point masses; they, and every
 noise-free axis of a Gaussian row, use `UniformGrid.locate_many`'s cell rule.
 
 Gaussian rows are built block-wise from per-axis cell masses, and the CSV
-export is written one block of rows at a time.  A finished abstraction is
+export is written one block of rows at a time.  Each Gaussian axis is cut
+6 sqrt(2) sigma below its mean, the mirror image of where the normal CDF
+rounds to 1 above it: cells wholly below the cut get no mass, and the
+1.08e-17 per axis below it goes to the sink.  Moving mass to the unsafe sink
+can only lower a safety value, and a cut row differs from the uncut one by
+at most dim x 1.08e-17 in total variation.  A finished abstraction is
 immutable and shareable.  The normal CDF is `ndtr`, Cephes' (Moshier,
 "Methods and Programs for Mathematical Functions", 1989) in numpy: erf and
 erfc by Cody's rational Chebyshev approximations (Math. Comp. 23, 1969).
@@ -64,6 +69,13 @@ _MAXLOG = 7.09782712893383996843E2  # log of the largest double
 #: from x / sqrt(2) = 6 on, erfc(6) / 2 = 1.1e-17 is below half an ulp of 1,
 #: so ndtr(x) = 1 - erfc / 2 rounds to exactly 1
 _NDTR_ONE = 6.0
+#: a Gaussian axis's standardized edges are cut from below at -_TAIL_SIGMAS,
+#: the mirror image of `_NDTR_ONE`; the at most _TAIL_MASS below the cut goes
+#: to the sink
+_TAIL_SIGMAS = _NDTR_ONE / _SQRTH
+#: ndtr(-_TAIL_SIGMAS), written out so that importing evaluates no ndtr (the
+#: tests check that the two agree)
+_TAIL_MASS = 1.0759868356249455e-17
 
 
 def _horner(z: np.ndarray, coeffs, monic: bool = False) -> np.ndarray:
@@ -362,17 +374,27 @@ def build_stochastic(
     Requires an axis-aligned noise covariance (R_tilde R_tilde^T diagonal).
     Each row factors into per-dimension Gaussian interval masses (a point
     mass on a noise-free axis); whatever mass falls off the grid goes to
-    the sink, and rows are renormalized only when their drift from unit
-    mass is below 1e-9.  Rows are computed in blocks of about
+    the sink, and so does each Gaussian axis's mass more than
+    `_TAIL_SIGMAS` = 6 sqrt(2) standard deviations below its mean (at most
+    `_TAIL_MASS` = 1.08e-17 per axis), so no row stores cells wholly below
+    that cut.  Rows are renormalized only when their drift from unit mass
+    is below 1e-9.  Rows are computed in blocks of about
     `_BLOCK_ENTRIES` dense entries, or all at once when every row is a point mass.
     """
     return _build(sys, disc, grid, P)
 
 
 def _axis_masses(axis: UniformGrid, means: np.ndarray, sigma: float) -> np.ndarray:
-    """Gaussian cell masses on the 1-D grid `axis` for a block of means; shape (rows, cells)."""
+    """Gaussian cell masses on the 1-D grid `axis` for a block of means; shape (rows, cells).
+
+    The CDF at each edge is ndtr(max(z, -_TAIL_SIGMAS)) for the standardized
+    edge z, with ndtr evaluated only above the cut.
+    """
     if sigma > 0.0:
-        cdf = ndtr((axis.axis_edges(0) - means[:, None]) / sigma)
+        z = (axis.axis_edges(0) - means[:, None]) / sigma
+        cdf = np.full_like(z, _TAIL_MASS)
+        above = ~(z <= -_TAIL_SIGMAS)  # NaN stays NaN
+        cdf[above] = ndtr(z[above])
         return np.diff(cdf, axis=1)
     masses = np.zeros((means.size, axis.n_points))
     j = axis.locate_many(means[:, None])
@@ -436,6 +458,11 @@ def _build(sys, disc, grid, P) -> FiniteAbstraction:
 def export_abstraction(abs_: FiniteAbstraction, json_path, csv_path) -> None:
     """Write a header JSON (grid, kind, dims) and a row CSV (state,input,internal,target,prob).
 
+    A stochastic header also records the Gaussian tail cut: `tail_sigmas`,
+    the cut in standard deviations below each row's mean, and
+    `tail_mass_per_axis`, the mass below it that each noisy axis sends to
+    the sink.
+
     CSV rows come in (state, input, internal, target) order, formatted and
     written about `_EXPORT_ENTRIES` at a time; probabilities are the shortest
     round-trip `repr` of each float (a point mass is `1.0`).  The kernel's
@@ -453,6 +480,8 @@ def export_abstraction(abs_: FiniteAbstraction, json_path, csv_path) -> None:
            for name, g in (("state", abs_.grid.state), ("input", abs_.grid.input),
                            ("internal", abs_.grid.internal))},
     }
+    if abs_.kind == "stochastic":
+        header.update(tail_sigmas=_TAIL_SIGMAS, tail_mass_per_axis=_TAIL_MASS)
     write_json(json_path, header)
     U, W = abs_.n_inputs, abs_.n_internal
     kernel = abs_.kernel

@@ -1,5 +1,9 @@
 import csv
+import dataclasses
+import json
 import math
+import types
+import warnings
 
 import numpy as np
 import pytest
@@ -335,9 +339,15 @@ def test_export_round_readable(tmp_path):
 # Per-entry oracles for the block-wise kernel build and CSV export
 
 
-def _reference_axis_masses(grid, d, mean, sigma):
+#: the Gaussian tail cut in standardized units, as the oracle states it: the
+#: mirror image of where ndtr rounds to exactly 1
+CUT = abst._NDTR_ONE / abst._SQRTH
+
+
+def _reference_axis_masses(grid, d, mean, sigma, cut=True):
     if sigma > 0.0:
-        return np.diff(abst.ndtr((grid.axis_edges(d) - mean) / sigma))
+        z = (grid.axis_edges(d) - mean) / sigma
+        return np.diff(abst.ndtr(np.maximum(z, -CUT) if cut else z))
     # the grid's cell rule: floor of (x - lower) / width, clipped, with
     # 1e-9 widths of slack at the outer edges
     lower, width, cells = grid.lower[d], grid.widths[d], grid.cells[d]
@@ -348,8 +358,8 @@ def _reference_axis_masses(grid, d, mean, sigma):
     return masses
 
 
-def _reference_kernel(disc, grid):
-    """The kernel row by row, one (s, u, w) triple at a time."""
+def _reference_kernel(disc, grid, cut=True):
+    """The kernel row by row, one (s, u, w) triple at a time; uncut tails if not `cut`."""
     sigma = np.sqrt(np.maximum(np.diag(disc.R_tilde @ disc.R_tilde.T), 0.0))
     sgrid = grid.state
     S, U, W = sgrid.n_points, grid.input.n_points, grid.n_internal
@@ -361,10 +371,10 @@ def _reference_kernel(disc, grid):
         for u in range(U):
             for w in range(W):
                 mean = centers[s] + shifts[u, w]
-                probs = _reference_axis_masses(sgrid, 0, mean[0], sigma[0])
+                probs = _reference_axis_masses(sgrid, 0, mean[0], sigma[0], cut)
                 for d in range(1, sgrid.dim):
                     probs = np.multiply.outer(
-                        probs, _reference_axis_masses(sgrid, d, mean[d], sigma[d]))
+                        probs, _reference_axis_masses(sgrid, d, mean[d], sigma[d], cut))
                 probs = probs.reshape(-1)
                 inside = float(probs.sum())
                 sink_mass = 1.0 - inside
@@ -501,7 +511,7 @@ class TestBlockExport:
             assert np.array_equal(getattr(again.kernel, name), getattr(k, name))
 
     def test_peak_stays_below_the_kernel_data(self, tmp_path):
-        # the benchmark's noisy room abstraction (0.4 M nnz): blocks and the
+        # the benchmark's noisy room abstraction (0.17 M nnz): blocks and the
         # texts of the distinct probabilities, never a kernel-sized copy
         sys_ = room_system()
         disc = st.DiscretizationSpec(tau=0.1, D_tilde=0.0, R_tilde=0.01)
@@ -510,7 +520,7 @@ class TestBlockExport:
             input=st.UniformGrid.cover(sys_.input_box, [2e-4]),
             internal=st.UniformGrid.cover(sys_.internal_box, [2.0]))
         fa = st.build_stochastic(sys_, disc, grid)
-        assert fa.kernel.nnz > 350_000
+        assert fa.kernel.nnz == 174_455
         _, peak = traced_peak(abst.export_abstraction, fa, tmp_path / "a.json",
                               tmp_path / "a.csv")
         assert peak < fa.kernel.data.nbytes
@@ -539,3 +549,101 @@ def test_export_rejects_a_non_finite_header(tmp_path):
     with pytest.raises(NonFiniteArtifact, match="a.json"):
         export_abstraction(bad, jp, cp)
     assert not jp.exists()
+
+
+# ---------------------------------------------------------------------------
+# The Gaussian tail cut: what it drops goes to the sink, and safety values
+# can only fall, by at most the dropped mass per step
+
+def box_setup(widths, cells, sigmas, reach, n_inputs):
+    """A model on a grid from 0 of `cells` cells of `widths` (A = -I, one
+    internal cell, diagonal noise `sigmas`), whose abstract inputs move the
+    row means up to `reach` past either grid edge, `n_inputs` per axis."""
+    n = len(widths)
+    widths, span = np.asarray(widths), np.asarray(widths) * np.asarray(cells)
+    sys_ = st.AffineSystem(
+        A=-np.eye(n), B=np.eye(n), C1=np.eye(n), C2=np.ones((1, n)),
+        D=np.zeros((n, 1)), G=np.eye(n), b=np.zeros(n),
+        state_box=st.Box(np.zeros(n), span), input_box=st.Box(-span - reach, span + reach),
+        internal_box=st.Box([-1.0], [1.0]))
+    disc = st.DiscretizationSpec(tau=0.1, D_tilde=np.zeros((n, 1)), R_tilde=np.diag(sigmas))
+    grid = st.AbstractionGrid(
+        state=st.UniformGrid(np.zeros(n), widths, cells),
+        input=st.UniformGrid.cover(sys_.input_box, 2 * (span + reach) / np.asarray(n_inputs)),
+        internal=st.UniformGrid.cover(sys_.internal_box, [2.0]))
+    return sys_, disc, grid
+
+
+@hst.composite
+def tail_cases(draw):
+    dim = draw(hst.sampled_from([1, 2]))
+    cells = [draw(hst.integers(1, 12 if dim == 1 else 5)) for _ in range(dim)]
+    widths = [draw(hst.floats(0.05, 2.0)) for _ in range(dim)]
+    sigmas = [w * 10.0 ** draw(hst.floats(-3.0, 0.6)) for w in widths]
+    if dim == 2 and draw(hst.booleans()):
+        sigmas[1] = 0.0  # a noise-free axis next to a Gaussian one
+    reach = [draw(hst.floats(0.0, 16.0)) * (s or w) for s, w in zip(sigmas, widths)]
+    n_inputs = [draw(hst.integers(1, 9 if dim == 1 else 4)) for _ in range(dim)]
+    return box_setup(widths, cells, sigmas, np.asarray(reach), n_inputs), draw(hst.integers(1, 8))
+
+
+class TestTailCut:
+    def test_axis_masses_clip_at_the_cut(self):
+        # bitwise ndtr(max(z, -CUT)), on both sides of the cut and at it
+        edges = np.sort(np.concatenate([np.linspace(-40.0, 40.0, 4001),
+                                        [-CUT, np.nextafter(-CUT, 0.0), np.nextafter(-CUT, -1.0)]]))
+        axis = types.SimpleNamespace(axis_edges=lambda d: edges)  # all _axis_masses reads
+        means = np.array([0.0, 0.3, -1e-3, 7.2])
+        for sigma in (1.0, 0.37):
+            z = (axis.axis_edges(0) - means[:, None]) / sigma
+            want = np.diff(abst.ndtr(np.maximum(z, -CUT)), axis=1)
+            got = abst._axis_masses(axis, means, sigma)
+            assert np.array_equal(got, want)
+            assert np.count_nonzero(got) < np.count_nonzero(np.diff(abst.ndtr(z), axis=1))
+        assert abst._TAIL_MASS == abst.ndtr([-CUT])[0] == pytest.approx(1.08e-17, rel=1e-2)
+
+    @settings(max_examples=80, deadline=None)
+    @given(tail_cases())
+    def test_cut_rows_and_values_against_uncut(self, case):
+        (sys_, disc, grid), horizon = case
+        with warnings.catch_warnings():  # means may start far past the grid
+            warnings.simplefilter("ignore", GridTooCoarse)
+            fa = st.build_stochastic(sys_, disc, grid)
+        k = fa.kernel
+        for got, want in zip((k.data, k.indices, k.indptr), _reference_kernel(disc, grid)):
+            assert np.array_equal(got, want)
+        uncut_kernel = st.CSR(*_reference_kernel(disc, grid, cut=False), k.shape)
+        rows, uncut = k.toarray(), uncut_kernel.toarray()
+        sgrid, dim = grid.state, grid.state.dim
+        sigma = np.sqrt(np.diag(disc.R_tilde @ disc.R_tilde.T))
+        # no stored entry lies wholly below the cut on a Gaussian axis
+        means = _row_means(disc, grid)
+        cell = np.unravel_index(np.arange(sgrid.n_points), sgrid.cells)
+        for d in np.flatnonzero(sigma):
+            top = sgrid.axis_edges(d)[1:][cell[d]]
+            beyond = (top[None, :] - means[:, d, None]) / sigma[d] <= -CUT
+            assert np.all(rows[:, :-1][beyond] == 0.0)
+        # an in-grid entry moves by at most one axis's tail mass, and the
+        # normalisation by max(1, inside) may round differently
+        diff = np.abs(rows[:, :-1] - uncut[:, :-1])
+        assert np.all(diff <= 1.1e-17 + 4.5e-16 * uncut[:, :-1])
+        assert np.all(rows[:, -1] - uncut[:, -1] <= dim * 1.1e-17 + 4.5e-16)
+        # the sink is unsafe: values can only fall, by at most the tail per step
+        spec = st.SafetySpec(safe_box=sgrid.as_box(), horizon=horizon)
+        got = st.safety_value_iteration(fa, spec).values
+        want = st.safety_value_iteration(dataclasses.replace(fa, kernel=uncut_kernel),
+                                         spec).values
+        assert np.all(got <= want + 1e-15)
+        assert np.all(got >= want - horizon * (dim * 1.1e-17 + 1e-15))
+
+    def test_stochastic_header_records_the_cut(self, tmp_path):
+        sys_, disc, grid = plane_setup(np.diag([0.08, 0.0]))
+        for fa, noisy in ((st.build_stochastic(sys_, disc, grid), True),
+                          (st.build_deterministic(*plane_setup(np.zeros((2, 2)))), False)):
+            abst.export_abstraction(fa, tmp_path / "a.json", tmp_path / "a.csv")
+            head = json.loads((tmp_path / "a.json").read_text())
+            if noisy:
+                assert head["tail_sigmas"] == CUT == pytest.approx(8.485, abs=1e-3)
+                assert head["tail_mass_per_axis"] == abst.ndtr([-CUT])[0]
+            else:
+                assert "tail_sigmas" not in head and "tail_mass_per_axis" not in head
