@@ -116,8 +116,9 @@ def ndtr(a) -> np.ndarray:
     erfc(|x|) / 2 (or 1 minus it, for x > 0).  Only arguments whose value is
     neither exactly 0 nor exactly 1 are evaluated: 0 where x^2 exceeds
     `_MAXLOG` (Cephes' underflow), 1 from x = `_NDTR_ONE` on.  NaN stays NaN.
+    The result has the shape of `a`, a 0-d array for a scalar.
     """
-    x = np.asarray(a, dtype=float) * _SQRTH
+    x = np.atleast_1d(np.asarray(a, dtype=float)) * _SQRTH
     z = np.abs(x)
     y = np.heaviside(x, 0.5)  # the 0s and 1s, and NaN
     near = z < _SQRTH
@@ -125,7 +126,7 @@ def ndtr(a) -> np.ndarray:
     far = ~near & (z * z <= _MAXLOG) & (x < _NDTR_ONE)
     half = 0.5 * _erfc(z[far])
     y[far] = np.where(x[far] > 0.0, 1.0 - half, half)
-    return y
+    return y.reshape(np.shape(a))
 
 
 def _cell_count(span: float, width: float) -> int:

@@ -28,14 +28,14 @@ intervals is one exact step over tau (the same formula with dt = tau),
 whose law is that of the composed substeps.  A trial draws n_substeps x
 n_total normals per interval while violation-free and n_total after, and
 the violation-free trials' results are bitwise those of a run in which
-nothing violates.  When the stacked residual D - B H is not exactly zero,
-dt (D - B H) M C2 x is added per substep (a first-order splitting), and
-every trial keeps its substeps, under the same envelope rule.  Each
-object is given once per group of equal subsystems (`ic.group_of`), and a
-group's sampled model is its abstraction's own; a group's operators,
-substep maps for the run's one substep count included, are built once, and
-its members are quantized and looked up together, one grid lookup per group
-and step.
+nothing violates.  Con_3 is checked once per group by verify's own rule
+and tolerance (`check_geometric`), and a network that fails it is rejected
+before any draw; within that tolerance D is taken to be B H, so rounding
+dust in D - B H is not simulated.  Each object is given once per group of
+equal subsystems (`ic.group_of`), and a group's sampled model is its
+abstraction's own; a group's operators, substep maps for the run's one
+substep count included, are built once, and its members are quantized and
+looked up together, one grid lookup per group and step.
 
 Trials are independent; each draws its Gaussian increments from its own
 stream, a `BIT_GENERATOR` (SFC64) seeded by that trial's child of the
@@ -80,10 +80,11 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 from .abstraction import FiniteAbstraction, UniformGrid
-from .certificates import StorageCertificate
+from .certificates import CONDITION_INTERNAL_MATCH, StorageCertificate, check_geometric
 from .csr import CSR
 from .errors import (
     AbstractStateLost,
+    CheckFailed,
     ConfigError,
     DimensionMismatch,
     StaleControllerTable,
@@ -443,7 +444,8 @@ class _Network:
     """Stacked operators, exact substep maps for `n_substeps` substeps per
     interval, and per-group lookup data for batched simulation; every list
     holds one entry per group of `ic`.  The maps of one whole interval are
-    built by `interval` when a trial first needs them."""
+    built by `interval` when a trial first needs them.  A group whose
+    D = B H fails `check_geometric` raises CheckFailed (Con_3)."""
 
     def __init__(self, systems, ic, abstractions, controllers, certs, horizon, n_substeps):
         if not (len(systems) == len(abstractions) == len(controllers) == len(certs)
@@ -474,23 +476,14 @@ class _Network:
         self.M = ic.M
         self.abs_noise_dim = int(member_starts([d.R_tilde.shape[1] for d in discs], group_of)[-1])
 
-        # the exact transition of each substep: phi = e^{F dt}, gain =
-        # int_0^dt e^{F s} ds (applied to c_k) and noise = L (applied to n
-        # standard normals per subsystem); residual = dt (D - B H), None when
-        # Con_3 cancels the coupling
-        self.tau = discs[0].tau
-        self._group_of = group_of
-        self._blocks = [(s.A + s.B @ c.K, s.G @ s.G.T) for s, c in zip(systems, certs)]
-        dt = self.tau / n_substeps
-        self.phi, self.gain, self.noise = self._maps(dt)
-        residual = [s.D - s.B @ c.H for s, c in zip(systems, certs)]
-        self.residual = (_Op.stack([dt * r for r in residual], group_of)
-                         if any(np.any(r) for r in residual) else None)
-
         self.groups = []
-        for member, s, a, c in zip(members, systems, abstractions, controllers):
+        for member, s, a, c, cert in zip(members, systems, abstractions, controllers, certs):
             if s.m != s.n:
                 raise DimensionMismatch("B", f"subsystem {member[0]}: refinement needs m == n")
+            geom = check_geometric(s, cert.P, cert.Q, cert.H)
+            if not geom.ok_internal_match:
+                raise CheckFailed(CONDITION_INTERNAL_MATCH, f"subsystem {member[0]}: "
+                                  f"D = B H residual {geom.residual_h:.3e}")
             if a.grid.state.dim != s.n:
                 raise DimensionMismatch("grid", f"subsystem {member[0]}: state grid dim mismatch")
             cols = (start[member][:, None] + np.arange(s.n)).ravel()
@@ -506,6 +499,14 @@ class _Network:
                 input_centers=a.grid.input.centers(),
                 table=np.hstack([t, -np.ones((t.shape[0], 1), dtype=np.int64)]),
             ))
+
+        # the exact transition of each substep: phi = e^{F dt}, gain =
+        # int_0^dt e^{F s} ds (applied to c_k) and noise = L (applied to n
+        # standard normals per subsystem); Con_3 cancels the coupling
+        self.tau = discs[0].tau
+        self._group_of = group_of
+        self._blocks = [(s.A + s.B @ c.K, s.G @ s.G.T) for s, c in zip(systems, certs)]
+        self.phi, self.gain, self.noise = self._maps(self.tau / n_substeps)
 
     def _maps(self, dt: float) -> tuple:
         """The stacked (phi, gain, noise) of the exact transition over dt."""
@@ -633,42 +634,38 @@ def _simulate_chunk(net: _Network, horizon: int, x0: np.ndarray, streams,
             idx[:] = [i[perm] for i in idx]
             gens[:] = [gens[p] for p in perm]
 
-    def interval_step(s, c_k):
-        """x <- phi x + gain c_k + L z over the whole interval at positions s..,
-        each trial drawing n_total normals."""
+    def interval_step(c_k):
+        """x <- phi x + gain c_k + L z over the whole interval at the retired
+        positions, each trial drawing n_total normals."""
         phi, gain, noise = net.interval
-        for p in range(s, C):
+        for p in range(live, C):
             gens[p].standard_normal(out=normals[p, 0])
-        x = X[s:]
+        x = X[live:]
         phi(x, out=x)
-        x += gain(c_k[s:], out=offset[s:])
-        x += noise(normals[s:, 0], out=normals[s:, 0])
+        x += gain(c_k[live:], out=offset[live:])
+        x += noise(normals[live:, 0], out=normals[live:, 0])
 
-    def substep_blocks(s, c_k):
-        """The interval's substeps at positions ..s; the envelope of the live ones."""
-        net.gain(c_k[:s], out=offset[:s])
+    def substep_blocks(c_k):
+        """The interval's substeps at the live positions, and their envelope."""
+        net.gain(c_k[:live], out=offset[:live])
         for j0 in range(0, net.n_substeps, block):
-            z = normals[:s, :min(block, net.n_substeps - j0)]
+            z = normals[:live, :min(block, net.n_substeps - j0)]
             # each trial continues its interval's normals in stream order
-            for c in range(s):
+            for c in range(live):
                 gens[c].standard_normal(out=z[c])
             # L z + gain c_k for the whole block; substep j then adds
-            # phi x_{j-1} (and the residual term) into slice j, which becomes
-            # x_j: addition commutes, so each state is the sum
-            # phi x + (L z + gain c_k) of one substep at a time, bit for bit
+            # phi x_{j-1} into slice j, which becomes x_j: addition
+            # commutes, so each state is the sum phi x + (L z + gain c_k)
+            # of one substep at a time, bit for bit
             net.noise(z, out=z)
-            z += offset[:s, None, :]
-            prev = X[:s]
+            z += offset[:live, None, :]
+            prev = X[:live]
             for j in range(z.shape[1]):
                 x = z[:, j]
-                x += net.phi(prev, out=nxt[:s])
-                if net.residual is not None:
-                    w_t = net.coupling(net.C2(prev, out=z2[:s]), out=w[:s])
-                    x += net.residual(w_t, out=nxt[:s])
+                x += net.phi(prev, out=nxt[:live])
                 prev = x
-            X[:s] = prev
-            if live:
-                extremes(net.C1.image(z[:live], out=outputs[:live, :z.shape[1]]))
+            X[:live] = prev
+            extremes(net.C1.image(z, out=outputs[:live, :z.shape[1]]))
 
     # every later sampled state of a live trial ends a substep block, folded
     # in there; a trial's envelope ends with its first violating sample
@@ -697,14 +694,12 @@ def _simulate_chunk(net: _Network, horizon: int, x0: np.ndarray, streams,
         c_k += net.b
 
         # a violating trial takes one exact step over the interval, whose
-        # law is that of its substeps composed; the residual path has no
-        # such step and keeps its substeps
-        s = C if net.residual is not None else live
-        substep_intervals += s
-        if s < C:
-            interval_step(s, c_k)
-        if s:
-            substep_blocks(s, c_k)
+        # law is that of its substeps composed
+        substep_intervals += live
+        if live < C:
+            interval_step(c_k)
+        if live:
+            substep_blocks(c_k)
 
         # target = Xhat + V + D_tilde w_hat (+ R_tilde noise), V the inputs
         # of the actions; V + Xhat is the same sum as Xhat + V
@@ -800,14 +795,15 @@ def cosimulate(
     || zeta(k tau) - zeta_hat(k) || is recorded for k = 0 .. horizon and the
     violation flag marks trials whose supremum reaches config.epsilon.
 
-    Each substep is the exact Gaussian transition of the latched interval
-    dynamics (plus the first-order residual term when D != B H), so the
-    sampled errors do not depend on `config.n_substeps`; the substep count
-    sets only how finely the output envelope between samples is resolved.
-    A trial's envelope ends with its first violating sample, and when
-    D = B H each of its later intervals is one exact step over tau;
-    `summary.substep_intervals` counts the (trial, interval) pairs stepped
-    with substeps.
+    A group whose D = B H fails verify's tolerance raises CheckFailed
+    (Con_3) before any draw; within it D is taken to be B H, and rounding
+    dust in D - B H is not simulated.  Each substep is the exact Gaussian
+    transition of the latched interval dynamics, so the sampled errors do
+    not depend on `config.n_substeps`; the substep count sets only how
+    finely the output envelope between samples is resolved.  A trial's
+    envelope ends with its first violating sample, and each of its later
+    intervals is one exact step over tau; `summary.substep_intervals` counts
+    the (trial, interval) pairs stepped with substeps.
     """
     net = _Network(systems, ic, abstractions, controllers, certs, config.horizon,
                    config.n_substeps)

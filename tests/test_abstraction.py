@@ -113,6 +113,17 @@ class TestNdtr:
         assert got[:4].tolist() == [0.0, 0.5, 0.5, 1.0]
         assert np.isnan(got[4])
 
+    @pytest.mark.parametrize("v", [-8.5, -1.0, 0.0, 0.3, 6.0, np.nan])
+    def test_scalar_input_keeps_its_shape(self, v):
+        # a Python float, a numpy scalar and a 0-d array each give a 0-d
+        # array holding the same bits as the 1-element array's entry
+        want = abst.ndtr(np.array([v]))[0]
+        for a in (v, np.float64(v), np.array(v)):
+            got = abst.ndtr(a)
+            assert got.shape == ()
+            assert got.tobytes() == want.tobytes()
+        assert abst.ndtr(np.full((2, 3), v)).shape == (2, 3)
+
 
 def room_det_setup(input_vals=(-0.1, 0.0, 0.1)):
     sys_ = room_system()

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import math
 import os
 import sys
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import stochsym as st
-from stochsym.errors import AbstractStateLost, StaleControllerTable, StaleLatch
+from stochsym.errors import AbstractStateLost, CheckFailed, StaleControllerTable, StaleLatch
 from stochsym.runtime import (
     BIT_GENERATOR,
     InterfaceState,
@@ -87,20 +88,17 @@ class TestInterface:
             interface_input(room_state(step=0), [20.6], [41.1], 0.15)
 
 
-def exact_scalar_step(sys_, cert, x, nu_latched, w_t, dt, z):
+def exact_scalar_step(sys_, cert, x, nu_latched, dt, z):
     """Exact transition of a scalar room under the refinement law over dt.
 
     With f = A + B K and c = B nu_latched + b the room follows
-    dx = (f x + c) dt + g dW plus (D - B H) w(t) dt; the last term is added
-    as dt (D - B H) w_t.
+    dx = (f x + c) dt + g dW: Con_3 (D = B H) cancels the coupling.
     """
     f = float(sys_.A[0, 0] + sys_.B[0, 0] * cert.K[0, 0])
     c = float(sys_.B[0, 0] * nu_latched + sys_.b[0])
     g = float(sys_.G[0, 0])
-    residual = float(sys_.D[0, 0] - sys_.B[0, 0] * cert.H[0, 0])
     return (math.exp(f * dt) * x + math.expm1(f * dt) / f * c
-            + g * math.sqrt(math.expm1(2 * f * dt) / (2 * f)) * z
-            + dt * residual * w_t)
+            + g * math.sqrt(math.expm1(2 * f * dt) / (2 * f)) * z)
 
 
 def ring_of_one_group(n):
@@ -202,7 +200,6 @@ class TestCosimulate:
         w_latch = m @ x0
         dt = 0.1 / 4
         for _ in range(4):
-            w_t = m @ x
             nu = np.empty(3)
             for i in range(3):
                 s = InterfaceState(K=certs[0].K, P=certs[0].P, Q=certs[0].Q,
@@ -212,8 +209,7 @@ class TestCosimulate:
                 # the latched part of the law: its value at xi = w = 0
                 nu[i] = interface_input(s, [0.0], [0.0], 0.0)[0]
             for i in range(3):
-                x[i] = exact_scalar_step(systems[0], certs[0], x[i], nu[i],
-                                         w_t[i], dt, 0.0)
+                x[i] = exact_scalar_step(systems[0], certs[0], x[i], nu[i], dt, 0.0)
         xhat_next = np.array([
             grid.center(grid.locate([xhat[i] + nu_hat[i]]))[0] for i in range(3)])
         expected_err = np.linalg.norm(x - xhat_next)
@@ -250,8 +246,8 @@ class TestCosimulate:
                            w_hat=[w0], w_latch=[w0])
         nu = interface_input(s, [0.0], [0.0], 0.0)[0]
         # one exact step over tau: z = 0 gives the mean, z = 1 adds one sd
-        mean = exact_scalar_step(sys_, cert, x0[0], nu, w0, tau, 0.0)
-        var = (exact_scalar_step(sys_, cert, x0[0], nu, w0, tau, 1.0) - mean) ** 2
+        mean = exact_scalar_step(sys_, cert, x0[0], nu, tau, 0.0)
+        var = (exact_scalar_step(sys_, cert, x0[0], nu, tau, 1.0) - mean) ** 2
         n = finals.size
         assert abs(finals.mean() - mean) <= 4 * math.sqrt(var / n)
         assert abs(finals.var(ddof=1) - var) <= 4 * var * math.sqrt(2 / (n - 1))
@@ -594,13 +590,12 @@ def scalar_reference(systems, ic, fas, ctrls, certs, cfg, x0):
                       for i in range(n)]
             z = gen.standard_normal((cfg.n_substeps, n))
             for j in range(cfg.n_substeps):
-                w_t = m @ x
                 time_ = k * discs[0].tau + j * dt
                 # the latched part of the law: its value at xi = w = 0
                 nu = [interface_input(states[i], [0.0], [0.0], time_)[0]
                       for i in range(n)]
-                x = np.array([exact_scalar_step(systems[i], certs[i], x[i], nu[i],
-                                                w_t[i], dt, z[j, i]) for i in range(n)])
+                x = np.array([exact_scalar_step(systems[i], certs[i], x[i], nu[i], dt, z[j, i])
+                              for i in range(n)])
             target = [xhat[i] + nu_hat[i] + discs[i].D_tilde[0, 0] * w_hat[i]
                       + (discs[i].R_tilde[0, 0] * s_abs[k, i] if stochastic else 0.0)
                       for i in range(n)]
@@ -614,12 +609,12 @@ def scalar_reference(systems, ic, fas, ctrls, certs, cfg, x0):
 
 
 def mixed_network(g=0.3, tracking_rate=40.0):
-    """3-room ring with H = 0 (so D - B H != 0) in two interleaved groups,
-    rooms (0, 2) and (1,), each with its own abstraction and controller."""
+    """3-room ring with H = D/B in two interleaved groups, rooms (0, 2) and
+    (1,), each with its own abstraction and controller."""
     systems, ic, fas, _, certs = small_network(g=g, tracking_rate=tracking_rate)
     ic = st.InterconnectionSpec(M=ic.M, mu=ic.mu, subsystem_dims=[(1, 1, 1, 1)] * 2,
                                 group_of=[0, 1, 0])
-    cert = dataclasses.replace(certs[0], H=0.0)
+    cert = dataclasses.replace(certs[0], H=systems[0].D / systems[0].B)
     pairs = []
     for width in (0.005, 0.01):
         grid = st.AbstractionGrid(
@@ -742,7 +737,7 @@ class TestGroupIndex:
 
 class TestSubstepStreaming:
     @pytest.mark.parametrize("dense", [False, True], ids=["diagonal", "dense"])
-    @pytest.mark.parametrize("network", ["con3", "residual"])
+    @pytest.mark.parametrize("network", ["con3", "grouped"])
     def test_blocks_match_whole_interval(self, monkeypatch, dense, network):
         # 7 substeps in blocks of 1, of 3 (the last one partial) and in one
         # block: the same normals in the same order, hence the same arrays.
@@ -761,7 +756,7 @@ class TestSubstepStreaming:
 
         if dense:
             _force_dense(monkeypatch)
-        if network == "residual":
+        if network == "grouped":
             net = mixed_network()
             x0 = np.array([20.4012, 20.5537, 20.6981])
         else:
@@ -871,10 +866,7 @@ class TestViolatedTrials:
         # epsilon, so x(tau) comes from the interval step alone: Gaussian with
         # the closed-form mean and variance of the exact transition.  A slow
         # loop (e^{F tau} = e^-4) keeps the moments apart from one substep's
-        from stochsym import runtime
-
         systems, ic, fas, ctrls, certs = small_network(g=0.3, tracking_rate=40.0)
-        assert runtime._Network(systems, ic, fas, ctrls, certs, 1, 4).residual is None
         grid = fas[0].grid.state
         centre = grid.center(grid.locate([20.5]))[0]
         x0 = np.full(3, centre + 0.002)
@@ -893,8 +885,8 @@ class TestViolatedTrials:
                            xi_latch=x0[:1], xi_hat=[centre], w_hat=[2.0 * centre],
                            w_latch=[2.0 * x0[0]])
         nu = interface_input(s, [0.0], [0.0], 0.0)[0]
-        mean = exact_scalar_step(sys_, cert, x0[0], nu, 0.0, tau, 0.0)
-        var = (exact_scalar_step(sys_, cert, x0[0], nu, 0.0, tau, 1.0) - mean) ** 2
+        mean = exact_scalar_step(sys_, cert, x0[0], nu, tau, 0.0)
+        var = (exact_scalar_step(sys_, cert, x0[0], nu, tau, 1.0) - mean) ** 2
         n = finals.size
         assert abs(finals.mean() - mean) <= 4 * math.sqrt(var / n)
         assert abs(finals.var(ddof=1) - var) <= 4 * var * math.sqrt(2 / (n - 1))
@@ -961,30 +953,56 @@ class TestViolatedTrials:
                     assert res.output_min[t] == cut.output_min[t]
                     assert res.output_max[t] == cut.output_max[t]
 
-    def test_residual_path_keeps_every_draw(self, monkeypatch):
-        # D != B H: every trial keeps its substeps, so every step error is the
-        # 9.9 run's, while a violating trial's envelope still ends with its
-        # first violating sample
-        net = mixed_network()
-        x0 = np.array([20.4012, 20.5537, 20.6981])
+    def test_con3_failure_is_rejected_before_any_draw(self, monkeypatch):
+        # H = 0 leaves D - B H = D: Con_3 fails verify's tolerance, so the
+        # simulator refuses the network before it builds a map or draws
+        systems, ic, fas, ctrls, certs = mixed_network()
+        certs = [dataclasses.replace(c, H=0.0) for c in certs]
         dts = spy_exact_step(monkeypatch)
-        cfg = st.SimConfig(n_trials=8, horizon=6, epsilon=9.9, n_substeps=7, rng_seed=23)
-        free = st.cosimulate(*net, cfg, x0)
-        epsilon = 0.2
-        first = first_violations(free.step_errors, epsilon)
-        assert None in first and len({k for k in first if k is not None}) >= 2
-        for trials in (1, 3):
-            chunk_trials(monkeypatch, trials)
-            res = st.cosimulate(*net, dataclasses.replace(cfg, epsilon=epsilon), x0)
-            assert np.array_equal(res.step_errors, free.step_errors)
-            assert res.summary.n_violations == sum(k is not None for k in first)
-            assert res.summary.substep_intervals == cfg.n_trials * cfg.horizon
-            for t, k in enumerate(first):
-                want = free if k is None else st.cosimulate(
-                    *net, dataclasses.replace(cfg, horizon=k), x0)
-                assert res.output_min[t] == want.output_min[t]
-                assert res.output_max[t] == want.output_max[t]
-        assert all(dt == 0.1 / 7 for dt in dts)
+        cfg = st.SimConfig(n_trials=8, horizon=6, epsilon=0.2, n_substeps=7, rng_seed=23)
+        with pytest.raises(CheckFailed) as info:
+            st.cosimulate(systems, ic, fas, ctrls, certs, cfg, np.full(3, 20.5))
+        assert info.value.condition == "Con_3"
+        assert dts == []
+
+    def test_rounding_dust_in_d_minus_bh_is_not_simulated(self, tmp_path):
+        # two-state rooms whose solved H leaves D - B H at rounding level:
+        # verify passes them, and the simulator takes D = B H, so a trial
+        # keeps its substeps only up to its first violating sample
+        from stochsym import cli
+
+        out = tmp_path / "out"
+        cfg = cli.generate_rooms(n=4, n_trials=16, out_dir=str(out))
+        room = {
+            "A": [[-0.105, 0.02], [0.02, -0.03]], "B": [[0.5, 0.1], [0.05, 0.2]],
+            "C1": [[1.0, 0.0]], "C2": [[1.0, 0.0]], "D": [[0.05], [0.0]],
+            "G": [[0.5, 0.0], [0.0, 0.1]], "b": [-0.005, 0.0],
+            "state_box": {"lower": [20.0, 19.0], "upper": [21.0, 22.0]},
+            "input_box": {"lower": [-0.01, -0.01], "upper": [0.01, 0.01]},
+            "internal_box": {"lower": [40.0], "upper": [42.0]}}
+        cfg["systems"]["template"] = room
+        cfg["discretization"].update(D_tilde=[[0.0], [0.0]], R_tilde=[[0.0], [0.0]])
+        cfg["grid"] = {"state_widths": [0.05, 0.15], "input_widths": [0.005, 0.005],
+                       "internal_widths": [2.0]}
+        kappa_tilde = cfg["certificates"]["values"][0]["kappa_tilde"]
+        cfg["certificates"] = {"mode": "solve", "kappa_tilde": kappa_tilde,
+                               "kappa_bar": 0.499, "Xbar11": [[1e-3]], "Xbar12": [[0.0]],
+                               "Xbar21": [[0.0]], "Xbar22": [[-5e-3]]}
+        cfg["simulation"]["x0"] = [20.525, 20.475] * 4
+        cfg["bound"]["epsilon"] = 0.2
+        assert cli.run_pipeline(cfg, seed=1) == 0
+
+        cert = json.loads((out / "certificates.json").read_text())["groups"][0]["certificate"]
+        dust = np.array(room["D"]) - np.array(room["B"]) @ np.array(cert["H"])
+        assert np.any(dust != 0.0) and np.all(np.abs(dust) < 1e-15)
+        summary = json.loads((out / "simulation_summary.json").read_text())
+        horizon, epsilon = summary["horizon"], summary["epsilon"]
+        errors = np.loadtxt(out / "trajectories.csv", delimiter=",", skiprows=1,
+                            usecols=2).reshape(summary["n_trials"], horizon + 1)
+        first = first_violations(errors, epsilon)
+        assert summary["n_violations"] == sum(k is not None for k in first) > 0
+        assert summary["substep_intervals"] == sum(
+            horizon if k is None else k for k in first)
 
 
 class TestControllerHorizon:
