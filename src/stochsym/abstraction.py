@@ -118,7 +118,9 @@ def ndtr(a) -> np.ndarray:
     `_MAXLOG` (Cephes' underflow), 1 from x = `_NDTR_ONE` on.  NaN stays NaN.
     The result has the shape of `a`, a 0-d array for a scalar.
     """
-    x = np.atleast_1d(np.asarray(a, dtype=float)) * _SQRTH
+    if np.ndim(a) == 0:
+        return ndtr(np.reshape(a, 1)).reshape(())
+    x = np.asarray(a, dtype=float) * _SQRTH
     z = np.abs(x)
     y = np.heaviside(x, 0.5)  # the 0s and 1s, and NaN
     near = z < _SQRTH
@@ -126,7 +128,7 @@ def ndtr(a) -> np.ndarray:
     far = ~near & (z * z <= _MAXLOG) & (x < _NDTR_ONE)
     half = 0.5 * _erfc(z[far])
     y[far] = np.where(x[far] > 0.0, 1.0 - half, half)
-    return y.reshape(np.shape(a))
+    return y
 
 
 def _cell_count(span: float, width: float) -> int:

@@ -444,8 +444,7 @@ class _Network:
     """Stacked operators, exact substep maps for `n_substeps` substeps per
     interval, and per-group lookup data for batched simulation; every list
     holds one entry per group of `ic`.  The maps of one whole interval are
-    built by `interval` when a trial first needs them.  A group whose
-    D = B H fails `check_geometric` raises CheckFailed (Con_3)."""
+    built by `interval` when a trial first needs them."""
 
     def __init__(self, systems, ic, abstractions, controllers, certs, horizon, n_substeps):
         if not (len(systems) == len(abstractions) == len(controllers) == len(certs)
