@@ -770,7 +770,9 @@ def _check_stages(bundle: PipelineBundle) -> None:
             epsilon=bundle.bound["epsilon"], n_substeps=sim["n_substeps"],
             rng_seed=sim["seed"], record_outputs=sim["record_outputs"])
         rt.SimConfig.workers()
-        # the runtime's rule: a time-varying table must hold a row per step
+        # the runtime's rules: one sampling time, and a row per step in a time-varying table
+        if len({d.tau for d in bundle.discs}) != 1:
+            raise ConfigError("discretization.tau must be one value for every subsystem")
         steps = bundle.safety.horizon
         if steps is not None and steps < bundle.monte_carlo.horizon:
             raise StaleControllerTable(0, steps, bundle.monte_carlo.horizon)
@@ -892,8 +894,9 @@ def _stage_synthesize(bundle: PipelineBundle, ctx: dict) -> None:
                                ctx["out"] / f"controller{suffix}.csv",
                                ctx["out"] / f"controller{suffix}.json")
     ctx["controllers"] = controllers
-    logger.info("synthesize: winning fraction %.3f",
-                controllers[0].winning_fraction)
+    worst = min(range(len(controllers)), key=lambda g: controllers[g].winning_fraction)
+    logger.info("synthesize: smallest winning fraction %.3f (abstraction group %d of %d)",
+                controllers[worst].winning_fraction, worst, len(controllers))
 
 
 def _stage_bound(bundle: PipelineBundle, ctx: dict) -> None:

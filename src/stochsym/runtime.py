@@ -19,7 +19,8 @@ is latched once per interval.  Con_3 (D = B H) cancels the coupling term,
 so inside an interval each subsystem is a linear SDE with constant input,
 and each substep is its exact transition (Van Loan, 1978)
 x <- e^{F dt} x + (int_0^dt e^{F s} ds) c_k + L z, where L L^T is the
-covariance int_0^dt e^{F s} G G^T e^{F^T s} ds.  Sampled errors therefore
+covariance int_0^dt e^{F s} G G^T e^{F^T s} ds; the three maps of a step
+come from one matrix exponential.  Sampled errors therefore
 do not depend on the substep count, which sets only the resolution of the
 output envelope.  That envelope covers a trial's path up to its first
 sample whose error reaches epsilon; from then on the trial's violation is
@@ -42,7 +43,8 @@ stream, a `BIT_GENERATOR` (SFC64) seeded by that trial's child of the
 master seed, so results are bitwise reproducible regardless of chunking or
 worker count.  The trials are split into contiguous chunks whose sizes
 differ by at most one: enough chunks to keep each within `_CHUNK_TRIALS`
-trials and to give every worker one.  By
+trials and to give every worker one.  A chunk keeps its trials in order,
+a mask marking the violated ones.  By
 default there is one worker per CPU the process may use, at most two, and
 the `STOCHSYM_THREADS` environment variable sets another count; the calling
 thread runs chunks itself beside one helper thread per further worker
@@ -375,8 +377,9 @@ def _expm(a: np.ndarray) -> np.ndarray:
     approximant r = (V - U)^-1 (V + U) is formed from even powers of a, and
     r is squared s times.  For an upper triangular a, the diagonal and first
     superdiagonal of r are set to their exact values before the first and
-    after each squaring (Al-Mohy and Higham, 2009, Code Fragment 2.1), so a
-    2 x 2 one such as the scalar Van Loan block is exact to rounding.
+    after each squaring (Al-Mohy and Higham, 2009, Code Fragment 2.1), so the
+    entries `_exact_step` reads of a scalar room's 3 x 3 Van Loan block, all
+    on those two diagonals, are exact to rounding.
     """
     norm = np.linalg.norm(a, 1)
     s = max(0, math.ceil(math.log2(norm / _THETA13))) if norm > 0 else 0
@@ -407,17 +410,17 @@ def _expm(a: np.ndarray) -> np.ndarray:
 def _exact_step(f: np.ndarray, gg: np.ndarray, dt: float):
     """(phi, gain, L) of dx = (F x + c) dt + G dW over dt, with gg = G G^T.
 
-    phi and gain come from `_expm([[F, I], [0, 0]] dt)`; L L^T is phi times
-    the upper right block of the Van Loan `_expm([[-F, gg], [0, F^T]] dt)`.
-    L comes from `eigh` with negative eigenvalues clipped to 0 (G may be
-    rank-deficient).
+    All three come from one Van Loan exponential
+    E = `_expm([[-F, gg, 0], [0, F^T, I], [0, 0, 0]] dt)`: phi is the
+    transpose of its middle diagonal block, gain the transpose of the block
+    right of that, and L L^T is phi times its top middle block.  L comes from
+    `eigh` with negative eigenvalues clipped to 0 (G may be rank-deficient).
     """
     n = f.shape[0]
-    zero = np.zeros((n, n))
-    top = _expm(np.block([[f, np.eye(n)], [zero, zero]]) * dt)
-    phi, gain = top[:n, :n], top[:n, n:]
-    van_loan = _expm(np.block([[-f, gg], [zero, f.T]]) * dt)
-    cov = phi @ van_loan[:n, n:]
+    zero, eye = np.zeros((n, n)), np.eye(n)
+    e = _expm(np.block([[-f, gg, zero], [zero, f.T, eye], [zero, zero, zero]]) * dt)
+    phi, gain = e[n:2 * n, n:2 * n].T, e[n:2 * n, 2 * n:].T
+    cov = phi @ e[:n, n:2 * n]
     lam, vec = np.linalg.eigh(0.5 * (cov + cov.T))
     return phi, gain, vec * np.sqrt(np.clip(lam, 0.0, None))
 
@@ -533,33 +536,33 @@ class _Lost(Exception):
     """
 
 
-def _raise_if_lost(masks, trials: np.ndarray, step: int, phase: int) -> None:
+def _raise_if_lost(masks, first_trial: int, step: int, phase: int) -> None:
     """_Lost naming the lowest trial with a lost subsystem at `step`; row r
-    of each mask belongs to trial `trials[r]`."""
+    of each mask belongs to trial first_trial + r."""
     lost = None
     for m in masks:
         if m.any():
             rows = m.any(axis=1)
             lost = rows if lost is None else lost | rows
     if lost is not None:
-        raise _Lost(step, phase, int(trials[lost].min()))
+        raise _Lost(step, phase, first_trial + int(np.argmax(lost)))
 
 
 def _quantize(net: _Network, points: np.ndarray, Xhat: np.ndarray, idx: list,
-              trials: np.ndarray, step: int) -> None:
+              first_trial: int, step: int) -> None:
     """Cell indices of `points` per group into `idx`, their centers into `Xhat`."""
     for g, group in enumerate(net.groups):
         idx[g] = group.grid.locate_many(group.view(points))
     _raise_if_lost([i == group.grid.n_points for i, group in zip(idx, net.groups)],
-                   trials, step, 0)
+                   first_trial, step, 0)
     for g, group in enumerate(net.groups):
         Xhat[:, group.cols] = group.grid.centers()[idx[g]].reshape(len(Xhat), -1)
 
 
 def _simulate_chunk(net: _Network, horizon: int, x0: np.ndarray, streams,
-                    trial_offset: int, record_outputs: bool, epsilon: float, block: int):
-    """One chunk's arrays in trial order, and how many (trial, interval)
-    pairs it stepped with substeps."""
+                    first_trial: int, record_outputs: bool, epsilon: float, block: int):
+    """One chunk's arrays, row r belonging to trial first_trial + r, and how
+    many (trial, interval) pairs it stepped with substeps."""
     C = len(streams)
     # per trial: its abstract normals first, then per interval n_substeps x
     # n_total concrete normals while it is violation-free, n_total after
@@ -569,27 +572,23 @@ def _simulate_chunk(net: _Network, horizon: int, x0: np.ndarray, streams,
         abs_noise = np.stack([g.standard_normal((horizon, net.abs_noise_dim))
                               for g in gens])
 
-    # every per-trial array holds chunk row order[p] at position p; the
-    # `live` trials, those whose samples have all stayed below epsilon, come
-    # first, so each kind of step runs on one slice
-    order = np.arange(C)
-    live = C
     X = np.tile(x0, (C, 1))
     Xhat = np.empty_like(X)
     idx = [None] * len(net.groups)
-    _quantize(net, X, Xhat, idx, trial_offset + order, 0)
+    _quantize(net, X, Xhat, idx, first_trial, 0)
 
     errors = np.empty((C, horizon + 1))
     out_min = np.full(C, np.inf)
     out_max = np.full(C, -np.inf)
     out_rec = np.empty((C, horizon + 1, net.C1.out_dim)) if record_outputs else None
     out_hat_rec = np.empty_like(out_rec) if record_outputs else None
-    per_trial = [a for a in (order, X, Xhat, errors, out_min, out_max, abs_noise,
-                             out_rec, out_hat_rec) if a is not None]
+    # the rows whose trials have had a sample at or above epsilon
+    violated = np.zeros(C, dtype=bool)
     # the buffers below are allocated once per chunk and written in place;
-    # the substeps of an interval are streamed `block` at a time, each
-    # block's normals turning into its states in place.  `nxt` is scratch
-    # throughout, and `offset` is scratch outside the substep blocks
+    # a step over n rows uses the buffers' first n rows.  The substeps of an
+    # interval are streamed `block` at a time, each block's normals turning
+    # into its states in place.  `nxt` is scratch throughout, and `offset`
+    # is scratch outside the substep blocks
     normals = np.empty((C, block, net.n_total))
     # the outputs of a block's states; a square C1 writes over the states,
     # and an identity C1 is not applied: the states are the outputs.
@@ -605,13 +604,11 @@ def _simulate_chunk(net: _Network, horizon: int, x0: np.ndarray, streams,
     w_hat = np.empty((C, net.M.shape[0]))
     w = np.empty_like(w_hat)
 
-    def extremes(z):
-        """Fold outputs z, (n, q1) or (n, substeps, q1), into the ranges of
-        the first n positions."""
+    def extremes(z, rows):
+        """Fold outputs z, (n, q1) or (n, substeps, q1), into the ranges of `rows`."""
         axes = tuple(range(1, z.ndim))
-        lo, hi = out_min[:len(z)], out_max[:len(z)]
-        np.minimum(lo, z.min(axis=axes), out=lo)
-        np.maximum(hi, z.max(axis=axes), out=hi)
+        out_min[rows] = np.minimum(out_min[rows], z.min(axis=axes))
+        out_max[rows] = np.maximum(out_max[rows], z.max(axis=axes))
 
     def record(k):
         z = net.C1.image(X, out=z1)
@@ -622,61 +619,55 @@ def _simulate_chunk(net: _Network, horizon: int, x0: np.ndarray, streams,
         errors[:, k] = np.linalg.norm(np.subtract(z, zh, out=z1_hat), axis=1)
         return z
 
-    def retire(hit):
-        """Move the live positions where `hit` is set behind the other live ones."""
-        nonlocal live
-        perm = np.concatenate([np.flatnonzero(~hit), np.flatnonzero(hit), np.arange(live, C)])
-        live -= int(np.count_nonzero(hit))
-        if not np.array_equal(perm, np.arange(C)):
-            for a in per_trial:
-                a[...] = a[perm]
-            idx[:] = [i[perm] for i in idx]
-            gens[:] = [gens[p] for p in perm]
+    def streams_of(rows):
+        """The generators of the chunk rows `rows`, a slice or an index array."""
+        return gens[rows] if isinstance(rows, slice) else [gens[t] for t in rows]
 
-    def interval_step(c_k):
-        """x <- phi x + gain c_k + L z over the whole interval at the retired
-        positions, each trial drawing n_total normals."""
+    def interval_step(x, c_k, rows):
+        """x <- phi x + gain c_k + L z over the whole interval for the chunk
+        rows `rows`, each drawing n_total normals."""
         phi, gain, noise = net.interval
-        for p in range(live, C):
-            gens[p].standard_normal(out=normals[p, 0])
-        x = X[live:]
+        z = normals[:len(x), 0]
+        for g, out in zip(streams_of(rows), z):
+            g.standard_normal(out=out)
         phi(x, out=x)
-        x += gain(c_k[live:], out=offset[live:])
-        x += noise(normals[live:, 0], out=normals[live:, 0])
+        x += gain(c_k, out=offset[:len(x)])
+        x += noise(z, out=z)
 
-    def substep_blocks(c_k):
-        """The interval's substeps at the live positions, and their envelope."""
-        net.gain(c_k[:live], out=offset[:live])
+    def substep_blocks(x, c_k, rows):
+        """The interval's substeps of x, the states of the chunk rows `rows`,
+        and their envelope."""
+        n = len(x)
+        net.gain(c_k, out=offset[:n])  # c_k may be `nxt`, which is scratch below
         for j0 in range(0, net.n_substeps, block):
-            z = normals[:live, :min(block, net.n_substeps - j0)]
+            z = normals[:n, :min(block, net.n_substeps - j0)]
             # each trial continues its interval's normals in stream order
-            for c in range(live):
-                gens[c].standard_normal(out=z[c])
+            for g, out in zip(streams_of(rows), z):
+                g.standard_normal(out=out)
             # L z + gain c_k for the whole block; substep j then adds
             # phi x_{j-1} into slice j, which becomes x_j: addition
             # commutes, so each state is the sum phi x + (L z + gain c_k)
             # of one substep at a time, bit for bit
             net.noise(z, out=z)
-            z += offset[:live, None, :]
-            prev = X[:live]
+            z += offset[:n, None, :]
+            prev = x
             for j in range(z.shape[1]):
-                x = z[:, j]
-                x += net.phi(prev, out=nxt[:live])
-                prev = x
-            X[:live] = prev
-            extremes(net.C1.image(z, out=outputs[:live, :z.shape[1]]))
+                s = z[:, j]
+                s += net.phi(prev, out=nxt[:n])
+                prev = s
+            x[...] = prev
+            extremes(net.C1.image(z, out=outputs[:n, :z.shape[1]]), rows)
 
-    # every later sampled state of a live trial ends a substep block, folded
-    # in there; a trial's envelope ends with its first violating sample
-    extremes(record(0))
+    # every later sampled state of a violation-free trial ends a substep
+    # block, folded in there; a trial's envelope ends with its first
+    # violating sample
+    extremes(record(0), slice(None))
     substep_intervals = 0
     for k in range(horizon):
-        hit = errors[:live, k] >= epsilon
-        if hit.any():
-            retire(hit)
+        violated |= errors[:, k] >= epsilon
         net.coupling(net.C2P(Xhat, out=z2), out=w_hat)
         actions = [group.actions(i, k) for group, i in zip(net.groups, idx)]
-        _raise_if_lost([a < 0 for a in actions], trial_offset + order, k, 1)
+        _raise_if_lost([a < 0 for a in actions], first_trial, k, 1)
 
         # nu(t) = K x(t) - H w(t) + nu_latched, where nu_latched is
         # X - P xhat - K P xhat - Q xhat + H (w(k tau) - w_hat), summed left
@@ -692,13 +683,20 @@ def _simulate_chunk(net: _Network, horizon: int, x0: np.ndarray, streams,
         c_k = net.B(nu_latched, out=nxt)
         c_k += net.b
 
-        # a violating trial takes one exact step over the interval, whose
-        # law is that of its substeps composed
-        substep_intervals += live
-        if live < C:
-            interval_step(c_k)
-        if live:
-            substep_blocks(c_k)
+        # a violated trial takes one exact step over the interval, whose law
+        # is that of its substeps composed, and the others take substeps.  A
+        # step that moves every row works on X in place; otherwise it works
+        # on a gather of its rows of X and c_k, scattered back once
+        free = ~violated
+        substep_intervals += int(np.count_nonzero(free))
+        for step, mask in ((interval_step, violated), (substep_blocks, free)):
+            if mask.all():
+                step(X, c_k, slice(None))
+            elif mask.any():
+                rows = np.flatnonzero(mask)
+                x = X[rows]
+                step(x, c_k[rows], rows)
+                X[rows] = x
 
         # target = Xhat + V + D_tilde w_hat (+ R_tilde noise), V the inputs
         # of the actions; V + Xhat is the same sum as Xhat + V
@@ -709,12 +707,10 @@ def _simulate_chunk(net: _Network, horizon: int, x0: np.ndarray, streams,
         target += net.D_tilde(w_hat, out=offset)
         if net.stochastic:
             target += net.R_tilde(abs_noise[:, k], out=offset)
-        _quantize(net, target, Xhat, idx, trial_offset + order, k + 1)
+        _quantize(net, target, Xhat, idx, first_trial, k + 1)
         record(k + 1)
 
-    at = np.argsort(order)  # the position of each chunk row
-    arrays = (errors, out_min, out_max, out_rec, out_hat_rec)
-    return tuple(None if a is None else a[at] for a in arrays), substep_intervals
+    return (errors, out_min, out_max, out_rec, out_hat_rec), substep_intervals
 
 
 def _chunks(n_trials: int, workers: int) -> list:

@@ -675,6 +675,36 @@ def test_gridless_abstract_is_config_error(tmp_path, capsys):
     assert "subsystem 0 has no grid" in capsys.readouterr().err
 
 
+def test_synthesize_logs_the_smallest_winning_fraction(tmp_path, caplog):
+    # a coarser grid for room 1 keeps fewer of its cells inside the
+    # contracted safe box: group 0 wins 0.97 of its states, group 1 0.96
+    cfg = generate_rooms(n=4, n_trials=8, out_dir=str(tmp_path / "out"))
+    cfg["grid"] = [dict(cfg["grid"]) for _ in range(4)]
+    cfg["grid"][1]["state_widths"] = [0.01]
+    cfg["safety"]["contraction"] = 0.0171
+    with caplog.at_level("INFO", logger="stochsym.cli"):
+        assert run_pipeline(cfg, stages=STAGES[:STAGES.index("synthesize") + 1]) == EXIT_OK
+    fractions = [json.loads((tmp_path / "out" / f"controller_{g}.json").read_text())
+                 ["winning_fraction"] for g in (0, 1)]
+    assert fractions == [0.97, 0.96]
+    assert "smallest winning fraction 0.960 (abstraction group 1 of 2)" in caplog.text
+
+
+def test_mixed_sampling_times_are_rejected_before_any_artifact(tmp_path, capsys):
+    # the simulated network has one sampling time: a config whose rooms
+    # differ in tau stops before its first artifact when simulate runs, and
+    # runs through bound when it does not
+    cfg = generate_rooms(n=4, n_trials=16, out_dir=str(tmp_path / "out"))
+    cfg["discretization"] = [dict(cfg["discretization"]) for _ in range(4)]
+    cfg["discretization"][1]["tau"] = 0.1000001
+    assert run_pipeline(cfg) == EXIT_CONFIG
+    assert "discretization" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    through_bound = STAGES[:STAGES.index("bound") + 1]
+    assert run_pipeline(cfg, stages=through_bound) == EXIT_OK
+    assert (tmp_path / "out" / "bound.json").exists()
+
+
 @pytest.mark.parametrize("block, field, value", [
     ("simulation", "x0", None),
     ("simulation", "n_trials", None),

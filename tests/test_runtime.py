@@ -316,55 +316,72 @@ def assert_interval_composes(f, gg, tau, n):
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
-def _van_loan_blocks(f, gg, dt):
-    """The two matrices `_exact_step` exponentiates."""
+def _van_loan_block(f, gg, dt):
+    """The matrix `_exact_step` exponentiates."""
     n = f.shape[0]
     zero = np.zeros((n, n))
-    return (np.block([[f, np.eye(n)], [zero, zero]]) * dt,
-            np.block([[-f, gg], [zero, f.T]]) * dt)
+    return np.block([[-f, gg, zero], [zero, f.T, np.eye(n)], [zero, zero, zero]]) * dt
 
 
-def _room_blocks(tracking_rate):
+def _room_block(tracking_rate):
     sys_ = room_system()
     cert = room_certificate(k_gain=(-tracking_rate + 0.105) / 0.5)
     # the demo's substep: tau over 40
-    return _van_loan_blocks(sys_.A + sys_.B @ cert.K, sys_.G @ sys_.G.T, ROOM["tau"] / 40)
+    return _van_loan_block(sys_.A + sys_.B @ cert.K, sys_.G @ sys_.G.T, ROOM["tau"] / 40)
+
+
+def _read_blocks(a):
+    """(a, rows, cols) twice: the blocks of e^a that `_exact_step` reads phi
+    and gain from (the middle block row, right of its first block), then
+    the block it reads the covariance from (top middle)."""
+    n = a.shape[0] // 3
+    return [(a, slice(n, 2 * n), slice(n, None)), (a, slice(None, n), slice(n, 2 * n))]
+
+
+_WHOLE = (slice(None), slice(None))
 
 
 class TestExpm:
-    """`runtime._expm` against `scipy.linalg.expm`, to 1e-13 relative (Frobenius)."""
+    """`runtime._expm` against `scipy.linalg.expm`, to 1e-13 relative
+    (Frobenius); on `_exact_step`'s matrix each block it reads is compared
+    on its own, since the covariance block can be far smaller than the rest."""
 
-    @pytest.mark.parametrize("a", [
-        *_room_blocks(50.0), *_room_blocks(200.0),
-        *_van_loan_blocks(np.array([[-1.3, 0.8], [-2.1, -0.4]]),
-                          np.array([[0.36, -0.12], [-0.12, 0.04]]), 0.37),
-        *_van_loan_blocks(np.array([[-1.0, 2.0], [0.0, -3.0]]),
-                          np.array([[0.49, 0.0], [0.0, 0.0]]), 0.37),
-        *_van_loan_blocks(np.array([[-1.0, 2.0], [0.0, -3.0]]), np.zeros((2, 2)), 0.37),
-        np.zeros((3, 3)),
-        np.array([[0.0, 1.0, 2.0], [0.0, 0.0, 3.0], [0.0, 0.0, 0.0]]),  # nilpotent
-        np.array([[-49.0, 24.0], [-64.0, 31.0]]),  # Moler and Van Loan's; 5 squarings
+    @pytest.mark.parametrize("a, rows, cols", [
+        *_read_blocks(_room_block(50.0)), *_read_blocks(_room_block(200.0)),
+        *_read_blocks(_van_loan_block(np.array([[-1.3, 0.8], [-2.1, -0.4]]),
+                                      np.array([[0.36, -0.12], [-0.12, 0.04]]), 0.37)),
+        *_read_blocks(_van_loan_block(np.array([[-1.0, 2.0], [0.0, -3.0]]),
+                                      np.array([[0.49, 0.0], [0.0, 0.0]]), 0.37)),
+        *_read_blocks(_van_loan_block(np.array([[-1.0, 2.0], [0.0, -3.0]]),
+                                      np.zeros((2, 2)), 0.37)),
+        (np.zeros((3, 3)), *_WHOLE),
+        (np.array([[0.0, 1.0, 2.0], [0.0, 0.0, 3.0], [0.0, 0.0, 0.0]]), *_WHOLE),  # nilpotent
+        # Moler and Van Loan's; 5 squarings
+        (np.array([[-49.0, 24.0], [-64.0, 31.0]]), *_WHOLE),
     ], ids=["room-50-phi", "room-50-cov", "room-200-phi", "room-200-cov",
             "full-rank-phi", "full-rank-cov", "eigenvector-phi", "eigenvector-cov",
             "no-noise-phi", "no-noise-cov", "zero", "nilpotent", "squarings"])
-    def test_matches_scipy(self, a):
+    def test_matches_scipy(self, a, rows, cols):
         import scipy.linalg
 
         from stochsym import runtime
 
-        want = scipy.linalg.expm(a)
-        assert np.linalg.norm(runtime._expm(a) - want) <= 1e-13 * np.linalg.norm(want)
+        got, want = runtime._expm(a)[rows, cols], scipy.linalg.expm(a)[rows, cols]
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
     def test_scalar_van_loan_block_is_exact_at_any_scaling(self):
-        # phi = e^{f dt} and gain = (e^{f dt} - 1) / f for a 1 x 1 F, so n
-        # substeps of dt compose to one step of n dt
+        # phi = e^{f dt}, gain = (e^{f dt} - 1) / f and the covariance
+        # g^2 (e^{2 f dt} - 1) / (2 f) for a 1 x 1 F, so n substeps of dt
+        # compose to one step of n dt
         from stochsym import runtime
 
-        f = -199.895
+        f, gg = -199.895, 0.25
         for dt in (0.1, 0.025, 0.0025):
-            top = runtime._expm(np.array([[f, 1.0], [0.0, 0.0]]) * dt)
-            assert top[0, 0] == pytest.approx(math.exp(f * dt), rel=3e-16, abs=0)
-            assert top[0, 1] == pytest.approx(math.expm1(f * dt) / f, rel=3e-16, abs=0)
+            e = runtime._expm(_van_loan_block(np.array([[f]]), np.array([[gg]]), dt))
+            phi, gain, cov = e[1, 1], e[1, 2], e[1, 1] * e[0, 1]
+            assert phi == pytest.approx(math.exp(f * dt), rel=3e-16, abs=0)
+            assert gain == pytest.approx(math.expm1(f * dt) / f, rel=3e-16, abs=0)
+            assert cov == pytest.approx(gg * math.expm1(2 * f * dt) / (2 * f), rel=5e-16, abs=0)
 
 
 def stochastic_network(n=3, sigma=0.002):
@@ -687,8 +704,8 @@ class TestFusedSubstepOracle:
             first_chunk = lost_at[:size]
             assert trial >= size and any(k is not None and k > step for k in first_chunk)
         # the abstract path does not read the concrete one, so trials that
-        # violate first (and move behind the live ones in their chunk) do
-        # not change the report; at 0.3, trials 2 and 5 violate at step 1
+        # violate first (and take interval steps from then on) do not
+        # change the report; at 0.3, trials 2 and 5 violate at step 1
         assert first_violations(errors[:, :2], 0.3) == [None, None, 1, None, None, 1, None, None]
         for epsilon, trials, workers in itertools.product((9.9, 0.3), (2, 4, 8), (1, 2)):
             chunk_trials(monkeypatch, trials)
@@ -892,13 +909,16 @@ class TestViolatedTrials:
         assert abs(finals.var(ddof=1) - var) <= 4 * var * math.sqrt(2 / (n - 1))
 
     @pytest.mark.parametrize("dense", [False, True], ids=["diagonal", "dense"])
-    @pytest.mark.parametrize("network", ["deterministic", "stochastic"])
+    @pytest.mark.parametrize("network", ["deterministic", "stochastic", "violated-at-start"])
     def test_violation_free_trials_are_bitwise_unchanged(self, monkeypatch, network, dense):
+        # at 0.001 every trial's k = 0 error (0.00166) reaches epsilon, so each
+        # interval steps the whole chunk at once with the interval map
         if dense:
             _force_dense(monkeypatch)
-        if network == "deterministic":
+        if network != "stochastic":
             net = small_network(n=3, g=0.3, tracking_rate=40.0)
-            x0, epsilon = np.array([20.387, 20.502, 20.731]), 0.09
+            x0 = np.array([20.387, 20.502, 20.731])
+            epsilon = 0.09 if network == "deterministic" else 0.001
         else:
             net = stochastic_network()
             grid = net[2][0].grid.state
@@ -911,8 +931,10 @@ class TestViolatedTrials:
         assert free.summary.n_violations == 0
         assert dts and all(dt == 0.1 / 7 for dt in dts)
         first = first_violations(free.step_errors, epsilon)
-        # trials violate at different steps, and some never do
-        assert None in first and len({k for k in first if k is not None}) >= 2
+        if network == "violated-at-start":
+            assert first == [0] * cfg.n_trials
+        else:  # trials violate at different steps, and some never do
+            assert None in first and len({k for k in first if k is not None}) >= 2
 
         runs = []
         for trials, workers in itertools.product((1, 2, 3), ("1", "2")):
@@ -941,8 +963,13 @@ class TestViolatedTrials:
         # the violating trials drew other normals after their first violation
         assert not np.array_equal(res.step_errors, free.step_errors)
         kept = np.array([k is None for k in first])
-        assert res.summary.violation_free_output_min == free.output_min[kept].min()
-        assert res.summary.violation_free_output_max == free.output_max[kept].max()
+        if kept.any():
+            assert res.summary.violation_free_output_min == free.output_min[kept].min()
+            assert res.summary.violation_free_output_max == free.output_max[kept].max()
+        else:  # the envelope is the first sample's alone
+            assert res.summary.violation_free_output_min is None
+            assert np.array_equal(res.output_min, res.outputs[:, 0].min(axis=1))
+            assert np.array_equal(res.output_max, res.outputs[:, 0].max(axis=1))
         if network == "deterministic":
             # no abstract normals come first in a stream, so a shorter run is
             # the same path cut short: its envelope is the one up to the
