@@ -21,6 +21,7 @@ erfc by Cody's rational Chebyshev approximations (Math. Comp. 23, 1969).
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -151,7 +152,7 @@ class UniformGrid:
         object.__setattr__(self, "lower", as_vector(self.lower))
         object.__setattr__(self, "widths", as_vector(self.widths))
         object.__setattr__(self, "cells", tuple(int(c) for c in self.cells))
-        if np.any(self.widths <= 0):
+        if (self.widths <= 0).any():
             raise DimensionMismatch("widths", "cell widths must be positive")
         if len(self.cells) != self.lower.size:
             raise DimensionMismatch("cells", "one cell count per dimension")
@@ -161,7 +162,7 @@ class UniformGrid:
         widths = as_vector(widths)
         if widths.size != box.dim:
             raise DimensionMismatch("widths", f"expected {box.dim} widths")
-        if not np.all(np.isfinite(widths) & (widths > 0)):
+        if not (np.isfinite(widths) & (widths > 0)).all():
             raise DimensionMismatch("widths", "each width must be finite and positive")
         cells = tuple(
             _cell_count(float(hi - lo), float(w))
@@ -179,7 +180,7 @@ class UniformGrid:
 
     @property
     def n_points(self) -> int:
-        return int(np.prod(self.cells)) if self.cells else 1
+        return math.prod(self.cells)
 
     @property
     def delta(self) -> float:
@@ -192,9 +193,6 @@ class UniformGrid:
     def axis_edges(self, d: int) -> np.ndarray:
         return self.lower[d] + self.widths[d] * np.arange(self.cells[d] + 1)
 
-    def axis_centers(self, d: int) -> np.ndarray:
-        return self.lower[d] + self.widths[d] * (np.arange(self.cells[d]) + 0.5)
-
     def center(self, flat: int) -> np.ndarray:
         multi = np.unravel_index(flat, self.cells)
         return self.lower + self.widths * (np.asarray(multi, dtype=float) + 0.5)
@@ -206,9 +204,9 @@ class UniformGrid:
             if self.dim == 0:
                 cached = np.zeros((1, 0))
             else:
-                axes = [self.axis_centers(d) for d in range(self.dim)]
-                mesh = np.meshgrid(*axes, indexing="ij")
-                cached = np.stack([m.reshape(-1) for m in mesh], axis=1)
+                # cell i of axis d is centered at lower[d] + widths[d] * (i + 0.5)
+                cells = np.indices(self.cells).reshape(self.dim, -1).T
+                cached = np.ascontiguousarray(self.lower + self.widths * (cells + 0.5))
             cached.setflags(write=False)
             object.__setattr__(self, "_centers", cached)
         return cached
@@ -223,13 +221,11 @@ class UniformGrid:
         if x.shape[-1] != self.dim:
             raise DimensionMismatch("x", f"expected last axis {self.dim}")
         edge = _EDGE_RTOL * self.widths
-        upper = self.upper
-        inside = np.all((x >= self.lower - edge) & (x <= upper + edge), axis=-1)
+        inside = ((x >= self.lower - edge) & (x <= self.upper + edge)).all(axis=-1)
         idx = np.floor((x - self.lower) / self.widths).astype(np.int64)
-        np.clip(idx, 0, np.asarray(self.cells) - 1, out=idx)
-        flat = np.ravel_multi_index(
-            tuple(np.moveaxis(idx, -1, 0)), self.cells, mode="clip"
-        )
+        # mode "clip" clips each axis's index to the axis
+        flat = np.ravel_multi_index(tuple(idx[..., d] for d in range(self.dim)), self.cells,
+                                    mode="clip")
         return np.where(inside, flat, self.n_points)
 
     def locate(self, x) -> int:
@@ -466,10 +462,12 @@ def export_abstraction(abs_: FiniteAbstraction, json_path, csv_path) -> None:
     `tail_mass_per_axis`, the mass below it that each noisy axis sends to
     the sink.
 
-    CSV rows come in (state, input, internal, target) order, formatted and
-    written about `_EXPORT_ENTRIES` at a time; probabilities are the shortest
-    round-trip `repr` of each float (a point mass is `1.0`).  The kernel's
-    rows are sorted by target, as every `CSR` is.
+    CSV rows come in (state, input, internal, target) order, written about
+    `_EXPORT_ENTRIES` at a time.  Each state, (input, internal) pair and
+    target is formatted once into a text table that a block's lines are
+    assembled from; probabilities are the shortest round-trip `repr` of each
+    float (a point mass is `1.0`), formatted once per distinct value of a
+    block.  The kernel's rows are sorted by target, as every `CSR` is.
     """
     header = {
         "kind": abs_.kind,
@@ -486,32 +484,33 @@ def export_abstraction(abs_: FiniteAbstraction, json_path, csv_path) -> None:
     if abs_.kind == "stochastic":
         header.update(tail_sigmas=_TAIL_SIGMAS, tail_mass_per_axis=_TAIL_MASS)
     write_json(json_path, header)
-    U, W = abs_.n_inputs, abs_.n_internal
+    S, U, W = abs_.n_states, abs_.n_inputs, abs_.n_internal
     kernel = abs_.kernel
     indptr, cols = kernel.indptr, kernel.indices
     bits = np.asarray(kernel.data, dtype=np.float64).view(np.int64)
+    # each state, (input, internal) pair and target is formatted once
+    states = np.array(["%d," % s for s in range(S)], dtype=object)
+    pairs = np.array(["%d,%d," % uw for uw in itertools.product(range(U), range(W))],
+                     dtype=object)
+    targets = np.array(["%d," % t for t in range(S + 1)], dtype=object)
     made: dict[int, str] = {}  # repr of each probability (bit pattern) met so far
     with open(csv_path, "w", newline="") as fh:
         fh.write("state,input,internal,target,prob\n")
         r0, n_rows = 0, kernel.shape[0]
         while r0 < n_rows:
-            # a block holds whole rows, so each row label is formatted once
+            # a block holds whole rows, at least one
             r1 = int(np.searchsorted(indptr, indptr[r0] + _EXPORT_ENTRIES, side="right"))
             r1 = min(max(r1 - 1, r0 + 1), n_rows)
-            counts = np.diff(indptr[r0:r1 + 1])
             take = slice(indptr[r0], indptr[r1])
-            # each row label, distinct target and distinct probability is formatted once
-            s, rem = np.divmod(np.arange(r0, r1), U * W)
-            u, w = np.divmod(rem, W)
-            labels = list(map("%d,%d,%d,".__mod__, zip(s.tolist(), u.tolist(), w.tolist())))
-            targets, target_of = np.unique(cols[take], return_inverse=True)
-            targets = np.array(["%d," % t for t in targets.tolist()], dtype=object)
-            parts = np.empty((counts.sum(), 3), dtype=object)
-            parts[:, 0] = np.repeat(np.array(labels, dtype=object), counts)
-            parts[:, 1] = targets[target_of]
+            s, uw = np.divmod(np.repeat(np.arange(r0, r1), np.diff(indptr[r0:r1 + 1])), U * W)
+            parts = np.empty((take.stop - take.start, 4), dtype=object)
+            parts[:, 0] = states[s]
+            parts[:, 1] = pairs[uw]
+            parts[:, 2] = targets[cols[take]]
+            # each distinct probability of the block is looked up or formatted once
             keys, key_of = np.unique(bits[take], return_inverse=True)
             texts = [made.get(k) or made.setdefault(k, repr(p) + "\n") for k, p in
                      zip(keys.tolist(), keys.view(np.float64).tolist())]
-            parts[:, 2] = np.array(texts, dtype=object)[key_of]
+            parts[:, 3] = np.array(texts, dtype=object)[key_of]
             fh.write("".join(parts.reshape(-1).tolist()))
             r0 = r1

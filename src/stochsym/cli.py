@@ -68,9 +68,10 @@ def circular_coupling(n: int) -> CSR:
     """Ring coupling, as CSR: each internal input is the sum of the two neighbor outputs."""
     if n < 3:
         raise TooFewRooms(n)
-    left, right = (np.arange(n) - 1) % n, (np.arange(n) + 1) % n
-    # ascending columns per row; np.sort would page in ~0.25 MB of sort kernels
-    cols = np.stack([np.minimum(left, right), np.maximum(left, right)], axis=1)
+    # ascending columns per row: i - 1 and i + 1, but 1 and n - 1 in row 0
+    # and 0 and n - 2 in row n - 1
+    cols = np.add.outer(np.arange(n), [-1, 1])
+    cols[0], cols[-1] = (1, n - 1), (0, n - 2)
     return CSR(np.ones(2 * n), cols.ravel(), 2 * np.arange(n + 1), (n, n))
 
 
@@ -326,7 +327,7 @@ def _vector(value) -> np.ndarray:
 
 def _finite(value) -> np.ndarray:
     v = _vector(value)
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError(f"expected finite entries, got {value!r}")
     return v
 
@@ -548,17 +549,23 @@ def _value_key(value):
 def _distinct(objects: list, n: int) -> tuple[list, np.ndarray]:
     """The distinct values among `objects` (one for all n subsystems, or one
     each), and each subsystem's position among them."""
-    seen: dict = {}
-    index = np.array([seen.setdefault(_value_key(o), len(seen)) for o in objects])
-    _, first = np.unique(index, return_index=True)
-    return [objects[i] for i in first], np.broadcast_to(index, n)
+    if len(objects) == 1:  # nothing to compare
+        return objects, np.zeros(n, dtype=np.intp)
+    seen: dict = {}  # value key -> (position among the distinct values, first object)
+    index = np.array([seen.setdefault(_value_key(o), (len(seen), o))[0] for o in objects])
+    return [o for _, o in seen.values()], np.broadcast_to(index, n)
 
 
 def _grouping(indices: list, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(group_of, first): a group per distinct row of the per-kind `indices`,
     numbered in order of its lowest member `first`."""
+    # positions number values in order of first appearance, so an index
+    # whose largest entry is 0 holds one value, which splits no group
+    varying = [idx for idx in indices if idx.max() > 0]
+    if not varying:
+        return np.zeros(n, dtype=np.intp), np.zeros(1, dtype=np.intp)
     code = np.zeros(n, dtype=np.intp)
-    for idx in indices:
+    for idx in varying:
         # a pair of indices below n each fits an intp as one code
         _, code = np.unique(code * (int(idx.max()) + 1) + idx, return_inverse=True)
     _, first, code = np.unique(code, return_index=True, return_inverse=True)
@@ -598,9 +605,9 @@ def _initial_v0(bundle: PipelineBundle, x0: np.ndarray) -> float:
         if outside.size:
             raise ConfigError(f"simulation.x0 puts subsystem {outside[0]} outside the state grid")
         mismatch = xi - grid.state.centers()[idx] @ c.P.T
-        terms[1 + member] = bundle.ic.mu[member] * np.sum(mismatch @ c.M_bar * mismatch, axis=1)
+        terms[1 + member] = bundle.ic.mu[member] * (mismatch @ c.M_bar * mismatch).sum(axis=1)
     # a cumulative sum adds left to right, one term at a time
-    return float(np.cumsum(terms)[-1])
+    return float(terms.cumsum()[-1])
 
 
 def load_config(source) -> PipelineBundle:
@@ -619,7 +626,7 @@ def load_config(source) -> PipelineBundle:
     and `simulation.x0` is checked against the network's size and each grid.
     What only some stages need is checked by `_check_stages`.
     """
-    base_dir = Path.cwd()
+    base_dir = Path()  # file references in a dict resolve against the working directory
     if isinstance(source, (str, Path)):
         path = Path(source)
         base_dir = path.parent
@@ -652,7 +659,7 @@ def load_config(source) -> PipelineBundle:
 
     # a grid covers its system's boxes: one per (system, grid entry) pair
     entries = _entries(top["grid"], n, "grid")
-    entry_idx = np.broadcast_to(np.arange(len(entries)), n)
+    entry_idx = np.arange(n) % len(entries)
     pair_of, pairs = _grouping([sys_idx, entry_idx], n)
     grids, grid_idx = _distinct([_grid_from(systems[sys_idx[i]], *entries[entry_idx[i]])
                                  for i in pairs], pairs.size)
@@ -745,11 +752,11 @@ def _check_stages(bundle: PipelineBundle) -> None:
     checks, so that a run stops at such an error before its first artifact;
     sets `bundle.monte_carlo` when the simulate stage runs."""
     stages = bundle.stages
-    if "abstract" in stages:
-        for member, g in zip(model.group_members(bundle.ic.group_of), bundle.grids):
-            if g is None:
-                raise ConfigError(f"subsystem {member[0]} has no grid; 'grid' is required "
-                                  "for abstraction stages")
+    if "abstract" in stages and None in bundle.grids:
+        # groups are numbered by their lowest member
+        first = int(np.argmax(bundle.ic.group_of == bundle.grids.index(None)))
+        raise ConfigError(f"subsystem {first} has no grid; 'grid' is required "
+                          "for abstraction stages")
     if "synthesize" in stages:
         if bundle.safety is None:
             raise ConfigError("'safety' block required for the synthesize stage")

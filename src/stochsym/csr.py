@@ -11,7 +11,8 @@ and no unsorted rows to account for.
 
 A product with a dense operand sums each row's terms left to right from
 +0.0, in stored order, as scipy's `csr_matrix @ x` does, so the two agree
-bit for bit.  Objects with a `tocsr()` method (scipy sparse matrices) are
+bit for bit; `CSR.apply` takes the product along any axis of the operand
+with the same sums.  Objects with a `tocsr()` method (scipy sparse matrices) are
 converted by duck typing; this module never imports scipy.
 """
 
@@ -48,7 +49,7 @@ class CSR:
                 or self.indices.dtype.kind not in "iu" or self.indptr.dtype.kind not in "iu"):
             raise DimensionMismatch("csr", f"arrays do not describe a {self.shape} matrix")
         lens = np.diff(self.indptr)
-        if self.indptr[0] != 0 or self.indptr[-1] != nnz or np.any(lens < 0):
+        if self.indptr[0] != 0 or self.indptr[-1] != nnz or (lens < 0).any():
             raise DimensionMismatch("indptr", f"expected row offsets from 0 to {nnz}")
         if nnz and not (0 <= self.indices.min() and self.indices.max() < self.shape[1]):
             raise DimensionMismatch("indices", f"columns outside 0 .. {self.shape[1] - 1}")
@@ -125,10 +126,11 @@ class CSR:
 
     def __matmul__(self, other):
         """Product with a CSR (a CSR) or with a dense vector or matrix (an array)."""
-        x = other if isinstance(other, CSR) else np.asarray(other, dtype=float)
-        if self.shape[1] != x.shape[0]:
-            raise DimensionMismatch("csr", f"{self.shape} @ {x.shape}")
-        return self._sparse_product(x) if isinstance(x, CSR) else self._dense_product(x)
+        if not isinstance(other, CSR):
+            return self.apply(other)
+        if self.shape[1] != other.shape[0]:
+            raise DimensionMismatch("csr", f"{self.shape} @ {other.shape}")
+        return self._sparse_product(other)
 
     def _sparse_product(self, other: "CSR") -> "CSR":
         # each entry (i, j, a) of self meets every entry (j, l, b) of other's row j
@@ -173,22 +175,36 @@ class CSR:
             data = None
         return order, counts[:head], tail, data, indices
 
-    def _dense_product(self, x: np.ndarray) -> np.ndarray:
+    def apply(self, x, axis: int = 0) -> np.ndarray:
+        """self applied to `axis` of the dense array x: the entry at index i
+        of that axis is sum_j self[i, j] x[..., j, ...].
+
+        Each entry sums the same terms in the same order whichever axis is
+        taken, so `apply(z, 1)` is `(self @ z.T).T` bit for bit; the slots
+        are added as slices of that axis.
+        """
+        x = np.asarray(x, dtype=float)
+        if x.shape[axis] != self.shape[1]:
+            raise DimensionMismatch("csr", f"{self.shape} applied to axis {axis} of {x.shape}")
         order, counts, tail, data, indices = self._slots
-        terms = np.take(x, indices, axis=0)
+        terms = np.take(x, indices, axis=axis)
+        shape = list(terms.shape)
+        shape[axis] = self.shape[0]
+        acc = np.zeros(shape)
+        # views with the product's axis first
+        terms_, acc_ = np.moveaxis(terms, axis, 0), np.moveaxis(acc, axis, 0)
         if data is not None:
-            terms *= data.reshape((-1,) + (1,) * (x.ndim - 1))
-        acc = np.zeros((self.shape[0],) + x.shape[1:])
+            terms_ *= data.reshape((-1,) + (1,) * (x.ndim - 1))
         start = 0
         for count in counts:  # each row's sum runs over its entries in stored order
-            acc[:count] += terms[start:start + count]
+            acc_[:count] += terms_[start:start + count]
             start += count
         if tail.size:
-            np.add.at(acc, tail, terms[start:])
+            np.add.at(acc_, tail, terms_[start:])
         if order is None:
             return acc
         out = np.empty_like(acc)
-        out[order] = acc
+        np.moveaxis(out, axis, 0)[order] = acc_
         return out
 
 

@@ -53,7 +53,7 @@ def as_coupling(m) -> CSR:
     duck typing: scipy is never imported for it.
     """
     m = as_csr(m if hasattr(m, "tocsr") else as_matrix(m))
-    if not np.all(np.isfinite(m.data)):
+    if not np.isfinite(m.data).all():
         raise NonFiniteEntry("M")
     return m
 
@@ -81,7 +81,7 @@ def group_index(group_of, n_groups: int) -> np.ndarray:
     each of groups 0 .. n_groups - 1 at least once."""
     group_of = np.arange(n_groups) if group_of is None else np.asarray(group_of)
     if not (group_of.ndim == 1 and group_of.dtype.kind in "iu"
-            and np.all((group_of >= 0) & (group_of < n_groups))
+            and ((group_of >= 0) & (group_of < n_groups)).all()
             and np.bincount(group_of, minlength=n_groups).all()):
         raise DimensionMismatch("group_of", f"expected indices naming each of groups 0 .. "
                                             f"{n_groups - 1} at least once")
@@ -91,7 +91,8 @@ def group_index(group_of, n_groups: int) -> np.ndarray:
 def group_members(group_of) -> list:
     """The subsystems of each group, ascending, as one index array per group."""
     order = np.argsort(group_of, kind="stable")
-    return np.split(order, np.cumsum(np.bincount(group_of))[:-1])
+    ends = np.bincount(group_of).cumsum().tolist()
+    return [order[start:end] for start, end in zip([0] + ends[:-1], ends)]
 
 
 def member_starts(sizes, group_of) -> np.ndarray:
@@ -145,7 +146,7 @@ class Box:
 
     @property
     def is_empty(self) -> bool:
-        return bool(np.any(self.lower > self.upper))
+        return bool((self.lower > self.upper).any())
 
     @property
     def center(self) -> np.ndarray:
@@ -160,7 +161,7 @@ class Box:
         return self.upper - self.lower
 
     def is_bounded(self) -> bool:
-        return bool(np.all(np.isfinite(self.lower)) and np.all(np.isfinite(self.upper)))
+        return bool(np.isfinite(self.lower).all() and np.isfinite(self.upper).all())
 
     def linear_image(self, m) -> "Box":
         """Tightest box enclosing {M x : x in self}; O(nnz) for a sparse M
@@ -318,7 +319,7 @@ def validate_system(sys: AffineSystem) -> bool:
     if sys.b.shape != (n,):
         raise DimensionMismatch("b", f"expected ({n},), got {sys.b.shape}")
     for name in ("A", "B", "C1", "C2", "D", "G", "b"):
-        if not np.all(np.isfinite(getattr(sys, name))):
+        if not np.isfinite(getattr(sys, name)).all():
             raise NonFiniteEntry(name)
     for name, box, dim in (
         ("state_box", sys.state_box, n),

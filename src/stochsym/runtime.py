@@ -68,8 +68,6 @@ scipy.sparse.linalg when its bisection factors.
 """
 from __future__ import annotations
 
-import csv
-import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -324,15 +322,18 @@ class _Op:
     `diag` holds the diagonal when every block is square and diagonal, and
     the map is one multiply; otherwise `csr` is the block diagonal from
     `model.block_diag`, so no map holds an n_total x n_total array.
-    `identity` is set when the diagonal is all ones.
+    `identity` is set when the diagonal is all ones, `zero` when every
+    entry is 0.
     """
 
     diag: np.ndarray | None
     csr: CSR | None
     identity: bool = field(init=False)
+    zero: bool = field(init=False)
 
     def __post_init__(self):
         self.identity = self.diag is not None and bool(np.all(self.diag == 1.0))
+        self.zero = not np.any(self.diag if self.diag is not None else self.csr.data)
 
     @classmethod
     def stack(cls, mats: list, group_of: np.ndarray) -> "_Op":
@@ -352,7 +353,7 @@ class _Op:
         """The map of x's last axis, written into `out`, which may be x itself."""
         if self.diag is not None:
             return np.multiply(x, self.diag, out=out)
-        out[...] = np.moveaxis(self.csr @ np.moveaxis(x, -1, 0), 0, -1)
+        out[...] = self.csr.apply(x, axis=-1)
         return out
 
     def image(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -522,8 +523,9 @@ class _Network:
         return self._maps(self.tau)
 
     def coupling(self, z2: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """w = M zeta2 for each row of z2, written into `out`."""
-        out[...] = (self.M @ z2.T).T
+        """w = M zeta2 for each row of z2, written into `out`: M is applied
+        to the subsystem axis of the trial-major z2, with no transpose."""
+        out[...] = self.M.apply(z2, axis=1)
         return out
 
 
@@ -599,8 +601,7 @@ def _simulate_chunk(net: _Network, horizon: int, x0: np.ndarray, streams,
     z1_hat = np.empty_like(z1)
     nxt = np.empty_like(X)
     offset = np.empty_like(X)
-    # column-major, so the coupling reads z2.T without copying it
-    z2 = np.empty((C, net.C2.out_dim), order="F")
+    z2 = np.empty((C, net.C2.out_dim))
     w_hat = np.empty((C, net.M.shape[0]))
     w = np.empty_like(w_hat)
 
@@ -665,19 +666,22 @@ def _simulate_chunk(net: _Network, horizon: int, x0: np.ndarray, streams,
     substep_intervals = 0
     for k in range(horizon):
         violated |= errors[:, k] >= epsilon
-        net.coupling(net.C2P(Xhat, out=z2), out=w_hat)
+        net.coupling(net.C2P.image(Xhat, out=z2), out=w_hat)
         actions = [group.actions(i, k) for group, i in zip(net.groups, idx)]
         _raise_if_lost([a < 0 for a in actions], first_trial, k, 1)
 
         # nu(t) = K x(t) - H w(t) + nu_latched, where nu_latched is
         # X - P xhat - K P xhat - Q xhat + H (w(k tau) - w_hat), summed left
         # to right.  c_k = B nu_latched + b enters every substep of the
-        # interval, so gain c_k is added to its noise
-        p_xhat = net.P(Xhat, out=nxt)
+        # interval, so gain c_k is added to its noise.  Identity maps are
+        # not applied and a zero D_tilde is not added (x * 1 is x, and
+        # x + 0 differs from x only in the sign of a zero, which no cell
+        # lookup reads)
+        p_xhat = net.P.image(Xhat, out=nxt)
         nu_latched = np.subtract(X, p_xhat, out=offset)
-        nu_latched -= net.K(p_xhat, out=p_xhat)  # P xhat is not read again
+        nu_latched -= net.K(p_xhat, out=nxt)  # P xhat is not read again
         nu_latched -= net.Q(Xhat, out=nxt)
-        w_latch = net.coupling(net.C2(X, out=z2), out=w)
+        w_latch = net.coupling(net.C2.image(X, out=z2), out=w)
         w_latch -= w_hat
         nu_latched += net.H(w_latch, out=nxt)
         c_k = net.B(nu_latched, out=nxt)
@@ -704,7 +708,8 @@ def _simulate_chunk(net: _Network, horizon: int, x0: np.ndarray, streams,
         for group, a in zip(net.groups, actions):
             target[:, group.cols] = group.input_centers[a].reshape(C, -1)
         target += Xhat
-        target += net.D_tilde(w_hat, out=offset)
+        if not net.D_tilde.zero:
+            target += net.D_tilde(w_hat, out=offset)
         if net.stochastic:
             target += net.R_tilde(abs_noise[:, k], out=offset)
         _quantize(net, target, Xhat, idx, first_trial, k + 1)
@@ -842,21 +847,42 @@ def cosimulate(
                             outputs=out_rec, abstract_outputs=out_hat_rec)
 
 
+def _reprs(a: np.ndarray) -> np.ndarray:
+    """The shortest round-trip `repr` of each float of `a`, as an object
+    array of a's shape; each distinct value (bit pattern) is formatted once."""
+    keys, key_of = np.unique(np.ascontiguousarray(a, dtype=np.float64).view(np.int64),
+                             return_inverse=True)
+    texts = np.array([repr(v) for v in keys.view(np.float64).tolist()], dtype=object)
+    return texts[key_of.reshape(a.shape)]
+
+
 def write_trajectories_csv(result: SimulationResult, path) -> None:
-    """Long-format per-step rows (trial, k, err, sup_err) plus outputs when recorded."""
+    """Long-format per-step rows (trial, k, err, sup_err) plus outputs when recorded.
+
+    Integers are written as `str` and floats as their `repr`, each row's
+    fields joined by commas, as `csv.writer` writes them.  Rows are put
+    together and written `_CHUNK_TRIALS` trials at a time, so the texts held
+    at once do not grow with the trial count.
+    """
     errors = result.step_errors
+    n_trials, steps = errors.shape
     running = np.maximum.accumulate(errors, axis=1)
-    steps = range(errors.shape[1])
+    head = ["trial", "k", "err", "sup_err"]
+    if result.outputs is not None:
+        q1 = result.outputs.shape[2]
+        head += [f"out_{i}" for i in range(q1)] + [f"out_hat_{i}" for i in range(q1)]
+    trials = np.array([str(t) for t in range(n_trials)], dtype=object)
+    ks = np.array([str(k) for k in range(steps)], dtype=object)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        head = ["trial", "k", "err", "sup_err"]
-        if result.outputs is not None:
-            q1 = result.outputs.shape[2]
-            head += [f"out_{i}" for i in range(q1)] + [f"out_hat_{i}" for i in range(q1)]
-        writer.writerow(head)
-        for t in range(errors.shape[0]):
-            rows = zip(itertools.repeat(t), steps, errors[t].tolist(), running[t].tolist())
+        fh.write(",".join(head) + "\n")
+        for t0 in range(0, n_trials, _CHUNK_TRIALS):
+            rows = slice(t0, t0 + _CHUNK_TRIALS)
+            floats = [errors[rows, :, None], running[rows, :, None]]
             if result.outputs is not None:
-                rows = ([*row, *out, *out_hat] for row, out, out_hat in zip(
-                    rows, result.outputs[t].tolist(), result.abstract_outputs[t].tolist()))
-            writer.writerows(rows)
+                floats += [result.outputs[rows], result.abstract_outputs[rows]]
+            floats = np.concatenate(floats, axis=2)
+            fields = np.empty(floats.shape[:2] + (len(head),), dtype=object)
+            fields[:, :, 0] = trials[rows, None]
+            fields[:, :, 1] = ks
+            fields[:, :, 2:] = _reprs(floats)
+            fh.write("\n".join(map(",".join, fields.reshape(-1, len(head)).tolist())) + "\n")

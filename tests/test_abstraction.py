@@ -536,6 +536,27 @@ class TestBlockExport:
                               tmp_path / "a.csv")
         assert peak < fa.kernel.data.nbytes
 
+    # blocks of one row (fewer entries than a noisy row holds), blocks of a
+    # few rows, and the whole kernel in one block
+    @pytest.mark.parametrize("entries", [1, 50, 1 << 16])
+    @pytest.mark.parametrize("sigmas", [(0.0, 0.0), (0.08, 0.05)],
+                             ids=["deterministic", "stochastic"])
+    def test_table_lookups_of_multi_digit_labels(self, tmp_path, monkeypatch, sigmas,
+                                                 entries):
+        # 20 states, 16 inputs and 6 internal cells: two-digit state, input,
+        # target and sink labels, and more than one internal cell
+        monkeypatch.setattr(abst, "_EXPORT_ENTRIES", entries)
+        sys_, disc, grid = plane_setup(np.diag(sigmas))
+        grid = st.AbstractionGrid(
+            state=grid.state, input=st.UniformGrid.cover(sys_.input_box, [0.1, 0.1]),
+            internal=st.UniformGrid.cover(sys_.internal_box, [0.5]))
+        fa = st.build_stochastic(sys_, disc, grid)
+        assert (fa.n_states, fa.n_inputs, fa.n_internal) == (20, 16, 6)
+        assert fa.kind == ("stochastic" if any(sigmas) else "deterministic")
+        lines = self._same_bytes(fa, tmp_path).splitlines()
+        assert lines[-1].startswith("19,15,5,")
+        assert any(line.split(",")[3] == "20" for line in lines[1:])  # the sink
+
     def test_deterministic_bytes(self, tmp_path, monkeypatch):
         monkeypatch.setattr(abst, "_EXPORT_ENTRIES", 7)
         sys_, disc, grid = room_det_setup()

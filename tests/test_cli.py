@@ -583,6 +583,45 @@ def test_explicit_equal_entries_write_the_replicated_artifacts(tmp_path):
     assert not any(name.startswith("abstraction_") for name in files["listed"])
 
 
+def test_one_template_config_makes_no_sorting_pass(tmp_path, monkeypatch):
+    # every per-room field has one entry, so no grouping pass runs; once a
+    # room differs, the grouping sorts again
+    calls = []
+    unique = np.unique
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", spy)
+    cfg = small_rooms(tmp_path)
+    assert load_config(cfg).ic.group_of.tolist() == [0, 0, 0, 0]
+    assert calls == []
+    _per_room_certificates(cfg)[2]["K"] = [[-100.0]]
+    assert load_config(cfg).ic.group_of.tolist() == [0, 0, 1, 0]
+    assert calls
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_equal_entries_group_as_one_entry_does(tmp_path, n):
+    # n equal entries of every per-room field against the template's one
+    from stochsym import cli
+
+    one = small_rooms(tmp_path, n=n)
+    listed = small_rooms(tmp_path, n=n)
+    listed["systems"] = [dict(listed["systems"]["template"]) for _ in range(n)]
+    for key in ("discretization", "grid"):
+        listed[key] = [dict(listed[key]) for _ in range(n)]
+    _per_room_certificates(listed, n=n)
+    a, b = load_config(one), load_config(listed)
+    assert a.ic.group_of.dtype == b.ic.group_of.dtype
+    assert a.ic.group_of.tolist() == b.ic.group_of.tolist() == [0] * n
+    for kind in ("systems", "discs", "grids", "certs"):
+        groups_a, groups_b = getattr(a, kind), getattr(b, kind)
+        assert len(groups_a) == len(groups_b) == 1
+        assert cli._value_key(groups_a[0]) == cli._value_key(groups_b[0])
+
+
 def test_ring_of_many_rooms_loads_one_object_per_kind(tmp_path):
     # 10^5 replicated rooms resolve to one group: a single object of each
     # kind and an all-zero group index, however many rooms there are
@@ -1246,3 +1285,12 @@ def test_solve_mode_slope_is_derived_not_defaulted(tmp_path):
     assert bound["violation_bound"] == 1.0
     report = json.loads((tmp_path / "out" / "certificates.json").read_text())
     assert [row["gamma_slope"] for row in report["groups"]] == [2.0]
+
+
+def test_the_lowest_gridless_subsystem_is_named(tmp_path, capsys):
+    # rooms 2 and 3 have no grid: room 2 is the lowest member of the first
+    # group without one
+    cfg = small_rooms(tmp_path)
+    cfg["grid"] = [cfg["grid"], cfg["grid"], None, None]
+    assert run_pipeline(cfg, stages=["verify", "compose", "abstract"]) == EXIT_CONFIG
+    assert "subsystem 2 has no grid" in capsys.readouterr().err

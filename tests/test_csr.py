@@ -46,11 +46,38 @@ def test_dense_products_match_scipy_bit_for_bit(monkeypatch, min_rows, m, n, den
 
 @pytest.mark.parametrize("n, trials", [(3, 5), (100, 100), (1000, 32)])
 def test_coupling_matches_scipy_bit_for_bit(n, trials):
-    # the simulator's w = M zeta2, zeta2 held column-major
+    # the simulator's w = M zeta2, M applied to the room axis of the
+    # trial-major (trials, n) zeta2
     m = circular_coupling(n)
     ref = scipy.sparse.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape)
-    z2 = np.asfortranarray(np.random.default_rng(n).standard_normal((trials, n)))
-    assert np.array_equal(_bits(m @ z2.T), _bits(ref @ z2.T))
+    z2 = np.random.default_rng(n).standard_normal((trials, n))
+    assert np.array_equal(_bits(m.apply(z2, axis=1)), _bits((ref @ z2.T).T))
+
+
+@pytest.mark.parametrize("min_rows", [4, csr_mod._SLOT_MIN_ROWS])
+def test_product_along_any_axis_matches_scipy_bit_for_bit(monkeypatch, min_rows):
+    # a dense coupling with rows of unequal lengths and more than
+    # _SLOT_MIN_ROWS of them: rows go longest first (`order`), and the
+    # entries of the rare long rows go through the tail
+    monkeypatch.setattr(csr_mod, "_SLOT_MIN_ROWS", min_rows)
+    rng = np.random.default_rng(11)
+    ref = _random(rng, 3 * csr_mod._SLOT_MIN_ROWS, 50, 0.1, long_rows=3)
+    m = st.CSR.from_dense(ref.toarray())
+    order, _, tail, _, _ = m._slots
+    assert order is not None and tail.size
+    z = rng.standard_normal((16, 50))
+    z[:, ::3] = 0.0  # products -0.0 where an entry is negative
+    want = (ref @ z.T).T
+    assert np.array_equal(_bits(m.apply(z, axis=1)), _bits(want))
+    assert np.array_equal(_bits(m.apply(z, axis=-1)), _bits(want))
+    # a stack of trials and substeps, with the rooms last or in the middle
+    stack = np.stack([z, 2.0 * z, -z])
+    want = np.stack([(ref @ s.T).T for s in stack])
+    assert np.array_equal(_bits(m.apply(stack, axis=-1)), _bits(want))
+    assert np.array_equal(_bits(m.apply(np.moveaxis(stack, 2, 1), axis=1)),
+                          _bits(np.moveaxis(want, 2, 1)))
+    with pytest.raises(DimensionMismatch, match="axis 0"):
+        m.apply(z, axis=0)
 
 
 def test_kernel_backup_matches_scipy_bit_for_bit():

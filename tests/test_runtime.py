@@ -673,6 +673,26 @@ class TestFusedSubstepOracle:
         assert np.all(want > 0)
         np.testing.assert_allclose(res.step_errors, want, rtol=1e-12, atol=0)
 
+    def test_nonzero_d_tilde_enters_the_abstract_target(self):
+        # D_tilde w_hat moves each abstract target: the run matches the
+        # scalar replay, and differs from the run without the term
+        from stochsym import runtime
+
+        systems, ic, fas, ctrls, certs = small_network(g=0.3, tracking_rate=40.0)
+        disc = st.DiscretizationSpec(tau=0.1, D_tilde=1e-4, R_tilde=0.0)
+        fa = st.build_deterministic(systems[0], disc, fas[0].grid)
+        ctrl = st.safety_fixpoint(fa, st.SafetySpec(safe_box=st.Box([20.0], [21.0])))
+        net = (systems, ic, [fa], [ctrl], certs)
+        assert not runtime._Network(*net, 4, 8).D_tilde.zero
+        x0 = np.array([20.4012, 20.5537, 20.6981])
+        cfg = st.SimConfig(n_trials=5, horizon=4, epsilon=9.9, n_substeps=8, rng_seed=17)
+        res = st.cosimulate(*net, cfg, x0)
+        want, lost_at = scalar_reference(*net, cfg, x0)
+        assert lost_at == [None] * 5
+        np.testing.assert_allclose(res.step_errors, want, rtol=1e-12, atol=0)
+        plain = st.cosimulate(systems, ic, fas, ctrls, certs, cfg, x0)
+        assert not np.array_equal(res.step_errors, plain.step_errors)
+
     def test_dense_operators_match_diagonal_fast_path(self, monkeypatch):
         # every operator of the rooms is diagonal; forcing the CSR product
         # path must give the same errors
@@ -1077,6 +1097,39 @@ def test_trajectory_csv_rows_match_arrays(tmp_path, monkeypatch):
     assert path.read_text() == "\n".join(want) + "\n"
 
 
+@pytest.mark.parametrize("recorded", [False, True])
+def test_trajectory_rows_are_csv_writer_rows(tmp_path, monkeypatch, recorded):
+    # errors that fall and rise again (sup_err is their running maximum),
+    # repeated values and a -0.0, written two trials at a time
+    import csv
+
+    from stochsym import runtime
+
+    monkeypatch.setattr(runtime, "_CHUNK_TRIALS", 2)
+    errors = np.array([[0.3, 0.1, 0.2, 0.5], [-0.0, 0.1, 0.1, 1e-300],
+                       [2.5, 2.5, 0.0, 3.0], [0.1, 0.2, 0.1, 0.2], [1 / 3, 0.7, 0.7, 0.2]])
+    outputs = abstract = None
+    if recorded:
+        outputs = np.random.default_rng(1).standard_normal((5, 4, 2))
+        abstract = np.round(outputs, 2)
+    res = runtime.SimulationResult(summary=None, step_errors=errors, output_min=None,
+                                   output_max=None, outputs=outputs, abstract_outputs=abstract)
+    write_trajectories_csv(res, tmp_path / "traj.csv")
+    running = np.maximum.accumulate(errors, axis=1)
+    assert not np.array_equal(running, errors)
+    with open(tmp_path / "ref.csv", "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["trial", "k", "err", "sup_err"]
+                        + (["out_0", "out_1", "out_hat_0", "out_hat_1"] if recorded else []))
+        for t in range(5):
+            for k in range(4):
+                row = [t, k, float(errors[t, k]), float(running[t, k])]
+                if recorded:
+                    row += outputs[t, k].tolist() + abstract[t, k].tolist()
+                writer.writerow(row)
+    assert (tmp_path / "traj.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 class TestCoupling:
     def test_dense_room_block_stacks_sparse(self):
         # one dense 2 x 2 block over 2000 rooms: a block-diagonal CSR, where
@@ -1106,3 +1159,46 @@ class TestCoupling:
         assert net.coupling(z2, out=out) is out
         got = out
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_trial_major_coupling_matches_the_transposed_product(self):
+        # w = M zeta2 on the (trials, rooms) layout, against the product of
+        # M with each trial's column, bit for bit
+        from stochsym import runtime
+
+        systems, ic, fas, ctrls, certs = small_network(n=100)
+        net = runtime._Network(systems, ic, fas, ctrls, certs, 1, 1)
+        z2 = np.random.default_rng(8).standard_normal((16, 100))
+        z2[:, ::3] = 0.0
+        out = np.empty_like(z2)
+        net.coupling(z2, out=out)
+        assert np.array_equal(out.view(np.int64), (ic.M @ z2.T).T.view(np.int64))
+
+    def test_skipped_identity_and_zero_maps_change_no_bit(self, monkeypatch):
+        # these rooms' P, C2 and C2 P are identities and their D_tilde is 0,
+        # so the simulator skips them.  A run that applies every map (no
+        # _Op marked identity or zero), on the diagonal path and through the
+        # CSR products of `_force_dense`, gives the same bits
+        from stochsym import runtime
+
+        net = mixed_network()
+        x0 = np.array([20.4012, 20.5537, 20.6981])
+        cfg = st.SimConfig(n_trials=8, horizon=5, epsilon=0.075, n_substeps=8, rng_seed=9)
+        ops = runtime._Network(*net, cfg.horizon, cfg.n_substeps)
+        assert ops.P.identity and ops.C2.identity and ops.C2P.identity and ops.D_tilde.zero
+        skipped = st.cosimulate(*net, cfg, x0)
+        violated = skipped.step_errors.max(axis=1) >= cfg.epsilon
+        assert violated.any() and not violated.all()  # both kinds of step run
+
+        post_init = runtime._Op.__post_init__
+
+        def apply_every_map(op):
+            post_init(op)
+            op.identity = op.zero = False
+
+        monkeypatch.setattr(runtime._Op, "__post_init__", apply_every_map)
+        applied = st.cosimulate(*net, cfg, x0)
+        _force_dense(monkeypatch)
+        dense = st.cosimulate(*net, cfg, x0)
+        for run in (applied, dense):
+            for field in ("step_errors", "output_min", "output_max"):
+                assert np.array_equal(getattr(run, field), getattr(skipped, field))

@@ -138,6 +138,19 @@ class TestValueIteration:
         assert ctrl.table[1, 0] == 1  # and again at step 1
         assert ctrl.table[0, 1] == -1  # the unsafe state has no action
 
+    def test_tables_follow_the_steps_to_go(self):
+        # s0: input 0 moves to the leaky s1 surely, input 1 keeps s0 with
+        # 0.8; s1 keeps itself with 0.5.  With one step to go input 0 is best
+        # (1.0 against 0.8), with two steps to go input 1 (0.8 against 0.5)
+        rows = np.zeros((2, 2, 3))
+        rows[0, 0, 1] = 1.0
+        rows[0, 1, 0], rows[0, 1, 2] = 0.8, 0.2
+        rows[1, :, 1], rows[1, :, 2] = 0.5, 0.5
+        fa = stoch_abstraction(rows)
+        ctrl = st.safety_value_iteration(fa, st.SafetySpec(safe_box=full_box(fa), horizon=2))
+        assert ctrl.table[:, 0].tolist() == [1, 0]
+        assert ctrl.values.tolist() == [0.8, 0.25]
+
     def test_zero_noise_limit_reproduces_fixpoint(self):
         rng = np.random.default_rng(7)
         for _ in range(15):
@@ -232,3 +245,31 @@ def test_controller_meta_rejects_non_finite_values(tmp_path):
     with pytest.raises(NonFiniteArtifact, match="c.json"):
         write_controller(ctrl, unbounded, tmp_path / "c.csv", tmp_path / "c.json")
     assert not (tmp_path / "c.json").exists()
+
+
+@pytest.mark.parametrize("table", [
+    [3, -1, 12, 0, -1, 7],
+    [[3, -1, 12, 0, -1, 7], [-1, -1, 0, 11, 2, -1], [5, 5, 5, -1, 10, 9]],
+], ids=["stationary", "time-varying"])
+def test_controller_csv_rows_are_csv_writer_rows(tmp_path, table):
+    # the defined entries (input index >= 0), state-major or step-major,
+    # byte for byte as csv.writer writes them one row at a time
+    import csv
+
+    from stochsym.synthesis import Controller, write_controller
+
+    table = np.array(table, dtype=np.int64)
+    ctrl = Controller(kind="deterministic-map" if table.ndim == 1 else "time-varying-map",
+                      table=table, winning_set=np.flatnonzero(np.atleast_2d(table)[0] >= 0))
+    spec = st.SafetySpec(safe_box=st.Box([20.0], [21.0]))
+    write_controller(ctrl, spec, tmp_path / "c.csv", tmp_path / "c.json")
+    with open(tmp_path / "ref.csv", "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        if table.ndim == 1:
+            writer.writerow(["state_idx", "input_idx"])
+            writer.writerows([s, int(u)] for s, u in enumerate(table) if u >= 0)
+        else:
+            writer.writerow(["state_idx", "step", "input_idx"])
+            writer.writerows([s, k, int(u)] for k, row in enumerate(table)
+                             for s, u in enumerate(row) if u >= 0)
+    assert (tmp_path / "c.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
