@@ -45,7 +45,8 @@ _EDGE_RTOL = 1e-9
 #: dense kernel entries, rows x (S+1), computed per block in build_stochastic
 _BLOCK_ENTRIES = 1 << 16
 #: CSV rows formatted and written per block in export_abstraction; point-mass
-#: rows hold one entry each, so a block holds this many row labels
+#: rows hold one entry each, so a block holds this many row labels.
+#: runtime.write_trajectories_csv writes about this many fields at a time
 _EXPORT_ENTRIES = 1 << 12
 
 # Cephes ndtr's coefficients: erf(x) = x T(x^2) / U(x^2) for |x| <= 1, and
@@ -180,7 +181,7 @@ class UniformGrid:
 
     @property
     def n_points(self) -> int:
-        return math.prod(self.cells)
+        return int(np.prod(self.cells)) if self.cells else 1
 
     @property
     def delta(self) -> float:
@@ -193,6 +194,9 @@ class UniformGrid:
     def axis_edges(self, d: int) -> np.ndarray:
         return self.lower[d] + self.widths[d] * np.arange(self.cells[d] + 1)
 
+    def axis_centers(self, d: int) -> np.ndarray:
+        return self.lower[d] + self.widths[d] * (np.arange(self.cells[d]) + 0.5)
+
     def center(self, flat: int) -> np.ndarray:
         multi = np.unravel_index(flat, self.cells)
         return self.lower + self.widths * (np.asarray(multi, dtype=float) + 0.5)
@@ -204,9 +208,9 @@ class UniformGrid:
             if self.dim == 0:
                 cached = np.zeros((1, 0))
             else:
-                # cell i of axis d is centered at lower[d] + widths[d] * (i + 0.5)
-                cells = np.indices(self.cells).reshape(self.dim, -1).T
-                cached = np.ascontiguousarray(self.lower + self.widths * (cells + 0.5))
+                axes = [self.axis_centers(d) for d in range(self.dim)]
+                mesh = np.meshgrid(*axes, indexing="ij")
+                cached = np.stack([m.reshape(-1) for m in mesh], axis=1)
             cached.setflags(write=False)
             object.__setattr__(self, "_centers", cached)
         return cached
@@ -221,11 +225,13 @@ class UniformGrid:
         if x.shape[-1] != self.dim:
             raise DimensionMismatch("x", f"expected last axis {self.dim}")
         edge = _EDGE_RTOL * self.widths
-        inside = ((x >= self.lower - edge) & (x <= self.upper + edge)).all(axis=-1)
+        upper = self.upper
+        inside = np.all((x >= self.lower - edge) & (x <= upper + edge), axis=-1)
         idx = np.floor((x - self.lower) / self.widths).astype(np.int64)
-        # mode "clip" clips each axis's index to the axis
-        flat = np.ravel_multi_index(tuple(idx[..., d] for d in range(self.dim)), self.cells,
-                                    mode="clip")
+        np.clip(idx, 0, np.asarray(self.cells) - 1, out=idx)
+        flat = np.ravel_multi_index(
+            tuple(np.moveaxis(idx, -1, 0)), self.cells, mode="clip"
+        )
         return np.where(inside, flat, self.n_points)
 
     def locate(self, x) -> int:

@@ -91,8 +91,7 @@ def group_index(group_of, n_groups: int) -> np.ndarray:
 def group_members(group_of) -> list:
     """The subsystems of each group, ascending, as one index array per group."""
     order = np.argsort(group_of, kind="stable")
-    ends = np.bincount(group_of).cumsum().tolist()
-    return [order[start:end] for start, end in zip([0] + ends[:-1], ends)]
+    return np.split(order, np.cumsum(np.bincount(group_of))[:-1])
 
 
 def member_starts(sizes, group_of) -> np.ndarray:

@@ -79,7 +79,7 @@ import numpy as np
 # 10 ms of extension modules) is start-up work, as numpy's own is
 import numpy.random  # noqa: F401
 
-from .abstraction import FiniteAbstraction, UniformGrid
+from .abstraction import _EXPORT_ENTRIES, FiniteAbstraction, UniformGrid
 from .certificates import CONDITION_INTERNAL_MATCH, StorageCertificate, check_geometric
 from .csr import CSR
 from .errors import (
@@ -322,18 +322,15 @@ class _Op:
     `diag` holds the diagonal when every block is square and diagonal, and
     the map is one multiply; otherwise `csr` is the block diagonal from
     `model.block_diag`, so no map holds an n_total x n_total array.
-    `identity` is set when the diagonal is all ones, `zero` when every
-    entry is 0.
+    `identity` is set when the diagonal is all ones.
     """
 
     diag: np.ndarray | None
     csr: CSR | None
     identity: bool = field(init=False)
-    zero: bool = field(init=False)
 
     def __post_init__(self):
         self.identity = self.diag is not None and bool(np.all(self.diag == 1.0))
-        self.zero = not np.any(self.diag if self.diag is not None else self.csr.data)
 
     @classmethod
     def stack(cls, mats: list, group_of: np.ndarray) -> "_Op":
@@ -674,9 +671,7 @@ def _simulate_chunk(net: _Network, horizon: int, x0: np.ndarray, streams,
         # X - P xhat - K P xhat - Q xhat + H (w(k tau) - w_hat), summed left
         # to right.  c_k = B nu_latched + b enters every substep of the
         # interval, so gain c_k is added to its noise.  Identity maps are
-        # not applied and a zero D_tilde is not added (x * 1 is x, and
-        # x + 0 differs from x only in the sign of a zero, which no cell
-        # lookup reads)
+        # not applied (x * 1 is x)
         p_xhat = net.P.image(Xhat, out=nxt)
         nu_latched = np.subtract(X, p_xhat, out=offset)
         nu_latched -= net.K(p_xhat, out=nxt)  # P xhat is not read again
@@ -708,8 +703,7 @@ def _simulate_chunk(net: _Network, horizon: int, x0: np.ndarray, streams,
         for group, a in zip(net.groups, actions):
             target[:, group.cols] = group.input_centers[a].reshape(C, -1)
         target += Xhat
-        if not net.D_tilde.zero:
-            target += net.D_tilde(w_hat, out=offset)
+        target += net.D_tilde(w_hat, out=offset)
         if net.stochastic:
             target += net.R_tilde(abs_noise[:, k], out=offset)
         _quantize(net, target, Xhat, idx, first_trial, k + 1)
@@ -861,8 +855,10 @@ def write_trajectories_csv(result: SimulationResult, path) -> None:
 
     Integers are written as `str` and floats as their `repr`, each row's
     fields joined by commas, as `csv.writer` writes them.  Rows are put
-    together and written `_CHUNK_TRIALS` trials at a time, so the texts held
-    at once do not grow with the trial count.
+    together and written whole trials at a time, about `_EXPORT_ENTRIES`
+    fields (the kernel export's block size) but at least one trial, so the
+    texts held at once grow with neither the trial count nor, beyond one
+    trial, the number of outputs.
     """
     errors = result.step_errors
     n_trials, steps = errors.shape
@@ -873,10 +869,11 @@ def write_trajectories_csv(result: SimulationResult, path) -> None:
         head += [f"out_{i}" for i in range(q1)] + [f"out_hat_{i}" for i in range(q1)]
     trials = np.array([str(t) for t in range(n_trials)], dtype=object)
     ks = np.array([str(k) for k in range(steps)], dtype=object)
+    chunk = max(1, _EXPORT_ENTRIES // (steps * len(head)))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(head) + "\n")
-        for t0 in range(0, n_trials, _CHUNK_TRIALS):
-            rows = slice(t0, t0 + _CHUNK_TRIALS)
+        for t0 in range(0, n_trials, chunk):
+            rows = slice(t0, t0 + chunk)
             floats = [errors[rows, :, None], running[rows, :, None]]
             if result.outputs is not None:
                 floats += [result.outputs[rows], result.abstract_outputs[rows]]

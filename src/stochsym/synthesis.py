@@ -1,9 +1,8 @@
 """Safety controller synthesis on finite abstractions.
 
-One Bellman backup over the kernel and one value-iteration loop serve both
-syntheses: the loop applies the backup `horizon` times to any kernel (maximal
-safety probability), and the fixpoint runs it with no horizon on point-mass
-rows until the values stop changing, at the maximal invariant set.
+One Bellman backup over the kernel serves both syntheses: value iteration
+applies it `horizon` times to any kernel (maximal safety probability), and the
+fixpoint applies it to point-mass rows until the maximal invariant set is found.
 Internal (coupling) inputs are resolved adversarially in both cases, which
 is sound for safety and collapses to the plain recursion when the internal
 grid is trivial.  Ties between equally good inputs always break toward the
@@ -91,32 +90,11 @@ def _backup(abstraction: FiniteAbstraction, v: np.ndarray, safe: np.ndarray):
     return np.where(safe, q.max(axis=1), 0.0), q.argmax(axis=1)
 
 
-def _value_iteration(abstraction: FiniteAbstraction, safe: np.ndarray, horizon: int | None):
-    """(V_0, tables): V_T = 1 on safe cells and V_k is the backup of V_{k+1}.
-
-    With a `horizon`, that many backups, and tables[k] holds the maximizing
-    inputs applied at step k.  With None, backups run until one leaves V
-    unchanged, and tables holds that backup's inputs, the stationary table.
-    """
-    v = np.where(safe, 1.0, 0.0)
-    tables = []
-    while horizon is None or len(tables) < horizon:
-        v_next, act = _backup(abstraction, v, safe)
-        if horizon is None:
-            if np.array_equal(v_next, v):
-                return v, [act]
-        else:
-            tables.insert(0, act)  # backups run from the last step back
-        v = v_next
-    return v, tables
-
-
 def safety_fixpoint(abstraction: FiniteAbstraction, spec: SafetySpec) -> Controller:
     """Maximal controlled-invariant subset of the safe cells, with witness actions.
 
-    Value iteration with no horizon: the safe indicator is backed up until it
-    stops changing; on point-mass rows that is
-    Z <- {s safe : exists u, all internal w keep succ(s, u, w) in Z}.
+    Backs up the safe indicator until it stops changing; on point-mass rows
+    that is Z <- {s safe : exists u, all internal w keep succ(s, u, w) in Z}.
     The stored action is the lowest-index witnessing input.  An empty
     winning set is reported, not raised.
     """
@@ -124,7 +102,13 @@ def safety_fixpoint(abstraction: FiniteAbstraction, spec: SafetySpec) -> Control
         raise DimensionMismatch("abstraction", "fixpoint synthesis needs a deterministic table")
     if spec.horizon is not None:
         raise DimensionMismatch("horizon", "fixpoint synthesis is infinite-horizon")
-    v, (act,) = _value_iteration(abstraction, safe_mask(abstraction, spec), None)
+    safe = safe_mask(abstraction, spec)
+    v = np.where(safe, 1.0, 0.0)
+    while True:
+        v_next, act = _backup(abstraction, v, safe)
+        if np.array_equal(v_next, v):
+            break
+        v = v_next
     actions = np.where(v > 0.0, act, -1).astype(np.int64)
     winning = np.flatnonzero(v > 0.0)
     if winning.size == 0:
@@ -141,10 +125,14 @@ def safety_value_iteration(abstraction: FiniteAbstraction, spec: SafetySpec) -> 
     if spec.horizon is None:
         raise DimensionMismatch("horizon", "value iteration needs a finite horizon")
     safe = safe_mask(abstraction, spec)
-    v, tables = _value_iteration(abstraction, safe, spec.horizon)
+    v = np.where(safe, 1.0, 0.0)
+    tables = []
+    for _ in range(spec.horizon):
+        v, act = _backup(abstraction, v, safe)
+        tables.append(np.where(safe, act, -1).astype(np.int64))
+    tables.reverse()  # tables[k] is applied at step k
     winning = np.flatnonzero(safe & (v > 0.0))
-    return Controller(kind="time-varying-map",
-                      table=np.stack([np.where(safe, act, -1) for act in tables]).astype(np.int64),
+    return Controller(kind="time-varying-map", table=np.stack(tables),
                       winning_set=winning, values=v)
 
 

@@ -583,23 +583,30 @@ def test_explicit_equal_entries_write_the_replicated_artifacts(tmp_path):
     assert not any(name.startswith("abstraction_") for name in files["listed"])
 
 
-def test_one_template_config_makes_no_sorting_pass(tmp_path, monkeypatch):
-    # every per-room field has one entry, so no grouping pass runs; once a
-    # room differs, the grouping sorts again
-    calls = []
-    unique = np.unique
+def test_one_template_config_makes_no_key_or_sorting_pass(tmp_path, monkeypatch):
+    # every per-room field has one entry, so no value key is built and no
+    # grouping pass runs; once a room differs, both run again
+    from stochsym import cli
+
+    calls, keys = [], []
+    unique, value_key = np.unique, cli._value_key
 
     def spy(*args, **kwargs):
         calls.append(args)
         return unique(*args, **kwargs)
 
+    def key_spy(value):
+        keys.append(value)
+        return value_key(value)
+
     monkeypatch.setattr(np, "unique", spy)
+    monkeypatch.setattr(cli, "_value_key", key_spy)
     cfg = small_rooms(tmp_path)
     assert load_config(cfg).ic.group_of.tolist() == [0, 0, 0, 0]
-    assert calls == []
+    assert calls == [] and keys == []
     _per_room_certificates(cfg)[2]["K"] = [[-100.0]]
     assert load_config(cfg).ic.group_of.tolist() == [0, 0, 1, 0]
-    assert calls
+    assert calls and keys
 
 
 @pytest.mark.parametrize("n", [3, 5])

@@ -676,14 +676,11 @@ class TestFusedSubstepOracle:
     def test_nonzero_d_tilde_enters_the_abstract_target(self):
         # D_tilde w_hat moves each abstract target: the run matches the
         # scalar replay, and differs from the run without the term
-        from stochsym import runtime
-
         systems, ic, fas, ctrls, certs = small_network(g=0.3, tracking_rate=40.0)
         disc = st.DiscretizationSpec(tau=0.1, D_tilde=1e-4, R_tilde=0.0)
         fa = st.build_deterministic(systems[0], disc, fas[0].grid)
         ctrl = st.safety_fixpoint(fa, st.SafetySpec(safe_box=st.Box([20.0], [21.0])))
         net = (systems, ic, [fa], [ctrl], certs)
-        assert not runtime._Network(*net, 4, 8).D_tilde.zero
         x0 = np.array([20.4012, 20.5537, 20.6981])
         cfg = st.SimConfig(n_trials=5, horizon=4, epsilon=9.9, n_substeps=8, rng_seed=17)
         res = st.cosimulate(*net, cfg, x0)
@@ -1097,15 +1094,17 @@ def test_trajectory_csv_rows_match_arrays(tmp_path, monkeypatch):
     assert path.read_text() == "\n".join(want) + "\n"
 
 
+@pytest.mark.parametrize("per_chunk", [1, 2])
 @pytest.mark.parametrize("recorded", [False, True])
-def test_trajectory_rows_are_csv_writer_rows(tmp_path, monkeypatch, recorded):
+def test_trajectory_rows_are_csv_writer_rows(tmp_path, monkeypatch, recorded, per_chunk):
     # errors that fall and rise again (sup_err is their running maximum),
-    # repeated values and a -0.0, written two trials at a time
+    # repeated values and a -0.0, written one or two trials at a time
     import csv
 
     from stochsym import runtime
 
-    monkeypatch.setattr(runtime, "_CHUNK_TRIALS", 2)
+    # 4 steps of 4 fields, or of 8 with two outputs
+    monkeypatch.setattr(runtime, "_EXPORT_ENTRIES", per_chunk * 4 * (8 if recorded else 4) + 3)
     errors = np.array([[0.3, 0.1, 0.2, 0.5], [-0.0, 0.1, 0.1, 1e-300],
                        [2.5, 2.5, 0.0, 3.0], [0.1, 0.2, 0.1, 0.2], [1 / 3, 0.7, 0.7, 0.2]])
     outputs = abstract = None
@@ -1173,18 +1172,18 @@ class TestCoupling:
         net.coupling(z2, out=out)
         assert np.array_equal(out.view(np.int64), (ic.M @ z2.T).T.view(np.int64))
 
-    def test_skipped_identity_and_zero_maps_change_no_bit(self, monkeypatch):
-        # these rooms' P, C2 and C2 P are identities and their D_tilde is 0,
-        # so the simulator skips them.  A run that applies every map (no
-        # _Op marked identity or zero), on the diagonal path and through the
-        # CSR products of `_force_dense`, gives the same bits
+    def test_skipped_identity_maps_change_no_bit(self, monkeypatch):
+        # these rooms' P, C2 and C2 P are identities, so the simulator skips
+        # them.  A run that applies every map (no _Op marked identity), on
+        # the diagonal path and through the CSR products of `_force_dense`,
+        # gives the same bits
         from stochsym import runtime
 
         net = mixed_network()
         x0 = np.array([20.4012, 20.5537, 20.6981])
         cfg = st.SimConfig(n_trials=8, horizon=5, epsilon=0.075, n_substeps=8, rng_seed=9)
         ops = runtime._Network(*net, cfg.horizon, cfg.n_substeps)
-        assert ops.P.identity and ops.C2.identity and ops.C2P.identity and ops.D_tilde.zero
+        assert ops.P.identity and ops.C2.identity and ops.C2P.identity
         skipped = st.cosimulate(*net, cfg, x0)
         violated = skipped.step_errors.max(axis=1) >= cfg.epsilon
         assert violated.any() and not violated.all()  # both kinds of step run
@@ -1193,7 +1192,7 @@ class TestCoupling:
 
         def apply_every_map(op):
             post_init(op)
-            op.identity = op.zero = False
+            op.identity = False
 
         monkeypatch.setattr(runtime._Op, "__post_init__", apply_every_map)
         applied = st.cosimulate(*net, cfg, x0)
