@@ -1094,11 +1094,12 @@ def test_trajectory_csv_rows_match_arrays(tmp_path, monkeypatch):
     assert path.read_text() == "\n".join(want) + "\n"
 
 
-@pytest.mark.parametrize("per_chunk", [1, 2])
+@pytest.mark.parametrize("per_chunk", [0, 1, 2])
 @pytest.mark.parametrize("recorded", [False, True])
 def test_trajectory_rows_are_csv_writer_rows(tmp_path, monkeypatch, recorded, per_chunk):
     # errors that fall and rise again (sup_err is their running maximum),
-    # repeated values and a -0.0, written one or two trials at a time
+    # repeated values and a -0.0, written one or two trials at a time; a
+    # budget below one trial's fields still writes one trial at a time
     import csv
 
     from stochsym import runtime
@@ -1113,7 +1114,11 @@ def test_trajectory_rows_are_csv_writer_rows(tmp_path, monkeypatch, recorded, pe
         abstract = np.round(outputs, 2)
     res = runtime.SimulationResult(summary=None, step_errors=errors, output_min=None,
                                    output_max=None, outputs=outputs, abstract_outputs=abstract)
+    chunks = []
+    reprs = runtime._reprs
+    monkeypatch.setattr(runtime, "_reprs", lambda a: chunks.append(len(a)) or reprs(a))
     write_trajectories_csv(res, tmp_path / "traj.csv")
+    assert chunks == [1] * 5 if per_chunk < 2 else [2, 2, 1]  # trials per chunk
     running = np.maximum.accumulate(errors, axis=1)
     assert not np.array_equal(running, errors)
     with open(tmp_path / "ref.csv", "w", newline="") as fh:
