@@ -181,7 +181,7 @@ class UniformGrid:
 
     @property
     def n_points(self) -> int:
-        return int(np.prod(self.cells)) if self.cells else 1
+        return int(np.prod(self.cells))
 
     @property
     def delta(self) -> float:
@@ -228,7 +228,6 @@ class UniformGrid:
         upper = self.upper
         inside = np.all((x >= self.lower - edge) & (x <= upper + edge), axis=-1)
         idx = np.floor((x - self.lower) / self.widths).astype(np.int64)
-        np.clip(idx, 0, np.asarray(self.cells) - 1, out=idx)
         flat = np.ravel_multi_index(
             tuple(np.moveaxis(idx, -1, 0)), self.cells, mode="clip"
         )

@@ -24,11 +24,6 @@ import numpy as np
 
 from .errors import DimensionMismatch
 
-#: a slot (the k-th entries of all rows that have one) is added as one
-#: slice while it holds at least this many rows; the entries of the rarer
-#: long rows after that go through one np.add.at
-_SLOT_MIN_ROWS = 32
-
 
 class CSR:
     """Float64 matrix in compressed sparse row form, rows sorted by column.
@@ -147,33 +142,27 @@ class CSR:
 
         Rows are taken longest first (`order[i]` is the i-th, None when
         that is the stored order); slot k holds the k-th entry of each row
-        that has one, so its rows are a prefix of `order`.  `counts` lists
-        the slots of at least `_SLOT_MIN_ROWS` rows.  The rest of the
-        entries, those of the rare longer rows, follow row by row; `tail`
-        is the place in `order` of each.  `data` and `indices` are in that
-        order: the stored arrays when no row has two entries, else copies,
-        with indices as np.intp, which numpy gathers fastest.  `data` is
-        None when every entry is 1 (a 0/1 coupling): x * 1 is x.
+        that has one, so its `counts[k]` rows are a prefix of `order`.
+        Every slot is one slice add, with no tail: a row much longer than
+        the rest costs one slice add per entry.  `data` and `indices` are in
+        slot order: the stored arrays when no row has two entries, else
+        copies, with indices as np.intp, which numpy gathers fastest.
+        `data` is None when every entry is 1 (a 0/1 coupling): x * 1 is x.
         """
         lens = np.diff(self.indptr)
         order = np.argsort(-lens, kind="stable")
         longest = int(lens.max()) if lens.size else 0
         counts = np.cumsum(np.bincount(lens, minlength=longest + 1)[::-1])[::-1][1:].tolist()
-        head = sum(c >= _SLOT_MIN_ROWS for c in counts)
-        first = self.indptr[:-1][order]  # where each row starts, longest first
-        n_long = counts[head] if head < longest else 0
-        rest = lens[order[:n_long]] - head
-        tail = np.repeat(np.arange(n_long), rest)
-        tail_at = _ranges(first[:n_long] + head, rest)
         data, indices = self.data, self.indices
         if longest > 1:  # else this is stored order
-            at = np.concatenate([first[:c] + k for k, c in enumerate(counts[:head])] + [tail_at])
+            first = self.indptr[:-1][order]  # where each row starts, longest first
+            at = np.concatenate([first[:c] + k for k, c in enumerate(counts)])
             data, indices = data[at], indices[at].astype(np.intp)
         if np.array_equal(order, np.arange(order.size)):
             order = None
         if np.all(data == 1.0):
             data = None
-        return order, counts[:head], tail, data, indices
+        return order, counts, data, indices
 
     def apply(self, x, axis: int = 0) -> np.ndarray:
         """self applied to `axis` of the dense array x: the entry at index i
@@ -186,7 +175,7 @@ class CSR:
         x = np.asarray(x, dtype=float)
         if x.shape[axis] != self.shape[1]:
             raise DimensionMismatch("csr", f"{self.shape} applied to axis {axis} of {x.shape}")
-        order, counts, tail, data, indices = self._slots
+        order, counts, data, indices = self._slots
         terms = np.take(x, indices, axis=axis)
         shape = list(terms.shape)
         shape[axis] = self.shape[0]
@@ -199,8 +188,6 @@ class CSR:
         for count in counts:  # each row's sum runs over its entries in stored order
             acc_[:count] += terms_[start:start + count]
             start += count
-        if tail.size:
-            np.add.at(acc_, tail, terms_[start:])
         if order is None:
             return acc
         out = np.empty_like(acc)

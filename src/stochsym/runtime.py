@@ -53,10 +53,10 @@ A run that loses an abstract state reports the loss one chunk holding every
 trial would meet first, whichever chunk met it.  The substeps
 of an interval are streamed a block at a time (at most
 `_SUBSTEP_BLOCK_ENTRIES` normals across the chunks in flight, but at least
-`_MIN_DRAW` per trial and block), each trial continuing its stream in
-order.  A block's normals become its states in place: one noise map and
-one offset over the whole block, then one update per substep, and the
-output envelope is folded in once per block.  So the simulator's memory is
+one substep), each trial continuing its stream in order.  A block's
+normals become its states in place: one noise map and one offset over the
+whole block, then one update per substep, and the output envelope is
+folded in once per block.  So the simulator's memory is
 O(C x n_total) for C trials in flight, independent of the substep count.
 The empirical violation frequency is reported with exact one-sided
 Clopper-Pearson upper and lower confidence bounds for comparison against the
@@ -105,12 +105,9 @@ from .synthesis import Controller
 #: a chunk holds at most this many trials
 _CHUNK_TRIALS = 128
 #: substeps per block are capped so that the blocks of normals of the chunks
-#: in flight hold at most this many entries together (C x block x n_total)
+#: in flight hold at most this many entries together (C x block x n_total),
+#: but a block is at least one substep
 _SUBSTEP_BLOCK_ENTRIES = 1 << 18
-#: ... unless that leaves a trial's draw per block below this many normals:
-#: smaller draws cost more in call overhead (and, with helper threads, in
-#: handing the GIL back and forth) than in drawing
-_MIN_DRAW = 512
 #: the default worker count is the CPUs the process may use, but at most
 #: this many: more workers have not been measured to pay (smaller chunks
 #: make shorter GIL-free calls); STOCHSYM_THREADS sets more
@@ -336,9 +333,8 @@ class _Op:
     def stack(cls, mats: list, group_of: np.ndarray) -> "_Op":
         """blkdiag(mats[group_of[i]]) over subsystems i, from one matrix per group."""
         mats = [as_matrix(m) for m in mats]
-        if mats and all(m.shape[0] == m.shape[1] and (
-                m.shape[0] == 1 or not np.any(m - np.diag(m.diagonal())))
-                for m in mats):
+        if mats and all(m.shape[0] == m.shape[1] and not np.any(m - np.diag(m.diagonal()))
+                        for m in mats):
             return cls(diag=spread([m.diagonal() for m in mats], group_of), csr=None)
         return cls(diag=None, csr=block_diag(mats, np.ones(group_of.size), group_of))
 
@@ -731,8 +727,7 @@ def _run_batch(net, config: SimConfig, x0, streams):
     # one block of normals per worker, sized by the largest chunk (the first)
     in_flight = workers * (chunks[0][1] - chunks[0][0])
     block = min(config.n_substeps,
-                max(_SUBSTEP_BLOCK_ENTRIES // (in_flight * net.n_total),
-                    -(-_MIN_DRAW // net.n_total)))
+                max(_SUBSTEP_BLOCK_ENTRIES // (in_flight * net.n_total), 1))
     results = [None] * len(chunks)
 
     def run(first: int) -> None:

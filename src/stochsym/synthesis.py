@@ -40,8 +40,6 @@ class SafetySpec:
             raise EmptyBox("safe_box (after contraction)")
 
     def contracted_box(self) -> Box:
-        if self.contraction == 0.0:
-            return self.safe_box
         return Box(self.safe_box.lower + self.contraction,
                    self.safe_box.upper - self.contraction)
 

@@ -52,6 +52,17 @@ class TestQuantizer:
         q = st.quantize(grid_1d(), [21.0])
         assert q.index == 9
 
+    def test_edge_slack_stays_inside_on_every_axis(self):
+        # within the 1e-9 widths of slack, a point below the lower or above
+        # the upper edge of an axis takes that axis's outer cell
+        g = st.UniformGrid.cover(st.Box([20.0, -1.0], [21.0, 1.0]), [0.1, 0.5])
+        x = np.array([[20.0 - 1e-11, 1.0 + 1e-10], [21.0 + 1e-11, -1.0 - 1e-10]])
+        assert g.locate_many(x).tolist() == [3, 36]
+
+    def test_zero_dim_grid_has_one_point(self):
+        g = st.UniformGrid(lower=[], widths=[], cells=())
+        assert g.n_points == 1 and g.centers().shape == (1, 0)
+
     def test_outside_maps_to_sink(self):
         g = grid_1d()
         q = st.quantize(g, [21.5])

@@ -26,16 +26,25 @@ def _random(rng, m, n, density, long_rows=0):
     return scipy.sparse.csr_matrix(a)
 
 
-@pytest.mark.parametrize("min_rows", [1, 4, csr_mod._SLOT_MIN_ROWS])
+def _hub(rng, m, n):
+    """A scipy CSR whose middle row has an entry in every column and whose
+    other rows have one signed entry or none, so every slot past the first
+    holds one row."""
+    a = np.zeros((m, n))
+    rows = np.flatnonzero(rng.uniform(size=m) < 0.8)
+    a[rows, rng.integers(n, size=rows.size)] = rng.standard_normal(rows.size)
+    a[m // 2] = rng.standard_normal(n)
+    return scipy.sparse.csr_matrix(a)
+
+
 @pytest.mark.parametrize("m, n, density, long_rows", [
     (1, 1, 1.0, 0), (7, 5, 0.0, 0), (60, 40, 0.3, 0), (300, 90, 0.05, 3), (40, 500, 0.5, 1),
+    pytest.param(200, 60, None, None, id="hub"),
 ])
-def test_dense_products_match_scipy_bit_for_bit(monkeypatch, min_rows, m, n, density,
-                                                long_rows):
-    # the slot loop, the np.add.at tail of long rows, and both together
-    monkeypatch.setattr(csr_mod, "_SLOT_MIN_ROWS", min_rows)
-    rng = np.random.default_rng(m * n + min_rows)
-    ref = _random(rng, m, n, density, long_rows)
+def test_dense_products_match_scipy_bit_for_bit(m, n, density, long_rows):
+    # rows of one length and of many, the longest ones going first
+    rng = np.random.default_rng(m * n)
+    ref = _hub(rng, m, n) if density is None else _random(rng, m, n, density, long_rows)
     mat = st.CSR(ref.data, ref.indices, ref.indptr, ref.shape)
     x = rng.standard_normal(n)
     x[::3] = 0.0  # products -0.0 where an entry is negative
@@ -54,30 +63,26 @@ def test_coupling_matches_scipy_bit_for_bit(n, trials):
     assert np.array_equal(_bits(m.apply(z2, axis=1)), _bits((ref @ z2.T).T))
 
 
-@pytest.mark.parametrize("min_rows", [4, csr_mod._SLOT_MIN_ROWS])
-def test_product_along_any_axis_matches_scipy_bit_for_bit(monkeypatch, min_rows):
-    # a dense coupling with rows of unequal lengths and more than
-    # _SLOT_MIN_ROWS of them: rows go longest first (`order`), and the
-    # entries of the rare long rows go through the tail
-    monkeypatch.setattr(csr_mod, "_SLOT_MIN_ROWS", min_rows)
+def test_product_along_any_axis_matches_scipy_bit_for_bit():
+    # dense couplings with rows of unequal lengths, so rows go longest
+    # first (`order`): a few full rows among sparse ones, and a hub
     rng = np.random.default_rng(11)
-    ref = _random(rng, 3 * csr_mod._SLOT_MIN_ROWS, 50, 0.1, long_rows=3)
-    m = st.CSR.from_dense(ref.toarray())
-    order, _, tail, _, _ = m._slots
-    assert order is not None and tail.size
-    z = rng.standard_normal((16, 50))
-    z[:, ::3] = 0.0  # products -0.0 where an entry is negative
-    want = (ref @ z.T).T
-    assert np.array_equal(_bits(m.apply(z, axis=1)), _bits(want))
-    assert np.array_equal(_bits(m.apply(z, axis=-1)), _bits(want))
-    # a stack of trials and substeps, with the rooms last or in the middle
-    stack = np.stack([z, 2.0 * z, -z])
-    want = np.stack([(ref @ s.T).T for s in stack])
-    assert np.array_equal(_bits(m.apply(stack, axis=-1)), _bits(want))
-    assert np.array_equal(_bits(m.apply(np.moveaxis(stack, 2, 1), axis=1)),
-                          _bits(np.moveaxis(want, 2, 1)))
-    with pytest.raises(DimensionMismatch, match="axis 0"):
-        m.apply(z, axis=0)
+    for ref in (_random(rng, 96, 50, 0.1, long_rows=3), _hub(rng, 96, 50)):
+        m = st.CSR.from_dense(ref.toarray())
+        assert m._slots[0] is not None
+        z = rng.standard_normal((16, 50))
+        z[:, ::3] = 0.0  # products -0.0 where an entry is negative
+        want = (ref @ z.T).T
+        assert np.array_equal(_bits(m.apply(z, axis=1)), _bits(want))
+        assert np.array_equal(_bits(m.apply(z, axis=-1)), _bits(want))
+        # a stack of trials and substeps, with the rooms last or in the middle
+        stack = np.stack([z, 2.0 * z, -z])
+        want = np.stack([(ref @ s.T).T for s in stack])
+        assert np.array_equal(_bits(m.apply(stack, axis=-1)), _bits(want))
+        assert np.array_equal(_bits(m.apply(np.moveaxis(stack, 2, 1), axis=1)),
+                              _bits(np.moveaxis(want, 2, 1)))
+        with pytest.raises(DimensionMismatch, match="axis 0"):
+            m.apply(z, axis=0)
 
 
 def test_kernel_backup_matches_scipy_bit_for_bit():

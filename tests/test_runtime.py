@@ -774,11 +774,9 @@ class TestSubstepStreaming:
     @pytest.mark.parametrize("network", ["con3", "grouped"])
     def test_blocks_match_whole_interval(self, monkeypatch, dense, network):
         # 7 substeps in blocks of 1, of 3 (the last one partial) and in one
-        # block: the same normals in the same order, hence the same arrays.
-        # The per-draw floor is lifted, so the cap alone sets the block
+        # block: the same normals in the same order, hence the same arrays
         from stochsym import runtime
 
-        monkeypatch.setattr(runtime, "_MIN_DRAW", 1)
         blocks_run = []
         simulate_chunk = runtime._simulate_chunk
 

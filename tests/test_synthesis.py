@@ -213,6 +213,11 @@ class TestSafetySpec:
         spec = st.SafetySpec(safe_box=st.Box([0.0], [1.0]), contraction=0.25)
         assert spec.contracted_box().lower == pytest.approx([0.25])
 
+    def test_zero_contraction_is_the_safe_box(self):
+        spec = st.SafetySpec(safe_box=st.Box([-1.0, 0.0], [1.0, 2.5]))
+        box = spec.contracted_box()
+        assert np.array_equal(box.lower, [-1.0, 0.0]) and np.array_equal(box.upper, [1.0, 2.5])
+
     def test_overcontraction_rejected(self):
         with pytest.raises(EmptyBox):
             st.SafetySpec(safe_box=st.Box([0.0], [1.0]), contraction=0.6)
