@@ -37,13 +37,15 @@ def _hub(rng, m, n):
     return scipy.sparse.csr_matrix(a)
 
 
+@pytest.mark.parametrize("draw", [1, 4, 32])
 @pytest.mark.parametrize("m, n, density, long_rows", [
     (1, 1, 1.0, 0), (7, 5, 0.0, 0), (60, 40, 0.3, 0), (300, 90, 0.05, 3), (40, 500, 0.5, 1),
     pytest.param(200, 60, None, None, id="hub"),
 ])
-def test_dense_products_match_scipy_bit_for_bit(m, n, density, long_rows):
-    # rows of one length and of many, the longest ones going first
-    rng = np.random.default_rng(m * n)
+def test_dense_products_match_scipy_bit_for_bit(draw, m, n, density, long_rows):
+    # rows of one length and of many, the longest ones going first; three
+    # random draws of each shape
+    rng = np.random.default_rng(m * n + draw)
     ref = _hub(rng, m, n) if density is None else _random(rng, m, n, density, long_rows)
     mat = st.CSR(ref.data, ref.indices, ref.indptr, ref.shape)
     x = rng.standard_normal(n)
@@ -63,14 +65,15 @@ def test_coupling_matches_scipy_bit_for_bit(n, trials):
     assert np.array_equal(_bits(m.apply(z2, axis=1)), _bits((ref @ z2.T).T))
 
 
-def test_product_along_any_axis_matches_scipy_bit_for_bit():
+@pytest.mark.parametrize("trials", [4, 32])
+def test_product_along_any_axis_matches_scipy_bit_for_bit(trials):
     # dense couplings with rows of unequal lengths, so rows go longest
     # first (`order`): a few full rows among sparse ones, and a hub
     rng = np.random.default_rng(11)
     for ref in (_random(rng, 96, 50, 0.1, long_rows=3), _hub(rng, 96, 50)):
         m = st.CSR.from_dense(ref.toarray())
         assert m._slots[0] is not None
-        z = rng.standard_normal((16, 50))
+        z = rng.standard_normal((trials, 50))
         z[:, ::3] = 0.0  # products -0.0 where an entry is negative
         want = (ref @ z.T).T
         assert np.array_equal(_bits(m.apply(z, axis=1)), _bits(want))
