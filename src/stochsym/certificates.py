@@ -278,7 +278,7 @@ def check_dissipativity_lmi(cert: StorageCertificate, sys: AffineSystem,
             "B", "the refinement law needs a square B (external input dim == state dim)"
         )
     validate_certificate(cert, tau)
-    n, p = sys.n, sys.p
+    p = sys.p
     if cert.Xbar11.shape != (p, p):
         raise DimensionMismatch("Xbar11", f"expected {(p, p)}, got {cert.Xbar11.shape}")
     if cert.Xbar22.shape != (sys.q2, sys.q2):
@@ -286,14 +286,10 @@ def check_dissipativity_lmi(cert: StorageCertificate, sys: AffineSystem,
     scale = cert.pi * math.exp(-cert.kappa_tilde * tau) * tau
     M, C2 = cert.M_bar, sys.C2
     top_left = cert.kappa_bar * M + C2.T @ cert.Xbar22 @ C2 - scale * (sys.B.T @ M @ sys.B)
-    if p:
-        residual = np.block([
-            [top_left, C2.T @ cert.Xbar21],
-            [cert.Xbar12 @ C2, cert.Xbar11 - scale * (sys.D.T @ M @ sys.D)],
-        ])
-    else:
-        residual = top_left
-    residual = _sym(residual)
+    residual = _sym(np.block([
+        [top_left, C2.T @ cert.Xbar21],
+        [cert.Xbar12 @ C2, cert.Xbar11 - scale * (sys.D.T @ M @ sys.D)],
+    ]))
     tol = psd_tolerance(residual)
     margin = _min_eig(residual)
     return DissipativityCheck(ok=margin >= -tol, margin=margin, tol=tol,

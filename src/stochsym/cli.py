@@ -966,7 +966,6 @@ def _stage_simulate(bundle: PipelineBundle, ctx: dict) -> None:
                        result.summary.cp95_lower)
     write_json(ctx["out"] / "simulation_summary.json", payload)
     rt.write_trajectories_csv(result, ctx["out"] / "trajectories.csv")
-    ctx["simulation"] = result
     logger.info("simulate: %d/%d violations (cp95 %.4f)",
                 result.summary.n_violations, result.summary.n_trials,
                 result.summary.cp95_upper)

@@ -45,7 +45,6 @@ from .model import (
 CONDITION_NETWORK_LMI = "Con_1a"
 #: the network LMI could be neither proved nor refuted (see LmiCheck)
 CONDITION_NETWORK_LMI_INCONCLUSIVE = "Con_1a-inconclusive"
-CONDITION_COUPLING_EQ = "Con_2a"
 CONDITION_ABSTRACT_WELL_POSED = "Con111"
 
 
@@ -59,8 +58,9 @@ class LmiCheck:
     """Verdict on [M; I]^T X_cmp [M; I] <= 0 from a bracket on its top eigenvalue.
 
     ok when the upper end is within `tol`; the LMI is violated when the
-    lower end is above it; otherwise the verdict is inconclusive, and an
-    inconclusive check never passes.
+    lower end is above it.  Every factorization decides, so the verdict is
+    inconclusive only when the bracket straddles `tol` once it stops
+    narrowing, and an inconclusive check never passes.
     """
 
     ok: bool
@@ -159,15 +159,18 @@ def _gershgorin_bound(form: CSR) -> float:
     return float(np.max(diagonal + radius)) if n else -math.inf
 
 
-def _below(form: CSR, sigma: float) -> bool | None:
-    """Whether the largest eigenvalue of `form` is below `sigma`; None if unproved.
+def _below(form: CSR, sigma: float) -> bool:
+    """Whether the largest eigenvalue of `form` is below `sigma`.
 
-    sigma I - F is factored by Gaussian elimination in natural order, taking
-    every pivot from the diagonal.  With no row exchange (`perm_r` the
-    identity, as `perm_c` is) that is the symmetric factorization L D L^T, so
-    by Sylvester's law of inertia all pivots positive proves sigma I - F
-    positive definite, and any pivot <= 0 proves it is not.  A row exchange
-    or an exactly singular factor leaves the question open.
+    sigma I - F is factored by Gaussian elimination in natural order.  With
+    `diag_pivot_thresh=0` SuperLU keeps every nonzero diagonal pivot: it
+    exchanges a row only at a zero diagonal pivot, and reports an exactly
+    singular factor when the whole column is zero.  Either way a leading
+    principal minor of sigma I - F is zero, so it is not positive definite
+    and lam_max >= sigma.  Otherwise (`perm_r` equal to `perm_c`, the
+    identity) the factorization is the symmetric L D L^T, and by Sylvester's
+    law of inertia all pivots positive proves sigma I - F positive definite
+    and any pivot <= 0 proves it is not.
     """
     # imported here: most forms never need it, and scipy.sparse costs
     # start-up time and memory that no other stage pays
@@ -182,11 +185,8 @@ def _below(form: CSR, sigma: float) -> bool | None:
                                       diag_pivot_thresh=0.0,
                                       options={"SymmetricMode": True})
     except RuntimeError:  # exactly singular
-        return None
-    identity = np.arange(n)
-    if not (np.array_equal(lu.perm_r, identity) and np.array_equal(lu.perm_c, identity)):
-        return None
-    return bool(np.all(lu.U.diagonal() > 0.0))
+        return False
+    return bool(np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0.0))
 
 
 def check_compositional_lmi(form: CSR) -> LmiCheck:
@@ -197,12 +197,10 @@ def check_compositional_lmi(form: CSR) -> LmiCheck:
     largest eigenvalue, and no eigenvalue exceeds the bound.  The bound and
     the tolerance come from `gershgorin_fast_check`, whose result the verdict
     carries.  Bisection on sigma narrows the bracket with one sparse
-    factorization of sigma I - F per step
-    (`_below`) until it is `_BRACKET_RTOL` wide; an inconclusive
-    factorization ends the bisection and moves neither end.  On a ring of
-    identical rooms the quotient meets the bound, so nothing is factored.
-    The margin is the upper end, so a conclusive Gershgorin check decides
-    alone.
+    factorization of sigma I - F per step (`_below`), each of which moves
+    one end, until it is `_BRACKET_RTOL` wide.  On a ring of identical rooms
+    the quotient meets the bound, so nothing is factored.  The margin is the
+    upper end, so a conclusive Gershgorin check decides alone.
     """
     fast = gershgorin_fast_check(form)
     tol, hi = fast.tol, fast.bound
@@ -218,11 +216,8 @@ def check_compositional_lmi(form: CSR) -> LmiCheck:
         sigma = lo + 0.5 * (hi - lo)
         if not lo < sigma < hi:
             break
-        below = _below(form, sigma)
         factorizations += 1
-        if below is None:
-            break
-        if below:
+        if _below(form, sigma):
             hi = sigma
         else:
             lo = sigma

@@ -204,6 +204,25 @@ class TestDissipativity:
         assert not res.ok
         assert res.residual[1, 1] < 0
 
+    def test_room_without_internal_inputs(self, room, room_cert, noise_free_disc):
+        # p = 0: the zero-size blocks leave the state block alone, bit for bit
+        # the reference room's, and the constants do not read D
+        lone = st.AffineSystem(A=room.A, B=room.B, C1=room.C1, C2=room.C2,
+                               D=np.zeros((1, 0)), G=room.G, b=room.b,
+                               state_box=room.state_box, input_box=room.input_box,
+                               internal_box=st.Box(np.zeros(0), np.zeros(0)))
+        cert = StorageCertificate(**{**room_cert.to_dict(), "H": np.zeros((1, 0)),
+                                     "Xbar11": np.zeros((0, 0)), "Xbar12": np.zeros((0, 1)),
+                                     "Xbar21": np.zeros((1, 0))})
+        res = st.check_dissipativity_lmi(cert, lone, 0.1)
+        ref = st.check_dissipativity_lmi(room_cert, room, 0.1)
+        assert res.ok and res.residual.shape == (1, 1)
+        assert res.residual[0, 0] == ref.residual[0, 0] == res.margin
+        assert res.margin == pytest.approx(0.49895, rel=1e-12)
+        disc = st.DiscretizationSpec(tau=0.1, D_tilde=np.zeros((1, 0)), R_tilde=0.0)
+        assert (st.derive_constants(cert, lone, disc)
+                == st.derive_constants(room_cert, room, noise_free_disc))
+
     def test_requires_square_gain(self):
         sys_ = st.AffineSystem(A=np.eye(2) * -1, B=np.ones((2, 1)), C1=np.eye(2),
                                C2=np.eye(2), D=np.ones((2, 1)), G=np.ones((2, 1)),
@@ -324,6 +343,23 @@ class TestDeriveConstants:
             full = st.derive_constants(cert, room, noisy,
                                        w_hat_bound=rng.uniform(0, 50.0), delta=0.005)
             assert base.psi <= full.psi
+
+    def test_noise_free_feedthrough_closed_form(self, room, noise_free_disc):
+        # R_tilde = 0 with D_tilde != 0: the quantization and trace terms drop,
+        # and the feedthrough term joins psi0
+        cert = StorageCertificate(**{**room_certificate().to_dict(), "eta_bar": 0.5,
+                                     "eta_bar_p": 2.0, "eta_bar_pp": 4.0})
+        clean = st.derive_constants(cert, room, noise_free_disc)
+        d_tilde, w_hat = -0.3, 41.0
+        disc = st.DiscretizationSpec(tau=0.1, D_tilde=d_tilde, R_tilde=0.0)
+        const = st.derive_constants(cert, room, disc, w_hat_bound=w_hat)
+        L = st.gamma_slope_bound(cert, room)
+        assert L == clean.rho_ext_slope == 2.0
+        assert const.rho_ext_slope == pytest.approx(L * (1 + 1 / 0.5) * (1 + 2.0) * (1 + 4.0),
+                                                    rel=1e-15)
+        d_term = L * (1 + 1 / 0.5) * (1 + 2.0) * (1 + 1 / 4.0) * abs(d_tilde) * w_hat
+        assert const.psi == pytest.approx(clean.psi + d_term, rel=1e-15)
+        assert (const.kappa, const.alpha_coeff) == (clean.kappa, clean.alpha_coeff)
 
     def test_kappa_strictly_inside_unit_interval(self, room, noise_free_disc):
         rng = np.random.default_rng(8)

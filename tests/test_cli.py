@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import stochsym as st
+from stochsym import composition
 from stochsym.cli import (
     EXIT_CONDITION,
     EXIT_CONFIG,
@@ -263,13 +264,29 @@ class TestRunPipeline:
         assert rc == EXIT_CONDITION
         assert "Con_1a" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tag, edit, written", [
+        ("Con_1", lambda cfg: cfg["certificates"]["values"][0].update(K=[[0.0]]), []),
+        ("Con_3", lambda cfg: cfg["certificates"]["values"][0].update(H=[[0.0]]), []),
+        ("Eq_8a", lambda cfg: cfg["certificates"]["values"][0].update(Xbar11=[[0.0]]), []),
+        # four cells of width 0.3 reach past the state box, to 21.2
+        ("Con111", lambda cfg: cfg["grid"].update(state_widths=[0.3]),
+         ["certificates.json"]),
+        # a safe set that holds no cell centre
+        ("winning-set", lambda cfg: cfg["safety"].update(lower=[20.0], upper=[20.002]),
+         ["abstraction.csv", "abstraction.json", "certificates.json", "composition.json"]),
+    ], ids=["Con_1", "Con_3", "Eq_8a", "Con111", "winning-set"])
+    def test_failed_condition_exits_2_before_its_artifacts(self, tmp_path, capsys,
+                                                           tag, edit, written):
+        cfg = generate_rooms(n=4, n_trials=8, out_dir=str(tmp_path / "out"))
+        edit(cfg)
+        assert run_pipeline(cfg) == EXIT_CONDITION
+        assert f"condition violated: {tag} (" in capsys.readouterr().err
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == written
+
     def test_inconclusive_network_lmi_never_passes(self, tmp_path, capsys, monkeypatch):
         # mu = (0.5, 1, 1.5, 1) and a 16-fold Xbar11: the form's top
         # eigenvalue is -2.2e-6 but its Gershgorin bound +3.5e-6, so only
         # the bisection's factorizations can prove the LMI
-        import scipy.sparse.linalg
-        from types import SimpleNamespace
-
         cfg = small_rooms(tmp_path)
         cert = cfg["certificates"]["values"][0]
         cert["Xbar11"] = [[16 * cert["Xbar11"][0][0]]]
@@ -281,18 +298,15 @@ class TestRunPipeline:
         assert lower <= upper == -comp["lmi_margin"] < 0
         capsys.readouterr()
 
-        # a factorization that exchanged rows proves nothing either way
-        real = scipy.sparse.linalg.splu
-
-        def pivoted(a, **kwargs):
-            lu = real(a, **kwargs)
-            return SimpleNamespace(perm_r=lu.perm_r[::-1].copy(), perm_c=lu.perm_c, U=lu.U)
-
-        monkeypatch.setattr(scipy.sparse.linalg, "splu", pivoted)
+        # a bisection that stops before its bracket leaves the tolerance
+        # neither proves nor refutes the LMI: [1^T F 1 / n, bound] straddles it
+        monkeypatch.setattr(composition, "_BRACKET_RTOL", 10.0)
         (tmp_path / "out" / "composition.json").unlink()
         rc = run_pipeline(cfg, stages=["verify", "compose"])
         assert rc == EXIT_CONDITION
-        assert "condition violated: Con_1a-inconclusive" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "condition violated: Con_1a-inconclusive" in err
+        assert f"{comp['gershgorin']['bound']:.3e}]" in err
         assert not (tmp_path / "out" / "composition.json").exists()
 
     def test_gridless_compose_reports_skipped_abstract_check(self, tmp_path):
@@ -885,6 +899,7 @@ def _flat_coupling(m):
     (_cert_edit(lambda v: v.update(K=[["fast"]])), "certificates.values[0].K is malformed"),
     (_set(("certificates", "values"), None), "certificates.values"),
     (_solve_mode, "certificates.kappa_tilde"),
+    (_solved(lambda c: c.update(kappa_tilde=0.0)), "config error: kappa_tilde must be positive"),
     (_set(("bound", "alpha_mode"), "loose"), "bound.alpha_mode"),
     (_set(("bound", "reported", "psi_network"), "small"), "bound.reported.psi_network"),
     (_set(("bound", "horizon"), -3), "bound.horizon"),
@@ -962,6 +977,7 @@ def _flat_coupling(m):
         "n_trials-fraction", "safety-horizon-bool", "safety-horizon-fraction",
         "record_outputs-string", "cert-unknown-key", "cert-missing-key",
         "cert-non-numeric", "given-without-values", "solve-without-kappa_tilde",
+        "solve-kappa_tilde-zero",
         "unknown-alpha_mode", "psi_network-non-numeric", "bound-horizon-negative",
         "seed-negative", "bound-epsilon-negative", "bound-epsilon-nan",
         "bound-epsilon-zero", "simulation-epsilon-negative", "simulation-epsilon-nan",

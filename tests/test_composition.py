@@ -1,5 +1,4 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +7,8 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 import stochsym as st
-from stochsym.certificates import SstfConstants, StorageCertificate
+from stochsym import composition
+from stochsym.certificates import SstfConstants, StorageCertificate, psd_tolerance
 from stochsym.cli import circular_coupling
 from stochsym.errors import DimensionMismatch, WeightNotPositive
 
@@ -96,22 +96,58 @@ class TestCompositionalLmi:
         assert lmi.margin == pytest.approx(top, rel=1e-12)
         assert lmi.lower <= top <= lmi.margin
 
-    def test_pivoted_factorization_is_inconclusive(self, monkeypatch):
-        # the hub's Gershgorin bound (2) is not conclusive; a factorization
-        # that exchanged rows proves nothing, so the bracket stays at
-        # [1^T F 1 / n, bound] = [-1, 2] and the verdict neither passes nor fails
-        real = scipy.sparse.linalg.splu
+    @pytest.mark.parametrize("dense, sigma, outcome", [
+        # sigma = F_00, whose column has an off-diagonal entry: the zero
+        # pivot is exchanged with row 1
+        ([[1.0, 1.0], [1.0, 0.0]], 1.0, "exchanged"),
+        # sigma = F_22, whose column has none: sigma I - F has a zero column
+        ([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.5]], 0.5, "singular"),
+    ], ids=["exchanged", "singular"])
+    def test_zero_pivot_proves_the_top_eigenvalue_is_not_below(self, pivots, dense,
+                                                               sigma, outcome):
+        assert composition._below(st.CSR.from_dense(dense), sigma) is False
+        assert pivots == {"exchanged": outcome == "exchanged",
+                          "singular": outcome == "singular"}
+        assert np.linalg.eigvalsh(dense)[-1] >= sigma
 
-        def pivoted(a, **kwargs):
+    def test_every_factorization_decides(self, pivots):
+        # small integer entries make exact zero pivots common; sigma sits at
+        # a diagonal entry, at an eigenvalue or anywhere near the spectrum
+        rng = np.random.default_rng(35)
+        decided = 0
+        for _ in range(300):
+            n = int(rng.integers(2, 9))
+            upper = np.triu(rng.integers(-2, 3, (n, n)) * (rng.uniform(size=(n, n)) < 0.4))
+            dense = (upper + np.triu(upper, 1).T).astype(float)
+            eig = np.linalg.eigvalsh(dense)
+            sigma = float((dense.diagonal()[rng.integers(n)], eig[rng.integers(n)],
+                           rng.uniform(eig[0] - 1.0, eig[-1] + 1.0))[rng.integers(3)])
+            below = composition._below(st.CSR.from_dense(dense), sigma)
+            assert isinstance(below, bool)
+            if abs(eig[-1] - sigma) > psd_tolerance(dense):
+                assert below == (eig[-1] < sigma), (dense, sigma)
+                decided += 1
+        assert decided > 200
+        assert pivots["exchanged"] > 0 and pivots["singular"] > 0
+
+
+@pytest.fixture
+def pivots(monkeypatch):
+    """Counts of `_below`'s factorizations that exchanged a row or were exactly singular."""
+    real = scipy.sparse.linalg.splu
+    seen = {"exchanged": 0, "singular": 0}
+
+    def spy(a, **kwargs):
+        try:
             lu = real(a, **kwargs)
-            return SimpleNamespace(perm_r=lu.perm_r[::-1].copy(), perm_c=lu.perm_c, U=lu.U)
+        except RuntimeError:
+            seen["singular"] += 1
+            raise
+        seen["exchanged"] += not np.array_equal(lu.perm_r, lu.perm_c)
+        return lu
 
-        monkeypatch.setattr(scipy.sparse.linalg, "splu", pivoted)
-        form = st.network_form(hub_coupling(4), scalar_blocks(1.0, -2.0, 4))
-        lmi = st.check_compositional_lmi(form)
-        assert not lmi.ok and not lmi.violated
-        assert (lmi.lower, lmi.margin) == (-1.0, 2.0)
-        assert lmi.factorizations == 1
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", spy)
+    return seen
 
 
 def hub_coupling(n) -> np.ndarray:
