@@ -181,7 +181,7 @@ class UniformGrid:
 
     @property
     def n_points(self) -> int:
-        return int(np.prod(self.cells))
+        return math.prod(self.cells)
 
     @property
     def delta(self) -> float:
@@ -229,7 +229,7 @@ class UniformGrid:
         inside = np.all((x >= self.lower - edge) & (x <= upper + edge), axis=-1)
         idx = np.floor((x - self.lower) / self.widths).astype(np.int64)
         flat = np.ravel_multi_index(
-            tuple(np.moveaxis(idx, -1, 0)), self.cells, mode="clip"
+            tuple(idx[..., d] for d in range(self.dim)), self.cells, mode="clip"
         )
         return np.where(inside, flat, self.n_points)
 
@@ -471,8 +471,9 @@ def export_abstraction(abs_: FiniteAbstraction, json_path, csv_path) -> None:
     `_EXPORT_ENTRIES` at a time.  Each state, (input, internal) pair and
     target is formatted once into a text table that a block's lines are
     assembled from; probabilities are the shortest round-trip `repr` of each
-    float (a point mass is `1.0`), formatted once per distinct value of a
-    block.  The kernel's rows are sorted by target, as every `CSR` is.
+    float (a point mass is `1.0`), formatted once per distinct value, by the
+    first block that meets it.  The kernel's rows are sorted by target, as
+    every `CSR` is.
     """
     header = {
         "kind": abs_.kind,
@@ -512,10 +513,14 @@ def export_abstraction(abs_: FiniteAbstraction, json_path, csv_path) -> None:
             parts[:, 0] = states[s]
             parts[:, 1] = pairs[uw]
             parts[:, 2] = targets[cols[take]]
-            # each distinct probability of the block is looked up or formatted once
+            # each distinct probability of the block is looked up, and only
+            # those not met before are formatted
             keys, key_of = np.unique(bits[take], return_inverse=True)
-            texts = [made.get(k) or made.setdefault(k, repr(p) + "\n") for k, p in
-                     zip(keys.tolist(), keys.view(np.float64).tolist())]
-            parts[:, 3] = np.array(texts, dtype=object)[key_of]
+            texts = np.array(list(map(made.get, keys.tolist())), dtype=object)
+            miss = np.flatnonzero(np.equal(texts, None))
+            new = [repr(p) + "\n" for p in keys[miss].view(np.float64).tolist()]
+            made.update(zip(keys[miss].tolist(), new))
+            texts[miss] = new
+            parts[:, 3] = texts[key_of]
             fh.write("".join(parts.reshape(-1).tolist()))
             r0 = r1

@@ -885,8 +885,12 @@ def _stage_abstract(bundle: PipelineBundle, ctx: dict) -> None:
 
 
 def _stage_synthesize(bundle: PipelineBundle, ctx: dict) -> None:
+    # simulate reads only each abstraction's grid and disc: the kernels, and
+    # what value iteration cached on them, are freed when this stage returns
+    abstractions = ctx["abstractions"]
+    ctx["abstractions"] = [rt.AbstractionView(fa.grid, fa.disc) for fa in abstractions]
     controllers = []
-    for g_idx, fa in enumerate(ctx["abstractions"]):
+    for g_idx, fa in enumerate(abstractions):
         if bundle.safety.horizon is not None:
             ctrl = synth.safety_value_iteration(fa, bundle.safety)
         else:  # the abstraction is deterministic: `_check_stages` checked it
@@ -895,7 +899,7 @@ def _stage_synthesize(bundle: PipelineBundle, ctx: dict) -> None:
             raise CheckFailed("winning-set",
                               f"abstraction group {g_idx} has an empty winning set")
         controllers.append(ctrl)
-        suffix = "" if len(ctx["abstractions"]) == 1 else f"_{g_idx}"
+        suffix = "" if len(abstractions) == 1 else f"_{g_idx}"
         synth.write_controller(ctrl, bundle.safety,
                                ctx["out"] / f"controller{suffix}.csv",
                                ctx["out"] / f"controller{suffix}.json")

@@ -180,8 +180,8 @@ class CSR:
         shape = list(terms.shape)
         shape[axis] = self.shape[0]
         acc = np.zeros(shape)
-        # views with the product's axis first
-        terms_, acc_ = np.moveaxis(terms, axis, 0), np.moveaxis(acc, axis, 0)
+        # views with the product's axis swapped to the front
+        terms_, acc_ = terms.swapaxes(axis, 0), acc.swapaxes(axis, 0)
         if data is not None:
             terms_ *= data.reshape((-1,) + (1,) * (x.ndim - 1))
         start = 0
@@ -191,7 +191,7 @@ class CSR:
         if order is None:
             return acc
         out = np.empty_like(acc)
-        np.moveaxis(out, axis, 0)[order] = acc_
+        out.swapaxes(axis, 0)[order] = acc_
         return out
 
 

@@ -42,22 +42,24 @@ Trials are independent; each draws its Gaussian increments from its own
 stream, a `BIT_GENERATOR` (SFC64) seeded by that trial's child of the
 master seed, so results are bitwise reproducible regardless of chunking or
 worker count.  The trials are split into contiguous chunks whose sizes
-differ by at most one: enough chunks to keep each within `_CHUNK_TRIALS`
-trials and to give every worker one.  A chunk keeps its trials in order,
-a mask marking the violated ones.  By
-default there is one worker per CPU the process may use, at most two, and
-the `STOCHSYM_THREADS` environment variable sets another count; the calling
-thread runs chunks itself beside one helper thread per further worker
-(numpy draws normals and does the array arithmetic with the GIL released).
-A run that loses an abstract state reports the loss one chunk holding every
-trial would meet first, whichever chunk met it.  The substeps
+differ by at most one: enough chunks to keep each within `_CHUNK_ENTRIES`
+states (trials x n_total, but at least one trial) and to give every worker
+one.  A chunk keeps its trials in order, a mask marking the violated ones.
+By default there is one worker per CPU the process may use, at most two,
+and the `STOCHSYM_THREADS` environment variable sets another count; the
+calling thread runs chunks itself beside one helper thread per further
+worker (numpy draws normals and does the array arithmetic with the GIL
+released).  A run that loses an abstract state reports the loss one chunk
+holding every trial would meet first, whichever chunk met it.  The substeps
 of an interval are streamed a block at a time (at most
 `_SUBSTEP_BLOCK_ENTRIES` normals across the chunks in flight, but at least
 one substep), each trial continuing its stream in order.  A block's
 normals become its states in place: one noise map and one offset over the
 whole block, then one update per substep, and the output envelope is
-folded in once per block.  So the simulator's memory is
-O(C x n_total) for C trials in flight, independent of the substep count.
+folded in once per block.  So the simulator's memory is O(C x n_total) for
+the C trials in flight, one chunk per worker: independent of the substep
+count, and of the network's size and the trial count, unless one trial
+alone holds more than `_CHUNK_ENTRIES` states.
 The empirical violation frequency is reported with exact one-sided
 Clopper-Pearson upper and lower confidence bounds for comparison against the
 theoretical guarantee.  Each bound solves Clopper and Pearson's (1934)
@@ -73,13 +75,14 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 # loaded with the package, not by the first simulation: its import (about
 # 10 ms of extension modules) is start-up work, as numpy's own is
 import numpy.random  # noqa: F401
 
-from .abstraction import _EXPORT_ENTRIES, FiniteAbstraction, UniformGrid
+from .abstraction import _EXPORT_ENTRIES, AbstractionGrid, FiniteAbstraction, UniformGrid
 from .certificates import CONDITION_INTERNAL_MATCH, StorageCertificate, check_geometric
 from .csr import CSR
 from .errors import (
@@ -92,6 +95,7 @@ from .errors import (
 )
 from .model import (
     AffineSystem,
+    DiscretizationSpec,
     InterconnectionSpec,
     as_matrix,
     as_vector,
@@ -102,8 +106,9 @@ from .model import (
 )
 from .synthesis import Controller
 
-#: a chunk holds at most this many trials
-_CHUNK_TRIALS = 128
+#: a chunk holds at most this many states (trials x n_total), but at least
+#: one trial, so its buffers do not grow with the network or the trial count
+_CHUNK_ENTRIES = 1 << 14
 #: substeps per block are capped so that the blocks of normals of the chunks
 #: in flight hold at most this many entries together (C x block x n_total),
 #: but a block is at least one substep
@@ -310,6 +315,13 @@ class SimulationResult:
     output_max: np.ndarray
     outputs: np.ndarray | None = None           # (n_trials, horizon + 1, q1) if recorded
     abstract_outputs: np.ndarray | None = None  # same shape, abstract side
+
+
+class AbstractionView(NamedTuple):
+    """What `cosimulate` reads of a group's abstraction, without its kernel."""
+
+    grid: AbstractionGrid
+    disc: DiscretizationSpec
 
 
 @dataclass(eq=False)
@@ -708,21 +720,28 @@ def _simulate_chunk(net: _Network, horizon: int, x0: np.ndarray, streams,
     return (errors, out_min, out_max, out_rec, out_hat_rec), substep_intervals
 
 
-def _chunks(n_trials: int, workers: int) -> list:
+def _chunks(n_trials: int, workers: int, n_total: int) -> list:
     """Contiguous (start, stop) trial ranges whose sizes differ by at most 1.
 
-    There are enough of them to keep each within `_CHUNK_TRIALS` trials and
-    to give each of `workers` workers one; the larger ones come first.
+    There are enough of them to keep each within `_CHUNK_ENTRIES` states of
+    `n_total` each (but at least one trial) and to give each of `workers`
+    workers one; the larger ones come first.
     """
-    n = max(-(-n_trials // _CHUNK_TRIALS), min(workers, n_trials))
+    cap = max(1, _CHUNK_ENTRIES // n_total)
+    n = max(-(-n_trials // cap), min(workers, n_trials))
     size, extra = divmod(n_trials, n)
     starts = [i * size + min(i, extra) for i in range(n + 1)]
     return list(zip(starts, starts[1:]))
 
 
 def _run_batch(net, config: SimConfig, x0, streams):
+    """The trials' arrays in trial order, and their substepped intervals.
+
+    The chunks of `_chunks` are shared out among the workers, so at most
+    one chunk per worker, each within `_CHUNK_ENTRIES` states, is in flight.
+    """
     workers = config.workers()
-    chunks = _chunks(config.n_trials, workers)
+    chunks = _chunks(config.n_trials, workers, net.n_total)
     workers = min(workers, len(chunks))
     # one block of normals per worker, sized by the largest chunk (the first)
     in_flight = workers * (chunks[0][1] - chunks[0][0])
@@ -762,7 +781,7 @@ def _run_batch(net, config: SimConfig, x0, streams):
 def cosimulate(
     systems: list[AffineSystem],
     ic: InterconnectionSpec,
-    abstractions: list[FiniteAbstraction],
+    abstractions: list[FiniteAbstraction | AbstractionView],
     controllers: list[Controller],
     certs: list[StorageCertificate],
     config: SimConfig,
@@ -774,6 +793,10 @@ def cosimulate(
     group of `ic`, whose `group_of` places the subsystems; each group's
     sampling time, D_tilde and R_tilde are those of its abstraction's `disc`,
     and its output maps C1 P and C2 P are formed from `systems` and `certs`.
+    Of an abstraction only `grid` and `disc` are read, never its kernel, so
+    an `AbstractionView` of the two serves as well and lets a caller free
+    the kernels first; the chunks of trials in flight hold at most
+    `_CHUNK_ENTRIES` states each (one trial at least).
     A stationary controller table serves every step, and a time-varying one
     must hold a row for each of the `config.horizon` steps
     (`StaleControllerTable`, a ConfigError, if it holds fewer).  Per

@@ -1,11 +1,13 @@
 import json
 import re
+import weakref
 
 import numpy as np
 import pytest
 
 import stochsym as st
-from stochsym import composition
+from stochsym import cli, composition
+from stochsym import runtime as rt
 from stochsym.cli import (
     EXIT_CONDITION,
     EXIT_CONFIG,
@@ -373,6 +375,40 @@ class TestRunPipeline:
         sb = json.loads((tmp_path / "b" / "simulation_summary.json").read_text())
         assert sa["rng_seed"] != sb["rng_seed"]
         assert sa["mean_sup_error"] != sb["mean_sup_error"]
+
+
+@pytest.mark.parametrize("case", ["fixpoint", "value-iteration", "gaussian", "two-groups"])
+def test_simulate_starts_with_every_kernel_freed(tmp_path, monkeypatch, case):
+    # the Monte Carlo reads each abstraction's grid and disc only: the
+    # kernels, and the slot orders value iteration caches on them, are
+    # released before it starts, whether the synthesis is a fixpoint or
+    # value iteration and however many abstractions there are
+    cfg = small_rooms(tmp_path, trials=8)
+    if case != "fixpoint":
+        cfg["safety"]["horizon"] = cfg["bound"]["horizon"]
+    if case == "gaussian":
+        cfg["discretization"]["R_tilde"] = [[0.002]]
+        cfg["grid"] = {"state_widths": [0.05], "input_widths": [0.005],
+                       "internal_widths": [2.0]}
+    if case == "two-groups":
+        cfg["grid"] = [dict(cfg["grid"]) for _ in range(4)]
+        cfg["grid"][3]["state_widths"] = [0.01]
+    kernels, alive = [], []
+    abstract, cosimulate = cli._STAGE_FUNCS["abstract"], rt.cosimulate
+
+    def spy_abstract(bundle, ctx):
+        abstract(bundle, ctx)
+        kernels.extend(weakref.ref(fa.kernel) for fa in ctx["abstractions"])
+
+    def spy_cosimulate(*args):
+        alive.append([ref() is not None for ref in kernels])
+        return cosimulate(*args)
+
+    monkeypatch.setitem(cli._STAGE_FUNCS, "abstract", spy_abstract)
+    monkeypatch.setattr(rt, "cosimulate", spy_cosimulate)
+    assert run_pipeline(cfg) == EXIT_OK
+    assert len(kernels) == (2 if case == "two-groups" else 1)
+    assert alive == [[False] * len(kernels)]
 
 
 def test_rooms_with_different_p_get_their_own_abstraction(tmp_path):

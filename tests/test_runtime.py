@@ -25,11 +25,12 @@ from stochsym.runtime import (
 from conftest import ROOM, room_certificate, room_system, traced_peak
 
 
-def chunk_trials(monkeypatch, trials):
-    """Split the trials into chunks of at most `trials` (the simulator's 128)."""
+def chunk_trials(monkeypatch, trials, n_total):
+    """Split the trials of an `n_total`-state network into chunks of at most
+    `trials`, by setting the simulator's entry budget to trials x n_total."""
     from stochsym import runtime
 
-    monkeypatch.setattr(runtime, "_CHUNK_TRIALS", trials)
+    monkeypatch.setattr(runtime, "_CHUNK_ENTRIES", trials * n_total)
 
 
 def room_state(**kw):
@@ -139,7 +140,7 @@ class TestCosimulate:
         systems, ic, fas, ctrls, certs = small_network(g=0.0, bias=0.0)
         grid = fas[0].grid.state
         x0 = np.full(3, grid.center(grid.locate([20.5]))[0])
-        chunk_trials(monkeypatch, 2)
+        chunk_trials(monkeypatch, 2, x0.size)
         cfg = st.SimConfig(n_trials=3, horizon=12, epsilon=0.05, n_substeps=20,
                            rng_seed=0)
         res = st.cosimulate(systems, ic, fas, ctrls, certs, cfg, x0)
@@ -151,7 +152,7 @@ class TestCosimulate:
     def test_seeded_reproducibility_bitwise(self, monkeypatch):
         systems, ic, fas, ctrls, certs = small_network(g=0.3)
         x0 = np.full(3, 20.5025)
-        chunk_trials(monkeypatch, 4)
+        chunk_trials(monkeypatch, 4, x0.size)
         cfg = st.SimConfig(n_trials=6, horizon=5, epsilon=0.5, n_substeps=10,
                            rng_seed=99)
         a = st.cosimulate(systems, ic, fas, ctrls, certs, cfg, x0)
@@ -165,14 +166,14 @@ class TestCosimulate:
         cfg = st.SimConfig(n_trials=7, horizon=4, epsilon=0.5, n_substeps=8, rng_seed=5)
         runs = []
         for trials in (7, 2):
-            chunk_trials(monkeypatch, trials)
+            chunk_trials(monkeypatch, trials, x0.size)
             runs.append(st.cosimulate(systems, ic, fas, ctrls, certs, cfg, x0))
         assert np.array_equal(runs[0].step_errors, runs[1].step_errors)
 
     def test_worker_count_does_not_change_statistics(self, monkeypatch):
         systems, ic, fas, ctrls, certs = small_network(g=0.3)
         x0 = np.full(3, 20.5025)
-        chunk_trials(monkeypatch, 2)
+        chunk_trials(monkeypatch, 2, x0.size)
         cfg = st.SimConfig(n_trials=8, horizon=4, epsilon=0.5, n_substeps=8, rng_seed=5)
         runs = []
         for workers in ("1", "4"):
@@ -233,7 +234,7 @@ class TestCosimulate:
         systems, ic, fas, ctrls, certs = small_network(g=0.3)
         grid = fas[0].grid.state
         x0 = np.full(3, grid.center(grid.locate([20.5]))[0])
-        chunk_trials(monkeypatch, 4096)
+        chunk_trials(monkeypatch, 4096, x0.size)
         cfg = st.SimConfig(n_trials=20_000, horizon=1, epsilon=9.9, n_substeps=4,
                            rng_seed=8, record_outputs=True)
         res = st.cosimulate(systems, ic, fas, ctrls, certs, cfg, x0)
@@ -408,7 +409,7 @@ class TestStochasticClosedLoop:
         systems, ic, fas, ctrls, certs = stochastic_network()
         grid = fas[0].grid.state
         x0 = np.full(3, grid.center(grid.locate([20.5]))[0])
-        chunk_trials(monkeypatch, 8)
+        chunk_trials(monkeypatch, 8, x0.size)
         cfg = st.SimConfig(n_trials=20, horizon=6, epsilon=0.6, n_substeps=20, rng_seed=4)
         res = st.cosimulate(systems, ic, fas, ctrls, certs, cfg, x0)
         assert res.summary.n_trials == 20
@@ -424,7 +425,7 @@ class TestStochasticClosedLoop:
         cfg = st.SimConfig(n_trials=9, horizon=4, epsilon=0.6, n_substeps=10, rng_seed=21)
         runs = []
         for trials in (4, 3):
-            chunk_trials(monkeypatch, trials)
+            chunk_trials(monkeypatch, trials, x0.size)
             runs.append(st.cosimulate(systems, ic, fas, ctrls, certs, cfg, x0))
         assert np.array_equal(runs[0].step_errors, runs[1].step_errors)
 
@@ -445,7 +446,7 @@ def test_calling_thread_runs_chunks_beside_its_helpers(monkeypatch):
     systems, ic, fas, ctrls, certs = small_network(g=0.3)
     x0 = np.full(3, 20.5025)
     runs = {}
-    chunk_trials(monkeypatch, 1)
+    chunk_trials(monkeypatch, 1, x0.size)
     cfg = st.SimConfig(n_trials=9, horizon=2, epsilon=0.5, n_substeps=4, rng_seed=5)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -467,19 +468,111 @@ def test_calling_thread_runs_chunks_beside_its_helpers(monkeypatch):
 def test_chunks_are_balanced_and_bounded_by_chunk_size(monkeypatch):
     from stochsym.runtime import _chunks
 
-    assert _chunks(64, 2) == [(0, 32), (32, 64)]
-    assert _chunks(200, 2) == [(0, 100), (100, 200)]
-    assert _chunks(3, 8) == [(0, 1), (1, 2), (2, 3)]
-    chunk_trials(monkeypatch, 2)
-    assert _chunks(7, 3) == [(0, 2), (2, 4), (4, 6), (6, 7)]
+    # 100 rooms: the default budget holds 163 trials
+    assert _chunks(64, 2, 100) == [(0, 32), (32, 64)]
+    assert _chunks(200, 2, 100) == [(0, 100), (100, 200)]
+    assert _chunks(3, 8, 100) == [(0, 1), (1, 2), (2, 3)]
+    chunk_trials(monkeypatch, 2, 3)
+    assert _chunks(7, 3, 3) == [(0, 2), (2, 4), (4, 6), (6, 7)]
     for n, size, workers in itertools.product(range(1, 30), range(1, 9), range(1, 5)):
-        chunk_trials(monkeypatch, size)
-        chunks = _chunks(n, workers)
+        chunk_trials(monkeypatch, size, 3)
+        chunks = _chunks(n, workers, 3)
         lengths = [b - a for a, b in chunks]
         assert chunks[0][0] == 0 and chunks[-1][1] == n
         assert all(a == b for (_, a), (b, _) in zip(chunks, chunks[1:]))
         assert max(lengths) <= size and max(lengths) - min(lengths) <= 1
         assert len(chunks) >= min(workers, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n_trials=hst.integers(1, 5000), workers=hst.integers(1, 16),
+       n_total=hst.integers(1, 40_000))
+def test_chunks_keep_within_the_entry_budget(n_trials, workers, n_total):
+    from stochsym.runtime import _CHUNK_ENTRIES, _chunks
+
+    def fits(trials):  # one trial alone may exceed the budget
+        return trials == 1 or trials * n_total <= _CHUNK_ENTRIES
+
+    chunks = _chunks(n_trials, workers, n_total)
+    lengths = [b - a for a, b in chunks]
+    assert chunks[0][0] == 0 and chunks[-1][1] == n_trials
+    assert all(a == b for (_, a), (b, _) in zip(chunks, chunks[1:]))
+    assert max(lengths) - min(lengths) <= 1
+    assert len(chunks) >= min(workers, n_trials)
+    assert fits(max(lengths))
+    # and no more chunks than those two rules need
+    fewer = len(chunks) - 1
+    assert fewer < min(workers, n_trials) or not fits(-(-n_trials // fewer))
+
+
+def wide_ring():
+    """A 2000-room ring, where the entry budget holds 8 trials, and a start
+    whose trials violate epsilon = 0.815 at steps 1 to 4 or never."""
+    return small_network(n=2000, g=0.3), np.full(2000, 20.5025)
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_entry_budget_does_not_change_a_wide_ring(monkeypatch, workers):
+    # 20 trials in chunks of 7, 7 and 6 against one chunk per worker under a
+    # budget raised past every trial: the same arrays, bit for bit
+    from stochsym import runtime
+
+    sizes = []
+    simulate_chunk = runtime._simulate_chunk
+
+    def spy(net, horizon, x0, streams, *args):
+        sizes.append(len(streams))
+        return simulate_chunk(net, horizon, x0, streams, *args)
+
+    monkeypatch.setattr(runtime, "_simulate_chunk", spy)
+    monkeypatch.setenv("STOCHSYM_THREADS", workers)
+    net, x0 = wide_ring()
+    cfg = st.SimConfig(n_trials=20, horizon=4, epsilon=0.815, n_substeps=6, rng_seed=7)
+    runs = {}
+    for budget in (runtime._CHUNK_ENTRIES, cfg.n_trials * x0.size):
+        sizes.clear()
+        monkeypatch.setattr(runtime, "_CHUNK_ENTRIES", budget)
+        runs[budget] = st.cosimulate(*net, cfg, x0), sorted(sizes)
+    (bounded, bounded_sizes), (whole, whole_sizes) = runs.values()
+    assert bounded_sizes == [6, 7, 7]
+    assert whole_sizes == [cfg.n_trials // int(workers)] * int(workers)
+    assert 0 < bounded.summary.n_violations < cfg.n_trials
+    for field in ("step_errors", "output_min", "output_max"):
+        assert np.array_equal(getattr(bounded, field), getattr(whole, field)), field
+    assert bounded.summary.to_dict() == whole.summary.to_dict()
+
+
+def test_peak_memory_does_not_grow_with_trials(monkeypatch):
+    # chunks of 8 trials of 2000 rooms, two of them at 16 trials and eight
+    # at 64: the peak grows by less than one chunk's (8, 2000) state buffer,
+    # where chunks of all the trials would hold four times the buffers.  One
+    # worker: with two, how the threads' blocks overlap moves the peak by
+    # a few hundred kB
+    monkeypatch.setenv("STOCHSYM_THREADS", "1")
+    net, x0 = wide_ring()
+    peaks = {}
+    for trials in (16, 64):
+        cfg = st.SimConfig(n_trials=trials, horizon=4, epsilon=0.815, n_substeps=6,
+                           rng_seed=7)
+        _, peaks[trials] = traced_peak(st.cosimulate, *net, cfg, x0)
+    assert peaks[64] - peaks[16] < 8 * x0.size * 8
+
+
+def test_cosimulate_reads_no_kernel(monkeypatch):
+    # the caller's abstractions keep their kernels, and views of their grids
+    # and discs, which hold none, give the same run
+    from stochsym import runtime
+
+    systems, ic, fas, ctrls, certs = stochastic_network()
+    kernels = [fa.kernel for fa in fas]
+    x0 = np.full(3, 20.5025)
+    cfg = st.SimConfig(n_trials=6, horizon=4, epsilon=0.6, n_substeps=5, rng_seed=3)
+    res = st.cosimulate(systems, ic, fas, ctrls, certs, cfg, x0)
+    assert all(fa.kernel is k for fa, k in zip(fas, kernels))
+    views = [runtime.AbstractionView(fa.grid, fa.disc) for fa in fas]
+    seen = st.cosimulate(systems, ic, views, ctrls, certs, cfg, x0)
+    for field in ("step_errors", "output_min", "output_max"):
+        assert np.array_equal(getattr(seen, field), getattr(res, field)), field
 
 
 def test_thread_env_var_caps_workers(monkeypatch):
@@ -665,7 +758,7 @@ class TestFusedSubstepOracle:
     def test_noisy_run_matches_scalar_interface_law(self, monkeypatch):
         net = mixed_network()
         x0 = np.array([20.4012, 20.5537, 20.6981])
-        chunk_trials(monkeypatch, 2)
+        chunk_trials(monkeypatch, 2, x0.size)
         cfg = st.SimConfig(n_trials=5, horizon=4, epsilon=9.9, n_substeps=8, rng_seed=17)
         res = st.cosimulate(*net, cfg, x0)
         want, lost_at = scalar_reference(*net, cfg, x0)
@@ -695,7 +788,7 @@ class TestFusedSubstepOracle:
         # path must give the same errors
         net = mixed_network()
         x0 = np.array([20.4012, 20.5537, 20.6981])
-        chunk_trials(monkeypatch, 3)
+        chunk_trials(monkeypatch, 3, x0.size)
         cfg = st.SimConfig(n_trials=4, horizon=3, epsilon=9.9, n_substeps=8, rng_seed=2)
         fast = st.cosimulate(*net, cfg, x0)
         _force_dense(monkeypatch)
@@ -725,7 +818,7 @@ class TestFusedSubstepOracle:
         # change the report; at 0.3, trials 2 and 5 violate at step 1
         assert first_violations(errors[:, :2], 0.3) == [None, None, 1, None, None, 1, None, None]
         for epsilon, trials, workers in itertools.product((9.9, 0.3), (2, 4, 8), (1, 2)):
-            chunk_trials(monkeypatch, trials)
+            chunk_trials(monkeypatch, trials, x0.size)
             monkeypatch.setenv("STOCHSYM_THREADS", str(workers))
             with pytest.raises(AbstractStateLost) as info:
                 st.cosimulate(*net, dataclasses.replace(cfg, epsilon=epsilon), x0)
@@ -759,7 +852,7 @@ class TestGroupIndex:
         per_room = [[objects[g] for g in ic.group_of]
                     for objects in (systems, fas, ctrls, certs)]
         x0 = np.array([20.4012, 20.5537, 20.6981])
-        chunk_trials(monkeypatch, 2)
+        chunk_trials(monkeypatch, 2, x0.size)
         cfg = st.SimConfig(n_trials=5, horizon=4, epsilon=9.9, n_substeps=8,
                            rng_seed=17, record_outputs=True)
         grouped = st.cosimulate(systems, ic, fas, ctrls, certs, cfg, x0)
@@ -819,7 +912,7 @@ class TestSubstepStreaming:
         systems, *rest = small_network(n=3, g=0.3, tracking_rate=40.0)
         mirrored = dataclasses.replace(systems[0], C1=np.array([[1.0], [-1.0]]))
         x0 = np.array([20.387, 20.502, 20.731])
-        chunk_trials(monkeypatch, 3)
+        chunk_trials(monkeypatch, 3, x0.size)
         cfg = st.SimConfig(n_trials=6, horizon=4, epsilon=9.9, n_substeps=11, rng_seed=8)
         plain = st.cosimulate(systems, *rest, cfg, x0)
         both = st.cosimulate([mirrored], *rest, cfg, x0)
@@ -839,7 +932,7 @@ class TestSubstepStreaming:
         assert runtime._Network(systems, *rest, 4, 11).C1.identity
         assert not runtime._Network([doubled], *rest, 4, 11).C1.identity
         x0 = np.array([20.387, 20.502, 20.731])
-        chunk_trials(monkeypatch, 3)
+        chunk_trials(monkeypatch, 3, x0.size)
         cfg = st.SimConfig(n_trials=6, horizon=4, epsilon=9.9, n_substeps=11,
                            rng_seed=8, record_outputs=True)
         plain = st.cosimulate(systems, *rest, cfg, x0)
@@ -902,7 +995,7 @@ class TestViolatedTrials:
         grid = fas[0].grid.state
         centre = grid.center(grid.locate([20.5]))[0]
         x0 = np.full(3, centre + 0.002)
-        chunk_trials(monkeypatch, 4096)
+        chunk_trials(monkeypatch, 4096, x0.size)
         cfg = st.SimConfig(n_trials=20_000, horizon=1, epsilon=0.003, n_substeps=4,
                            rng_seed=8, record_outputs=True)
         res = st.cosimulate(systems, ic, fas, ctrls, certs, cfg, x0)
@@ -953,7 +1046,7 @@ class TestViolatedTrials:
 
         runs = []
         for trials, workers in itertools.product((1, 2, 3), ("1", "2")):
-            chunk_trials(monkeypatch, trials)
+            chunk_trials(monkeypatch, trials, x0.size)
             monkeypatch.setenv("STOCHSYM_THREADS", workers)
             runs.append(st.cosimulate(*net, dataclasses.replace(cfg, epsilon=epsilon), x0))
         res = runs[0]
@@ -1077,7 +1170,7 @@ class TestControllerHorizon:
 def test_trajectory_csv_rows_match_arrays(tmp_path, monkeypatch):
     systems, ic, fas, ctrls, certs = small_network(g=0.1)
     x0 = np.full(3, 20.5025)
-    chunk_trials(monkeypatch, 2)
+    chunk_trials(monkeypatch, 2, x0.size)
     cfg = st.SimConfig(n_trials=3, horizon=2, epsilon=0.5, n_substeps=5,
                        rng_seed=4, record_outputs=True)
     res = st.cosimulate(systems, ic, fas, ctrls, certs, cfg, x0)
